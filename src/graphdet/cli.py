@@ -295,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-pipeline", help="train, detect on a held-out scene, report AP")
+    p = sub.add_parser(
+        "run-pipeline",
+        help="train, then report AP: ap_* keys on the first training scene, "
+        "holdout_* keys on a held-out scene",
+    )
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--steps", type=int, help="override the training step count")

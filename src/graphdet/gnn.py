@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .geom import decode_box
+from .neighbors import radius_pairs
 from .nnet import DenseStack, LayerGrads, add_layer_grads
 from .scene import Box3D
 
@@ -97,9 +98,10 @@ def build_graph(
 ) -> NeighborhoodGraph:
     """Connect proposals whose centres lie strictly closer than ``radius``.
 
-    Neighbour candidates come from a spatial hash with ``radius``-sized
-    cells, so construction stays near-linear in the node count.  Every
-    node is its own neighbour; adjacency lists are sorted ascending.
+    Neighbour candidates come from the cell hash of ``neighbors`` with
+    ``radius``-sized cells, so construction stays near-linear in the node
+    count.  Every node is its own neighbour; adjacency lists are sorted
+    ascending.
     """
     if radius <= 0 or not math.isfinite(radius):
         raise ValueError("radius must be a positive real")
@@ -107,26 +109,9 @@ def build_graph(
     coords = np.array([b.center for b in boxes]).reshape(-1, 3)
     n = len(boxes)
 
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    keys = []
-    for i in range(n):
-        key = tuple(int(math.floor(c / radius)) for c in coords[i])
-        cells.setdefault(key, []).append(i)
-        keys.append(key)
-
-    r2 = radius * radius
-    adjacency: list[tuple[int, ...]] = []
-    for i in range(n):
-        ki, kj, kk = keys[i]
-        neigh = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    for j in cells.get((ki + di, kj + dj, kk + dk), ()):
-                        d = coords[i] - coords[j]
-                        if float(d @ d) < r2:
-                            neigh.append(j)
-        adjacency.append(tuple(sorted(neigh)))
+    src, dst = radius_pairs(coords, radius)
+    ends = np.cumsum(np.bincount(src, minlength=n))
+    adjacency = [tuple(a.tolist()) for a in np.split(dst, ends)[:-1]]
 
     nodes = tuple(
         GraphNode(coords[i], np.asarray(state, dtype=float), i, box=boxes[i])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .geom import rotated_iou_bev
@@ -34,8 +35,12 @@ class RecallSchedule:
 
     @property
     def levels(self) -> tuple[float, ...]:
-        step = (self.q1 - self.q0) / (self.n_levels - 1)
-        return tuple(self.q0 + i * step for i in range(self.n_levels))
+        """Each level correctly rounded from its exact rational value, so
+        that 0.3 on the eleven-level schedule is the float 0.3 and a
+        recall of exactly 3/10 reaches it."""
+        q0, q1 = Fraction(self.q0), Fraction(self.q1)
+        last = self.n_levels - 1
+        return tuple(float(q0 + (q1 - q0) * i / last) for i in range(self.n_levels))
 
     @classmethod
     def s11(cls) -> "RecallSchedule":

@@ -1,0 +1,217 @@
+"""Exact neighbour search over a spatial cell hash.
+
+Points are sorted into cubic cells and stored CSR-style: the occupied
+cells' keys in ascending order, and for each cell the start and count of
+its points in one index permutation.  A query reads the 3x3x3 block of
+cells around its own cell as flat (query, source) pair arrays, so memory
+grows with the number of candidate pairs rather than with m x n.
+
+``nearest_k`` is exact and ties go to the lower source index, matching a
+stable argsort over each query's full row of squared distances.
+``radius_pairs`` lists every pair strictly closer than a radius.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# (query, source) pairs handled at once; problems whose full m x n
+# distance table fits are answered by the brute-force pass directly.
+_CHUNK_PAIRS = 1 << 20
+# Cells per source over the bounding box in the first k-nearest pass.
+# Clouds crowd onto surfaces and objects, so a fine first grid answers
+# the dense regions from small blocks; the doubling passes coarsen it
+# for the sparse ones.
+_CELLS_PER_SOURCE = 32.0
+# Cells per axis at most, so that the packed cell keys fit in int64.
+_MAX_CELLS = 1 << 20
+# Relative slack on cell-face distances, covering rounding in the cell
+# assignment and in the squared distances.
+_SLACK = 1e-9
+
+_OFFSETS = np.array(
+    [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)],
+    dtype=np.int64,
+)
+
+
+class CellIndex:
+    """Points sorted into cubic cells of side ``cell_size``.
+
+    Cells are counted from the points' minimum corner, so every point lies
+    in a cell of ``[0, shape)``.  Queries are clamped onto that grid.  A
+    cell side below 1/_MAX_CELLS of the points' extent is widened to it.
+    """
+
+    def __init__(self, points: np.ndarray, cell_size: float):
+        self.points = points
+        self.origin = points.min(axis=0)
+        extent = float((points.max(axis=0) - self.origin).max())
+        self.cell_size = cell_size = max(cell_size, extent / _MAX_CELLS)
+        cells = np.floor((points - self.origin) / cell_size).astype(np.int64)
+        self.shape = cells.max(axis=0) + 1
+        keys = self._key(cells)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys, self.start, self.count = np.unique(
+            keys[self.order], return_index=True, return_counts=True
+        )
+        scale = np.abs(self.origin).max() + self.shape.max() * cell_size
+        self._tol = _SLACK * scale
+
+    def _key(self, cells: np.ndarray) -> np.ndarray:
+        # One ring of padding, so the block of an edge cell keys uniquely.
+        sy, sz = self.shape[1] + 2, self.shape[2] + 2
+        c = cells + 1
+        return (c[..., 0] * sy + c[..., 1]) * sz + c[..., 2]
+
+    def cell_of(self, xyz: np.ndarray) -> np.ndarray:
+        """Cell coordinates of positions, clamped onto the grid."""
+        c = np.floor((xyz - self.origin) / self.cell_size)
+        return np.clip(c, 0, self.shape - 1).astype(np.int64)
+
+    def block_slots(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied cells of each query's 3x3x3 block.
+
+        Returns the query row and the cell slot (into ``keys``, ``start``
+        and ``count``) of every hit, ordered by query row.
+        """
+        keys = self._key(cells[:, None, :] + _OFFSETS).ravel()
+        slot = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        hit = self.keys[slot] == keys
+        rows = np.repeat(np.arange(len(cells)), len(_OFFSETS))
+        return rows[hit], slot[hit]
+
+    def expand(self, rows: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (query row, point index) pairs for the given cell hits."""
+        count = self.count[slots]
+        first = np.repeat(self.start[slots] - (np.cumsum(count) - count), count)
+        return np.repeat(rows, count), self.order[first + np.arange(count.sum())]
+
+    def block_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query, point) pair within each query's 3x3x3 block."""
+        return self.expand(*self.block_slots(self.cell_of(queries)))
+
+    def edge_distance(self, queries: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Distance from each query to the nearest block face with points
+        beyond it, shrunk by a rounding slack; infinite when the block
+        covers the whole grid."""
+        lo = self.origin + (cells - 1) * self.cell_size
+        hi = self.origin + (cells + 2) * self.cell_size
+        d_lo = np.where(cells >= 2, queries - lo, np.inf)
+        d_hi = np.where(cells + 2 < self.shape, hi - queries, np.inf)
+        edge = np.minimum(d_lo, d_hi).min(axis=1)
+        return np.maximum(edge * (1.0 - _SLACK) - self._tol, 0.0)
+
+
+def _start_cell(points: np.ndarray) -> float:
+    """Cell side giving ``_CELLS_PER_SOURCE`` cells per point over the
+    bounding box; axes thinner than the cell do not count as volume."""
+    extent = np.sort(points.max(axis=0) - points.min(axis=0))[::-1]
+    cells = len(points) * _CELLS_PER_SOURCE
+    for dims in (3, 2, 1):
+        side = (np.prod(extent[:dims]) / cells) ** (1.0 / dims)
+        if 0 < side <= extent[dims - 1]:
+            break
+    return float(side) if side > 0 else 1.0
+
+
+def _brute_k(
+    sources: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    diff = queries[:, None, :] - sources[None, :, :]
+    d2 = (diff**2).sum(axis=2)
+    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nn, np.take_along_axis(d2, nn, axis=1)
+
+
+def _hash_k(
+    index: CellIndex, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the cell hash.
+
+    Returns a mask of the queries whose k nearest provably lie in their
+    block, with those queries' indices and squared distances.
+    """
+    m = len(queries)
+    cells = index.cell_of(queries)
+    rows, slots = index.block_slots(cells)
+    per_query = np.bincount(rows, weights=index.count[slots], minlength=m)
+    edge = index.edge_distance(queries, cells)
+    done = np.zeros(m, dtype=bool)
+    nn = np.empty((m, k), dtype=np.int64)
+    d2 = np.empty((m, k))
+    # Batch whole queries so that each batch holds about _CHUNK_PAIRS pairs.
+    bounds = np.searchsorted(
+        np.cumsum(per_query),
+        np.arange(_CHUNK_PAIRS, per_query.sum(), _CHUNK_PAIRS),
+        side="right",
+    )
+    for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, m]):
+        a, b = np.searchsorted(rows, [lo, hi])
+        if a == b:
+            continue
+        q_idx, s_idx = index.expand(rows[a:b], slots[a:b])
+        d = ((queries[q_idx] - index.points[s_idx]) ** 2).sum(-1)
+        order = np.lexsort((s_idx, d, q_idx))
+        q_idx, s_idx, d = q_idx[order], s_idx[order], d[order]
+        counts = np.bincount(q_idx - lo, minlength=hi - lo)
+        starts = np.cumsum(counts) - counts
+        full = np.flatnonzero(counts >= k)
+        take = starts[full, None] + np.arange(k)
+        kth = d[take[:, -1]]
+        ok = kth < edge[lo + full] ** 2
+        rows_ok = lo + full[ok]
+        done[rows_ok] = True
+        nn[rows_ok] = s_idx[take[ok]]
+        d2[rows_ok] = d[take[ok]]
+    return done, nn[done], d2[done]
+
+
+def nearest_k(
+    sources: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of each query's ``k`` nearest sources.
+
+    Both outputs are (m, k), nearest first; equal distances go to the
+    lower source index.  Squared distances use ``((q - s) ** 2).sum(-1)``,
+    so they are bit-identical to a dense m x n table, and so is the
+    choice of neighbours.  Requires ``1 <= k <= len(sources)`` and finite
+    coordinates.
+
+    Queries are answered from a cell hash whose first cell side comes
+    from the source count and extent.  A query is final once its k-th
+    distance is strictly below the distance to the nearest face of its
+    3x3x3 block that has sources beyond it; the rest retry with the cell
+    side doubled.  Once the remaining queries' full distance table fits
+    in one chunk (at once, for small problems), they take the brute-force
+    pass.
+    """
+    m, n = len(queries), len(sources)
+    nn = np.empty((m, k), dtype=np.int64)
+    d2 = np.empty((m, k))
+    todo = np.arange(m)
+    side = _start_cell(sources)
+    while len(todo) * n > _CHUNK_PAIRS:
+        done, nn_done, d2_done = _hash_k(CellIndex(sources, side), queries[todo], k)
+        nn[todo[done]] = nn_done
+        d2[todo[done]] = d2_done
+        todo = todo[~done]
+        side *= 2.0
+    if len(todo):
+        nn[todo], d2[todo] = _brute_k(sources, queries[todo], k)
+    return nn, d2
+
+
+def radius_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (i, j), self-pairs included, strictly closer than
+    ``radius``, sorted by i then j."""
+    if len(points) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # Cells a hair wider than the radius keep every pair inside adjacent
+    # cells despite rounding in the cell assignment.
+    i, j = CellIndex(points, radius * (1.0 + _SLACK)).block_pairs(points)
+    keep = ((points[i] - points[j]) ** 2).sum(-1) < radius * radius
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]

@@ -9,9 +9,10 @@ produce scored boxes, suppression and metrics close the loop.  Training
 is plain gradient descent on the summed detection losses against a fixed
 synthetic batch.
 
-Evaluation always happens on a scene derived from a different seed than
-the training batch, so reported AP measures generalisation of the
-refinement stacks rather than memorisation of one scene.
+The headline ``ap_*`` keys are scored on the first training scene, so
+they show what refinement adds on the batch it descended on.  The
+``holdout_*`` keys are scored on a held-out scene drawn from a different
+seed, and measure how the refinement stacks generalise.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ from .scene import (
 from .voxel import SparseVoxelGrid, VoxelizationConfig, _axis_cells, voxelize
 
 # Seed offsets separating the pipeline's random streams.  Training scenes
-# stride by _SCENE_STRIDE; the evaluation scene deliberately lies outside
-# that family so reported AP measures transfer, not recall of the batch.
+# stride by _SCENE_STRIDE; the held-out scene deliberately lies outside
+# that family so holdout_* AP measures transfer, not recall of the batch.
 _PROPOSAL_OFFSET = 11
 _MODEL_OFFSET = 211
 _SCENE_STRIDE = 101
@@ -775,15 +776,19 @@ def _sum_grads(total: dict[str, Any] | None, extra: dict[str, Any]) -> dict[str,
 
 
 def _batch_evaluate(
-    models: PipelineModels, worlds: list[_World], config: PipelineConfig
-) -> tuple[float, dict[str, Any]]:
-    """Mean total loss and summed gradients over the training worlds."""
+    models: PipelineModels,
+    worlds: list[_World],
+    config: PipelineConfig,
+    want_grads: bool = True,
+) -> tuple[float, dict[str, Any] | None]:
+    """Mean total loss and (optionally) summed gradients over the worlds."""
     grads = None
     total = 0.0
     for world in worlds:
-        components, world_grads = _evaluate(models, world, config, want_grads=True)
+        components, world_grads = _evaluate(models, world, config, want_grads)
         total += components["total"]
-        grads = _sum_grads(grads, world_grads)
+        if want_grads:
+            grads = _sum_grads(grads, world_grads)
     return total / len(worlds), grads
 
 
@@ -798,18 +803,22 @@ def _training_worlds(config: PipelineConfig) -> list[_World]:
     ]
 
 
-def _train_models(config: PipelineConfig, steps: int) -> tuple[PipelineModels, list[float]]:
+def _train_models(
+    config: PipelineConfig, steps: int
+) -> tuple[PipelineModels, list[float], _World]:
+    """Train on the batch; also returns the first training world, which is
+    the pipeline's main scene (training never mutates a world)."""
     worlds = _training_worlds(config)
     models = init_models(config)
     lr = config.train.learning_rate / len(worlds)
     history = []
-    loss, grads = _batch_evaluate(models, worlds, config)
-    history.append(loss)
-    for _ in range(steps):
-        _apply_grads(models, grads, lr)
-        loss, grads = _batch_evaluate(models, worlds, config)
+    for step in range(steps + 1):
+        # The loss after the last step is only recorded, never descended.
+        loss, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
         history.append(loss)
-    return models, history
+        if grads is not None:
+            _apply_grads(models, grads, lr)
+    return models, history, worlds[0]
 
 
 def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]:
@@ -823,7 +832,7 @@ def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]
         steps = config.train.steps
     if steps < 0:
         raise ConfigError("steps must be non-negative")
-    _, history = _train_models(config, steps)
+    _, history, _ = _train_models(config, steps)
     return history
 
 
@@ -873,12 +882,11 @@ def run_pipeline(config: PipelineConfig) -> tuple[list[Box3D], dict[str, Any]]:
     refiner an exact passthrough.
     """
     if config.train.steps > 0:
-        models, history = _train_models(config, config.train.steps)
+        models, history, world_main = _train_models(config, config.train.steps)
     else:
         models = init_models(config)
         history = []
-
-    world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET)
+        world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET)
     detections, scores = _score_world(models, world_main, config)
     world_holdout = _build_world(
         config,

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from graphdet.interp import FeatureSet
 from graphdet.scene import Box3D
 
 
@@ -151,6 +152,33 @@ def brute_propagate(
         for w, i in zip(weights, nearest):
             out[qi] += (w / total) * src_feat[i]
     return out
+
+
+def dense_propagate(source: FeatureSet, query_positions: np.ndarray) -> FeatureSet:
+    """Dense-table 3-nearest interpolation: the library's former kernel.
+
+    Builds the full (m, n, 3) difference array and a stable argsort of
+    every row, so its neighbours and squared distances are the ones the
+    cell-hash search must reproduce bit for bit.
+    """
+    if len(source) == 0:
+        raise ValueError("cannot propagate from an empty feature set")
+    queries = np.asarray(query_positions, dtype=float)
+    if queries.size == 0:
+        return FeatureSet(np.empty((0, 3)), np.empty((0, source.dim)))
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise ValueError(f"query positions must be (m, 3), got {queries.shape}")
+
+    k = min(3, len(source))
+    diff = queries[:, None, :] - source.positions[None, :, :]
+    d2 = (diff**2).sum(axis=2)
+    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(queries))[:, None]
+    inv = 1.0 / (d2[rows, nn] + 1e-8)
+    weights = inv / inv.sum(axis=1, keepdims=True)
+    gathered = source.features[nn]  # (m, k, d)
+    out = (gathered * weights[:, :, None]).sum(axis=1)
+    return FeatureSet(queries, out)
 
 
 # ---------------------------------------------------------------------------

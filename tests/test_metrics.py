@@ -45,6 +45,11 @@ def test_schedule_forty_levels():
     assert np.allclose(np.diff(levels), 1.0 / 40.0)
 
 
+def test_schedule_levels_are_exact_rationals():
+    assert RecallSchedule.s11().levels == tuple(i / 10 for i in range(11))
+    assert RecallSchedule.s40().levels == tuple((i + 1) / 40 for i in range(40))
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError, match="two levels"):
         RecallSchedule(1, 0.0, 1.0)
@@ -182,6 +187,15 @@ def test_ap_half_recall_on_eleven_levels():
     """One perfect hit of two gts: recall 0.5 covers levels 0 .. 0.5."""
     curve = [(1.0, 0.5)]
     assert interpolated_ap(curve, RecallSchedule.s11()) == pytest.approx(6.0 / 11.0)
+
+
+def test_ap_recall_exactly_on_a_level_reaches_it():
+    """3 perfect hits of 10 gts: recall 3/10 covers levels 0 .. 0.3."""
+    gts = [gt_at(10.0 * i, 0.0) for i in range(10)]
+    dets = [det_at(10.0 * i, 0.0, 0.9) for i in range(3)]
+    curve = precision_recall(dets, gts, BevIouMatcher(0.7))
+    assert curve[-1] == (1.0, 0.3)
+    assert interpolated_ap(curve, RecallSchedule.s11()) == 4.0 / 11.0
 
 
 def test_ap_uses_max_precision_at_or_beyond_level():

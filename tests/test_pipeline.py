@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from graphdet import pipeline
+from graphdet.nnet import DenseStack
 from graphdet.pipeline import (
     ConfigError,
     EvalConfig,
@@ -159,6 +161,21 @@ def test_train_smoke_descends():
     assert history[-1] < history[0]
 
 
+def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
+    # The loss after the last step is recorded without a backward pass.
+    calls = []
+    backward = DenseStack.backward
+    monkeypatch.setattr(
+        DenseStack, "backward", lambda self, *a: calls.append(1) or backward(self, *a)
+    )
+    config = tiny_config()
+    train_smoke(config, steps=0)
+    assert calls == []
+    train_smoke(config, steps=2)
+    per_step = len(calls) // 2
+    assert per_step > 0 and len(calls) == 2 * per_step
+
+
 def test_train_smoke_rejects_negative_steps():
     with pytest.raises(ConfigError, match="non-negative"):
         train_smoke(tiny_config(), steps=-1)
@@ -217,6 +234,23 @@ def test_run_pipeline_reports_expected_keys():
     assert len(report["loss_history"]) == 3
     assert report["loss_first"] == report["loss_history"][0]
     assert report["loss_final"] == report["loss_history"][-1]
+
+
+def test_run_pipeline_builds_each_scene_once(monkeypatch):
+    # The first training scene is the main scene; only the held-out
+    # scene is built on top of the training batch.
+    seeds = []
+    generate = pipeline.generate_synthetic_scene
+    monkeypatch.setattr(
+        pipeline,
+        "generate_synthetic_scene",
+        lambda seed, *a, **kw: seeds.append(seed) or generate(seed, *a, **kw),
+    )
+    run_pipeline(tiny_config(train={"steps": 1}))
+    assert len(seeds) == len(set(seeds)) == 2
+    seeds.clear()
+    run_pipeline(tiny_config())
+    assert len(seeds) == 2
 
 
 def test_run_pipeline_is_deterministic():
