@@ -23,7 +23,6 @@ from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
     build_graph,
-    graph_header,
     refine_proposals,
     update_extended,
     update_vanilla,
@@ -55,7 +54,7 @@ from .pipeline import (
     run_pipeline,
     train_smoke,
 )
-from .rfa import RfaConfig, RoiRepresentation, build_roi_representation
+from .rfa import RfaConfig
 from .scene import (
     KITTI_RANGE,
     PointCloud,
@@ -88,13 +87,11 @@ __all__ = [
     "PointCloud",
     "RecallSchedule",
     "RfaConfig",
-    "RoiRepresentation",
     "Scene",
     "SparseVoxelGrid",
     "VoxelizationConfig",
     "augment_global",
     "build_graph",
-    "build_roi_representation",
     "clip_to_range",
     "decode_box",
     "encode_box",
@@ -102,7 +99,6 @@ __all__ = [
     "focal_loss",
     "generate_anchors",
     "generate_synthetic_scene",
-    "graph_header",
     "interpolated_ap",
     "iou_3d",
     "load_pipeline_config",

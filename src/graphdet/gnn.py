@@ -24,7 +24,7 @@ import numpy as np
 
 from .geom import decode_box
 from .neighbors import radius_pairs
-from .nnet import DenseStack, LayerGrads, add_layer_grads
+from .nnet import DenseStack, LayerGrads, _sigmoid, add_layer_grads
 from .scene import Box3D
 
 
@@ -376,15 +376,6 @@ def update_backward(
     return grads, dh
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def header_forward(
     states: np.ndarray, cls_stack: DenseStack, reg_stack: DenseStack
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -417,16 +408,6 @@ def header_backward(
     cls_grads, dz_cls = cls_stack.backward(cls_cache, d_logits)
     reg_grads, dz_reg = reg_stack.backward(reg_cache, np.asarray(d_residuals, dtype=float))
     return cls_grads, reg_grads, dz_cls + dz_reg
-
-
-def graph_header(
-    state: np.ndarray, cls_stack: DenseStack, reg_stack: DenseStack
-) -> tuple[float, np.ndarray]:
-    """Single-node header: (sigmoid score, 7 box residuals)."""
-    scores, residuals, _ = header_forward(
-        np.asarray(state, dtype=float)[None, :], cls_stack, reg_stack
-    )
-    return float(scores[0]), residuals[0]
 
 
 def refine_proposals(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .geom import rotated_iou_bev
@@ -33,11 +34,11 @@ class RecallSchedule:
         if not 0.0 <= self.q0 < self.q1 <= 1.0:
             raise ValueError("recall endpoints must satisfy 0 <= q0 < q1 <= 1")
 
-    @property
+    @cached_property
     def levels(self) -> tuple[float, ...]:
         """Each level correctly rounded from its exact rational value, so
         that 0.3 on the eleven-level schedule is the float 0.3 and a
-        recall of exactly 3/10 reaches it."""
+        recall of exactly 3/10 reaches it.  Computed once per schedule."""
         q0, q1 = Fraction(self.q0), Fraction(self.q1)
         last = self.n_levels - 1
         return tuple(float(q0 + (q1 - q0) * i / last) for i in range(self.n_levels))

@@ -198,6 +198,16 @@ def add_layer_grads(acc: list[LayerGrads], extra: list[LayerGrads]) -> list[Laye
     return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(acc, extra)]
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Shared loss hyper-parameters."""

@@ -18,7 +18,7 @@ seed, and measure how the refinement stacks generalise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -50,13 +50,13 @@ from .interp import (
     BevFeatureMap,
     FeatureSet,
     propagate_features,
-    sample_bev_grid,
     sample_bev_point,
 )
 from .metrics import BevIouMatcher, RecallSchedule, interpolated_ap, precision_recall
 from .nnet import (
     DenseStack,
     LossConfig,
+    _sigmoid,
     add_layer_grads,
     focal_loss,
     focal_loss_grad,
@@ -71,6 +71,7 @@ from .rfa import (
     auxiliary_targets,
     default_point_stacks,
     point_pyramid,
+    roi_states,
     synthetic_bev_map,
     voxel_feature_set,
 )
@@ -214,6 +215,8 @@ class PipelineConfig:
     voxel_drop: str = "first"
 
     def __post_init__(self) -> None:
+        if not all(isinstance(s, (int, np.integer)) for s in (self.seed, self.feature_seed)):
+            raise ConfigError("seed and feature_seed must be integers")
         if self.bev_cell_size <= 0:
             raise ConfigError("bev_cell_size must be positive")
         if self.point_hidden < 1:
@@ -223,15 +226,7 @@ class PipelineConfig:
         if self.rfa.point_dim % 2 != 0:
             raise ConfigError("rfa point_dim must be even (two grouping radii)")
         if self.voxel.range_bounds != self.range_bounds:
-            object.__setattr__(
-                self,
-                "voxel",
-                VoxelizationConfig(
-                    step=self.voxel.step,
-                    max_points_per_voxel=self.voxel.max_points_per_voxel,
-                    range_bounds=self.range_bounds,
-                ),
-            )
+            object.__setattr__(self, "voxel", replace(self.voxel, range_bounds=self.range_bounds))
 
     @property
     def state_dim(self) -> int:
@@ -242,112 +237,92 @@ class PipelineConfig:
 # Configuration files
 # ---------------------------------------------------------------------------
 
-_SCHEMA: dict[str, Any] = {
-    "seed": None,
-    "feature_seed": None,
-    "range": None,
-    "bev_cell_size": None,
-    "voxel_drop": None,
-    "point_hidden": None,
-    "scene": {"n_objects", "points_per_object", "clutter_points", "min_separation"},
-    "voxel": {"step", "max_points_per_voxel"},
-    "anchors": {"rows", "cols", "yaws", "z_center", "pos_iou", "neg_iou", "dims"},
-    "rfa": {"m1", "m2", "voxel_dim", "point_dim", "keypoint_counts", "radii"},
-    "gnn": {"depth", "radius", "hidden_dim", "variant", "header_hidden", "header_init"},
-    "proposals": {"per_gt", "center_noise", "yaw_noise", "pos_iou"},
-    "nms": {"iou_threshold", "score_threshold"},
-    "loss": {"focal_alpha", "focal_gamma", "smooth_l1_beta", "focal_background"},
-    "train": {"steps", "learning_rate", "batch_scenes"},
-    "eval": {"ap_iou"},
-}
+def _to_json(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _section_to_dict(name: str, section: Any) -> dict[str, Any]:
+    """One sub-config's file section.  The format departs from the fields
+    twice: ``anchors`` spells ``bev_resolution`` as ``rows``/``cols``, and
+    ``voxel`` has no ``range_bounds`` (the grid covers the top-level range)."""
+    out = {f.name: _to_json(getattr(section, f.name)) for f in fields(section)}
+    if name == "anchors":
+        out["rows"], out["cols"] = out.pop("bev_resolution")
+    if name == "voxel":
+        del out["range_bounds"]
+    return out
+
+
+def _file_key(field_name: str) -> str:
+    """The file key of a top-level field: ``range_bounds`` is spelled ``range``."""
+    return "range" if field_name == "range_bounds" else field_name
+
+
+def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
+    """The JSON-serialisable mirror of a config (round-trips through parse)."""
+    out: dict[str, Any] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        key = _file_key(f.name)
+        out[key] = _section_to_dict(key, value) if is_dataclass(value) else _to_json(value)
+    return out
+
+
+def _coerce(default: Any, value: Any) -> Any:
+    """A file value read as the type of the field's default.
+
+    Lists become tuples element by element; ``None`` and bools pass
+    through unchanged.
+    """
+    if isinstance(default, tuple):
+        item = default[0] if default else None
+        return tuple(_coerce(item, v) for v in value)
+    if value is None or default is None or isinstance(value, bool) or isinstance(default, bool):
+        return value
+    return type(default)(value)
+
+
+def _parse_section(default: Any, raw: dict[str, Any]) -> Any:
+    """Merge a file section over the pipeline's default sub-config."""
+    raw = dict(raw)
+    if "rows" in raw or "cols" in raw:
+        rows, cols = default.bev_resolution
+        raw["bev_resolution"] = (raw.pop("rows", rows), raw.pop("cols", cols))
+    return replace(default, **{k: _coerce(getattr(default, k), v) for k, v in raw.items()})
 
 
 def parse_pipeline_config(raw: dict[str, Any]) -> PipelineConfig:
     """Build a validated config from a plain dict (e.g. parsed JSON).
 
-    Every key must be known; sections and keys left out fall back to
-    defaults.  Inconsistent values raise :class:`ConfigError`.
+    Every key must be known; sections and keys left out, also inside a
+    section, fall back to the :class:`PipelineConfig` defaults.  Values
+    are converted to the type of the default they replace.  Inconsistent
+    values raise :class:`ConfigError`.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    for key in raw:
-        if key not in _SCHEMA:
+    defaults = PipelineConfig()
+    known = config_to_dict(defaults)
+    for key, value in raw.items():
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is not None:
-            section = raw[key]
-            if not isinstance(section, dict):
+        if isinstance(known[key], dict):
+            if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            for sub in section:
-                if sub not in allowed:
+            for sub in value:
+                if sub not in known[key]:
                     raise ConfigError(f"unknown config key {key!r}.{sub!r}")
-
-    def section(name: str) -> dict[str, Any]:
-        return dict(raw.get(name, {}))
 
     try:
         kwargs: dict[str, Any] = {}
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "feature_seed" in raw:
-            kwargs["feature_seed"] = int(raw["feature_seed"])
-        if "range" in raw:
-            rng = raw["range"]
-            kwargs["range_bounds"] = tuple(tuple(float(v) for v in pair) for pair in rng)
-        if "bev_cell_size" in raw:
-            kwargs["bev_cell_size"] = float(raw["bev_cell_size"])
-        if "voxel_drop" in raw:
-            kwargs["voxel_drop"] = str(raw["voxel_drop"])
-        if "point_hidden" in raw:
-            kwargs["point_hidden"] = int(raw["point_hidden"])
-        if "scene" in raw:
-            kwargs["scene"] = SceneConfig(**section("scene"))
-        if "voxel" in raw:
-            vox = section("voxel")
-            if "step" in vox:
-                vox["step"] = tuple(float(v) for v in vox["step"])
-            kwargs["voxel"] = VoxelizationConfig(
-                **vox, range_bounds=kwargs.get("range_bounds", KITTI_RANGE)
-            )
-        if "anchors" in raw:
-            anc = section("anchors")
-            anchor_kwargs: dict[str, Any] = {}
-            rows = int(anc.pop("rows", 40))
-            cols = int(anc.pop("cols", 40))
-            anchor_kwargs["bev_resolution"] = (rows, cols)
-            if "yaws" in anc:
-                anchor_kwargs["yaws"] = tuple(float(v) for v in anc.pop("yaws"))
-            if "dims" in anc:
-                anchor_kwargs["dims"] = tuple(float(v) for v in anc.pop("dims"))
-            for name in ("z_center", "pos_iou", "neg_iou"):
-                if name in anc:
-                    anchor_kwargs[name] = float(anc.pop(name))
-            kwargs["anchors"] = AnchorConfig(**anchor_kwargs)
-        if "rfa" in raw:
-            rfa_kwargs = section("rfa")
-            if "keypoint_counts" in rfa_kwargs:
-                rfa_kwargs["keypoint_counts"] = tuple(
-                    int(v) for v in rfa_kwargs["keypoint_counts"]
-                )
-            if "radii" in rfa_kwargs:
-                rfa_kwargs["radii"] = tuple(
-                    tuple(float(v) for v in pair) for pair in rfa_kwargs["radii"]
-                )
-            kwargs["rfa"] = RfaConfig(**rfa_kwargs)
-        else:
-            kwargs["rfa"] = RfaConfig(keypoint_counts=(64, 16, 8))
-        if "gnn" in raw:
-            kwargs["gnn"] = GnnPipelineConfig(**section("gnn"))
-        if "proposals" in raw:
-            kwargs["proposals"] = ProposalConfig(**section("proposals"))
-        if "nms" in raw:
-            kwargs["nms"] = NmsPipelineConfig(**section("nms"))
-        if "loss" in raw:
-            kwargs["loss"] = LossConfig(**section("loss"))
-        if "train" in raw:
-            kwargs["train"] = TrainPipelineConfig(**section("train"))
-        if "eval" in raw:
-            kwargs["eval"] = EvalConfig(**section("eval"))
+        for f in fields(defaults):
+            key = _file_key(f.name)
+            if key in raw:
+                default = getattr(defaults, f.name)
+                parse = _parse_section if is_dataclass(default) else _coerce
+                kwargs[f.name] = parse(default, raw[key])
         return PipelineConfig(**kwargs)
     except ConfigError:
         raise
@@ -363,75 +338,6 @@ def load_pipeline_config(path: str) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_pipeline_config(raw)
-
-
-def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
-    """The JSON-serialisable mirror of a config (round-trips through parse)."""
-    return {
-        "seed": config.seed,
-        "feature_seed": config.feature_seed,
-        "range": [list(pair) for pair in config.range_bounds],
-        "bev_cell_size": config.bev_cell_size,
-        "voxel_drop": config.voxel_drop,
-        "point_hidden": config.point_hidden,
-        "scene": {
-            "n_objects": config.scene.n_objects,
-            "points_per_object": config.scene.points_per_object,
-            "clutter_points": config.scene.clutter_points,
-            "min_separation": config.scene.min_separation,
-        },
-        "voxel": {
-            "step": list(config.voxel.step),
-            "max_points_per_voxel": config.voxel.max_points_per_voxel,
-        },
-        "anchors": {
-            "rows": config.anchors.bev_resolution[0],
-            "cols": config.anchors.bev_resolution[1],
-            "yaws": list(config.anchors.yaws),
-            "z_center": config.anchors.z_center,
-            "pos_iou": config.anchors.pos_iou,
-            "neg_iou": config.anchors.neg_iou,
-            "dims": list(config.anchors.dims),
-        },
-        "rfa": {
-            "m1": config.rfa.m1,
-            "m2": config.rfa.m2,
-            "voxel_dim": config.rfa.voxel_dim,
-            "point_dim": config.rfa.point_dim,
-            "keypoint_counts": list(config.rfa.keypoint_counts),
-            "radii": [list(pair) for pair in config.rfa.radii],
-        },
-        "gnn": {
-            "depth": config.gnn.depth,
-            "radius": config.gnn.radius,
-            "hidden_dim": config.gnn.hidden_dim,
-            "variant": config.gnn.variant,
-            "header_hidden": config.gnn.header_hidden,
-            "header_init": config.gnn.header_init,
-        },
-        "proposals": {
-            "per_gt": config.proposals.per_gt,
-            "center_noise": config.proposals.center_noise,
-            "yaw_noise": config.proposals.yaw_noise,
-            "pos_iou": config.proposals.pos_iou,
-        },
-        "nms": {
-            "iou_threshold": config.nms.iou_threshold,
-            "score_threshold": config.nms.score_threshold,
-        },
-        "loss": {
-            "focal_alpha": config.loss.focal_alpha,
-            "focal_gamma": config.loss.focal_gamma,
-            "smooth_l1_beta": config.loss.smooth_l1_beta,
-            "focal_background": config.loss.focal_background,
-        },
-        "train": {
-            "steps": config.train.steps,
-            "learning_rate": config.train.learning_rate,
-            "batch_scenes": config.train.batch_scenes,
-        },
-        "eval": {"ap_iou": config.eval.ap_iou},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +360,6 @@ class _World:
     anchor_inputs: np.ndarray
     anchor_reg_targets: np.ndarray
     proposals: list[Box3D]
-    states: np.ndarray
     graph: NeighborhoodGraph | None
     prop_fg: np.ndarray
     prop_reg_targets: np.ndarray
@@ -551,17 +456,10 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
             hidden=config.point_hidden,
         )
         pyramid = point_pyramid(cloud, config.rfa, stacks)
-        centres = np.array([p.center for p in proposals])
-        vox_at = propagate_features(point_voxel_feats, centres).features
-        point_at = propagate_features(pyramid, centres).features
-        pixel_at = np.stack(
-            [sample_bev_grid(bev, p, config.rfa.m1, config.rfa.m2) for p in proposals]
-        )
-        states = np.concatenate([vox_at, pixel_at, point_at], axis=1)
+        states = roi_states(point_voxel_feats, pyramid, bev, proposals, config.rfa)
         graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
     else:
         proposals = []
-        states = np.zeros((0, config.state_dim))
         graph = None
 
     n_p = len(proposals)
@@ -590,7 +488,6 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         anchor_inputs=anchor_inputs,
         anchor_reg_targets=anchor_reg_targets,
         proposals=proposals,
-        states=states,
         graph=graph,
         prop_fg=prop_fg,
         prop_reg_targets=prop_reg_targets,
@@ -639,13 +536,11 @@ def init_models(config: PipelineConfig) -> PipelineModels:
     return PipelineModels(updater, cls_stack, reg_stack, rpn_cls, rpn_reg, aux_seg, aux_off)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: PipelineConfig):
+    """The configured graph update's (refined states, cache)."""
+    if config.gnn.variant == "extended":
+        return update_extended_forward(graph, models.updater)
+    return update_vanilla_forward(graph, models.updater)
 
 
 def _evaluate(
@@ -684,12 +579,7 @@ def _evaluate(
 
     # Refinement-stage loss over graph nodes.
     if world.graph is not None and len(world.graph):
-        forward = (
-            update_extended_forward
-            if config.gnn.variant == "extended"
-            else update_vanilla_forward
-        )
-        refined, ucache = forward(world.graph, models.updater)
+        refined, ucache = _refine_forward(models, world.graph, config)
         scores, residuals, hcache = header_forward(
             refined, models.cls_stack, models.reg_stack
         )
@@ -842,17 +732,13 @@ def detect(
     """Refine the world's proposals and suppress duplicates."""
     if world.graph is None or len(world.graph) == 0:
         return []
-    if config.gnn.depth > 0:
-        forward = (
-            update_extended_forward
-            if config.gnn.variant == "extended"
-            else update_vanilla_forward
-        )
-        refined, _ = forward(world.graph, models.updater)
-    else:
-        refined = world.states
+    refined, _ = _refine_forward(models, world.graph, config)
     boxes = refine_proposals(world.graph, refined, models.cls_stack, models.reg_stack)
     return nms(boxes, config.nms.iou_threshold, config.nms.score_threshold)
+
+
+_S11 = RecallSchedule.s11()
+_S40 = RecallSchedule.s40()
 
 
 def _score_world(
@@ -862,8 +748,8 @@ def _score_world(
     gts = list(world.scene.gt_boxes)
     curve = precision_recall(detections, gts, BevIouMatcher(config.eval.ap_iou))
     return detections, {
-        "ap_s11": interpolated_ap(curve, RecallSchedule.s11()),
-        "ap_s40": interpolated_ap(curve, RecallSchedule.s40()),
+        "ap_s11": interpolated_ap(curve, _S11),
+        "ap_s40": interpolated_ap(curve, _S40),
         "n_detections": len(detections),
         "n_gt": len(gts),
         "n_proposals": len(world.proposals),

@@ -1,18 +1,20 @@
-"""Region feature aggregation: per-proposal descriptors from three sources.
+"""Region feature aggregation: node states for proposals from three sources.
 
-Every proposal gathers a voxel component (sparse voxel features
-interpolated through the raw cloud onto the proposal centre), a pixel
+:func:`roi_states` builds every proposal's state in one batched pass.  It
+concatenates, in this order, a voxel component (sparse voxel features
+propagated onto the raw cloud, then onto the proposal centre), a pixel
 component (a rotated probe grid over a BEV feature map), and a point
-component (a small farthest-point-sampled set-abstraction pyramid).  The
-three vectors concatenate, in that order, into the node state used by the
-graph refiner.  Synthetic smooth feature fields stand in for a learned
-backbone so the whole path stays deterministic and cheap.
+component (the top level of a farthest-point-sampled set-abstraction
+pyramid, interpolated onto the centre).  Synthetic smooth feature fields
+stand in for a learned backbone so the whole path stays deterministic
+and cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,24 +77,6 @@ class RfaConfig:
         return len(self.keypoint_counts)
 
 
-@dataclass(frozen=True)
-class RoiRepresentation:
-    """A proposal's assembled descriptor and its centroid."""
-
-    centroid: np.ndarray  # (3,)
-    feature: np.ndarray  # (feature_dim,)
-
-    def __post_init__(self) -> None:
-        centroid = np.asarray(self.centroid, dtype=float).reshape(3).copy()
-        feature = np.asarray(self.feature, dtype=float).reshape(-1).copy()
-        if not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(feature))):
-            raise ValueError("RoI representation must be finite")
-        centroid.setflags(write=False)
-        feature.setflags(write=False)
-        object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "feature", feature)
-
-
 def synthetic_voxel_features(positions: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """A smooth deterministic feature field evaluated at given positions.
 
@@ -132,31 +116,6 @@ def voxel_feature_set(grid: SparseVoxelGrid, dim: int, seed: int) -> FeatureSet:
     return FeatureSet(positions, synthetic_voxel_features(positions, dim, seed))
 
 
-def voxel_component(
-    grid: SparseVoxelGrid,
-    voxel_features: FeatureSet,
-    cloud: PointCloud,
-    proposal: Box3D,
-) -> np.ndarray:
-    """Interpolate voxel features through the raw cloud onto the proposal centre.
-
-    Two propagation hops: voxel centroids onto the cloud points, then the
-    per-point features onto the proposal centroid.  Empty voxel features
-    or an empty cloud are errors.
-    """
-    del grid  # geometry already captured by the centroid positions
-    per_point = propagate_features(voxel_features, cloud.xyz)
-    centre = np.asarray(proposal.center, dtype=float)[None, :]
-    return propagate_features(per_point, centre).features[0]
-
-
-def pixel_component(
-    bev: BevFeatureMap, proposal: Box3D, config: RfaConfig, mode: str = "bilinear"
-) -> np.ndarray:
-    """Probe the BEV map over the proposal footprint (m1 x m2 grid)."""
-    return sample_bev_grid(bev, proposal, config.m1, config.m2, mode=mode)
-
-
 def point_pyramid(
     cloud: PointCloud,
     config: RfaConfig,
@@ -192,18 +151,6 @@ def point_pyramid(
     return current
 
 
-def point_component(
-    cloud: PointCloud,
-    proposal: Box3D,
-    config: RfaConfig,
-    stacks: list[tuple[DenseStack, DenseStack]],
-) -> np.ndarray:
-    """Interpolate the point pyramid's top level onto the proposal centroid."""
-    pyramid = point_pyramid(cloud, config, stacks)
-    centre = np.asarray(proposal.center, dtype=float)[None, :]
-    return propagate_features(pyramid, centre).features[0]
-
-
 def default_point_stacks(config: RfaConfig, seed: int, hidden: int = 16) -> list[tuple[DenseStack, DenseStack]]:
     """Seeded two-layer MLP pairs whose widths chain through the pyramid.
 
@@ -224,39 +171,27 @@ def default_point_stacks(config: RfaConfig, seed: int, hidden: int = 16) -> list
     return stacks
 
 
-def assemble(
-    centroid: np.ndarray,
-    voxel_vec: np.ndarray,
-    pixel_vec: np.ndarray,
-    point_vec: np.ndarray,
-) -> RoiRepresentation:
-    """Concatenate the three components (voxel, pixel, point) into one state."""
-    feature = np.concatenate(
-        [
-            np.asarray(voxel_vec, dtype=float).ravel(),
-            np.asarray(pixel_vec, dtype=float).ravel(),
-            np.asarray(point_vec, dtype=float).ravel(),
-        ]
-    )
-    return RoiRepresentation(np.asarray(centroid, dtype=float), feature)
-
-
-def build_roi_representation(
-    grid: SparseVoxelGrid,
-    voxel_features: FeatureSet,
+def roi_states(
+    point_feats: FeatureSet,
+    pyramid: FeatureSet,
     bev: BevFeatureMap,
-    cloud: PointCloud,
-    proposal: Box3D,
+    proposals: Sequence[Box3D],
     config: RfaConfig,
-    point_stacks: list[tuple[DenseStack, DenseStack]],
-) -> RoiRepresentation:
-    """All three components for one proposal, assembled."""
-    return assemble(
-        np.asarray(proposal.center, dtype=float),
-        voxel_component(grid, voxel_features, cloud, proposal),
-        pixel_component(bev, proposal, config),
-        point_component(cloud, proposal, config, point_stacks),
-    )
+) -> np.ndarray:
+    """The (n, feature_dim) node states of the proposals: voxel | pixel | point.
+
+    ``point_feats`` is the voxel field already propagated onto the cloud
+    points; it and the ``pyramid``'s top level are interpolated onto each
+    proposal centre, and the BEV map is probed with an m1 x m2 grid over
+    each footprint.  At least one proposal is required.
+    """
+    if not proposals:
+        raise ValueError("roi_states needs at least one proposal")
+    centres = np.array([p.center for p in proposals])
+    vox_at = propagate_features(point_feats, centres).features
+    point_at = propagate_features(pyramid, centres).features
+    pixel_at = np.stack([sample_bev_grid(bev, p, config.m1, config.m2) for p in proposals])
+    return np.concatenate([vox_at, pixel_at, point_at], axis=1)
 
 
 def auxiliary_targets(

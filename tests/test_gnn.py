@@ -8,7 +8,6 @@ from graphdet.gnn import (
     GraphUpdater,
     NeighborhoodGraph,
     build_graph,
-    graph_header,
     header_backward,
     header_forward,
     refine_proposals,
@@ -66,6 +65,19 @@ def test_build_graph_validates_radius():
         build_graph(line_proposals(2, 1.0, 4), radius=0.0)
     with pytest.raises(ValueError, match="radius"):
         build_graph(line_proposals(2, 1.0, 4), radius=float("nan"))
+
+
+def test_build_graph_rejects_non_finite_states():
+    proposals = line_proposals(3, 1.0, 4)
+    box, state = proposals[1]
+    state = state.copy()
+    state[2] = np.inf
+    proposals[1] = (box, state)
+    with pytest.raises(ValueError, match="finite"):
+        build_graph(proposals, radius=2.0)
+    proposals[1] = (box, np.full(4, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        build_graph(proposals, radius=2.0)
 
 
 def test_empty_graph():
@@ -317,18 +329,6 @@ def test_header_rejects_wrong_output_widths():
         header_forward(np.zeros((2, 4)), DenseStack.zeros((4, 2)), DenseStack.zeros((4, 7)))
     with pytest.raises(ValueError, match="seven units"):
         header_forward(np.zeros((2, 4)), DenseStack.zeros((4, 1)), DenseStack.zeros((4, 6)))
-
-
-def test_graph_header_matches_batched_header():
-    rng = np.random.default_rng(13)
-    state = rng.normal(size=6)
-    cls = DenseStack.seeded((6, 1), 14)
-    reg = DenseStack.seeded((6, 7), 15)
-    score, residuals = graph_header(state, cls, reg)
-    scores, batch_res, _ = header_forward(state[None, :], cls, reg)
-    assert score == scores[0]
-    assert np.array_equal(residuals, batch_res[0])
-    assert 0.0 < score < 1.0
 
 
 def test_header_backward_matches_finite_differences():

@@ -1,12 +1,16 @@
 """End-to-end pipeline: configuration files, training smoke runs, scoring."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdet import pipeline
-from graphdet.nnet import DenseStack
+from graphdet.geom import AnchorConfig
+from graphdet.nnet import DenseStack, LossConfig
 from graphdet.pipeline import (
     ConfigError,
     EvalConfig,
@@ -22,6 +26,8 @@ from graphdet.pipeline import (
     run_pipeline,
     train_smoke,
 )
+from graphdet.rfa import RfaConfig
+from graphdet.voxel import VoxelizationConfig
 
 
 def tiny_raw(**overrides):
@@ -108,6 +114,145 @@ def test_config_dict_round_trip():
     mirrored = parse_pipeline_config(config_to_dict(config))
     assert mirrored == config
     assert config_to_dict(mirrored) == config_to_dict(config)
+
+
+def test_partial_section_keeps_the_pipeline_defaults():
+    config = parse_pipeline_config({"rfa": {"m1": 3}})
+    assert config.rfa.keypoint_counts == (64, 16, 8)
+    assert config.rfa == replace(PipelineConfig().rfa, m1=3)
+    assert parse_pipeline_config({"anchors": {"cols": 8}}).anchors.bev_resolution == (40, 8)
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"range_bounds": [[0, 1], [0, 1], [0, 1]]}, "'range_bounds'"),
+        ({"anchors": {"bev_resolution": [8, 8]}}, "'anchors'.'bev_resolution'"),
+        ({"voxel": {"range_bounds": [[0, 1], [0, 1], [0, 1]]}}, "'voxel'.'range_bounds'"),
+    ],
+)
+def test_field_names_the_file_spells_differently_are_unknown_keys(raw, key):
+    with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+        parse_pipeline_config(raw)
+
+
+def test_values_take_the_type_of_their_default():
+    config = parse_pipeline_config(
+        {
+            "scene": {"n_objects": "2"},
+            "gnn": {"radius": 1},
+            "voxel": {"max_points_per_voxel": None},
+            "anchors": {"yaws": [0, 1]},
+            "loss": {"focal_background": False},
+        }
+    )
+    assert config.scene.n_objects == 2 and type(config.scene.n_objects) is int
+    assert config.gnn.radius == 1.0 and type(config.gnn.radius) is float
+    assert config.voxel.max_points_per_voxel is None
+    assert config.anchors.yaws == (0.0, 1.0)
+    assert all(type(y) is float for y in config.anchors.yaws)
+    assert config.loss.focal_background is False
+    with pytest.raises(ConfigError, match="integers"):
+        parse_pipeline_config({"seed": None})
+    with pytest.raises(ConfigError):
+        parse_pipeline_config({"range": None})
+
+
+def _reals(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, **kwargs)
+
+
+_POSITIVE = _reals(0.0, 1e3, exclude_min=True)
+_UNIT = _reals(0.0, 1.0)
+_COUNTS = st.integers(0, 10_000)
+_WIDTHS = st.integers(1, 64)
+_INTERVAL = st.tuples(_reals(-1e3, 1e3), _reals(1e-3, 1e3)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+@st.composite
+def _rfa_configs(draw):
+    levels = draw(st.integers(1, 4))
+    return RfaConfig(
+        m1=draw(_WIDTHS),
+        m2=draw(_WIDTHS),
+        voxel_dim=draw(_WIDTHS),
+        point_dim=2 * draw(_WIDTHS),
+        keypoint_counts=tuple(draw(st.integers(1, 5000)) for _ in range(levels)),
+        radii=tuple(draw(st.tuples(_POSITIVE, _POSITIVE)) for _ in range(levels)),
+    )
+
+
+@st.composite
+def _anchor_configs(draw):
+    neg_iou, pos_iou = sorted(draw(st.tuples(_UNIT, _UNIT)))
+    return AnchorConfig(
+        dims=draw(st.tuples(_POSITIVE, _POSITIVE, _POSITIVE)),
+        yaws=tuple(draw(st.lists(_reals(-4.0, 4.0), min_size=1, max_size=4))),
+        bev_resolution=draw(st.tuples(_WIDTHS, _WIDTHS)),
+        z_center=draw(_reals(-5.0, 5.0)),
+        pos_iou=pos_iou,
+        neg_iou=neg_iou,
+    )
+
+
+_PIPELINE_CONFIGS = st.builds(
+    PipelineConfig,
+    seed=st.integers(-(2**31), 2**31),
+    feature_seed=st.integers(0, 2**31),
+    range_bounds=st.tuples(_INTERVAL, _INTERVAL, _INTERVAL),
+    bev_cell_size=_POSITIVE,
+    scene=st.builds(
+        SceneConfig,
+        n_objects=_COUNTS,
+        points_per_object=_COUNTS,
+        clutter_points=_COUNTS,
+        min_separation=_POSITIVE,
+    ),
+    voxel=st.builds(
+        VoxelizationConfig,
+        step=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
+        max_points_per_voxel=st.none() | st.integers(1, 100),
+    ),
+    anchors=_anchor_configs(),
+    rfa=_rfa_configs(),
+    point_hidden=_WIDTHS,
+    gnn=st.builds(
+        GnnPipelineConfig,
+        depth=st.integers(0, 5),
+        radius=_POSITIVE,
+        hidden_dim=_WIDTHS,
+        variant=st.sampled_from(["extended", "vanilla"]),
+        header_hidden=_WIDTHS,
+        header_init=st.sampled_from(["random", "zero"]),
+    ),
+    proposals=st.builds(
+        ProposalConfig,
+        per_gt=_WIDTHS,
+        center_noise=_UNIT,
+        yaw_noise=_UNIT,
+        pos_iou=_reals(0.0, 1.0, exclude_min=True),
+    ),
+    nms=st.builds(NmsPipelineConfig, iou_threshold=_UNIT, score_threshold=_UNIT),
+    loss=st.builds(
+        LossConfig,
+        focal_alpha=_reals(0.0, 1.0, exclude_min=True),
+        focal_gamma=_reals(0.0, 5.0),
+        smooth_l1_beta=_POSITIVE,
+        focal_background=st.booleans(),
+    ),
+    train=st.builds(
+        TrainPipelineConfig, steps=_COUNTS, learning_rate=_UNIT, batch_scenes=_WIDTHS
+    ),
+    eval=st.builds(EvalConfig, ap_iou=_reals(0.0, 1.0, exclude_min=True)),
+    voxel_drop=st.sampled_from(["first", "random"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PIPELINE_CONFIGS)
+def test_every_valid_config_round_trips_through_json(config):
+    text = json.dumps(config_to_dict(config))
+    assert parse_pipeline_config(json.loads(text)) == config
 
 
 def test_range_override_propagates_to_voxel_grid():

@@ -1,23 +1,17 @@
-"""Per-proposal descriptors: voxel, pixel, and point components."""
+"""Proposal node states: voxel, pixel, and point components."""
 
 import numpy as np
 import pytest
 
-from graphdet.interp import BevFeatureMap, FeatureSet, farthest_point_sample, set_abstraction
-from graphdet.nnet import DenseStack
+from graphdet.interp import BevFeatureMap, FeatureSet, propagate_features, sample_bev_grid
 from graphdet.rfa import (
     RfaConfig,
-    RoiRepresentation,
-    assemble,
     auxiliary_targets,
-    build_roi_representation,
     default_point_stacks,
-    pixel_component,
-    point_component,
     point_pyramid,
+    roi_states,
     synthetic_bev_map,
     synthetic_voxel_features,
-    voxel_component,
     voxel_feature_set,
 )
 from graphdet.scene import Box3D, PointCloud
@@ -113,54 +107,6 @@ def test_voxel_feature_set_sits_on_centroids():
 
 
 # ---------------------------------------------------------------------------
-# voxel component
-
-
-def test_voxel_component_preserves_constant_fields():
-    cloud = small_cloud(50, seed=3)
-    grid = small_grid(cloud)
-    constant = FeatureSet(cloud.xyz[:10] * 0.9, np.full((10, 5), 2.5))
-    box = Box3D((0.5, -0.25, 0.0), (2.0, 1.0, 1.0), 0.3)
-    got = voxel_component(grid, constant, cloud, box)
-    assert np.allclose(got, 2.5, atol=1e-12)
-
-
-def test_voxel_component_matches_two_hop_oracle():
-    cloud = small_cloud(40, seed=4)
-    grid = small_grid(cloud)
-    fs = voxel_feature_set(grid, dim=6, seed=7)
-    box = Box3D((1.0, 1.0, 0.5), (3.0, 1.5, 1.2), -0.4)
-    got = voxel_component(grid, fs, cloud, box)
-    hop1 = brute_propagate(fs.positions, fs.features, cloud.xyz)
-    hop2 = brute_propagate(cloud.xyz, hop1, np.array([box.center]))
-    assert np.allclose(got, hop2[0], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# pixel component
-
-
-def test_pixel_component_constant_map():
-    config = RfaConfig(m1=3, m2=2)
-    bev = BevFeatureMap(np.full((10, 10, 6), -1.5), 1.0, (-5.0, -5.0))
-    box = Box3D((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 0.8)
-    got = pixel_component(bev, box, config)
-    assert got.shape == (6,)
-    assert np.allclose(got, -1.5)
-
-
-def test_pixel_component_is_a_probe_grid():
-    from graphdet.interp import sample_bev_grid
-
-    bev = synthetic_bev_map(12, 12, 4, 0.5, (-3.0, -3.0), seed=8)
-    box = Box3D((0.3, -0.7, 0.0), (1.8, 0.9, 1.0), 1.1)
-    config = RfaConfig()
-    assert np.array_equal(
-        pixel_component(bev, box, config), sample_bev_grid(bev, box, 2, 2)
-    )
-
-
-# ---------------------------------------------------------------------------
 # point component
 
 
@@ -225,16 +171,6 @@ def test_point_pyramid_validation():
         point_pyramid(cloud, bad_width, stacks)
 
 
-def test_point_component_interpolates_pyramid():
-    cloud = small_cloud(24, seed=15, spread=2.0)
-    stacks = default_point_stacks(SMALL_RFA, seed=16)
-    box = Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)
-    got = point_component(cloud, box, SMALL_RFA, stacks)
-    pyramid = point_pyramid(cloud, SMALL_RFA, stacks)
-    want = brute_propagate(pyramid.positions, pyramid.features, np.array([box.center]))
-    assert np.allclose(got, want[0], atol=1e-12)
-
-
 def test_default_point_stacks_widths_and_determinism():
     stacks = default_point_stacks(RfaConfig(), seed=17)
     assert len(stacks) == 3
@@ -250,41 +186,110 @@ def test_default_point_stacks_widths_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# node states: voxel | pixel | point
 
 
-def test_assemble_orders_components():
-    rep = assemble(
-        np.array([1.0, 2.0, 3.0]),
-        np.full(2, 10.0),
-        np.full(3, 20.0),
-        np.full(4, 30.0),
+BOXES = [
+    Box3D((0.5, 0.5, 0.0), (3.9, 1.6, 1.56), 0.2),
+    Box3D((1.0, 1.0, 0.5), (3.0, 1.5, 1.2), -0.4),
+    Box3D((-1.5, 0.8, -0.3), (2.0, 1.0, 1.0), 1.3),
+]
+
+
+def roi_inputs(config, seed, cloud=None, voxel_features=None, bev=None):
+    """The per-scene inputs of ``roi_states``, built as the pipeline builds them."""
+    if cloud is None:
+        cloud = small_cloud(40, seed=seed, spread=3.0)
+    if voxel_features is None:
+        voxel_features = voxel_feature_set(small_grid(cloud), config.voxel_dim, seed + 1)
+    if bev is None:
+        bev = synthetic_bev_map(16, 16, config.pixel_dim, 0.5, (-4.0, -4.0), seed=seed + 2)
+    point_feats = propagate_features(voxel_features, cloud.xyz)
+    pyramid = point_pyramid(cloud, config, default_point_stacks(config, seed=seed + 3))
+    return point_feats, pyramid, bev
+
+
+def voxel_part(config, states):
+    return states[:, : config.voxel_dim]
+
+
+def pixel_part(config, states):
+    return states[:, config.voxel_dim : config.voxel_dim + config.pixel_dim]
+
+
+def point_part(config, states):
+    return states[:, config.voxel_dim + config.pixel_dim :]
+
+
+def test_voxel_component_preserves_constant_fields():
+    config = RfaConfig(voxel_dim=5, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
+    cloud = small_cloud(50, seed=3)
+    constant = FeatureSet(cloud.xyz[:10] * 0.9, np.full((10, 5), 2.5))
+    inputs = roi_inputs(config, 3, cloud=cloud, voxel_features=constant)
+    states = roi_states(*inputs, BOXES, config)
+    assert np.allclose(voxel_part(config, states), 2.5, atol=1e-12)
+
+
+def test_voxel_component_matches_two_hop_oracle():
+    config = RfaConfig(voxel_dim=6, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
+    cloud = small_cloud(40, seed=4)
+    fs = voxel_feature_set(small_grid(cloud), dim=6, seed=7)
+    states = roi_states(*roi_inputs(config, 4, cloud=cloud, voxel_features=fs), BOXES, config)
+    hop1 = brute_propagate(fs.positions, fs.features, cloud.xyz)
+    hop2 = brute_propagate(cloud.xyz, hop1, np.array([box.center for box in BOXES]))
+    assert np.allclose(voxel_part(config, states), hop2, atol=1e-12)
+
+
+def test_pixel_component_constant_map():
+    config = RfaConfig(m1=3, m2=2, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
+    bev = BevFeatureMap(np.full((10, 10, 6), -1.5), 1.0, (-5.0, -5.0))
+    box = Box3D((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 0.8)
+    states = roi_states(*roi_inputs(config, 5, bev=bev), [box], config)
+    assert states.shape == (1, config.feature_dim)
+    assert pixel_part(config, states).shape == (1, 6)
+    assert np.allclose(pixel_part(config, states), -1.5)
+
+
+def test_pixel_component_is_a_probe_grid():
+    config = RfaConfig(keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
+    bev = synthetic_bev_map(12, 12, 4, 0.5, (-3.0, -3.0), seed=8)
+    boxes = [*BOXES, Box3D((0.3, -0.7, 0.0), (1.8, 0.9, 1.0), 1.1)]
+    states = roi_states(*roi_inputs(config, 6, bev=bev), boxes, config)
+    want = np.stack([sample_bev_grid(bev, box, 2, 2) for box in boxes])
+    assert np.array_equal(pixel_part(config, states), want)
+
+
+def test_point_component_interpolates_pyramid():
+    cloud = small_cloud(24, seed=15, spread=2.0)
+    point_feats, pyramid, bev = roi_inputs(SMALL_RFA, 15, cloud=cloud)
+    boxes = [*BOXES, Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)]
+    states = roi_states(point_feats, pyramid, bev, boxes, SMALL_RFA)
+    want = brute_propagate(
+        pyramid.positions, pyramid.features, np.array([box.center for box in boxes])
     )
-    assert isinstance(rep, RoiRepresentation)
-    assert np.array_equal(rep.centroid, [1.0, 2.0, 3.0])
-    assert np.array_equal(rep.feature, [10.0, 10.0, 20.0, 20.0, 20.0, 30.0, 30.0, 30.0, 30.0])
-    with pytest.raises(ValueError, match="finite"):
-        assemble(np.zeros(3), np.array([np.inf]), np.zeros(2), np.zeros(2))
+    assert np.allclose(point_part(SMALL_RFA, states), want, atol=1e-12)
 
 
-def test_build_roi_representation_consistent_with_parts():
-    cloud = small_cloud(40, seed=18, spread=3.0)
-    grid = small_grid(cloud)
-    fs = voxel_feature_set(grid, dim=SMALL_RFA.voxel_dim, seed=19)
-    bev = synthetic_bev_map(16, 16, SMALL_RFA.pixel_dim, 0.5, (-4.0, -4.0), seed=20)
-    stacks = default_point_stacks(SMALL_RFA, seed=21)
-    box = Box3D((0.5, 0.5, 0.0), (3.9, 1.6, 1.56), 0.2)
-    rep = build_roi_representation(grid, fs, bev, cloud, box, SMALL_RFA, stacks)
-    assert rep.feature.shape == (SMALL_RFA.feature_dim,)
+def test_roi_states_order_components():
+    """Rows concatenate voxel | pixel | point, each computed on its own."""
+    point_feats, pyramid, bev = roi_inputs(SMALL_RFA, 18)
+    states = roi_states(point_feats, pyramid, bev, BOXES, SMALL_RFA)
+    assert states.shape == (len(BOXES), SMALL_RFA.feature_dim)
+    centres = np.array([box.center for box in BOXES])
     want = np.concatenate(
         [
-            voxel_component(grid, fs, cloud, box),
-            pixel_component(bev, box, SMALL_RFA),
-            point_component(cloud, box, SMALL_RFA, stacks),
-        ]
+            propagate_features(point_feats, centres).features,
+            np.stack([sample_bev_grid(bev, box, SMALL_RFA.m1, SMALL_RFA.m2) for box in BOXES]),
+            propagate_features(pyramid, centres).features,
+        ],
+        axis=1,
     )
-    assert np.array_equal(rep.feature, want)
-    assert np.array_equal(rep.centroid, box.center)
+    assert np.array_equal(states, want)
+    # One proposal at a time gives the same rows as the batch.
+    for i, box in enumerate(BOXES):
+        assert np.array_equal(roi_states(point_feats, pyramid, bev, [box], SMALL_RFA)[0], states[i])
+    with pytest.raises(ValueError, match="at least one proposal"):
+        roi_states(point_feats, pyramid, bev, [], SMALL_RFA)
 
 
 # ---------------------------------------------------------------------------
