@@ -2,9 +2,11 @@
 
 BEV overlap of yaw-rotated rectangles is computed exactly with
 Sutherland-Hodgman polygon clipping plus the shoelace formula; 3D IoU
-extends it with the vertical interval overlap.  The module also carries
-the anchor grid, IoU-threshold target assignment, the relative box
-encoding used for regression, and global scene augmentation.
+extends it with the vertical interval overlap.  Both run on Python floats
+(a few microseconds per pair; NumPy's per-call cost dwarfs four vertices).
+The module also carries greedy NMS, the anchor grid, IoU-threshold target
+assignment, the relative box encoding used for regression, and global
+scene augmentation.
 """
 
 from __future__ import annotations
@@ -31,12 +33,58 @@ NEGATIVE = 0
 IGNORE = -1
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
+def _footprint(box: Box3D) -> list[tuple[float, float]]:
+    """Footprint corners as float pairs, in :meth:`Box3D.corners_bev` order."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    lc, ls = 0.5 * box.dims[0] * c, 0.5 * box.dims[0] * s
+    wc, ws = 0.5 * box.dims[1] * c, 0.5 * box.dims[1] * s
+    cx, cy = box.center[0], box.center[1]  # each sum in corners_bev's matmul order
+    return [
+        (lc - ws + cx, ls + wc + cy),
+        (-lc - ws + cx, -ls + wc + cy),
+        (-lc + ws + cx, -ls - wc + cy),
+        (lc + ws + cx, ls - wc + cy),
+    ]
+
+
+def _area(poly: list) -> float:
+    """Shoelace area of a vertex list; the loop behind :func:`polygon_area`."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    forward = backward = 0.0
+    for (x, y), (nx, ny) in zip(poly, poly[1:] + poly[:1]):
+        forward += x * ny
+        backward += nx * y
+    return 0.5 * abs(forward - backward)
+
+
+def _clip(subject: list, clip: list) -> list:
+    """Sutherland-Hodgman on vertex lists; the loop behind :func:`clip_polygon`."""
+    output = subject
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
+        if not output:
+            break
+        ex_, ey_ = bx - ax, by - ay
+        vertices = output
+        output = []
+        sx, sy = vertices[-1]
+        s_side = ex_ * (sy - ay) - ey_ * (sx - ax)
+        s_in = s_side >= 0.0
+        for px, py in vertices:
+            p_side = ex_ * (py - ay) - ey_ * (px - ax)
+            p_in = p_side >= 0.0
+            if p_in != s_in:  # the edge crosses the clip line
+                t = s_side / (s_side - p_side)
+                output.append((sx + t * (px - sx), sy + t * (py - sy)))
+            if p_in:
+                output.append((px, py))
+            sx, sy, s_in, s_side = px, py, p_in, p_side
+    return output
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
+    return _area(np.asarray(poly, dtype=float).tolist())
 
 
 def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -47,38 +95,13 @@ def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     touching boxes produce a degenerate (zero-area) polygon rather than
     disappearing outright.
     """
-    output = [tuple(p) for p in subject]
-    n_clip = len(clip)
-    for e in range(n_clip):
-        if not output:
-            break
-        ax, ay = clip[e]
-        bx, by = clip[(e + 1) % n_clip]
-        ex_, ey_ = bx - ax, by - ay
-        vertices = output
-        output = []
-        sx, sy = vertices[-1]
-        s_side = ex_ * (sy - ay) - ey_ * (sx - ax)
-        s_in = s_side >= 0.0
-        for px, py in vertices:
-            p_side = ex_ * (py - ay) - ey_ * (px - ax)
-            p_in = p_side >= 0.0
-            if p_in:
-                if not s_in:
-                    t = s_side / (s_side - p_side)
-                    output.append((sx + t * (px - sx), sy + t * (py - sy)))
-                output.append((px, py))
-            elif s_in:
-                t = s_side / (s_side - p_side)
-                output.append((sx + t * (px - sx), sy + t * (py - sy)))
-            sx, sy, s_in, s_side = px, py, p_in, p_side
+    output = _clip(np.asarray(subject, dtype=float).tolist(), np.asarray(clip, dtype=float).tolist())
     return np.array(output) if output else np.empty((0, 2))
 
 
 def intersection_area_bev(a: Box3D, b: Box3D) -> float:
     """Footprint intersection area of two oriented boxes."""
-    inter = clip_polygon(a.corners_bev(), b.corners_bev())
-    return polygon_area(inter)
+    return _area(_clip(_footprint(a), _footprint(b)))
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
@@ -119,30 +142,34 @@ def nms(
     rest are visited by descending score (ties by lower input index); a
     box is kept iff its IoU with every already-kept box is at most
     ``iou_threshold``.  The kept list comes back sorted by descending
-    score.
+    score.  Both thresholds must lie in [0, 1].
+
+    Cost: one sort; then per candidate one vectorised reach test against
+    the k boxes kept so far (O(k) array work), and exact IoU only with the
+    kept boxes it can reach, in kept order, up to the first suppressor.
     """
+    for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"nms {name} must be a finite number in [0, 1], got {value}")
     for i, box in enumerate(boxes):
         if box.score is None:
             raise ValueError(f"box {i} has no score; NMS needs scored boxes")
-    order = sorted(
-        (i for i, b in enumerate(boxes) if b.score >= score_threshold),
-        key=lambda i: (-boxes[i].score, i),
-    )
+    scores = np.array([b.score for b in boxes], dtype=float)
+    order = np.lexsort((np.arange(len(boxes)), -scores))
+    order = order[scores[order] >= score_threshold]
+    kept_x, kept_y, kept_diag = np.empty((3, len(order)))
     kept: list[Box3D] = []
-    for i in order:
+    for i in order.tolist():
         candidate = boxes[i]
-        suppressed = False
-        for k in kept:
-            # Footprints further apart than the summed half-diagonals cannot overlap.
-            reachable = 0.5 * (candidate.bev_diagonal + k.bev_diagonal)
-            dx = candidate.center[0] - k.center[0]
-            dy = candidate.center[1] - k.center[1]
-            if dx * dx + dy * dy > reachable * reachable:
-                continue
-            if rotated_iou_bev(candidate, k) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
+        cx, cy = candidate.center[0], candidate.center[1]
+        diag = candidate.bev_diagonal
+        m = len(kept)
+        # Footprints further apart than the summed half-diagonals cannot overlap.
+        dx, dy = cx - kept_x[:m], cy - kept_y[:m]
+        reach = 0.5 * (diag + kept_diag[:m])
+        near = np.flatnonzero(dx * dx + dy * dy <= reach * reach).tolist()
+        if not any(rotated_iou_bev(candidate, kept[k]) > iou_threshold for k in near):
+            kept_x[m], kept_y[m], kept_diag[m] = cx, cy, diag
             kept.append(candidate)
     return kept
 

@@ -337,10 +337,11 @@ def check_composed(seed: int) -> float:
             residuals, targets, fg, beta
         )
 
-    def value() -> float:
-        return value_from(_toy_graph(coords, states, radius=4.0))
-
     graph = _toy_graph(coords, states, radius=4.0)
+
+    def value() -> float:  # parameter perturbations leave the graph as it is
+        return value_from(graph)
+
     refined, ucache = update_extended_forward(graph, updater)
     scores, residuals, hcache = header_forward(refined, cls_stack, reg_stack)
     d_scores = focal_loss_grad(scores, fg, config)

@@ -18,6 +18,7 @@ seed, and measure how the refinement stacks generalise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
@@ -270,27 +271,37 @@ def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
     return out
 
 
-def _coerce(default: Any, value: Any) -> Any:
-    """A file value read as the type of the field's default.
+def _coerce(name: str, default: Any, value: Any) -> Any:
+    """File value ``name`` read as the type of the field's default.
 
-    Lists become tuples element by element; ``None`` and bools pass
-    through unchanged.
+    Lists become tuples element by element; ``None`` passes through.  A
+    bool fits only a bool field, and NaN or an infinity fits none.
     """
     if isinstance(default, tuple):
         item = default[0] if default else None
-        return tuple(_coerce(item, v) for v in value)
-    if value is None or default is None or isinstance(value, bool) or isinstance(default, bool):
+        return tuple(_coerce(name, item, v) for v in value)
+    if value is None or default is None or isinstance(default, bool):
         return value
-    return type(default)(value)
+    if _not_a_number(value) or _not_a_number(out := type(default)(value)):
+        kind = "a finite number" if isinstance(default, (int, float)) else f"a {type(default).__name__}"
+        raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
+    return out
 
 
-def _parse_section(default: Any, raw: dict[str, Any]) -> Any:
-    """Merge a file section over the pipeline's default sub-config."""
+def _not_a_number(value: Any) -> bool:
+    """True for a bool or a NaN/infinite float: values no config number may take."""
+    return isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
+
+
+def _parse_section(name: str, default: Any, raw: dict[str, Any]) -> Any:
+    """Merge file section ``name`` over the pipeline's default sub-config."""
     raw = dict(raw)
     if "rows" in raw or "cols" in raw:
         rows, cols = default.bev_resolution
         raw["bev_resolution"] = (raw.pop("rows", rows), raw.pop("cols", cols))
-    return replace(default, **{k: _coerce(getattr(default, k), v) for k, v in raw.items()})
+    return replace(
+        default, **{k: _coerce(f"{name}.{k}", getattr(default, k), v) for k, v in raw.items()}
+    )
 
 
 def parse_pipeline_config(raw: dict[str, Any]) -> PipelineConfig:
@@ -322,7 +333,7 @@ def parse_pipeline_config(raw: dict[str, Any]) -> PipelineConfig:
             if key in raw:
                 default = getattr(defaults, f.name)
                 parse = _parse_section if is_dataclass(default) else _coerce
-                kwargs[f.name] = parse(default, raw[key])
+                kwargs[f.name] = parse(key, default, raw[key])
         return PipelineConfig(**kwargs)
     except ConfigError:
         raise

@@ -67,6 +67,74 @@ def mc_iou_3d(a: Box3D, b: Box3D, n_samples: int, seed: int) -> float:
     return inter / union
 
 
+def np_polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+
+
+def np_clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Clip ``subject`` against a convex counter-clockwise polygon ``clip``.
+
+    Standard Sutherland-Hodgman sweep: the subject is cut by each clip
+    edge's half-plane in turn.  Boundary points count as inside, so
+    touching boxes produce a degenerate (zero-area) polygon rather than
+    disappearing outright.
+    """
+    output = [tuple(p) for p in subject]
+    n_clip = len(clip)
+    for e in range(n_clip):
+        if not output:
+            break
+        ax, ay = clip[e]
+        bx, by = clip[(e + 1) % n_clip]
+        ex_, ey_ = bx - ax, by - ay
+        vertices = output
+        output = []
+        sx, sy = vertices[-1]
+        s_side = ex_ * (sy - ay) - ey_ * (sx - ax)
+        s_in = s_side >= 0.0
+        for px, py in vertices:
+            p_side = ex_ * (py - ay) - ey_ * (px - ax)
+            p_in = p_side >= 0.0
+            if p_in:
+                if not s_in:
+                    t = s_side / (s_side - p_side)
+                    output.append((sx + t * (px - sx), sy + t * (py - sy)))
+                output.append((px, py))
+            elif s_in:
+                t = s_side / (s_side - p_side)
+                output.append((sx + t * (px - sx), sy + t * (py - sy)))
+            sx, sy, s_in, s_side = px, py, p_in, p_side
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def np_intersection_area_bev(a: Box3D, b: Box3D) -> float:
+    """Footprint intersection area of two oriented boxes."""
+    inter = np_clip_polygon(a.corners_bev(), b.corners_bev())
+    return np_polygon_area(inter)
+
+
+def np_rotated_iou_bev(a: Box3D, b: Box3D) -> float:
+    """The library's former NumPy rotated IoU, kept verbatim as an oracle.
+
+    Corners come from ``Box3D.corners_bev`` (a matmul per box) and the
+    shoelace sum from ``np.dot``, so it agrees with the float kernel only
+    up to summation order: about 1e-15 near the origin, and up to a few
+    1e-12 for coordinates around 70 m, its own rounding error there.
+    """
+    area_a = a.dims[0] * a.dims[1]
+    area_b = b.dims[0] * b.dims[1]
+    inter = np_intersection_area_bev(a, b)
+    inter = min(inter, area_a, area_b)  # clipping noise must not exceed either box
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
 def aligned_iou_bev(a: Box3D, b: Box3D) -> float:
     """Closed-form BEV IoU for boxes whose yaw is a multiple of pi/2."""
 

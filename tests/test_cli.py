@@ -110,6 +110,14 @@ def test_nms_without_scores_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--iou-threshold", "--score-threshold"])
+def test_nms_bad_threshold_exits_one(tmp_path, capsys, flag):
+    src = tmp_path / "boxes.txt"
+    src.write_text(box_line(0.0, 0.0, 0.9))
+    assert main(["nms", "--input", str(src), flag, "nan"]) == 1
+    assert "must be a finite number in [0, 1], got nan" in capsys.readouterr().err
+
+
 def test_malformed_box_file_exits_two(tmp_path, capsys):
     src = tmp_path / "boxes.txt"
     src.write_text("Car 1.0 2.0\n")

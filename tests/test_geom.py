@@ -179,6 +179,15 @@ def test_nms_requires_scores():
         nms([box2d(0, 0, 2, 2)], 0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+def test_nms_rejects_thresholds_outside_the_unit_interval(bad):
+    boxes = [box2d(0, 0, 2, 2, score=0.5)]
+    with pytest.raises(ValueError, match="iou_threshold must be a finite number in"):
+        nms(boxes, iou_threshold=bad, score_threshold=0.0)
+    with pytest.raises(ValueError, match="score_threshold must be a finite number in"):
+        nms(boxes, iou_threshold=0.1, score_threshold=bad)
+
+
 def test_nms_tie_breaks_by_input_index():
     a = box2d(0, 0, 2, 2, score=0.5)
     b = box2d(0.2, 0, 2, 2, score=0.5)

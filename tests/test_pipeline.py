@@ -136,6 +136,32 @@ def test_field_names_the_file_spells_differently_are_unknown_keys(raw, key):
         parse_pipeline_config(raw)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"train": {"learning_rate": NaN}}', "train.learning_rate"),
+        ('{"gnn": {"radius": NaN}}', "gnn.radius"),
+        ('{"scene": {"min_separation": -Infinity}}', "scene.min_separation"),
+        ('{"bev_cell_size": Infinity}', "bev_cell_size"),
+        ('{"gnn": {"depth": NaN}}', "gnn.depth"),
+        ('{"seed": 1e999}', "seed"),
+        ('{"range": [[0, NaN], [-40, 40], [-3, 1]]}', "range"),
+        ('{"train": {"learning_rate": "nan"}}', "train.learning_rate"),
+        ('{"eval": {"ap_iou": true}}', "eval.ap_iou"),
+        ('{"seed": true}', "seed"),
+        ('{"anchors": {"rows": false}}', "anchors.bev_resolution"),
+    ],
+)
+def test_non_finite_numbers_and_bools_name_their_key(text, key):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be a finite number"):
+        parse_pipeline_config(json.loads(text))
+
+
+def test_bool_fields_still_take_bools():
+    for flag in (True, False):
+        assert parse_pipeline_config({"loss": {"focal_background": flag}}).loss.focal_background is flag
+
+
 def test_values_take_the_type_of_their_default():
     config = parse_pipeline_config(
         {
