@@ -50,6 +50,7 @@ from .nnet import DenseStack, LossConfig, focal_loss, smooth_l1, total_loss
 from .pipeline import (
     ConfigError,
     PipelineConfig,
+    TrainingDivergedError,
     load_pipeline_config,
     run_pipeline,
     train_smoke,
@@ -89,6 +90,7 @@ __all__ = [
     "RfaConfig",
     "Scene",
     "SparseVoxelGrid",
+    "TrainingDivergedError",
     "VoxelizationConfig",
     "augment_global",
     "build_graph",

@@ -12,6 +12,14 @@ prepends the aligned relative offset ``x_i - x_j - dx_i`` where ``dx_i``
 comes from a per-iteration alignment stack, making the update exactly
 translation invariant.  Both updates are synchronous (iteration k reads
 only k-1 states) and come with analytic backward passes.
+
+The graph is stored as arrays in compressed sparse row (CSR) form: row
+i's neighbours are ``indices[offsets[i]:offsets[i+1]]``, ascending, with
+the self-loop included.  Each iteration transforms one row per directed
+edge and max-pools each node's block with two reductions; on an exact tie
+the lowest row (the lowest neighbour index) wins, and a NaN beats every
+number, the first NaN winning among several.  The backward pass sends
+each channel's gradient to that one winning row.
 """
 
 from __future__ import annotations
@@ -28,68 +36,86 @@ from .nnet import DenseStack, LayerGrads, _sigmoid, add_layer_grads
 from .scene import Box3D
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    """One proposal node: position, feature state, and stable id."""
-
-    coords: np.ndarray  # (3,)
-    state: np.ndarray  # (F,)
-    node_id: int
-    box: Box3D | None = None
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float).reshape(3).copy()
-        state = np.asarray(self.state, dtype=float).reshape(-1).copy()
-        if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(state))):
-            raise ValueError("node coords/state must be finite")
-        coords.setflags(write=False)
-        state.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "state", state)
+_ARRAYS = ("coords", "states", "offsets", "indices")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodGraph:
-    """Nodes plus symmetric adjacency lists (self-loops included)."""
+    """Proposal nodes and their symmetric radius-graph adjacency, as arrays.
 
-    nodes: tuple[GraphNode, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    ``coords`` (n, 3), ``states`` (n, F) and ``boxes`` hold one entry per
+    node.  The adjacency is in compressed sparse row (CSR) form: row i's
+    neighbours are ``indices[offsets[i]:offsets[i+1]]``, strictly
+    ascending, with the self-loop included, so ``offsets`` has n + 1
+    entries and ``indices`` one per directed edge.  The refiner max-pools
+    each row's block per channel: the lowest row wins an exact tie and the
+    first NaN row beats every number.  Arrays are copied and made
+    read-only.
+    """
+
+    coords: np.ndarray
+    states: np.ndarray
+    boxes: tuple[Box3D, ...]
+    offsets: np.ndarray
+    indices: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        adjacency = tuple(tuple(a) for a in self.adjacency)
-        if len(adjacency) != len(nodes):
+        coords = np.array(self.coords, dtype=float).reshape(-1, 3)
+        try:
+            states = np.array(self.states, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise ValueError("node states must be an (n, F) matrix of one width") from exc
+        offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
+        indices = np.array(self.indices, dtype=np.int64).reshape(-1)
+        boxes = tuple(self.boxes)
+        n = len(coords)
+        if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(indices):
             raise ValueError("one adjacency list per node is required")
-        for i, neigh in enumerate(adjacency):
-            if i not in neigh:
-                raise ValueError(f"node {i} is missing its self-loop")
-            for j in neigh:
-                if not 0 <= j < len(nodes):
-                    raise ValueError(f"adjacency of node {i} references node {j}")
-                if i not in adjacency[j]:
-                    raise ValueError(f"edge ({i}, {j}) is not symmetric")
-        if len(nodes) > 1 and len({n.state.shape[0] for n in nodes}) > 1:
-            raise ValueError("all node states must share one width")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "adjacency", adjacency)
+        if states.ndim != 2:
+            raise ValueError("node states must be an (n, F) matrix of one width")
+        if len(states) != n or len(boxes) != n:
+            raise ValueError("one state row and one proposal box per node are required")
+        if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(states))):
+            raise ValueError("node coords/state must be finite")
+        row_node = np.repeat(np.arange(n), np.diff(offsets))
+        bad = np.flatnonzero((indices < 0) | (indices >= n))
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"adjacency of node {row_node[e]} references node {indices[e]}")
+        lonely = np.setdiff1d(np.arange(n), indices[indices == row_node])
+        if lonely.size:
+            raise ValueError(f"node {lonely[0]} is missing its self-loop")
+        bad = np.flatnonzero((np.diff(row_node) == 0) & (np.diff(indices) <= 0))
+        if bad.size:
+            raise ValueError(f"adjacency of node {row_node[bad[0]]} is not strictly ascending")
+        bad = np.flatnonzero(~np.isin(indices * n + row_node, row_node * n + indices))
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"edge ({row_node[e]}, {indices[e]}) is not symmetric")
+        for name, value in zip(_ARRAYS, (coords, states, offsets, indices)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "boxes", boxes)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.coords)
 
     @property
     def state_dim(self) -> int:
-        return self.nodes[0].state.shape[0] if self.nodes else 0
+        return self.states.shape[1]
 
-    def states_matrix(self) -> np.ndarray:
-        if not self.nodes:
-            return np.empty((0, 0))
-        return np.stack([n.state for n in self.nodes])
+    @property
+    def row_node(self) -> np.ndarray:
+        """The owning node of each entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
-    def coords_matrix(self) -> np.ndarray:
-        if not self.nodes:
-            return np.empty((0, 3))
-        return np.stack([n.coords for n in self.nodes])
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only per-node neighbour tuples derived from the CSR arrays."""
+        flat = self.indices.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def build_graph(
@@ -100,24 +126,18 @@ def build_graph(
 
     Neighbour candidates come from the cell hash of ``neighbors`` with
     ``radius``-sized cells, so construction stays near-linear in the node
-    count.  Every node is its own neighbour; adjacency lists are sorted
-    ascending.
+    count.  ``radius_pairs`` returns the pairs sorted by node, then
+    neighbour, which is the CSR order directly.
     """
     if radius <= 0 or not math.isfinite(radius):
         raise ValueError("radius must be a positive real")
-    boxes = [b for b, _ in proposals]
-    coords = np.array([b.center for b in boxes]).reshape(-1, 3)
+    boxes = tuple(b for b, _ in proposals)
     n = len(boxes)
-
+    coords = np.array([b.center for b in boxes], dtype=float).reshape(n, 3)
+    states = [s for _, s in proposals] if n else np.empty((0, 0))
     src, dst = radius_pairs(coords, radius)
-    ends = np.cumsum(np.bincount(src, minlength=n))
-    adjacency = [tuple(a.tolist()) for a in np.split(dst, ends)[:-1]]
-
-    nodes = tuple(
-        GraphNode(coords[i], np.asarray(state, dtype=float), i, box=boxes[i])
-        for i, (_, state) in enumerate(proposals)
-    )
-    return NeighborhoodGraph(nodes, tuple(adjacency), radius)
+    offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
+    return NeighborhoodGraph(coords, states, boxes, offsets, dst, radius)
 
 
 @dataclass
@@ -205,19 +225,13 @@ class GraphUpdater:
         return UpdaterGrads(
             [s.zero_grads() for s in self.agg_stacks],
             [s.zero_grads() for s in self.fus_stacks],
-            None
-            if self.align_stacks is None
-            else [s.zero_grads() for s in self.align_stacks],
+            None if self.align_stacks is None else [s.zero_grads() for s in self.align_stacks],
         )
 
     def sgd_step(self, grads: "UpdaterGrads", lr: float) -> None:
-        for stack, g in zip(self.agg_stacks, grads.agg):
+        stacks = self.agg_stacks + self.fus_stacks + (self.align_stacks or [])
+        for stack, g in zip(stacks, grads.agg + grads.fus + (grads.align or [])):
             stack.sgd_step(g, lr)
-        for stack, g in zip(self.fus_stacks, grads.fus):
-            stack.sgd_step(g, lr)
-        if self.align_stacks is not None and grads.align is not None:
-            for stack, g in zip(self.align_stacks, grads.align):
-                stack.sgd_step(g, lr)
 
 
 @dataclass
@@ -231,15 +245,11 @@ class UpdaterGrads:
 
 @dataclass
 class _IterCache:
-    prev: np.ndarray
-    row_node: np.ndarray
-    row_neigh: np.ndarray
     agg_cache: list
     fus_cache: list
     argmax_rows: np.ndarray  # (n, D) absolute row index feeding each pooled channel
     pool_inputs: np.ndarray  # (rows, D) transformed neighbour features
     align_cache: list | None
-    align_out: np.ndarray | None
 
 
 @dataclass
@@ -250,64 +260,50 @@ class UpdateCache:
     updater: GraphUpdater
     extended: bool
     iterations: list[_IterCache]
-    out: np.ndarray
 
 
 def _update_forward(
     graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool
 ) -> tuple[np.ndarray, UpdateCache]:
-    if len(graph):
-        updater.validate_for(graph.state_dim, extended)
-    h = graph.states_matrix()
     n = len(graph)
-    coords = graph.coords_matrix()
-    row_node = np.concatenate(
-        [np.full(len(a), i, dtype=np.int64) for i, a in enumerate(graph.adjacency)]
-    ) if n else np.empty(0, dtype=np.int64)
-    row_neigh = np.concatenate(
-        [np.asarray(a, dtype=np.int64) for a in graph.adjacency]
-    ) if n else np.empty(0, dtype=np.int64)
-    starts = np.zeros(n + 1, dtype=np.int64)
     if n:
-        starts[1:] = np.cumsum([len(a) for a in graph.adjacency])
+        updater.validate_for(graph.state_dim, extended)
+    h = graph.states
+    row_node, row_neigh = graph.row_node, graph.indices
+    starts = graph.offsets[:-1]
+    edge_ids = np.arange(len(row_neigh))[:, None]
 
     iterations: list[_IterCache] = []
-    for k in range(updater.depth):
-        if n == 0:
-            break
+    for k in range(updater.depth if n else 0):
         prev = h
         align_cache = align_out = None
         if extended:
             align_out, align_cache = updater.align_stacks[k].forward(prev)
-            offsets = coords[row_node] - coords[row_neigh] - align_out[row_node]
-            rows = np.concatenate([offsets, prev[row_neigh]], axis=1)
+            rel = graph.coords[row_node] - graph.coords[row_neigh] - align_out[row_node]
+            rows = np.concatenate([rel, prev[row_neigh]], axis=1)
         else:
             rows = prev[row_neigh]
         pooled_in, agg_cache = updater.agg_stacks[k].forward(rows)
-        d = pooled_in.shape[1]
-        pooled = np.empty((n, d))
-        argmax_rows = np.empty((n, d), dtype=np.int64)
-        for i in range(n):
-            block = pooled_in[starts[i] : starts[i + 1]]
-            local = block.argmax(axis=0)  # lowest row index wins exact ties
-            argmax_rows[i] = starts[i] + local
-            pooled[i] = block[local, np.arange(d)]
+        # Per node and channel the winner is the lowest row holding the
+        # block maximum, or the first NaN row, exactly as argmax picks.
+        peak = np.maximum.reduceat(pooled_in, starts, axis=0)
+        hit = (pooled_in == peak[row_node]) | np.isnan(pooled_in)
+        argmax_rows = np.minimum.reduceat(
+            np.where(hit, edge_ids, len(row_neigh)), starts, axis=0
+        )
+        pooled = np.take_along_axis(pooled_in, argmax_rows, axis=0)
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
         h = prev + fused
         iterations.append(
             _IterCache(
-                prev=prev,
-                row_node=row_node,
-                row_neigh=row_neigh,
                 agg_cache=agg_cache,
                 fus_cache=fus_cache,
                 argmax_rows=argmax_rows,
                 pool_inputs=pooled_in,
                 align_cache=align_cache,
-                align_out=align_out,
             )
         )
-    return h, UpdateCache(graph, updater, extended, iterations, h)
+    return h, UpdateCache(graph, updater, extended, iterations)
 
 
 def update_vanilla(graph: NeighborhoodGraph, updater: GraphUpdater) -> np.ndarray:
@@ -343,6 +339,7 @@ def update_backward(
     lowest row on exact forward ties).
     """
     updater = cache.updater
+    row_node, row_neigh = cache.graph.row_node, cache.graph.indices
     grads = updater.zero_grads()
     dh = np.asarray(grad_out, dtype=float).copy()
     for k in range(len(cache.iterations) - 1, -1, -1):
@@ -362,16 +359,16 @@ def update_backward(
         if cache.extended:
             d_offsets = d_rows[:, :3]
             d_states = d_rows[:, 3:]
-            np.add.at(d_prev, it.row_neigh, d_states)
+            np.add.at(d_prev, row_neigh, d_states)
             d_align = np.zeros((n, 3))
-            np.add.at(d_align, it.row_node, -d_offsets)
+            np.add.at(d_align, row_node, -d_offsets)
             align_grads, d_prev_align = updater.align_stacks[k].backward(
                 it.align_cache, d_align
             )
             grads.align[k] = add_layer_grads(grads.align[k], align_grads)
             d_prev = d_prev + d_prev_align
         else:
-            np.add.at(d_prev, it.row_neigh, d_rows)
+            np.add.at(d_prev, row_neigh, d_rows)
         dh = d_prev
     return grads, dh
 
@@ -420,11 +417,7 @@ def refine_proposals(
     if len(graph) == 0:
         return []
     scores, residuals, _ = header_forward(refined_states, cls_stack, reg_stack)
-    out = []
-    for i, node in enumerate(graph.nodes):
-        if node.box is None:
-            raise ValueError(f"node {i} carries no proposal box to refine")
-        out.append(
-            decode_box(residuals[i], node.box, score=float(scores[i]), class_id=node.box.class_id)
-        )
-    return out
+    return [
+        decode_box(res, box, score=float(score), class_id=box.class_id)
+        for box, res, score in zip(graph.boxes, residuals, scores)
+    ]

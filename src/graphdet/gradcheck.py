@@ -201,13 +201,12 @@ def _update_margin(cache) -> float:
         margin = min(margin, _stack_preact_margin(it.agg_cache))
         if it.align_cache is not None:
             margin = min(margin, _stack_preact_margin(it.align_cache))
-        starts = np.flatnonzero(np.r_[1, np.diff(it.row_node)])
-        bounds = np.r_[starts, len(it.row_node)]
-        for b in range(len(bounds) - 1):
-            block = it.pool_inputs[bounds[b] : bounds[b + 1]]
-            if block.shape[0] >= 2:
-                top2 = np.sort(block, axis=0)[-2:]
-                margin = min(margin, float((top2[1] - top2[0]).min()))
+        # runner-up: the block maximum with the winner masked (-inf if alone)
+        rest = it.pool_inputs.copy()
+        np.put_along_axis(rest, it.argmax_rows, -np.inf, axis=0)
+        runner_up = np.maximum.reduceat(rest, cache.graph.offsets[:-1], axis=0)
+        best = np.take_along_axis(it.pool_inputs, it.argmax_rows, axis=0)
+        margin = min(margin, float((best - runner_up).min()))
     return margin
 
 

@@ -102,6 +102,13 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent pipeline configuration."""
 
 
+class TrainingDivergedError(ValueError):
+    """Raised when a loss term stops being finite during training."""
+
+
+_LOSS_TERMS = ("l_rpn", "l_gnn", "l_offset", "l_seg")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     n_objects: int = 4
@@ -370,8 +377,7 @@ class _World:
     anchor_assignment: AnchorAssignment
     anchor_inputs: np.ndarray
     anchor_reg_targets: np.ndarray
-    proposals: list[Box3D]
-    graph: NeighborhoodGraph | None
+    graph: NeighborhoodGraph  # one node per proposal; empty when there are none
     prop_fg: np.ndarray
     prop_reg_targets: np.ndarray
 
@@ -468,24 +474,18 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         )
         pyramid = point_pyramid(cloud, config.rfa, stacks)
         states = roi_states(point_voxel_feats, pyramid, bev, proposals, config.rfa)
-        graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
     else:
-        proposals = []
-        graph = None
+        proposals, states = [], []
+    graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
 
-    n_p = len(proposals)
-    prop_fg = np.zeros(n_p, dtype=bool)
-    prop_reg_targets = np.zeros((n_p, 7))
-    if n_p and scene.gt_boxes:
-        for i, prop in enumerate(proposals):
-            best_iou, best_g = 0.0, -1
-            for g, gt in enumerate(scene.gt_boxes):
-                iou = rotated_iou_bev(prop, gt)
-                if iou > best_iou:
-                    best_iou, best_g = iou, g
-            if best_iou >= config.proposals.pos_iou and best_g >= 0:
-                prop_fg[i] = True
-                prop_reg_targets[i] = _encode_target(scene.gt_boxes[best_g], prop)
+    prop_fg = np.zeros(len(proposals), dtype=bool)
+    prop_reg_targets = np.zeros((len(proposals), 7))
+    for i, prop in enumerate(proposals):
+        # foreground when the best-overlapping (first on ties) gt is close enough
+        ious = [rotated_iou_bev(prop, gt) for gt in scene.gt_boxes]
+        if ious and max(ious) >= config.proposals.pos_iou:
+            prop_fg[i] = True
+            prop_reg_targets[i] = _encode_target(scene.gt_boxes[int(np.argmax(ious))], prop)
 
     return _World(
         scene=scene,
@@ -498,7 +498,6 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         anchor_assignment=assignment,
         anchor_inputs=anchor_inputs,
         anchor_reg_targets=anchor_reg_targets,
-        proposals=proposals,
         graph=graph,
         prop_fg=prop_fg,
         prop_reg_targets=prop_reg_targets,
@@ -589,7 +588,7 @@ def _evaluate(
         grads["rpn_reg"], _ = models.rpn_reg.backward(reg_cache, dreg)
 
     # Refinement-stage loss over graph nodes.
-    if world.graph is not None and len(world.graph):
+    if len(world.graph):
         refined, ucache = _refine_forward(models, world.graph, config)
         scores, residuals, hcache = header_forward(
             refined, models.cls_stack, models.reg_stack
@@ -648,13 +647,8 @@ def _evaluate(
 
 
 def _apply_grads(models: PipelineModels, grads: dict[str, Any], lr: float) -> None:
-    models.rpn_cls.sgd_step(grads["rpn_cls"], lr)
-    models.rpn_reg.sgd_step(grads["rpn_reg"], lr)
-    models.cls_stack.sgd_step(grads["cls_stack"], lr)
-    models.reg_stack.sgd_step(grads["reg_stack"], lr)
-    models.updater.sgd_step(grads["updater"], lr)
-    models.aux_seg.sgd_step(grads["aux_seg"], lr)
-    models.aux_off.sgd_step(grads["aux_off"], lr)
+    for name, stack_grads in grads.items():  # keys are PipelineModels field names
+        getattr(models, name).sgd_step(stack_grads, lr)
 
 
 def _sum_grads(total: dict[str, Any] | None, extra: dict[str, Any]) -> dict[str, Any]:
@@ -681,16 +675,17 @@ def _batch_evaluate(
     worlds: list[_World],
     config: PipelineConfig,
     want_grads: bool = True,
-) -> tuple[float, dict[str, Any] | None]:
-    """Mean total loss and (optionally) summed gradients over the worlds."""
+) -> tuple[dict[str, float], dict[str, Any] | None]:
+    """Loss components and (optionally) gradients, summed over the worlds."""
     grads = None
-    total = 0.0
+    sums = dict.fromkeys(("total", *_LOSS_TERMS), 0.0)
     for world in worlds:
         components, world_grads = _evaluate(models, world, config, want_grads)
-        total += components["total"]
+        for key in sums:
+            sums[key] += components[key]
         if want_grads:
             grads = _sum_grads(grads, world_grads)
-    return total / len(worlds), grads
+    return sums, grads
 
 
 def _training_worlds(config: PipelineConfig) -> list[_World]:
@@ -708,15 +703,24 @@ def _train_models(
     config: PipelineConfig, steps: int
 ) -> tuple[PipelineModels, list[float], _World]:
     """Train on the batch; also returns the first training world, which is
-    the pipeline's main scene (training never mutates a world)."""
+    the pipeline's main scene (training never mutates a world).
+
+    Raises :class:`TrainingDivergedError`, naming the step and the term,
+    as soon as a loss term is not finite.
+    """
     worlds = _training_worlds(config)
     models = init_models(config)
     lr = config.train.learning_rate / len(worlds)
     history = []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        loss, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
-        history.append(loss)
+        sums, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
+        for term in _LOSS_TERMS:
+            if not math.isfinite(sums[term]):
+                raise TrainingDivergedError(
+                    f"training diverged at step {step}: loss term {term} is {sums[term]}"
+                )
+        history.append(sums["total"] / len(worlds))
         if grads is not None:
             _apply_grads(models, grads, lr)
     return models, history, worlds[0]
@@ -741,7 +745,7 @@ def detect(
     models: PipelineModels, world: _World, config: PipelineConfig
 ) -> list[Box3D]:
     """Refine the world's proposals and suppress duplicates."""
-    if world.graph is None or len(world.graph) == 0:
+    if len(world.graph) == 0:
         return []
     refined, _ = _refine_forward(models, world.graph, config)
     boxes = refine_proposals(world.graph, refined, models.cls_stack, models.reg_stack)
@@ -763,7 +767,7 @@ def _score_world(
         "ap_s40": interpolated_ap(curve, _S40),
         "n_detections": len(detections),
         "n_gt": len(gts),
-        "n_proposals": len(world.proposals),
+        "n_proposals": len(world.graph),
     }
 
 

@@ -9,7 +9,7 @@ voxel indices partition cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ CAR_DIMS = (3.9, 1.6, 1.56)
 
 _CLASS_NAMES = ("Car", "Pedestrian", "Cyclist")
 _UNKNOWN_CLASS = "Unknown"
+_PLACEMENT_DRAWS = 200  # rejection-sampling draws per object
 
 RangeBounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -115,9 +116,6 @@ class Box3D:
     def as_vector(self) -> np.ndarray:
         """The (cx, cy, cz, l, w, h, yaw) parameter vector."""
         return np.array([*self.center, *self.dims, self.yaw])
-
-    def with_score(self, score: float | None) -> "Box3D":
-        return replace(self, score=score)
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,10 @@ def generate_synthetic_scene(
     """Build a reproducible scene of box-shaped objects plus uniform clutter.
 
     Objects are car-sized by default, placed with rejection sampling so
-    footprints stay separated by ``min_separation`` metres in the ground
-    plane, and skinned with surface points.  Clutter points are uniform
-    over the range.  Identical arguments produce byte-identical scenes.
+    centres stay at least ``min_separation`` metres apart in the ground
+    plane, and skinned with surface points; an object with no such place
+    after 200 draws raises ValueError.  Clutter points are uniform over
+    the range.  Identical arguments produce byte-identical scenes.
 
     The cloud lists object points first (object 0, object 1, ...) followed
     by the clutter block; total size is
@@ -261,20 +260,21 @@ def generate_synthetic_scene(
 
     centres: list[tuple[float, float, float]] = []
     boxes: list[Box3D] = []
-    for _ in range(n_objects):
-        placed = False
-        for _attempt in range(200):
+    for index in range(n_objects):
+        for _attempt in range(_PLACEMENT_DRAWS):
             cx = rng.uniform(x_lo + margin, x_hi - margin)
             cy = rng.uniform(y_lo + margin, y_hi - margin)
             if all(math.hypot(cx - px, cy - py) >= min_separation for px, py, _ in centres):
-                placed = True
                 break
-        # After 200 tries accept the last draw; only dense configurations get here.
+        else:
+            raise ValueError(
+                f"object {index} of n_objects={n_objects} found no place after "
+                f"{_PLACEMENT_DRAWS} draws with min_separation={min_separation}"
+            )
         cz = rng.uniform(z_centre_lo, z_centre_hi)
         yaw = rng.uniform(-math.pi, math.pi)
         centres.append((cx, cy, cz))
         boxes.append(Box3D((cx, cy, cz), object_dims, yaw, class_id=0))
-        del placed
 
     blocks: list[np.ndarray] = []
     for box in boxes:

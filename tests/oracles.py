@@ -353,6 +353,59 @@ def max_scan_ap(curve: list[tuple[float, float]], levels: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# graph refiner oracle
+
+
+def loop_update_forward(graph, updater, extended: bool):
+    """The refiner's forward pass with a per-node max-pool loop.
+
+    Reads the graph through its ``adjacency`` tuples.  Returns the refined
+    (n, F) states and, per iteration, the (n, D) absolute row index that
+    fed each pooled channel (``argmax`` per block: the lowest row wins
+    exact ties, the first NaN row wins over numbers).
+    """
+    if len(graph):
+        updater.validate_for(graph.state_dim, extended)
+    h = graph.states
+    n = len(graph)
+    coords = graph.coords
+    row_node = np.concatenate(
+        [np.full(len(a), i, dtype=np.int64) for i, a in enumerate(graph.adjacency)]
+    ) if n else np.empty(0, dtype=np.int64)
+    row_neigh = np.concatenate(
+        [np.asarray(a, dtype=np.int64) for a in graph.adjacency]
+    ) if n else np.empty(0, dtype=np.int64)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        starts[1:] = np.cumsum([len(a) for a in graph.adjacency])
+
+    argmax_per_iteration = []
+    for k in range(updater.depth):
+        if n == 0:
+            break
+        prev = h
+        if extended:
+            align_out, _ = updater.align_stacks[k].forward(prev)
+            offsets = coords[row_node] - coords[row_neigh] - align_out[row_node]
+            rows = np.concatenate([offsets, prev[row_neigh]], axis=1)
+        else:
+            rows = prev[row_neigh]
+        pooled_in, _ = updater.agg_stacks[k].forward(rows)
+        d = pooled_in.shape[1]
+        pooled = np.empty((n, d))
+        argmax_rows = np.empty((n, d), dtype=np.int64)
+        for i in range(n):
+            block = pooled_in[starts[i] : starts[i + 1]]
+            local = block.argmax(axis=0)  # lowest row index wins exact ties
+            argmax_rows[i] = starts[i] + local
+            pooled[i] = block[local, np.arange(d)]
+        fused, _ = updater.fus_stacks[k].forward(pooled)
+        h = prev + fused
+        argmax_per_iteration.append(argmax_rows)
+    return h, argmax_per_iteration
+
+
+# ---------------------------------------------------------------------------
 # voxel oracle
 
 

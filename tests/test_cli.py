@@ -293,6 +293,14 @@ def test_train_smoke_command(tmp_path, capsys):
     assert "reduction" in out
 
 
+@pytest.mark.parametrize("command", ["train-smoke", "run-pipeline"])
+def test_diverging_training_exits_one(tmp_path, capsys, command):
+    config = write_config(tmp_path, train={"steps": 50, "learning_rate": 50.0})
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", config]) == 1
+    assert "error: training diverged at step" in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_two(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"turbo": true}')

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from graphdet.gnn import (
-    GraphNode,
     GraphUpdater,
     NeighborhoodGraph,
     build_graph,
@@ -101,20 +100,45 @@ def test_build_graph_matches_all_pairs_oracle():
         assert list(graph.adjacency) == brute_radius_graph(centres, radius)
 
 
+def csr_graph(adjacency, states=None, boxes=None):
+    """A graph over ``len(adjacency)`` nodes from per-node neighbour lists."""
+    n = len(adjacency)
+    offsets = np.cumsum([0] + [len(a) for a in adjacency])
+    indices = [j for a in adjacency for j in a]
+    if states is None:
+        states = np.zeros((n, 2))
+    if boxes is None:
+        boxes = [Box3D((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0) for i in range(n)]
+    return NeighborhoodGraph(np.zeros((n, 3)), states, boxes, offsets, indices, 1.0)
+
+
 def test_graph_validation():
-    node = GraphNode(np.zeros(3), np.zeros(2), 0)
-    other = GraphNode(np.ones(3), np.zeros(2), 1)
+    assert csr_graph(((0, 1), (0, 1))).adjacency == ((0, 1), (0, 1))
     with pytest.raises(ValueError, match="self-loop"):
-        NeighborhoodGraph((node,), ((),), 1.0)
+        csr_graph(((),))
     with pytest.raises(ValueError, match="symmetric"):
-        NeighborhoodGraph((node, other), ((0, 1), (1,)), 1.0)
+        csr_graph(((0, 1), (1,)))
     with pytest.raises(ValueError, match="references"):
-        NeighborhoodGraph((node,), ((0, 5),), 1.0)
+        csr_graph(((0, 5),))
     with pytest.raises(ValueError, match="adjacency list per node"):
-        NeighborhoodGraph((node, other), ((0,),), 1.0)
-    wide = GraphNode(np.zeros(3), np.zeros(5), 1)
+        NeighborhoodGraph(np.zeros((2, 3)), np.zeros((2, 2)), [None] * 2, [0, 1], [0], 1.0)
     with pytest.raises(ValueError, match="one width"):
-        NeighborhoodGraph((node, wide), ((0,), (1,)), 1.0)
+        csr_graph(((0,), (1,)), states=np.zeros(2))
+    with pytest.raises(ValueError, match="one width"):
+        build_graph(make_proposals([(0, 0, 0), (5, 0, 0)], [np.zeros(2), np.zeros(5)]))
+    with pytest.raises(ValueError, match="ascending"):
+        csr_graph(((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        csr_graph(((0,),), states=np.full((1, 2), np.nan))
+
+
+def test_graph_arrays_are_read_only_copies():
+    states = np.zeros((2, 2))
+    graph = csr_graph(((0, 1), (0, 1)), states=states)
+    states[0, 0] = 1.0
+    assert graph.states[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        graph.indices[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +152,9 @@ def identity_stack(dim):
 def test_depth_zero_is_the_identity():
     graph = build_graph(line_proposals(5, 1.0, 6), radius=1.5)
     updater = GraphUpdater.seeded(6, 8, 0, seed=3)
-    assert np.array_equal(update_vanilla(graph, updater), graph.states_matrix())
+    assert np.array_equal(update_vanilla(graph, updater), graph.states)
     ext = GraphUpdater.seeded(6, 8, 0, seed=3, extended=True)
-    assert np.array_equal(update_extended(graph, ext), graph.states_matrix())
+    assert np.array_equal(update_extended(graph, ext), graph.states)
 
 
 def test_zeroed_fusion_leaves_states_untouched():
@@ -138,7 +162,7 @@ def test_zeroed_fusion_leaves_states_untouched():
     updater = GraphUpdater.seeded(5, 8, 3, seed=4, extended=True)
     for stack in updater.fus_stacks:
         stack.set_flat_params(np.zeros(stack.n_params))
-    assert np.array_equal(update_extended(graph, updater), graph.states_matrix())
+    assert np.array_equal(update_extended(graph, updater), graph.states)
 
 
 def test_vanilla_update_hand_unrolled_on_a_path():
@@ -313,14 +337,14 @@ def test_header_zero_stacks_score_half_and_keep_boxes():
     graph = build_graph(line_proposals(4, 2.0, dim, seed=3), radius=3.0)
     cls = DenseStack.zeros((dim, 1))
     reg = DenseStack.zeros((dim, 7))
-    scores, residuals, _ = header_forward(graph.states_matrix(), cls, reg)
+    scores, residuals, _ = header_forward(graph.states, cls, reg)
     assert np.array_equal(scores, np.full(4, 0.5))
     assert np.array_equal(residuals, np.zeros((4, 7)))
-    refined = refine_proposals(graph, graph.states_matrix(), cls, reg)
-    for node, box in zip(graph.nodes, refined):
-        assert box.center == pytest.approx(node.box.center)
-        assert box.dims == pytest.approx(node.box.dims)
-        assert box.yaw == pytest.approx(node.box.yaw)
+    refined = refine_proposals(graph, graph.states, cls, reg)
+    for proposal, box in zip(graph.boxes, refined):
+        assert box.center == pytest.approx(proposal.center)
+        assert box.dims == pytest.approx(proposal.dims)
+        assert box.yaw == pytest.approx(proposal.yaw)
         assert box.score == 0.5
 
 
@@ -355,7 +379,6 @@ def test_header_backward_matches_finite_differences():
 
 
 def test_refine_requires_proposal_boxes():
-    node = GraphNode(np.zeros(3), np.zeros(4), 0, box=None)
-    graph = NeighborhoodGraph((node,), ((0,),), 1.0)
-    with pytest.raises(ValueError, match="no proposal box"):
-        refine_proposals(graph, np.zeros((1, 4)), DenseStack.zeros((4, 1)), DenseStack.zeros((4, 7)))
+    # the graph refuses to exist without one proposal box per node
+    with pytest.raises(ValueError, match="proposal box per node"):
+        csr_graph(((0,),), boxes=())

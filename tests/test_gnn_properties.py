@@ -1,0 +1,97 @@
+"""Property tests for the CSR proposal graph and its max-pool refiner."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphdet.gnn import (
+    GraphUpdater,
+    build_graph,
+    update_extended,
+    update_extended_forward,
+    update_vanilla_forward,
+)
+from graphdet.scene import Box3D
+
+from oracles import loop_update_forward
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def integer_proposals(rng, n, state_dim, spread=4):
+    """Integer-valued centres and states, so neighbour rows often tie."""
+    centres = rng.integers(-spread, spread + 1, size=(n, 3)).astype(float)
+    states = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
+    boxes = [Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]
+    return list(zip(boxes, states))
+
+
+def seeded_updater(state_dim, seed, extended, rounded=True):
+    """Three seeded iterations; ``rounded`` rounds every weight to a half,
+    so that integer inputs give pooled values that tie exactly."""
+    updater = GraphUpdater.seeded(state_dim, 6, 3, seed, extended=extended)
+    if rounded:
+        for stack in updater.agg_stacks + updater.fus_stacks + (updater.align_stacks or []):
+            stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
+    return updater
+
+
+def assert_matches_loop_oracle(graph, updater, extended):
+    forward = update_extended_forward if extended else update_vanilla_forward
+    refined, cache = forward(graph, updater)
+    want, want_argmax = loop_update_forward(graph, updater, extended)
+    assert np.array_equal(refined, want, equal_nan=True)
+    assert len(cache.iterations) == len(want_argmax)
+    for it, rows in zip(cache.iterations, want_argmax):
+        assert np.array_equal(it.argmax_rows, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    state_dim=st.integers(1, 4),
+    radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    extended=st.booleans(),
+    rounded=st.booleans(),
+    seed=SEEDS,
+)
+def test_pooling_matches_the_per_node_loop(n, state_dim, radius, extended, rounded, seed):
+    rng = np.random.default_rng(seed)
+    graph = build_graph(integer_proposals(rng, n, state_dim), radius=radius)
+    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    assert_matches_loop_oracle(graph, updater, extended)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_pooling_matches_the_loop_on_non_finite_weights(extended, poison):
+    # A NaN weight makes its channel NaN on every row; an infinite weight
+    # on a state input gives NaN on rows where that state is zero and
+    # +-inf elsewhere, so blocks mix NaN and infinities.
+    rng = np.random.default_rng(21)
+    graph = build_graph(integer_proposals(rng, 24, 3, spread=3), radius=2.5)
+    updater = seeded_updater(3, 5, extended)
+    updater.agg_stacks[0].layers[0].weight[2, -1] = poison
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_matches_loop_oracle(graph, updater, extended)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    shift=st.tuples(*[st.integers(-500, 500)] * 3),
+    seed=SEEDS,
+)
+def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
+    rng = np.random.default_rng(seed)
+    proposals = integer_proposals(rng, n, 4)
+    states = rng.normal(size=(n, 4))
+    base = build_graph([(b, s) for (b, _), s in zip(proposals, states)], radius=2.5)
+    moved_boxes = [
+        Box3D(tuple(np.add(b.center, shift)), b.dims, b.yaw) for b, _ in proposals
+    ]
+    moved = build_graph(list(zip(moved_boxes, states)), radius=2.5)
+    updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, extended=True)
+    assert moved.adjacency == base.adjacency
+    assert np.array_equal(update_extended(moved, updater), update_extended(base, updater))

@@ -19,6 +19,7 @@ from graphdet.pipeline import (
     PipelineConfig,
     ProposalConfig,
     SceneConfig,
+    TrainingDivergedError,
     TrainPipelineConfig,
     config_to_dict,
     load_pipeline_config,
@@ -352,6 +353,17 @@ def test_train_smoke_rejects_negative_steps():
         train_smoke(tiny_config(), steps=-1)
 
 
+def test_diverging_training_names_the_step_and_the_term():
+    config = tiny_config(train={"steps": 50, "learning_rate": 50.0})
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDivergedError, match=r"step \d+: loss term l_\w+ is"):
+            train_smoke(config)
+        with pytest.raises(TrainingDivergedError):
+            run_pipeline(config)
+    assert issubclass(TrainingDivergedError, ValueError)
+    assert not issubclass(TrainingDivergedError, ConfigError)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end scoring
 
@@ -366,6 +378,17 @@ def test_empty_scene_yields_no_detections():
     assert report["n_proposals"] == 0
     assert report["loss_history"] == []
     assert "loss_first" not in report
+
+
+def test_empty_scene_trains_on_an_empty_graph():
+    config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
+    graph = pipeline._build_world(config, 0, 1).graph
+    assert len(graph) == 0 and graph.adjacency == ()
+    with pytest.warns(RuntimeWarning, match="no foreground"):
+        detections, report = run_pipeline(config)
+    assert detections == []
+    assert len(report["loss_history"]) == 3
+    assert all(np.isfinite(report["loss_history"]))
 
 
 def test_noise_free_passthrough_reproduces_ground_truth():

@@ -135,6 +135,12 @@ def test_generate_scene_min_separation():
             ) >= 7.0
 
 
+def test_unsatisfiable_separation_names_the_object():
+    # 12 cars 30 m apart do not fit in the default 70.4 m x 80 m range
+    with pytest.raises(ValueError, match=r"object \d+ of n_objects=12 .* min_separation=30\.0"):
+        generate_synthetic_scene(0, 12, 10, 0, min_separation=30.0)
+
+
 def test_clip_to_range_boundary_conventions():
     pts = np.array(
         [

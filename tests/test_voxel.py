@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdet.scene import KITTI_RANGE, PointCloud
 from graphdet.voxel import (
@@ -95,6 +97,27 @@ def test_point_conservation_uncapped():
     cloud = make_cloud(rng, 500)
     grid = voxelize(cloud, config)
     assert sum(e.count for _, e in grid.items_lexicographic()) == 500
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    step=st.sampled_from([0.5, 1.0, 2.5, 10.0]),
+    cap=st.one_of(st.none(), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_conservation_matches_the_cap(n, step, cap, seed):
+    # retained points = sum over voxels of min(cap, points in the voxel)
+    config = VoxelizationConfig(
+        step=(step, step, step), max_points_per_voxel=cap, range_bounds=BOUNDS_10
+    )
+    cloud = make_cloud(np.random.default_rng(seed), n)
+    grid = voxelize(cloud, config)
+    every = brute_voxelize(cloud.points, config.origin, config.step, config.resolution, None)
+    want = {ijk: c if cap is None else min(cap, c) for ijk, (_, c) in every.items()}
+    got = {ijk: e.count for ijk, e in grid.items_lexicographic()}
+    assert got == want
+    assert sum(got.values()) == (n if cap is None else sum(want.values()))
 
 
 def test_drop_first_keeps_earliest_points():
