@@ -70,11 +70,16 @@ class NeighborhoodGraph:
         indices = np.array(self.indices, dtype=np.int64).reshape(-1)
         boxes = tuple(self.boxes)
         n = len(coords)
-        if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(indices):
+        if (
+            len(offsets) != n + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(indices)
+            or np.any(np.diff(offsets) < 0)
+        ):
             raise ValueError("one adjacency list per node is required")
         if states.ndim != 2:
             raise ValueError("node states must be an (n, F) matrix of one width")
-        if len(states) != n or len(boxes) != n:
+        if len(states) != n or len(boxes) != n or not all(isinstance(b, Box3D) for b in boxes):
             raise ValueError("one state row and one proposal box per node are required")
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(states))):
             raise ValueError("node coords/state must be finite")
@@ -225,13 +230,19 @@ class GraphUpdater:
         return UpdaterGrads(
             [s.zero_grads() for s in self.agg_stacks],
             [s.zero_grads() for s in self.fus_stacks],
-            None if self.align_stacks is None else [s.zero_grads() for s in self.align_stacks],
+            None
+            if self.align_stacks is None
+            else [s.zero_grads() for s in self.align_stacks],
         )
 
     def sgd_step(self, grads: "UpdaterGrads", lr: float) -> None:
-        stacks = self.agg_stacks + self.fus_stacks + (self.align_stacks or [])
-        for stack, g in zip(stacks, grads.agg + grads.fus + (grads.align or [])):
+        for stack, g in zip(self.agg_stacks, grads.agg):
             stack.sgd_step(g, lr)
+        for stack, g in zip(self.fus_stacks, grads.fus):
+            stack.sgd_step(g, lr)
+        if self.align_stacks is not None and grads.align is not None:
+            for stack, g in zip(self.align_stacks, grads.align):
+                stack.sgd_step(g, lr)
 
 
 @dataclass

@@ -478,14 +478,19 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         proposals, states = [], []
     graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
 
-    prop_fg = np.zeros(len(proposals), dtype=bool)
-    prop_reg_targets = np.zeros((len(proposals), 7))
-    for i, prop in enumerate(proposals):
-        # foreground when the best-overlapping (first on ties) gt is close enough
-        ious = [rotated_iou_bev(prop, gt) for gt in scene.gt_boxes]
-        if ious and max(ious) >= config.proposals.pos_iou:
-            prop_fg[i] = True
-            prop_reg_targets[i] = _encode_target(scene.gt_boxes[int(np.argmax(ious))], prop)
+    n_p = len(proposals)
+    prop_fg = np.zeros(n_p, dtype=bool)
+    prop_reg_targets = np.zeros((n_p, 7))
+    if n_p and scene.gt_boxes:
+        for i, prop in enumerate(proposals):
+            best_iou, best_g = 0.0, -1
+            for g, gt in enumerate(scene.gt_boxes):
+                iou = rotated_iou_bev(prop, gt)
+                if iou > best_iou:
+                    best_iou, best_g = iou, g
+            if best_iou >= config.proposals.pos_iou and best_g >= 0:
+                prop_fg[i] = True
+                prop_reg_targets[i] = _encode_target(scene.gt_boxes[best_g], prop)
 
     return _World(
         scene=scene,
@@ -647,8 +652,13 @@ def _evaluate(
 
 
 def _apply_grads(models: PipelineModels, grads: dict[str, Any], lr: float) -> None:
-    for name, stack_grads in grads.items():  # keys are PipelineModels field names
-        getattr(models, name).sgd_step(stack_grads, lr)
+    models.rpn_cls.sgd_step(grads["rpn_cls"], lr)
+    models.rpn_reg.sgd_step(grads["rpn_reg"], lr)
+    models.cls_stack.sgd_step(grads["cls_stack"], lr)
+    models.reg_stack.sgd_step(grads["reg_stack"], lr)
+    models.updater.sgd_step(grads["updater"], lr)
+    models.aux_seg.sgd_step(grads["aux_seg"], lr)
+    models.aux_off.sgd_step(grads["aux_off"], lr)
 
 
 def _sum_grads(total: dict[str, Any] | None, extra: dict[str, Any]) -> dict[str, Any]:

@@ -108,8 +108,12 @@ def csr_graph(adjacency, states=None, boxes=None):
     if states is None:
         states = np.zeros((n, 2))
     if boxes is None:
-        boxes = [Box3D((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0) for i in range(n)]
+        boxes = unit_boxes(n)
     return NeighborhoodGraph(np.zeros((n, 3)), states, boxes, offsets, indices, 1.0)
+
+
+def unit_boxes(n):
+    return [Box3D((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0) for i in range(n)]
 
 
 def test_graph_validation():
@@ -121,7 +125,12 @@ def test_graph_validation():
     with pytest.raises(ValueError, match="references"):
         csr_graph(((0, 5),))
     with pytest.raises(ValueError, match="adjacency list per node"):
-        NeighborhoodGraph(np.zeros((2, 3)), np.zeros((2, 2)), [None] * 2, [0, 1], [0], 1.0)
+        NeighborhoodGraph(np.zeros((2, 3)), np.zeros((2, 2)), unit_boxes(2), [0, 1], [0], 1.0)
+    with pytest.raises(ValueError, match="adjacency list per node"):
+        # first and last offsets are right, but the middle one goes backwards
+        NeighborhoodGraph(
+            np.zeros((3, 3)), np.zeros((3, 2)), unit_boxes(3), [0, 3, 1, 3], [0, 1, 2], 1.0
+        )
     with pytest.raises(ValueError, match="one width"):
         csr_graph(((0,), (1,)), states=np.zeros(2))
     with pytest.raises(ValueError, match="one width"):
@@ -379,6 +388,9 @@ def test_header_backward_matches_finite_differences():
 
 
 def test_refine_requires_proposal_boxes():
-    # the graph refuses to exist without one proposal box per node
+    # the graph refuses to exist without one proposal box per node, so
+    # refine_proposals never meets a node without a box
+    with pytest.raises(ValueError, match="proposal box per node"):
+        csr_graph(((0,),), boxes=[None])
     with pytest.raises(ValueError, match="proposal box per node"):
         csr_graph(((0,),), boxes=())
