@@ -16,6 +16,7 @@ arguments or malformed input files, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -386,8 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -27,6 +27,11 @@ from .scene import (
     normalize_yaw,
 )
 
+# NMS grid: relative and absolute (metres) slack on each box's bounding
+# square, and the most cells a square may touch and still be filed.
+_NMS_SLACK = 1e-9
+_GRID_SPAN = 1024
+
 # Anchor match labels.
 POSITIVE = 1
 NEGATIVE = 0
@@ -116,6 +121,14 @@ def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def footprints_reach(a: Box3D, b: Box3D) -> bool:
+    """Whether two footprints can overlap: their centres lie within the sum
+    of their half-diagonals (inclusive).  Pairs failing this have IoU 0."""
+    dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+    return dx * dx + dy * dy <= reach * reach
+
+
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU: BEV intersection times vertical overlap over union."""
     bot_a, top_a = a.z_interval()
@@ -144,9 +157,23 @@ def nms(
     ``iou_threshold``.  The kept list comes back sorted by descending
     score.  Both thresholds must lie in [0, 1].
 
-    Cost: one sort; then per candidate one vectorised reach test against
-    the k boxes kept so far (O(k) array work), and exact IoU only with the
-    kept boxes it can reach, in kept order, up to the first suppressor.
+    Cost: one sort, then per candidate a few dictionary lookups and exact
+    IoU only with the kept boxes it can reach, in kept order, up to the
+    first suppressor.  The pairs that get IoU are those passing
+    :func:`footprints_reach`, written out here on precomputed floats.
+
+    Kept boxes are filed in a BEV grid whose cell side is the median
+    candidate diagonal: each under every cell its bounding square touches,
+    the square's half-side being half its diagonal enlarged by a 1e-9
+    relative and absolute slack.  A candidate applies the reach test only
+    to the kept boxes filed in the cells its own square touches.  The grid
+    is exact: a pair passing the floating-point reach test lies within a
+    few rounding errors of ``reach`` on each axis, so the two slackened
+    squares overlap; rounding the square edges, dividing by the cell side
+    and flooring are monotone, so their cell ranges overlap too.  A square
+    touching more than ``_GRID_SPAN`` cells (a box far wider than the
+    median) is not filed: every candidate tests such a kept box, and such
+    a candidate tests every kept box.
     """
     for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
         if not 0.0 <= value <= 1.0:
@@ -156,22 +183,49 @@ def nms(
             raise ValueError(f"box {i} has no score; NMS needs scored boxes")
     scores = np.array([b.score for b in boxes], dtype=float)
     order = np.lexsort((np.arange(len(boxes)), -scores))
-    order = order[scores[order] >= score_threshold]
-    kept_x, kept_y, kept_diag = np.empty((3, len(order)))
-    kept: list[Box3D] = []
-    for i in order.tolist():
-        candidate = boxes[i]
-        cx, cy = candidate.center[0], candidate.center[1]
-        diag = candidate.bev_diagonal
-        m = len(kept)
-        # Footprints further apart than the summed half-diagonals cannot overlap.
-        dx, dy = cx - kept_x[:m], cy - kept_y[:m]
-        reach = 0.5 * (diag + kept_diag[:m])
-        near = np.flatnonzero(dx * dx + dy * dy <= reach * reach).tolist()
-        if not any(rotated_iou_bev(candidate, kept[k]) > iou_threshold for k in near):
-            kept_x[m], kept_y[m], kept_diag[m] = cx, cy, diag
-            kept.append(candidate)
-    return kept
+    candidates = [boxes[i] for i in order[scores[order] >= score_threshold].tolist()]
+    if not candidates:
+        return []
+    xs = [b.center[0] for b in candidates]
+    ys = [b.center[1] for b in candidates]
+    diags = [b.bev_diagonal for b in candidates]
+    cell = float(np.median(diags))
+    half = 0.5 * np.array(diags) * (1.0 + _NMS_SLACK) + _NMS_SLACK
+    lo = np.floor((np.array([xs, ys]) - half) / cell)
+    hi = np.floor((np.array([xs, ys]) + half) / cell)
+    # A filed square touches at most _GRID_SPAN cells, all with int64 indices; inf and NaN fail.
+    filed = ((hi - lo + 1.0).prod(axis=0) <= _GRID_SPAN) & (np.abs(lo) < 2.0**62).all(axis=0)
+    (x0, y0), (x1, y1) = np.where(filed, np.stack([lo, hi]), 0.0).astype(np.int64).tolist()
+    filed = filed.tolist()
+
+    # Grid cells and the unfiled list hold candidate positions; kept ones
+    # ascend, so sorting a set of them restores kept order.
+    grid: dict[tuple[int, int], list[int]] = {}
+    unfiled: list[int] = []
+    kept: list[int] = []
+    for p, candidate in enumerate(candidates):
+        if filed[p]:
+            cells = [(gx, gy) for gx in range(x0[p], x1[p] + 1) for gy in range(y0[p], y1[p] + 1)]
+            near = set(unfiled)
+            for key in cells:
+                near.update(grid.get(key, ()))
+            near = sorted(near)
+        else:
+            near = kept
+        cx, cy, diag = xs[p], ys[p], diags[p]
+        for q in near:
+            dx, dy = cx - xs[q], cy - ys[q]
+            reach = 0.5 * (diag + diags[q])
+            if dx * dx + dy * dy <= reach * reach and rotated_iou_bev(candidate, candidates[q]) > iou_threshold:
+                break
+        else:
+            if filed[p]:
+                for key in cells:
+                    grid.setdefault(key, []).append(p)
+            else:
+                unfiled.append(p)
+            kept.append(p)
+    return [candidates[p] for p in kept]
 
 
 @dataclass(frozen=True)

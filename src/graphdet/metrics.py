@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .geom import rotated_iou_bev
+from .geom import footprints_reach, rotated_iou_bev
 from .scene import Box3D
 
 
@@ -55,7 +55,15 @@ class RecallSchedule:
 
 
 class BevIouMatcher:
-    """Detections match ground truth at rotated BEV IoU >= threshold."""
+    """Detections match ground truth at rotated BEV IoU >= threshold.
+
+    Cost: a pair failing :func:`graphdet.geom.footprints_reach` (the
+    inclusive reach test :func:`graphdet.geom.nms` uses) is rejected before
+    any IoU is computed: its footprints are disjoint, with IoU 0, below
+    every admissible threshold.  On a frame of scattered detections almost
+    every pair is such a pair, so matching costs a few exact IoUs instead
+    of one per pair.
+    """
 
     def __init__(self, iou_threshold: float):
         if not 0.0 < iou_threshold <= 1.0:
@@ -64,6 +72,8 @@ class BevIouMatcher:
 
     def quality(self, det: Box3D, gt: Box3D) -> float | None:
         """Match quality (higher is better), or None when no match."""
+        if not footprints_reach(det, gt):
+            return None
         iou = rotated_iou_bev(det, gt)
         return iou if iou >= self.iou_threshold else None
 

@@ -768,16 +768,25 @@ _S40 = RecallSchedule.s40()
 
 def _score_world(
     models: PipelineModels, world: _World, config: PipelineConfig
-) -> tuple[list[Box3D], dict[str, float]]:
+) -> tuple[list[Box3D], dict[str, Any]]:
+    """Detect and score one world.  ``empty_stage`` names the first stage
+    that came up empty ("points" in range, "proposals", "detections"), or
+    is None, so that an AP of zero from an empty input says why."""
     detections = detect(models, world, config)
     gts = list(world.scene.gt_boxes)
     curve = precision_recall(detections, gts, BevIouMatcher(config.eval.ap_iou))
+    counts = {
+        "points": len(world.scene.cloud),
+        "proposals": len(world.graph),
+        "detections": len(detections),
+    }
     return detections, {
         "ap_s11": interpolated_ap(curve, _S11),
         "ap_s40": interpolated_ap(curve, _S40),
         "n_detections": len(detections),
         "n_gt": len(gts),
         "n_proposals": len(world.graph),
+        "empty_stage": next((stage for stage, n in counts.items() if n == 0), None),
     }
 
 
@@ -788,9 +797,10 @@ def run_pipeline(config: PipelineConfig) -> tuple[list[Box3D], dict[str, Any]]:
     batch the smoke-test losses descend on — so the K>0 versus K=0
     comparison isolates what refinement adds.  A held-out scene (fresh
     seed for both scene and proposal noise) is scored alongside under
-    ``holdout_*`` keys.  When ``train.steps`` is zero the stacks keep
-    their initial weights, which with ``header_init="zero"`` makes the
-    refiner an exact passthrough.
+    ``holdout_*`` keys; each scene's ``empty_stage`` names the first stage
+    that came up empty, or is None.  When ``train.steps`` is zero the
+    stacks keep their initial weights, which with ``header_init="zero"``
+    makes the refiner an exact passthrough.
     """
     if config.train.steps > 0:
         models, history, world_main = _train_models(config, config.train.steps)

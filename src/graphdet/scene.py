@@ -58,13 +58,13 @@ class Box3D:
     class_id: int | None = None
 
     def __post_init__(self) -> None:
-        center = tuple(float(v) for v in self.center)
-        dims = tuple(float(v) for v in self.dims)
+        center = tuple(map(float, self.center))
+        dims = tuple(map(float, self.dims))
         if len(center) != 3 or len(dims) != 3:
             raise ValueError("center and dims must have three components")
-        if not all(math.isfinite(v) for v in center + dims + (self.yaw,)):
+        if not all(map(math.isfinite, (*center, *dims, self.yaw))):
             raise ValueError("box parameters must be finite")
-        if any(d <= 0.0 for d in dims):
+        if min(dims) <= 0.0:
             raise ValueError(f"box dims must be positive, got {dims}")
         if self.score is not None:
             s = float(self.score)
@@ -351,36 +351,42 @@ def read_detections(path: str) -> list[Box3D]:
     """Parse a detection text file written by :func:`write_detections`.
 
     Blank lines are ignored.  A malformed line raises
-    :class:`DetectionParseError` naming the 1-based line number.
+    :class:`DetectionParseError` naming the 1-based line number.  Lines
+    end at ``"\n"`` only (text mode folds ``"\r\n"`` and ``"\r"`` into it);
+    other line breaks ``str.splitlines`` knows, such as ``"\x0c"``, are
+    whitespace between fields.
+
+    Cost: one read of the file, then per line one split, one ``float`` map
+    and one finiteness check before the ``Box3D`` is built; validating and
+    freezing the box is about half of a line's cost.
     """
-    boxes: list[Box3D] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) not in (8, 9):
-                raise DetectionParseError(
-                    f"{path}, line {lineno}: expected 8 or 9 fields, got {len(tokens)}"
+        lines = fh.read().split("\n")
+    boxes: list[Box3D] = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) not in (8, 9):
+            raise DetectionParseError(
+                f"{path}, line {lineno}: expected 8 or 9 fields, got {len(tokens)}"
+            )
+        try:
+            values = list(map(float, tokens[1:]))
+        except ValueError as exc:
+            raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise DetectionParseError(f"{path}, line {lineno}: non-finite value")
+        try:
+            boxes.append(
+                Box3D(
+                    center=(values[0], values[1], values[2]),
+                    dims=(values[3], values[4], values[5]),
+                    yaw=values[6],
+                    score=values[7] if len(values) == 8 else None,
+                    class_id=_class_id(tokens[0]),
                 )
-            try:
-                values = [float(t) for t in tokens[1:]]
-            except ValueError as exc:
-                raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise DetectionParseError(f"{path}, line {lineno}: non-finite value")
-            score = values[7] if len(values) == 8 else None
-            try:
-                boxes.append(
-                    Box3D(
-                        center=(values[0], values[1], values[2]),
-                        dims=(values[3], values[4], values[5]),
-                        yaw=values[6],
-                        score=score,
-                        class_id=_class_id(tokens[0]),
-                    )
-                )
-            except ValueError as exc:
-                raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
     return boxes

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from graphdet.geom import rotated_iou_bev
 from graphdet.interp import FeatureSet
 from graphdet.scene import Box3D
 
@@ -337,6 +338,21 @@ def brute_pr_curve(
         recall = tp / len(gt_boxes) if gt_boxes else 0.0
         curve.append((tp / (tp + fp), recall))
     return curve
+
+
+def all_pairs_precision_recall(
+    detections: list[Box3D],
+    gt_boxes: list[Box3D],
+    iou_threshold: float,
+) -> list[tuple[float, float]]:
+    """BEV IoU matching with no prefilter: the exact IoU of every visited
+    (detection, unmatched ground truth) pair decides admissibility."""
+
+    def quality(det: Box3D, gt: Box3D) -> float | None:
+        iou = rotated_iou_bev(det, gt)
+        return iou if iou >= iou_threshold else None
+
+    return brute_pr_curve(detections, gt_boxes, quality)
 
 
 def max_scan_ap(curve: list[tuple[float, float]], levels: list[float]) -> float:

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom
@@ -48,6 +48,72 @@ def clustered_boxes(draw):
             )
         )
     return boxes
+
+
+_SCORES = st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0])
+
+
+@st.composite
+def lattice_boxes(draw):
+    """Equal boxes centred on a lattice of multiples of their diagonal, or
+    of half-odd multiples: the diagonal is the grid's cell side, so
+    neighbours sit exactly ``reach`` apart, and the centres or the edges
+    of the boxes' bounding squares fall on cell boundaries."""
+    dims = (draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 3.0)), 1.5)
+    diag = math.hypot(dims[0], dims[1])
+    shift = draw(st.sampled_from([0.0, 0.5]))
+    sites = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return [
+        Box3D(((i + shift) * diag, (j + shift) * diag, 0.0), dims, draw(_YAW), score=draw(_SCORES))
+        for i, j in draw(st.lists(sites, max_size=30))
+    ]
+
+
+@st.composite
+def reach_apart_pairs(draw):
+    """Two boxes of different sizes exactly ``reach`` apart on the x axis,
+    with the edge their bounding squares share on a cell boundary (the
+    cell side, their median diagonal, equals ``reach``)."""
+    a_dims, b_dims = ((draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0)), 1.0) for _ in range(2))
+    a_half, b_half = 0.5 * math.hypot(*a_dims[:2]), 0.5 * math.hypot(*b_dims[:2])
+    reach = a_half + b_half
+    ax = draw(st.integers(-50, 50)) * reach - a_half * draw(st.sampled_from([1, -1]))
+    bx = ax + reach * draw(st.sampled_from([1, -1]))
+    return [
+        Box3D((ax, 0.0, 0.0), a_dims, 0.0, score=draw(_SCORES)),
+        Box3D((bx, 0.0, 0.0), b_dims, 0.0, score=draw(_SCORES)),
+    ]
+
+
+@st.composite
+def mixed_size_boxes(draw):
+    """Clustered boxes of mixed sizes plus one box 20 or 40 times wider
+    than the widest of them (the 40x box's square touches too many grid
+    cells to be filed)."""
+    boxes = [
+        Box3D(b.center, (b.dims[0] * k, b.dims[1] * k, 1.5), b.yaw, score=b.score)
+        for b in draw(clustered_boxes())
+        for k in [draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))]
+    ]
+    width = 20.0 if not boxes else draw(st.sampled_from([20.0, 40.0])) * max(b.dims[1] for b in boxes)
+    wide = Box3D(
+        (draw(st.floats(-10, 10)), draw(st.floats(-10, 10)), 0.0),
+        (draw(st.floats(width, 2 * width)), width, 1.5),
+        draw(_YAW),
+        score=draw(_SCORES),
+    )
+    boxes.insert(draw(st.integers(0, len(boxes))), wide)
+    return boxes
+
+
+@st.composite
+def far_boxes(draw):
+    """Clustered boxes moved by (+-1e5, +-1e5) metres."""
+    sx, sy = draw(st.sampled_from([1e5, -1e5])), draw(st.sampled_from([1e5, -1e5]))
+    return [
+        Box3D((b.center[0] + sx, b.center[1] + sy, 0.0), b.dims, b.yaw, score=b.score)
+        for b in draw(clustered_boxes())
+    ]
 
 
 _IOU_THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -111,6 +177,56 @@ def test_nms_keeps_a_descending_subset_without_overlaps(boxes, iou_threshold, sc
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             assert rotated_iou_bev(a, b) <= iou_threshold
+
+
+def _counted_nms(boxes, iou_threshold, score_threshold):
+    """``nms`` with the number of exact IoUs it computed."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return rotated_iou_bev(a, b)
+
+    geom.rotated_iou_bev = counting
+    try:
+        return nms(boxes, iou_threshold, score_threshold), len(calls)
+    finally:
+        geom.rotated_iou_bev = rotated_iou_bev
+
+
+def _check_grid(boxes, iou_threshold, score_threshold):
+    kept, calls = _counted_nms(boxes, iou_threshold, score_threshold)
+    assert kept == brute_nms(boxes, rotated_iou_bev, iou_threshold, score_threshold)
+    assert calls == _sweep_iou_calls(boxes, iou_threshold, score_threshold)
+
+
+def _pair(ax, a_dims, bx, b_dims):
+    return [Box3D((ax, 0.0, 0.0), (*a_dims, 1.0), 0.0, score=0.9), Box3D((bx, 0.0, 0.0), (*b_dims, 1.0), 0.0, score=0.5)]
+
+
+# Reach-apart pairs whose squares miss each other's cells without the slack.
+@example(_pair(2.639225837472875, (3.731711640416467, 3.7331461687854977),
+               -1.0574189322710894, (1.8747314647362976, 0.9787344524583863)), 0.1, 0.0)
+@example(_pair(-9.913924382789778, (1.6960192058140702, 4.136638495948027),
+               -13.96370302707458, (3.3400848813105597, 1.418289390779069)), 0.1, 0.0)
+@example(_pair(7.87167142504161, (3.874282209931924, 4.149421017481525),
+               2.8384748291341424, (4.322725661094752, 0.7624023826742818)), 0.1, 0.0)
+@settings(max_examples=60)
+@given(st.one_of(lattice_boxes(), reach_apart_pairs()), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
+def test_nms_grid_on_a_lattice_of_reach_apart_centres(boxes, iou_threshold, score_threshold):
+    _check_grid(boxes, iou_threshold, score_threshold)
+
+
+@settings(max_examples=60)
+@given(mixed_size_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
+def test_nms_grid_with_mixed_sizes_and_one_wide_box(boxes, iou_threshold, score_threshold):
+    _check_grid(boxes, iou_threshold, score_threshold)
+
+
+@settings(max_examples=60)
+@given(far_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
+def test_nms_grid_far_from_the_origin(boxes, iou_threshold, score_threshold):
+    _check_grid(boxes, iou_threshold, score_threshold)
 
 
 def _sweep_iou_calls(boxes, iou_threshold, score_threshold):

@@ -1,8 +1,13 @@
 """Matched PR curves, interpolated AP, and the composite detection score."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from graphdet import metrics
 from graphdet.metrics import (
     BevIouMatcher,
     CenterDistanceMatcher,
@@ -13,9 +18,10 @@ from graphdet.metrics import (
     nds,
     precision_recall,
 )
+from graphdet.geom import rotated_iou_bev
 from graphdet.scene import Box3D
 
-from oracles import brute_pr_curve, max_scan_ap, random_box
+from oracles import all_pairs_precision_recall, brute_pr_curve, max_scan_ap, random_box
 
 
 def det_at(x, y, score, dims=(2.0, 2.0, 2.0)):
@@ -166,6 +172,68 @@ def test_pr_matches_independent_oracle():
         got = precision_recall(dets, gts, matcher)
         want = brute_pr_curve(dets, gts, matcher.quality)
         assert got == pytest.approx(want)
+
+
+@st.composite
+def scored_frames(draw):
+    """Detections jittered around a few ground truths, plus scattered ones."""
+    def box(x, y, score=None):
+        dims = (draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 3.0)), 1.5)
+        return Box3D((x, y, 0.0), dims, draw(st.floats(-math.pi, math.pi)), score=score)
+
+    scores = st.sampled_from([0.2, 0.5, 0.5, 0.9])
+    gts = [box(draw(st.floats(-15, 15)), draw(st.floats(-15, 15))) for _ in range(draw(st.integers(0, 5)))]
+    dets = [
+        box(gt.center[0] + draw(st.floats(-1.5, 1.5)), gt.center[1] + draw(st.floats(-1.5, 1.5)), draw(scores))
+        for gt in gts
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    dets += [box(draw(st.floats(-20, 20)), draw(st.floats(-20, 20)), draw(scores)) for _ in range(draw(st.integers(0, 8)))]
+    return dets, gts
+
+
+@given(scored_frames(), st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0]))
+def test_bev_iou_matcher_equals_all_pairs_matching(frame, threshold):
+    dets, gts = frame
+    got = precision_recall(dets, gts, BevIouMatcher(threshold))
+    assert got == all_pairs_precision_recall(dets, gts, threshold)
+
+
+def _reachable(a, b):
+    dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+    return dx * dx + dy * dy <= reach * reach
+
+
+def test_bev_iou_matcher_computes_iou_only_for_reachable_pairs(monkeypatch):
+    rng = np.random.default_rng(5)
+    gts = [Box3D((x, y, -1.0), (3.9, 1.6, 1.56), float(rng.uniform(-3, 3))) for x, y in rng.uniform(0, 60, (8, 2))]
+    dets = [
+        Box3D((*(gt.center[:2] + rng.normal(0.0, 0.5, 2)), -1.0), (3.9, 1.6, 1.56), gt.yaw,
+              score=float(rng.uniform(0.3, 1.0)))
+        for gt in gts
+        for _ in range(3)
+    ]
+    dets += [random_box(rng, spread=30.0, score=True) for _ in range(40)]
+    visited = []  # the reachable pairs the all-pairs matcher visits
+
+    def quality(det, gt):
+        if _reachable(det, gt):
+            visited.append((det, gt))
+        iou = rotated_iou_bev(det, gt)
+        return iou if iou >= 0.7 else None
+
+    want = brute_pr_curve(dets, gts, quality)
+    pairs = []
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return rotated_iou_bev(a, b)
+
+    monkeypatch.setattr(metrics, "rotated_iou_bev", counting)
+    assert precision_recall(dets, gts, BevIouMatcher(0.7)) == want
+    assert pairs == visited
+    assert 0 < len(pairs) < len(dets) * len(gts) // 4
 
 
 # ---------------------------------------------------------------------------

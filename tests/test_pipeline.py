@@ -380,6 +380,26 @@ def test_empty_scene_yields_no_detections():
     assert "loss_first" not in report
 
 
+def test_empty_stage_names_the_first_stage_that_came_up_empty():
+    _, report = run_pipeline(tiny_config(scene={"points_per_object": 0, "clutter_points": 0}))
+    assert report["n_proposals"] == report["holdout_n_proposals"] == 0
+    assert report["empty_stage"] == report["holdout_empty_stage"] == "points"
+    _, report = run_pipeline(tiny_config(scene={"n_objects": 0}))
+    assert report["empty_stage"] == report["holdout_empty_stage"] == "proposals"
+    _, report = run_pipeline(
+        tiny_config(
+            proposals={"center_noise": 0.0, "yaw_noise": 0.0},
+            gnn={"depth": 0, "header_init": "zero"},
+        )
+    )
+    assert report["n_detections"] > 0 and report["empty_stage"] is None
+    _, report = run_pipeline(
+        tiny_config(gnn={"depth": 0, "header_init": "zero"}, nms={"score_threshold": 0.9})
+    )
+    assert report["n_proposals"] > 0 and report["n_detections"] == 0
+    assert report["empty_stage"] == "detections"
+
+
 def test_empty_scene_trains_on_an_empty_graph():
     config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
     graph = pipeline._build_world(config, 0, 1).graph

@@ -199,3 +199,47 @@ def test_read_detections_reports_line_number(tmp_path):
     path.write_text("Car 1 2 3\n")
     with pytest.raises(DetectionParseError, match="expected 8 or 9 fields"):
         read_detections(str(path))
+
+
+def test_read_detections_accepts_crlf_line_ends(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"Car 1.0 2.0 -1.0 3.9 1.6 1.56 0.0 0.9\r\nPedestrian 5 6 -1 0.8 0.6 1.7 0.5\r\n")
+    first, second = read_detections(str(path))
+    assert first == Box3D((1.0, 2.0, -1.0), (3.9, 1.6, 1.56), 0.0, score=0.9, class_id=0)
+    assert second == Box3D((5.0, 6.0, -1.0), (0.8, 0.6, 1.7), 0.5, class_id=1)
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c"])
+def test_read_detections_ends_lines_only_at_newlines(tmp_path, separator):
+    # str.splitlines would break these lines in two; they are whitespace
+    # between fields, so the bad line after them is still line 3.
+    path = tmp_path / "sep.txt"
+    good = f"Car 1 2 -1{separator}3.9 1.6 1.56 0 0.9\n"
+    path.write_text(good + "\n" + "Car 1 2 -1 3.9 1.6 1.56 0 zero\n", encoding="utf-8")
+    with pytest.raises(DetectionParseError, match=r"sep\.txt, line 3: could not convert"):
+        read_detections(str(path))
+    path.write_text(good + good, encoding="utf-8")
+    assert len(read_detections(str(path))) == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("Car 1 2 -1 3.9 1.6 1.56 0 nan", "line 2: non-finite value"),
+        ("Car 1 inf -1 3.9 1.6 1.56 0", "line 2: non-finite value"),
+        ("Car 1 2 -1 3.9 1.6 1.56", "line 2: expected 8 or 9 fields, got 7"),
+        ("Car 1 2 -1 3.9 1.6 1.56 0 0.5 7", "line 2: expected 8 or 9 fields, got 10"),
+        ("Car 1 2 -1 3.9 -1.6 1.56 0", r"line 2: box dims must be positive, got \(3.9, -1.6, 1.56\)"),
+        ("Car 1 2 -1 3.9 1.6 1.56 0 1.5", r"line 2: score must lie in \[0, 1\], got 1.5"),
+    ],
+)
+def test_read_detections_error_messages(tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("Car 1 2 -1 3.9 1.6 1.56 0 0.5\n" + line + "\n")
+    with pytest.raises(DetectionParseError, match=message):
+        read_detections(str(path))
+
+
+def test_box_rejects_a_string_yaw():
+    with pytest.raises(TypeError):
+        Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), "0.5")
