@@ -16,27 +16,30 @@ only k-1 states) and come with analytic backward passes.
 The graph is stored as arrays in compressed sparse row (CSR) form: row
 i's neighbours are ``indices[offsets[i]:offsets[i+1]]``, ascending, with
 the self-loop included.  Each iteration transforms one row per directed
-edge and max-pools each node's block with two reductions; on an exact tie
-the lowest row (the lowest neighbour index) wins, and a NaN beats every
-number, the first NaN winning among several.  The backward pass sends
-each channel's gradient to that one winning row.
+edge and max-pools with one ``argmax`` over the rows laid out as an
+(n, max_degree, D) block padded with ``-inf``: on an exact tie the lowest
+row (the lowest neighbour index) wins, and a NaN beats every number, the
+first NaN winning among several.  The backward pass stores each channel's
+gradient on that one winning row (blocks are disjoint, so no row receives
+two) and scatters the rows' gradients onto nodes with ``np.bincount``,
+which adds them in edge order exactly as ``np.add.at`` would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .geom import decode_box
 from .neighbors import radius_pairs
-from .nnet import DenseStack, LayerGrads, _sigmoid, add_layer_grads
+from .nnet import DenseStack, LayerGrads, _sigmoid
 from .scene import Box3D
 
 
-_ARRAYS = ("coords", "states", "offsets", "indices")
+_ARRAYS = ("coords", "states", "offsets", "indices", "row_node")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +50,10 @@ class NeighborhoodGraph:
     node.  The adjacency is in compressed sparse row (CSR) form: row i's
     neighbours are ``indices[offsets[i]:offsets[i+1]]``, strictly
     ascending, with the self-loop included, so ``offsets`` has n + 1
-    entries and ``indices`` one per directed edge.  The refiner max-pools
-    each row's block per channel: the lowest row wins an exact tie and the
+    entries and ``indices`` one per directed edge; ``row_node`` holds the
+    owning node of each entry of ``indices``.  The refiner max-pools each
+    node's block per channel with one ``argmax`` over a ``-inf``-padded
+    (n, max_degree, D) layout: the lowest row wins an exact tie and the
     first NaN row beats every number.  Arrays are copied and made
     read-only.
     """
@@ -59,6 +64,7 @@ class NeighborhoodGraph:
     offsets: np.ndarray
     indices: np.ndarray
     radius: float
+    row_node: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coords = np.array(self.coords, dtype=float).reshape(-1, 3)
@@ -98,7 +104,7 @@ class NeighborhoodGraph:
         if bad.size:
             e = bad[0]
             raise ValueError(f"edge ({row_node[e]}, {indices[e]}) is not symmetric")
-        for name, value in zip(_ARRAYS, (coords, states, offsets, indices)):
+        for name, value in zip(_ARRAYS, (coords, states, offsets, indices, row_node)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "boxes", boxes)
@@ -109,11 +115,6 @@ class NeighborhoodGraph:
     @property
     def state_dim(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def row_node(self) -> np.ndarray:
-        """The owning node of each entry of ``indices``."""
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -282,26 +283,31 @@ def _update_forward(
     h = graph.states
     row_node, row_neigh = graph.row_node, graph.indices
     starts = graph.offsets[:-1]
-    edge_ids = np.arange(len(row_neigh))[:, None]
+    # The pool lays the rows out as (n, width, D) blocks, node after node,
+    # each padded with -inf up to the largest degree ``width``.
+    width = int(np.diff(graph.offsets).max()) if n else 0
+    block_row = row_node * width + np.arange(len(row_neigh)) - starts[row_node]
+    if extended:
+        edge_vec = graph.coords[row_node] - graph.coords[row_neigh]
 
     iterations: list[_IterCache] = []
     for k in range(updater.depth if n else 0):
         prev = h
-        align_cache = align_out = None
+        align_cache = None
         if extended:
             align_out, align_cache = updater.align_stacks[k].forward(prev)
-            rel = graph.coords[row_node] - graph.coords[row_neigh] - align_out[row_node]
+            rel = edge_vec - align_out[row_node]
             rows = np.concatenate([rel, prev[row_neigh]], axis=1)
         else:
             rows = prev[row_neigh]
         pooled_in, agg_cache = updater.agg_stacks[k].forward(rows)
-        # Per node and channel the winner is the lowest row holding the
-        # block maximum, or the first NaN row, exactly as argmax picks.
-        peak = np.maximum.reduceat(pooled_in, starts, axis=0)
-        hit = (pooled_in == peak[row_node]) | np.isnan(pooled_in)
-        argmax_rows = np.minimum.reduceat(
-            np.where(hit, edge_ids, len(row_neigh)), starts, axis=0
-        )
+        # Per node and channel argmax picks the lowest row holding the
+        # block maximum, or the first NaN row; -inf padding never wins
+        # because it follows the node's own rows.
+        d = pooled_in.shape[1]
+        block = np.full((n * width, d), -np.inf)
+        block[block_row] = pooled_in
+        argmax_rows = starts[:, None] + block.reshape(n, width, d).argmax(axis=1)
         pooled = np.take_along_axis(pooled_in, argmax_rows, axis=0)
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
         h = prev + fused
@@ -345,42 +351,50 @@ def update_backward(
     """Back-propagate through a cached update.
 
     ``grad_out`` is d(loss)/d(refined states), shape (n, F).  Returns the
-    accumulated stack gradients and d(loss)/d(initial states).  Max-pool
-    gradients flow only to the winning neighbour row per channel (the
-    lowest row on exact forward ties).
+    stack gradients and d(loss)/d(initial states); with no iterations run
+    (depth zero or an empty graph) every stack gradient is zero.
+
+    Max-pool gradients are stored on the winning neighbour row per
+    channel (the lowest row on exact forward ties); node blocks are
+    disjoint, so each row and channel receives at most one.  The scatters
+    of row gradients onto nodes are one ``np.bincount`` each over
+    flattened ``node * F + channel`` keys.  ``bincount`` adds its
+    weights in input order, so the residual ``dh`` goes first and then
+    the rows in edge order: every sum runs in ``np.add.at``'s order.
+    (``np.add.reduceat`` would not: it adds long blocks pairwise.)
     """
     updater = cache.updater
-    row_node, row_neigh = cache.graph.row_node, cache.graph.indices
-    grads = updater.zero_grads()
     dh = np.asarray(grad_out, dtype=float).copy()
-    for k in range(len(cache.iterations) - 1, -1, -1):
+    depth = len(cache.iterations)
+    if depth == 0:
+        return updater.zero_grads(), dh
+    graph = cache.graph
+    n, f = dh.shape
+    neigh_keys = np.concatenate(
+        [np.arange(n * f), (graph.indices[:, None] * f + np.arange(f)).ravel()]
+    )
+    align_keys = (graph.row_node[:, None] * 3 + np.arange(3)).ravel()
+    grads = UpdaterGrads(
+        [None] * depth, [None] * depth, [None] * depth if cache.extended else None
+    )
+    for k in range(depth - 1, -1, -1):
         it = cache.iterations[k]
-        n, d = it.argmax_rows.shape
-        fus_grads, d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
-        grads.fus[k] = add_layer_grads(grads.fus[k], fus_grads)
+        grads.fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
 
         d_pool_in = np.zeros_like(it.pool_inputs)
-        cols = np.broadcast_to(np.arange(d), (n, d))
-        np.add.at(d_pool_in, (it.argmax_rows, cols), d_pooled)
+        d_pool_in[it.argmax_rows, np.arange(d_pooled.shape[1])] = d_pooled
+        grads.agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
 
-        agg_grads, d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
-        grads.agg[k] = add_layer_grads(grads.agg[k], agg_grads)
-
-        d_prev = dh  # residual connection passes the gradient straight through
+        # The residual connection passes dh straight through.
+        d_states = d_rows[:, 3:] if cache.extended else d_rows
+        weights = np.concatenate([dh.ravel(), d_states.ravel()])
+        dh = np.bincount(neigh_keys, weights, minlength=n * f).reshape(n, f)
         if cache.extended:
-            d_offsets = d_rows[:, :3]
-            d_states = d_rows[:, 3:]
-            np.add.at(d_prev, row_neigh, d_states)
-            d_align = np.zeros((n, 3))
-            np.add.at(d_align, row_node, -d_offsets)
-            align_grads, d_prev_align = updater.align_stacks[k].backward(
-                it.align_cache, d_align
+            d_align = np.bincount(align_keys, -d_rows[:, :3].ravel(), minlength=n * 3)
+            grads.align[k], d_prev_align = updater.align_stacks[k].backward(
+                it.align_cache, d_align.reshape(n, 3)
             )
-            grads.align[k] = add_layer_grads(grads.align[k], align_grads)
-            d_prev = d_prev + d_prev_align
-        else:
-            np.add.at(d_prev, row_neigh, d_rows)
-        dh = d_prev
+            dh = dh + d_prev_align
     return grads, dh
 
 

@@ -278,7 +278,11 @@ def focal_loss_grad(
     foreground: np.ndarray,
     config: LossConfig = LossConfig(),
 ) -> np.ndarray:
-    """d(focal_loss)/d(probs); zero where the clamp is active or loss is zero."""
+    """d(focal_loss)/d(probs); zero where the clamp is active or loss is zero.
+
+    Each branch is evaluated only on its own entries (foreground or
+    background), element by element as the loss defines it.
+    """
     p_raw = np.asarray(probs, dtype=float)
     fg = np.asarray(foreground, dtype=bool)
     n_pos = int(fg.sum())
@@ -288,14 +292,14 @@ def focal_loss_grad(
     active = (p_raw > _P_CLAMP[0]) & (p_raw < _P_CLAMP[1])
     p = np.clip(p_raw, *_P_CLAMP)
     alpha, gamma = config.focal_alpha, config.focal_gamma
-    one_m = 1.0 - p
-    fg_grad = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(p) - one_m**gamma / p)
-    grad[fg] = fg_grad[fg]
+    pf = p[fg]
+    one_m = 1.0 - pf
+    grad[fg] = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(pf) - one_m**gamma / pf)
     if config.focal_background:
-        bg_grad = (1.0 - alpha) * (
-            -gamma * p ** (gamma - 1.0) * np.log(1.0 - p) + p**gamma / one_m
+        q = p[~fg]
+        grad[~fg] = (1.0 - alpha) * (
+            -gamma * q ** (gamma - 1.0) * np.log(1.0 - q) + q**gamma / (1.0 - q)
         )
-        grad[~fg] = bg_grad[~fg]
     grad[~active] = 0.0
     return grad / n_pos
 

@@ -364,22 +364,28 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 
 @dataclass
+class _Targets:
+    """The inputs and targets that only training reads."""
+
+    aux_mask: np.ndarray
+    aux_offsets: np.ndarray
+    anchor_assignment: AnchorAssignment
+    anchor_inputs: np.ndarray
+    anchor_reg_targets: np.ndarray
+    prop_fg: np.ndarray
+    prop_reg_targets: np.ndarray
+
+
+@dataclass
 class _World:
-    """One fully materialised scene with every precomputed training input."""
+    """One materialised scene; ``targets`` is set on training worlds only."""
 
     scene: Scene
     grid: SparseVoxelGrid
     bev: BevFeatureMap
     point_voxel_feats: FeatureSet | None  # voxel field interpolated onto the cloud
-    aux_mask: np.ndarray
-    aux_offsets: np.ndarray
-    anchors: list[Box3D]
-    anchor_assignment: AnchorAssignment
-    anchor_inputs: np.ndarray
-    anchor_reg_targets: np.ndarray
     graph: NeighborhoodGraph  # one node per proposal; empty when there are none
-    prop_fg: np.ndarray
-    prop_reg_targets: np.ndarray
+    targets: _Targets | None = None
 
 
 def _encode_target(gt: Box3D, reference: Box3D) -> np.ndarray:
@@ -423,6 +429,8 @@ def _make_proposals(
 
 
 def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) -> _World:
+    """The scene, its features and its proposal graph: all that detection
+    and scoring read.  :func:`_training_targets` adds what training reads."""
     scene = clip_to_range(
         generate_synthetic_scene(
             scene_seed,
@@ -452,18 +460,6 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         point_voxel_feats = propagate_features(vox_feats, cloud.xyz)
     else:
         point_voxel_feats = None
-    aux_mask, aux_offsets = auxiliary_targets(cloud, scene.gt_boxes)
-
-    anchors = generate_anchors(config.anchors, config.range_bounds)
-    assignment = match_anchors(anchors, scene.gt_boxes, config.anchors)
-    anchor_inputs = np.stack(
-        [sample_bev_point(bev, a.center[0], a.center[1]) for a in anchors]
-    )
-    anchor_reg_targets = np.zeros((len(anchors), 7))
-    for i in np.flatnonzero(assignment.labels == POSITIVE):
-        anchor_reg_targets[i] = _encode_target(
-            scene.gt_boxes[assignment.gt_indices[i]], anchors[i]
-        )
 
     proposals = _make_proposals(config, scene, proposal_seed)
     if proposals and point_voxel_feats is not None:
@@ -477,7 +473,28 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
     else:
         proposals, states = [], []
     graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
+    return _World(
+        scene=scene, grid=grid, bev=bev, point_voxel_feats=point_voxel_feats, graph=graph
+    )
 
+
+def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
+    """Anchor, auxiliary and proposal targets of one world, for training."""
+    scene = world.scene
+    aux_mask, aux_offsets = auxiliary_targets(scene.cloud, scene.gt_boxes)
+
+    anchors = generate_anchors(config.anchors, config.range_bounds)
+    assignment = match_anchors(anchors, scene.gt_boxes, config.anchors)
+    anchor_inputs = np.stack(
+        [sample_bev_point(world.bev, a.center[0], a.center[1]) for a in anchors]
+    )
+    anchor_reg_targets = np.zeros((len(anchors), 7))
+    for i in np.flatnonzero(assignment.labels == POSITIVE):
+        anchor_reg_targets[i] = _encode_target(
+            scene.gt_boxes[assignment.gt_indices[i]], anchors[i]
+        )
+
+    proposals = world.graph.boxes
     n_p = len(proposals)
     prop_fg = np.zeros(n_p, dtype=bool)
     prop_reg_targets = np.zeros((n_p, 7))
@@ -492,18 +509,12 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
                 prop_fg[i] = True
                 prop_reg_targets[i] = _encode_target(scene.gt_boxes[best_g], prop)
 
-    return _World(
-        scene=scene,
-        grid=grid,
-        bev=bev,
-        point_voxel_feats=point_voxel_feats,
+    return _Targets(
         aux_mask=aux_mask,
         aux_offsets=aux_offsets,
-        anchors=anchors,
         anchor_assignment=assignment,
         anchor_inputs=anchor_inputs,
         anchor_reg_targets=anchor_reg_targets,
-        graph=graph,
         prop_fg=prop_fg,
         prop_reg_targets=prop_reg_targets,
     )
@@ -569,17 +580,18 @@ def _evaluate(
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
     grads: dict[str, Any] = {} if want_grads else None
+    targets = world.targets
 
     # Proposal-stage loss over anchors.
-    labels = world.anchor_assignment.labels
+    labels = targets.anchor_assignment.labels
     valid = labels != -1
     fg_anchor = labels == POSITIVE
-    cls_out, cls_cache = models.rpn_cls.forward(world.anchor_inputs)
+    cls_out, cls_cache = models.rpn_cls.forward(targets.anchor_inputs)
     probs = _sigmoid(cls_out[:, 0])
     l_rpn_cls = focal_loss(probs[valid], fg_anchor[valid], cfg_loss)
-    reg_out, reg_cache = models.rpn_reg.forward(world.anchor_inputs)
+    reg_out, reg_cache = models.rpn_reg.forward(targets.anchor_inputs)
     l_rpn_reg = masked_smooth_l1_mean(
-        reg_out, world.anchor_reg_targets, fg_anchor, beta
+        reg_out, targets.anchor_reg_targets, fg_anchor, beta
     )
     l_rpn = l_rpn_cls + l_rpn_reg
     if want_grads:
@@ -588,7 +600,7 @@ def _evaluate(
         dlogit = (dp * probs * (1.0 - probs))[:, None]
         grads["rpn_cls"], _ = models.rpn_cls.backward(cls_cache, dlogit)
         dreg = masked_smooth_l1_mean_grad(
-            reg_out, world.anchor_reg_targets, fg_anchor, beta
+            reg_out, targets.anchor_reg_targets, fg_anchor, beta
         )
         grads["rpn_reg"], _ = models.rpn_reg.backward(reg_cache, dreg)
 
@@ -598,15 +610,15 @@ def _evaluate(
         scores, residuals, hcache = header_forward(
             refined, models.cls_stack, models.reg_stack
         )
-        l_gnn_cls = focal_loss(scores, world.prop_fg, cfg_loss)
+        l_gnn_cls = focal_loss(scores, targets.prop_fg, cfg_loss)
         l_gnn_reg = masked_smooth_l1_mean(
-            residuals, world.prop_reg_targets, world.prop_fg, beta
+            residuals, targets.prop_reg_targets, targets.prop_fg, beta
         )
         l_gnn = l_gnn_cls + l_gnn_reg
         if want_grads:
-            dscores = focal_loss_grad(scores, world.prop_fg, cfg_loss)
+            dscores = focal_loss_grad(scores, targets.prop_fg, cfg_loss)
             dres = masked_smooth_l1_mean_grad(
-                residuals, world.prop_reg_targets, world.prop_fg, beta
+                residuals, targets.prop_reg_targets, targets.prop_fg, beta
             )
             cls_grads, reg_grads, dz = header_backward(
                 hcache, models.cls_stack, models.reg_stack, dscores, dres
@@ -626,14 +638,14 @@ def _evaluate(
         feats = world.point_voxel_feats.features
         seg_out, seg_cache = models.aux_seg.forward(feats)
         seg_probs = _sigmoid(seg_out[:, 0])
-        l_seg = focal_loss(seg_probs, world.aux_mask, cfg_loss)
+        l_seg = focal_loss(seg_probs, targets.aux_mask, cfg_loss)
         off_out, off_cache = models.aux_off.forward(feats)
-        l_offset = offset_loss(off_out, world.aux_offsets, world.aux_mask, beta)
+        l_offset = offset_loss(off_out, targets.aux_offsets, targets.aux_mask, beta)
         if want_grads:
-            dseg = focal_loss_grad(seg_probs, world.aux_mask, cfg_loss)
+            dseg = focal_loss_grad(seg_probs, targets.aux_mask, cfg_loss)
             dlogit = (dseg * seg_probs * (1.0 - seg_probs))[:, None]
             grads["aux_seg"], _ = models.aux_seg.backward(seg_cache, dlogit)
-            doff = offset_loss_grad(off_out, world.aux_offsets, world.aux_mask, beta)
+            doff = offset_loss_grad(off_out, targets.aux_offsets, targets.aux_mask, beta)
             grads["aux_off"], _ = models.aux_off.backward(off_cache, doff)
     else:
         l_seg = l_offset = 0.0
@@ -699,7 +711,7 @@ def _batch_evaluate(
 
 
 def _training_worlds(config: PipelineConfig) -> list[_World]:
-    return [
+    worlds = [
         _build_world(
             config,
             config.seed + _SCENE_STRIDE * j,
@@ -707,6 +719,9 @@ def _training_worlds(config: PipelineConfig) -> list[_World]:
         )
         for j in range(config.train.batch_scenes)
     ]
+    for world in worlds:
+        world.targets = _training_targets(config, world)
+    return worlds
 
 
 def _train_models(

@@ -16,6 +16,7 @@ import numpy as np
 
 from graphdet.geom import rotated_iou_bev
 from graphdet.interp import FeatureSet
+from graphdet.nnet import add_layer_grads
 from graphdet.scene import Box3D
 
 
@@ -419,6 +420,75 @@ def loop_update_forward(graph, updater, extended: bool):
         h = prev + fused
         argmax_per_iteration.append(argmax_rows)
     return h, argmax_per_iteration
+
+
+def loop_update_backward(cache, grad_out):
+    """The refiner's backward pass with ``np.add.at`` scatters.
+
+    Starts every stack gradient at zero and adds each iteration's onto
+    it; adds each pooled channel's gradient onto its winning row, the
+    neighbour-state gradients onto the neighbours and the alignment
+    gradients onto the owning nodes, one edge at a time in edge order.
+    Returns ``(UpdaterGrads, d_states)`` like ``gnn.update_backward``.
+    """
+    updater = cache.updater
+    offsets = cache.graph.offsets
+    row_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    row_neigh = cache.graph.indices
+    grads = updater.zero_grads()
+    dh = np.asarray(grad_out, dtype=float).copy()
+    for k in range(len(cache.iterations) - 1, -1, -1):
+        it = cache.iterations[k]
+        n, d = it.argmax_rows.shape
+        fus_grads, d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
+        grads.fus[k] = add_layer_grads(grads.fus[k], fus_grads)
+
+        d_pool_in = np.zeros_like(it.pool_inputs)
+        cols = np.broadcast_to(np.arange(d), (n, d))
+        np.add.at(d_pool_in, (it.argmax_rows, cols), d_pooled)
+
+        agg_grads, d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
+        grads.agg[k] = add_layer_grads(grads.agg[k], agg_grads)
+
+        d_prev = dh  # residual connection passes the gradient straight through
+        if cache.extended:
+            d_offsets = d_rows[:, :3]
+            d_states = d_rows[:, 3:]
+            np.add.at(d_prev, row_neigh, d_states)
+            d_align = np.zeros((n, 3))
+            np.add.at(d_align, row_node, -d_offsets)
+            align_grads, d_prev_align = updater.align_stacks[k].backward(
+                it.align_cache, d_align
+            )
+            grads.align[k] = add_layer_grads(grads.align[k], align_grads)
+            d_prev = d_prev + d_prev_align
+        else:
+            np.add.at(d_prev, row_neigh, d_rows)
+        dh = d_prev
+    return grads, dh
+
+
+# ---------------------------------------------------------------------------
+# loss oracle
+
+
+def whole_array_focal_loss_grad(probs, foreground, config):
+    """d(focal_loss)/d(probs) with both branches evaluated on every entry
+    and then selected by the mask (zero where the clamp is active)."""
+    lo, hi = 1e-7, 1.0 - 1e-7
+    p_raw = np.asarray(probs, dtype=float)
+    fg = np.asarray(foreground, dtype=bool)
+    n_pos = int(fg.sum())
+    if n_pos == 0:
+        return np.zeros_like(p_raw)
+    p = np.clip(p_raw, lo, hi)
+    alpha, gamma = config.focal_alpha, config.focal_gamma
+    one_m = 1.0 - p
+    fg_grad = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(p) - one_m**gamma / p)
+    bg_grad = (1.0 - alpha) * (-gamma * p ** (gamma - 1.0) * np.log(1.0 - p) + p**gamma / one_m)
+    grad = np.where(fg, fg_grad, bg_grad if config.focal_background else 0.0)
+    grad[(p_raw <= lo) | (p_raw >= hi)] = 0.0
+    return grad / n_pos
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,9 @@ def test_graph_arrays_are_read_only_copies():
     assert graph.states[0, 0] == 0.0
     with pytest.raises(ValueError):
         graph.indices[0] = 1
+    assert graph.row_node.tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError):
+        graph.row_node[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,36 @@ def test_depth_zero_is_the_identity():
     assert np.array_equal(update_vanilla(graph, updater), graph.states)
     ext = GraphUpdater.seeded(6, 8, 0, seed=3, extended=True)
     assert np.array_equal(update_extended(graph, ext), graph.states)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_backward_without_iterations_gives_zero_stack_gradients(extended):
+    # An empty graph runs none of its updater's two iterations; a depth-0
+    # updater has no stacks at all.  Either way the gradient passes through.
+    forward = update_extended_forward if extended else update_vanilla_forward
+    cases = [
+        (build_graph([], radius=2.0), GraphUpdater.seeded(4, 8, 2, 0, extended)),
+        (
+            build_graph(line_proposals(5, 1.0, 6), radius=1.5),
+            GraphUpdater.seeded(6, 8, 0, 3, extended),
+        ),
+    ]
+    for graph, updater in cases:
+        refined, cache = forward(graph, updater)
+        grad_out = np.ones_like(refined)
+        grads, d_states = update_backward(cache, grad_out)
+        assert np.array_equal(d_states, grad_out)
+        for kind in ("agg", "fus", "align"):
+            stacks, got = getattr(updater, f"{kind}_stacks"), getattr(grads, kind)
+            if stacks is None:
+                assert got is None
+                continue
+            assert len(got) == len(stacks) == updater.depth
+            for stack, layer_grads in zip(stacks, got):
+                for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
+                    assert dw.shape == layer.weight.shape and not dw.any()
+                    assert db.shape == layer.bias.shape and not db.any()
+        updater.sgd_step(grads, 0.1)
 
 
 def test_zeroed_fusion_leaves_states_untouched():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from graphdet.gnn import (
     GraphUpdater,
     build_graph,
+    update_backward,
     update_extended,
     update_extended_forward,
     update_vanilla_forward,
 )
 from graphdet.scene import Box3D
 
-from oracles import loop_update_forward
+from oracles import loop_update_backward, loop_update_forward
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -75,6 +76,56 @@ def test_pooling_matches_the_loop_on_non_finite_weights(extended, poison):
     updater.agg_stacks[0].layers[0].weight[2, -1] = poison
     with np.errstate(invalid="ignore", over="ignore"):
         assert_matches_loop_oracle(graph, updater, extended)
+
+
+def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out):
+    forward = update_extended_forward if extended else update_vanilla_forward
+    _, cache = forward(graph, updater)
+    grads, d_states = update_backward(cache, grad_out)
+    want, want_states = loop_update_backward(cache, grad_out)
+    assert np.array_equal(d_states, want_states, equal_nan=True)
+    for kind in ("agg", "fus", "align"):
+        got, ref = getattr(grads, kind), getattr(want, kind)
+        assert (got is None) == (ref is None) and len(got or ()) == len(ref or ())
+        for got_layers, ref_layers in zip(got or (), ref or ()):
+            for (dw, db), (rw, rb) in zip(got_layers, ref_layers, strict=True):
+                assert np.array_equal(dw, rw, equal_nan=True)
+                assert np.array_equal(db, rb, equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    state_dim=st.integers(1, 4),
+    radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    extended=st.booleans(),
+    rounded=st.booleans(),
+    seed=SEEDS,
+)
+def test_backward_matches_the_add_at_loop_bit_for_bit(
+    n, state_dim, radius, extended, rounded, seed
+):
+    rng = np.random.default_rng(seed)
+    graph = build_graph(integer_proposals(rng, n, state_dim), radius=radius)
+    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    # Integer upstream gradients make many partial sums cancel exactly.
+    grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
+    if not rounded:
+        grad_out += rng.normal(size=grad_out.shape)
+    assert_backward_matches_loop_oracle(graph, updater, extended, grad_out)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison):
+    rng = np.random.default_rng(22)
+    graph = build_graph(integer_proposals(rng, 24, 3, spread=3), radius=2.5)
+    updater = seeded_updater(3, 5, extended)
+    updater.agg_stacks[0].layers[0].weight[2, -1] = poison
+    updater.fus_stacks[1].layers[0].weight[0, 1] = poison
+    grad_out = rng.normal(size=(24, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_backward_matches_loop_oracle(graph, updater, extended, grad_out)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,8 @@ from graphdet.nnet import (
     total_loss,
 )
 
+from oracles import whole_array_focal_loss_grad
+
 
 def central_diff(f, x, h=1e-6):
     """Central finite differences of a scalar function over a flat vector."""
@@ -285,6 +287,24 @@ def test_focal_grad_zero_where_clamped():
     fg = np.array([True, True])
     grad = focal_loss_grad(probs, fg)
     assert grad[0] == 0.0 and grad[1] != 0.0
+
+
+def test_focal_grad_matches_the_whole_array_form_bit_for_bit():
+    # Evaluating each branch on its own rows must not move a bit.
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n = int(rng.integers(1, 4000))
+        probs = rng.uniform(size=n) ** rng.uniform(0.2, 5.0)
+        edge = rng.random(n) < 0.02
+        probs[edge] = rng.choice([0.0, 1e-9, 1e-7, 1.0 - 1e-7, 1.0], size=int(edge.sum()))
+        fg = rng.random(n) < rng.uniform()
+        config = LossConfig(
+            focal_alpha=float(rng.choice([0.25, 0.5, 1.0])),
+            focal_gamma=float(rng.choice([0.0, 1.0, 1.5, 2.0, 3.0])),
+            focal_background=bool(rng.random() < 0.8),
+        )
+        want = whole_array_focal_loss_grad(probs, fg, config)
+        assert np.array_equal(focal_loss_grad(probs, fg, config), want)
 
 
 def test_loss_config_validation():

@@ -30,6 +30,8 @@ from graphdet.pipeline import (
 from graphdet.rfa import RfaConfig
 from graphdet.voxel import VoxelizationConfig
 
+from oracles import loop_update_backward
+
 
 def tiny_raw(**overrides):
     """A small, fast pipeline description; sections merge over these."""
@@ -348,6 +350,24 @@ def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
     assert per_step > 0 and len(calls) == 2 * per_step
 
 
+def _trained_weights(config, steps):
+    models, history, _ = pipeline._train_models(config, steps)
+    stacks = [models.cls_stack, models.reg_stack, *models.updater.agg_stacks]
+    stacks += [*models.updater.fus_stacks, *(models.updater.align_stacks or [])]
+    return history, [stack.flat_params() for stack in stacks]
+
+
+@pytest.mark.parametrize("variant", ["extended", "vanilla"])
+def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, variant):
+    config = PipelineConfig(gnn=GnnPipelineConfig(variant=variant))
+    history, weights = _trained_weights(config, 30)
+    monkeypatch.setattr(pipeline, "update_backward", loop_update_backward)
+    assert train_smoke(config, steps=30) == history
+    _, want_weights = _trained_weights(config, 30)
+    for got, want in zip(weights, want_weights, strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_train_smoke_rejects_negative_steps():
     with pytest.raises(ConfigError, match="non-negative"):
         train_smoke(tiny_config(), steps=-1)
@@ -465,6 +485,21 @@ def test_run_pipeline_builds_each_scene_once(monkeypatch):
     seeds.clear()
     run_pipeline(tiny_config())
     assert len(seeds) == 2
+
+
+def test_only_training_worlds_build_training_targets(monkeypatch):
+    # Anchors and the other training targets are built for each training
+    # scene and never for a scene that is only scored.
+    calls = []
+    generate = pipeline.generate_anchors
+    monkeypatch.setattr(
+        pipeline, "generate_anchors", lambda *a: calls.append(1) or generate(*a)
+    )
+    run_pipeline(tiny_config(train={"steps": 1, "batch_scenes": 2}))
+    assert len(calls) == 2
+    calls.clear()
+    run_pipeline(tiny_config())
+    assert calls == []
 
 
 def test_run_pipeline_is_deterministic():
