@@ -26,7 +26,6 @@ import numpy as np
 
 from .geom import (
     POSITIVE,
-    AnchorAssignment,
     AnchorConfig,
     Box3D,
     encode_box,
@@ -63,8 +62,8 @@ from .nnet import (
     focal_loss_grad,
     masked_smooth_l1_mean,
     masked_smooth_l1_mean_grad,
-    offset_loss,
-    offset_loss_grad,
+    smooth_l1,
+    smooth_l1_grad,
     total_loss,
 )
 from .rfa import (
@@ -84,7 +83,7 @@ from .scene import (
     generate_synthetic_scene,
     normalize_yaw,
 )
-from .voxel import SparseVoxelGrid, VoxelizationConfig, _axis_cells, voxelize
+from .voxel import VoxelizationConfig, _axis_cells, voxelize
 
 # Seed offsets separating the pipeline's random streams.  Training scenes
 # stride by _SCENE_STRIDE; the held-out scene deliberately lies outside
@@ -365,13 +364,19 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 @dataclass
 class _Targets:
-    """The inputs and targets that only training reads."""
+    """The inputs and targets that only training reads.  ``rpn_cls`` reads
+    every anchor; ``rpn_reg`` only the positive ones, so just their (n_pos, C)
+    inputs and (n_pos, 7) encoded boxes are kept, and likewise ``aux_off``'s
+    (n_in, D) voxel features and (n_in, 3) offsets of the in-box points."""
 
-    aux_mask: np.ndarray
-    aux_offsets: np.ndarray
-    anchor_assignment: AnchorAssignment
-    anchor_inputs: np.ndarray
-    anchor_reg_targets: np.ndarray
+    aux_mask: np.ndarray  # (n_points,) in-box points
+    anchor_inputs: np.ndarray  # (n_anchors, C)
+    anchor_valid: np.ndarray  # (n_anchors,) anchors not ignored
+    anchor_valid_fg: np.ndarray  # (n_valid,) positives among the valid
+    reg_inputs: np.ndarray
+    reg_targets: np.ndarray
+    off_inputs: np.ndarray
+    off_targets: np.ndarray
     prop_fg: np.ndarray
     prop_reg_targets: np.ndarray
 
@@ -381,7 +386,6 @@ class _World:
     """One materialised scene; ``targets`` is set on training worlds only."""
 
     scene: Scene
-    grid: SparseVoxelGrid
     bev: BevFeatureMap
     point_voxel_feats: FeatureSet | None  # voxel field interpolated onto the cloud
     graph: NeighborhoodGraph  # one node per proposal; empty when there are none
@@ -473,9 +477,7 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
     else:
         proposals, states = [], []
     graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
-    return _World(
-        scene=scene, grid=grid, bev=bev, point_voxel_feats=point_voxel_feats, graph=graph
-    )
+    return _World(scene=scene, bev=bev, point_voxel_feats=point_voxel_feats, graph=graph)
 
 
 def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
@@ -488,11 +490,13 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
     anchor_inputs = np.stack(
         [sample_bev_point(world.bev, a.center[0], a.center[1]) for a in anchors]
     )
-    anchor_reg_targets = np.zeros((len(anchors), 7))
-    for i in np.flatnonzero(assignment.labels == POSITIVE):
-        anchor_reg_targets[i] = _encode_target(
-            scene.gt_boxes[assignment.gt_indices[i]], anchors[i]
-        )
+    labels = assignment.labels
+    positive = np.flatnonzero(labels == POSITIVE)
+    reg_targets = np.array(
+        [_encode_target(scene.gt_boxes[assignment.gt_indices[i]], anchors[i]) for i in positive]
+    ).reshape(-1, 7)
+    feats = world.point_voxel_feats  # None only when the cloud is empty
+    voxel_feats = feats.features if feats is not None else np.zeros((0, config.rfa.voxel_dim))
 
     proposals = world.graph.boxes
     n_p = len(proposals)
@@ -511,10 +515,13 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
 
     return _Targets(
         aux_mask=aux_mask,
-        aux_offsets=aux_offsets,
-        anchor_assignment=assignment,
         anchor_inputs=anchor_inputs,
-        anchor_reg_targets=anchor_reg_targets,
+        anchor_valid=labels != -1,
+        anchor_valid_fg=(labels == POSITIVE)[labels != -1],
+        reg_inputs=anchor_inputs[positive],
+        reg_targets=reg_targets,
+        off_inputs=voxel_feats[aux_mask],
+        off_targets=aux_offsets[aux_mask],
         prop_fg=prop_fg,
         prop_reg_targets=prop_reg_targets,
     )
@@ -569,13 +576,31 @@ def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: Pi
     return update_vanilla_forward(graph, models.updater)
 
 
+def _smooth_l1_rows(stack: DenseStack, inputs, targets, beta: float, grads, key: str) -> float:
+    """Mean smooth-L1 of ``stack`` over the given rows; the stack's
+    gradient goes to ``grads[key]`` unless ``grads`` is None."""
+    n = len(inputs)
+    if n == 0:
+        if grads is not None:
+            grads[key] = stack.zero_grads()
+        return 0.0
+    out, cache = stack.forward(inputs)
+    if grads is not None:
+        grads[key], _ = stack.backward(cache, smooth_l1_grad(out, targets, beta) / n)
+    return smooth_l1(out, targets, beta) / n
+
+
 def _evaluate(
     models: PipelineModels, world: _World, config: PipelineConfig, want_grads: bool
 ):
     """Forward (and optionally backward) pass over one world.
 
     Returns (loss components dict, grads dict or None).  Gradient entries
-    mirror the model stacks.
+    mirror the model stacks.  ``rpn_cls`` and ``aux_seg`` run on every row;
+    ``rpn_reg`` and ``aux_off`` only on the rows their losses read (positive
+    anchors, in-box points), with ``masked_smooth_l1_mean``'s values bit for
+    bit, except that NumPy multiplies a single row with gemv, not gemm, so
+    a one-row stack's weights may move in the last bits.
     """
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
@@ -583,26 +608,18 @@ def _evaluate(
     targets = world.targets
 
     # Proposal-stage loss over anchors.
-    labels = targets.anchor_assignment.labels
-    valid = labels != -1
-    fg_anchor = labels == POSITIVE
+    valid = targets.anchor_valid
     cls_out, cls_cache = models.rpn_cls.forward(targets.anchor_inputs)
     probs = _sigmoid(cls_out[:, 0])
-    l_rpn_cls = focal_loss(probs[valid], fg_anchor[valid], cfg_loss)
-    reg_out, reg_cache = models.rpn_reg.forward(targets.anchor_inputs)
-    l_rpn_reg = masked_smooth_l1_mean(
-        reg_out, targets.anchor_reg_targets, fg_anchor, beta
-    )
-    l_rpn = l_rpn_cls + l_rpn_reg
+    l_rpn_cls = focal_loss(probs[valid], targets.anchor_valid_fg, cfg_loss)
     if want_grads:
         dp = np.zeros_like(probs)
-        dp[valid] = focal_loss_grad(probs[valid], fg_anchor[valid], cfg_loss)
+        dp[valid] = focal_loss_grad(probs[valid], targets.anchor_valid_fg, cfg_loss)
         dlogit = (dp * probs * (1.0 - probs))[:, None]
         grads["rpn_cls"], _ = models.rpn_cls.backward(cls_cache, dlogit)
-        dreg = masked_smooth_l1_mean_grad(
-            reg_out, targets.anchor_reg_targets, fg_anchor, beta
-        )
-        grads["rpn_reg"], _ = models.rpn_reg.backward(reg_cache, dreg)
+    l_rpn = l_rpn_cls + _smooth_l1_rows(
+        models.rpn_reg, targets.reg_inputs, targets.reg_targets, beta, grads, "rpn_reg"
+    )
 
     # Refinement-stage loss over graph nodes.
     if len(world.graph):
@@ -639,19 +656,17 @@ def _evaluate(
         seg_out, seg_cache = models.aux_seg.forward(feats)
         seg_probs = _sigmoid(seg_out[:, 0])
         l_seg = focal_loss(seg_probs, targets.aux_mask, cfg_loss)
-        off_out, off_cache = models.aux_off.forward(feats)
-        l_offset = offset_loss(off_out, targets.aux_offsets, targets.aux_mask, beta)
         if want_grads:
             dseg = focal_loss_grad(seg_probs, targets.aux_mask, cfg_loss)
             dlogit = (dseg * seg_probs * (1.0 - seg_probs))[:, None]
             grads["aux_seg"], _ = models.aux_seg.backward(seg_cache, dlogit)
-            doff = offset_loss_grad(off_out, targets.aux_offsets, targets.aux_mask, beta)
-            grads["aux_off"], _ = models.aux_off.backward(off_cache, doff)
     else:
-        l_seg = l_offset = 0.0
+        l_seg = 0.0
         if want_grads:
             grads["aux_seg"] = models.aux_seg.zero_grads()
-            grads["aux_off"] = models.aux_off.zero_grads()
+    l_offset = _smooth_l1_rows(
+        models.aux_off, targets.off_inputs, targets.off_targets, beta, grads, "aux_off"
+    )
 
     components = {
         "l_rpn": l_rpn,

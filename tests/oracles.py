@@ -14,9 +14,21 @@ import math
 
 import numpy as np
 
+from graphdet import pipeline
 from graphdet.geom import rotated_iou_bev
+from graphdet.gnn import header_backward, header_forward, update_backward
 from graphdet.interp import FeatureSet
-from graphdet.nnet import add_layer_grads
+from graphdet.nnet import (
+    _sigmoid,
+    add_layer_grads,
+    focal_loss,
+    focal_loss_grad,
+    masked_smooth_l1_mean,
+    masked_smooth_l1_mean_grad,
+    offset_loss,
+    offset_loss_grad,
+    total_loss,
+)
 from graphdet.scene import Box3D
 
 
@@ -529,3 +541,96 @@ def random_box(rng: np.random.Generator, spread: float = 10.0, score: bool = Fal
         yaw=float(rng.uniform(-math.pi, math.pi)),
         score=float(rng.uniform(0.0, 1.0)) if score else None,
     )
+
+
+# ---------------------------------------------------------------------------
+# training-step oracle
+
+
+def all_rows_evaluate(models, world, config, want_grads):
+    """``pipeline._evaluate`` with every head run on all its rows.
+
+    ``rpn_reg`` sees every anchor and ``aux_off`` every point, against
+    zero-filled (n_anchors, 7) and (n_points, 3) targets rebuilt from the
+    compact rows, and their losses are ``masked_smooth_l1_mean`` and
+    ``offset_loss`` with their gradients.  The graph stage is the
+    pipeline's own.
+    """
+    cfg_loss = config.loss
+    beta = cfg_loss.smooth_l1_beta
+    grads = {} if want_grads else None
+    t = world.targets
+
+    valid = t.anchor_valid
+    fg_anchor = np.zeros(len(valid), dtype=bool)
+    fg_anchor[valid] = t.anchor_valid_fg
+    assert np.array_equal(t.reg_inputs, t.anchor_inputs[fg_anchor])
+    anchor_reg_targets = np.zeros((len(valid), 7))
+    anchor_reg_targets[fg_anchor] = t.reg_targets
+    cls_out, cls_cache = models.rpn_cls.forward(t.anchor_inputs)
+    probs = _sigmoid(cls_out[:, 0])
+    l_rpn_cls = focal_loss(probs[valid], fg_anchor[valid], cfg_loss)
+    reg_out, reg_cache = models.rpn_reg.forward(t.anchor_inputs)
+    l_rpn_reg = masked_smooth_l1_mean(reg_out, anchor_reg_targets, fg_anchor, beta)
+    l_rpn = l_rpn_cls + l_rpn_reg
+    if want_grads:
+        dp = np.zeros_like(probs)
+        dp[valid] = focal_loss_grad(probs[valid], fg_anchor[valid], cfg_loss)
+        dlogit = (dp * probs * (1.0 - probs))[:, None]
+        grads["rpn_cls"], _ = models.rpn_cls.backward(cls_cache, dlogit)
+        dreg = masked_smooth_l1_mean_grad(reg_out, anchor_reg_targets, fg_anchor, beta)
+        grads["rpn_reg"], _ = models.rpn_reg.backward(reg_cache, dreg)
+
+    if len(world.graph):
+        refined, ucache = pipeline._refine_forward(models, world.graph, config)
+        scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
+        l_gnn = focal_loss(scores, t.prop_fg, cfg_loss) + masked_smooth_l1_mean(
+            residuals, t.prop_reg_targets, t.prop_fg, beta
+        )
+        if want_grads:
+            dscores = focal_loss_grad(scores, t.prop_fg, cfg_loss)
+            dres = masked_smooth_l1_mean_grad(residuals, t.prop_reg_targets, t.prop_fg, beta)
+            cls_grads, reg_grads, dz = header_backward(
+                hcache, models.cls_stack, models.reg_stack, dscores, dres
+            )
+            grads["cls_stack"] = cls_grads
+            grads["reg_stack"] = reg_grads
+            grads["updater"], _ = update_backward(ucache, dz)
+    else:
+        l_gnn = 0.0
+        if want_grads:
+            grads["cls_stack"] = models.cls_stack.zero_grads()
+            grads["reg_stack"] = models.reg_stack.zero_grads()
+            grads["updater"] = models.updater.zero_grads()
+
+    if world.point_voxel_feats is not None and len(world.point_voxel_feats):
+        feats = world.point_voxel_feats.features
+        mask = t.aux_mask
+        assert np.array_equal(t.off_inputs, feats[mask])
+        aux_offsets = np.zeros((len(mask), 3))
+        aux_offsets[mask] = t.off_targets
+        seg_out, seg_cache = models.aux_seg.forward(feats)
+        seg_probs = _sigmoid(seg_out[:, 0])
+        l_seg = focal_loss(seg_probs, mask, cfg_loss)
+        off_out, off_cache = models.aux_off.forward(feats)
+        l_offset = offset_loss(off_out, aux_offsets, mask, beta)
+        if want_grads:
+            dseg = focal_loss_grad(seg_probs, mask, cfg_loss)
+            dlogit = (dseg * seg_probs * (1.0 - seg_probs))[:, None]
+            grads["aux_seg"], _ = models.aux_seg.backward(seg_cache, dlogit)
+            doff = offset_loss_grad(off_out, aux_offsets, mask, beta)
+            grads["aux_off"], _ = models.aux_off.backward(off_cache, doff)
+    else:
+        l_seg = l_offset = 0.0
+        if want_grads:
+            grads["aux_seg"] = models.aux_seg.zero_grads()
+            grads["aux_off"] = models.aux_off.zero_grads()
+
+    components = {
+        "l_rpn": l_rpn,
+        "l_gnn": l_gnn,
+        "l_offset": l_offset,
+        "l_seg": l_seg,
+        "total": total_loss(l_rpn, l_gnn, l_offset, l_seg),
+    }
+    return components, grads

@@ -30,7 +30,7 @@ from graphdet.pipeline import (
 from graphdet.rfa import RfaConfig
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import loop_update_backward
+from oracles import all_rows_evaluate, loop_update_backward
 
 
 def tiny_raw(**overrides):
@@ -350,11 +350,16 @@ def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
     assert per_step > 0 and len(calls) == 2 * per_step
 
 
+def _all_stacks(models):
+    """Every trainable stack: the six heads, then the refiner's stacks."""
+    stacks = [models.cls_stack, models.reg_stack, models.rpn_cls, models.rpn_reg]
+    stacks += [models.aux_seg, models.aux_off, *models.updater.agg_stacks]
+    return stacks + [*models.updater.fus_stacks, *(models.updater.align_stacks or [])]
+
+
 def _trained_weights(config, steps):
     models, history, _ = pipeline._train_models(config, steps)
-    stacks = [models.cls_stack, models.reg_stack, *models.updater.agg_stacks]
-    stacks += [*models.updater.fus_stacks, *(models.updater.align_stacks or [])]
-    return history, [stack.flat_params() for stack in stacks]
+    return history, [stack.flat_params() for stack in _all_stacks(models)]
 
 
 @pytest.mark.parametrize("variant", ["extended", "vanilla"])
@@ -366,6 +371,98 @@ def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, variant
     _, want_weights = _trained_weights(config, 30)
     for got, want in zip(weights, want_weights, strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(),
+        PipelineConfig(
+            scene=SceneConfig(n_objects=10, points_per_object=300, clutter_points=1000)
+        ),
+        PipelineConfig(train=TrainPipelineConfig(batch_scenes=2)),
+        PipelineConfig(gnn=GnnPipelineConfig(variant="vanilla")),
+    ],
+    ids=["default", "dense", "batch2", "vanilla"],
+)
+def test_training_is_bit_identical_with_all_rows_heads(monkeypatch, config):
+    # rpn_reg and aux_off run only on the rows their losses read; running
+    # them on every anchor and point against zero-filled targets must
+    # train every stack to the same bits.
+    history, weights = _trained_weights(config, 30)
+    monkeypatch.setattr(pipeline, "_evaluate", all_rows_evaluate)
+    want_history, want_weights = _trained_weights(config, 30)
+    assert history == want_history
+    for got, want in zip(weights, want_weights, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_object_free_scene_leaves_the_row_heads_untrained():
+    config = tiny_config(scene={"n_objects": 0})
+    initial = pipeline.init_models(config)
+    with pytest.warns(RuntimeWarning, match="no foreground"):
+        models, history, _ = pipeline._train_models(config, 3)
+    assert len(history) == 4 and all(np.isfinite(history))
+    for stack in ("rpn_reg", "aux_off"):
+        got, want = getattr(models, stack), getattr(initial, stack)
+        assert np.array_equal(got.flat_params(), want.flat_params()), stack
+
+
+def test_one_positive_anchor_matches_all_rows_heads(monkeypatch):
+    # A single positive anchor is multiplied with gemv instead of gemm,
+    # so rpn_reg's weights may move in the last bits; nothing else may.
+    config = PipelineConfig(
+        seed=3, scene=SceneConfig(n_objects=1), train=TrainPipelineConfig(steps=100)
+    )
+    (world,) = pipeline._training_worlds(config)
+    assert len(world.targets.reg_inputs) == 1
+    runs = []
+    for evaluate in (pipeline._evaluate, all_rows_evaluate):
+        monkeypatch.setattr(pipeline, "_evaluate", evaluate)
+        detections, report = run_pipeline(config)
+        dets = [(d.as_vector(), d.score) for d in detections]
+        runs.append((dets, report, *_trained_weights(config, 100)))
+    (dets, report, history, weights), (want_dets, want_report, want_history, want_weights) = runs
+    assert len(dets) == len(want_dets) > 0
+    for (box, score), (want_box, want_score) in zip(dets, want_dets):
+        assert np.array_equal(box, want_box) and score == want_score
+    for key in ("ap_s11", "ap_s40", "holdout_ap_s11", "holdout_ap_s40", "loss_history"):
+        assert report[key] == want_report[key], key
+    assert history == want_history
+    rpn_reg = 3  # position in _all_stacks
+    for i, (got, want) in enumerate(zip(weights, want_weights, strict=True)):
+        if i == rpn_reg:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want), i
+
+
+def test_row_heads_see_only_the_rows_their_losses_read(monkeypatch):
+    # Structure only: rpn_reg gets the positive anchors and aux_off the
+    # in-box points, while rpn_cls and aux_seg still get every row.
+    config = PipelineConfig()
+    captured, shapes = [], []
+    init, forward = pipeline.init_models, DenseStack.forward
+    monkeypatch.setattr(
+        pipeline, "init_models", lambda c: captured.append(init(c)) or captured[-1]
+    )
+    monkeypatch.setattr(
+        DenseStack, "forward", lambda self, x: shapes.append((self, x.shape)) or forward(self, x)
+    )
+    train_smoke(config, steps=1)
+    (models,) = captured
+    (targets,) = [w.targets for w in pipeline._training_worlds(config)]
+    n_anchors, n_points = len(targets.anchor_valid), len(targets.aux_mask)
+    n_positive, n_in_box = int(targets.anchor_valid_fg.sum()), int(targets.aux_mask.sum())
+    assert 0 < n_positive < n_anchors and 0 < n_in_box < n_points
+    heads = ("rpn_cls", "rpn_reg", "aux_seg", "aux_off")
+    seen = {h: {shape for stack, shape in shapes if stack is getattr(models, h)} for h in heads}
+    assert seen == {
+        "rpn_cls": {(n_anchors, config.rfa.pixel_dim)},
+        "rpn_reg": {(n_positive, config.rfa.pixel_dim)},
+        "aux_seg": {(n_points, config.rfa.voxel_dim)},
+        "aux_off": {(n_in_box, config.rfa.voxel_dim)},
+    }
 
 
 def test_train_smoke_rejects_negative_steps():
