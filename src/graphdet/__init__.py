@@ -8,9 +8,7 @@ KITTI/nuScenes-style evaluation.  Everything is numpy-only and seeded.
 
 from .geom import (
     AnchorConfig,
-    AugmentParams,
     Box3D,
-    augment_global,
     decode_box,
     encode_box,
     generate_anchors,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorConfig",
-    "AugmentParams",
     "BevFeatureMap",
     "BevIouMatcher",
     "Box3D",
@@ -92,7 +89,6 @@ __all__ = [
     "SparseVoxelGrid",
     "TrainingDivergedError",
     "VoxelizationConfig",
-    "augment_global",
     "build_graph",
     "clip_to_range",
     "decode_box",

@@ -192,11 +192,10 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
     max_points = None if args.max_points == 0 else args.max_points
     config = VoxelizationConfig(step=tuple(args.step), max_points_per_voxel=max_points)
     grid = voxelize(cloud, config)
-    lines = []
-    for key_ijk, entry in grid.items_lexicographic():
-        i, j, k = key_ijk
-        feat = " ".join(repr(float(v)) for v in entry.feature)
-        lines.append(f"{i} {j} {k} {entry.count} {feat}")
+    lines = [
+        f"{i} {j} {k} {count} " + " ".join(repr(float(v)) for v in feature)
+        for (i, j, k), count, feature in zip(grid.cells, grid.counts, grid.features)
+    ]
     text = "\n".join(lines)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -5,8 +5,7 @@ Sutherland-Hodgman polygon clipping plus the shoelace formula; 3D IoU
 extends it with the vertical interval overlap.  Both run on Python floats
 (a few microseconds per pair; NumPy's per-call cost dwarfs four vertices).
 The module also carries greedy NMS, the anchor grid, IoU-threshold target
-assignment, the relative box encoding used for regression, and global
-scene augmentation.
+assignment and the relative box encoding used for regression.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import numpy as np
 from .scene import (
     CAR_DIMS,
     Box3D,
-    PointCloud,
     RangeBounds,
-    Scene,
     _check_bounds,
     normalize_yaw,
 )
@@ -399,88 +396,6 @@ def decode_box(
         score=score,
         class_id=class_id if class_id is not None else anchor.class_id,
     )
-
-
-@dataclass(frozen=True)
-class AugmentParams:
-    """Ranges for global augmentation draws.
-
-    The rotation angle and scale factor are drawn uniformly from their
-    ranges; when ``flip`` is enabled a mirror across the x-z plane is
-    applied with probability one half.  Degenerate ranges pin the draw,
-    so ``rotation_range=(0, 0), scale_range=(1, 1), flip=False`` is the
-    identity.
-    """
-
-    rotation_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
-    scale_range: tuple[float, float] = (0.95, 1.05)
-    flip: bool = True
-
-    def __post_init__(self) -> None:
-        if self.rotation_range[0] > self.rotation_range[1]:
-            raise ValueError("rotation_range must be ordered")
-        if not 0 < self.scale_range[0] <= self.scale_range[1]:
-            raise ValueError("scale_range must be ordered and positive")
-
-
-def augment_global(scene: Scene, seed: int, params: AugmentParams) -> Scene:
-    """Apply one seeded global rotation + scaling (+ optional flip) to a scene.
-
-    Points and ground-truth boxes move through the same transform: rotate
-    about the z axis, scale uniformly, then optionally mirror y -> -y.
-    Box yaws follow (add the angle; negate under the mirror), sizes scale,
-    reflectance is untouched.  The scene range is replaced by the
-    axis-aligned cover of the transformed range corners (plus a hair of
-    padding) so the centre-in-range invariant survives.
-    """
-    rng = np.random.default_rng(seed)
-    angle = float(rng.uniform(*params.rotation_range))
-    scale = float(rng.uniform(*params.scale_range))
-    do_flip = bool(params.flip and rng.random() < 0.5)
-
-    c, s = math.cos(angle), math.sin(angle)
-
-    def txy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xr = scale * (c * x - s * y)
-        yr = scale * (s * x + c * y)
-        if do_flip:
-            yr = -yr
-        return xr, yr
-
-    pts = scene.cloud.points
-    new_pts = np.empty_like(pts)
-    new_pts[:, 0], new_pts[:, 1] = txy(pts[:, 0], pts[:, 1])
-    new_pts[:, 2] = scale * pts[:, 2]
-    new_pts[:, 3] = pts[:, 3]
-
-    new_boxes = []
-    for box in scene.gt_boxes:
-        bx, by = txy(np.array([box.center[0]]), np.array([box.center[1]]))
-        yaw = box.yaw + angle
-        if do_flip:
-            yaw = -yaw
-        new_boxes.append(
-            Box3D(
-                center=(float(bx[0]), float(by[0]), scale * box.center[2]),
-                dims=tuple(scale * d for d in box.dims),
-                yaw=yaw,
-                score=box.score,
-                class_id=box.class_id,
-            )
-        )
-
-    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = scene.range_bounds
-    corner_x = np.array([x_lo, x_lo, x_hi, x_hi])
-    corner_y = np.array([y_lo, y_hi, y_lo, y_hi])
-    cx, cy = txy(corner_x, corner_y)
-    z_pair = sorted((scale * z_lo, scale * z_hi))
-    pad = 1e-9
-    new_bounds = (
-        (float(cx.min()) - pad, float(cx.max()) + pad),
-        (float(cy.min()) - pad, float(cy.max()) + pad),
-        (z_pair[0] - pad, z_pair[1] + pad),
-    )
-    return Scene(PointCloud(new_pts), tuple(new_boxes), new_bounds)
 
 
 def point_in_box(point: np.ndarray, box: Box3D) -> bool:

@@ -219,7 +219,6 @@ class PipelineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     train: TrainPipelineConfig = field(default_factory=TrainPipelineConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    voxel_drop: str = "first"
 
     def __post_init__(self) -> None:
         if not all(isinstance(s, (int, np.integer)) for s in (self.seed, self.feature_seed)):
@@ -228,8 +227,6 @@ class PipelineConfig:
             raise ConfigError("bev_cell_size must be positive")
         if self.point_hidden < 1:
             raise ConfigError("point_hidden must be positive")
-        if self.voxel_drop not in ("first", "random"):
-            raise ConfigError(f"unknown voxel drop mode {self.voxel_drop!r}")
         if self.rfa.point_dim % 2 != 0:
             raise ConfigError("rfa point_dim must be even (two grouping radii)")
         if self.voxel.range_bounds != self.range_bounds:
@@ -446,7 +443,7 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         )
     )
     cloud = scene.cloud
-    grid = voxelize(cloud, config.voxel, drop=config.voxel_drop, seed=scene_seed)
+    grid = voxelize(cloud, config.voxel)
     vox_feats = voxel_feature_set(grid, config.rfa.voxel_dim, config.feature_seed)
 
     rows, cols = _bev_shape(config)

@@ -29,7 +29,7 @@ from .interp import (
 )
 from .nnet import DenseStack
 from .scene import Box3D, PointCloud
-from .voxel import SparseVoxelGrid, restore_centroids
+from .voxel import SparseVoxelGrid
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,8 @@ def synthetic_bev_map(
 
 
 def voxel_feature_set(grid: SparseVoxelGrid, dim: int, seed: int) -> FeatureSet:
-    """Voxel centroids paired with the synthetic field sampled there."""
-    centroids = restore_centroids(grid)
-    if not centroids:
-        return FeatureSet(np.empty((0, 3)), np.empty((0, dim)))
-    positions = np.stack([c for c, _ in centroids])
+    """Voxel centres paired with the synthetic field sampled there."""
+    positions = grid.centres
     return FeatureSet(positions, synthetic_voxel_features(positions, dim, seed))
 
 

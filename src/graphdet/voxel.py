@@ -2,8 +2,8 @@
 
 A cloud is quantised onto a regular grid anchored at the range minimum;
 each occupied voxel keeps the mean of (up to) ``max_points_per_voxel`` of
-its points as a 4-channel feature (x, y, z, reflectance).  Storage is a
-hash map keyed by a packed 64-bit index, so memory tracks occupancy
+its points as a 4-channel feature (x, y, z, reflectance).  The grid is
+held as arrays over the occupied voxels only, so memory tracks occupancy
 rather than grid volume.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -21,16 +20,6 @@ from .scene import KITTI_RANGE, PointCloud, RangeBounds, _check_bounds
 # and allow grids up to 2_097_152 cells per side.
 _AXIS_BITS = 21
 _AXIS_CAP = 1 << _AXIS_BITS
-
-
-def pack_index(i: int, j: int, k: int) -> int:
-    """Pack a voxel index into one integer; ordering matches (i, j, k) lexicographic."""
-    return (int(i) << (2 * _AXIS_BITS)) | (int(j) << _AXIS_BITS) | int(k)
-
-
-def unpack_index(key: int) -> tuple[int, int, int]:
-    mask = _AXIS_CAP - 1
-    return (key >> (2 * _AXIS_BITS)) & mask, (key >> _AXIS_BITS) & mask, key & mask
 
 
 def _axis_cells(extent: float, step: float) -> int:
@@ -60,8 +49,13 @@ class VoxelizationConfig:
         step = tuple(float(s) for s in self.step)
         if len(step) != 3 or any(not math.isfinite(s) or s <= 0 for s in step):
             raise ValueError(f"voxel step must be three positive reals, got {self.step}")
-        if self.max_points_per_voxel is not None and self.max_points_per_voxel < 1:
-            raise ValueError("max_points_per_voxel must be >= 1 (or None for unlimited)")
+        cap = self.max_points_per_voxel
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1
+        ):
+            raise ValueError(
+                f"max_points_per_voxel must be an int >= 1 (or None for unlimited), got {cap!r}"
+            )
         bounds = _check_bounds(self.range_bounds)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "range_bounds", bounds)
@@ -81,115 +75,83 @@ class VoxelizationConfig:
         return cells  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class VoxelEntry:
-    """Feature and retained point count of one occupied voxel."""
-
-    feature: np.ndarray  # (4,) mean of retained points
-    count: int
-
-    def __post_init__(self) -> None:
-        feat = np.asarray(self.feature, dtype=float)
-        feat = feat.copy()
-        feat.setflags(write=False)
-        object.__setattr__(self, "feature", feat)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
 class SparseVoxelGrid:
-    """Occupied voxels as a mapping from packed index to :class:`VoxelEntry`."""
+    """The occupied voxels of a cloud, one row each, in ascending (i, j, k) order.
 
-    entries: dict[int, VoxelEntry]
+    Attributes:
+        cells: (n, 3) int64 voxel indices, lexicographically ascending.
+        counts: (n,) retained points per voxel.
+        features: (n, 4) mean (x, y, z, reflectance) of the retained points.
+        config: the grid the cells index.
+    """
+
+    cells: np.ndarray
+    counts: np.ndarray
+    features: np.ndarray
     config: VoxelizationConfig
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.cells)
 
     @property
-    def resolution(self) -> tuple[int, int, int]:
-        return self.config.resolution
-
-    def get(self, i: int, j: int, k: int) -> VoxelEntry | None:
-        return self.entries.get(pack_index(i, j, k))
-
-    def items_lexicographic(self) -> Iterator[tuple[tuple[int, int, int], VoxelEntry]]:
-        """Iterate occupied voxels in ascending (i, j, k) order."""
-        for key in sorted(self.entries):
-            yield unpack_index(key), self.entries[key]
+    def centres(self) -> np.ndarray:
+        """(n, 3) voxel centres, ``origin + (cells + 0.5) * step`` per axis."""
+        origin = np.array(self.config.origin)
+        step = np.array(self.config.step)
+        return origin + (self.cells + 0.5) * step
 
 
-def voxelize(
-    cloud: PointCloud,
-    config: VoxelizationConfig,
-    drop: str = "first",
-    seed: int | None = None,
-) -> SparseVoxelGrid:
+def voxelize(cloud: PointCloud, config: VoxelizationConfig) -> SparseVoxelGrid:
     """Quantise a cloud onto the configured grid.
 
     Each point lands in the voxel ``floor((p - range_min) / step)`` per
-    axis.  When a voxel receives more than ``max_points_per_voxel`` points,
-    ``drop="first"`` keeps the earliest points in input order (the
-    default, fully deterministic) while ``drop="random"`` keeps a seeded
-    uniform subsample.  The voxel feature is the mean (x, y, z, r) of the
-    retained points.
+    axis.  A voxel that receives more than ``max_points_per_voxel`` points
+    keeps the earliest of them in input order.  The voxel feature is the
+    mean (x, y, z, r) of the retained points, summed in input order.
 
     Raises ValueError if any point lies outside the configured range.
     """
-    if drop not in ("first", "random"):
-        raise ValueError(f"unknown drop mode {drop!r}")
     pts = cloud.points
-    mins = np.array([lo for lo, _ in config.range_bounds])
+    mins = np.array(config.origin)
     maxs = np.array([hi for _, hi in config.range_bounds])
-    if len(pts):
-        xyz = pts[:, :3]
-        bad = np.any((xyz < mins) | (xyz >= maxs), axis=1)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise ValueError(
-                f"point {idx} at {tuple(xyz[idx])} lies outside the configured range"
-            )
+    xyz = pts[:, :3]
+    bad = np.any((xyz < mins) | (xyz >= maxs), axis=1)
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        raise ValueError(f"point {first} at {tuple(xyz[first])} lies outside the configured range")
 
-    resolution = config.resolution
-    entries: dict[int, VoxelEntry] = {}
-    if not len(pts):
-        return SparseVoxelGrid(entries, config)
-
-    step = np.array(config.step)
-    idx = np.floor((pts[:, :3] - mins) / step).astype(np.int64)
+    idx = np.floor((xyz - mins) / np.array(config.step)).astype(np.int64)
     # Guard against points just below the upper bound rounding onto the far face.
-    idx = np.minimum(idx, np.array(resolution) - 1)
+    idx = np.minimum(idx, np.array(config.resolution) - 1)
     keys = (idx[:, 0] << (2 * _AXIS_BITS)) | (idx[:, 1] << _AXIS_BITS) | idx[:, 2]
 
     order = np.argsort(keys, kind="stable")  # groups voxels, keeps input order within
     sorted_keys = keys[order]
-    group_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    group_ends = np.r_[group_starts[1:], len(sorted_keys)]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))  # keys are >= 0
+    counts = np.diff(np.r_[starts, len(pts)])
+    if config.max_points_per_voxel is not None:
+        counts = np.minimum(counts, config.max_points_per_voxel)
 
-    cap = config.max_points_per_voxel
-    rng = np.random.default_rng(seed) if drop == "random" else None
-    for start, end in zip(group_starts, group_ends):
-        rows = order[start:end]
-        if cap is not None and len(rows) > cap:
-            if drop == "first":
-                rows = rows[:cap]
-            else:
-                rows = rows[rng.choice(len(rows), size=cap, replace=False)]
-        block = pts[rows]
-        feature = block.sum(axis=0) / len(rows)
-        entries[int(sorted_keys[start])] = VoxelEntry(feature, len(rows))
-    return SparseVoxelGrid(entries, config)
+    # Sum rank by rank: rank r adds the r-th retained point of every voxel
+    # holding more than r, so each voxel's sum runs in input order, exactly
+    # as a per-voxel ``block.sum(axis=0)``.  Voxels sorted by falling count
+    # make the live set of each rank a prefix.
+    sums = pts[order[starts]]
+    by_count = np.argsort(-counts, kind="stable")
+    falling = -counts[by_count]
+    for rank in range(1, int(counts.max(initial=0))):
+        live = by_count[: np.searchsorted(falling, -rank)]
+        sums[live] += pts[order[starts[live] + rank]]
 
-
-def restore_centroids(grid: SparseVoxelGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Return (voxel centre, feature) pairs in lexicographic voxel order.
-
-    The centre of voxel (i, j, k) is ``origin + ((i + 0.5) v_l, (j + 0.5) v_w,
-    (k + 0.5) v_h)``.
-    """
-    origin = np.array(grid.config.origin)
-    step = np.array(grid.config.step)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for (i, j, k), entry in grid.items_lexicographic():
-        centre = origin + (np.array([i, j, k]) + 0.5) * step
-        out.append((centre, entry.feature))
-    return out
+    return SparseVoxelGrid(
+        cells=_read_only(idx[order[starts]]),
+        counts=_read_only(counts),
+        features=_read_only(sums / counts[:, None]),
+        config=config,
+    )

@@ -529,6 +529,50 @@ def brute_voxelize(
     return out
 
 
+def loop_voxelize(points: np.ndarray, config) -> tuple[np.ndarray, ...]:
+    """The per-voxel loop ``voxel.voxelize`` replaced, as the bit-exact reference.
+
+    Points are grouped by a stable argsort of their packed keys, and each
+    voxel sums its first ``cap`` points with ``block.sum(axis=0)``.
+    Returns ``(cells, counts, features, centres)`` in ascending key order;
+    a centre is ``origin + (np.array([i, j, k]) + 0.5) * step``, one voxel
+    at a time.
+    """
+    bits = 21
+    mask = (1 << bits) - 1
+    mins = np.array(config.origin)
+    step = np.array(config.step)
+    idx = np.floor((points[:, :3] - mins) / step).astype(np.int64)
+    idx = np.minimum(idx, np.array(config.resolution) - 1)
+    keys = (idx[:, 0] << (2 * bits)) | (idx[:, 1] << bits) | idx[:, 2]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    group_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    group_ends = np.r_[group_starts[1:], len(sorted_keys)]
+    cap = config.max_points_per_voxel
+    entries = {}
+    # an empty cloud has no groups, though np.r_ leaves one start
+    for start, end in zip(group_starts[: len(points)], group_ends[: len(points)]):
+        rows = order[start:end]
+        if cap is not None and len(rows) > cap:
+            rows = rows[:cap]
+        entries[int(sorted_keys[start])] = (points[rows].sum(axis=0) / len(rows), len(rows))
+    cells, counts, features, centres = [], [], [], []
+    for key in sorted(entries):
+        ijk = ((key >> (2 * bits)) & mask, (key >> bits) & mask, key & mask)
+        feature, count = entries[key]
+        cells.append(ijk)
+        counts.append(count)
+        features.append(feature)
+        centres.append(mins + (np.array(ijk) + 0.5) * step)
+    return (
+        np.array(cells, dtype=np.int64).reshape(-1, 3),
+        np.array(counts, dtype=np.int64),
+        np.array(features).reshape(-1, 4),
+        np.array(centres).reshape(-1, 3),
+    )
+
+
 # ---------------------------------------------------------------------------
 # random instance helpers
 

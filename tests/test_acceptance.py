@@ -45,7 +45,7 @@ from graphdet.pipeline import (
     train_smoke,
 )
 from graphdet.scene import Box3D, CAR_DIMS, PointCloud
-from graphdet.voxel import VoxelizationConfig, restore_centroids, voxelize
+from graphdet.voxel import VoxelizationConfig, voxelize
 
 from oracles import (
     aligned_iou_bev,
@@ -311,12 +311,11 @@ def test_criterion_7_voxelization_bounds():
         xyz = np.column_stack([rng.uniform(lo, hi, size=n) for lo, hi in bounds])
         cloud = PointCloud(np.column_stack([xyz, rng.uniform(0, 1, size=n)]))
         grid = voxelize(cloud, config)
-        if sum(entry.count for entry in grid.entries.values()) == n:
+        if grid.counts.sum() == n:
             conserved += 1
         half = np.asarray(step) / 2.0
-        for centre, feature in restore_centroids(grid):
-            worst_ratio = max(worst_ratio,
-                              float(np.max(np.abs(feature[:3] - centre) / half)))
+        worst_ratio = max(worst_ratio, float(np.max(
+            np.abs(grid.features[:, :3] - grid.centres) / half)))
     ok = ok_res and conserved == clouds and worst_ratio <= 1.0 + 1e-9
     _verdict(7, "voxelization", ok,
              f"default grid {default.resolution}, {conserved}/{clouds} clouds "

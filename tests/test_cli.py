@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from graphdet.cli import main
-from graphdet.scene import Box3D, read_detections, write_detections
+from graphdet.scene import (
+    Box3D,
+    clip_to_range,
+    generate_synthetic_scene,
+    read_detections,
+    write_detections,
+)
+from graphdet.voxel import VoxelizationConfig
+
+from oracles import loop_voxelize
 
 
 def write_config(tmp_path, **overrides):
@@ -185,6 +194,24 @@ def test_voxelize_synthetic_scene_is_deterministic(tmp_path):
     assert main(["voxelize", "--seed", "5", "--output", str(b), *step]) == 0
     assert a.read_text() == b.read_text()
     assert a.read_text().strip()
+
+
+def test_voxelize_file_rows_match_the_loop_reference(tmp_path):
+    """Pins the file format: one ``i j k count x y z r`` row per voxel, reals as repr."""
+    out = tmp_path / "voxels.txt"
+    assert main(["voxelize", "--seed", "5", "--step", "0.2", "0.2", "0.2",
+                 "--output", str(out)]) == 0
+    scene = generate_synthetic_scene(
+        5, n_objects=4, points_per_object=160, clutter_points=80, min_separation=7.0
+    )
+    config = VoxelizationConfig(step=(0.2, 0.2, 0.2), max_points_per_voxel=5)
+    cells, counts, features, _ = loop_voxelize(clip_to_range(scene).cloud.points, config)
+    want = [
+        f"{i} {j} {k} {count} " + " ".join(repr(float(v)) for v in feature)
+        for (i, j, k), count, feature in zip(cells.tolist(), counts.tolist(), features)
+    ]
+    assert len(want) > 100
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Oriented-box geometry: IoU, NMS, anchors, box coding, augmentation."""
+"""Oriented-box geometry: IoU, NMS, anchors, box coding, containment."""
 
 import math
 
@@ -10,8 +10,6 @@ from graphdet.geom import (
     NEGATIVE,
     POSITIVE,
     AnchorConfig,
-    AugmentParams,
-    augment_global,
     clip_polygon,
     decode_box,
     encode_box,
@@ -25,7 +23,7 @@ from graphdet.geom import (
     polygon_area,
     rotated_iou_bev,
 )
-from graphdet.scene import CAR_DIMS, Box3D, PointCloud, Scene, generate_synthetic_scene
+from graphdet.scene import CAR_DIMS, Box3D
 
 from oracles import (
     aligned_iou_bev,
@@ -312,65 +310,6 @@ def test_decode_validates_shape_and_carries_metadata():
         decode_box(np.zeros(6), anchor)
     out = decode_box(np.zeros(7), anchor, score=0.25)
     assert out.score == 0.25 and out.class_id == 0
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-IDENTITY = AugmentParams(rotation_range=(0.0, 0.0), scale_range=(1.0, 1.0), flip=False)
-
-
-def test_augment_identity():
-    scene = generate_synthetic_scene(13, 2, 40, 20)
-    out = augment_global(scene, seed=0, params=IDENTITY)
-    assert np.allclose(out.cloud.points, scene.cloud.points)
-    for a, b in zip(out.gt_boxes, scene.gt_boxes):
-        assert np.allclose(a.as_vector(), b.as_vector())
-
-
-def test_augment_quarter_turn_moves_points():
-    pts = np.array([[1.0, 0.0, 0.0, 0.5]])
-    scene = Scene(PointCloud(pts), (), ((-5, 5), (-5, 5), (-5, 5)))
-    params = AugmentParams(
-        rotation_range=(math.pi / 2, math.pi / 2), scale_range=(1.0, 1.0), flip=False
-    )
-    out = augment_global(scene, seed=0, params=params)
-    assert np.allclose(out.cloud.xyz[0], [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_augment_box_corners_transform_pointwise():
-    scene = generate_synthetic_scene(14, 2, 10, 0)
-    params = AugmentParams(rotation_range=(-0.8, 0.8), scale_range=(0.9, 1.1), flip=True)
-    out = augment_global(scene, seed=21, params=params)
-    # recover the drawn transform from how it moved a probe point
-    rng = np.random.default_rng(21)
-    angle = float(rng.uniform(*params.rotation_range))
-    scale = float(rng.uniform(*params.scale_range))
-    flip = bool(rng.random() < 0.5)
-    c, s = math.cos(angle), math.sin(angle)
-    for before, after in zip(scene.gt_boxes, out.gt_boxes):
-        for corner, moved in zip(before.corners_bev(), after.corners_bev()):
-            x = scale * (c * corner[0] - s * corner[1])
-            y = scale * (s * corner[0] + c * corner[1])
-            if flip:
-                y = -y
-            if flip:
-                # mirroring reverses corner order; membership is the robust check
-                dists = np.abs(after.corners_bev() - np.array([x, y])).sum(axis=1)
-                assert dists.min() < 1e-9
-            else:
-                assert np.allclose(moved, [x, y], atol=1e-9)
-
-
-def test_augment_scales_dims_and_keeps_reflectance():
-    scene = generate_synthetic_scene(15, 1, 30, 10)
-    params = AugmentParams(rotation_range=(0.3, 0.3), scale_range=(1.2, 1.2), flip=False)
-    out = augment_global(scene, seed=5, params=params)
-    assert np.allclose(out.cloud.reflectance, scene.cloud.reflectance)
-    assert np.allclose(
-        out.gt_boxes[0].dims, [1.2 * d for d in scene.gt_boxes[0].dims], atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

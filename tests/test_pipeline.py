@@ -273,7 +273,6 @@ _PIPELINE_CONFIGS = st.builds(
         TrainPipelineConfig, steps=_COUNTS, learning_rate=_UNIT, batch_scenes=_WIDTHS
     ),
     eval=st.builds(EvalConfig, ap_iou=_reals(0.0, 1.0, exclude_min=True)),
-    voxel_drop=st.sampled_from(["first", "random"]),
 )
 
 

@@ -98,7 +98,8 @@ def test_voxel_feature_set_sits_on_centroids():
     cloud = small_cloud(60, seed=2)
     grid = small_grid(cloud)
     fs = voxel_feature_set(grid, dim=4, seed=6)
-    assert len(fs) == len(grid.entries)
+    assert len(fs) == len(grid)
+    assert np.array_equal(fs.positions, grid.centres)
     want = synthetic_voxel_features(fs.positions, 4, seed=6)
     assert np.array_equal(fs.features, want)
     # centroids lie on the half-step lattice of the voxel grid

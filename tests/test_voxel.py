@@ -1,4 +1,4 @@
-"""Sparse voxelization: quantisation, capping, packing, centroid restore."""
+"""Sparse voxelization: quantisation, capping, ordering, voxel centres."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet.scene import KITTI_RANGE, PointCloud
-from graphdet.voxel import (
-    SparseVoxelGrid,
-    VoxelizationConfig,
-    pack_index,
-    restore_centroids,
-    unpack_index,
-    voxelize,
-)
+from graphdet.voxel import VoxelizationConfig, voxelize
 
-from oracles import brute_voxelize
+from oracles import brute_voxelize, loop_voxelize
 
 
 BOUNDS_10 = ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
@@ -31,16 +24,6 @@ def make_cloud(rng, n, bounds=BOUNDS_10):
     return PointCloud(np.hstack([xyz, refl]))
 
 
-def test_pack_unpack_round_trip():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        ijk = tuple(int(v) for v in rng.integers(0, 2**21, size=3))
-        assert unpack_index(pack_index(*ijk)) == ijk
-    # packing preserves lexicographic order
-    keys = [pack_index(*ijk) for ijk in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]]
-    assert keys == sorted(keys)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         VoxelizationConfig(step=(0.0, 0.1, 0.1))
@@ -48,6 +31,20 @@ def test_config_validation():
         VoxelizationConfig(max_points_per_voxel=0)
     with pytest.raises(ValueError):
         VoxelizationConfig(range_bounds=((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "cap, valid",
+    [(None, True), (1, True), (np.int64(3), True), (-3, False), (2.5, False),
+     (3.0, False), (True, False), (False, False), ("5", False)],
+)
+def test_cap_is_none_or_an_int_of_at_least_one(cap, valid):
+    # a float cap would give float counts; a bool is not a count
+    if valid:
+        assert VoxelizationConfig(max_points_per_voxel=cap).max_points_per_voxel == cap
+    else:
+        with pytest.raises(ValueError, match="max_points_per_voxel"):
+            VoxelizationConfig(max_points_per_voxel=cap)
 
 
 def test_kitti_resolution():
@@ -60,10 +57,9 @@ def test_single_point_lands_in_expected_voxel():
     cloud = PointCloud(np.array([[0.12, 0.00, 0.25, 0.7]]))
     grid = voxelize(cloud, config)
     assert len(grid) == 1
-    ((ijk, entry),) = list(grid.items_lexicographic())
-    assert ijk == (2, 0, 2)
-    assert entry.count == 1
-    assert np.allclose(entry.feature, [0.12, 0.0, 0.25, 0.7])
+    assert grid.cells.tolist() == [[2, 0, 2]]
+    assert grid.counts.tolist() == [1]
+    assert np.allclose(grid.features[0], [0.12, 0.0, 0.25, 0.7])
 
 
 def test_two_points_one_voxel_mean_feature():
@@ -71,9 +67,8 @@ def test_two_points_one_voxel_mean_feature():
     cloud = PointCloud(np.array([[1, 1, 1, 0.2], [1.01, 1.01, 1.01, 0.4]]))
     grid = voxelize(cloud, config)
     assert len(grid) == 1
-    ((_, entry),) = list(grid.items_lexicographic())
-    assert entry.count == 2
-    assert np.allclose(entry.feature, [1.005, 1.005, 1.005, 0.3])
+    assert grid.counts.tolist() == [2]
+    assert np.allclose(grid.features[0], [1.005, 1.005, 1.005, 0.3])
 
 
 def test_out_of_range_point_is_an_error():
@@ -86,7 +81,10 @@ def test_empty_cloud_empty_grid():
     config = VoxelizationConfig(range_bounds=BOUNDS_10)
     grid = voxelize(PointCloud(np.empty((0, 4))), config)
     assert len(grid) == 0
-    assert restore_centroids(grid) == []
+    assert grid.cells.shape == (0, 3) and grid.cells.dtype == np.int64
+    assert grid.counts.shape == (0,)
+    assert grid.features.shape == (0, 4)
+    assert grid.centres.shape == (0, 3)
 
 
 def test_point_conservation_uncapped():
@@ -96,26 +94,36 @@ def test_point_conservation_uncapped():
     )
     cloud = make_cloud(rng, 500)
     grid = voxelize(cloud, config)
-    assert sum(e.count for _, e in grid.items_lexicographic()) == 500
+    assert grid.counts.sum() == 500
 
 
-@settings(max_examples=80, deadline=None)
+_STEPS = st.sampled_from([0.3, 0.5, 1.0, 2.5, 10.0])
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(0, 300),
-    step=st.sampled_from([0.5, 1.0, 2.5, 10.0]),
+    step=st.tuples(_STEPS, _STEPS, _STEPS),
     cap=st.one_of(st.none(), st.integers(1, 6)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_point_conservation_matches_the_cap(n, step, cap, seed):
-    # retained points = sum over voxels of min(cap, points in the voxel)
-    config = VoxelizationConfig(
-        step=(step, step, step), max_points_per_voxel=cap, range_bounds=BOUNDS_10
-    )
+    """The grid equals the per-voxel loop's bit for bit, and each voxel
+    retains min(cap, points in the voxel) by the dict-of-lists oracle."""
+    config = VoxelizationConfig(step=step, max_points_per_voxel=cap, range_bounds=BOUNDS_10)
     cloud = make_cloud(np.random.default_rng(seed), n)
     grid = voxelize(cloud, config)
+    cells, counts, features, centres = loop_voxelize(cloud.points, config)
+    assert np.array_equal(grid.cells, cells) and grid.cells.dtype == np.int64
+    assert np.array_equal(grid.counts, counts)
+    assert np.array_equal(grid.features, features)
+    assert np.array_equal(grid.centres, centres)
+    for array in (grid.cells, grid.counts, grid.features):
+        assert not array.flags.writeable
+
     every = brute_voxelize(cloud.points, config.origin, config.step, config.resolution, None)
     want = {ijk: c if cap is None else min(cap, c) for ijk, (_, c) in every.items()}
-    got = {ijk: e.count for ijk, e in grid.items_lexicographic()}
+    got = {tuple(ijk): c for ijk, c in zip(grid.cells.tolist(), grid.counts.tolist())}
     assert got == want
     assert sum(got.values()) == (n if cap is None else sum(want.values()))
 
@@ -127,26 +135,9 @@ def test_drop_first_keeps_earliest_points():
     pts = np.array(
         [[1, 1, 1, 0.1], [2, 2, 2, 0.2], [3, 3, 3, 0.3], [4, 4, 4, 0.4]], dtype=float
     )
-    grid = voxelize(PointCloud(pts), config, drop="first")
-    ((_, entry),) = list(grid.items_lexicographic())
-    assert entry.count == 2
-    assert np.allclose(entry.feature, pts[:2].mean(axis=0))
-
-
-def test_drop_random_is_seeded_and_subsamples():
-    config = VoxelizationConfig(
-        step=(10.0, 10.0, 10.0), max_points_per_voxel=3, range_bounds=BOUNDS_10
-    )
-    rng = np.random.default_rng(2)
-    cloud = make_cloud(rng, 20)
-    a = voxelize(cloud, config, drop="random", seed=9)
-    b = voxelize(cloud, config, drop="random", seed=9)
-    ((_, ea),) = list(a.items_lexicographic())
-    ((_, eb),) = list(b.items_lexicographic())
-    assert ea.count == 3
-    assert np.array_equal(ea.feature, eb.feature)
-    with pytest.raises(ValueError):
-        voxelize(cloud, config, drop="weird")
+    grid = voxelize(PointCloud(pts), config)
+    assert grid.counts.tolist() == [2]
+    assert np.allclose(grid.features[0], pts[:2].mean(axis=0))
 
 
 def test_quantisation_bound_and_oracle_agreement():
@@ -162,25 +153,24 @@ def test_quantisation_bound_and_oracle_agreement():
             cloud.points, config.origin, config.step, config.resolution, 4
         )
         assert len(grid) == len(ref)
-        for ijk, entry in grid.items_lexicographic():
-            feat_ref, count_ref = ref[ijk]
-            assert entry.count == count_ref
-            assert np.allclose(entry.feature, feat_ref, atol=1e-12)
-            centre = np.array(config.origin) + (np.array(ijk) + 0.5) * step
-            assert np.all(np.abs(entry.feature[:3] - centre) <= 0.5 * step + 1e-12)
+        for ijk, count, feature, centre in zip(
+            grid.cells.tolist(), grid.counts, grid.features, grid.centres
+        ):
+            feat_ref, count_ref = ref[tuple(ijk)]
+            assert count == count_ref
+            assert np.allclose(feature, feat_ref, atol=1e-12)
+            assert np.all(np.abs(feature[:3] - centre) <= 0.5 * step + 1e-12)
 
 
 def test_restore_centroids_positions_and_order():
     config = VoxelizationConfig(step=(0.05, 0.05, 0.1), range_bounds=KITTI_RANGE)
-    entry_grid = voxelize(
-        PointCloud(np.array([[0.01, -39.99, -2.99, 0.5], [3.0, 0.0, 0.0, 0.2]])),
+    grid = voxelize(
+        PointCloud(np.array([[3.0, 0.0, 0.0, 0.2], [0.01, -39.99, -2.99, 0.5]])),
         config,
     )
-    restored = restore_centroids(entry_grid)
-    assert np.allclose(restored[0][0], [0.025, -39.975, -2.95])
-    # lexicographic ordering of the voxel indices
-    keys = [k for k, _ in entry_grid.items_lexicographic()]
-    assert keys == sorted(keys)
+    assert np.allclose(grid.centres[0], [0.025, -39.975, -2.95])
+    # lexicographic ordering of the voxel indices, whatever the input order
+    assert grid.cells.tolist() == sorted(grid.cells.tolist())
 
 
 def test_round_trip_quantisation_bound():
@@ -190,5 +180,5 @@ def test_round_trip_quantisation_bound():
     )
     cloud = make_cloud(rng, 100)
     grid = voxelize(cloud, config)
-    for centre, feature in restore_centroids(grid):
+    for centre, feature in zip(grid.centres, grid.features):
         assert np.all(np.abs(feature[:3] - centre) <= 0.5 * np.array(config.step))
