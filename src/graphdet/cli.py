@@ -307,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the metrics report as JSON")
     p.set_defaults(func=_cmd_run_pipeline)
 
-    p = sub.add_parser("train-smoke", help="descend the toy losses and report the drop")
+    p = sub.add_parser(
+        "train-smoke",
+        help="descend the refinement loss (header focal + box smooth-L1) and report the drop",
+    )
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--steps", type=int, help="override the training step count")

@@ -35,12 +35,13 @@ NEGATIVE = 0
 IGNORE = -1
 
 
-def _footprint(box: Box3D) -> list[tuple[float, float]]:
-    """Footprint corners as float pairs, in :meth:`Box3D.corners_bev` order."""
+def _footprint(box: Box3D, ox: float, oy: float) -> list[tuple[float, float]]:
+    """Footprint corners relative to the origin ``(ox, oy)``, as float
+    pairs in :meth:`Box3D.corners_bev` order."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     lc, ls = 0.5 * box.dims[0] * c, 0.5 * box.dims[0] * s
     wc, ws = 0.5 * box.dims[1] * c, 0.5 * box.dims[1] * s
-    cx, cy = box.center[0], box.center[1]  # each sum in corners_bev's matmul order
+    cx, cy = box.center[0] - ox, box.center[1] - oy  # each sum in corners_bev's matmul order
     return [
         (lc - ws + cx, ls + wc + cy),
         (-lc - ws + cx, -ls + wc + cy),
@@ -102,8 +103,16 @@ def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 def intersection_area_bev(a: Box3D, b: Box3D) -> float:
-    """Footprint intersection area of two oriented boxes."""
-    return _area(_clip(_footprint(a), _footprint(b)))
+    """Footprint intersection area of two oriented boxes.
+
+    Both footprints are clipped relative to the midpoint of the two
+    centres, an origin that does not depend on the argument order, so the
+    rounding error scales with the boxes' size and distance rather than
+    with their distance from the world origin.
+    """
+    ox = 0.5 * (a.center[0] + b.center[0])
+    oy = 0.5 * (a.center[1] + b.center[1])
+    return _area(_clip(_footprint(a, ox, oy), _footprint(b, ox, oy)))
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
@@ -395,21 +404,6 @@ def decode_box(
         yaw=anchor.yaw + res[6],
         score=score,
         class_id=class_id if class_id is not None else anchor.class_id,
-    )
-
-
-def point_in_box(point: np.ndarray, box: Box3D) -> bool:
-    """Face-inclusive containment test for a single 3D point."""
-    dx = point[0] - box.center[0]
-    dy = point[1] - box.center[1]
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
-    l, w, h = box.dims
-    return (
-        abs(lx) <= 0.5 * l
-        and abs(ly) <= 0.5 * w
-        and abs(point[2] - box.center[2]) <= 0.5 * h
     )
 
 

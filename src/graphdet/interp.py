@@ -197,22 +197,13 @@ def set_abstraction(
     return FeatureSet(centers, out)
 
 
-def sample_bev_point(bev: BevFeatureMap, x: float, y: float, mode: str = "bilinear") -> np.ndarray:
-    """Sample all map channels at one continuous position.
-
-    ``bilinear`` blends the four surrounding cell centres with zero
-    padding outside the raster; ``nearest`` snaps to the closest cell.
-    """
+def sample_bev_point(bev: BevFeatureMap, x: float, y: float) -> np.ndarray:
+    """Sample all map channels at one continuous position, blending the
+    four surrounding cell centres bilinearly with zero padding outside
+    the raster."""
     rows, cols, channels = bev.grid.shape
     gc = (x - bev.origin[0]) / bev.cell_size - 0.5  # column coordinate
     gr = (y - bev.origin[1]) / bev.cell_size - 0.5  # row coordinate
-    if mode == "nearest":
-        r, c = round(gr), round(gc)
-        if 0 <= r < rows and 0 <= c < cols:
-            return bev.grid[int(r), int(c)].copy()
-        return np.zeros(channels)
-    if mode != "bilinear":
-        raise ValueError(f"unknown sampling mode {mode!r}")
     r0, c0 = math.floor(gr), math.floor(gc)
     tr, tc = gr - r0, gc - c0
     out = np.zeros(channels)
@@ -230,7 +221,6 @@ def sample_bev_grid(
     proposal: Box3D,
     m1: int,
     m2: int,
-    mode: str = "bilinear",
 ) -> np.ndarray:
     """Read an m1 x m2 probe grid out of a proposal's rotated footprint.
 
@@ -256,5 +246,5 @@ def sample_bev_grid(
             x = proposal.center[0] + c * lx - s * ly
             y = proposal.center[1] + s * lx + c * ly
             g = i * m2 + j
-            out[g] = sample_bev_point(bev, x, y, mode=mode)[g]
+            out[g] = sample_bev_point(bev, x, y)[g]
     return out

@@ -6,8 +6,11 @@ fields stand in for a learned backbone, proposals are ground-truth boxes
 under seeded noise (standing in for a region proposal stage), region
 feature aggregation builds node states, the graph refiner and its header
 produce scored boxes, suppression and metrics close the loop.  Training
-is plain gradient descent on the summed detection losses against a fixed
-synthetic batch.
+is plain gradient descent on the refinement loss against a fixed
+synthetic batch: the header's focal loss over the proposals plus its
+smooth-L1 over the foreground proposals' box residuals.  The refiner
+(graph updater and header) is the only trained model, because it is the
+only one a detection reads.
 
 The headline ``ap_*`` keys are scored on the first training scene, so
 they show what refinement adds on the batch it descended on.  The
@@ -24,16 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .geom import (
-    POSITIVE,
-    AnchorConfig,
-    Box3D,
-    encode_box,
-    generate_anchors,
-    match_anchors,
-    nms,
-    rotated_iou_bev,
-)
+from .geom import Box3D, encode_box, nms, rotated_iou_bev
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
@@ -46,29 +40,19 @@ from .gnn import (
     update_extended_forward,
     update_vanilla_forward,
 )
-from .interp import (
-    BevFeatureMap,
-    FeatureSet,
-    propagate_features,
-    sample_bev_point,
-)
+from .interp import propagate_features
 from .metrics import BevIouMatcher, RecallSchedule, interpolated_ap, precision_recall
 from .nnet import (
     DenseStack,
     LossConfig,
-    _sigmoid,
     add_layer_grads,
     focal_loss,
     focal_loss_grad,
     masked_smooth_l1_mean,
     masked_smooth_l1_mean_grad,
-    smooth_l1,
-    smooth_l1_grad,
-    total_loss,
 )
 from .rfa import (
     RfaConfig,
-    auxiliary_targets,
     default_point_stacks,
     point_pyramid,
     roi_states,
@@ -102,10 +86,7 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(ValueError):
-    """Raised when a loss term stops being finite during training."""
-
-
-_LOSS_TERMS = ("l_rpn", "l_gnn", "l_offset", "l_seg")
+    """Raised when the refinement loss stops being finite during training."""
 
 
 @dataclass(frozen=True)
@@ -206,9 +187,6 @@ class PipelineConfig:
     bev_cell_size: float = 0.4
     scene: SceneConfig = field(default_factory=SceneConfig)
     voxel: VoxelizationConfig = field(default_factory=VoxelizationConfig)
-    anchors: AnchorConfig = field(
-        default_factory=lambda: AnchorConfig(bev_resolution=(40, 40))
-    )
     rfa: RfaConfig = field(
         default_factory=lambda: RfaConfig(keypoint_counts=(64, 16, 8))
     )
@@ -248,12 +226,9 @@ def _to_json(value: Any) -> Any:
 
 
 def _section_to_dict(name: str, section: Any) -> dict[str, Any]:
-    """One sub-config's file section.  The format departs from the fields
-    twice: ``anchors`` spells ``bev_resolution`` as ``rows``/``cols``, and
-    ``voxel`` has no ``range_bounds`` (the grid covers the top-level range)."""
+    """One sub-config's file section: its fields, except that ``voxel`` has
+    no ``range_bounds`` (the grid covers the top-level range)."""
     out = {f.name: _to_json(getattr(section, f.name)) for f in fields(section)}
-    if name == "anchors":
-        out["rows"], out["cols"] = out.pop("bev_resolution")
     if name == "voxel":
         del out["range_bounds"]
     return out
@@ -278,7 +253,8 @@ def _coerce(name: str, default: Any, value: Any) -> Any:
     """File value ``name`` read as the type of the field's default.
 
     Lists become tuples element by element; ``None`` passes through.  A
-    bool fits only a bool field, and NaN or an infinity fits none.
+    bool fits only a bool field, NaN or an infinity fits none, and a
+    non-integral number fits no int field (``2.0`` does, ``2.7`` does not).
     """
     if isinstance(default, tuple):
         item = default[0] if default else None
@@ -288,6 +264,8 @@ def _coerce(name: str, default: Any, value: Any) -> Any:
     if _not_a_number(value) or _not_a_number(out := type(default)(value)):
         kind = "a finite number" if isinstance(default, (int, float)) else f"a {type(default).__name__}"
         raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
+    if isinstance(value, float) and out != value:
+        raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
     return out
 
 
@@ -298,10 +276,6 @@ def _not_a_number(value: Any) -> bool:
 
 def _parse_section(name: str, default: Any, raw: dict[str, Any]) -> Any:
     """Merge file section ``name`` over the pipeline's default sub-config."""
-    raw = dict(raw)
-    if "rows" in raw or "cols" in raw:
-        rows, cols = default.bev_resolution
-        raw["bev_resolution"] = (raw.pop("rows", rows), raw.pop("cols", cols))
     return replace(
         default, **{k: _coerce(f"{name}.{k}", getattr(default, k), v) for k, v in raw.items()}
     )
@@ -361,21 +335,10 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 @dataclass
 class _Targets:
-    """The inputs and targets that only training reads.  ``rpn_cls`` reads
-    every anchor; ``rpn_reg`` only the positive ones, so just their (n_pos, C)
-    inputs and (n_pos, 7) encoded boxes are kept, and likewise ``aux_off``'s
-    (n_in, D) voxel features and (n_in, 3) offsets of the in-box points."""
+    """The refinement targets of one world's proposals, which only training reads."""
 
-    aux_mask: np.ndarray  # (n_points,) in-box points
-    anchor_inputs: np.ndarray  # (n_anchors, C)
-    anchor_valid: np.ndarray  # (n_anchors,) anchors not ignored
-    anchor_valid_fg: np.ndarray  # (n_valid,) positives among the valid
-    reg_inputs: np.ndarray
-    reg_targets: np.ndarray
-    off_inputs: np.ndarray
-    off_targets: np.ndarray
-    prop_fg: np.ndarray
-    prop_reg_targets: np.ndarray
+    prop_fg: np.ndarray  # (n_proposals,) proposals matching a ground-truth box
+    prop_reg_targets: np.ndarray  # (n_proposals, 7) encoded boxes; zero rows off the foreground
 
 
 @dataclass
@@ -383,8 +346,6 @@ class _World:
     """One materialised scene; ``targets`` is set on training worlds only."""
 
     scene: Scene
-    bev: BevFeatureMap
-    point_voxel_feats: FeatureSet | None  # voxel field interpolated onto the cloud
     graph: NeighborhoodGraph  # one node per proposal; empty when there are none
     targets: _Targets | None = None
 
@@ -474,27 +435,13 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
     else:
         proposals, states = [], []
     graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
-    return _World(scene=scene, bev=bev, point_voxel_feats=point_voxel_feats, graph=graph)
+    return _World(scene=scene, graph=graph)
 
 
 def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
-    """Anchor, auxiliary and proposal targets of one world, for training."""
+    """Each proposal's refinement target: the ground-truth box of best BEV
+    IoU (lowest index on ties), if that IoU reaches ``proposals.pos_iou``."""
     scene = world.scene
-    aux_mask, aux_offsets = auxiliary_targets(scene.cloud, scene.gt_boxes)
-
-    anchors = generate_anchors(config.anchors, config.range_bounds)
-    assignment = match_anchors(anchors, scene.gt_boxes, config.anchors)
-    anchor_inputs = np.stack(
-        [sample_bev_point(world.bev, a.center[0], a.center[1]) for a in anchors]
-    )
-    labels = assignment.labels
-    positive = np.flatnonzero(labels == POSITIVE)
-    reg_targets = np.array(
-        [_encode_target(scene.gt_boxes[assignment.gt_indices[i]], anchors[i]) for i in positive]
-    ).reshape(-1, 7)
-    feats = world.point_voxel_feats  # None only when the cloud is empty
-    voxel_feats = feats.features if feats is not None else np.zeros((0, config.rfa.voxel_dim))
-
     proposals = world.graph.boxes
     n_p = len(proposals)
     prop_fg = np.zeros(n_p, dtype=bool)
@@ -510,18 +457,7 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
                 prop_fg[i] = True
                 prop_reg_targets[i] = _encode_target(scene.gt_boxes[best_g], prop)
 
-    return _Targets(
-        aux_mask=aux_mask,
-        anchor_inputs=anchor_inputs,
-        anchor_valid=labels != -1,
-        anchor_valid_fg=(labels == POSITIVE)[labels != -1],
-        reg_inputs=anchor_inputs[positive],
-        reg_targets=reg_targets,
-        off_inputs=voxel_feats[aux_mask],
-        off_targets=aux_offsets[aux_mask],
-        prop_fg=prop_fg,
-        prop_reg_targets=prop_reg_targets,
-    )
+    return _Targets(prop_fg=prop_fg, prop_reg_targets=prop_reg_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +467,18 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
 
 @dataclass
 class PipelineModels:
-    """All trainable stacks of the desk pipeline."""
+    """The trainable stacks of the desk pipeline: the graph updater and the
+    detection header's classification and regression stacks."""
 
     updater: GraphUpdater
     cls_stack: DenseStack
     reg_stack: DenseStack
-    rpn_cls: DenseStack
-    rpn_reg: DenseStack
-    aux_seg: DenseStack
-    aux_off: DenseStack
 
 
 def init_models(config: PipelineConfig) -> PipelineModels:
     """Seeded (or zeroed, per ``header_init``) model stacks."""
     f = config.state_dim
-    seed = config.seed + _MODEL_OFFSET
-    child = np.random.SeedSequence(seed).generate_state(8)
+    child = np.random.SeedSequence(config.seed + _MODEL_OFFSET).generate_state(3)
     extended = config.gnn.variant == "extended"
     updater = GraphUpdater.seeded(
         f, config.gnn.hidden_dim, config.gnn.depth, int(child[0]), extended=extended
@@ -558,12 +490,7 @@ def init_models(config: PipelineConfig) -> PipelineModels:
     else:
         cls_stack = DenseStack.seeded((f, hh, 1), int(child[1]))
         reg_stack = DenseStack.seeded((f, hh, 7), int(child[2]))
-    c = config.rfa.pixel_dim
-    rpn_cls = DenseStack.seeded((c, hh, 1), int(child[3]))
-    rpn_reg = DenseStack.seeded((c, hh, 7), int(child[4]))
-    aux_seg = DenseStack.seeded((config.rfa.voxel_dim, 16, 1), int(child[5]))
-    aux_off = DenseStack.seeded((config.rfa.voxel_dim, 16, 3), int(child[6]))
-    return PipelineModels(updater, cls_stack, reg_stack, rpn_cls, rpn_reg, aux_seg, aux_off)
+    return PipelineModels(updater, cls_stack, reg_stack)
 
 
 def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: PipelineConfig):
@@ -573,116 +500,33 @@ def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: Pi
     return update_vanilla_forward(graph, models.updater)
 
 
-def _smooth_l1_rows(stack: DenseStack, inputs, targets, beta: float, grads, key: str) -> float:
-    """Mean smooth-L1 of ``stack`` over the given rows; the stack's
-    gradient goes to ``grads[key]`` unless ``grads`` is None."""
-    n = len(inputs)
-    if n == 0:
-        if grads is not None:
-            grads[key] = stack.zero_grads()
-        return 0.0
-    out, cache = stack.forward(inputs)
-    if grads is not None:
-        grads[key], _ = stack.backward(cache, smooth_l1_grad(out, targets, beta) / n)
-    return smooth_l1(out, targets, beta) / n
-
-
 def _evaluate(
     models: PipelineModels, world: _World, config: PipelineConfig, want_grads: bool
-):
-    """Forward (and optionally backward) pass over one world.
+) -> tuple[float, dict[str, Any] | None]:
+    """Refinement loss of one world and, if wanted, its gradients.
 
-    Returns (loss components dict, grads dict or None).  Gradient entries
-    mirror the model stacks.  ``rpn_cls`` and ``aux_seg`` run on every row;
-    ``rpn_reg`` and ``aux_off`` only on the rows their losses read (positive
-    anchors, in-box points), with ``masked_smooth_l1_mean``'s values bit for
-    bit, except that NumPy multiplies a single row with gemv, not gemm, so
-    a one-row stack's weights may move in the last bits.
+    The loss is the header's focal loss over the proposals plus its
+    smooth-L1 over the foreground proposals' box residuals.  Gradient
+    entries are keyed by :class:`PipelineModels` field name.
     """
+    if len(world.graph) == 0:
+        zero = {f.name: getattr(models, f.name).zero_grads() for f in fields(models)}
+        return 0.0, zero if want_grads else None
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    grads: dict[str, Any] = {} if want_grads else None
-    targets = world.targets
-
-    # Proposal-stage loss over anchors.
-    valid = targets.anchor_valid
-    cls_out, cls_cache = models.rpn_cls.forward(targets.anchor_inputs)
-    probs = _sigmoid(cls_out[:, 0])
-    l_rpn_cls = focal_loss(probs[valid], targets.anchor_valid_fg, cfg_loss)
-    if want_grads:
-        dp = np.zeros_like(probs)
-        dp[valid] = focal_loss_grad(probs[valid], targets.anchor_valid_fg, cfg_loss)
-        dlogit = (dp * probs * (1.0 - probs))[:, None]
-        grads["rpn_cls"], _ = models.rpn_cls.backward(cls_cache, dlogit)
-    l_rpn = l_rpn_cls + _smooth_l1_rows(
-        models.rpn_reg, targets.reg_inputs, targets.reg_targets, beta, grads, "rpn_reg"
+    fg, reg_targets = world.targets.prop_fg, world.targets.prop_reg_targets
+    refined, ucache = _refine_forward(models, world.graph, config)
+    scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
+    loss = focal_loss(scores, fg, cfg_loss) + masked_smooth_l1_mean(residuals, reg_targets, fg, beta)
+    if not want_grads:
+        return loss, None
+    dscores = focal_loss_grad(scores, fg, cfg_loss)
+    dres = masked_smooth_l1_mean_grad(residuals, reg_targets, fg, beta)
+    cls_grads, reg_grads, dz = header_backward(
+        hcache, models.cls_stack, models.reg_stack, dscores, dres
     )
-
-    # Refinement-stage loss over graph nodes.
-    if len(world.graph):
-        refined, ucache = _refine_forward(models, world.graph, config)
-        scores, residuals, hcache = header_forward(
-            refined, models.cls_stack, models.reg_stack
-        )
-        l_gnn_cls = focal_loss(scores, targets.prop_fg, cfg_loss)
-        l_gnn_reg = masked_smooth_l1_mean(
-            residuals, targets.prop_reg_targets, targets.prop_fg, beta
-        )
-        l_gnn = l_gnn_cls + l_gnn_reg
-        if want_grads:
-            dscores = focal_loss_grad(scores, targets.prop_fg, cfg_loss)
-            dres = masked_smooth_l1_mean_grad(
-                residuals, targets.prop_reg_targets, targets.prop_fg, beta
-            )
-            cls_grads, reg_grads, dz = header_backward(
-                hcache, models.cls_stack, models.reg_stack, dscores, dres
-            )
-            grads["cls_stack"] = cls_grads
-            grads["reg_stack"] = reg_grads
-            grads["updater"], _ = update_backward(ucache, dz)
-    else:
-        l_gnn = 0.0
-        if want_grads:
-            grads["cls_stack"] = models.cls_stack.zero_grads()
-            grads["reg_stack"] = models.reg_stack.zero_grads()
-            grads["updater"] = models.updater.zero_grads()
-
-    # Point-wise auxiliary losses.
-    if world.point_voxel_feats is not None and len(world.point_voxel_feats):
-        feats = world.point_voxel_feats.features
-        seg_out, seg_cache = models.aux_seg.forward(feats)
-        seg_probs = _sigmoid(seg_out[:, 0])
-        l_seg = focal_loss(seg_probs, targets.aux_mask, cfg_loss)
-        if want_grads:
-            dseg = focal_loss_grad(seg_probs, targets.aux_mask, cfg_loss)
-            dlogit = (dseg * seg_probs * (1.0 - seg_probs))[:, None]
-            grads["aux_seg"], _ = models.aux_seg.backward(seg_cache, dlogit)
-    else:
-        l_seg = 0.0
-        if want_grads:
-            grads["aux_seg"] = models.aux_seg.zero_grads()
-    l_offset = _smooth_l1_rows(
-        models.aux_off, targets.off_inputs, targets.off_targets, beta, grads, "aux_off"
-    )
-
-    components = {
-        "l_rpn": l_rpn,
-        "l_gnn": l_gnn,
-        "l_offset": l_offset,
-        "l_seg": l_seg,
-        "total": total_loss(l_rpn, l_gnn, l_offset, l_seg),
-    }
-    return components, grads
-
-
-def _apply_grads(models: PipelineModels, grads: dict[str, Any], lr: float) -> None:
-    models.rpn_cls.sgd_step(grads["rpn_cls"], lr)
-    models.rpn_reg.sgd_step(grads["rpn_reg"], lr)
-    models.cls_stack.sgd_step(grads["cls_stack"], lr)
-    models.reg_stack.sgd_step(grads["reg_stack"], lr)
-    models.updater.sgd_step(grads["updater"], lr)
-    models.aux_seg.sgd_step(grads["aux_seg"], lr)
-    models.aux_off.sgd_step(grads["aux_off"], lr)
+    updater_grads, _ = update_backward(ucache, dz)
+    return loss, {"updater": updater_grads, "cls_stack": cls_grads, "reg_stack": reg_grads}
 
 
 def _sum_grads(total: dict[str, Any] | None, extra: dict[str, Any]) -> dict[str, Any]:
@@ -709,17 +553,16 @@ def _batch_evaluate(
     worlds: list[_World],
     config: PipelineConfig,
     want_grads: bool = True,
-) -> tuple[dict[str, float], dict[str, Any] | None]:
-    """Loss components and (optionally) gradients, summed over the worlds."""
+) -> tuple[float, dict[str, Any] | None]:
+    """Refinement loss and (optionally) gradients, summed over the worlds."""
     grads = None
-    sums = dict.fromkeys(("total", *_LOSS_TERMS), 0.0)
+    total = 0.0
     for world in worlds:
-        components, world_grads = _evaluate(models, world, config, want_grads)
-        for key in sums:
-            sums[key] += components[key]
+        loss, world_grads = _evaluate(models, world, config, want_grads)
+        total += loss
         if want_grads:
             grads = _sum_grads(grads, world_grads)
-    return sums, grads
+    return total, grads
 
 
 def _training_worlds(config: PipelineConfig) -> list[_World]:
@@ -742,8 +585,8 @@ def _train_models(
     """Train on the batch; also returns the first training world, which is
     the pipeline's main scene (training never mutates a world).
 
-    Raises :class:`TrainingDivergedError`, naming the step and the term,
-    as soon as a loss term is not finite.
+    Raises :class:`TrainingDivergedError`, naming the step and the loss
+    term, as soon as the refinement loss ``l_gnn`` is not finite.
     """
     worlds = _training_worlds(config)
     models = init_models(config)
@@ -751,24 +594,26 @@ def _train_models(
     history = []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        sums, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
-        for term in _LOSS_TERMS:
-            if not math.isfinite(sums[term]):
-                raise TrainingDivergedError(
-                    f"training diverged at step {step}: loss term {term} is {sums[term]}"
-                )
-        history.append(sums["total"] / len(worlds))
+        loss, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(
+                f"training diverged at step {step}: loss term l_gnn is {loss}"
+            )
+        history.append(loss / len(worlds))
         if grads is not None:
-            _apply_grads(models, grads, lr)
+            for name, stack_grads in grads.items():
+                getattr(models, name).sgd_step(stack_grads, lr)
     return models, history, worlds[0]
 
 
 def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]:
-    """Plain gradient descent on the summed losses over one fixed batch.
+    """Plain gradient descent on the refinement loss over one fixed batch.
 
-    Returns the total loss before training and after every step, so the
-    history has ``steps + 1`` entries.  Zero steps report only the initial
-    loss; a zero learning rate leaves the history constant.
+    The refinement loss is the detection header's focal loss plus its box
+    smooth-L1, summed over the batch's worlds and divided by their count.
+    Returns it before training and after every step, so the history has
+    ``steps + 1`` entries.  Zero steps report only the initial loss; a
+    zero learning rate leaves the history constant.
     """
     if steps is None:
         steps = config.train.steps

@@ -105,18 +105,6 @@ class Box3D:
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.array(self.center[:2])
 
-    def corners_3d(self) -> np.ndarray:
-        """All eight corners as an (8, 3) array, bottom face first."""
-        bev = self.corners_bev()
-        bottom, top = self.z_interval()
-        lower = np.column_stack([bev, np.full(4, bottom)])
-        upper = np.column_stack([bev, np.full(4, top)])
-        return np.vstack([lower, upper])
-
-    def as_vector(self) -> np.ndarray:
-        """The (cx, cy, cz, l, w, h, yaw) parameter vector."""
-        return np.array([*self.center, *self.dims, self.yaw])
-
 
 @dataclass(frozen=True)
 class PointCloud:

@@ -22,7 +22,6 @@ def write_config(tmp_path, **overrides):
     raw = {
         "scene": {"n_objects": 2, "points_per_object": 48, "clutter_points": 24},
         "voxel": {"step": [0.4, 0.4, 0.4], "max_points_per_voxel": None},
-        "anchors": {"rows": 16, "cols": 16},
         "rfa": {
             "keypoint_counts": [24, 12, 6],
             "radii": [[0.4, 0.8], [0.8, 1.6], [1.6, 3.2]],
@@ -242,7 +241,8 @@ def test_refine_zero_header_passes_proposals_through(tmp_path):
     originals = read_detections(props)
     assert len(refined) == 3
     for ref, orig in zip(refined, originals):
-        assert np.allclose(ref.as_vector(), orig.as_vector(), atol=1e-12)
+        want = (*orig.center, *orig.dims, orig.yaw)
+        assert np.allclose((*ref.center, *ref.dims, ref.yaw), want, atol=1e-12)
         assert ref.score == pytest.approx(0.5)
 
 

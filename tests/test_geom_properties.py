@@ -125,6 +125,12 @@ _SCORE_THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5])
 
 
 @given(box_pairs())
+@example(
+    (
+        Box3D((-12.228443628544746, 15.0, 0.0), (0.125, 0.25, 1.0), 0.0),
+        Box3D((-12.228443628544746, 15.0, 0.0), (0.125, 0.5, 1.0), 0.0),
+    )
+)
 def test_iou_is_symmetric_and_bounded(pair):
     a, b = pair
     ab, ba = rotated_iou_bev(a, b), rotated_iou_bev(b, a)
@@ -133,6 +139,12 @@ def test_iou_is_symmetric_and_bounded(pair):
 
 
 @given(box_pairs())
+@example(
+    (
+        Box3D((5.85925612109444, 15.561141943789519, 0.0), (0.25, 0.125, 1.0), 0.0),
+        Box3D((5.85925612109444, 15.561141943789519, 0.0), (0.109375, 0.109375, 1.0), 0.0),
+    )
+)
 def test_iou_agrees_with_the_numpy_oracle(pair):
     a, b = pair
     assert abs(rotated_iou_bev(a, b) - np_rotated_iou_bev(a, b)) <= 1e-12

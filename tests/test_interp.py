@@ -205,15 +205,14 @@ def flat_map(value: float, rows=4, cols=4, channels=2) -> BevFeatureMap:
 def test_sample_constant_map():
     bev = flat_map(3.5)
     assert np.allclose(sample_bev_point(bev, 2.0, 2.0), 3.5)
-    assert np.allclose(sample_bev_point(bev, 1.3, 2.7, mode="nearest"), 3.5)
+    assert np.allclose(sample_bev_point(bev, 1.3, 2.7), 3.5)
 
 
 def test_sample_cell_centre_reads_that_cell():
     grid = np.arange(16, dtype=float).reshape(4, 4, 1)
     bev = BevFeatureMap(grid, 1.0, (0.0, 0.0))
     # cell (r=2, c=1) centre is (1.5, 2.5)
-    assert sample_bev_point(bev, 1.5, 2.5)[0] == pytest.approx(grid[2, 1, 0])
-    assert sample_bev_point(bev, 1.5, 2.5, mode="nearest")[0] == grid[2, 1, 0]
+    assert sample_bev_point(bev, 1.5, 2.5)[0] == grid[2, 1, 0]
 
 
 def test_sample_bilinear_midpoint():
@@ -228,11 +227,6 @@ def test_sample_outside_map_is_zero_padded():
     assert np.allclose(sample_bev_point(bev, -10.0, 0.0), 0.0)
     # halfway off the edge blends with zero padding
     assert np.allclose(sample_bev_point(bev, 0.0, 2.0), 1.0)
-
-
-def test_sample_unknown_mode():
-    with pytest.raises(ValueError, match="unknown sampling mode"):
-        sample_bev_point(flat_map(0.0), 0.0, 0.0, mode="cubic")
 
 
 def test_sample_bev_grid_constant_map_and_channel_layout():

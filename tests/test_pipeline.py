@@ -1,7 +1,8 @@
 """End-to-end pipeline: configuration files, training smoke runs, scoring."""
 
 import json
-from dataclasses import replace
+import warnings
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import pipeline
-from graphdet.geom import AnchorConfig
-from graphdet.nnet import DenseStack, LossConfig
+from graphdet.gnn import header_forward
+from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
     ConfigError,
     EvalConfig,
@@ -30,7 +31,7 @@ from graphdet.pipeline import (
 from graphdet.rfa import RfaConfig
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import all_rows_evaluate, loop_update_backward
+from oracles import loop_update_backward
 
 
 def tiny_raw(**overrides):
@@ -38,7 +39,6 @@ def tiny_raw(**overrides):
     raw = {
         "scene": {"n_objects": 2, "points_per_object": 48, "clutter_points": 24},
         "voxel": {"step": [0.4, 0.4, 0.4], "max_points_per_voxel": None},
-        "anchors": {"rows": 16, "cols": 16},
         "rfa": {
             "keypoint_counts": [24, 12, 6],
             "radii": [[0.4, 0.8], [0.8, 1.6], [1.6, 3.2]],
@@ -123,20 +123,39 @@ def test_partial_section_keeps_the_pipeline_defaults():
     config = parse_pipeline_config({"rfa": {"m1": 3}})
     assert config.rfa.keypoint_counts == (64, 16, 8)
     assert config.rfa == replace(PipelineConfig().rfa, m1=3)
-    assert parse_pipeline_config({"anchors": {"cols": 8}}).anchors.bev_resolution == (40, 8)
 
 
 @pytest.mark.parametrize(
     "raw, key",
     [
         ({"range_bounds": [[0, 1], [0, 1], [0, 1]]}, "'range_bounds'"),
-        ({"anchors": {"bev_resolution": [8, 8]}}, "'anchors'.'bev_resolution'"),
         ({"voxel": {"range_bounds": [[0, 1], [0, 1], [0, 1]]}}, "'voxel'.'range_bounds'"),
     ],
 )
 def test_field_names_the_file_spells_differently_are_unknown_keys(raw, key):
     with pytest.raises(ConfigError, match=f"unknown config key {key}"):
         parse_pipeline_config(raw)
+
+
+def test_anchors_section_is_an_unknown_key():
+    # No trained model reads anchors, so the config has no anchor section.
+    with pytest.raises(ConfigError, match="unknown config key 'anchors'"):
+        parse_pipeline_config({"anchors": {"rows": 16, "cols": 16}})
+
+
+def test_file_keys_mirror_the_dataclass_fields():
+    # Two departures only: the top-level range_bounds is spelled "range",
+    # and the voxel section has no range_bounds of its own.
+    config = PipelineConfig()
+    known = config_to_dict(config)
+    renamed = {"range_bounds": "range"}
+    assert list(known) == [renamed.get(f.name, f.name) for f in fields(config)]
+    for f in fields(config):
+        section = getattr(config, f.name)
+        if is_dataclass(section):
+            omitted = {"range_bounds"} if f.name == "voxel" else set()
+            want = [g.name for g in fields(section) if g.name not in omitted]
+            assert list(known[f.name]) == want, f.name
 
 
 @pytest.mark.parametrize(
@@ -152,12 +171,26 @@ def test_field_names_the_file_spells_differently_are_unknown_keys(raw, key):
         ('{"train": {"learning_rate": "nan"}}', "train.learning_rate"),
         ('{"eval": {"ap_iou": true}}', "eval.ap_iou"),
         ('{"seed": true}', "seed"),
-        ('{"anchors": {"rows": false}}', "anchors.bev_resolution"),
+        ('{"rfa": {"keypoint_counts": [64, false, 8]}}', "rfa.keypoint_counts"),
     ],
 )
 def test_non_finite_numbers_and_bools_name_their_key(text, key):
     with pytest.raises(ConfigError, match=f"config key '{key}' must be a finite number"):
         parse_pipeline_config(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"train": {"steps": 2.7}}, "train.steps"),
+        ({"voxel": {"max_points_per_voxel": 2.5}}, "voxel.max_points_per_voxel"),
+        ({"rfa": {"keypoint_counts": [64, 16.5, 8]}}, "rfa.keypoint_counts"),
+        ({"seed": -0.5}, "seed"),
+    ],
+)
+def test_non_integral_numbers_for_int_fields_name_their_key(raw, key):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be an integer, got"):
+        parse_pipeline_config(raw)
 
 
 def test_bool_fields_still_take_bools():
@@ -169,17 +202,18 @@ def test_values_take_the_type_of_their_default():
     config = parse_pipeline_config(
         {
             "scene": {"n_objects": "2"},
+            "train": {"steps": 2.0},
             "gnn": {"radius": 1},
-            "voxel": {"max_points_per_voxel": None},
-            "anchors": {"yaws": [0, 1]},
+            "voxel": {"max_points_per_voxel": None, "step": [1, 1, 1]},
             "loss": {"focal_background": False},
         }
     )
     assert config.scene.n_objects == 2 and type(config.scene.n_objects) is int
+    assert config.train.steps == 2 and type(config.train.steps) is int
     assert config.gnn.radius == 1.0 and type(config.gnn.radius) is float
     assert config.voxel.max_points_per_voxel is None
-    assert config.anchors.yaws == (0.0, 1.0)
-    assert all(type(y) is float for y in config.anchors.yaws)
+    assert config.voxel.step == (1.0, 1.0, 1.0)
+    assert all(type(v) is float for v in config.voxel.step)
     assert config.loss.focal_background is False
     with pytest.raises(ConfigError, match="integers"):
         parse_pipeline_config({"seed": None})
@@ -211,19 +245,6 @@ def _rfa_configs(draw):
     )
 
 
-@st.composite
-def _anchor_configs(draw):
-    neg_iou, pos_iou = sorted(draw(st.tuples(_UNIT, _UNIT)))
-    return AnchorConfig(
-        dims=draw(st.tuples(_POSITIVE, _POSITIVE, _POSITIVE)),
-        yaws=tuple(draw(st.lists(_reals(-4.0, 4.0), min_size=1, max_size=4))),
-        bev_resolution=draw(st.tuples(_WIDTHS, _WIDTHS)),
-        z_center=draw(_reals(-5.0, 5.0)),
-        pos_iou=pos_iou,
-        neg_iou=neg_iou,
-    )
-
-
 _PIPELINE_CONFIGS = st.builds(
     PipelineConfig,
     seed=st.integers(-(2**31), 2**31),
@@ -242,7 +263,6 @@ _PIPELINE_CONFIGS = st.builds(
         step=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
         max_points_per_voxel=st.none() | st.integers(1, 100),
     ),
-    anchors=_anchor_configs(),
     rfa=_rfa_configs(),
     point_hidden=_WIDTHS,
     gnn=st.builds(
@@ -350,9 +370,8 @@ def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
 
 
 def _all_stacks(models):
-    """Every trainable stack: the six heads, then the refiner's stacks."""
-    stacks = [models.cls_stack, models.reg_stack, models.rpn_cls, models.rpn_reg]
-    stacks += [models.aux_seg, models.aux_off, *models.updater.agg_stacks]
+    """Every trainable stack: the header's two, then the graph updater's."""
+    stacks = [models.cls_stack, models.reg_stack, *models.updater.agg_stacks]
     return stacks + [*models.updater.fus_stacks, *(models.updater.align_stacks or [])]
 
 
@@ -372,96 +391,20 @@ def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, variant
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        PipelineConfig(),
-        PipelineConfig(
-            scene=SceneConfig(n_objects=10, points_per_object=300, clutter_points=1000)
-        ),
-        PipelineConfig(train=TrainPipelineConfig(batch_scenes=2)),
-        PipelineConfig(gnn=GnnPipelineConfig(variant="vanilla")),
-    ],
-    ids=["default", "dense", "batch2", "vanilla"],
-)
-def test_training_is_bit_identical_with_all_rows_heads(monkeypatch, config):
-    # rpn_reg and aux_off run only on the rows their losses read; running
-    # them on every anchor and point against zero-filled targets must
-    # train every stack to the same bits.
-    history, weights = _trained_weights(config, 30)
-    monkeypatch.setattr(pipeline, "_evaluate", all_rows_evaluate)
-    want_history, want_weights = _trained_weights(config, 30)
-    assert history == want_history
-    for got, want in zip(weights, want_weights, strict=True):
-        assert np.array_equal(got, want)
-
-
-def test_object_free_scene_leaves_the_row_heads_untrained():
-    config = tiny_config(scene={"n_objects": 0})
-    initial = pipeline.init_models(config)
-    with pytest.warns(RuntimeWarning, match="no foreground"):
-        models, history, _ = pipeline._train_models(config, 3)
-    assert len(history) == 4 and all(np.isfinite(history))
-    for stack in ("rpn_reg", "aux_off"):
-        got, want = getattr(models, stack), getattr(initial, stack)
-        assert np.array_equal(got.flat_params(), want.flat_params()), stack
-
-
-def test_one_positive_anchor_matches_all_rows_heads(monkeypatch):
-    # A single positive anchor is multiplied with gemv instead of gemm,
-    # so rpn_reg's weights may move in the last bits; nothing else may.
-    config = PipelineConfig(
-        seed=3, scene=SceneConfig(n_objects=1), train=TrainPipelineConfig(steps=100)
-    )
-    (world,) = pipeline._training_worlds(config)
-    assert len(world.targets.reg_inputs) == 1
-    runs = []
-    for evaluate in (pipeline._evaluate, all_rows_evaluate):
-        monkeypatch.setattr(pipeline, "_evaluate", evaluate)
-        detections, report = run_pipeline(config)
-        dets = [(d.as_vector(), d.score) for d in detections]
-        runs.append((dets, report, *_trained_weights(config, 100)))
-    (dets, report, history, weights), (want_dets, want_report, want_history, want_weights) = runs
-    assert len(dets) == len(want_dets) > 0
-    for (box, score), (want_box, want_score) in zip(dets, want_dets):
-        assert np.array_equal(box, want_box) and score == want_score
-    for key in ("ap_s11", "ap_s40", "holdout_ap_s11", "holdout_ap_s40", "loss_history"):
-        assert report[key] == want_report[key], key
-    assert history == want_history
-    rpn_reg = 3  # position in _all_stacks
-    for i, (got, want) in enumerate(zip(weights, want_weights, strict=True)):
-        if i == rpn_reg:
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        else:
-            assert np.array_equal(got, want), i
-
-
-def test_row_heads_see_only_the_rows_their_losses_read(monkeypatch):
-    # Structure only: rpn_reg gets the positive anchors and aux_off the
-    # in-box points, while rpn_cls and aux_seg still get every row.
+def test_initial_loss_is_the_refinement_loss_of_the_first_world():
+    # Only the refiner is trained: the loss is the header's focal loss plus
+    # its box smooth-L1 over the proposals of the training world.
     config = PipelineConfig()
-    captured, shapes = [], []
-    init, forward = pipeline.init_models, DenseStack.forward
-    monkeypatch.setattr(
-        pipeline, "init_models", lambda c: captured.append(init(c)) or captured[-1]
+    (world,) = pipeline._training_worlds(config)
+    models = pipeline.init_models(config)
+    refined, _ = pipeline._refine_forward(models, world.graph, config)
+    scores, residuals, _ = header_forward(refined, models.cls_stack, models.reg_stack)
+    fg, targets = world.targets.prop_fg, world.targets.prop_reg_targets
+    want = focal_loss(scores, fg, config.loss) + masked_smooth_l1_mean(
+        residuals, targets, fg, config.loss.smooth_l1_beta
     )
-    monkeypatch.setattr(
-        DenseStack, "forward", lambda self, x: shapes.append((self, x.shape)) or forward(self, x)
-    )
-    train_smoke(config, steps=1)
-    (models,) = captured
-    (targets,) = [w.targets for w in pipeline._training_worlds(config)]
-    n_anchors, n_points = len(targets.anchor_valid), len(targets.aux_mask)
-    n_positive, n_in_box = int(targets.anchor_valid_fg.sum()), int(targets.aux_mask.sum())
-    assert 0 < n_positive < n_anchors and 0 < n_in_box < n_points
-    heads = ("rpn_cls", "rpn_reg", "aux_seg", "aux_off")
-    seen = {h: {shape for stack, shape in shapes if stack is getattr(models, h)} for h in heads}
-    assert seen == {
-        "rpn_cls": {(n_anchors, config.rfa.pixel_dim)},
-        "rpn_reg": {(n_positive, config.rfa.pixel_dim)},
-        "aux_seg": {(n_points, config.rfa.voxel_dim)},
-        "aux_off": {(n_in_box, config.rfa.voxel_dim)},
-    }
+    assert 0 < fg.sum() < len(fg)
+    assert train_smoke(config, steps=0) == [want]
 
 
 def test_train_smoke_rejects_negative_steps():
@@ -520,11 +463,11 @@ def test_empty_scene_trains_on_an_empty_graph():
     config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
     graph = pipeline._build_world(config, 0, 1).graph
     assert len(graph) == 0 and graph.adjacency == ()
-    with pytest.warns(RuntimeWarning, match="no foreground"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no loss is evaluated on an empty graph
         detections, report = run_pipeline(config)
     assert detections == []
-    assert len(report["loss_history"]) == 3
-    assert all(np.isfinite(report["loss_history"]))
+    assert report["loss_history"] == [0.0, 0.0, 0.0]
 
 
 def test_noise_free_passthrough_reproduces_ground_truth():
@@ -584,12 +527,12 @@ def test_run_pipeline_builds_each_scene_once(monkeypatch):
 
 
 def test_only_training_worlds_build_training_targets(monkeypatch):
-    # Anchors and the other training targets are built for each training
-    # scene and never for a scene that is only scored.
+    # Proposal targets are built for each training scene and never for a
+    # scene that is only scored.
     calls = []
-    generate = pipeline.generate_anchors
+    targets = pipeline._training_targets
     monkeypatch.setattr(
-        pipeline, "generate_anchors", lambda *a: calls.append(1) or generate(*a)
+        pipeline, "_training_targets", lambda *a: calls.append(1) or targets(*a)
     )
     run_pipeline(tiny_config(train={"steps": 1, "batch_scenes": 2}))
     assert len(calls) == 2
@@ -604,6 +547,4 @@ def test_run_pipeline_is_deterministic():
     det_b, report_b = run_pipeline(config)
     assert report_a == report_b
     assert len(det_a) == len(det_b)
-    for a, b in zip(det_a, det_b):
-        assert np.array_equal(a.as_vector(), b.as_vector())
-        assert a.score == b.score
+    assert det_a == det_b

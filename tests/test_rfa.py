@@ -17,7 +17,7 @@ from graphdet.rfa import (
 from graphdet.scene import Box3D, PointCloud
 from graphdet.voxel import VoxelizationConfig, voxelize
 
-from oracles import brute_fps, brute_propagate
+from oracles import brute_fps, brute_propagate, point_in_box
 
 
 def small_cloud(n, seed=0, spread=4.0):
@@ -326,8 +326,6 @@ def test_auxiliary_targets_first_box_wins_overlaps():
 
 
 def test_auxiliary_targets_match_containment_oracle():
-    from graphdet.geom import point_in_box
-
     rng = np.random.default_rng(22)
     cloud = PointCloud(
         np.column_stack([rng.uniform(-4, 4, size=(200, 3)), rng.uniform(0, 1, 200)])

@@ -69,12 +69,9 @@ def test_box_corners_bev_counter_clockwise_and_rotated():
     assert np.allclose(sorted(map(tuple, rotated)), sorted([(-1, -2), (-1, 2), (1, -2), (1, 2)]), atol=1e-9)
 
 
-def test_corners_3d_spans_z_interval():
+def test_z_interval_spans_the_box_height():
     box = Box3D((0, 0, 1.0), (2, 2, 3.0), yaw=0.3)
-    corners = box.corners_3d()
-    assert corners.shape == (8, 3)
-    assert np.allclose(corners[:4, 2], -0.5)
-    assert np.allclose(corners[4:, 2], 2.5)
+    assert box.z_interval() == (-0.5, 2.5)
 
 
 def test_point_cloud_shape_checks_and_immutability():
