@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import nearest_k
+from .neighbors import ball_pairs, nearest_k
 from .nnet import DenseStack
 from .scene import Box3D
 
@@ -120,6 +120,16 @@ def farthest_point_sample(positions: np.ndarray, k: int, start_index: int = 0) -
     return chosen
 
 
+def inverse_distance_blend(
+    features: np.ndarray, nn: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """Each row's average of ``features[nn[row]]``, weighted by
+    ``1 / (d2 + 1e-8)`` normalised over the row."""
+    inv = 1.0 / (d2 + _EPS)
+    weights = inv / inv.sum(axis=1, keepdims=True)
+    return (features[nn] * weights[:, :, None]).sum(axis=1)
+
+
 def propagate_features(source: FeatureSet, query_positions: np.ndarray) -> FeatureSet:
     """Interpolate source features onto query positions.
 
@@ -127,17 +137,20 @@ def propagate_features(source: FeatureSet, query_positions: np.ndarray) -> Featu
     three nearest sources (all of them when fewer than three exist);
     weights are ``1 / (d^2 + 1e-8)``, normalised per query, and equal
     distances go to the lower source index.  An empty source set or a
-    non-finite query is an error.
+    non-finite query is an error.  Each query's output depends on its own
+    neighbours alone, so propagating onto a subset of queries gives those
+    rows of the full result bit for bit.
 
     The neighbours come from ``neighbors.nearest_k``, which is exact: the
     output equals that of a dense (m, n) distance table bit for bit.
-    Small problems (m x n up to about a million pairs) take that dense
-    path directly.  Larger ones go through a spatial cell hash, so memory
-    grows with m + n rather than m x n, and time with the number of
-    candidate pairs near each query.  Measured on one core of a shared
-    2-core x86 machine: the 20k points of a KITTI-sized frame over its
-    19.4k voxels take about 0.4 s with a 31 MB allocation peak, where the
-    dense table alone would need 8.7 GiB.
+    Only small tables (m x n up to 32,768 pairs) take that dense path.
+    Larger ones go through a spatial cell hash, so memory grows with
+    m + n rather than m x n, and time with the number of candidate pairs
+    near each query.  Measured on one core of a shared 2-core x86
+    machine: the 20k points of a KITTI-sized frame over its 19.4k voxels
+    take about 0.33 s with a 31 MB allocation peak, where the dense table
+    alone would need 8.7 GiB.  The pipeline itself never propagates onto
+    a whole cloud; see ``rfa.roi_states``.
     """
     if len(source) == 0:
         raise ValueError("cannot propagate from an empty feature set")
@@ -150,11 +163,7 @@ def propagate_features(source: FeatureSet, query_positions: np.ndarray) -> Featu
         raise ValueError("query positions contain non-finite values")
 
     nn, d2 = nearest_k(source.positions, queries, min(3, len(source)))
-    inv = 1.0 / (d2 + _EPS)
-    weights = inv / inv.sum(axis=1, keepdims=True)
-    gathered = source.features[nn]  # (m, k, d)
-    out = (gathered * weights[:, :, None]).sum(axis=1)
-    return FeatureSet(queries, out)
+    return FeatureSet(queries, inverse_distance_blend(source.features, nn, d2))
 
 
 def set_abstraction(
@@ -167,9 +176,13 @@ def set_abstraction(
 
     For every centre, gathers source points within ``radius`` (inclusive),
     appends each point's offset from the centre to its feature, pushes the
-    rows through ``mlp``, and max-pools per channel.  Empty neighbourhoods
-    yield a zero vector, and points beyond the radius can never change the
-    output.
+    rows through ``mlp`` in ascending source order, and max-pools per
+    channel.  Empty neighbourhoods yield a zero vector, and points beyond
+    the radius can never change the output.
+
+    The groups come from ``neighbors.ball_pairs``, a cell-hash ball query,
+    so each centre reads only the sources near it instead of scanning
+    them all.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -183,17 +196,15 @@ def set_abstraction(
             f"mlp expects {mlp.in_dim} inputs but grouped features have {source.dim + 3}"
         )
 
-    r2 = radius * radius
     out = np.zeros((len(centers), mlp.out_dim))
-    for m, centre in enumerate(centers):
-        d2 = ((source.positions - centre) ** 2).sum(axis=1)
-        mask = d2 <= r2
-        if not np.any(mask):
-            continue
-        grouped = np.concatenate(
-            [source.features[mask], source.positions[mask] - centre], axis=1
-        )
-        out[m] = mlp.apply(grouped).max(axis=0)
+    c_idx, s_idx = ball_pairs(source.positions, centers, radius)
+    grouped = np.concatenate(
+        [source.features[s_idx], source.positions[s_idx] - centers[c_idx]], axis=1
+    )
+    ends = np.cumsum(np.bincount(c_idx, minlength=len(centers)))
+    for m, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        if hi > lo:
+            out[m] = mlp.apply(grouped[lo:hi]).max(axis=0)
     return FeatureSet(centers, out)
 
 

@@ -8,15 +8,17 @@ grows with the number of candidate pairs rather than with m x n.
 
 ``nearest_k`` is exact and ties go to the lower source index, matching a
 stable argsort over each query's full row of squared distances.
-``radius_pairs`` lists every pair strictly closer than a radius.
+``radius_pairs`` lists every pair of one set strictly closer than a
+radius; ``ball_pairs`` every (centre, source) pair within a radius,
+inclusive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# (query, source) pairs handled at once; problems whose full m x n
-# distance table fits are answered by the brute-force pass directly.
+# (query, source) pairs a hash pass handles at once.  Queries whose full
+# distance table holds at most 1/32 of that take the dense pass.
 _CHUNK_PAIRS = 1 << 20
 # Cells per source over the bounding box in the first k-nearest pass.
 # Clouds crowd onto surfaces and objects, so a fine first grid answers
@@ -118,10 +120,17 @@ def _start_cell(points: np.ndarray) -> float:
 def _brute_k(
     sources: np.ndarray, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    diff = queries[:, None, :] - sources[None, :, :]
-    d2 = (diff**2).sum(axis=2)
-    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return nn, np.take_along_axis(d2, nn, axis=1)
+    """The dense pass: k rounds of a row ``argmin`` over the full table,
+    each taking the first (lowest-index) minimum and striking it out."""
+    d2 = ((queries[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
+    rows = np.arange(len(queries))
+    nn = np.empty((len(queries), k), dtype=np.int64)
+    dk = np.empty((len(queries), k))
+    for r in range(k):
+        nn[:, r] = j = d2.argmin(axis=1)
+        dk[:, r] = d2[rows, j]
+        d2[rows, j] = np.inf
+    return nn, dk
 
 
 def _hash_k(
@@ -150,20 +159,31 @@ def _hash_k(
         a, b = np.searchsorted(rows, [lo, hi])
         if a == b:
             continue
+        # Pairs come grouped by query; take k rounds of a segmented
+        # minimum: the least distance, then the least source index among
+        # the pairs at that distance, which is then struck out.  A query
+        # with fewer than k candidates ends on an infinite k-th distance,
+        # so it never counts as final.
         q_idx, s_idx = index.expand(rows[a:b], slots[a:b])
         d = ((queries[q_idx] - index.points[s_idx]) ** 2).sum(-1)
-        order = np.lexsort((s_idx, d, q_idx))
-        q_idx, s_idx, d = q_idx[order], s_idx[order], d[order]
-        counts = np.bincount(q_idx - lo, minlength=hi - lo)
-        starts = np.cumsum(counts) - counts
-        full = np.flatnonzero(counts >= k)
-        take = starts[full, None] + np.arange(k)
-        kth = d[take[:, -1]]
-        ok = kth < edge[lo + full] ** 2
-        rows_ok = lo + full[ok]
+        q_idx -= lo
+        counts = np.bincount(q_idx, minlength=hi - lo)
+        hit = np.flatnonzero(counts)
+        seg = np.cumsum(counts[hit]) - counts[hit]
+        of_pair = np.repeat(np.arange(len(hit)), counts[hit])
+        nn_b = np.empty((len(hit), k), dtype=np.int64)
+        d2_b = np.empty((len(hit), k))
+        for r in range(k):
+            d2_b[:, r] = best = np.minimum.reduceat(d, seg)
+            tie = d == best[of_pair]
+            pick = np.minimum.reduceat(np.where(tie, s_idx, len(index.points)), seg)
+            nn_b[:, r] = pick
+            d[tie & (s_idx == pick[of_pair])] = np.inf
+        ok = d2_b[:, -1] < edge[lo + hit] ** 2
+        rows_ok = lo + hit[ok]
         done[rows_ok] = True
-        nn[rows_ok] = s_idx[take[ok]]
-        d2[rows_ok] = d[take[ok]]
+        nn[rows_ok] = nn_b[ok]
+        d2[rows_ok] = d2_b[ok]
     return done, nn[done], d2[done]
 
 
@@ -175,23 +195,25 @@ def nearest_k(
     Both outputs are (m, k), nearest first; equal distances go to the
     lower source index.  Squared distances use ``((q - s) ** 2).sum(-1)``,
     so they are bit-identical to a dense m x n table, and so is the
-    choice of neighbours.  Requires ``1 <= k <= len(sources)`` and finite
-    coordinates.
+    choice of neighbours: the first k entries of a stable argsort of each
+    query's row.  Requires ``1 <= k <= len(sources)`` and coordinates
+    whose squared differences stay finite.
 
-    Queries are answered from a cell hash whose first cell side comes
-    from the source count and extent.  A query is final once its k-th
-    distance is strictly below the distance to the nearest face of its
-    3x3x3 block that has sources beyond it; the rest retry with the cell
-    side doubled.  Once the remaining queries' full distance table fits
-    in one chunk (at once, for small problems), they take the brute-force
-    pass.
+    Nothing is sorted: both passes pick the k nearest in k rounds of a
+    minimum that strikes out each pick.  Queries are answered from a cell
+    hash whose first cell side comes from the source count and extent.  A
+    query is final once its k-th distance is strictly below the distance
+    to the nearest face of its 3x3x3 block that has sources beyond it;
+    the rest retry with the cell side doubled.  Once the remaining
+    queries' full distance table is small (at most 1/32 of
+    ``_CHUNK_PAIRS``), they take the dense pass.
     """
     m, n = len(queries), len(sources)
     nn = np.empty((m, k), dtype=np.int64)
     d2 = np.empty((m, k))
     todo = np.arange(m)
     side = _start_cell(sources)
-    while len(todo) * n > _CHUNK_PAIRS:
+    while len(todo) * n > _CHUNK_PAIRS // 32:
         done, nn_done, d2_done = _hash_k(CellIndex(sources, side), queries[todo], k)
         nn[todo[done]] = nn_done
         d2[todo[done]] = d2_done
@@ -205,13 +227,27 @@ def nearest_k(
 def radius_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """All ordered pairs (i, j), self-pairs included, strictly closer than
     ``radius``, sorted by i then j."""
-    if len(points) == 0:
+    return _pairs_within(points, points, radius, np.less)
+
+
+def ball_pairs(
+    sources: np.ndarray, centres: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (centre, source) pair with ``((s - c) ** 2).sum(-1)`` at most
+    ``radius ** 2`` (inclusive), sorted by centre then source."""
+    return _pairs_within(sources, centres, radius, np.less_equal)
+
+
+def _pairs_within(
+    sources: np.ndarray, queries: np.ndarray, radius: float, compare: np.ufunc
+) -> tuple[np.ndarray, np.ndarray]:
+    if len(sources) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     # Cells a hair wider than the radius keep every pair inside adjacent
     # cells despite rounding in the cell assignment.
-    i, j = CellIndex(points, radius * (1.0 + _SLACK)).block_pairs(points)
-    keep = ((points[i] - points[j]) ** 2).sum(-1) < radius * radius
+    i, j = CellIndex(sources, radius * (1.0 + _SLACK)).block_pairs(queries)
+    keep = compare(((sources[j] - queries[i]) ** 2).sum(-1), radius * radius)
     i, j = i[keep], j[keep]
     order = np.lexsort((j, i))
     return i[order], j[order]

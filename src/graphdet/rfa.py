@@ -2,10 +2,11 @@
 
 :func:`roi_states` builds every proposal's state in one batched pass.  It
 concatenates, in this order, a voxel component (sparse voxel features
-propagated onto the raw cloud, then onto the proposal centre), a pixel
-component (a rotated probe grid over a BEV feature map), and a point
-component (the top level of a farthest-point-sampled set-abstraction
-pyramid, interpolated onto the centre).  Synthetic smooth feature fields
+propagated onto the raw cloud points nearest the proposal centre, then
+onto the centre), a pixel component (a rotated probe grid over a BEV
+feature map), and a point component (the top level of a
+farthest-point-sampled set-abstraction pyramid, interpolated onto the
+centre).  Synthetic smooth feature fields
 stand in for a learned backbone so the whole path stays deterministic
 and cheap.
 """
@@ -23,10 +24,12 @@ from .interp import (
     BevFeatureMap,
     FeatureSet,
     farthest_point_sample,
+    inverse_distance_blend,
     propagate_features,
     sample_bev_grid,
     set_abstraction,
 )
+from .neighbors import nearest_k
 from .nnet import DenseStack
 from .scene import Box3D, PointCloud
 from .voxel import SparseVoxelGrid
@@ -169,7 +172,8 @@ def default_point_stacks(config: RfaConfig, seed: int, hidden: int = 16) -> list
 
 
 def roi_states(
-    point_feats: FeatureSet,
+    voxels: FeatureSet,
+    cloud: PointCloud,
     pyramid: FeatureSet,
     bev: BevFeatureMap,
     proposals: Sequence[Box3D],
@@ -177,15 +181,24 @@ def roi_states(
 ) -> np.ndarray:
     """The (n, feature_dim) node states of the proposals: voxel | pixel | point.
 
-    ``point_feats`` is the voxel field already propagated onto the cloud
-    points; it and the ``pyramid``'s top level are interpolated onto each
-    proposal centre, and the BEV map is probed with an m1 x m2 grid over
-    each footprint.  At least one proposal is required.
+    The voxel component takes two 3-nearest hops: the ``voxels`` field
+    onto the cloud points, then onto each proposal centre.  Only the
+    centres' nearest points are ever read, so the first hop runs on
+    those rows alone (at most three per proposal), which gives them bit
+    for bit as propagating onto the whole cloud would.  The ``pyramid``'s
+    top level is interpolated onto each centre, and the BEV map is probed
+    with an m1 x m2 grid over each footprint.  At least one proposal and
+    one cloud point are required.
     """
     if not proposals:
         raise ValueError("roi_states needs at least one proposal")
+    if len(cloud) == 0:
+        raise ValueError("the voxel component needs a non-empty cloud")
     centres = np.array([p.center for p in proposals])
-    vox_at = propagate_features(point_feats, centres).features
+    nn, d2 = nearest_k(cloud.xyz, centres, min(3, len(cloud)))
+    rows = np.unique(nn)
+    at_rows = propagate_features(voxels, cloud.xyz[rows]).features
+    vox_at = inverse_distance_blend(at_rows, np.searchsorted(rows, nn), d2)
     point_at = propagate_features(pyramid, centres).features
     pixel_at = np.stack([sample_bev_grid(bev, p, config.m1, config.m2) for p in proposals])
     return np.concatenate([vox_at, pixel_at, point_at], axis=1)

@@ -273,6 +273,34 @@ def dense_propagate(source: FeatureSet, query_positions: np.ndarray) -> FeatureS
     return FeatureSet(queries, out)
 
 
+def full_cloud_voxel_states(
+    voxels: FeatureSet, cloud_xyz: np.ndarray, centres: np.ndarray
+) -> np.ndarray:
+    """The voxel block of ``roi_states`` as the library used to build it:
+    the voxel field propagated onto every cloud point by a dense table,
+    then from the whole cloud onto the centres."""
+    return dense_propagate(dense_propagate(voxels, cloud_xyz), centres).features
+
+
+def scan_set_abstraction(
+    source: FeatureSet, centers: np.ndarray, radius: float, mlp
+) -> np.ndarray:
+    """Set abstraction by a per-centre scan of every source: the library's
+    former kernel.  Each centre's group keeps ascending source order."""
+    r2 = radius * radius
+    out = np.zeros((len(centers), mlp.out_dim))
+    for m, centre in enumerate(centers):
+        d2 = ((source.positions - centre) ** 2).sum(axis=1)
+        mask = d2 <= r2
+        if not np.any(mask):
+            continue
+        grouped = np.concatenate(
+            [source.features[mask], source.positions[mask] - centre], axis=1
+        )
+        out[m] = mlp.apply(grouped).max(axis=0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # anchor matching oracle
 
@@ -581,6 +609,30 @@ def loop_voxelize(points: np.ndarray, config) -> tuple[np.ndarray, ...]:
         np.array(features).reshape(-1, 4),
         np.array(centres).reshape(-1, 3),
     )
+
+
+# ---------------------------------------------------------------------------
+# proposal labelling oracle
+
+
+def loop_training_targets(proposals, gt_boxes, pos_iou: float):
+    """Proposal targets by the former labelling loop: the IoU of every
+    (proposal, ground truth) pair, with no reach prefilter, keeping the
+    first best."""
+    from graphdet.pipeline import _encode_target
+
+    prop_fg = np.zeros(len(proposals), dtype=bool)
+    prop_reg_targets = np.zeros((len(proposals), 7))
+    for i, prop in enumerate(proposals):
+        best_iou, best_g = 0.0, -1
+        for g, gt in enumerate(gt_boxes):
+            iou = rotated_iou_bev(prop, gt)
+            if iou > best_iou:
+                best_iou, best_g = iou, g
+        if best_iou >= pos_iou and best_g >= 0:
+            prop_fg[i] = True
+            prop_reg_targets[i] = _encode_target(gt_boxes[best_g], prop)
+    return prop_fg, prop_reg_targets
 
 
 # ---------------------------------------------------------------------------

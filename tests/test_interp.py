@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdet.interp import (
     BevFeatureMap,
@@ -18,7 +20,7 @@ from graphdet.interp import (
 from graphdet.nnet import DenseLayer, DenseStack
 from graphdet.scene import Box3D
 
-from oracles import brute_fps, brute_propagate
+from oracles import brute_fps, brute_propagate, scan_set_abstraction
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,30 @@ def test_set_abstraction_two_point_hand_unrolled():
     )
     manual = np.maximum(rows @ weight.T + bias, 0.0).max(axis=0)
     assert np.allclose(out.features[0], manual, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    m=st.integers(1, 20),
+    span=st.integers(1, 4),
+    radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    far=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_set_abstraction_matches_the_scan_on_lattices(n, m, span, radius, far, seed):
+    # Integer sources (many duplicates) and half-integer centres put
+    # sources exactly on the radius; the first ``far`` centres sit far
+    # outside the sources' box.
+    rng = np.random.default_rng(seed)
+    pos = rng.integers(-span, span + 1, size=(n, 3)).astype(float)
+    source = FeatureSet(pos, rng.normal(size=(n, 2)))
+    centres = rng.integers(-2 * span - 1, 2 * span + 2, size=(m, 3)) / 2.0
+    centres[:far] += rng.choice([-1.0, 1.0], size=centres[:far].shape) * 1e3
+    mlp = DenseStack.seeded((5, 8, 4), seed)
+    out = set_abstraction(source, centres, radius, mlp)
+    assert np.array_equal(out.positions, centres)
+    assert np.array_equal(out.features, scan_set_abstraction(source, centres, radius, mlp))
 
 
 def test_set_abstraction_checks_widths():

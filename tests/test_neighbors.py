@@ -16,8 +16,9 @@ from graphdet.scene import Box3D
 from oracles import brute_radius_graph, dense_propagate
 
 # Pair budgets for the search: 1 sends everything through the cell hash
-# (one query per batch), 64 mixes hash passes with a brute-force
-# remainder, and the default answers these small problems brute-force.
+# (one query per batch), 64 batches a few queries per hash pass and
+# leaves the dense pass at most 2 pairs, and the default answers these
+# small problems by the dense pass.
 CHUNKS = st.sampled_from([1, 64, neighbors._CHUNK_PAIRS])
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -96,6 +97,24 @@ def test_propagate_matches_dense_with_one_or_two_sources(n, m, chunk, seed):
     src = rng.uniform(-2.0, 2.0, size=(n, 3))
     queries = rng.uniform(-5.0, 5.0, size=(m, 3))
     assert_matches_dense(src, queries, chunk, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(1, 20), data=st.data(), chunk=CHUNKS, seed=SEEDS)
+def test_nearest_k_is_the_head_of_a_stable_argsort(n, m, data, chunk, seed):
+    # Every k, not only 3: the k rounds of minima must give the first k
+    # columns of each query's stably sorted row of squared distances.
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-2, 3, size=(n, 3)).astype(float)
+    queries = rng.integers(-5, 6, size=(m, 3)) / 2.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_CHUNK_PAIRS", chunk)
+        nn, d2 = nearest_k(src, queries, k)
+    table = ((queries[:, None, :] - src[None, :, :]) ** 2).sum(axis=2)
+    want = np.argsort(table, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(nn, want)
+    assert np.array_equal(d2, np.take_along_axis(table, want, axis=1))
 
 
 def test_nearest_k_breaks_ties_by_lower_index():

@@ -1,6 +1,7 @@
 """End-to-end pipeline: configuration files, training smoke runs, scoring."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdet import pipeline
+from graphdet import pipeline, rfa
 from graphdet.gnn import header_forward
 from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
@@ -31,7 +32,7 @@ from graphdet.pipeline import (
 from graphdet.rfa import RfaConfig
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import loop_update_backward
+from oracles import loop_training_targets, loop_update_backward
 
 
 def tiny_raw(**overrides):
@@ -539,6 +540,68 @@ def test_only_training_worlds_build_training_targets(monkeypatch):
     calls.clear()
     run_pipeline(tiny_config())
     assert calls == []
+
+
+DESK = SceneConfig()
+DENSE = SceneConfig(n_objects=10, points_per_object=300, clutter_points=1000)
+KITTI_SIZED = SceneConfig(n_objects=10, points_per_object=1000, clutter_points=10000)
+
+
+@pytest.mark.parametrize("scene", [DESK, DENSE], ids=["desk", "dense"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
+    # Skipping the pairs that cannot reach leaves every target bit-identical
+    # to scoring every (proposal, ground truth) pair, and skips some.
+    config = PipelineConfig(seed=seed, scene=scene)
+    world = pipeline._build_world(config, seed, seed + 11)
+    calls = []
+    iou = pipeline.rotated_iou_bev
+    monkeypatch.setattr(pipeline, "rotated_iou_bev", lambda *a: calls.append(1) or iou(*a))
+    targets = pipeline._training_targets(config, world)
+    fg, reg = loop_training_targets(
+        world.graph.boxes, world.scene.gt_boxes, config.proposals.pos_iou
+    )
+    assert fg.any()
+    assert np.array_equal(targets.prop_fg, fg)
+    assert np.array_equal(targets.prop_reg_targets, reg)
+    assert 0 < len(calls) < len(world.graph) * len(world.scene.gt_boxes)
+
+
+def test_world_building_propagates_voxels_only_onto_the_rows_it_reads(monkeypatch):
+    # The voxel field reaches a proposal centre through its 3 nearest cloud
+    # points; it is propagated onto those points alone, never the cloud.
+    voxel_sets, rows = [], []
+    make_voxels, propagate = pipeline.voxel_feature_set, rfa.propagate_features
+
+    def recording_voxels(*args):
+        voxel_sets.append(make_voxels(*args))
+        return voxel_sets[-1]
+
+    def recording_propagate(source, queries):
+        if any(source is v for v in voxel_sets):
+            rows.append(len(queries))
+        return propagate(source, queries)
+
+    monkeypatch.setattr(pipeline, "voxel_feature_set", recording_voxels)
+    monkeypatch.setattr(rfa, "propagate_features", recording_propagate)
+    world = pipeline._build_world(PipelineConfig(scene=DENSE), 0, 11)
+    assert len(world.scene.cloud) > 3_000 and len(world.graph) == 80
+    assert len(rows) == 1 and 0 < rows[0] <= 3 * len(world.graph)
+
+
+def test_kitti_sized_world_build_stays_small_in_memory():
+    # 20k in-range points and 19k voxels.  Propagating the voxel field onto
+    # the whole cloud peaked at 36 MB; building onto the proposals' rows
+    # peaks at 7-8 MB.
+    config = PipelineConfig(scene=KITTI_SIZED)
+    tracemalloc.start()
+    try:
+        world = pipeline._build_world(config, 0, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(world.scene.cloud) == 20_000 and len(world.graph) == 80
+    assert peak < 16 * 2**20
 
 
 def test_run_pipeline_is_deterministic():

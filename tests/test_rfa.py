@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphdet import neighbors
 
 from graphdet.interp import BevFeatureMap, FeatureSet, propagate_features, sample_bev_grid
 from graphdet.rfa import (
@@ -17,7 +21,7 @@ from graphdet.rfa import (
 from graphdet.scene import Box3D, PointCloud
 from graphdet.voxel import VoxelizationConfig, voxelize
 
-from oracles import brute_fps, brute_propagate, point_in_box
+from oracles import brute_fps, brute_propagate, full_cloud_voxel_states, point_in_box
 
 
 def small_cloud(n, seed=0, spread=4.0):
@@ -205,9 +209,8 @@ def roi_inputs(config, seed, cloud=None, voxel_features=None, bev=None):
         voxel_features = voxel_feature_set(small_grid(cloud), config.voxel_dim, seed + 1)
     if bev is None:
         bev = synthetic_bev_map(16, 16, config.pixel_dim, 0.5, (-4.0, -4.0), seed=seed + 2)
-    point_feats = propagate_features(voxel_features, cloud.xyz)
     pyramid = point_pyramid(cloud, config, default_point_stacks(config, seed=seed + 3))
-    return point_feats, pyramid, bev
+    return voxel_features, cloud, pyramid, bev
 
 
 def voxel_part(config, states):
@@ -241,6 +244,40 @@ def test_voxel_component_matches_two_hop_oracle():
     assert np.allclose(voxel_part(config, states), hop2, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n_cloud=st.integers(1, 40),
+    n_voxels=st.integers(1, 30),
+    n_proposals=st.integers(1, 8),
+    span=st.integers(1, 3),
+    chunk=st.sampled_from([1, 64, neighbors._CHUNK_PAIRS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_voxel_block_matches_the_full_cloud_two_hops(
+    n_cloud, n_voxels, n_proposals, span, chunk, seed
+):
+    # Lattice clouds, voxels and centres: duplicate points and exact
+    # distance ties in both hops.  A chunk of 1 or 64 pairs drives both
+    # hops through the cell hash.
+    config = RfaConfig(voxel_dim=3)
+    rng = np.random.default_rng(seed)
+    xyz = rng.integers(-span, span + 1, size=(n_cloud, 3)).astype(float)
+    cloud = PointCloud(np.column_stack([xyz, np.zeros(n_cloud)]))
+    voxels = FeatureSet(
+        rng.integers(-2 * span, 2 * span + 1, size=(n_voxels, 3)) / 2.0,
+        rng.normal(size=(n_voxels, config.voxel_dim)),
+    )
+    centres = rng.integers(-2 * span - 1, 2 * span + 2, size=(n_proposals, 3)) / 2.0
+    proposals = [Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0) for c in centres]
+    pyramid = FeatureSet(np.zeros((1, 3)), np.zeros((1, config.point_dim)))
+    bev = BevFeatureMap(np.zeros((2, 2, config.pixel_dim)), 1.0, (0.0, 0.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_CHUNK_PAIRS", chunk)
+        states = roi_states(voxels, cloud, pyramid, bev, proposals, config)
+    want = full_cloud_voxel_states(voxels, cloud.xyz, centres)
+    assert np.array_equal(voxel_part(config, states), want)
+
+
 def test_pixel_component_constant_map():
     config = RfaConfig(m1=3, m2=2, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
     bev = BevFeatureMap(np.full((10, 10, 6), -1.5), 1.0, (-5.0, -5.0))
@@ -262,9 +299,9 @@ def test_pixel_component_is_a_probe_grid():
 
 def test_point_component_interpolates_pyramid():
     cloud = small_cloud(24, seed=15, spread=2.0)
-    point_feats, pyramid, bev = roi_inputs(SMALL_RFA, 15, cloud=cloud)
+    voxels, cloud, pyramid, bev = roi_inputs(SMALL_RFA, 15, cloud=cloud)
     boxes = [*BOXES, Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)]
-    states = roi_states(point_feats, pyramid, bev, boxes, SMALL_RFA)
+    states = roi_states(voxels, cloud, pyramid, bev, boxes, SMALL_RFA)
     want = brute_propagate(
         pyramid.positions, pyramid.features, np.array([box.center for box in boxes])
     )
@@ -273,13 +310,13 @@ def test_point_component_interpolates_pyramid():
 
 def test_roi_states_order_components():
     """Rows concatenate voxel | pixel | point, each computed on its own."""
-    point_feats, pyramid, bev = roi_inputs(SMALL_RFA, 18)
-    states = roi_states(point_feats, pyramid, bev, BOXES, SMALL_RFA)
+    voxels, cloud, pyramid, bev = roi_inputs(SMALL_RFA, 18)
+    states = roi_states(voxels, cloud, pyramid, bev, BOXES, SMALL_RFA)
     assert states.shape == (len(BOXES), SMALL_RFA.feature_dim)
     centres = np.array([box.center for box in BOXES])
     want = np.concatenate(
         [
-            propagate_features(point_feats, centres).features,
+            propagate_features(propagate_features(voxels, cloud.xyz), centres).features,
             np.stack([sample_bev_grid(bev, box, SMALL_RFA.m1, SMALL_RFA.m2) for box in BOXES]),
             propagate_features(pyramid, centres).features,
         ],
@@ -288,9 +325,11 @@ def test_roi_states_order_components():
     assert np.array_equal(states, want)
     # One proposal at a time gives the same rows as the batch.
     for i, box in enumerate(BOXES):
-        assert np.array_equal(roi_states(point_feats, pyramid, bev, [box], SMALL_RFA)[0], states[i])
+        assert np.array_equal(
+            roi_states(voxels, cloud, pyramid, bev, [box], SMALL_RFA)[0], states[i]
+        )
     with pytest.raises(ValueError, match="at least one proposal"):
-        roi_states(point_feats, pyramid, bev, [], SMALL_RFA)
+        roi_states(voxels, cloud, pyramid, bev, [], SMALL_RFA)
 
 
 # ---------------------------------------------------------------------------
