@@ -56,6 +56,7 @@ from .pipeline import (
 from .rfa import RfaConfig
 from .scene import (
     KITTI_RANGE,
+    BoxArray,
     PointCloud,
     Scene,
     clip_to_range,
@@ -72,6 +73,7 @@ __all__ = [
     "BevFeatureMap",
     "BevIouMatcher",
     "Box3D",
+    "BoxArray",
     "CenterDistanceMatcher",
     "ConfigError",
     "DenseStack",

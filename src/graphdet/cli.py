@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def _load_states(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _emit_boxes(boxes: list[Box3D], output: str | None) -> None:
+def _emit_boxes(boxes: Sequence[Box3D], output: str | None) -> None:
     if output:
         write_detections(output, boxes)
         print(f"wrote {len(boxes)} boxes to {output}")

@@ -1,33 +1,41 @@
 """Oriented-box geometry: overlap, suppression, anchors, and box coding.
 
-BEV overlap of yaw-rotated rectangles is computed exactly with
-Sutherland-Hodgman polygon clipping plus the shoelace formula; 3D IoU
-extends it with the vertical interval overlap.  Both run on Python floats
-(a few microseconds per pair; NumPy's per-call cost dwarfs four vertices).
-The module also carries greedy NMS, the anchor grid, IoU-threshold target
-assignment and the relative box encoding used for regression.
+BEV overlap of yaw-rotated rectangles is computed exactly, by
+Sutherland-Hodgman polygon clipping plus the shoelace formula, in one
+batched kernel over arrays of box pairs: :func:`bev_iou_pairs`.  It
+repeats the scalar float loop kept in ``tests/oracles.py`` operation for
+operation on padded vertex arrays, so each IoU is bit-identical to that
+loop's; a one-pair call (:func:`rotated_iou_bev`) costs the kernel's fixed
+NumPy overhead.  Pairs whose footprints cannot reach each other are found
+through :class:`graphdet.neighbors.CellIndex` (:func:`reaching_pairs`)
+and never clipped.  3D IoU extends the BEV overlap with the vertical
+interval overlap.  The module also carries greedy NMS, the anchor grid,
+IoU-threshold target assignment and the relative box encoding used for
+regression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .neighbors import _SLACK, CellIndex
 from .scene import (
     CAR_DIMS,
     Box3D,
+    BoxArray,
     RangeBounds,
     _check_bounds,
     normalize_yaw,
 )
 
-# NMS grid: relative and absolute (metres) slack on each box's bounding
-# square, and the most cells a square may touch and still be filed.
-_NMS_SLACK = 1e-9
-_GRID_SPAN = 1024
+# Candidate (box, box) pairs that reaching_pairs tests at once.
+_REACH_CHUNK = 1 << 14
+# Boxes smaller than 2**-_MAX_LEVEL of the largest share one size level.
+_MAX_LEVEL = 60
 
 # Anchor match labels.
 POSITIVE = 1
@@ -35,104 +43,151 @@ NEGATIVE = 0
 IGNORE = -1
 
 
-def _footprint(box: Box3D, ox: float, oy: float) -> list[tuple[float, float]]:
-    """Footprint corners relative to the origin ``(ox, oy)``, as float
-    pairs in :meth:`Box3D.corners_bev` order."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lc, ls = 0.5 * box.dims[0] * c, 0.5 * box.dims[0] * s
-    wc, ws = 0.5 * box.dims[1] * c, 0.5 * box.dims[1] * s
-    cx, cy = box.center[0] - ox, box.center[1] - oy  # each sum in corners_bev's matmul order
-    return [
-        (lc - ws + cx, ls + wc + cy),
-        (-lc - ws + cx, -ls + wc + cy),
-        (-lc + ws + cx, -ls - wc + cy),
-        (lc + ws + cx, ls - wc + cy),
-    ]
+class _Footprints:
+    """Per-box terms of the overlap kernel: the BEV centres, each corner's
+    offset from its centre in counter-clockwise order (the corner sums of
+    ``Box3D.corners_bev`` before the centre is added), and the footprint
+    areas.  Each yaw's cosine and sine are taken once, with ``math``."""
+
+    def __init__(self, boxes: BoxArray):
+        p = boxes.params
+        yaw = p[:, 6].tolist()
+        c = np.array(list(map(math.cos, yaw)), dtype=float)
+        s = np.array(list(map(math.sin, yaw)), dtype=float)
+        lc, ls = 0.5 * p[:, 3] * c, 0.5 * p[:, 3] * s
+        wc, ws = 0.5 * p[:, 4] * c, 0.5 * p[:, 4] * s
+        self.x, self.y = p[:, 0], p[:, 1]
+        self.dx = np.stack([lc - ws, -lc - ws, -lc + ws, lc + ws], axis=1)
+        self.dy = np.stack([ls + wc, -ls + wc, -ls - wc, ls - wc], axis=1)
+        self.area = p[:, 3] * p[:, 4]
 
 
-def _area(poly: list) -> float:
-    """Shoelace area of a vertex list; the loop behind :func:`polygon_area`."""
-    if len(poly) < 3:
-        return 0.0
-    forward = backward = 0.0
-    for (x, y), (nx, ny) in zip(poly, poly[1:] + poly[:1]):
-        forward += x * ny
-        backward += nx * y
-    return 0.5 * abs(forward - backward)
+def _polygon_ends(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first and of the last vertex of each polygon in a
+    vertex array grouped by ``pair``."""
+    starts = np.empty(len(pair), dtype=bool)
+    starts[0] = True
+    np.not_equal(pair[1:], pair[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1] = len(pair) - 1
+    return first, last
 
 
-def _clip(subject: list, clip: list) -> list:
-    """Sutherland-Hodgman on vertex lists; the loop behind :func:`clip_polygon`."""
-    output = subject
-    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
-        if not output:
-            break
-        ex_, ey_ = bx - ax, by - ay
-        vertices = output
-        output = []
-        sx, sy = vertices[-1]
-        s_side = ex_ * (sy - ay) - ey_ * (sx - ax)
-        s_in = s_side >= 0.0
-        for px, py in vertices:
-            p_side = ex_ * (py - ay) - ey_ * (px - ax)
-            p_in = p_side >= 0.0
-            if p_in != s_in:  # the edge crosses the clip line
-                t = s_side / (s_side - p_side)
-                output.append((sx + t * (px - sx), sy + t * (py - sy)))
-            if p_in:
-                output.append((px, py))
-            sx, sy, s_in, s_side = px, py, p_in, p_side
-    return output
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
-    return _area(np.asarray(poly, dtype=float).tolist())
+def _clip_edge(x, y, pair, ax, ay, bx, by):
+    """One Sutherland-Hodgman step on every pair's polygon at once.
 
-
-def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Clip ``subject`` against a convex counter-clockwise polygon ``clip``.
-
-    Standard Sutherland-Hodgman sweep: the subject is cut by each clip
-    edge's half-plane in turn.  Boundary points count as inside, so
-    touching boxes produce a degenerate (zero-area) polygon rather than
-    disappearing outright.
+    ``x``, ``y`` are the vertices of all polygons, grouped by ``pair`` in
+    polygon order.  Each is cut by the half-plane left of its pair's edge
+    A -> B (boundary points count as inside): a vertex emits the crossing
+    from its predecessor, if any, then itself, if inside.  Returns the
+    emitted vertices in the same layout.  Crossing points are computed for
+    every vertex, with division warnings off; only the real ones are kept.
     """
-    output = _clip(np.asarray(subject, dtype=float).tolist(), np.asarray(clip, dtype=float).tolist())
-    return np.array(output) if output else np.empty((0, 2))
+    ex, ey = (bx - ax)[pair], (by - ay)[pair]
+    side = ex * (y - ay[pair]) - ey * (x - ax[pair])
+    first, last = _polygon_ends(pair)
+    prev = np.arange(-1, len(x) - 1)
+    prev[first] = last  # a polygon's first vertex follows its last
+    s_side, sx, sy = side[prev], x[prev], y[prev]
+    inside = side >= 0.0
+    cross = inside != (s_side >= 0.0)
+    t = s_side / (s_side - side)
+    emit = _interleave(cross, inside)
+    return (
+        _interleave(sx + t * (x - sx), x)[emit],
+        _interleave(sy + t * (y - sy), y)[emit],
+        np.repeat(pair, 2)[emit],
+    )
+
+
+def _shoelace(x, y, pair, n_pairs):
+    """Shoelace area of each pair's polygon; 0 below three vertices.  The
+    two cross-product sums run vertex by vertex (``cumsum`` along padded
+    rows), as the float loop adds them."""
+    count = np.bincount(pair, minlength=n_pairs)
+    if len(x) == 0:
+        return np.zeros(n_pairs)
+    first, last = _polygon_ends(pair)
+    nxt = np.arange(1, len(x) + 1)
+    nxt[last] = first  # a polygon's last vertex wraps to its first
+    col = np.arange(len(x)) - np.repeat(first, last - first + 1)
+    forward = np.zeros((n_pairs, int(count.max())))
+    backward = np.zeros_like(forward)
+    forward[pair, col] = x * y[nxt]
+    backward[pair, col] = x[nxt] * y
+    forward = np.cumsum(forward, axis=1)[:, -1]
+    backward = np.cumsum(backward, axis=1)[:, -1]
+    return np.where(count >= 3, 0.5 * np.abs(forward - backward), 0.0)
+
+
+def _overlap(fa: _Footprints, fb: _Footprints, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Footprint intersection area of each pair (box ``i[k]`` of ``fa``,
+    box ``j[k]`` of ``fb``): the first footprint clipped by the second.
+
+    Both are placed relative to the midpoint of the two centres, an origin
+    that does not depend on the argument order, so the rounding error
+    scales with the boxes' size and distance rather than with their
+    distance from the world origin.
+    """
+    ox = 0.5 * (fa.x[i] + fb.x[j])
+    oy = 0.5 * (fa.y[i] + fb.y[j])
+    x = (fa.dx[i] + (fa.x[i] - ox)[:, None]).ravel()
+    y = (fa.dy[i] + (fa.y[i] - oy)[:, None]).ravel()
+    clip_x = fb.dx[j] + (fb.x[j] - ox)[:, None]
+    clip_y = fb.dy[j] + (fb.y[j] - oy)[:, None]
+    pair = np.repeat(np.arange(len(i)), 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in range(4):
+            if len(x) == 0:  # every polygon is clipped away
+                break
+            f = (e + 1) % 4
+            x, y, pair = _clip_edge(x, y, pair, clip_x[:, e], clip_y[:, e], clip_x[:, f], clip_y[:, f])
+    return _shoelace(x, y, pair, len(i))
+
+
+def _bev_iou(fa: _Footprints, fb: _Footprints, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    area_a, area_b = fa.area[i], fb.area[j]
+    # Clipping noise must not exceed either box.
+    inter = np.minimum(np.minimum(_overlap(fa, fb, i, j), area_a), area_b)
+    union = area_a + area_b - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return np.minimum(np.maximum(iou, 0.0), 1.0)
+
+
+def bev_iou_pairs(a: BoxArray, b: BoxArray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Bird's-eye-view IoU, in [0, 1], of each pair (``a[i[k]]``, ``b[j[k]]``).
+
+    One batched kernel: each value is bit-identical to the scalar float
+    loop (``tests/oracles.py``), and so to :func:`rotated_iou_bev` on the
+    same two boxes in the same order.
+    """
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    return _bev_iou(_Footprints(a), _Footprints(b), i, j)
+
+
+_ONE = np.zeros(1, dtype=np.int64)  # the index array of a one-pair call
+_ONE.setflags(write=False)
 
 
 def intersection_area_bev(a: Box3D, b: Box3D) -> float:
-    """Footprint intersection area of two oriented boxes.
-
-    Both footprints are clipped relative to the midpoint of the two
-    centres, an origin that does not depend on the argument order, so the
-    rounding error scales with the boxes' size and distance rather than
-    with their distance from the world origin.
-    """
-    ox = 0.5 * (a.center[0] + b.center[0])
-    oy = 0.5 * (a.center[1] + b.center[1])
-    return _area(_clip(_footprint(a, ox, oy), _footprint(b, ox, oy)))
+    """Footprint intersection area of two oriented boxes: one pair
+    through the overlap kernel, ``a`` clipped by ``b``."""
+    return float(_overlap(_Footprints(BoxArray.of([a])), _Footprints(BoxArray.of([b])), _ONE, _ONE)[0])
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
-    """Bird's-eye-view IoU of two yaw-rotated boxes, in [0, 1]."""
-    area_a = a.dims[0] * a.dims[1]
-    area_b = b.dims[0] * b.dims[1]
-    inter = intersection_area_bev(a, b)
-    inter = min(inter, area_a, area_b)  # clipping noise must not exceed either box
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
-
-
-def footprints_reach(a: Box3D, b: Box3D) -> bool:
-    """Whether two footprints can overlap: their centres lie within the sum
-    of their half-diagonals (inclusive).  Pairs failing this have IoU 0."""
-    dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
-    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
-    return dx * dx + dy * dy <= reach * reach
+    """Bird's-eye-view IoU of two yaw-rotated boxes, in [0, 1]: one pair
+    through :func:`bev_iou_pairs`."""
+    return float(bev_iou_pairs(BoxArray.of([a]), BoxArray.of([b]), _ONE, _ONE)[0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
@@ -150,88 +205,138 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def _size_levels(diag: np.ndarray, top: float) -> np.ndarray:
+    """Each diagonal's size level: the largest L <= _MAX_LEVEL with
+    ``diag <= top * 2**-L``.  The quotient ``top / diag`` is correctly
+    rounded, so it reaches 2**L exactly when that holds."""
+    return np.minimum(np.frexp(top / diag)[1] - 1, _MAX_LEVEL)
+
+
+def _block_chunks(index: CellIndex, queries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every (query, point) pair within each query's 3x3 block of
+    ``index``, about ``_REACH_CHUNK`` pairs at a time."""
+    rows, slots = index.block_slots(index.cell_of(queries))
+    ends = np.cumsum(index.count[slots])
+    cuts = np.searchsorted(ends, np.arange(_REACH_CHUNK, ends[-1] if len(ends) else 0, _REACH_CHUNK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+        yield index.expand(rows[lo:hi], slots[lo:hi])
+
+
+def reaching_pairs(a: BoxArray, b: BoxArray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j), box ``a[i]`` and box ``b[j]``, whose centres lie
+    within the sum of their half-diagonals (inclusive): ``dx * dx + dy * dy
+    <= reach * reach`` with ``reach = 0.5 * (diag_i + diag_j)``.  Any other
+    pair's footprints are disjoint, with IoU 0.  With ``b`` omitted, the
+    pairs of ``a`` with ``i < j``.  The pairs come in no particular order.
+
+    Cost: boxes are split into size levels, level L holding the diagonals
+    in (top * 2**-(L+1), top * 2**-L] for the largest diagonal ``top``.  A
+    pair is looked up in a :class:`~graphdet.neighbors.CellIndex` of its
+    larger box's level, of cell side ``top * 2**-L``, which bounds the
+    pair's reach, so the pair lies in the 3x3 block of the smaller box's
+    cell.  One huge box therefore adds one level and a pair per box, never
+    a coarse grid for all.  Candidates are tested ``_REACH_CHUNK`` at a
+    time, so memory grows with the pairs that reach; a table of at most
+    ``_REACH_CHUNK`` pairs is tested whole.
+    """
+    same = b is None
+    b = a if same else b
+    empty = np.empty(0, dtype=np.int32)
+    if len(a) == 0 or len(b) == 0:
+        return empty, empty
+    xy = (a.params[:, :2], b.params[:, :2])
+    diag = (a.bev_diagonal, b.bev_diagonal)
+    if len(a) * len(b) <= _REACH_CHUNK:  # the whole table at once
+        dx = xy[0][:, None, 0] - xy[1][None, :, 0]
+        dy = xy[0][:, None, 1] - xy[1][None, :, 1]
+        reach = 0.5 * (diag[0][:, None] + diag[1][None, :])
+        near = dx * dx + dy * dy <= reach * reach
+        i, j = np.nonzero(np.triu(near, 1) if same else near)
+        return i.astype(np.int32), j.astype(np.int32)
+    top = max(diag[0].max(), diag[1].max())
+    level = (_size_levels(diag[0], top), _size_levels(diag[1], top))
+    found_i, found_j = [], []
+    for lv in np.union1d(*level).tolist():
+        # The larger box of a pair is filed, the other queries: b's boxes
+        # of this level against a's of this level or smaller, then a's of
+        # this level against b's strictly smaller.
+        for filed, query, q_level in ((1, 0, level[0] >= lv), (0, 1, level[1] > lv)):
+            q_idx, s_idx = np.flatnonzero(q_level), np.flatnonzero(level[filed] == lv)
+            if len(q_idx) == 0 or len(s_idx) == 0:
+                continue
+            index = CellIndex(xy[filed][s_idx], math.ldexp(top, -lv) * (1.0 + _SLACK))
+            for q, s in _block_chunks(index, xy[query][q_idx]):
+                i, j = (q_idx[q], s_idx[s]) if filed else (s_idx[s], q_idx[q])
+                if same:
+                    ordered = i < j
+                    i, j = i[ordered], j[ordered]
+                dx, dy = xy[0][i, 0] - xy[1][j, 0], xy[0][i, 1] - xy[1][j, 1]
+                reach = 0.5 * (diag[0][i] + diag[1][j])
+                near = dx * dx + dy * dy <= reach * reach
+                found_i.append(i[near].astype(np.int32))
+                found_j.append(j[near].astype(np.int32))
+    if not found_i:
+        return empty, empty
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def nms(
     boxes: Sequence[Box3D],
     iou_threshold: float = 0.1,
     score_threshold: float = 0.3,
-) -> list[Box3D]:
+) -> Sequence[Box3D]:
     """Greedy non-maximum suppression on BEV IoU.
 
     Boxes scoring below ``score_threshold`` are dropped up front.  The
     rest are visited by descending score (ties by lower input index); a
     box is kept iff its IoU with every already-kept box is at most
-    ``iou_threshold``.  The kept list comes back sorted by descending
-    score.  Both thresholds must lie in [0, 1].
+    ``iou_threshold``.  The kept boxes come back sorted by descending
+    score: a :class:`~graphdet.scene.BoxArray` for a BoxArray, else a list
+    of the given :class:`Box3D` objects.  Both thresholds must lie in
+    [0, 1].
 
-    Cost: one sort, then per candidate a few dictionary lookups and exact
-    IoU only with the kept boxes it can reach, in kept order, up to the
-    first suppressor.  The pairs that get IoU are those passing
-    :func:`footprints_reach`, written out here on precomputed floats.
-
-    Kept boxes are filed in a BEV grid whose cell side is the median
-    candidate diagonal: each under every cell its bounding square touches,
-    the square's half-side being half its diagonal enlarged by a 1e-9
-    relative and absolute slack.  A candidate applies the reach test only
-    to the kept boxes filed in the cells its own square touches.  The grid
-    is exact: a pair passing the floating-point reach test lies within a
-    few rounding errors of ``reach`` on each axis, so the two slackened
-    squares overlap; rounding the square edges, dividing by the cell side
-    and flooring are monotone, so their cell ranges overlap too.  A square
-    touching more than ``_GRID_SPAN`` cells (a box far wider than the
-    median) is not filed: every candidate tests such a kept box, and such
-    a candidate tests every kept box.
+    Cost: one sort, the candidate pairs that can overlap
+    (:func:`reaching_pairs`), then waves.  Each wave keeps every
+    undecided candidate with no undecided higher-ranked neighbour, takes
+    the IoUs of those new keeps with their undecided lower-ranked
+    neighbours in one :func:`bev_iou_pairs` call, and suppresses the
+    neighbours whose IoU is above the threshold.  This is exactly the
+    greedy sweep: a candidate is decided only once every higher-ranked
+    neighbour is, and each IoU is bit-identical to the sweep's (the
+    candidate's footprint clipped by the kept box's).  Pairs that cannot
+    reach have IoU 0 and are never computed.
     """
     for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"nms {name} must be a finite number in [0, 1], got {value}")
-    for i, box in enumerate(boxes):
-        if box.score is None:
-            raise ValueError(f"box {i} has no score; NMS needs scored boxes")
-    scores = np.array([b.score for b in boxes], dtype=float)
-    order = np.lexsort((np.arange(len(boxes)), -scores))
-    candidates = [boxes[i] for i in order[scores[order] >= score_threshold].tolist()]
-    if not candidates:
-        return []
-    xs = [b.center[0] for b in candidates]
-    ys = [b.center[1] for b in candidates]
-    diags = [b.bev_diagonal for b in candidates]
-    cell = float(np.median(diags))
-    half = 0.5 * np.array(diags) * (1.0 + _NMS_SLACK) + _NMS_SLACK
-    lo = np.floor((np.array([xs, ys]) - half) / cell)
-    hi = np.floor((np.array([xs, ys]) + half) / cell)
-    # A filed square touches at most _GRID_SPAN cells, all with int64 indices; inf and NaN fail.
-    filed = ((hi - lo + 1.0).prod(axis=0) <= _GRID_SPAN) & (np.abs(lo) < 2.0**62).all(axis=0)
-    (x0, y0), (x1, y1) = np.where(filed, np.stack([lo, hi]), 0.0).astype(np.int64).tolist()
-    filed = filed.tolist()
-
-    # Grid cells and the unfiled list hold candidate positions; kept ones
-    # ascend, so sorting a set of them restores kept order.
-    grid: dict[tuple[int, int], list[int]] = {}
-    unfiled: list[int] = []
-    kept: list[int] = []
-    for p, candidate in enumerate(candidates):
-        if filed[p]:
-            cells = [(gx, gy) for gx in range(x0[p], x1[p] + 1) for gy in range(y0[p], y1[p] + 1)]
-            near = set(unfiled)
-            for key in cells:
-                near.update(grid.get(key, ()))
-            near = sorted(near)
-        else:
-            near = kept
-        cx, cy, diag = xs[p], ys[p], diags[p]
-        for q in near:
-            dx, dy = cx - xs[q], cy - ys[q]
-            reach = 0.5 * (diag + diags[q])
-            if dx * dx + dy * dy <= reach * reach and rotated_iou_bev(candidate, candidates[q]) > iou_threshold:
-                break
-        else:
-            if filed[p]:
-                for key in cells:
-                    grid.setdefault(key, []).append(p)
-            else:
-                unfiled.append(p)
-            kept.append(p)
-    return [candidates[p] for p in kept]
+    arr = BoxArray.of(boxes)
+    missing = np.flatnonzero(np.isnan(arr.scores))
+    if len(missing):
+        raise ValueError(f"box {missing[0]} has no score; NMS needs scored boxes")
+    order = np.lexsort((np.arange(len(arr)), -arr.scores))
+    order = order[arr.scores[order] >= score_threshold]
+    candidates = arr.take(order)
+    footprints = _Footprints(candidates)
+    # Ranked pairs: ``high`` outranks ``low``.  Both stay undecided while listed.
+    high, low = reaching_pairs(candidates)
+    undecided = np.ones(len(order), dtype=bool)
+    kept = np.zeros(len(order), dtype=bool)
+    while True:
+        new = undecided.copy()
+        new[low] = False  # an undecided higher-ranked neighbour
+        kept |= new
+        undecided &= ~new
+        if len(high) == 0:
+            break
+        wave = new[high]
+        iou = _bev_iou(footprints, footprints, low[wave], high[wave])
+        undecided[low[wave][iou > iou_threshold]] = False
+        live = undecided[high] & undecided[low]
+        high, low = high[live], low[live]
+    keep = order[kept]
+    if isinstance(boxes, BoxArray):
+        return boxes.take(keep)
+    return [boxes[i] for i in keep.tolist()]
 
 
 @dataclass(frozen=True)
@@ -297,20 +402,14 @@ class AnchorAssignment:
     max_iou: np.ndarray
 
 
-def _pairwise_bev_iou(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
-    """Dense BEV IoU matrix with a centre-distance prefilter for far pairs."""
-    n_a, n_b = len(boxes_a), len(boxes_b)
-    iou = np.zeros((n_a, n_b))
-    if n_a == 0 or n_b == 0:
-        return iou
-    ca = np.array([b.center[:2] for b in boxes_a])
-    cb = np.array([b.center[:2] for b in boxes_b])
-    da = np.array([b.bev_diagonal for b in boxes_a])
-    db = np.array([b.bev_diagonal for b in boxes_b])
-    reach = 0.5 * (da[:, None] + db[None, :])
-    d2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
-    for i, j in zip(*np.nonzero(d2 <= reach**2)):
-        iou[i, j] = rotated_iou_bev(boxes_a[i], boxes_b[j])
+def pairwise_bev_iou(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
+    """Dense BEV IoU matrix: entry (i, j) is the IoU of ``boxes_a[i]``
+    clipped by ``boxes_b[j]``, computed in one kernel call over the pairs
+    that reach (:func:`reaching_pairs`); the rest are 0."""
+    a, b = BoxArray.of(boxes_a), BoxArray.of(boxes_b)
+    iou = np.zeros((len(a), len(b)))
+    i, j = reaching_pairs(a, b)
+    iou[i, j] = bev_iou_pairs(a, b, i, j)
     return iou
 
 
@@ -336,7 +435,7 @@ def match_anchors(
     if n == 0 or len(gt_boxes) == 0:
         return AnchorAssignment(labels, gt_indices, max_iou)
 
-    iou = _pairwise_bev_iou(anchors, gt_boxes)
+    iou = pairwise_bev_iou(anchors, gt_boxes)
     best_gt = iou.argmax(axis=1)  # ties -> lower gt index
     max_iou = iou[np.arange(n), best_gt]
 

@@ -4,7 +4,8 @@ and the composite score that blends mean AP with true-positive errors.
 Matching is greedy in confidence order: each detection claims its best
 still-unmatched ground truth among those passing the matcher, ground
 truths match at most once, and a precision/recall point is emitted after
-every detection.  AP averages, over a fixed recall schedule, the best
+every detection.  A matcher scores all (detection, ground truth) pairs in
+one quality matrix.  AP averages, over a fixed recall schedule, the best
 precision achieved at or beyond each level.
 """
 
@@ -16,8 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .geom import footprints_reach, rotated_iou_bev
-from .scene import Box3D
+import numpy as np
+
+from .geom import pairwise_bev_iou
+from .scene import Box3D, BoxArray
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,23 @@ class RecallSchedule:
         return cls(40, 1.0 / 40.0, 1.0)
 
 
-class BevIouMatcher:
+class _Matcher:
+    """A matcher's one-pair view of its ``quality_matrix``."""
+
+    def quality(self, det: Box3D, gt: Box3D) -> float | None:
+        """Match quality of one pair (higher is better), or None when no
+        match: one entry of :meth:`quality_matrix`."""
+        q = float(self.quality_matrix(BoxArray.of([det]), BoxArray.of([gt]))[0, 0])
+        return None if math.isnan(q) else q
+
+
+class BevIouMatcher(_Matcher):
     """Detections match ground truth at rotated BEV IoU >= threshold.
 
-    Cost: a pair failing :func:`graphdet.geom.footprints_reach` (the
-    inclusive reach test :func:`graphdet.geom.nms` uses) is rejected before
-    any IoU is computed: its footprints are disjoint, with IoU 0, below
-    every admissible threshold.  On a frame of scattered detections almost
-    every pair is such a pair, so matching costs a few exact IoUs instead
-    of one per pair.
+    Cost: one :func:`graphdet.geom.pairwise_bev_iou` call, which computes
+    exact IoUs only for the pairs whose footprints can reach: every other
+    pair has IoU 0, below every admissible threshold.  On a frame of
+    scattered detections almost every pair is such a pair.
     """
 
     def __init__(self, iou_threshold: float):
@@ -70,15 +81,13 @@ class BevIouMatcher:
             raise ValueError("iou_threshold must lie in (0, 1]")
         self.iou_threshold = iou_threshold
 
-    def quality(self, det: Box3D, gt: Box3D) -> float | None:
-        """Match quality (higher is better), or None when no match."""
-        if not footprints_reach(det, gt):
-            return None
-        iou = rotated_iou_bev(det, gt)
-        return iou if iou >= self.iou_threshold else None
+    def quality_matrix(self, dets: BoxArray, gts: BoxArray) -> np.ndarray:
+        """IoU of each (detection, ground truth) pair, NaN below the threshold."""
+        iou = pairwise_bev_iou(dets, gts)
+        return np.where(iou >= self.iou_threshold, iou, np.nan)
 
 
-class CenterDistanceMatcher:
+class CenterDistanceMatcher(_Matcher):
     """Detections match ground truth at BEV centre distance < limit."""
 
     def __init__(self, max_distance: float):
@@ -86,11 +95,14 @@ class CenterDistanceMatcher:
             raise ValueError("max_distance must be positive")
         self.max_distance = max_distance
 
-    def quality(self, det: Box3D, gt: Box3D) -> float | None:
-        dist = math.hypot(
-            det.center[0] - gt.center[0], det.center[1] - gt.center[1]
-        )
-        return -dist if dist < self.max_distance else None
+    def quality_matrix(self, dets: BoxArray, gts: BoxArray) -> np.ndarray:
+        """Negated centre distance (``math.hypot``) of each (detection,
+        ground truth) pair, NaN at or beyond the limit."""
+        dx = dets.params[:, None, 0] - gts.params[None, :, 0]
+        dy = dets.params[:, None, 1] - gts.params[None, :, 1]
+        dist = np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())), dtype=float)
+        dist = dist.reshape(dx.shape)
+        return np.where(dist < self.max_distance, -dist, np.nan)
 
 
 def precision_recall(
@@ -101,30 +113,33 @@ def precision_recall(
     """Greedy matched precision/recall points, one per detection.
 
     Detections are visited by descending score (ties by input index) and
-    take their best-quality unmatched ground truth; a detection with no
-    admissible ground truth counts as a false positive.  With no
-    detections the curve is empty.
+    take their best-quality unmatched ground truth (ties by lower index);
+    a detection with no admissible ground truth counts as a false
+    positive.  With no detections the curve is empty.
+
+    Cost: one quality matrix from the matcher; the greedy pass then reads
+    only each detection's admissible ground truths.
     """
-    for i, det in enumerate(detections):
-        if det.score is None:
-            raise ValueError(f"detection {i} has no score")
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    matched = [False] * len(gt_boxes)
-    n_gt = len(gt_boxes)
+    dets, gts = BoxArray.of(detections), BoxArray.of(gt_boxes)
+    missing = np.flatnonzero(np.isnan(dets.scores))
+    if len(missing):
+        raise ValueError(f"detection {missing[0]} has no score")
+    quality = matcher.quality_matrix(dets, gts)
+    admissible: dict[int, list[tuple[int, float]]] = {}
+    det_idx, gt_idx = np.nonzero(~np.isnan(quality))  # by detection, then ground truth
+    for d, g, q in zip(det_idx.tolist(), gt_idx.tolist(), quality[det_idx, gt_idx].tolist()):
+        admissible.setdefault(d, []).append((g, q))
+    order = np.lexsort((np.arange(len(dets)), -dets.scores)).tolist()
+    n_gt = len(gts)
+    matched = [False] * n_gt
     curve: list[tuple[float, float]] = []
     tp = fp = 0
     for i in order:
-        det = detections[i]
         best_quality = None
         best_gt = -1
-        for g, gt in enumerate(gt_boxes):
-            if matched[g]:
-                continue
-            quality = matcher.quality(det, gt)
-            if quality is None:
-                continue
-            if best_quality is None or quality > best_quality:
-                best_quality = quality
+        for g, quality_g in admissible.get(i, ()):
+            if not matched[g] and (best_quality is None or quality_g > best_quality):
+                best_quality = quality_g
                 best_gt = g
         if best_gt >= 0:
             matched[best_gt] = True
@@ -143,16 +158,16 @@ def interpolated_ap(
     """Average, over the schedule, of the max precision at recall >= level.
 
     Levels beyond the curve's reach contribute zero; an empty curve gives
-    AP zero.
+    AP zero.  Recall must not decrease along the curve, as in
+    :func:`precision_recall`'s curves.  The points at or beyond a level
+    are then a suffix of the curve, found by one ``searchsorted``, whose
+    best precision a reverse running maximum holds.  The levels' maxima
+    are added one after another (``cumsum``), as a loop over them adds.
     """
-    total = 0.0
-    for level in schedule.levels:
-        best = 0.0
-        for precision, recall in pr_curve:
-            if recall >= level and precision > best:
-                best = precision
-        total += best
-    return total / schedule.n_levels
+    curve = np.array(pr_curve, dtype=float).reshape(-1, 2)
+    best = np.append(np.maximum.accumulate(curve[::-1, 0])[::-1], 0.0)
+    per_level = best[np.searchsorted(curve[:, 1], schedule.levels)]
+    return float(np.cumsum(per_level)[-1]) / schedule.n_levels
 
 
 @dataclass(frozen=True)

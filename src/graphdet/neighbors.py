@@ -1,10 +1,11 @@
 """Exact neighbour search over a spatial cell hash.
 
-Points are sorted into cubic cells and stored CSR-style: the occupied
-cells' keys in ascending order, and for each cell the start and count of
-its points in one index permutation.  A query reads the 3x3x3 block of
-cells around its own cell as flat (query, source) pair arrays, so memory
-grows with the number of candidate pairs rather than with m x n.
+Points, in 3D or in the plane, are sorted into cubic (square) cells and
+stored CSR-style: the occupied cells' keys in ascending order, and for
+each cell the start and count of its points in one index permutation.  A
+query reads the 3x3x3 (3x3) block of cells around its own cell as flat
+(query, source) pair arrays, so memory grows with the number of candidate
+pairs rather than with m x n.
 
 ``nearest_k`` is exact and ties go to the lower source index, matching a
 stable argsort over each query's full row of squared distances.
@@ -14,6 +15,8 @@ inclusive.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -31,14 +34,12 @@ _MAX_CELLS = 1 << 20
 # assignment and in the squared distances.
 _SLACK = 1e-9
 
-_OFFSETS = np.array(
-    [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)],
-    dtype=np.int64,
-)
+# A cell's block: the offsets to its neighbours and itself, per dimension.
+_OFFSETS = {dim: np.array(list(product((-1, 0, 1), repeat=dim)), dtype=np.int64) for dim in (2, 3)}
 
 
 class CellIndex:
-    """Points sorted into cubic cells of side ``cell_size``.
+    """Points, (n, 3) or (n, 2), sorted into cells of side ``cell_size``.
 
     Cells are counted from the points' minimum corner, so every point lies
     in a cell of ``[0, shape)``.  Queries are clamped onto that grid.  A
@@ -62,9 +63,11 @@ class CellIndex:
 
     def _key(self, cells: np.ndarray) -> np.ndarray:
         # One ring of padding, so the block of an edge cell keys uniquely.
-        sy, sz = self.shape[1] + 2, self.shape[2] + 2
         c = cells + 1
-        return (c[..., 0] * sy + c[..., 1]) * sz + c[..., 2]
+        key = c[..., 0]
+        for axis in range(1, c.shape[-1]):
+            key = key * (self.shape[axis] + 2) + c[..., axis]
+        return key
 
     def cell_of(self, xyz: np.ndarray) -> np.ndarray:
         """Cell coordinates of positions, clamped onto the grid."""
@@ -72,15 +75,16 @@ class CellIndex:
         return np.clip(c, 0, self.shape - 1).astype(np.int64)
 
     def block_slots(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The occupied cells of each query's 3x3x3 block.
+        """The occupied cells of each query's 3x3x3 (3x3) block.
 
         Returns the query row and the cell slot (into ``keys``, ``start``
         and ``count``) of every hit, ordered by query row.
         """
-        keys = self._key(cells[:, None, :] + _OFFSETS).ravel()
+        offsets = _OFFSETS[cells.shape[1]]
+        keys = self._key(cells[:, None, :] + offsets).ravel()
         slot = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         hit = self.keys[slot] == keys
-        rows = np.repeat(np.arange(len(cells)), len(_OFFSETS))
+        rows = np.repeat(np.arange(len(cells)), len(offsets))
         return rows[hit], slot[hit]
 
     def expand(self, rows: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +94,7 @@ class CellIndex:
         return np.repeat(rows, count), self.order[first + np.arange(count.sum())]
 
     def block_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (query, point) pair within each query's 3x3x3 block."""
+        """Every (query, point) pair within each query's 3x3x3 (3x3) block."""
         return self.expand(*self.block_slots(self.cell_of(queries)))
 
     def edge_distance(self, queries: np.ndarray, cells: np.ndarray) -> np.ndarray:

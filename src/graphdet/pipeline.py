@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .geom import Box3D, encode_box, footprints_reach, nms, rotated_iou_bev
+from .geom import Box3D, encode_box, nms, pairwise_bev_iou
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
@@ -442,28 +442,24 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
 
 def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
     """Each proposal's refinement target: the ground-truth box of best BEV
-    IoU (lowest index on ties), if that IoU reaches ``proposals.pos_iou``.
+    IoU (lowest index on ties), if that IoU is positive and reaches
+    ``proposals.pos_iou``.
 
-    Pairs whose footprints cannot reach each other are skipped: their IoU
-    is 0, below every ``pos_iou``, so they can never be the accepted best.
+    The IoUs come from one :func:`graphdet.geom.pairwise_bev_iou` call,
+    which computes only the pairs whose footprints can reach: the others
+    have IoU 0, so they can never be the accepted best.
     """
-    scene = world.scene
     proposals = world.graph.boxes
-    n_p = len(proposals)
-    prop_fg = np.zeros(n_p, dtype=bool)
-    prop_reg_targets = np.zeros((n_p, 7))
-    if n_p and scene.gt_boxes:
-        for i, prop in enumerate(proposals):
-            best_iou, best_g = 0.0, -1
-            for g, gt in enumerate(scene.gt_boxes):
-                if not footprints_reach(prop, gt):
-                    continue
-                iou = rotated_iou_bev(prop, gt)
-                if iou > best_iou:
-                    best_iou, best_g = iou, g
-            if best_iou >= config.proposals.pos_iou and best_g >= 0:
-                prop_fg[i] = True
-                prop_reg_targets[i] = _encode_target(scene.gt_boxes[best_g], prop)
+    gt_boxes = world.scene.gt_boxes
+    prop_fg = np.zeros(len(proposals), dtype=bool)
+    prop_reg_targets = np.zeros((len(proposals), 7))
+    if len(proposals) and gt_boxes:
+        iou = pairwise_bev_iou(proposals, gt_boxes)
+        best_g = iou.argmax(axis=1)  # ties -> lower gt index
+        best_iou = iou[np.arange(len(proposals)), best_g]
+        prop_fg = (best_iou > 0.0) & (best_iou >= config.proposals.pos_iou)
+        for i in np.flatnonzero(prop_fg).tolist():
+            prop_reg_targets[i] = _encode_target(gt_boxes[best_g[i]], proposals[i])
 
     return _Targets(prop_fg=prop_fg, prop_reg_targets=prop_reg_targets)
 

@@ -9,8 +9,10 @@ voxel indices partition cleanly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -23,6 +25,7 @@ CAR_DIMS = (3.9, 1.6, 1.56)
 _CLASS_NAMES = ("Car", "Pedestrian", "Cyclist")
 _UNKNOWN_CLASS = "Unknown"
 _PLACEMENT_DRAWS = 200  # rejection-sampling draws per object
+_READ_BLOCK = 1024  # box file lines parsed at once
 
 RangeBounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -31,12 +34,11 @@ class DetectionParseError(ValueError):
     """Raised when a detection text file cannot be parsed."""
 
 
-def normalize_yaw(theta: float) -> float:
-    """Wrap an angle in radians into the interval (-pi, pi]."""
+def normalize_yaw(theta: float | np.ndarray) -> float | np.ndarray:
+    """Wrap angles in radians into the interval (-pi, pi]: a float, or
+    every entry of an array (``%`` on arrays rounds as it does on floats)."""
     wrapped = theta % (2.0 * math.pi)  # in [0, 2*pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    return wrapped
+    return wrapped - (2.0 * math.pi) * (wrapped > math.pi)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,61 @@ class Box3D:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.array(self.center[:2])
+
+
+@dataclass(frozen=True, eq=False)
+class BoxArray(Sequence):
+    """Oriented boxes as arrays; ``boxes[i]`` is the :class:`Box3D` view of box ``i``.
+
+    Attributes:
+        params: (n, 7) rows ``cx cy cz l w h yaw``, yaw in (-pi, pi].
+        scores: (n,) confidences, NaN for a box without one (ground truth).
+        class_ids: (n,) object array of integer labels or None.
+
+    The arrays are read-only.  The constructor trusts its input: boxes
+    come from :meth:`of` or :func:`read_detections`, which validate.
+    """
+
+    params: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.params, self.scores, self.class_ids):
+            arr.setflags(write=False)
+
+    @classmethod
+    def of(cls, boxes: Sequence[Box3D]) -> BoxArray:
+        """The boxes as arrays; a BoxArray is returned unchanged."""
+        if isinstance(boxes, BoxArray):
+            return boxes
+        params = np.array([(*b.center, *b.dims, b.yaw) for b in boxes], dtype=float)
+        scores = np.array([math.nan if b.score is None else b.score for b in boxes], dtype=float)
+        class_ids = np.empty(len(boxes), dtype=object)
+        class_ids[:] = [b.class_id for b in boxes]
+        return cls(params.reshape(-1, 7), scores, class_ids)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, i: int) -> Box3D:
+        return _box_view(self.params[i].tolist(), float(self.scores[i]), self.class_ids[i])
+
+    def __iter__(self) -> Iterator[Box3D]:
+        return map(_box_view, self.params.tolist(), self.scores.tolist(), self.class_ids.tolist())
+
+    def take(self, indices: np.ndarray) -> BoxArray:
+        """The boxes at ``indices``, in that order."""
+        return BoxArray(self.params[indices], self.scores[indices], self.class_ids[indices])
+
+    @cached_property
+    def bev_diagonal(self) -> np.ndarray:
+        """Footprint diagonals, each ``math.hypot(l, w)`` as on :class:`Box3D`."""
+        return np.array(list(map(math.hypot, self.params[:, 3].tolist(), self.params[:, 4].tolist())))
+
+
+def _box_view(row: list[float], score: float, class_id: int | None) -> Box3D:
+    return Box3D(tuple(row[:3]), tuple(row[3:6]), row[6], None if math.isnan(score) else score, class_id)
 
 
 @dataclass(frozen=True)
@@ -317,17 +374,20 @@ def _class_id(name: str) -> int | None:
 
 
 def write_detections(path: str, boxes: Sequence[Box3D]) -> None:
-    """Write boxes as ``class cx cy cz l w h yaw [score]`` lines.
+    """Write boxes (a :class:`BoxArray` or :class:`Box3D` sequence) as
+    ``class cx cy cz l w h yaw [score]`` lines.
 
-    Floats are written with full round-trip precision.  The score column
-    is omitted for boxes without one (ground truth).
+    Floats are written with full round-trip precision (``repr``).  The
+    score column is omitted for boxes without one (ground truth).
     """
+    boxes = BoxArray.of(boxes)
+    class_ids = boxes.class_ids.tolist()
+    names = {class_id: _class_name(class_id) for class_id in set(class_ids)}
     lines = []
-    for box in boxes:
-        parts = [_class_name(box.class_id)]
-        parts += [repr(float(v)) for v in (*box.center, *box.dims, box.yaw)]
-        if box.score is not None:
-            parts.append(repr(float(box.score)))
+    for row, score, class_id in zip(boxes.params.tolist(), boxes.scores.tolist(), class_ids):
+        parts = [names[class_id], *map(repr, row)]
+        if not math.isnan(score):
+            parts.append(repr(score))
         lines.append(" ".join(parts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
@@ -335,46 +395,92 @@ def write_detections(path: str, boxes: Sequence[Box3D]) -> None:
             fh.write("\n")
 
 
-def read_detections(path: str) -> list[Box3D]:
+def _fields(rows: list[list[str]], counts: np.ndarray) -> np.ndarray:
+    """The numbers after each row's class token as (rows, 8) floats, NaN
+    where a row has no score.  Raises ValueError on a token ``float``
+    rejects."""
+    values = np.full((len(rows), 8), math.nan)
+    flat = chain.from_iterable(tokens[1:] for tokens in rows)
+    values[np.arange(8) < (counts - 1)[:, None]] = np.fromiter(
+        map(float, flat), float, int(counts.sum()) - len(rows)
+    )
+    return values
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[str], int, str | None]:
+    """Parse consecutive lines of a box file.
+
+    Returns the (rows, 8) fields of the nonempty lines (see
+    :func:`_fields`) and their class tokens; on a bad line, those of the
+    lines before it, the bad line's index in ``lines`` and the error text.
+    """
+    split = [line.split() for line in lines]
+    where = np.flatnonzero(np.fromiter(map(bool, split), bool, len(split)))
+    rows = list(filter(None, split))
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    bad = np.flatnonzero((counts != 8) & (counts != 9))
+    limit = int(bad[0]) if len(bad) else len(rows)
+    error = f"expected 8 or 9 fields, got {counts[limit]}" if len(bad) else None
+    try:
+        values = _fields(rows[:limit], counts[:limit])
+    except ValueError:
+        for limit, tokens in enumerate(rows):
+            try:
+                list(map(float, tokens[1:]))
+            except ValueError as exc:
+                error = str(exc)
+                break
+        values = _fields(rows[:limit], counts[:limit])
+
+    scored = counts[:limit] == 9
+    score = values[:, 7]
+    finite = np.isfinite(values[:, :7]).all(axis=1) & (np.isfinite(score) | ~scored)
+    valid = (values[:, 3:6] > 0.0).all(axis=1) & ~(scored & ((score < 0.0) | (score > 1.0)))
+    bad = np.flatnonzero(~(finite & valid))
+    if len(bad):
+        limit = int(bad[0])
+        error = "non-finite value"
+        if finite[limit]:
+            try:
+                _box_view(values[limit].tolist(), float(score[limit]), None)
+            except ValueError as exc:  # Box3D's own message
+                error = str(exc)
+    names = [tokens[0] for tokens in rows[:limit]]
+    return values[:limit], names, int(where[limit]) if limit < len(rows) else len(lines), error
+
+
+def read_detections(path: str) -> BoxArray:
     """Parse a detection text file written by :func:`write_detections`.
 
     Blank lines are ignored.  A malformed line raises
-    :class:`DetectionParseError` naming the 1-based line number.  Lines
-    end at ``"\n"`` only (text mode folds ``"\r\n"`` and ``"\r"`` into it);
-    other line breaks ``str.splitlines`` knows, such as ``"\x0c"``, are
-    whitespace between fields.
+    :class:`DetectionParseError` naming the 1-based line number of the
+    first bad line; within a line the checks run in the order field
+    count, number syntax, finiteness, then :class:`Box3D`'s own checks.
+    Lines end at ``"\n"`` only (text mode folds ``"\r\n"`` and ``"\r"``
+    into it); other line breaks ``str.splitlines`` knows, such as
+    ``"\x0c"``, are whitespace between fields.
 
-    Cost: one read of the file, then per line one split, one ``float`` map
-    and one finiteness check before the ``Box3D`` is built; validating and
-    freezing the box is about half of a line's cost.
+    Cost: blocks of ``_READ_BLOCK`` lines are split, converted with one
+    ``float`` per field and checked as arrays; no object is built per
+    line, and only one block's tokens are held at a time.  Only a bad
+    block walks its lines one by one, to find the line a conversion error
+    came from.
     """
+    blocks, names = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    boxes: list[Box3D] = []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) not in (8, 9):
-            raise DetectionParseError(
-                f"{path}, line {lineno}: expected 8 or 9 fields, got {len(tokens)}"
-            )
-        try:
-            values = list(map(float, tokens[1:]))
-        except ValueError as exc:
-            raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise DetectionParseError(f"{path}, line {lineno}: non-finite value")
-        try:
-            boxes.append(
-                Box3D(
-                    center=(values[0], values[1], values[2]),
-                    dims=(values[3], values[4], values[5]),
-                    yaw=values[6],
-                    score=values[7] if len(values) == 8 else None,
-                    class_id=_class_id(tokens[0]),
-                )
-            )
-        except ValueError as exc:
-            raise DetectionParseError(f"{path}, line {lineno}: {exc}") from exc
-    return boxes
+        for start in count(1, _READ_BLOCK):
+            lines = list(islice(fh, _READ_BLOCK))
+            if not lines:
+                break
+            values, block_names, bad, error = _parse_block(lines)
+            if error is not None:
+                raise DetectionParseError(f"{path}, line {start + bad}: {error}")
+            blocks.append(values)
+            names += block_names
+    values = np.concatenate(blocks) if blocks else np.full((0, 8), math.nan)
+    ids = {name: _class_id(name) for name in set(names)}
+    class_ids = np.empty(len(names), dtype=object)
+    class_ids[:] = [ids[name] for name in names]
+    params = values[:, :7].copy()
+    params[:, 6] = normalize_yaw(params[:, 6])
+    return BoxArray(params, values[:, 7].copy(), class_ids)

@@ -3,9 +3,10 @@
 Everything here is written the slow, obvious way — pure-Python loops,
 all-pairs scans, Monte-Carlo sampling — deliberately sharing as little
 code as possible with the library so agreement actually means something.
-Only the Box3D container and the low-level rotated-IoU primitive are
-reused where the quantity under test is the surrounding algorithm rather
-than the overlap itself.
+Only the Box3D container is reused.  The rotated-IoU float loop below
+(``loop_rotated_iou_bev``) is the reference the library's batched kernel
+must match bit for bit; the other oracles use it where the quantity under
+test is the surrounding algorithm rather than the overlap itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 
 import numpy as np
 
-from graphdet.geom import rotated_iou_bev
 from graphdet.interp import FeatureSet
 from graphdet.nnet import add_layer_grads
 from graphdet.scene import Box3D
@@ -82,6 +82,85 @@ def mc_iou_3d(a: Box3D, b: Box3D, n_samples: int, seed: int) -> float:
     inter = a.volume * float(np.count_nonzero(hit)) / n_samples
     union = a.volume + b.volume - inter
     return inter / union
+
+
+def footprint(box: Box3D, ox: float, oy: float) -> list[tuple[float, float]]:
+    """Footprint corners relative to the origin ``(ox, oy)``, as float
+    pairs in :meth:`Box3D.corners_bev` order."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    lc, ls = 0.5 * box.dims[0] * c, 0.5 * box.dims[0] * s
+    wc, ws = 0.5 * box.dims[1] * c, 0.5 * box.dims[1] * s
+    cx, cy = box.center[0] - ox, box.center[1] - oy  # each sum in corners_bev's matmul order
+    return [
+        (lc - ws + cx, ls + wc + cy),
+        (-lc - ws + cx, -ls + wc + cy),
+        (-lc + ws + cx, -ls - wc + cy),
+        (lc + ws + cx, ls - wc + cy),
+    ]
+
+
+def loop_area(poly: list) -> float:
+    """Shoelace area of a vertex list, summed vertex by vertex."""
+    if len(poly) < 3:
+        return 0.0
+    forward = backward = 0.0
+    for (x, y), (nx, ny) in zip(poly, poly[1:] + poly[:1]):
+        forward += x * ny
+        backward += nx * y
+    return 0.5 * abs(forward - backward)
+
+
+def loop_clip(subject: list, clip: list) -> list:
+    """Sutherland-Hodgman on vertex lists: ``subject`` cut by each edge's
+    half-plane of the convex counter-clockwise ``clip`` in turn.  Boundary
+    points count as inside, so touching boxes give a degenerate polygon."""
+    output = subject
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
+        if not output:
+            break
+        ex_, ey_ = bx - ax, by - ay
+        vertices = output
+        output = []
+        sx, sy = vertices[-1]
+        s_side = ex_ * (sy - ay) - ey_ * (sx - ax)
+        s_in = s_side >= 0.0
+        for px, py in vertices:
+            p_side = ex_ * (py - ay) - ey_ * (px - ax)
+            p_in = p_side >= 0.0
+            if p_in != s_in:  # the edge crosses the clip line
+                t = s_side / (s_side - p_side)
+                output.append((sx + t * (px - sx), sy + t * (py - sy)))
+            if p_in:
+                output.append((px, py))
+            sx, sy, s_in, s_side = px, py, p_in, p_side
+    return output
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
+    return loop_area(np.asarray(poly, dtype=float).tolist())
+
+
+def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """:func:`loop_clip` on (n, 2) vertex arrays."""
+    output = loop_clip(np.asarray(subject, dtype=float).tolist(), np.asarray(clip, dtype=float).tolist())
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def loop_rotated_iou_bev(a: Box3D, b: Box3D) -> float:
+    """BEV IoU on Python floats: the library's former scalar kernel, the
+    bit-exact reference of ``geom.bev_iou_pairs``.  Both footprints are
+    clipped relative to the midpoint of the two centres."""
+    ox = 0.5 * (a.center[0] + b.center[0])
+    oy = 0.5 * (a.center[1] + b.center[1])
+    area_a = a.dims[0] * a.dims[1]
+    area_b = b.dims[0] * b.dims[1]
+    inter = loop_area(loop_clip(footprint(a, ox, oy), footprint(b, ox, oy)))
+    inter = min(inter, area_a, area_b)  # clipping noise must not exceed either box
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 def np_polygon_area(poly: np.ndarray) -> float:
@@ -179,6 +258,68 @@ def aligned_iou_bev(a: Box3D, b: Box3D) -> float:
 
 
 # ---------------------------------------------------------------------------
+# box file oracles
+
+_CLASS_NAMES = ("Car", "Pedestrian", "Cyclist")
+
+
+def loop_write_detections(path, boxes: list[Box3D]) -> None:
+    """One ``class cx cy cz l w h yaw [score]`` line per box, ``repr``
+    floats, classes 0-2 by name: the library's former writer."""
+    lines = []
+    for box in boxes:
+        parts = [_CLASS_NAMES[box.class_id]]
+        parts += [repr(float(v)) for v in (*box.center, *box.dims, box.yaw)]
+        if box.score is not None:
+            parts.append(repr(float(box.score)))
+        lines.append(" ".join(parts) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
+def loop_read_detections(path) -> list[Box3D]:
+    """One :class:`Box3D` per line of a well-formed box file with classes
+    0-2: the library's former per-line reader, without its error paths."""
+    boxes = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh.read().split("\n"):
+            tokens = line.split()
+            if not tokens:
+                continue
+            v = [float(t) for t in tokens[1:]]
+            score = v[7] if len(v) == 8 else None
+            boxes.append(Box3D(tuple(v[:3]), tuple(v[3:6]), v[6], score, _CLASS_NAMES.index(tokens[0])))
+    return boxes
+
+
+def eval_frame(seed: int) -> list[Box3D]:
+    """A seeded pre-NMS dump of 3,300 scored boxes, shaped like the
+    eval-dump benchmark's frames: 150 jittered copies around each of 12
+    car-sized objects plus 1,500 scattered false positives.  Scores are
+    whole percent, so many tie; classes are 0-2."""
+    rng = np.random.default_rng(seed)
+    car = np.array([3.9, 1.6, 1.56])
+    rows = []
+    for cx, cy in rng.uniform((2.0, -38.0), (68.0, 38.0), size=(12, 2)):
+        yaw = rng.uniform(-math.pi, math.pi)
+        for _ in range(150):
+            rows.append((cx + rng.normal(0.0, 0.5), cy + rng.normal(0.0, 0.5), yaw + rng.normal(0.0, 0.1)))
+    for x, y in rng.uniform((2.0, -38.0), (68.0, 38.0), size=(1500, 2)):
+        rows.append((x, y, rng.uniform(-math.pi, math.pi)))
+    boxes = [
+        Box3D(
+            (x, y, -1.0),
+            tuple(car * rng.uniform(0.9, 1.1, 3)),
+            yaw,
+            score=int(rng.integers(0, 101)) / 100,
+            class_id=int(rng.integers(0, 3)),
+        )
+        for x, y, yaw in rows
+    ]
+    return [boxes[i] for i in rng.permutation(len(boxes))]
+
+
+# ---------------------------------------------------------------------------
 # suppression / sampling / graph oracles
 
 
@@ -198,6 +339,32 @@ def brute_nms(
         if all(iou_fn(boxes[i], boxes[k]) <= iou_threshold for k in kept):
             kept.append(i)
     return [boxes[i] for i in kept]
+
+
+def sweep_nms(
+    boxes: list[Box3D],
+    iou_fn,
+    iou_threshold: float,
+    score_threshold: float,
+) -> list[Box3D]:
+    """:func:`brute_nms` that skips the kept boxes a candidate cannot reach
+    (centres farther apart than the sum of the half-diagonals), for frames
+    too large to compare every pair."""
+    order = sorted(
+        (i for i, b in enumerate(boxes) if b.score >= score_threshold),
+        key=lambda i: (-boxes[i].score, i),
+    )
+    kept: list[Box3D] = []
+    for i in order:
+        box = boxes[i]
+        for k in kept:
+            dx, dy = box.center[0] - k.center[0], box.center[1] - k.center[1]
+            reach = 0.5 * (box.bev_diagonal + k.bev_diagonal)
+            if dx * dx + dy * dy <= reach * reach and iou_fn(box, k) > iou_threshold:
+                break
+        else:
+            kept.append(box)
+    return kept
 
 
 def brute_fps(positions: np.ndarray, k: int, start_index: int = 0) -> list[int]:
@@ -400,7 +567,7 @@ def all_pairs_precision_recall(
     (detection, unmatched ground truth) pair decides admissibility."""
 
     def quality(det: Box3D, gt: Box3D) -> float | None:
-        iou = rotated_iou_bev(det, gt)
+        iou = loop_rotated_iou_bev(det, gt)
         return iou if iou >= iou_threshold else None
 
     return brute_pr_curve(detections, gt_boxes, quality)
@@ -626,7 +793,7 @@ def loop_training_targets(proposals, gt_boxes, pos_iou: float):
     for i, prop in enumerate(proposals):
         best_iou, best_g = 0.0, -1
         for g, gt in enumerate(gt_boxes):
-            iou = rotated_iou_bev(prop, gt)
+            iou = loop_rotated_iou_bev(prop, gt)
             if iou > best_iou:
                 best_iou, best_g = iou, g
         if best_iou >= pos_iou and best_g >= 0:

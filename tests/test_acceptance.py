@@ -54,6 +54,7 @@ from oracles import (
     brute_nms,
     brute_pr_curve,
     brute_radius_graph,
+    loop_rotated_iou_bev,
     max_scan_ap,
     mc_iou_bev,
     random_box,
@@ -258,7 +259,7 @@ def test_criterion_6_combinatorial_kernels_match_oracles():
         rng = np.random.default_rng(61_000 + trial)
         boxes = [random_box(rng, spread=6.0, score=True)
                  for _ in range(int(rng.integers(1, 41)))]
-        assert nms(boxes, 0.3, 0.2) == brute_nms(boxes, rotated_iou_bev, 0.3, 0.2)
+        assert nms(boxes, 0.3, 0.2) == brute_nms(boxes, loop_rotated_iou_bev, 0.3, 0.2)
 
     for trial in range(trials):
         rng = np.random.default_rng(62_000 + trial)
@@ -278,7 +279,7 @@ def test_criterion_6_combinatorial_kernels_match_oracles():
                for _ in range(int(rng.integers(1, 4)))]
         got = match_anchors(anchors, gts, config)
         labels, gt_idx = brute_match_anchors(
-            anchors, gts, config.pos_iou, config.neg_iou, rotated_iou_bev)
+            anchors, gts, config.pos_iou, config.neg_iou, loop_rotated_iou_bev)
         want = np.where(labels == -1, IGNORE,
                         np.where(labels == 1, POSITIVE, NEGATIVE))
         assert np.array_equal(got.labels, want)

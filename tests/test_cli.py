@@ -15,7 +15,14 @@ from graphdet.scene import (
 )
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import loop_voxelize
+from oracles import (
+    eval_frame,
+    loop_read_detections,
+    loop_rotated_iou_bev,
+    loop_voxelize,
+    loop_write_detections,
+    sweep_nms,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -109,6 +116,22 @@ def test_nms_file_round_trip(tmp_path, capsys):
     assert len(kept) == 1
     assert kept[0].score == pytest.approx(0.9)
     assert "kept 1 of 3" in capsys.readouterr().err
+
+
+def test_nms_kept_file_matches_the_scalar_path_byte_for_byte(tmp_path):
+    # A 3,300-box frame through the array path (BoxArray parse, batched
+    # IoU, NMS in waves, array writer) against a per-line parse, the float
+    # IoU loop in a greedy sweep and a per-box writer.
+    dets, kept, want = tmp_path / "dets.txt", tmp_path / "kept.txt", tmp_path / "want.txt"
+    loop_write_detections(dets, eval_frame(3))
+    code = main(
+        ["nms", "--input", str(dets), "--output", str(kept),
+         "--iou-threshold", "0.1", "--score-threshold", "0.3"]
+    )
+    assert code == 0
+    loop_write_detections(want, sweep_nms(loop_read_detections(dets), loop_rotated_iou_bev, 0.1, 0.3))
+    assert kept.read_bytes() == want.read_bytes()
+    assert 300 < len(read_detections(str(kept))) < 3300
 
 
 def test_nms_without_scores_is_a_runtime_error(tmp_path, capsys):

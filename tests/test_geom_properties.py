@@ -1,16 +1,26 @@
-"""Property tests for rotated IoU and greedy NMS, plus a work guard on NMS."""
+"""Property tests for rotated IoU, the pairs that reach, and greedy NMS,
+plus a work guard on NMS."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom
-from graphdet.geom import clip_polygon, nms, polygon_area, rotated_iou_bev
-from graphdet.scene import Box3D
+from graphdet.geom import bev_iou_pairs, nms, reaching_pairs, rotated_iou_bev
+from graphdet.scene import Box3D, BoxArray
 
-from oracles import brute_nms, np_clip_polygon, np_polygon_area, np_rotated_iou_bev
+from oracles import (
+    brute_nms,
+    clip_polygon,
+    loop_rotated_iou_bev,
+    np_clip_polygon,
+    np_polygon_area,
+    np_rotated_iou_bev,
+    polygon_area,
+)
 
 _YAW = st.one_of(
     st.floats(-math.pi, math.pi),
@@ -30,6 +40,40 @@ def box_pairs(draw):
     if draw(st.booleans()):
         return a, box(a.center[0] + draw(_OFFSET), a.center[1] + draw(_OFFSET))
     return a, box(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)))
+
+
+_AXIS_YAW = st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])
+
+
+@st.composite
+def kernel_pair(draw):
+    """One pair of a kind the clipping must get exactly right: random,
+    identical, touching, nested, disjoint, or decimetre boxes about 20 m
+    from the origin."""
+    kind = draw(st.sampled_from(["random", "identical", "touching", "nested", "disjoint", "decimetre"]))
+    if kind == "random":
+        return draw(box_pairs())
+    if kind == "decimetre":
+        angle = draw(st.floats(-math.pi, math.pi))
+        x, y = 20.0 * math.cos(angle), 20.0 * math.sin(angle)
+
+        def small():
+            dims = (draw(st.floats(0.05, 0.3)), draw(st.floats(0.05, 0.3)), 1.0)
+            return Box3D((x + draw(st.floats(-0.2, 0.2)), y + draw(st.floats(-0.2, 0.2)), 0.0), dims, draw(_YAW))
+
+        return small(), small()
+    dims = (draw(st.floats(0.1, 8.0)), draw(st.floats(0.1, 8.0)), 1.0)
+    a = Box3D((draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)), 0.0), dims, draw(_AXIS_YAW))
+    if kind == "identical":
+        return a, a
+    if kind == "touching":  # sharing an edge or a corner, up to the rounding of cos and sin
+        step = draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([-1, 1]))
+        return a, Box3D((a.center[0] + step[0] * dims[0], a.center[1] + step[1] * dims[1], 0.0), dims, 0.0)
+    if kind == "nested":
+        scale = draw(st.floats(0.05, 1.0))
+        return a, Box3D(a.center, (dims[0] * scale, dims[1] * scale, 1.0), draw(_YAW))
+    far = a.bev_diagonal + draw(st.floats(0.0, 10.0))
+    return a, Box3D((a.center[0] + far, a.center[1] - far, 0.0), dims, draw(_YAW))
 
 
 @st.composite
@@ -56,9 +100,10 @@ _SCORES = st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0])
 @st.composite
 def lattice_boxes(draw):
     """Equal boxes centred on a lattice of multiples of their diagonal, or
-    of half-odd multiples: the diagonal is the grid's cell side, so
-    neighbours sit exactly ``reach`` apart, and the centres or the edges
-    of the boxes' bounding squares fall on cell boundaries."""
+    of half-odd multiples: the diagonal is the cell side of the neighbour
+    index (all boxes share one size level), so neighbours sit exactly
+    ``reach`` and one cell apart, with the centres on or halfway between
+    cell boundaries."""
     dims = (draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 3.0)), 1.5)
     diag = math.hypot(dims[0], dims[1])
     shift = draw(st.sampled_from([0.0, 0.5]))
@@ -72,8 +117,7 @@ def lattice_boxes(draw):
 @st.composite
 def reach_apart_pairs(draw):
     """Two boxes of different sizes exactly ``reach`` apart on the x axis,
-    with the edge their bounding squares share on a cell boundary (the
-    cell side, their median diagonal, equals ``reach``)."""
+    the edge their bounding squares share at a multiple of ``reach``."""
     a_dims, b_dims = ((draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0)), 1.0) for _ in range(2))
     a_half, b_half = 0.5 * math.hypot(*a_dims[:2]), 0.5 * math.hypot(*b_dims[:2])
     reach = a_half + b_half
@@ -87,15 +131,14 @@ def reach_apart_pairs(draw):
 
 @st.composite
 def mixed_size_boxes(draw):
-    """Clustered boxes of mixed sizes plus one box 20 or 40 times wider
-    than the widest of them (the 40x box's square touches too many grid
-    cells to be filed)."""
+    """Clustered boxes of mixed sizes plus one box 20, 40 or 100 times
+    wider than the widest of them (a size level of its own)."""
     boxes = [
         Box3D(b.center, (b.dims[0] * k, b.dims[1] * k, 1.5), b.yaw, score=b.score)
         for b in draw(clustered_boxes())
         for k in [draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))]
     ]
-    width = 20.0 if not boxes else draw(st.sampled_from([20.0, 40.0])) * max(b.dims[1] for b in boxes)
+    width = 20.0 if not boxes else draw(st.sampled_from([20.0, 40.0, 100.0])) * max(b.dims[1] for b in boxes)
     wide = Box3D(
         (draw(st.floats(-10, 10)), draw(st.floats(-10, 10)), 0.0),
         (draw(st.floats(width, 2 * width)), width, 1.5),
@@ -118,6 +161,10 @@ def far_boxes(draw):
 
 _IOU_THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
 _SCORE_THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5])
+# Candidate-pair budgets of reaching_pairs: 1 and 64 send these small sets
+# through the cell index (one cell hit, or a few, per chunk), the default
+# tests their whole pair table at once.
+_CHUNKS = st.sampled_from([1, 64, geom._REACH_CHUNK])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +197,20 @@ def test_iou_agrees_with_the_numpy_oracle(pair):
     assert abs(rotated_iou_bev(a, b) - np_rotated_iou_bev(a, b)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(kernel_pair(), min_size=1, max_size=40))
+def test_kernel_is_bit_identical_to_the_float_loop(pairs):
+    # One batch mixes pairs whose clipped polygons have different vertex
+    # counts; every IoU still equals the scalar loop's exactly.
+    a, b = BoxArray.of([p[0] for p in pairs]), BoxArray.of([p[1] for p in pairs])
+    i = np.arange(len(pairs))
+    got = bev_iou_pairs(a, b, i, i).tolist()
+    assert got == [loop_rotated_iou_bev(*p) for p in pairs]
+    assert got == [rotated_iou_bev(*p) for p in pairs]
+    back = bev_iou_pairs(b, a, i, i).tolist()
+    assert back == [loop_rotated_iou_bev(q, p) for p, q in pairs]
+
+
 @given(box_pairs())
 def test_array_wrappers_agree_with_the_numpy_oracle(pair):
     a, b = pair
@@ -164,21 +225,23 @@ def test_array_wrappers_agree_with_the_numpy_oracle(pair):
 # NMS
 
 
-@settings(max_examples=60)
-@given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
-def test_nms_equals_brute_force(boxes, iou_threshold, score_threshold):
-    want = brute_nms(boxes, rotated_iou_bev, iou_threshold, score_threshold)
-    assert nms(boxes, iou_threshold, score_threshold) == want
+@settings(max_examples=60, deadline=None)
+@given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
+def test_nms_equals_brute_force(boxes, iou_threshold, score_threshold, chunk):
+    want = brute_nms(boxes, loop_rotated_iou_bev, iou_threshold, score_threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_REACH_CHUNK", chunk)
+        assert nms(boxes, iou_threshold, score_threshold) == want
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
 def test_nms_is_idempotent(boxes, iou_threshold, score_threshold):
     kept = nms(boxes, iou_threshold, score_threshold)
     assert nms(kept, iou_threshold, score_threshold) == kept
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
 def test_nms_keeps_a_descending_subset_without_overlaps(boxes, iou_threshold, score_threshold):
     kept = nms(boxes, iou_threshold, score_threshold)
@@ -188,83 +251,72 @@ def test_nms_keeps_a_descending_subset_without_overlaps(boxes, iou_threshold, sc
     assert all(a.score >= b.score for a, b in zip(kept, kept[1:]))
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
-            assert rotated_iou_bev(a, b) <= iou_threshold
+            assert loop_rotated_iou_bev(a, b) <= iou_threshold
 
 
-def _counted_nms(boxes, iou_threshold, score_threshold):
-    """``nms`` with the number of exact IoUs it computed."""
-    calls = []
-
-    def counting(a, b):
-        calls.append(1)
-        return rotated_iou_bev(a, b)
-
-    geom.rotated_iou_bev = counting
-    try:
-        return nms(boxes, iou_threshold, score_threshold), len(calls)
-    finally:
-        geom.rotated_iou_bev = rotated_iou_bev
+def _reach(a, b):
+    dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+    return dx * dx + dy * dy <= reach * reach
 
 
-def _check_grid(boxes, iou_threshold, score_threshold):
-    kept, calls = _counted_nms(boxes, iou_threshold, score_threshold)
-    assert kept == brute_nms(boxes, rotated_iou_bev, iou_threshold, score_threshold)
-    assert calls == _sweep_iou_calls(boxes, iou_threshold, score_threshold)
+def _check_grid(boxes, iou_threshold, score_threshold, chunk):
+    """NMS equals the brute-force sweep, and the cell index finds exactly
+    the pairs that reach, within one set and across two."""
+    left, right = boxes[::2], boxes[1::2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_REACH_CHUNK", chunk)
+        kept = nms(boxes, iou_threshold, score_threshold)
+        within = reaching_pairs(BoxArray.of(boxes))
+        across = reaching_pairs(BoxArray.of(left), BoxArray.of(right))
+    assert kept == brute_nms(boxes, loop_rotated_iou_bev, iou_threshold, score_threshold)
+    want = [(p, q) for p in range(len(boxes)) for q in range(p + 1, len(boxes)) if _reach(boxes[p], boxes[q])]
+    assert sorted(zip(*(k.tolist() for k in within))) == want
+    want = [(p, q) for p, a in enumerate(left) for q, b in enumerate(right) if _reach(a, b)]
+    assert sorted(zip(*(k.tolist() for k in across))) == want
+
+
+def _row(dims):
+    """Seven equal boxes one diagonal apart on the x axis."""
+    diag = math.hypot(*dims)
+    return [Box3D((i * diag, 0.0, 0.0), (*dims, 1.5), 0.0, score=0.5) for i in range(-3, 4)]
 
 
 def _pair(ax, a_dims, bx, b_dims):
     return [Box3D((ax, 0.0, 0.0), (*a_dims, 1.0), 0.0, score=0.9), Box3D((bx, 0.0, 0.0), (*b_dims, 1.0), 0.0, score=0.5)]
 
 
-# Reach-apart pairs whose squares miss each other's cells without the slack.
+# Reach-apart pairs that a cell grid without a rounding slack misses: in
+# the row, x / diag rounds to either side of an integer, so without the
+# slack two neighbours land two cells apart.
+@example(_row((1.1046390985058054, 2.6185843423430817)), 0.1, 0.0, 1)
 @example(_pair(2.639225837472875, (3.731711640416467, 3.7331461687854977),
-               -1.0574189322710894, (1.8747314647362976, 0.9787344524583863)), 0.1, 0.0)
+               -1.0574189322710894, (1.8747314647362976, 0.9787344524583863)), 0.1, 0.0, 1)
 @example(_pair(-9.913924382789778, (1.6960192058140702, 4.136638495948027),
-               -13.96370302707458, (3.3400848813105597, 1.418289390779069)), 0.1, 0.0)
+               -13.96370302707458, (3.3400848813105597, 1.418289390779069)), 0.1, 0.0, 1)
 @example(_pair(7.87167142504161, (3.874282209931924, 4.149421017481525),
-               2.8384748291341424, (4.322725661094752, 0.7624023826742818)), 0.1, 0.0)
-@settings(max_examples=60)
-@given(st.one_of(lattice_boxes(), reach_apart_pairs()), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
-def test_nms_grid_on_a_lattice_of_reach_apart_centres(boxes, iou_threshold, score_threshold):
-    _check_grid(boxes, iou_threshold, score_threshold)
+               2.8384748291341424, (4.322725661094752, 0.7624023826742818)), 0.1, 0.0, 1)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lattice_boxes(), reach_apart_pairs()), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
+def test_nms_grid_on_a_lattice_of_reach_apart_centres(boxes, iou_threshold, score_threshold, chunk):
+    _check_grid(boxes, iou_threshold, score_threshold, chunk)
 
 
-@settings(max_examples=60)
-@given(mixed_size_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
-def test_nms_grid_with_mixed_sizes_and_one_wide_box(boxes, iou_threshold, score_threshold):
-    _check_grid(boxes, iou_threshold, score_threshold)
+@settings(max_examples=60, deadline=None)
+@given(mixed_size_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
+def test_nms_grid_with_mixed_sizes_and_one_wide_box(boxes, iou_threshold, score_threshold, chunk):
+    _check_grid(boxes, iou_threshold, score_threshold, chunk)
 
 
-@settings(max_examples=60)
-@given(far_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
-def test_nms_grid_far_from_the_origin(boxes, iou_threshold, score_threshold):
-    _check_grid(boxes, iou_threshold, score_threshold)
-
-
-def _sweep_iou_calls(boxes, iou_threshold, score_threshold):
-    """IoU calls of the greedy sweep with the reach prefilter and early exit."""
-    order = sorted(
-        (i for i, b in enumerate(boxes) if b.score >= score_threshold),
-        key=lambda i: (-boxes[i].score, i),
-    )
-    kept, calls = [], 0
-    for i in order:
-        candidate = boxes[i]
-        for k in kept:
-            reach = 0.5 * (candidate.bev_diagonal + k.bev_diagonal)
-            dx = candidate.center[0] - k.center[0]
-            dy = candidate.center[1] - k.center[1]
-            if dx * dx + dy * dy > reach * reach:
-                continue
-            calls += 1
-            if rotated_iou_bev(candidate, k) > iou_threshold:
-                break
-        else:
-            kept.append(candidate)
-    return calls
+@settings(max_examples=60, deadline=None)
+@given(far_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
+def test_nms_grid_far_from_the_origin(boxes, iou_threshold, score_threshold, chunk):
+    _check_grid(boxes, iou_threshold, score_threshold, chunk)
 
 
 def test_nms_computes_iou_only_where_the_sweep_needs_it(monkeypatch):
+    # Every exact IoU is of a candidate and a higher-ranked kept box within
+    # reach, the only pairs the greedy sweep can consult, and none twice.
     rng = np.random.default_rng(11)
     centres = rng.uniform(-30.0, 30.0, size=(40, 2))
     boxes = [
@@ -276,14 +328,20 @@ def test_nms_computes_iou_only_where_the_sweep_needs_it(monkeypatch):
         )
         for c in rng.integers(0, len(centres), size=600)
     ]
-    expected = _sweep_iou_calls(boxes, 0.1, 0.3)
-    calls = []
+    pairs = []
+    kernel = geom._bev_iou
 
-    def counting(a, b):
-        calls.append(1)
-        return rotated_iou_bev(a, b)
+    def recording(fa, fb, i, j):
+        pairs.extend(zip(i.tolist(), j.tolist()))
+        return kernel(fa, fb, i, j)
 
-    monkeypatch.setattr(geom, "rotated_iou_bev", counting)
+    monkeypatch.setattr(geom, "_bev_iou", recording)
     kept = nms(boxes, 0.1, 0.3)
-    assert len(calls) == expected
-    assert kept and 0 < expected < len(boxes)  # fewer exact IoUs than boxes
+    assert kept == brute_nms(boxes, loop_rotated_iou_bev, 0.1, 0.3)
+    ranked = sorted((i for i, b in enumerate(boxes) if b.score >= 0.3), key=lambda i: (-boxes[i].score, i))
+    kept_ranks = {r for r, i in enumerate(ranked) if any(boxes[i] is k for k in kept)}
+    assert len(set(pairs)) == len(pairs)
+    for low, high in pairs:
+        assert high < low and high in kept_ranks and _reach(boxes[ranked[low]], boxes[ranked[high]])
+    reaching = sum(_reach(boxes[p], boxes[q]) for p in ranked for q in ranked if p < q)
+    assert kept and 0 < len(pairs) < reaching // 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphdet import metrics
+from graphdet import geom
 from graphdet.metrics import (
     BevIouMatcher,
     CenterDistanceMatcher,
@@ -18,10 +18,9 @@ from graphdet.metrics import (
     nds,
     precision_recall,
 )
-from graphdet.geom import rotated_iou_bev
 from graphdet.scene import Box3D
 
-from oracles import all_pairs_precision_recall, brute_pr_curve, max_scan_ap, random_box
+from oracles import all_pairs_precision_recall, brute_pr_curve, loop_rotated_iou_bev, max_scan_ap, random_box
 
 
 def det_at(x, y, score, dims=(2.0, 2.0, 2.0)):
@@ -215,24 +214,24 @@ def test_bev_iou_matcher_computes_iou_only_for_reachable_pairs(monkeypatch):
         for _ in range(3)
     ]
     dets += [random_box(rng, spread=30.0, score=True) for _ in range(40)]
-    visited = []  # the reachable pairs the all-pairs matcher visits
 
     def quality(det, gt):
-        if _reachable(det, gt):
-            visited.append((det, gt))
-        iou = rotated_iou_bev(det, gt)
+        iou = loop_rotated_iou_bev(det, gt)
         return iou if iou >= 0.7 else None
 
     want = brute_pr_curve(dets, gts, quality)
     pairs = []
+    kernel = geom.bev_iou_pairs
 
-    def counting(a, b):
-        pairs.append((a, b))
-        return rotated_iou_bev(a, b)
+    def recording(a, b, i, j):
+        pairs.extend(zip(i.tolist(), j.tolist()))
+        return kernel(a, b, i, j)
 
-    monkeypatch.setattr(metrics, "rotated_iou_bev", counting)
+    monkeypatch.setattr(geom, "bev_iou_pairs", recording)
     assert precision_recall(dets, gts, BevIouMatcher(0.7)) == want
-    assert pairs == visited
+    # one kernel call over exactly the reachable (detection, ground truth) pairs
+    reachable = [(d, g) for d, det in enumerate(dets) for g, gt in enumerate(gts) if _reachable(det, gt)]
+    assert sorted(pairs) == reachable
     assert 0 < len(pairs) < len(dets) * len(gts) // 4
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdet import pipeline, rfa
+from graphdet import geom, pipeline, rfa
 from graphdet.gnn import header_forward
 from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
@@ -550,13 +550,13 @@ KITTI_SIZED = SceneConfig(n_objects=10, points_per_object=1000, clutter_points=1
 @pytest.mark.parametrize("scene", [DESK, DENSE], ids=["desk", "dense"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
-    # Skipping the pairs that cannot reach leaves every target bit-identical
-    # to scoring every (proposal, ground truth) pair, and skips some.
+    # Scoring only the pairs that can reach, in one kernel call, leaves every
+    # target bit-identical to scoring every (proposal, ground truth) pair.
     config = PipelineConfig(seed=seed, scene=scene)
     world = pipeline._build_world(config, seed, seed + 11)
     calls = []
-    iou = pipeline.rotated_iou_bev
-    monkeypatch.setattr(pipeline, "rotated_iou_bev", lambda *a: calls.append(1) or iou(*a))
+    kernel = geom.bev_iou_pairs
+    monkeypatch.setattr(geom, "bev_iou_pairs", lambda a, b, i, j: calls.extend(i) or kernel(a, b, i, j))
     targets = pipeline._training_targets(config, world)
     fg, reg = loop_training_targets(
         world.graph.boxes, world.scene.gt_boxes, config.proposals.pos_iou

@@ -164,7 +164,7 @@ def test_clip_to_range_identity_and_idempotent():
 def test_read_detections_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    assert read_detections(str(path)) == []
+    assert len(read_detections(str(path))) == 0
 
 
 def test_read_detections_single_line(tmp_path):
@@ -185,7 +185,7 @@ def test_detection_round_trip(tmp_path):
     path = tmp_path / "boxes.txt"
     write_detections(str(path), boxes)
     back = read_detections(str(path))
-    assert back == boxes
+    assert list(back) == boxes
 
 
 def test_read_detections_reports_line_number(tmp_path):
@@ -235,6 +235,18 @@ def test_read_detections_error_messages(tmp_path, line, message):
     path.write_text("Car 1 2 -1 3.9 1.6 1.56 0 0.5\n" + line + "\n")
     with pytest.raises(DetectionParseError, match=message):
         read_detections(str(path))
+
+
+def test_read_detections_numbers_lines_across_blocks(tmp_path):
+    # Files are parsed in blocks of lines; a bad line past the first block
+    # still reports its own line number, and earlier lines parse whole.
+    path = tmp_path / "long.txt"
+    good = "Car 1 2 -1 3.9 1.6 1.56 0 0.5\n"
+    path.write_text(good * 1499 + "\n" + "Car 1 2 -1 3.9 1.6 1.56\n" + good * 600)
+    with pytest.raises(DetectionParseError, match="line 1501: expected 8 or 9 fields, got 7"):
+        read_detections(str(path))
+    path.write_text(good * 1499 + "\n" + good * 600)
+    assert len(read_detections(str(path))) == 2099
 
 
 def test_box_rejects_a_string_yaw():
