@@ -212,14 +212,28 @@ def _size_levels(diag: np.ndarray, top: float) -> np.ndarray:
     return np.minimum(np.frexp(top / diag)[1] - 1, _MAX_LEVEL)
 
 
-def _block_chunks(index: CellIndex, queries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _filed_pairs(index: CellIndex, queries: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every (query, point) pair within each query's 3x3 block of
-    ``index``, about ``_REACH_CHUNK`` pairs at a time."""
-    rows, slots = index.block_slots(index.cell_of(queries))
-    ends = np.cumsum(index.count[slots])
-    cuts = np.searchsorted(ends, np.arange(_REACH_CHUNK, ends[-1] if len(ends) else 0, _REACH_CHUNK))
+    ``index``, about ``_REACH_CHUNK`` pairs at a time.  Without
+    ``queries``, the indexed points against each other, each pair once:
+    the forward half of each point's block, and in its own cell only the
+    points after it in index order."""
+    if queries is None:
+        rows, slots = index.block_slots(index.cell_of(index.points), forward=True)
+        position = np.empty(len(index.order), dtype=np.int64)
+        position[index.order] = np.arange(len(index.order))
+    else:
+        rows, slots = index.block_slots(index.cell_of(queries))
+    # A chunk is the hits whose first pair falls in one run of
+    # _REACH_CHUNK pairs.
+    count = index.count[slots]
+    cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _REACH_CHUNK)) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
-        yield index.expand(rows[lo:hi], slots[lo:hi])
+        q, s = index.expand(rows[lo:hi], slots[lo:hi])
+        if queries is None:
+            later = position[q] < position[s]
+            q, s = q[later], s[later]
+        yield q, s
 
 
 def reaching_pairs(a: BoxArray, b: BoxArray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +249,9 @@ def reaching_pairs(a: BoxArray, b: BoxArray | None = None) -> tuple[np.ndarray, 
     larger box's level, of cell side ``top * 2**-L``, which bounds the
     pair's reach, so the pair lies in the 3x3 block of the smaller box's
     cell.  One huge box therefore adds one level and a pair per box, never
-    a coarse grid for all.  Candidates are tested ``_REACH_CHUNK`` at a
-    time, so memory grows with the pairs that reach; a table of at most
-    ``_REACH_CHUNK`` pairs is tested whole.
+    a coarse grid for all.  Within one set, each same-level pair is listed
+    once, from the forward half of a block.  Candidates are tested
+    ``_REACH_CHUNK`` at a time, so memory grows with the pairs that reach.
     """
     same = b is None
     b = a if same else b
@@ -246,35 +260,42 @@ def reaching_pairs(a: BoxArray, b: BoxArray | None = None) -> tuple[np.ndarray, 
         return empty, empty
     xy = (a.params[:, :2], b.params[:, :2])
     diag = (a.bev_diagonal, b.bev_diagonal)
-    if len(a) * len(b) <= _REACH_CHUNK:  # the whole table at once
-        dx = xy[0][:, None, 0] - xy[1][None, :, 0]
-        dy = xy[0][:, None, 1] - xy[1][None, :, 1]
-        reach = 0.5 * (diag[0][:, None] + diag[1][None, :])
-        near = dx * dx + dy * dy <= reach * reach
-        i, j = np.nonzero(np.triu(near, 1) if same else near)
-        return i.astype(np.int32), j.astype(np.int32)
     top = max(diag[0].max(), diag[1].max())
     level = (_size_levels(diag[0], top), _size_levels(diag[1], top))
     found_i, found_j = [], []
+
+    def add_near(i: np.ndarray, j: np.ndarray) -> None:
+        if same:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        dx, dy = xy[0][i, 0] - xy[1][j, 0], xy[0][i, 1] - xy[1][j, 1]
+        reach = 0.5 * (diag[0][i] + diag[1][j])
+        near = dx * dx + dy * dy <= reach * reach
+        found_i.append(i[near].astype(np.int32))
+        found_j.append(j[near].astype(np.int32))
+
     for lv in np.union1d(*level).tolist():
-        # The larger box of a pair is filed, the other queries: b's boxes
-        # of this level against a's of this level or smaller, then a's of
-        # this level against b's strictly smaller.
+        side = math.ldexp(top, -lv) * (1.0 + _SLACK)
+        # The larger box of a pair is filed, the other queries.
+        if same:
+            # This level's boxes against each other, then the smaller ones
+            # against them.
+            s_idx, q_idx = np.flatnonzero(level[0] == lv), np.flatnonzero(level[0] > lv)
+            index = CellIndex(xy[0][s_idx], side)
+            for q, s in _filed_pairs(index):
+                add_near(s_idx[q], s_idx[s])
+            if len(q_idx):
+                for q, s in _filed_pairs(index, xy[0][q_idx]):
+                    add_near(q_idx[q], s_idx[s])
+            continue
+        # b's boxes of this level against a's of this level or smaller,
+        # then a's of this level against b's strictly smaller.
         for filed, query, q_level in ((1, 0, level[0] >= lv), (0, 1, level[1] > lv)):
             q_idx, s_idx = np.flatnonzero(q_level), np.flatnonzero(level[filed] == lv)
             if len(q_idx) == 0 or len(s_idx) == 0:
                 continue
-            index = CellIndex(xy[filed][s_idx], math.ldexp(top, -lv) * (1.0 + _SLACK))
-            for q, s in _block_chunks(index, xy[query][q_idx]):
-                i, j = (q_idx[q], s_idx[s]) if filed else (s_idx[s], q_idx[q])
-                if same:
-                    ordered = i < j
-                    i, j = i[ordered], j[ordered]
-                dx, dy = xy[0][i, 0] - xy[1][j, 0], xy[0][i, 1] - xy[1][j, 1]
-                reach = 0.5 * (diag[0][i] + diag[1][j])
-                near = dx * dx + dy * dy <= reach * reach
-                found_i.append(i[near].astype(np.int32))
-                found_j.append(j[near].astype(np.int32))
+            index = CellIndex(xy[filed][s_idx], side)
+            for q, s in _filed_pairs(index, xy[query][q_idx]):
+                add_near(*((q_idx[q], s_idx[s]) if filed else (s_idx[s], q_idx[q])))
     if not found_i:
         return empty, empty
     return np.concatenate(found_i), np.concatenate(found_j)
@@ -296,15 +317,20 @@ def nms(
     [0, 1].
 
     Cost: one sort, the candidate pairs that can overlap
-    (:func:`reaching_pairs`), then waves.  Each wave keeps every
-    undecided candidate with no undecided higher-ranked neighbour, takes
-    the IoUs of those new keeps with their undecided lower-ranked
-    neighbours in one :func:`bev_iou_pairs` call, and suppresses the
-    neighbours whose IoU is above the threshold.  This is exactly the
-    greedy sweep: a candidate is decided only once every higher-ranked
-    neighbour is, and each IoU is bit-identical to the sweep's (the
-    candidate's footprint clipped by the kept box's).  Pairs that cannot
-    reach have IoU 0 and are never computed.
+    (:func:`reaching_pairs`) filed by their higher-ranked box, then waves.
+    Each wave keeps every undecided candidate whose count of undecided
+    higher-ranked neighbours is 0, takes the IoUs of those new keeps with
+    their undecided lower-ranked neighbours in one :func:`bev_iou_pairs`
+    call, suppresses the neighbours whose IoU is above the threshold, and
+    counts down the lower-ranked neighbours of every box it decided.  A
+    wave thus reads only the pairs of the boxes it decides, so each pair
+    is read once in all, and a wave's fixed cost is one kernel call.
+    The waves are as many as the longest chain of kept or suppressing
+    neighbours: n boxes in one spot at threshold 1 take n waves.  This is
+    exactly the greedy sweep: a candidate is decided only once every
+    higher-ranked neighbour is, and each IoU is bit-identical to the
+    sweep's (the candidate's footprint clipped by the kept box's).  Pairs
+    that cannot reach have IoU 0 and are never computed.
     """
     for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
         if not 0.0 <= value <= 1.0:
@@ -317,22 +343,37 @@ def nms(
     order = order[arr.scores[order] >= score_threshold]
     candidates = arr.take(order)
     footprints = _Footprints(candidates)
-    # Ranked pairs: ``high`` outranks ``low``.  Both stay undecided while listed.
+    n = len(candidates)
+    # Ranked pairs, ``high`` outranking ``low``, filed by ``high``: the
+    # lower-ranked neighbours of box k are lower[start[k]:start[k + 1]].
     high, low = reaching_pairs(candidates)
-    undecided = np.ones(len(order), dtype=bool)
-    kept = np.zeros(len(order), dtype=bool)
-    while True:
-        new = undecided.copy()
-        new[low] = False  # an undecided higher-ranked neighbour
-        kept |= new
-        undecided &= ~new
-        if len(high) == 0:
-            break
-        wave = new[high]
-        iou = _bev_iou(footprints, footprints, low[wave], high[wave])
-        undecided[low[wave][iou > iou_threshold]] = False
-        live = undecided[high] & undecided[low]
-        high, low = high[live], low[live]
+    lower = low[np.argsort(high)]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(high, minlength=n), out=start[1:])
+
+    def neighbours_below(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = start[boxes + 1] - start[boxes]
+        first = np.repeat(start[boxes] - (np.cumsum(count) - count), count)
+        return np.repeat(boxes, count), lower[first + np.arange(count.sum())]
+
+    pending = np.bincount(low, minlength=n)  # undecided higher-ranked neighbours
+    undecided = np.ones(n, dtype=bool)
+    kept = np.zeros(n, dtype=bool)
+    new = np.flatnonzero(pending == 0)
+    while len(new):
+        kept[new] = True
+        undecided[new] = False
+        k, j = neighbours_below(new)
+        live = undecided[j]
+        k, j = k[live], j[live]
+        suppressed = np.unique(j[_bev_iou(footprints, footprints, j, k) > iou_threshold])
+        undecided[suppressed] = False
+        # Every lower neighbour of a box decided in this wave has one
+        # undecided higher-ranked neighbour fewer.
+        _, below = neighbours_below(suppressed)
+        touched, fewer = np.unique(np.concatenate([j, below]), return_counts=True)
+        pending[touched] -= fewer
+        new = touched[(pending[touched] == 0) & undecided[touched]]
     keep = order[kept]
     if isinstance(boxes, BoxArray):
         return boxes.take(keep)

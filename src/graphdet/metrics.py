@@ -57,17 +57,7 @@ class RecallSchedule:
         return cls(40, 1.0 / 40.0, 1.0)
 
 
-class _Matcher:
-    """A matcher's one-pair view of its ``quality_matrix``."""
-
-    def quality(self, det: Box3D, gt: Box3D) -> float | None:
-        """Match quality of one pair (higher is better), or None when no
-        match: one entry of :meth:`quality_matrix`."""
-        q = float(self.quality_matrix(BoxArray.of([det]), BoxArray.of([gt]))[0, 0])
-        return None if math.isnan(q) else q
-
-
-class BevIouMatcher(_Matcher):
+class BevIouMatcher:
     """Detections match ground truth at rotated BEV IoU >= threshold.
 
     Cost: one :func:`graphdet.geom.pairwise_bev_iou` call, which computes
@@ -87,7 +77,7 @@ class BevIouMatcher(_Matcher):
         return np.where(iou >= self.iou_threshold, iou, np.nan)
 
 
-class CenterDistanceMatcher(_Matcher):
+class CenterDistanceMatcher:
     """Detections match ground truth at BEV centre distance < limit."""
 
     def __init__(self, max_distance: float):

@@ -74,13 +74,18 @@ class CellIndex:
         c = np.floor((xyz - self.origin) / self.cell_size)
         return np.clip(c, 0, self.shape - 1).astype(np.int64)
 
-    def block_slots(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The occupied cells of each query's 3x3x3 (3x3) block.
+    def block_slots(self, cells: np.ndarray, forward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied cells of each query's 3x3x3 (3x3) block; with
+        ``forward``, of its forward half: the query's own cell and the
+        block cells after it in key order, so that of two neighbouring
+        cells only the first lists the second.
 
         Returns the query row and the cell slot (into ``keys``, ``start``
         and ``count``) of every hit, ordered by query row.
         """
         offsets = _OFFSETS[cells.shape[1]]
+        if forward:  # offsets run in key order, the own cell in the middle
+            offsets = offsets[len(offsets) // 2:]
         keys = self._key(cells[:, None, :] + offsets).ravel()
         slot = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         hit = self.keys[slot] == keys

@@ -573,6 +573,17 @@ def all_pairs_precision_recall(
     return brute_pr_curve(detections, gt_boxes, quality)
 
 
+def center_distance_quality(max_distance: float):
+    """The centre-distance match quality of one pair, as a loop computes
+    it: the negated ``math.hypot`` distance, None at or beyond the limit."""
+
+    def quality(det: Box3D, gt: Box3D) -> float | None:
+        dist = math.hypot(det.center[0] - gt.center[0], det.center[1] - gt.center[1])
+        return -dist if dist < max_distance else None
+
+    return quality
+
+
 def max_scan_ap(curve: list[tuple[float, float]], levels: list[float]) -> float:
     """Literal definition of interpolated AP: per level, scan every curve
     point for the best precision achieved at recall >= level."""

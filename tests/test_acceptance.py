@@ -54,6 +54,7 @@ from oracles import (
     brute_nms,
     brute_pr_curve,
     brute_radius_graph,
+    center_distance_quality,
     loop_rotated_iou_bev,
     max_scan_ap,
     mc_iou_bev,
@@ -104,7 +105,7 @@ def test_criterion_2_interpolated_ap_matches_exhaustive_scan():
         gts = [random_box(rng, spread=8.0)
                for _ in range(int(rng.integers(1, 9)))]
         curve = precision_recall(dets, gts, matcher)
-        assert curve == brute_pr_curve(dets, gts, matcher.quality)
+        assert curve == brute_pr_curve(dets, gts, center_distance_quality(2.0))
         ap11 = interpolated_ap(curve, s11)
         ap40 = interpolated_ap(curve, s40)
         assert ap11 == max_scan_ap(curve, list(s11.levels))

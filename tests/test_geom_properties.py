@@ -161,9 +161,9 @@ def far_boxes(draw):
 
 _IOU_THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
 _SCORE_THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5])
-# Candidate-pair budgets of reaching_pairs: 1 and 64 send these small sets
-# through the cell index (one cell hit, or a few, per chunk), the default
-# tests their whole pair table at once.
+# Candidate-pair budgets of reaching_pairs: 1 and 64 split these small
+# sets' candidates into many chunks (one cell hit, or a few, per chunk),
+# the default tests them in one.
 _CHUNKS = st.sampled_from([1, 64, geom._REACH_CHUNK])
 
 
@@ -197,7 +197,7 @@ def test_iou_agrees_with_the_numpy_oracle(pair):
     assert abs(rotated_iou_bev(a, b) - np_rotated_iou_bev(a, b)) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(kernel_pair(), min_size=1, max_size=40))
 def test_kernel_is_bit_identical_to_the_float_loop(pairs):
     # One batch mixes pairs whose clipped polygons have different vertex
@@ -225,7 +225,7 @@ def test_array_wrappers_agree_with_the_numpy_oracle(pair):
 # NMS
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
 def test_nms_equals_brute_force(boxes, iou_threshold, score_threshold, chunk):
     want = brute_nms(boxes, loop_rotated_iou_bev, iou_threshold, score_threshold)
@@ -234,14 +234,14 @@ def test_nms_equals_brute_force(boxes, iou_threshold, score_threshold, chunk):
         assert nms(boxes, iou_threshold, score_threshold) == want
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
 def test_nms_is_idempotent(boxes, iou_threshold, score_threshold):
     kept = nms(boxes, iou_threshold, score_threshold)
     assert nms(kept, iou_threshold, score_threshold) == kept
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(clustered_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
 def test_nms_keeps_a_descending_subset_without_overlaps(boxes, iou_threshold, score_threshold):
     kept = nms(boxes, iou_threshold, score_threshold)
@@ -296,22 +296,42 @@ def _pair(ax, a_dims, bx, b_dims):
                -13.96370302707458, (3.3400848813105597, 1.418289390779069)), 0.1, 0.0, 1)
 @example(_pair(7.87167142504161, (3.874282209931924, 4.149421017481525),
                2.8384748291341424, (4.322725661094752, 0.7624023826742818)), 0.1, 0.0, 1)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.one_of(lattice_boxes(), reach_apart_pairs()), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
 def test_nms_grid_on_a_lattice_of_reach_apart_centres(boxes, iou_threshold, score_threshold, chunk):
     _check_grid(boxes, iou_threshold, score_threshold, chunk)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(mixed_size_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
 def test_nms_grid_with_mixed_sizes_and_one_wide_box(boxes, iou_threshold, score_threshold, chunk):
     _check_grid(boxes, iou_threshold, score_threshold, chunk)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(far_boxes(), _IOU_THRESHOLDS, _SCORE_THRESHOLDS, _CHUNKS)
 def test_nms_grid_far_from_the_origin(boxes, iou_threshold, score_threshold, chunk):
     _check_grid(boxes, iou_threshold, score_threshold, chunk)
+
+
+def _sweep_iou_calls(boxes, iou_threshold, score_threshold):
+    """IoU calls of the greedy sweep with the reach prefilter and early exit."""
+    order = sorted(
+        (i for i, b in enumerate(boxes) if b.score >= score_threshold),
+        key=lambda i: (-boxes[i].score, i),
+    )
+    kept, calls = [], 0
+    for i in order:
+        candidate = boxes[i]
+        for k in kept:
+            if not _reach(candidate, k):
+                continue
+            calls += 1
+            if loop_rotated_iou_bev(candidate, k) > iou_threshold:
+                break
+        else:
+            kept.append(candidate)
+    return calls
 
 
 def test_nms_computes_iou_only_where_the_sweep_needs_it(monkeypatch):
@@ -343,5 +363,9 @@ def test_nms_computes_iou_only_where_the_sweep_needs_it(monkeypatch):
     assert len(set(pairs)) == len(pairs)
     for low, high in pairs:
         assert high < low and high in kept_ranks and _reach(boxes[ranked[low]], boxes[ranked[high]])
-    reaching = sum(_reach(boxes[p], boxes[q]) for p in ranked for q in ranked if p < q)
-    assert kept and 0 < len(pairs) < reaching // 4
+    # A candidate suppressed in a wave meets every keep of that wave, where
+    # the sweep stops at the first that suppresses it: 539 IoUs here
+    # against the sweep's 522, so at most 5 % more.
+    expected = _sweep_iou_calls(boxes, 0.1, 0.3)
+    assert kept and 0 < len(pairs) <= expected + expected // 20
+    assert len(pairs) < len(boxes)  # fewer exact IoUs than boxes

@@ -18,9 +18,16 @@ from graphdet.metrics import (
     nds,
     precision_recall,
 )
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, BoxArray
 
-from oracles import all_pairs_precision_recall, brute_pr_curve, loop_rotated_iou_bev, max_scan_ap, random_box
+from oracles import (
+    all_pairs_precision_recall,
+    brute_pr_curve,
+    center_distance_quality,
+    loop_rotated_iou_bev,
+    max_scan_ap,
+    random_box,
+)
 
 
 def det_at(x, y, score, dims=(2.0, 2.0, 2.0)):
@@ -68,14 +75,19 @@ def test_schedule_validation():
 # matchers
 
 
+def _quality(matcher, det, gt):
+    """The one entry of the matcher's quality matrix for one pair."""
+    return matcher.quality_matrix(BoxArray.of([det]), BoxArray.of([gt]))[0, 0]
+
+
 def test_bev_iou_matcher_threshold():
     m = BevIouMatcher(0.5)
     det = det_at(0.0, 0.0, 0.9)
-    assert m.quality(det, gt_at(0.0, 0.0)) == pytest.approx(1.0)
+    assert _quality(m, det, gt_at(0.0, 0.0)) == pytest.approx(1.0)
     # shifted by half a side: IoU = 1/3 < 0.5
-    assert m.quality(det, gt_at(1.0, 0.0)) is None
+    assert math.isnan(_quality(m, det, gt_at(1.0, 0.0)))
     weak = BevIouMatcher(0.3)
-    assert weak.quality(det, gt_at(1.0, 0.0)) == pytest.approx(1.0 / 3.0)
+    assert _quality(weak, det, gt_at(1.0, 0.0)) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         BevIouMatcher(0.0)
 
@@ -83,9 +95,9 @@ def test_bev_iou_matcher_threshold():
 def test_center_distance_matcher_is_strict_and_negates():
     m = CenterDistanceMatcher(2.0)
     det = det_at(0.0, 0.0, 0.9)
-    assert m.quality(det, gt_at(1.0, 1.0)) == pytest.approx(-np.sqrt(2.0))
-    assert m.quality(det, gt_at(2.0, 0.0)) is None  # boundary distance excluded
-    assert m.quality(det, gt_at(1.9, 0.0)) == pytest.approx(-1.9)
+    assert _quality(m, det, gt_at(1.0, 1.0)) == pytest.approx(-np.sqrt(2.0))
+    assert math.isnan(_quality(m, det, gt_at(2.0, 0.0)))  # boundary distance excluded
+    assert _quality(m, det, gt_at(1.9, 0.0)) == pytest.approx(-1.9)
     with pytest.raises(ValueError):
         CenterDistanceMatcher(0.0)
 
@@ -169,7 +181,7 @@ def test_pr_matches_independent_oracle():
         dets = [random_box(rng, spread=8.0, score=True) for _ in range(15)]
         gts = [random_box(rng, spread=8.0) for _ in range(5)]
         got = precision_recall(dets, gts, matcher)
-        want = brute_pr_curve(dets, gts, matcher.quality)
+        want = brute_pr_curve(dets, gts, center_distance_quality(2.0))
         assert got == pytest.approx(want)
 
 
