@@ -9,8 +9,8 @@ KITTI/nuScenes-style evaluation.  Everything is numpy-only and seeded.
 from .geom import (
     AnchorConfig,
     Box3D,
-    decode_box,
-    encode_box,
+    decode_boxes,
+    encode_boxes,
     generate_anchors,
     iou_3d,
     match_anchors,
@@ -93,8 +93,8 @@ __all__ = [
     "VoxelizationConfig",
     "build_graph",
     "clip_to_range",
-    "decode_box",
-    "encode_box",
+    "decode_boxes",
+    "encode_boxes",
     "farthest_point_sample",
     "focal_loss",
     "generate_anchors",

@@ -216,7 +216,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         raise DetectionParseError(
             f"{len(proposals)} proposals but {len(states)} state rows"
         )
-    graph = build_graph(list(zip(proposals, list(states))), args.radius)
+    graph = build_graph(proposals, states, args.radius)
     f = states.shape[1]
     extended = not args.vanilla
     updater = GraphUpdater.seeded(f, args.hidden, args.iters, args.seed, extended=extended)

@@ -46,8 +46,9 @@ IGNORE = -1
 class _Footprints:
     """Per-box terms of the overlap kernel: the BEV centres, each corner's
     offset from its centre in counter-clockwise order (the corner sums of
-    ``Box3D.corners_bev`` before the centre is added), and the footprint
-    areas.  Each yaw's cosine and sine are taken once, with ``math``."""
+    ``corners_bev`` in ``tests/oracles.py`` before the centre is added),
+    and the footprint areas.  Each yaw's cosine and sine are taken once,
+    with ``math``."""
 
     def __init__(self, boxes: BoxArray):
         p = boxes.params
@@ -305,16 +306,16 @@ def nms(
     boxes: Sequence[Box3D],
     iou_threshold: float = 0.1,
     score_threshold: float = 0.3,
-) -> Sequence[Box3D]:
+) -> BoxArray:
     """Greedy non-maximum suppression on BEV IoU.
 
     Boxes scoring below ``score_threshold`` are dropped up front.  The
     rest are visited by descending score (ties by lower input index); a
     box is kept iff its IoU with every already-kept box is at most
-    ``iou_threshold``.  The kept boxes come back sorted by descending
-    score: a :class:`~graphdet.scene.BoxArray` for a BoxArray, else a list
-    of the given :class:`Box3D` objects.  Both thresholds must lie in
-    [0, 1].
+    ``iou_threshold``.  The kept boxes come back as a
+    :class:`~graphdet.scene.BoxArray`, sorted by descending score, whether
+    ``boxes`` is a BoxArray or a sequence of :class:`Box3D`.  Both
+    thresholds must lie in [0, 1].
 
     Cost: one sort, the candidate pairs that can overlap
     (:func:`reaching_pairs`) filed by their higher-ranked box, then waves.
@@ -374,10 +375,7 @@ def nms(
         touched, fewer = np.unique(np.concatenate([j, below]), return_counts=True)
         pending[touched] -= fewer
         new = touched[(pending[touched] == 0) & undecided[touched]]
-    keep = order[kept]
-    if isinstance(boxes, BoxArray):
-        return boxes.take(keep)
-    return [boxes[i] for i in keep.tolist()]
+    return arr.take(order[kept])
 
 
 @dataclass(frozen=True)
@@ -499,52 +497,72 @@ def match_anchors(
     return AnchorAssignment(labels, gt_indices, max_iou)
 
 
-def encode_box(gt: Box3D, anchor: Box3D) -> np.ndarray:
-    """Regression residuals of ``gt`` relative to ``anchor``.
+def encode_boxes(gt: BoxArray, reference: BoxArray) -> np.ndarray:
+    """(n, 7) regression residuals of each box ``gt[k]`` relative to ``reference[k]``.
 
-    Centre offsets are normalised by the anchor footprint diagonal (x, y)
-    and height (z); sizes are log ratios; yaw is a plain difference.
+    Centre offsets are normalised by the reference footprint diagonal
+    (x, y) and height (z); sizes are log ratios, taken with ``math.log``
+    entry by entry; yaw is the difference wrapped to (-pi, pi], so two
+    yaws straddling the seam encode as a small angle.
     """
-    d = anchor.bev_diagonal
-    return np.array(
-        [
-            (gt.center[0] - anchor.center[0]) / d,
-            (gt.center[1] - anchor.center[1]) / d,
-            (gt.center[2] - anchor.center[2]) / anchor.dims[2],
-            math.log(gt.dims[0] / anchor.dims[0]),
-            math.log(gt.dims[1] / anchor.dims[1]),
-            math.log(gt.dims[2] / anchor.dims[2]),
-            gt.yaw - anchor.yaw,
-        ]
-    )
+    if len(gt) != len(reference):
+        raise ValueError(f"{len(gt)} boxes but {len(reference)} references")
+    g, r = gt.params, reference.params
+    ratios = (g[:, 3:6] / r[:, 3:6]).ravel().tolist()
+    out = np.empty((len(g), 7))
+    out[:, :3] = (g[:, :3] - r[:, :3]) / _centre_scale(reference)
+    out[:, 3:6] = np.array(list(map(math.log, ratios)), dtype=float).reshape(-1, 3)
+    out[:, 6] = normalize_yaw(g[:, 6] - r[:, 6])
+    return out
 
 
-def decode_box(
-    residuals: np.ndarray,
-    anchor: Box3D,
-    score: float | None = None,
-    class_id: int | None = None,
-) -> Box3D:
-    """Invert :func:`encode_box`; the yaw is re-normalised to (-pi, pi]."""
+def _centre_scale(reference: BoxArray) -> np.ndarray:
+    """(n, 3) units of the centre residuals: the footprint diagonal for x
+    and y, the height for z."""
+    d = reference.bev_diagonal
+    return np.column_stack([d, d, reference.params[:, 5]])
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, infinite where the result overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def decode_boxes(residuals: np.ndarray, reference: BoxArray, scores: np.ndarray) -> BoxArray:
+    """Invert :func:`encode_boxes`: the box each residual row encodes
+    relative to ``reference[k]``, scored ``scores[k]``, with the
+    reference's class.  Sizes scale by ``math.exp`` entry by entry; yaws
+    are re-normalised to (-pi, pi].  A row that decodes to a non-finite
+    box, a non-positive size or a score outside [0, 1], as from a
+    diverged header, raises ValueError naming the first such row.
+    """
     res = np.asarray(residuals, dtype=float)
-    if res.shape != (7,):
-        raise ValueError(f"expected 7 residuals, got shape {res.shape}")
-    d = anchor.bev_diagonal
-    return Box3D(
-        center=(
-            anchor.center[0] + res[0] * d,
-            anchor.center[1] + res[1] * d,
-            anchor.center[2] + res[2] * anchor.dims[2],
-        ),
-        dims=(
-            anchor.dims[0] * math.exp(res[3]),
-            anchor.dims[1] * math.exp(res[4]),
-            anchor.dims[2] * math.exp(res[5]),
-        ),
-        yaw=anchor.yaw + res[6],
-        score=score,
-        class_id=class_id if class_id is not None else anchor.class_id,
-    )
+    n = len(reference)
+    scores = np.array(scores, dtype=float)
+    if res.shape != (n, 7) or scores.shape != (n,):
+        raise ValueError(
+            f"expected ({n}, 7) residuals and ({n},) scores, got {res.shape} and {scores.shape}"
+        )
+    r = reference.params
+    scale = np.array(list(map(_exp, res[:, 3:6].ravel().tolist())), dtype=float)
+    params = np.empty((n, 7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        params[:, :3] = r[:, :3] + res[:, :3] * _centre_scale(reference)
+        params[:, 3:6] = r[:, 3:6] * scale.reshape(-1, 3)
+        params[:, 6] = r[:, 6] + res[:, 6]
+    valid = np.isfinite(params).all(axis=1) & (params[:, 3:6] > 0.0).all(axis=1)
+    bad = np.flatnonzero(~(valid & (scores >= 0.0) & (scores <= 1.0)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"proposal {i} decodes to box {params[i].tolist()} with score {scores[i]}: "
+            "a box needs finite parameters, positive dims and a score in [0, 1]"
+        )
+    params[:, 6] = normalize_yaw(params[:, 6])
+    return BoxArray(params, scores, reference.class_ids)
 
 
 def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:

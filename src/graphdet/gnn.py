@@ -13,7 +13,9 @@ comes from a per-iteration alignment stack, making the update exactly
 translation invariant.  Both updates are synchronous (iteration k reads
 only k-1 states) and come with analytic backward passes.
 
-The graph is stored as arrays in compressed sparse row (CSR) form: row
+The graph is stored as arrays: the proposals as one
+:class:`~graphdet.scene.BoxArray`, whose centres are the node
+coordinates, and the adjacency in compressed sparse row (CSR) form: row
 i's neighbours are ``indices[offsets[i]:offsets[i+1]]``, ascending, with
 the self-loop included.  Each iteration transforms one row per directed
 edge and max-pools with one ``argmax`` over the rows laid out as an
@@ -29,53 +31,58 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .geom import decode_box
+from .geom import decode_boxes
 from .neighbors import radius_pairs
 from .nnet import DenseStack, LayerGrads, _sigmoid
-from .scene import Box3D
+from .scene import BoxArray
 
 
-_ARRAYS = ("coords", "states", "offsets", "indices", "row_node")
+_ARRAYS = ("states", "offsets", "indices", "row_node")
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodGraph:
     """Proposal nodes and their symmetric radius-graph adjacency, as arrays.
 
-    ``coords`` (n, 3), ``states`` (n, F) and ``boxes`` hold one entry per
-    node.  The adjacency is in compressed sparse row (CSR) form: row i's
-    neighbours are ``indices[offsets[i]:offsets[i+1]]``, strictly
-    ascending, with the self-loop included, so ``offsets`` has n + 1
-    entries and ``indices`` one per directed edge; ``row_node`` holds the
-    owning node of each entry of ``indices``.  The refiner max-pools each
-    node's block per channel with one ``argmax`` over a ``-inf``-padded
-    (n, max_degree, D) layout: the lowest row wins an exact tie and the
-    first NaN row beats every number.  Arrays are copied and made
-    read-only.
+    ``boxes`` (a :class:`~graphdet.scene.BoxArray`) and ``states`` (n, F)
+    hold one entry per node; ``coords`` (n, 3) is the read-only view of
+    the boxes' centres.  The adjacency is in compressed sparse row (CSR)
+    form: row i's neighbours are ``indices[offsets[i]:offsets[i+1]]``,
+    strictly ascending, with the self-loop included, so ``offsets`` has
+    n + 1 entries and ``indices`` one per directed edge; ``row_node``
+    holds the owning node of each entry of ``indices``.  The refiner
+    max-pools each node's block per channel with one ``argmax`` over a
+    ``-inf``-padded (n, max_degree, D) layout: the lowest row wins an
+    exact tie and the first NaN row beats every number.  The state and
+    adjacency arrays are copied and made read-only.
     """
 
-    coords: np.ndarray
+    boxes: BoxArray
     states: np.ndarray
-    boxes: tuple[Box3D, ...]
     offsets: np.ndarray
     indices: np.ndarray
     radius: float
+    coords: np.ndarray = field(init=False, repr=False)
     row_node: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=float).reshape(-1, 3)
+        coords = self.boxes.params[:, :3]
         try:
             states = np.array(self.states, dtype=float)
         except ValueError as exc:  # ragged rows
             raise ValueError("node states must be an (n, F) matrix of one width") from exc
         offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
         indices = np.array(self.indices, dtype=np.int64).reshape(-1)
-        boxes = tuple(self.boxes)
-        n = len(coords)
+        n = len(self.boxes)
+        if states.ndim != 2:
+            raise ValueError("node states must be an (n, F) matrix of one width")
+        if len(states) != n:
+            raise ValueError(
+                f"one proposal box per node is required: {n} boxes for {len(states)} state rows"
+            )
         if (
             len(offsets) != n + 1
             or offsets[0] != 0
@@ -83,10 +90,6 @@ class NeighborhoodGraph:
             or np.any(np.diff(offsets) < 0)
         ):
             raise ValueError("one adjacency list per node is required")
-        if states.ndim != 2:
-            raise ValueError("node states must be an (n, F) matrix of one width")
-        if len(states) != n or len(boxes) != n or not all(isinstance(b, Box3D) for b in boxes):
-            raise ValueError("one state row and one proposal box per node are required")
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(states))):
             raise ValueError("node coords/state must be finite")
         row_node = np.repeat(np.arange(n), np.diff(offsets))
@@ -104,13 +107,13 @@ class NeighborhoodGraph:
         if bad.size:
             e = bad[0]
             raise ValueError(f"edge ({row_node[e]}, {indices[e]}) is not symmetric")
-        for name, value in zip(_ARRAYS, (coords, states, offsets, indices, row_node)):
+        for name, value in zip(_ARRAYS, (states, offsets, indices, row_node)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.boxes)
 
     @property
     def state_dim(self) -> int:
@@ -124,26 +127,20 @@ class NeighborhoodGraph:
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def build_graph(
-    proposals: Sequence[tuple[Box3D, np.ndarray]],
-    radius: float = 2.0,
-) -> NeighborhoodGraph:
+def build_graph(boxes: BoxArray, states: np.ndarray, radius: float = 2.0) -> NeighborhoodGraph:
     """Connect proposals whose centres lie strictly closer than ``radius``.
 
-    Neighbour candidates come from the cell hash of ``neighbors`` with
-    ``radius``-sized cells, so construction stays near-linear in the node
-    count.  ``radius_pairs`` returns the pairs sorted by node, then
+    ``boxes`` holds one proposal per node and ``states`` its (n, F) state
+    row.  Neighbour candidates come from the cell hash of ``neighbors``
+    with ``radius``-sized cells, so construction stays near-linear in the
+    node count.  ``radius_pairs`` returns the pairs sorted by node, then
     neighbour, which is the CSR order directly.
     """
     if radius <= 0 or not math.isfinite(radius):
         raise ValueError("radius must be a positive real")
-    boxes = tuple(b for b, _ in proposals)
-    n = len(boxes)
-    coords = np.array([b.center for b in boxes], dtype=float).reshape(n, 3)
-    states = [s for _, s in proposals] if n else np.empty((0, 0))
-    src, dst = radius_pairs(coords, radius)
-    offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
-    return NeighborhoodGraph(coords, states, boxes, offsets, dst, radius)
+    src, dst = radius_pairs(boxes.params[:, :3], radius)
+    offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=len(boxes)))]
+    return NeighborhoodGraph(boxes, states, offsets, dst, radius)
 
 
 @dataclass
@@ -308,7 +305,7 @@ def _update_forward(
         block = np.full((n * width, d), -np.inf)
         block[block_row] = pooled_in
         argmax_rows = starts[:, None] + block.reshape(n, width, d).argmax(axis=1)
-        pooled = np.take_along_axis(pooled_in, argmax_rows, axis=0)
+        pooled = pooled_in[argmax_rows, np.arange(d)]
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
         h = prev + fused
         iterations.append(
@@ -437,12 +434,8 @@ def refine_proposals(
     refined_states: np.ndarray,
     cls_stack: DenseStack,
     reg_stack: DenseStack,
-) -> list[Box3D]:
-    """Decode headed residuals against each node's own proposal box."""
-    if len(graph) == 0:
-        return []
+) -> BoxArray:
+    """Decode headed residuals against each node's own proposal box, in
+    one :func:`graphdet.geom.decode_boxes` call."""
     scores, residuals, _ = header_forward(refined_states, cls_stack, reg_stack)
-    return [
-        decode_box(res, box, score=float(score), class_id=box.class_id)
-        for box, res, score in zip(graph.boxes, residuals, scores)
-    ]
+    return decode_boxes(residuals, graph.boxes, scores)

@@ -11,11 +11,11 @@ gradient, never an unlucky kink crossing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .geom import Box3D
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
@@ -36,6 +36,7 @@ from .nnet import (
     smooth_l1,
     smooth_l1_grad,
 )
+from .scene import BoxArray
 
 DEFAULT_STEP = 1e-5
 _ERR_FLOOR = 1e-6
@@ -77,7 +78,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def _stack_preact_margin(cache: list) -> float:
     """Smallest |pre-activation| across all cached layers."""
-    margins = [float(np.abs(pre).min()) for _, pre in cache[1:] if pre.size]
+    margins = [float(np.abs(pre).min()) for _, pre in cache if pre.size]
     return min(margins) if margins else np.inf
 
 
@@ -182,11 +183,11 @@ def check_masked_smooth_l1(seed: int) -> float:
 
 
 def _toy_graph(coords: np.ndarray, states: np.ndarray, radius: float) -> NeighborhoodGraph:
-    boxes = [
-        Box3D(center=(float(c[0]), float(c[1]), float(c[2])), dims=(1.0, 1.0, 1.0), yaw=0.0)
-        for c in coords
-    ]
-    return build_graph(list(zip(boxes, list(states))), radius)
+    """Unit boxes at ``coords`` carrying ``states``, linked within ``radius``."""
+    n = len(coords)
+    params = np.column_stack([coords, np.ones((n, 3)), np.zeros(n)])
+    boxes = BoxArray(params, np.full(n, np.nan), np.full(n, None, dtype=object))
+    return build_graph(boxes, states, radius)
 
 
 def _update_margin(cache) -> float:
@@ -202,10 +203,11 @@ def _update_margin(cache) -> float:
         if it.align_cache is not None:
             margin = min(margin, _stack_preact_margin(it.align_cache))
         # runner-up: the block maximum with the winner masked (-inf if alone)
+        winners = it.argmax_rows, np.arange(it.argmax_rows.shape[1])
         rest = it.pool_inputs.copy()
-        np.put_along_axis(rest, it.argmax_rows, -np.inf, axis=0)
+        rest[winners] = -np.inf
         runner_up = np.maximum.reduceat(rest, cache.graph.offsets[:-1], axis=0)
-        best = np.take_along_axis(it.pool_inputs, it.argmax_rows, axis=0)
+        best = it.pool_inputs[winners]
         margin = min(margin, float((best - runner_up).min()))
     return margin
 
@@ -246,7 +248,7 @@ def _check_update(seed: int, extended: bool) -> float:
         worst = max(worst, _stack_fd_error(stack, value, getattr(grads, kind)[k]))
 
     def scalar_states(flat: np.ndarray) -> float:
-        g = _toy_graph(coords, flat.reshape(states.shape), radius=4.0)
+        g = replace(graph, states=flat.reshape(states.shape))
         return float((probe * forward(g, updater)[0]).sum())
 
     fd_states = central_difference(scalar_states, states.ravel())
@@ -336,8 +338,6 @@ def check_composed(seed: int) -> float:
             residuals, targets, fg, beta
         )
 
-    graph = _toy_graph(coords, states, radius=4.0)
-
     def value() -> float:  # parameter perturbations leave the graph as it is
         return value_from(graph)
 
@@ -356,7 +356,7 @@ def check_composed(seed: int) -> float:
         worst = max(worst, _stack_fd_error(stack, value, getattr(ugrads, kind)[k]))
 
     fd_states = central_difference(
-        lambda flat: value_from(_toy_graph(coords, flat.reshape(states.shape), radius=4.0)),
+        lambda flat: value_from(replace(graph, states=flat.reshape(states.shape))),
         states.ravel(),
     )
     return max(worst, max_relative_error(d_states.ravel(), fd_states))

@@ -5,7 +5,7 @@ These are the building blocks that move features between irregular point
 sets and regular maps: interpolation weighs the three nearest sources by
 inverse squared distance, set abstraction max-pools a pointwise MLP over
 a radius neighbourhood, and BEV sampling reads a rotated grid of probes
-out of a 2D feature map.
+out of a 2D feature map, for all boxes in one gather.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .neighbors import ball_pairs, nearest_k
 from .nnet import DenseStack
-from .scene import Box3D
+from .scene import BoxArray
 
 _EPS = 1e-8  # inverse-distance regulariser
 
@@ -229,16 +229,21 @@ def sample_bev_point(bev: BevFeatureMap, x: float, y: float) -> np.ndarray:
 
 def sample_bev_grid(
     bev: BevFeatureMap,
-    proposal: Box3D,
+    boxes: BoxArray,
     m1: int,
     m2: int,
 ) -> np.ndarray:
-    """Read an m1 x m2 probe grid out of a proposal's rotated footprint.
+    """Read an m1 x m2 probe grid out of each box's rotated footprint
+    into row k of the (n, m1 * m2) result.
 
     Probe (i, j) sits at the centre of sub-cell (i, j) of the footprint,
     with i striding the length axis and j the width axis, and reads map
     channel ``i * m2 + j``.  The map must therefore carry at least
-    ``m1 * m2`` channels; probes falling off the raster read zero.
+    ``m1 * m2`` channels; probes falling off the raster read zero.  One
+    bilinear gather adds the four corner terms in
+    :func:`sample_bev_point`'s order, so each value is bit-identical to
+    it (an off-raster or zero-weight term adds a zero, which changes no
+    sum that starts at +0.0).
     """
     if m1 < 1 or m2 < 1:
         raise ValueError("grid shape must be positive")
@@ -247,15 +252,26 @@ def sample_bev_grid(
         raise ValueError(
             f"feature map has {bev.channels} channels but the {m1}x{m2} grid needs {needed}"
         )
-    l, w, _ = proposal.dims
-    c, s = math.cos(proposal.yaw), math.sin(proposal.yaw)
-    out = np.empty(needed)
-    for i in range(m1):
-        lx = ((i + 0.5) / m1 - 0.5) * l
-        for j in range(m2):
-            ly = ((j + 0.5) / m2 - 0.5) * w
-            x = proposal.center[0] + c * lx - s * ly
-            y = proposal.center[1] + s * lx + c * ly
-            g = i * m2 + j
-            out[g] = sample_bev_point(bev, x, y)[g]
+    p = boxes.params
+    yaw = p[:, 6].tolist()
+    cos = np.array(list(map(math.cos, yaw)), dtype=float)[:, None]
+    sin = np.array(list(map(math.sin, yaw)), dtype=float)[:, None]
+    lx = np.repeat((np.arange(m1) + 0.5) / m1 - 0.5, m2) * p[:, 3:4]
+    ly = np.tile((np.arange(m2) + 0.5) / m2 - 0.5, m1) * p[:, 4:5]
+    x = p[:, 0:1] + cos * lx - sin * ly
+    y = p[:, 1:2] + sin * lx + cos * ly
+    rows, cols, _ = bev.grid.shape
+    gc = (x - bev.origin[0]) / bev.cell_size - 0.5  # column coordinate
+    gr = (y - bev.origin[1]) / bev.cell_size - 0.5  # row coordinate
+    r0, c0 = np.floor(gr), np.floor(gc)
+    tr, tc = gr - r0, gc - c0
+    channel = np.arange(needed)
+    out = np.zeros((len(p), needed))
+    for dr, wr in ((0, 1.0 - tr), (1, tr)):
+        for dc, wc in ((0, 1.0 - tc), (1, tc)):
+            r, c = r0 + dr, c0 + dc
+            on = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+            rr = np.clip(r, 0, rows - 1).astype(np.int64)
+            cc = np.clip(c, 0, cols - 1).astype(np.int64)
+            out += np.where(on, wr * wc * bev.grid[rr, cc, channel], 0.0)
     return out

@@ -2,8 +2,8 @@
 
 There is no autodiff here: every forward has a matching analytic
 backward, which keeps the whole training path checkable against central
-finite differences.  Stacks operate on single vectors or on row-batched
-matrices; gradients accumulate over the batch.
+finite differences.  Stacks operate on row-batched (n, width) matrices;
+gradients accumulate over the rows.
 """
 
 from __future__ import annotations
@@ -117,19 +117,17 @@ class DenseStack:
         )
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Evaluate the stack, returning the output and a backward cache."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        h = x[None, :] if squeeze else x
-        if h.shape[1] != self.in_dim:
-            raise ValueError(f"input width {h.shape[1]} != stack width {self.in_dim}")
-        cache = [("squeeze", squeeze)]
+        """Evaluate the stack on an (n, in_dim) matrix of rows, returning
+        the output and a backward cache."""
+        h = np.asarray(x, dtype=float)
+        if h.ndim != 2 or h.shape[1] != self.in_dim:
+            raise ValueError(f"input of shape {h.shape} is not (rows, stack width {self.in_dim})")
+        cache = []
         for layer in self.layers:
             pre = h @ layer.weight.T + layer.bias
             cache.append((h, pre))
             h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-        out = h[0] if squeeze else h
-        return out, cache
+        return h, cache
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate without keeping the cache."""
@@ -141,18 +139,16 @@ class DenseStack:
         Returns per-layer (dW, db) pairs (input-first order) and the
         gradient with respect to the stack input, shaped like it.
         """
-        _, squeeze = cache[0]
         g = np.asarray(grad_out, dtype=float)
-        g = g[None, :] if squeeze else g
         grads: list[LayerGrads] = [None] * len(self.layers)  # type: ignore[list-item]
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
-            h_in, pre = cache[idx + 1]
+            h_in, pre = cache[idx]
             if layer.activation == "relu":
                 g = g * (pre > 0.0)
             grads[idx] = (g.T @ h_in, g.sum(axis=0))
             g = g @ layer.weight
-        return grads, (g[0] if squeeze else g)
+        return grads, g
 
     def zero_grads(self) -> list[LayerGrads]:
         return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in self.layers]

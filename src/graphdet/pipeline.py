@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .geom import Box3D, encode_box, nms, pairwise_bev_iou
+from .geom import encode_boxes, nms, pairwise_bev_iou
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
@@ -50,6 +50,7 @@ from .nnet import (
     masked_smooth_l1_mean,
     masked_smooth_l1_mean_grad,
 )
+from .interp import BevFeatureMap
 from .rfa import (
     RfaConfig,
     default_point_stacks,
@@ -60,6 +61,7 @@ from .rfa import (
 )
 from .scene import (
     KITTI_RANGE,
+    BoxArray,
     RangeBounds,
     Scene,
     clip_to_range,
@@ -349,49 +351,42 @@ class _World:
     targets: _Targets | None = None
 
 
-def _encode_target(gt: Box3D, reference: Box3D) -> np.ndarray:
-    """Box residual with the yaw difference wrapped to (-pi, pi].
-
-    The raw encoding's plain yaw difference jumps by 2*pi when the two
-    yaws straddle the seam; decoded boxes are identical either way, so
-    training targets use the wrapped branch.
-    """
-    vec = encode_box(gt, reference)
-    vec[6] = normalize_yaw(vec[6])
-    return vec
-
-
-def _bev_shape(config: PipelineConfig) -> tuple[int, int]:
+def _bev_map(config: PipelineConfig) -> BevFeatureMap:
+    """The synthetic BEV map over the configured range.  It reads no
+    scene, so one map serves every world of a run."""
     (x_lo, x_hi), (y_lo, y_hi), _ = config.range_bounds
-    rows = _axis_cells(y_hi - y_lo, config.bev_cell_size)
-    cols = _axis_cells(x_hi - x_lo, config.bev_cell_size)
-    return rows, cols
+    return synthetic_bev_map(
+        _axis_cells(y_hi - y_lo, config.bev_cell_size),
+        _axis_cells(x_hi - x_lo, config.bev_cell_size),
+        config.rfa.pixel_dim,
+        config.bev_cell_size,
+        (x_lo, y_lo),
+        config.feature_seed + _BEV_FIELD_OFFSET,
+    )
 
 
-def _make_proposals(
-    config: PipelineConfig, scene: Scene, seed: int
-) -> list[Box3D]:
-    rng = np.random.default_rng(seed)
-    out: list[Box3D] = []
-    for gt in scene.gt_boxes:
-        for _ in range(config.proposals.per_gt):
-            dx, dy = rng.normal(0.0, config.proposals.center_noise, size=2)
-            dz = rng.normal(0.0, 0.3 * config.proposals.center_noise)
-            dyaw = rng.normal(0.0, config.proposals.yaw_noise)
-            out.append(
-                Box3D(
-                    center=(gt.center[0] + dx, gt.center[1] + dy, gt.center[2] + dz),
-                    dims=gt.dims,
-                    yaw=gt.yaw + dyaw,
-                    class_id=gt.class_id,
-                )
-            )
-    return out
+def _make_proposals(config: PipelineConfig, scene: Scene, seed: int) -> BoxArray:
+    """``per_gt`` noisy copies of each ground-truth box, box after box:
+    one normal draw of (dx, dy, dz, dyaw) rows, with deviations
+    ``center_noise``, 0.3 of it for z, and ``yaw_noise``."""
+    gt = BoxArray.of(scene.gt_boxes)
+    per_gt = config.proposals.per_gt
+    sigma = config.proposals.center_noise
+    noise = np.random.default_rng(seed).normal(
+        0.0, [sigma, sigma, 0.3 * sigma, config.proposals.yaw_noise], size=(len(gt) * per_gt, 4)
+    )
+    params = np.repeat(gt.params, per_gt, axis=0)
+    params[:, :3] += noise[:, :3]
+    params[:, 6] = normalize_yaw(params[:, 6] + noise[:, 3])
+    return BoxArray(params, np.full(len(params), math.nan), np.repeat(gt.class_ids, per_gt))
 
 
-def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) -> _World:
+def _build_world(
+    config: PipelineConfig, scene_seed: int, proposal_seed: int, bev: BevFeatureMap
+) -> _World:
     """The scene, its features and its proposal graph: all that detection
     and scoring read.  :func:`_training_targets` adds what training reads.
+    ``bev`` is the run's :func:`_bev_map`.
 
     The voxel field is propagated only onto the cloud points nearest the
     proposal centres (at most 3 per proposal), the rows the voxel
@@ -414,19 +409,8 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
     grid = voxelize(cloud, config.voxel)
     vox_feats = voxel_feature_set(grid, config.rfa.voxel_dim, config.feature_seed)
 
-    rows, cols = _bev_shape(config)
-    (x_lo, _), (y_lo, _), _ = config.range_bounds
-    bev = synthetic_bev_map(
-        rows,
-        cols,
-        config.rfa.pixel_dim,
-        config.bev_cell_size,
-        (x_lo, y_lo),
-        config.feature_seed + _BEV_FIELD_OFFSET,
-    )
-
     proposals = _make_proposals(config, scene, proposal_seed)
-    if proposals and len(cloud) and len(vox_feats):
+    if len(proposals) and len(cloud) and len(vox_feats):
         stacks = default_point_stacks(
             config.rfa,
             config.feature_seed + _POINT_STACK_OFFSET,
@@ -435,8 +419,8 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
         pyramid = point_pyramid(cloud, config.rfa, stacks)
         states = roi_states(vox_feats, cloud, pyramid, bev, proposals, config.rfa)
     else:
-        proposals, states = [], []
-    graph = build_graph(list(zip(proposals, states)), config.gnn.radius)
+        proposals, states = proposals.take([]), np.empty((0, config.state_dim))
+    graph = build_graph(proposals, states, config.gnn.radius)
     return _World(scene=scene, graph=graph)
 
 
@@ -450,16 +434,16 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
     have IoU 0, so they can never be the accepted best.
     """
     proposals = world.graph.boxes
-    gt_boxes = world.scene.gt_boxes
+    gt_boxes = BoxArray.of(world.scene.gt_boxes)
     prop_fg = np.zeros(len(proposals), dtype=bool)
     prop_reg_targets = np.zeros((len(proposals), 7))
-    if len(proposals) and gt_boxes:
+    if len(proposals) and len(gt_boxes):
         iou = pairwise_bev_iou(proposals, gt_boxes)
         best_g = iou.argmax(axis=1)  # ties -> lower gt index
         best_iou = iou[np.arange(len(proposals)), best_g]
         prop_fg = (best_iou > 0.0) & (best_iou >= config.proposals.pos_iou)
-        for i in np.flatnonzero(prop_fg).tolist():
-            prop_reg_targets[i] = _encode_target(gt_boxes[best_g[i]], proposals[i])
+        fg = np.flatnonzero(prop_fg)
+        prop_reg_targets[fg] = encode_boxes(gt_boxes.take(best_g[fg]), proposals.take(fg))
 
     return _Targets(prop_fg=prop_fg, prop_reg_targets=prop_reg_targets)
 
@@ -569,12 +553,13 @@ def _batch_evaluate(
     return total, grads
 
 
-def _training_worlds(config: PipelineConfig) -> list[_World]:
+def _training_worlds(config: PipelineConfig, bev: BevFeatureMap) -> list[_World]:
     worlds = [
         _build_world(
             config,
             config.seed + _SCENE_STRIDE * j,
             config.seed + _SCENE_STRIDE * j + _PROPOSAL_OFFSET,
+            bev,
         )
         for j in range(config.train.batch_scenes)
     ]
@@ -584,7 +569,7 @@ def _training_worlds(config: PipelineConfig) -> list[_World]:
 
 
 def _train_models(
-    config: PipelineConfig, steps: int
+    config: PipelineConfig, steps: int, bev: BevFeatureMap
 ) -> tuple[PipelineModels, list[float], _World]:
     """Train on the batch; also returns the first training world, which is
     the pipeline's main scene (training never mutates a world).
@@ -592,7 +577,7 @@ def _train_models(
     Raises :class:`TrainingDivergedError`, naming the step and the loss
     term, as soon as the refinement loss ``l_gnn`` is not finite.
     """
-    worlds = _training_worlds(config)
+    worlds = _training_worlds(config, bev)
     models = init_models(config)
     lr = config.train.learning_rate / len(worlds)
     history = []
@@ -623,16 +608,17 @@ def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]
         steps = config.train.steps
     if steps < 0:
         raise ConfigError("steps must be non-negative")
-    _, history, _ = _train_models(config, steps)
+    _, history, _ = _train_models(config, steps, _bev_map(config))
     return history
 
 
 def detect(
     models: PipelineModels, world: _World, config: PipelineConfig
-) -> list[Box3D]:
-    """Refine the world's proposals and suppress duplicates."""
+) -> BoxArray:
+    """Refine the world's proposals and suppress duplicates; the proposals
+    stay one :class:`~graphdet.scene.BoxArray` from drawing to NMS."""
     if len(world.graph) == 0:
-        return []
+        return world.graph.boxes
     refined, _ = _refine_forward(models, world.graph, config)
     boxes = refine_proposals(world.graph, refined, models.cls_stack, models.reg_stack)
     return nms(boxes, config.nms.iou_threshold, config.nms.score_threshold)
@@ -644,7 +630,7 @@ _S40 = RecallSchedule.s40()
 
 def _score_world(
     models: PipelineModels, world: _World, config: PipelineConfig
-) -> tuple[list[Box3D], dict[str, Any]]:
+) -> tuple[BoxArray, dict[str, Any]]:
     """Detect and score one world.  ``empty_stage`` names the first stage
     that came up empty ("points" in range, "proposals", "detections"), or
     is None, so that an AP of zero from an empty input says why."""
@@ -666,7 +652,7 @@ def _score_world(
     }
 
 
-def run_pipeline(config: PipelineConfig) -> tuple[list[Box3D], dict[str, Any]]:
+def run_pipeline(config: PipelineConfig) -> tuple[BoxArray, dict[str, Any]]:
     """Train (optionally), detect, and score the result.
 
     The headline AP is measured on the first training scene — the fixed
@@ -678,17 +664,19 @@ def run_pipeline(config: PipelineConfig) -> tuple[list[Box3D], dict[str, Any]]:
     stacks keep their initial weights, which with ``header_init="zero"``
     makes the refiner an exact passthrough.
     """
+    bev = _bev_map(config)
     if config.train.steps > 0:
-        models, history, world_main = _train_models(config, config.train.steps)
+        models, history, world_main = _train_models(config, config.train.steps, bev)
     else:
         models = init_models(config)
         history = []
-        world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET)
+        world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET, bev)
     detections, scores = _score_world(models, world_main, config)
     world_holdout = _build_world(
         config,
         config.seed + _EVAL_SCENE_OFFSET,
         config.seed + _EVAL_PROPOSAL_OFFSET,
+        bev,
     )
     _, holdout_scores = _score_world(models, world_holdout, config)
 

@@ -4,9 +4,9 @@
 concatenates, in this order, a voxel component (sparse voxel features
 propagated onto the raw cloud points nearest the proposal centre, then
 onto the centre), a pixel component (a rotated probe grid over a BEV
-feature map), and a point component (the top level of a
-farthest-point-sampled set-abstraction pyramid, interpolated onto the
-centre).  Synthetic smooth feature fields
+feature map, read for all proposals in one gather), and a point
+component (the top level of a farthest-point-sampled set-abstraction
+pyramid, interpolated onto the centre).  Synthetic smooth feature fields
 stand in for a learned backbone so the whole path stays deterministic
 and cheap.
 """
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .geom import points_in_box
@@ -31,7 +29,7 @@ from .interp import (
 )
 from .neighbors import nearest_k
 from .nnet import DenseStack
-from .scene import Box3D, PointCloud
+from .scene import Box3D, BoxArray, PointCloud
 from .voxel import SparseVoxelGrid
 
 
@@ -176,7 +174,7 @@ def roi_states(
     cloud: PointCloud,
     pyramid: FeatureSet,
     bev: BevFeatureMap,
-    proposals: Sequence[Box3D],
+    proposals: BoxArray,
     config: RfaConfig,
 ) -> np.ndarray:
     """The (n, feature_dim) node states of the proposals: voxel | pixel | point.
@@ -187,20 +185,21 @@ def roi_states(
     those rows alone (at most three per proposal), which gives them bit
     for bit as propagating onto the whole cloud would.  The ``pyramid``'s
     top level is interpolated onto each centre, and the BEV map is probed
-    with an m1 x m2 grid over each footprint.  At least one proposal and
-    one cloud point are required.
+    with an m1 x m2 grid over every footprint in one
+    :func:`~graphdet.interp.sample_bev_grid` call.  At least one proposal
+    and one cloud point are required.
     """
-    if not proposals:
+    if len(proposals) == 0:
         raise ValueError("roi_states needs at least one proposal")
     if len(cloud) == 0:
         raise ValueError("the voxel component needs a non-empty cloud")
-    centres = np.array([p.center for p in proposals])
+    centres = proposals.params[:, :3]
     nn, d2 = nearest_k(cloud.xyz, centres, min(3, len(cloud)))
     rows = np.unique(nn)
     at_rows = propagate_features(voxels, cloud.xyz[rows]).features
     vox_at = inverse_distance_blend(at_rows, np.searchsorted(rows, nn), d2)
     point_at = propagate_features(pyramid, centres).features
-    pixel_at = np.stack([sample_bev_grid(bev, p, config.m1, config.m2) for p in proposals])
+    pixel_at = sample_bev_grid(bev, proposals, config.m1, config.m2)
     return np.concatenate([vox_at, pixel_at, point_at], axis=1)
 
 

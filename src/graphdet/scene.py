@@ -78,11 +78,6 @@ class Box3D:
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
     @property
-    def bev_diagonal(self) -> float:
-        """Diagonal of the box footprint, sqrt(l^2 + w^2)."""
-        return math.hypot(self.dims[0], self.dims[1])
-
-    @property
     def volume(self) -> float:
         l, w, h = self.dims
         return l * w * h
@@ -91,21 +86,6 @@ class Box3D:
         """Vertical extent (bottom, top) spanned by the box."""
         half = 0.5 * self.dims[2]
         return self.center[2] - half, self.center[2] + half
-
-    def corners_bev(self) -> np.ndarray:
-        """Footprint corners as a (4, 2) array in counter-clockwise order."""
-        l, w, _ = self.dims
-        local = np.array(
-            [
-                [0.5 * l, 0.5 * w],
-                [-0.5 * l, 0.5 * w],
-                [-0.5 * l, -0.5 * w],
-                [0.5 * l, -0.5 * w],
-            ]
-        )
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array(self.center[:2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +135,7 @@ class BoxArray(Sequence):
 
     @cached_property
     def bev_diagonal(self) -> np.ndarray:
-        """Footprint diagonals, each ``math.hypot(l, w)`` as on :class:`Box3D`."""
+        """Footprint diagonals, each ``math.hypot(l, w)``."""
         return np.array(list(map(math.hypot, self.params[:, 3].tolist(), self.params[:, 4].tolist())))
 
 

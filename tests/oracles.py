@@ -17,7 +17,7 @@ import numpy as np
 
 from graphdet.interp import FeatureSet
 from graphdet.nnet import add_layer_grads
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, normalize_yaw
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +84,31 @@ def mc_iou_3d(a: Box3D, b: Box3D, n_samples: int, seed: int) -> float:
     return inter / union
 
 
+def bev_diagonal(box: Box3D) -> float:
+    """Diagonal of the box footprint, sqrt(l^2 + w^2)."""
+    return math.hypot(box.dims[0], box.dims[1])
+
+
+def corners_bev(box: Box3D) -> np.ndarray:
+    """Footprint corners as a (4, 2) array in counter-clockwise order: a
+    rotation matrix applied by one matmul per box."""
+    l, w, _ = box.dims
+    local = np.array(
+        [
+            [0.5 * l, 0.5 * w],
+            [-0.5 * l, 0.5 * w],
+            [-0.5 * l, -0.5 * w],
+            [0.5 * l, -0.5 * w],
+        ]
+    )
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array(box.center[:2])
+
+
 def footprint(box: Box3D, ox: float, oy: float) -> list[tuple[float, float]]:
     """Footprint corners relative to the origin ``(ox, oy)``, as float
-    pairs in :meth:`Box3D.corners_bev` order."""
+    pairs in :func:`corners_bev` order."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     lc, ls = 0.5 * box.dims[0] * c, 0.5 * box.dims[0] * s
     wc, ws = 0.5 * box.dims[1] * c, 0.5 * box.dims[1] * s
@@ -216,14 +238,14 @@ def np_intersection_area_bev(a: Box3D, b: Box3D) -> float:
     about 1e-12 of IoU, more than the bound the library is held to.
     """
     mid = 0.5 * (np.array(a.center[:2]) + np.array(b.center[:2]))
-    inter = np_clip_polygon(a.corners_bev() - mid, b.corners_bev() - mid)
+    inter = np_clip_polygon(corners_bev(a) - mid, corners_bev(b) - mid)
     return np_polygon_area(inter)
 
 
 def np_rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     """The library's former NumPy rotated IoU, kept as an oracle.
 
-    Corners come from ``Box3D.corners_bev`` (a matmul per box) and the
+    Corners come from :func:`corners_bev` (a matmul per box) and the
     shoelace sum from ``np.dot``, so it agrees with the float kernel only
     up to summation order and the rounding of the world-coordinate
     corners.
@@ -359,7 +381,7 @@ def sweep_nms(
         box = boxes[i]
         for k in kept:
             dx, dy = box.center[0] - k.center[0], box.center[1] - k.center[1]
-            reach = 0.5 * (box.bev_diagonal + k.bev_diagonal)
+            reach = 0.5 * (bev_diagonal(box) + bev_diagonal(k))
             if dx * dx + dy * dy <= reach * reach and iou_fn(box, k) > iou_threshold:
                 break
         else:
@@ -796,9 +818,7 @@ def loop_voxelize(points: np.ndarray, config) -> tuple[np.ndarray, ...]:
 def loop_training_targets(proposals, gt_boxes, pos_iou: float):
     """Proposal targets by the former labelling loop: the IoU of every
     (proposal, ground truth) pair, with no reach prefilter, keeping the
-    first best."""
-    from graphdet.pipeline import _encode_target
-
+    first best, and the target encoded box by box with the yaw wrapped."""
     prop_fg = np.zeros(len(proposals), dtype=bool)
     prop_reg_targets = np.zeros((len(proposals), 7))
     for i, prop in enumerate(proposals):
@@ -809,8 +829,96 @@ def loop_training_targets(proposals, gt_boxes, pos_iou: float):
                 best_iou, best_g = iou, g
         if best_iou >= pos_iou and best_g >= 0:
             prop_fg[i] = True
-            prop_reg_targets[i] = _encode_target(gt_boxes[best_g], prop)
+            prop_reg_targets[i] = encode_box(gt_boxes[best_g], prop)
+            prop_reg_targets[i, 6] = normalize_yaw(prop_reg_targets[i, 6])
     return prop_fg, prop_reg_targets
+
+
+# ---------------------------------------------------------------------------
+# BEV probe, box coding and proposal oracles
+
+
+def loop_sample_bev_grid(bev, box: Box3D, m1: int, m2: int) -> np.ndarray:
+    """One box's m1 x m2 probe grid, one ``sample_bev_point`` call per
+    probe: the library's former per-box sampler."""
+    from graphdet.interp import sample_bev_point
+
+    l, w, _ = box.dims
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    out = np.empty(m1 * m2)
+    for i in range(m1):
+        lx = ((i + 0.5) / m1 - 0.5) * l
+        for j in range(m2):
+            ly = ((j + 0.5) / m2 - 0.5) * w
+            x = box.center[0] + c * lx - s * ly
+            y = box.center[1] + s * lx + c * ly
+            g = i * m2 + j
+            out[g] = sample_bev_point(bev, x, y)[g]
+    return out
+
+
+def encode_box(gt: Box3D, anchor: Box3D) -> np.ndarray:
+    """Regression residuals of ``gt`` relative to ``anchor``, one box at a
+    time: the library's former scalar coder.  The yaw is a plain
+    difference; ``geom.encode_boxes`` wraps it."""
+    d = bev_diagonal(anchor)
+    return np.array(
+        [
+            (gt.center[0] - anchor.center[0]) / d,
+            (gt.center[1] - anchor.center[1]) / d,
+            (gt.center[2] - anchor.center[2]) / anchor.dims[2],
+            math.log(gt.dims[0] / anchor.dims[0]),
+            math.log(gt.dims[1] / anchor.dims[1]),
+            math.log(gt.dims[2] / anchor.dims[2]),
+            gt.yaw - anchor.yaw,
+        ]
+    )
+
+
+def decode_box(residuals: np.ndarray, anchor: Box3D, score: float | None = None) -> Box3D:
+    """Invert :func:`encode_box` into a validated :class:`Box3D` (which
+    re-normalises the yaw): the library's former scalar decoder."""
+    res = np.asarray(residuals, dtype=float)
+    d = bev_diagonal(anchor)
+    return Box3D(
+        center=(
+            anchor.center[0] + res[0] * d,
+            anchor.center[1] + res[1] * d,
+            anchor.center[2] + res[2] * anchor.dims[2],
+        ),
+        dims=(
+            anchor.dims[0] * math.exp(res[3]),
+            anchor.dims[1] * math.exp(res[4]),
+            anchor.dims[2] * math.exp(res[5]),
+        ),
+        yaw=anchor.yaw + res[6],
+        score=score,
+        class_id=anchor.class_id,
+    )
+
+
+def loop_make_proposals(
+    gt_boxes, per_gt: int, center_noise: float, yaw_noise: float, seed: int
+) -> list[Box3D]:
+    """Noisy copies of each ground-truth box by the former per-proposal
+    loop: four normal draws per proposal, in the order dx and dy together,
+    dz, dyaw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for gt in gt_boxes:
+        for _ in range(per_gt):
+            dx, dy = rng.normal(0.0, center_noise, size=2)
+            dz = rng.normal(0.0, 0.3 * center_noise)
+            dyaw = rng.normal(0.0, yaw_noise)
+            out.append(
+                Box3D(
+                    center=(gt.center[0] + dx, gt.center[1] + dy, gt.center[2] + dz),
+                    dims=gt.dims,
+                    yaw=gt.yaw + dyaw,
+                    class_id=gt.class_id,
+                )
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

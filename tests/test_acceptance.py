@@ -44,7 +44,7 @@ from graphdet.pipeline import (
     run_pipeline,
     train_smoke,
 )
-from graphdet.scene import Box3D, CAR_DIMS, PointCloud
+from graphdet.scene import Box3D, BoxArray, CAR_DIMS, PointCloud
 from graphdet.voxel import VoxelizationConfig, voxelize
 
 from oracles import (
@@ -171,9 +171,8 @@ def test_criterion_4_gradient_suite():
 # 5. refinement update invariants
 
 
-def _lattice_proposals(coords, states):
-    return [(Box3D(tuple(c), (1.5, 1.5, 1.5), 0.0), s)
-            for c, s in zip(coords, states)]
+def _lattice_boxes(coords):
+    return BoxArray.of([Box3D(tuple(c), (1.5, 1.5, 1.5), 0.0) for c in coords])
 
 
 def test_criterion_5_refinement_invariants():
@@ -193,8 +192,8 @@ def test_criterion_5_refinement_invariants():
             n = int(rng.integers(2, 13))
             coords = rng.integers(-40, 41, size=(n, 3)) * 0.25
         states = rng.standard_normal((n, dim))
-        proposals = _lattice_proposals(coords, states)
-        graph = build_graph(proposals, radius=radius)
+        boxes = _lattice_boxes(coords)
+        graph = build_graph(boxes, states, radius=radius)
         updater = GraphUpdater.seeded(dim, hidden, depth, seed=900 + g)
         base = update_extended(graph, updater)
 
@@ -210,24 +209,22 @@ def test_criterion_5_refinement_invariants():
 
         # node order is bookkeeping: permuting inputs permutes outputs
         perm = rng.permutation(n)
-        shuffled = build_graph([proposals[p] for p in perm], radius=radius)
+        shuffled = build_graph(boxes.take(perm), states[perm], radius=radius)
         out_perm = update_extended(shuffled, updater)
         worst_perm = max(worst_perm, float(np.max(np.abs(out_perm - base[perm]))))
 
         # integer translations of lattice coordinates change nothing at all
         shift = rng.integers(-20, 21, size=3).astype(float)
-        moved = _lattice_proposals(coords + shift, states)
-        moved_graph = build_graph(moved, radius=radius)
+        moved_graph = build_graph(_lattice_boxes(coords + shift), states, radius=radius)
         assert list(moved_graph.adjacency) == list(graph.adjacency)
         assert np.array_equal(update_extended(moved_graph, updater), base)
 
         # information travels one hop per iteration: on a chain, a bump at
         # graph distance depth+1 cannot reach the head nodes
         if g % 5 == 0:
-            bumped = list(proposals)
-            box, state = bumped[-1]
-            bumped[-1] = (box, state + 10.0)
-            out_b = update_extended(build_graph(bumped, radius=radius), updater)
+            bumped = states.copy()
+            bumped[-1] += 10.0
+            out_b = update_extended(build_graph(boxes, bumped, radius=radius), updater)
             quiet = n - 1 - depth  # rows further than `depth` hops from the bump
             assert np.array_equal(out_b[:quiet], base[:quiet])
             assert not np.array_equal(out_b, base)
@@ -252,15 +249,15 @@ def test_criterion_6_combinatorial_kernels_match_oracles():
         n = int(rng.integers(1, 41))
         centres = rng.uniform(-8.0, 8.0, size=(n, 3))
         radius = float(rng.uniform(0.5, 6.0))
-        pairs = [(Box3D(tuple(c), CAR_DIMS, 0.0), np.zeros(2)) for c in centres]
-        graph = build_graph(pairs, radius=radius)
+        boxes = BoxArray.of([Box3D(tuple(c), CAR_DIMS, 0.0) for c in centres])
+        graph = build_graph(boxes, np.zeros((n, 2)), radius=radius)
         assert list(graph.adjacency) == brute_radius_graph(centres, radius)
 
     for trial in range(trials):
         rng = np.random.default_rng(61_000 + trial)
         boxes = [random_box(rng, spread=6.0, score=True)
                  for _ in range(int(rng.integers(1, 41)))]
-        assert nms(boxes, 0.3, 0.2) == brute_nms(boxes, loop_rotated_iou_bev, 0.3, 0.2)
+        assert list(nms(boxes, 0.3, 0.2)) == brute_nms(boxes, loop_rotated_iou_bev, 0.3, 0.2)
 
     for trial in range(trials):
         rng = np.random.default_rng(62_000 + trial)

@@ -11,8 +11,8 @@ from graphdet.geom import (
     NEGATIVE,
     POSITIVE,
     AnchorConfig,
-    decode_box,
-    encode_box,
+    decode_boxes,
+    encode_boxes,
     generate_anchors,
     iou_3d,
     match_anchors,
@@ -20,11 +20,12 @@ from graphdet.geom import (
     points_in_box,
     rotated_iou_bev,
 )
-from graphdet.scene import CAR_DIMS, Box3D, read_detections
+from graphdet.scene import CAR_DIMS, Box3D, BoxArray, normalize_yaw, read_detections
 
 from oracles import (
     aligned_iou_bev,
     brute_match_anchors,
+    bev_diagonal,
     brute_nms,
     clip_polygon,
     eval_frame,
@@ -160,7 +161,7 @@ def test_iou_3d_matches_monte_carlo():
 def test_nms_identical_boxes_keep_best_score():
     a = box2d(0, 0, 2, 2, score=0.9)
     b = box2d(0, 0, 2, 2, score=0.8)
-    assert nms([a, b], iou_threshold=0.1, score_threshold=0.0) == [a]
+    assert list(nms([a, b], iou_threshold=0.1, score_threshold=0.0)) == [a]
 
 
 def test_nms_disjoint_boxes_all_kept():
@@ -192,8 +193,8 @@ def test_nms_rejects_thresholds_outside_the_unit_interval(bad):
 def test_nms_tie_breaks_by_input_index():
     a = box2d(0, 0, 2, 2, score=0.5)
     b = box2d(0.2, 0, 2, 2, score=0.5)
-    assert nms([a, b], iou_threshold=0.1, score_threshold=0.0) == [a]
-    assert nms([b, a], iou_threshold=0.1, score_threshold=0.0) == [b]
+    assert list(nms([a, b], iou_threshold=0.1, score_threshold=0.0)) == [a]
+    assert list(nms([b, a], iou_threshold=0.1, score_threshold=0.0)) == [b]
 
 
 def test_nms_matches_brute_force_oracle():
@@ -202,7 +203,7 @@ def test_nms_matches_brute_force_oracle():
         boxes = [random_box(rng, spread=6.0, score=True) for _ in range(50)]
         got = nms(boxes, iou_threshold=0.3, score_threshold=0.1)
         want = brute_nms(boxes, loop_rotated_iou_bev, 0.3, 0.1)
-        assert got == want
+        assert isinstance(got, BoxArray) and list(got) == want
 
 
 # Measured tracemalloc peaks on the 3,300-box frame: 1.5 MB to read it and
@@ -316,35 +317,66 @@ def test_match_anchors_agrees_with_brute_oracle():
 # box coding
 
 
+def one(box):
+    return BoxArray.of([box])
+
+
 def test_encode_identity_is_zero():
-    box = Box3D((3, -2, 0.5), CAR_DIMS, 0.7)
-    assert np.allclose(encode_box(box, box), np.zeros(7), atol=1e-15)
+    box = one(Box3D((3, -2, 0.5), CAR_DIMS, 0.7))
+    assert np.allclose(encode_boxes(box, box), np.zeros((1, 7)), atol=1e-15)
 
 
 def test_encode_unit_x_shift_by_diagonal():
     anchor = Box3D((0, 0, 0), (3.9, 1.6, 1.56), 0.0)
-    gt = Box3D((anchor.bev_diagonal, 0, 0), (3.9, 1.6, 1.56), 0.0)
-    vec = encode_box(gt, anchor)
+    gt = Box3D((bev_diagonal(anchor), 0, 0), (3.9, 1.6, 1.56), 0.0)
+    (vec,) = encode_boxes(one(gt), one(anchor))
     assert vec[0] == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(vec[1:], 0.0, atol=1e-15)
 
 
 def test_decode_inverts_encode():
     rng = np.random.default_rng(12)
-    for _ in range(100):
-        gt, anchor = random_box(rng), random_box(rng)
-        back = decode_box(encode_box(gt, anchor), anchor)
-        assert np.allclose(back.center, gt.center, atol=1e-9)
-        assert np.allclose(back.dims, gt.dims, atol=1e-9)
-        assert back.yaw == pytest.approx(gt.yaw, abs=1e-9)
+    gt = BoxArray.of([random_box(rng) for _ in range(100)])
+    anchors = BoxArray.of([random_box(rng) for _ in range(100)])
+    back = decode_boxes(encode_boxes(gt, anchors), anchors, np.full(100, 0.5))
+    assert np.allclose(back.params[:, :6], gt.params[:, :6], atol=1e-9)
+    assert np.allclose(normalize_yaw(back.params[:, 6] - gt.params[:, 6] + 1.0), 1.0, atol=1e-9)
 
 
 def test_decode_validates_shape_and_carries_metadata():
-    anchor = Box3D((0, 0, 0), CAR_DIMS, 0.0, class_id=0)
-    with pytest.raises(ValueError):
-        decode_box(np.zeros(6), anchor)
-    out = decode_box(np.zeros(7), anchor, score=0.25)
+    anchor = one(Box3D((0, 0, 0), CAR_DIMS, 0.0, class_id=0))
+    with pytest.raises(ValueError, match="residuals"):
+        decode_boxes(np.zeros((1, 6)), anchor, [0.25])
+    with pytest.raises(ValueError, match="residuals"):
+        decode_boxes(np.zeros((2, 7)), anchor, [0.25, 0.5])
+    (out,) = decode_boxes(np.zeros((1, 7)), anchor, [0.25])
     assert out.score == 0.25 and out.class_id == 0
+
+
+@pytest.mark.parametrize(
+    "column, value, shown",
+    [
+        (3, 1e3, "inf"),  # a dims residual of 1e3: exp overflows
+        (0, math.inf, "inf"),
+        (6, math.nan, "nan"),
+        (4, -1e3, "0.0"),  # exp underflows to a zero width
+    ],
+)
+def test_decode_names_the_first_bad_proposal(column, value, shown):
+    anchors = BoxArray.of([Box3D((i, 0, 0), CAR_DIMS, 0.0) for i in range(5)])
+    residuals = np.zeros((5, 7))
+    residuals[[2, 4], column] = value
+    with pytest.raises(ValueError, match="proposal 2 decodes to box ") as info:
+        decode_boxes(residuals, anchors, np.full(5, 0.5))
+    assert shown in str(info.value).split("]")[0]
+    assert "finite parameters, positive dims and a score in [0, 1]" in str(info.value)
+
+
+@pytest.mark.parametrize("score", [math.nan, -0.1, 1.5])
+def test_decode_rejects_scores_outside_the_unit_interval(score):
+    anchors = BoxArray.of([Box3D((i, 0, 0), CAR_DIMS, 0.0) for i in range(3)])
+    with pytest.raises(ValueError, match=rf"proposal 1 decodes to box \[.*\] with score {score}:"):
+        decode_boxes(np.zeros((3, 7)), anchors, [0.5, score, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ from graphdet.gnn import (
     update_vanilla_forward,
 )
 from graphdet.nnet import DenseLayer, DenseStack
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, BoxArray
 
 from oracles import brute_radius_graph
 
 
 def make_proposals(centres, states):
-    out = []
-    for centre, state in zip(centres, states):
-        box = Box3D(tuple(centre), (3.9, 1.6, 1.56), 0.0)
-        out.append((box, np.asarray(state, dtype=float)))
-    return out
+    """Car-sized boxes at ``centres``, and their states: build_graph's arguments."""
+    return BoxArray.of([Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]), states
+
+
+EMPTY = BoxArray.of([])
 
 
 def line_proposals(n, spacing, state_dim, seed=0):
@@ -41,52 +41,49 @@ def line_proposals(n, spacing, state_dim, seed=0):
 
 
 def test_single_node_gets_a_self_loop():
-    graph = build_graph(line_proposals(1, 1.0, 4), radius=2.0)
+    graph = build_graph(*line_proposals(1, 1.0, 4), radius=2.0)
     assert graph.adjacency == ((0,),)
 
 
 def test_two_nodes_connect_only_inside_radius():
     proposals = line_proposals(2, 1.0, 4)
-    near = build_graph(proposals, radius=2.0)
+    near = build_graph(*proposals, radius=2.0)
     assert near.adjacency == ((0, 1), (0, 1))
-    far = build_graph(proposals, radius=0.5)
+    far = build_graph(*proposals, radius=0.5)
     assert far.adjacency == ((0,), (1,))
 
 
 def test_boundary_distance_is_excluded():
     # centres exactly one radius apart: strictly-closer means no edge
-    graph = build_graph(line_proposals(2, 1.0, 4), radius=1.0)
+    graph = build_graph(*line_proposals(2, 1.0, 4), radius=1.0)
     assert graph.adjacency == ((0,), (1,))
 
 
 def test_build_graph_validates_radius():
     with pytest.raises(ValueError, match="radius"):
-        build_graph(line_proposals(2, 1.0, 4), radius=0.0)
+        build_graph(*line_proposals(2, 1.0, 4), radius=0.0)
     with pytest.raises(ValueError, match="radius"):
-        build_graph(line_proposals(2, 1.0, 4), radius=float("nan"))
+        build_graph(*line_proposals(2, 1.0, 4), radius=float("nan"))
 
 
 def test_build_graph_rejects_non_finite_states():
-    proposals = line_proposals(3, 1.0, 4)
-    box, state = proposals[1]
-    state = state.copy()
-    state[2] = np.inf
-    proposals[1] = (box, state)
+    boxes, states = line_proposals(3, 1.0, 4)
+    states[1, 2] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        build_graph(proposals, radius=2.0)
-    proposals[1] = (box, np.full(4, np.nan))
+        build_graph(boxes, states, radius=2.0)
+    states[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        build_graph(proposals, radius=2.0)
+        build_graph(boxes, states, radius=2.0)
 
 
 def test_empty_graph():
-    graph = build_graph([], radius=2.0)
+    graph = build_graph(EMPTY, np.empty((0, 4)), radius=2.0)
     assert len(graph) == 0
     updater = GraphUpdater.seeded(4, 8, 2, seed=0)
     assert update_extended(graph, updater).size == 0
     cls = DenseStack.seeded((4, 1), 0)
     reg = DenseStack.seeded((4, 7), 1)
-    assert refine_proposals(graph, np.empty((0, 4)), cls, reg) == []
+    assert len(refine_proposals(graph, np.empty((0, 4)), cls, reg)) == 0
 
 
 def test_build_graph_matches_all_pairs_oracle():
@@ -96,7 +93,7 @@ def test_build_graph_matches_all_pairs_oracle():
         centres = rng.uniform(-8.0, 8.0, size=(n, 3))
         radius = float(rng.uniform(0.5, 6.0))
         proposals = make_proposals(centres, rng.normal(size=(n, 3)))
-        graph = build_graph(proposals, radius=radius)
+        graph = build_graph(*proposals, radius=radius)
         assert list(graph.adjacency) == brute_radius_graph(centres, radius)
 
 
@@ -109,11 +106,11 @@ def csr_graph(adjacency, states=None, boxes=None):
         states = np.zeros((n, 2))
     if boxes is None:
         boxes = unit_boxes(n)
-    return NeighborhoodGraph(np.zeros((n, 3)), states, boxes, offsets, indices, 1.0)
+    return NeighborhoodGraph(boxes, states, offsets, indices, 1.0)
 
 
 def unit_boxes(n):
-    return [Box3D((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0) for i in range(n)]
+    return BoxArray.of([Box3D((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0) for i in range(n)])
 
 
 def test_graph_validation():
@@ -125,16 +122,14 @@ def test_graph_validation():
     with pytest.raises(ValueError, match="references"):
         csr_graph(((0, 5),))
     with pytest.raises(ValueError, match="adjacency list per node"):
-        NeighborhoodGraph(np.zeros((2, 3)), np.zeros((2, 2)), unit_boxes(2), [0, 1], [0], 1.0)
+        NeighborhoodGraph(unit_boxes(2), np.zeros((2, 2)), [0, 1], [0], 1.0)
     with pytest.raises(ValueError, match="adjacency list per node"):
         # first and last offsets are right, but the middle one goes backwards
-        NeighborhoodGraph(
-            np.zeros((3, 3)), np.zeros((3, 2)), unit_boxes(3), [0, 3, 1, 3], [0, 1, 2], 1.0
-        )
+        NeighborhoodGraph(unit_boxes(3), np.zeros((3, 2)), [0, 3, 1, 3], [0, 1, 2], 1.0)
     with pytest.raises(ValueError, match="one width"):
         csr_graph(((0,), (1,)), states=np.zeros(2))
     with pytest.raises(ValueError, match="one width"):
-        build_graph(make_proposals([(0, 0, 0), (5, 0, 0)], [np.zeros(2), np.zeros(5)]))
+        build_graph(*make_proposals([(0, 0, 0), (5, 0, 0)], [np.zeros(2), np.zeros(5)]))
     with pytest.raises(ValueError, match="ascending"):
         csr_graph(((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="finite"):
@@ -162,7 +157,7 @@ def identity_stack(dim):
 
 
 def test_depth_zero_is_the_identity():
-    graph = build_graph(line_proposals(5, 1.0, 6), radius=1.5)
+    graph = build_graph(*line_proposals(5, 1.0, 6), radius=1.5)
     updater = GraphUpdater.seeded(6, 8, 0, seed=3)
     assert np.array_equal(update_vanilla(graph, updater), graph.states)
     ext = GraphUpdater.seeded(6, 8, 0, seed=3, extended=True)
@@ -175,9 +170,12 @@ def test_backward_without_iterations_gives_zero_stack_gradients(extended):
     # updater has no stacks at all.  Either way the gradient passes through.
     forward = update_extended_forward if extended else update_vanilla_forward
     cases = [
-        (build_graph([], radius=2.0), GraphUpdater.seeded(4, 8, 2, 0, extended)),
         (
-            build_graph(line_proposals(5, 1.0, 6), radius=1.5),
+            build_graph(EMPTY, np.empty((0, 4)), radius=2.0),
+            GraphUpdater.seeded(4, 8, 2, 0, extended),
+        ),
+        (
+            build_graph(*line_proposals(5, 1.0, 6), radius=1.5),
             GraphUpdater.seeded(6, 8, 0, 3, extended),
         ),
     ]
@@ -200,7 +198,7 @@ def test_backward_without_iterations_gives_zero_stack_gradients(extended):
 
 
 def test_zeroed_fusion_leaves_states_untouched():
-    graph = build_graph(line_proposals(6, 1.0, 5, seed=1), radius=1.5)
+    graph = build_graph(*line_proposals(6, 1.0, 5, seed=1), radius=1.5)
     updater = GraphUpdater.seeded(5, 8, 3, seed=4, extended=True)
     for stack in updater.fus_stacks:
         stack.set_flat_params(np.zeros(stack.n_params))
@@ -213,7 +211,7 @@ def test_vanilla_update_hand_unrolled_on_a_path():
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)],
         [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]],
     )
-    graph = build_graph(proposals, radius=1.5)
+    graph = build_graph(*proposals, radius=1.5)
     assert graph.adjacency == ((0, 1), (0, 1, 2), (1, 2))
     relu_identity = DenseStack([DenseLayer(np.eye(2), np.zeros(2), "relu")])
     updater = GraphUpdater(
@@ -229,7 +227,7 @@ def test_extended_update_hand_unrolled_two_nodes():
     proposals = make_proposals(
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [[1.0], [5.0]]
     )
-    graph = build_graph(proposals, radius=2.0)
+    graph = build_graph(*proposals, radius=2.0)
     agg = identity_stack(4)  # rows are [dx, dy, dz, state]
     fus = DenseStack([DenseLayer(np.array([[1.0, 0.0, 0.0, 1.0]]), np.zeros(1), "relu")])
     align = DenseStack.zeros((1, 3), ["none"])  # no alignment: offsets stay x_i - x_j
@@ -244,7 +242,7 @@ def test_alignment_offset_shifts_a_single_node():
     """With only a self-loop the relative offset reduces to minus the
     predicted alignment."""
     proposals = make_proposals([(0.0, 0.0, 0.0)], [[-2.0]])
-    graph = build_graph(proposals, radius=1.0)
+    graph = build_graph(*proposals, radius=1.0)
     align = DenseStack([DenseLayer(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), "none")])
     fus = DenseStack([DenseLayer(np.array([[1.0, 1.0, 1.0, 0.0]]), np.zeros(1), "relu")])
     updater = GraphUpdater([identity_stack(4)], [fus], [align])
@@ -256,14 +254,14 @@ def test_alignment_offset_shifts_a_single_node():
 def test_updates_are_synchronous():
     """Iteration k must read only k-1 states: on a path, information moves
     one hop per iteration, never further."""
-    proposals = line_proposals(5, 1.0, 4, seed=2)
-    graph = build_graph(proposals, radius=1.5)
+    boxes, states = line_proposals(5, 1.0, 4, seed=2)
+    graph = build_graph(boxes, states, radius=1.5)
     updater = GraphUpdater.seeded(4, 8, 2, seed=5, extended=False)
     base = update_vanilla(graph, updater)
 
-    bumped = [(b, s.copy()) for b, s in proposals]
-    bumped[4] = (bumped[4][0], bumped[4][1] + 10.0)
-    moved = update_vanilla(build_graph(bumped, radius=1.5), updater)
+    bumped = states.copy()
+    bumped[4] += 10.0
+    moved = update_vanilla(build_graph(boxes, bumped, radius=1.5), updater)
     # nodes 0 and 1 sit more than two hops from node 4: bitwise untouched
     assert np.array_equal(moved[0], base[0])
     assert np.array_equal(moved[1], base[1])
@@ -276,9 +274,9 @@ def test_extended_update_is_translation_invariant():
     lattice = rng.integers(-40, 40, size=(n, 3)) * 0.25
     states = rng.normal(size=(n, 5))
     updater = GraphUpdater.seeded(5, 8, 3, seed=7, extended=True)
-    base_graph = build_graph(make_proposals(lattice, states), radius=3.0)
+    base_graph = build_graph(*make_proposals(lattice, states), radius=3.0)
     shifted = lattice + np.array([7.0, -3.0, 12.0])
-    shift_graph = build_graph(make_proposals(shifted, states), radius=3.0)
+    shift_graph = build_graph(*make_proposals(shifted, states), radius=3.0)
     assert base_graph.adjacency == shift_graph.adjacency
     assert np.array_equal(
         update_extended(base_graph, updater), update_extended(shift_graph, updater)
@@ -290,12 +288,11 @@ def test_refined_states_track_node_permutation():
     n = 15
     centres = rng.uniform(-4, 4, size=(n, 3))
     states = rng.normal(size=(n, 4))
-    proposals = make_proposals(centres, states)
+    boxes, _ = make_proposals(centres, states)
     updater = GraphUpdater.seeded(4, 8, 2, seed=9, extended=True)
-    base = update_extended(build_graph(proposals, radius=2.5), updater)
+    base = update_extended(build_graph(boxes, states, radius=2.5), updater)
     perm = rng.permutation(n)
-    shuffled = [proposals[p] for p in perm]
-    out = update_extended(build_graph(shuffled, radius=2.5), updater)
+    out = update_extended(build_graph(boxes.take(perm), states[perm], radius=2.5), updater)
     for m, p in enumerate(perm):
         assert np.array_equal(out[m], base[p])
 
@@ -310,7 +307,7 @@ def test_updater_validation():
     with pytest.raises(ValueError, match="non-negative"):
         GraphUpdater.seeded(4, 8, -1, seed=0)
 
-    graph = build_graph(line_proposals(3, 1.0, 4), radius=1.5)
+    graph = build_graph(*line_proposals(3, 1.0, 4), radius=1.5)
     wrong_width = GraphUpdater.seeded(5, 8, 1, seed=0, extended=False)
     with pytest.raises(ValueError, match="aggregation input"):
         update_vanilla(graph, wrong_width)
@@ -327,8 +324,7 @@ def test_update_backward_matches_finite_differences():
     target = rng.normal(size=(n, dim))
 
     def loss_for(updater, extended, state_matrix):
-        proposals = make_proposals(centres, state_matrix)
-        graph = build_graph(proposals, radius=3.0)
+        graph = build_graph(*make_proposals(centres, state_matrix), radius=3.0)
         forward = update_extended_forward if extended else update_vanilla_forward
         out, cache = forward(graph, updater)
         return 0.5 * float(((out - target) ** 2).sum()), cache, out
@@ -376,7 +372,7 @@ def test_update_backward_matches_finite_differences():
 
 def test_header_zero_stacks_score_half_and_keep_boxes():
     dim = 5
-    graph = build_graph(line_proposals(4, 2.0, dim, seed=3), radius=3.0)
+    graph = build_graph(*line_proposals(4, 2.0, dim, seed=3), radius=3.0)
     cls = DenseStack.zeros((dim, 1))
     reg = DenseStack.zeros((dim, 7))
     scores, residuals, _ = header_forward(graph.states, cls, reg)
@@ -424,6 +420,6 @@ def test_refine_requires_proposal_boxes():
     # the graph refuses to exist without one proposal box per node, so
     # refine_proposals never meets a node without a box
     with pytest.raises(ValueError, match="proposal box per node"):
-        csr_graph(((0,),), boxes=[None])
+        csr_graph(((0,),), boxes=unit_boxes(2))
     with pytest.raises(ValueError, match="proposal box per node"):
-        csr_graph(((0,),), boxes=())
+        csr_graph(((0,),), boxes=EMPTY)

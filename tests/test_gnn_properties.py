@@ -13,7 +13,7 @@ from graphdet.gnn import (
     update_extended_forward,
     update_vanilla_forward,
 )
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, BoxArray
 
 from oracles import loop_update_backward, loop_update_forward
 
@@ -24,8 +24,7 @@ def integer_proposals(rng, n, state_dim, spread=4):
     """Integer-valued centres and states, so neighbour rows often tie."""
     centres = rng.integers(-spread, spread + 1, size=(n, 3)).astype(float)
     states = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
-    boxes = [Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]
-    return list(zip(boxes, states))
+    return BoxArray.of([Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]), states
 
 
 def seeded_updater(state_dim, seed, extended, rounded=True):
@@ -59,7 +58,7 @@ def assert_matches_loop_oracle(graph, updater, extended):
 )
 def test_pooling_matches_the_per_node_loop(n, state_dim, radius, extended, rounded, seed):
     rng = np.random.default_rng(seed)
-    graph = build_graph(integer_proposals(rng, n, state_dim), radius=radius)
+    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=radius)
     updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
     assert_matches_loop_oracle(graph, updater, extended)
 
@@ -71,7 +70,7 @@ def test_pooling_matches_the_loop_on_non_finite_weights(extended, poison):
     # on a state input gives NaN on rows where that state is zero and
     # +-inf elsewhere, so blocks mix NaN and infinities.
     rng = np.random.default_rng(21)
-    graph = build_graph(integer_proposals(rng, 24, 3, spread=3), radius=2.5)
+    graph = build_graph(*integer_proposals(rng, 24, 3, spread=3), radius=2.5)
     updater = seeded_updater(3, 5, extended)
     updater.agg_stacks[0].layers[0].weight[2, -1] = poison
     with np.errstate(invalid="ignore", over="ignore"):
@@ -106,7 +105,7 @@ def test_backward_matches_the_add_at_loop_bit_for_bit(
     n, state_dim, radius, extended, rounded, seed
 ):
     rng = np.random.default_rng(seed)
-    graph = build_graph(integer_proposals(rng, n, state_dim), radius=radius)
+    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=radius)
     updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
     # Integer upstream gradients make many partial sums cancel exactly.
     grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
@@ -119,7 +118,7 @@ def test_backward_matches_the_add_at_loop_bit_for_bit(
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison):
     rng = np.random.default_rng(22)
-    graph = build_graph(integer_proposals(rng, 24, 3, spread=3), radius=2.5)
+    graph = build_graph(*integer_proposals(rng, 24, 3, spread=3), radius=2.5)
     updater = seeded_updater(3, 5, extended)
     updater.agg_stacks[0].layers[0].weight[2, -1] = poison
     updater.fus_stacks[1].layers[0].weight[0, 1] = poison
@@ -136,13 +135,11 @@ def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison
 )
 def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
     rng = np.random.default_rng(seed)
-    proposals = integer_proposals(rng, n, 4)
+    boxes, _ = integer_proposals(rng, n, 4)
     states = rng.normal(size=(n, 4))
-    base = build_graph([(b, s) for (b, _), s in zip(proposals, states)], radius=2.5)
-    moved_boxes = [
-        Box3D(tuple(np.add(b.center, shift)), b.dims, b.yaw) for b, _ in proposals
-    ]
-    moved = build_graph(list(zip(moved_boxes, states)), radius=2.5)
+    base = build_graph(boxes, states, radius=2.5)
+    moved_boxes = [Box3D(tuple(np.add(b.center, shift)), b.dims, b.yaw) for b in boxes]
+    moved = build_graph(BoxArray.of(moved_boxes), states, radius=2.5)
     updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, extended=True)
     assert moved.adjacency == base.adjacency
     assert np.array_equal(update_extended(moved, updater), update_extended(base, updater))

@@ -18,9 +18,9 @@ from graphdet.interp import (
     set_abstraction,
 )
 from graphdet.nnet import DenseLayer, DenseStack
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, BoxArray
 
-from oracles import brute_fps, brute_propagate, scan_set_abstraction
+from oracles import brute_fps, brute_propagate, loop_sample_bev_grid, scan_set_abstraction
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +258,17 @@ def test_sample_outside_map_is_zero_padded():
 def test_sample_bev_grid_constant_map_and_channel_layout():
     bev = flat_map(4.0, channels=6)
     box = Box3D((2.0, 2.0, 0.0), (2.0, 1.0, 1.0), 0.3)
-    out = sample_bev_grid(bev, box, 3, 2)
-    assert out.shape == (6,)
+    out = sample_bev_grid(bev, BoxArray.of([box, box]), 3, 2)
+    assert out.shape == (2, 6)
     assert np.allclose(out, 4.0)
+    assert sample_bev_grid(bev, BoxArray.of([]), 3, 2).shape == (0, 6)
 
 
 def test_sample_bev_grid_needs_enough_channels():
     bev = flat_map(0.0, channels=3)
     box = Box3D((2.0, 2.0, 0.0), (2.0, 1.0, 1.0), 0.0)
     with pytest.raises(ValueError, match="channels"):
-        sample_bev_grid(bev, box, 2, 2)
+        sample_bev_grid(bev, BoxArray.of([box]), 2, 2)
 
 
 def test_sample_bev_grid_probe_positions():
@@ -276,7 +277,7 @@ def test_sample_bev_grid_probe_positions():
     grid = rng.normal(size=(8, 8, 4))
     bev = BevFeatureMap(grid, 0.5, (0.0, 0.0))
     box = Box3D((2.0, 2.0, 0.0), (1.6, 1.0, 1.0), yaw=0.7)
-    out = sample_bev_grid(bev, box, 2, 2)
+    (out,) = sample_bev_grid(bev, BoxArray.of([box]), 2, 2)
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     for i in range(2):
         for j in range(2):
@@ -286,6 +287,40 @@ def test_sample_bev_grid_probe_positions():
             y = box.center[1] + s * lx + c * ly
             g = i * 2 + j
             assert out[g] == pytest.approx(sample_bev_point(bev, x, y)[g], abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m1=st.integers(1, 3),
+    m2=st.integers(1, 3),
+    cell=st.sampled_from([0.25, 0.4, 1.0]),
+    on_lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_bev_grid_matches_the_per_probe_loop(n, m1, m2, cell, on_lattice, seed):
+    # Boxes reach past every edge of the raster, so many probes read the
+    # zero padding; on the lattice, probes sit on cell centres and edges,
+    # where bilinear weights are exactly zero or one.
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+    grid = rng.normal(size=(rows, cols, m1 * m2 + int(rng.integers(0, 3))))
+    bev = BevFeatureMap(grid, cell, (0.0, 0.0) if on_lattice else tuple(rng.uniform(-2, 2, 2)))
+    span = cell * max(rows, cols)
+    if on_lattice:
+        centres = rng.integers(-4, 2 * max(rows, cols) + 5, size=(n, 2)) * (0.5 * cell)
+        dims = rng.integers(1, 5, size=(n, 2)) * cell
+        yaws = rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2], size=n)
+    else:
+        centres = rng.uniform(-span, 2 * span, size=(n, 2))
+        dims = rng.uniform(0.2, span + 0.2, size=(n, 2))
+        yaws = rng.uniform(-math.pi, math.pi, size=n)
+    boxes = BoxArray.of(
+        [Box3D((*c, 0.0), (*d, 1.0), float(yaw)) for c, d, yaw in zip(centres, dims, yaws)]
+    )
+    got = sample_bev_grid(bev, boxes, m1, m2)
+    want = np.stack([loop_sample_bev_grid(bev, box, m1, m2) for box in boxes])
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
 
 # ---------------------------------------------------------------------------

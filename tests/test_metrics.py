@@ -22,6 +22,7 @@ from graphdet.scene import Box3D, BoxArray
 
 from oracles import (
     all_pairs_precision_recall,
+    bev_diagonal,
     brute_pr_curve,
     center_distance_quality,
     loop_rotated_iou_bev,
@@ -212,7 +213,7 @@ def test_bev_iou_matcher_equals_all_pairs_matching(frame, threshold):
 
 def _reachable(a, b):
     dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
-    reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+    reach = 0.5 * (bev_diagonal(a) + bev_diagonal(b))
     return dx * dx + dy * dy <= reach * reach
 
 

@@ -11,7 +11,7 @@ from graphdet import neighbors
 from graphdet.gnn import build_graph
 from graphdet.interp import FeatureSet, propagate_features
 from graphdet.neighbors import nearest_k, radius_pairs
-from graphdet.scene import Box3D
+from graphdet.scene import Box3D, BoxArray
 
 from oracles import brute_radius_graph, dense_propagate
 
@@ -168,6 +168,6 @@ def test_build_graph_matches_oracle_on_integer_grid(n, radius, seed):
     # Integer centres and radii put many pairs exactly on the strict bound.
     rng = np.random.default_rng(seed)
     centres = rng.integers(-4, 5, size=(n, 3)).astype(float)
-    proposals = [(Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0), np.zeros(2)) for c in centres]
-    graph = build_graph(proposals, radius=float(radius))
+    boxes = BoxArray.of([Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0) for c in centres])
+    graph = build_graph(boxes, np.zeros((n, 2)), radius=float(radius))
     assert list(graph.adjacency) == brute_radius_graph(centres, float(radius))

@@ -66,32 +66,32 @@ def test_stack_width_chaining():
 
 def test_zero_stack_maps_everything_to_zero():
     stack = DenseStack.zeros((5, 8, 3))
-    x = np.random.default_rng(0).normal(size=5)
+    x = np.random.default_rng(0).normal(size=(1, 5))
     out, cache = stack.forward(x)
-    assert np.array_equal(out, np.zeros(3))
-    grads, dx = stack.backward(cache, np.ones(3))
-    assert np.array_equal(dx, np.zeros(5))
+    assert np.array_equal(out, np.zeros((1, 3)))
+    grads, dx = stack.backward(cache, np.ones((1, 3)))
+    assert np.array_equal(dx, np.zeros((1, 5)))
 
 
 def test_identity_layer_passes_through():
     stack = DenseStack([DenseLayer(np.eye(4), np.zeros(4), "none")])
-    x = np.array([1.0, -2.0, 0.5, 3.0])
+    x = np.array([[1.0, -2.0, 0.5, 3.0]])
     assert np.array_equal(stack.apply(x), x)
     _, cache = stack.forward(x)
-    grads, dx = stack.backward(cache, np.array([1.0, 1.0, 1.0, 1.0]))
-    assert np.array_equal(dx, np.ones(4))
+    grads, dx = stack.backward(cache, np.ones((1, 4)))
+    assert np.array_equal(dx, np.ones((1, 4)))
 
 
 def test_relu_clips_and_has_zero_subgradient_at_zero():
     stack = DenseStack([DenseLayer(np.eye(2), np.zeros(2), "relu")])
-    out, cache = stack.forward(np.array([3.0, -5.0]))
-    assert np.array_equal(out, [3.0, 0.0])
-    _, dx = stack.backward(cache, np.array([1.0, 1.0]))
-    assert np.array_equal(dx, [1.0, 0.0])
+    out, cache = stack.forward(np.array([[3.0, -5.0]]))
+    assert np.array_equal(out, [[3.0, 0.0]])
+    _, dx = stack.backward(cache, np.array([[1.0, 1.0]]))
+    assert np.array_equal(dx, [[1.0, 0.0]])
     # pre-activation exactly zero: the subgradient is taken as zero
-    _, cache = stack.forward(np.array([0.0, 1.0]))
-    _, dx = stack.backward(cache, np.array([1.0, 1.0]))
-    assert dx[0] == 0.0
+    _, cache = stack.forward(np.array([[0.0, 1.0]]))
+    _, dx = stack.backward(cache, np.array([[1.0, 1.0]]))
+    assert dx[0, 0] == 0.0
 
 
 def test_forward_batches_match_single_rows():
@@ -100,17 +100,17 @@ def test_forward_batches_match_single_rows():
     batch = stack.apply(xs)
     assert batch.shape == (5, 4)
     for i in range(5):
-        assert np.allclose(batch[i], stack.apply(xs[i]), atol=0)
+        assert np.allclose(batch[i], stack.apply(xs[i : i + 1])[0], atol=0)
 
 
 def test_backward_accumulates_over_batch():
     stack = DenseStack.seeded((3, 5, 2), seed=8)
-    x = np.random.default_rng(2).normal(size=3)
-    g = np.array([0.3, -0.7])
+    x = np.random.default_rng(2).normal(size=(1, 3))
+    g = np.array([[0.3, -0.7]])
     _, cache1 = stack.forward(x)
     grads1, _ = stack.backward(cache1, g)
-    _, cache2 = stack.forward(np.stack([x, x]))
-    grads2, _ = stack.backward(cache2, np.stack([g, g]))
+    _, cache2 = stack.forward(np.concatenate([x, x]))
+    grads2, _ = stack.backward(cache2, np.concatenate([g, g]))
     for (w1, b1), (w2, b2) in zip(grads1, grads2):
         assert np.allclose(w2, 2 * w1, atol=1e-12)
         assert np.allclose(b2, 2 * b1, atol=1e-12)
@@ -119,14 +119,19 @@ def test_backward_accumulates_over_batch():
 def test_stack_input_width_check():
     stack = DenseStack.seeded((4, 2), seed=0)
     with pytest.raises(ValueError, match="width"):
-        stack.apply(np.zeros(5))
+        stack.apply(np.zeros((1, 5)))
+    # Stacks take (rows, width) matrices only: a vector is no row.
+    with pytest.raises(ValueError, match="width"):
+        stack.apply(np.zeros(4))
+    with pytest.raises(ValueError, match="width"):
+        stack.forward(np.zeros((2, 1, 4)))
 
 
 def test_stack_gradients_match_finite_differences():
     stack = DenseStack.seeded((5, 7, 3), seed=11)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=5)
-    target = rng.normal(size=3)
+    x = rng.normal(size=(1, 5))
+    target = rng.normal(size=(1, 3))
 
     def loss_of_params(flat):
         probe = stack.copy()
@@ -140,9 +145,9 @@ def test_stack_gradients_match_finite_differences():
     assert np.allclose(flat_grad, fd, atol=1e-5)
 
     fd_x = central_diff(
-        lambda v: 0.5 * float(((stack.apply(v) - target) ** 2).sum()), x
+        lambda v: 0.5 * float(((stack.apply(v[None, :]) - target) ** 2).sum()), x[0]
     )
-    assert np.allclose(dx, fd_x, atol=1e-5)
+    assert np.allclose(dx[0], fd_x, atol=1e-5)
 
 
 def test_flat_params_round_trip_and_sgd_step():

@@ -30,9 +30,10 @@ from graphdet.pipeline import (
     train_smoke,
 )
 from graphdet.rfa import RfaConfig
+from graphdet.scene import Box3D, BoxArray, generate_synthetic_scene
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import loop_training_targets, loop_update_backward
+from oracles import loop_make_proposals, loop_training_targets, loop_update_backward
 
 
 def tiny_raw(**overrides):
@@ -56,6 +57,10 @@ def tiny_raw(**overrides):
 
 def tiny_config(**overrides):
     return parse_pipeline_config(tiny_raw(**overrides))
+
+
+def build_world(config, scene_seed, proposal_seed):
+    return pipeline._build_world(config, scene_seed, proposal_seed, pipeline._bev_map(config))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,7 @@ def _all_stacks(models):
 
 
 def _trained_weights(config, steps):
-    models, history, _ = pipeline._train_models(config, steps)
+    models, history, _ = pipeline._train_models(config, steps, pipeline._bev_map(config))
     return history, [stack.flat_params() for stack in _all_stacks(models)]
 
 
@@ -396,7 +401,7 @@ def test_initial_loss_is_the_refinement_loss_of_the_first_world():
     # Only the refiner is trained: the loss is the header's focal loss plus
     # its box smooth-L1 over the proposals of the training world.
     config = PipelineConfig()
-    (world,) = pipeline._training_worlds(config)
+    (world,) = pipeline._training_worlds(config, pipeline._bev_map(config))
     models = pipeline.init_models(config)
     refined, _ = pipeline._refine_forward(models, world.graph, config)
     scores, residuals, _ = header_forward(refined, models.cls_stack, models.reg_stack)
@@ -431,7 +436,7 @@ def test_diverging_training_names_the_step_and_the_term():
 def test_empty_scene_yields_no_detections():
     config = tiny_config(scene={"n_objects": 0})
     detections, report = run_pipeline(config)
-    assert detections == []
+    assert len(detections) == 0
     assert report["ap_s11"] == 0.0
     assert report["ap_s40"] == 0.0
     assert report["n_gt"] == 0
@@ -462,12 +467,12 @@ def test_empty_stage_names_the_first_stage_that_came_up_empty():
 
 def test_empty_scene_trains_on_an_empty_graph():
     config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
-    graph = pipeline._build_world(config, 0, 1).graph
+    graph = build_world(config, 0, 1).graph
     assert len(graph) == 0 and graph.adjacency == ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no loss is evaluated on an empty graph
         detections, report = run_pipeline(config)
-    assert detections == []
+    assert len(detections) == 0
     assert report["loss_history"] == [0.0, 0.0, 0.0]
 
 
@@ -553,7 +558,7 @@ def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
     # Scoring only the pairs that can reach, in one kernel call, leaves every
     # target bit-identical to scoring every (proposal, ground truth) pair.
     config = PipelineConfig(seed=seed, scene=scene)
-    world = pipeline._build_world(config, seed, seed + 11)
+    world = build_world(config, seed, seed + 11)
     calls = []
     kernel = geom.bev_iou_pairs
     monkeypatch.setattr(geom, "bev_iou_pairs", lambda a, b, i, j: calls.extend(i) or kernel(a, b, i, j))
@@ -565,6 +570,38 @@ def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
     assert np.array_equal(targets.prop_fg, fg)
     assert np.array_equal(targets.prop_reg_targets, reg)
     assert 0 < len(calls) < len(world.graph) * len(world.scene.gt_boxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_objects=st.integers(0, 5),
+    per_gt=st.integers(1, 9),
+    center_noise=st.sampled_from([0.0, 0.3, 2.0]),
+    yaw_noise=st.sampled_from([0.0, 0.1, 3.0]),  # 3.0 sends many yaws across the seam
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_proposals_match_the_per_proposal_loop(n_objects, per_gt, center_noise, yaw_noise, seed):
+    # One (n, 4) normal draw reads the generator as one draw per offset did.
+    config = PipelineConfig(proposals=ProposalConfig(per_gt, center_noise, yaw_noise))
+    scene = generate_synthetic_scene(seed % 1000, n_objects, 0, 0, min_separation=7.0)
+    got = pipeline._make_proposals(config, scene, seed)
+    want = loop_make_proposals(scene.gt_boxes, per_gt, center_noise, yaw_noise, seed)
+    assert list(got) == want
+    assert got.params.tobytes() == BoxArray.of(want).params.tobytes()
+
+
+def test_detect_constructs_no_box3d(monkeypatch):
+    # Proposals stay one BoxArray from drawing to NMS: decoding and
+    # suppression build no per-box object.
+    config = tiny_config()
+    world = build_world(config, 0, 11)
+    models = pipeline.init_models(config)
+    calls = []
+    post_init = Box3D.__post_init__
+    monkeypatch.setattr(Box3D, "__post_init__", lambda box: calls.append(1) or post_init(box))
+    detections = pipeline.detect(models, world, config)
+    assert isinstance(detections, BoxArray) and len(detections) > 0
+    assert calls == []
 
 
 def test_world_building_propagates_voxels_only_onto_the_rows_it_reads(monkeypatch):
@@ -584,7 +621,7 @@ def test_world_building_propagates_voxels_only_onto_the_rows_it_reads(monkeypatc
 
     monkeypatch.setattr(pipeline, "voxel_feature_set", recording_voxels)
     monkeypatch.setattr(rfa, "propagate_features", recording_propagate)
-    world = pipeline._build_world(PipelineConfig(scene=DENSE), 0, 11)
+    world = build_world(PipelineConfig(scene=DENSE), 0, 11)
     assert len(world.scene.cloud) > 3_000 and len(world.graph) == 80
     assert len(rows) == 1 and 0 < rows[0] <= 3 * len(world.graph)
 
@@ -596,7 +633,7 @@ def test_kitti_sized_world_build_stays_small_in_memory():
     config = PipelineConfig(scene=KITTI_SIZED)
     tracemalloc.start()
     try:
-        world = pipeline._build_world(config, 0, 11)
+        world = build_world(config, 0, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -610,4 +647,4 @@ def test_run_pipeline_is_deterministic():
     det_b, report_b = run_pipeline(config)
     assert report_a == report_b
     assert len(det_a) == len(det_b)
-    assert det_a == det_b
+    assert list(det_a) == list(det_b)

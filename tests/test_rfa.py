@@ -18,7 +18,7 @@ from graphdet.rfa import (
     synthetic_voxel_features,
     voxel_feature_set,
 )
-from graphdet.scene import Box3D, PointCloud
+from graphdet.scene import Box3D, BoxArray, PointCloud
 from graphdet.voxel import VoxelizationConfig, voxelize
 
 from oracles import brute_fps, brute_propagate, full_cloud_voxel_states, point_in_box
@@ -122,9 +122,9 @@ def test_point_pyramid_single_point_cloud():
     pyramid = point_pyramid(cloud, config, stacks)
     assert len(pyramid) == 1
     assert np.array_equal(pyramid.positions[0], [1.0, 2.0, 0.5])
-    row = np.array([0.7, 0.0, 0.0, 0.0])  # reflectance plus zero offset
-    want = np.concatenate([stacks[0][0].apply(row), stacks[0][1].apply(row)])
-    assert np.allclose(pyramid.features[0], want, atol=1e-12)
+    row = np.array([[0.7, 0.0, 0.0, 0.0]])  # reflectance plus zero offset
+    want = np.concatenate([stacks[0][0].apply(row), stacks[0][1].apply(row)], axis=1)
+    assert np.allclose(pyramid.features, want, atol=1e-12)
 
 
 def test_point_pyramid_matches_staged_oracle():
@@ -194,11 +194,13 @@ def test_default_point_stacks_widths_and_determinism():
 # node states: voxel | pixel | point
 
 
-BOXES = [
-    Box3D((0.5, 0.5, 0.0), (3.9, 1.6, 1.56), 0.2),
-    Box3D((1.0, 1.0, 0.5), (3.0, 1.5, 1.2), -0.4),
-    Box3D((-1.5, 0.8, -0.3), (2.0, 1.0, 1.0), 1.3),
-]
+BOXES = BoxArray.of(
+    [
+        Box3D((0.5, 0.5, 0.0), (3.9, 1.6, 1.56), 0.2),
+        Box3D((1.0, 1.0, 0.5), (3.0, 1.5, 1.2), -0.4),
+        Box3D((-1.5, 0.8, -0.3), (2.0, 1.0, 1.0), 1.3),
+    ]
+)
 
 
 def roi_inputs(config, seed, cloud=None, voxel_features=None, bev=None):
@@ -268,7 +270,7 @@ def test_voxel_block_matches_the_full_cloud_two_hops(
         rng.normal(size=(n_voxels, config.voxel_dim)),
     )
     centres = rng.integers(-2 * span - 1, 2 * span + 2, size=(n_proposals, 3)) / 2.0
-    proposals = [Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0) for c in centres]
+    proposals = BoxArray.of([Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0) for c in centres])
     pyramid = FeatureSet(np.zeros((1, 3)), np.zeros((1, config.point_dim)))
     bev = BevFeatureMap(np.zeros((2, 2, config.pixel_dim)), 1.0, (0.0, 0.0))
     with pytest.MonkeyPatch.context() as mp:
@@ -282,7 +284,7 @@ def test_pixel_component_constant_map():
     config = RfaConfig(m1=3, m2=2, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
     bev = BevFeatureMap(np.full((10, 10, 6), -1.5), 1.0, (-5.0, -5.0))
     box = Box3D((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 0.8)
-    states = roi_states(*roi_inputs(config, 5, bev=bev), [box], config)
+    states = roi_states(*roi_inputs(config, 5, bev=bev), BoxArray.of([box]), config)
     assert states.shape == (1, config.feature_dim)
     assert pixel_part(config, states).shape == (1, 6)
     assert np.allclose(pixel_part(config, states), -1.5)
@@ -291,16 +293,16 @@ def test_pixel_component_constant_map():
 def test_pixel_component_is_a_probe_grid():
     config = RfaConfig(keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
     bev = synthetic_bev_map(12, 12, 4, 0.5, (-3.0, -3.0), seed=8)
-    boxes = [*BOXES, Box3D((0.3, -0.7, 0.0), (1.8, 0.9, 1.0), 1.1)]
+    boxes = BoxArray.of([*BOXES, Box3D((0.3, -0.7, 0.0), (1.8, 0.9, 1.0), 1.1)])
     states = roi_states(*roi_inputs(config, 6, bev=bev), boxes, config)
-    want = np.stack([sample_bev_grid(bev, box, 2, 2) for box in boxes])
+    want = np.stack([sample_bev_grid(bev, boxes.take([k]), 2, 2)[0] for k in range(len(boxes))])
     assert np.array_equal(pixel_part(config, states), want)
 
 
 def test_point_component_interpolates_pyramid():
     cloud = small_cloud(24, seed=15, spread=2.0)
     voxels, cloud, pyramid, bev = roi_inputs(SMALL_RFA, 15, cloud=cloud)
-    boxes = [*BOXES, Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)]
+    boxes = BoxArray.of([*BOXES, Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)])
     states = roi_states(voxels, cloud, pyramid, bev, boxes, SMALL_RFA)
     want = brute_propagate(
         pyramid.positions, pyramid.features, np.array([box.center for box in boxes])
@@ -317,19 +319,19 @@ def test_roi_states_order_components():
     want = np.concatenate(
         [
             propagate_features(propagate_features(voxels, cloud.xyz), centres).features,
-            np.stack([sample_bev_grid(bev, box, SMALL_RFA.m1, SMALL_RFA.m2) for box in BOXES]),
+            sample_bev_grid(bev, BOXES, SMALL_RFA.m1, SMALL_RFA.m2),
             propagate_features(pyramid, centres).features,
         ],
         axis=1,
     )
     assert np.array_equal(states, want)
     # One proposal at a time gives the same rows as the batch.
-    for i, box in enumerate(BOXES):
+    for i in range(len(BOXES)):
         assert np.array_equal(
-            roi_states(voxels, cloud, pyramid, bev, [box], SMALL_RFA)[0], states[i]
+            roi_states(voxels, cloud, pyramid, bev, BOXES.take([i]), SMALL_RFA)[0], states[i]
         )
     with pytest.raises(ValueError, match="at least one proposal"):
-        roi_states(voxels, cloud, pyramid, bev, [], SMALL_RFA)
+        roi_states(voxels, cloud, pyramid, bev, BoxArray.of([]), SMALL_RFA)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from graphdet.scene import (
     CAR_DIMS,
     KITTI_RANGE,
     Box3D,
+    BoxArray,
     DetectionParseError,
     PointCloud,
     Scene,
@@ -19,7 +20,7 @@ from graphdet.scene import (
     write_detections,
 )
 
-from oracles import random_box
+from oracles import corners_bev, random_box
 
 
 def test_normalize_yaw_wraps_into_half_open_interval():
@@ -42,7 +43,7 @@ def test_box_validation_and_yaw_normalisation():
     box = Box3D((1, 2, 3), (4, 2, 1.5), yaw=7.0)
     assert box.yaw == pytest.approx(normalize_yaw(7.0))
     assert box.volume == pytest.approx(12.0)
-    assert box.bev_diagonal == pytest.approx(math.hypot(4, 2))
+    assert BoxArray.of([box]).bev_diagonal[0] == math.hypot(4, 2)
     with pytest.raises(ValueError):
         Box3D((0, 0, 0), (1, -1, 1), 0.0)
     with pytest.raises(ValueError):
@@ -53,7 +54,7 @@ def test_box_validation_and_yaw_normalisation():
 
 def test_box_corners_bev_counter_clockwise_and_rotated():
     box = Box3D((0, 0, 0), (4, 2, 1), yaw=0.0)
-    corners = box.corners_bev()
+    corners = corners_bev(box)
     # shoelace sign: counter-clockwise order has positive signed area
     x, y = corners[:, 0], corners[:, 1]
     signed = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
@@ -65,7 +66,7 @@ def test_box_corners_bev_counter_clockwise_and_rotated():
         (2.0, -1.0),
     }
     quarter = Box3D((0, 0, 0), (4, 2, 1), yaw=math.pi / 2)
-    rotated = quarter.corners_bev()
+    rotated = corners_bev(quarter)
     assert np.allclose(sorted(map(tuple, rotated)), sorted([(-1, -2), (-1, 2), (1, -2), (1, 2)]), atol=1e-9)
 
 
