@@ -20,6 +20,7 @@ import functools
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,9 +47,7 @@ from .metrics import (
 from .pipeline import (
     ConfigError,
     PipelineConfig,
-    config_to_dict,
     load_pipeline_config,
-    parse_pipeline_config,
     run_pipeline,
     train_smoke,
 )
@@ -130,19 +129,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         config = load_pipeline_config(args.config)
     else:
         config = PipelineConfig()
-    overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+        config = replace(config, seed=args.seed)
     if getattr(args, "steps", None) is not None:
-        overrides["train"] = {"steps": args.steps}
-    if overrides:
-        raw = config_to_dict(config)
-        for key, value in overrides.items():
-            if isinstance(value, dict):
-                raw[key].update(value)
-            else:
-                raw[key] = value
-        config = parse_pipeline_config(raw)
+        config = replace(config, train=replace(config.train, steps=args.steps))
     return config
 
 

@@ -11,7 +11,8 @@ The vanilla update feeds neighbour states alone; the extended update
 prepends the aligned relative offset ``x_i - x_j - dx_i`` where ``dx_i``
 comes from a per-iteration alignment stack, making the update exactly
 translation invariant.  Both updates are synchronous (iteration k reads
-only k-1 states) and come with analytic backward passes.
+only k-1 states) and come with analytic backward passes.  A batch of
+graphs is refined as one: :func:`join_graphs` forms their disjoint union.
 
 The graph is stored as arrays: the proposals as one
 :class:`~graphdet.scene.BoxArray`, whose centres are the node
@@ -141,6 +142,29 @@ def build_graph(boxes: BoxArray, states: np.ndarray, radius: float = 2.0) -> Nei
     src, dst = radius_pairs(boxes.params[:, :3], radius)
     offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=len(boxes)))]
     return NeighborhoodGraph(boxes, states, offsets, dst, radius)
+
+
+def join_graphs(graphs: list[NeighborhoodGraph]) -> NeighborhoodGraph:
+    """The disjoint union of ``graphs``: graph k's rows follow graph k-1's,
+    its edges shifted by the rows before it, and no edge joins two graphs,
+    so the refiner gives each graph's rows as on that graph alone.  One
+    graph is returned unchanged."""
+    if len(graphs) == 1:
+        return graphs[0]
+    if len({g.radius for g in graphs}) != 1:
+        raise ValueError("join_graphs needs one or more graphs of one radius")
+    first_row = np.cumsum([0] + [len(g) for g in graphs])
+    first_edge = np.cumsum([0] + [len(g.indices) for g in graphs])
+    boxes = [g.boxes for g in graphs]
+    boxes = BoxArray(
+        np.concatenate([b.params for b in boxes]),
+        np.concatenate([b.scores for b in boxes]),
+        np.concatenate([b.class_ids for b in boxes]),
+    )
+    offsets = np.concatenate([[0]] + [g.offsets[1:] + e for g, e in zip(graphs, first_edge)])
+    indices = np.concatenate([g.indices + r for g, r in zip(graphs, first_row)])
+    states = np.concatenate([g.states for g in graphs])
+    return NeighborhoodGraph(boxes, states, offsets, indices, graphs[0].radius)
 
 
 @dataclass

@@ -189,11 +189,6 @@ class DenseStack:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 
 
-def add_layer_grads(acc: list[LayerGrads], extra: list[LayerGrads]) -> list[LayerGrads]:
-    """Element-wise sum of two per-layer gradient lists."""
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(acc, extra)]
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow for either sign."""
     out = np.empty_like(x, dtype=float)

@@ -10,7 +10,9 @@ is plain gradient descent on the refinement loss against a fixed
 synthetic batch: the header's focal loss over the proposals plus its
 smooth-L1 over the foreground proposals' box residuals.  The refiner
 (graph updater and header) is the only trained model, because it is the
-only one a detection reads.
+only one a detection reads.  A step is one pass over the batch's proposal
+graphs joined into one, with no edge between scenes; the batch loss is
+the sum of the scenes' losses, each with its own normaliser.
 
 The headline ``ap_*`` keys are scored on the first training scene, so
 they show what refinement adds on the batch it descended on.  The
@@ -31,10 +33,10 @@ from .geom import encode_boxes, nms, pairwise_bev_iou
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
-    UpdaterGrads,
     build_graph,
     header_backward,
     header_forward,
+    join_graphs,
     refine_proposals,
     update_backward,
     update_extended_forward,
@@ -44,7 +46,6 @@ from .metrics import BevIouMatcher, RecallSchedule, interpolated_ap, precision_r
 from .nnet import (
     DenseStack,
     LossConfig,
-    add_layer_grads,
     focal_loss,
     focal_loss_grad,
     masked_smooth_l1_mean,
@@ -336,19 +337,19 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 @dataclass
 class _Targets:
-    """The refinement targets of one world's proposals, which only training reads."""
+    """The training batch's refinement targets, its worlds' rows stacked."""
 
     prop_fg: np.ndarray  # (n_proposals,) proposals matching a ground-truth box
     prop_reg_targets: np.ndarray  # (n_proposals, 7) encoded boxes; zero rows off the foreground
+    bounds: list[tuple[int, int]]  # each world's row range [lo, hi)
 
 
 @dataclass
 class _World:
-    """One materialised scene; ``targets`` is set on training worlds only."""
+    """One materialised scene."""
 
     scene: Scene
     graph: NeighborhoodGraph  # one node per proposal; empty when there are none
-    targets: _Targets | None = None
 
 
 def _bev_map(config: PipelineConfig) -> BevFeatureMap:
@@ -424,10 +425,11 @@ def _build_world(
     return _World(scene=scene, graph=graph)
 
 
-def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
+def _training_targets(config: PipelineConfig, world: _World) -> tuple[np.ndarray, np.ndarray]:
     """Each proposal's refinement target: the ground-truth box of best BEV
     IoU (lowest index on ties), if that IoU is positive and reaches
-    ``proposals.pos_iou``.
+    ``proposals.pos_iou``.  Returns the (n,) foreground mask and the (n, 7)
+    encoded targets, zero off the foreground.
 
     The IoUs come from one :func:`graphdet.geom.pairwise_bev_iou` call,
     which computes only the pairs whose footprints can reach: the others
@@ -444,8 +446,7 @@ def _training_targets(config: PipelineConfig, world: _World) -> _Targets:
         prop_fg = (best_iou > 0.0) & (best_iou >= config.proposals.pos_iou)
         fg = np.flatnonzero(prop_fg)
         prop_reg_targets[fg] = encode_boxes(gt_boxes.take(best_g[fg]), proposals.take(fg))
-
-    return _Targets(prop_fg=prop_fg, prop_reg_targets=prop_reg_targets)
+    return prop_fg, prop_reg_targets
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +490,39 @@ def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: Pi
 
 
 def _evaluate(
-    models: PipelineModels, world: _World, config: PipelineConfig, want_grads: bool
+    models: PipelineModels,
+    graph: NeighborhoodGraph,
+    targets: _Targets,
+    config: PipelineConfig,
+    want_grads: bool,
 ) -> tuple[float, dict[str, Any] | None]:
-    """Refinement loss of one world and, if wanted, its gradients.
+    """Refinement loss of the batch and, if wanted, its gradients: one
+    pass over the joined graph, with per-world normalisers.
 
-    The loss is the header's focal loss over the proposals plus its
-    smooth-L1 over the foreground proposals' box residuals.  Gradient
+    A world's loss is the header's focal loss over its rows plus its
+    smooth-L1 over its foreground rows' box residuals; the batch loss is
+    their sum in world order.  An empty world adds nothing.  Gradient
     entries are keyed by :class:`PipelineModels` field name.
     """
-    if len(world.graph) == 0:
-        zero = {f.name: getattr(models, f.name).zero_grads() for f in fields(models)}
-        return 0.0, zero if want_grads else None
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    fg, reg_targets = world.targets.prop_fg, world.targets.prop_reg_targets
-    refined, ucache = _refine_forward(models, world.graph, config)
+    refined, ucache = _refine_forward(models, graph, config)
     scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
-    loss = focal_loss(scores, fg, cfg_loss) + masked_smooth_l1_mean(residuals, reg_targets, fg, beta)
+    dscores, dres = np.zeros_like(scores), np.zeros_like(residuals)
+    loss = 0.0
+    for lo, hi in targets.bounds:
+        if lo == hi:
+            continue
+        rows = slice(lo, hi)
+        fg, reg_targets = targets.prop_fg[rows], targets.prop_reg_targets[rows]
+        loss += focal_loss(scores[rows], fg, cfg_loss) + masked_smooth_l1_mean(
+            residuals[rows], reg_targets, fg, beta
+        )
+        if want_grads:
+            dscores[rows] = focal_loss_grad(scores[rows], fg, cfg_loss)
+            dres[rows] = masked_smooth_l1_mean_grad(residuals[rows], reg_targets, fg, beta)
     if not want_grads:
         return loss, None
-    dscores = focal_loss_grad(scores, fg, cfg_loss)
-    dres = masked_smooth_l1_mean_grad(residuals, reg_targets, fg, beta)
     cls_grads, reg_grads, dz = header_backward(
         hcache, models.cls_stack, models.reg_stack, dscores, dres
     )
@@ -517,43 +530,11 @@ def _evaluate(
     return loss, {"updater": updater_grads, "cls_stack": cls_grads, "reg_stack": reg_grads}
 
 
-def _sum_grads(total: dict[str, Any] | None, extra: dict[str, Any]) -> dict[str, Any]:
-    if total is None:
-        return extra
-    out: dict[str, Any] = {}
-    for key, acc in total.items():
-        new = extra[key]
-        if key == "updater":
-            out[key] = UpdaterGrads(
-                [add_layer_grads(a, b) for a, b in zip(acc.agg, new.agg)],
-                [add_layer_grads(a, b) for a, b in zip(acc.fus, new.fus)],
-                None
-                if acc.align is None
-                else [add_layer_grads(a, b) for a, b in zip(acc.align, new.align)],
-            )
-        else:
-            out[key] = add_layer_grads(acc, new)
-    return out
-
-
-def _batch_evaluate(
-    models: PipelineModels,
-    worlds: list[_World],
-    config: PipelineConfig,
-    want_grads: bool = True,
-) -> tuple[float, dict[str, Any] | None]:
-    """Refinement loss and (optionally) gradients, summed over the worlds."""
-    grads = None
-    total = 0.0
-    for world in worlds:
-        loss, world_grads = _evaluate(models, world, config, want_grads)
-        total += loss
-        if want_grads:
-            grads = _sum_grads(grads, world_grads)
-    return total, grads
-
-
-def _training_worlds(config: PipelineConfig, bev: BevFeatureMap) -> list[_World]:
+def _training_worlds(
+    config: PipelineConfig, bev: BevFeatureMap
+) -> tuple[list[_World], NeighborhoodGraph, _Targets]:
+    """The batch's worlds, their proposal graphs joined into one (with no
+    edge between worlds) and the targets of the joined rows."""
     worlds = [
         _build_world(
             config,
@@ -563,27 +544,29 @@ def _training_worlds(config: PipelineConfig, bev: BevFeatureMap) -> list[_World]
         )
         for j in range(config.train.batch_scenes)
     ]
-    for world in worlds:
-        world.targets = _training_targets(config, world)
-    return worlds
+    fgs, regs = zip(*(_training_targets(config, world) for world in worlds))
+    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
+    targets = _Targets(np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends)))
+    return worlds, join_graphs([world.graph for world in worlds]), targets
 
 
 def _train_models(
     config: PipelineConfig, steps: int, bev: BevFeatureMap
 ) -> tuple[PipelineModels, list[float], _World]:
-    """Train on the batch; also returns the first training world, which is
-    the pipeline's main scene (training never mutates a world).
+    """Train on the batch, one :func:`_evaluate` pass per step; also
+    returns the first training world, which is the pipeline's main scene
+    (training never mutates a world).
 
     Raises :class:`TrainingDivergedError`, naming the step and the loss
     term, as soon as the refinement loss ``l_gnn`` is not finite.
     """
-    worlds = _training_worlds(config, bev)
+    worlds, graph, targets = _training_worlds(config, bev)
     models = init_models(config)
     lr = config.train.learning_rate / len(worlds)
     history = []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        loss, grads = _batch_evaluate(models, worlds, config, want_grads=step < steps)
+        loss, grads = _evaluate(models, graph, targets, config, want_grads=step < steps)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"training diverged at step {step}: loss term l_gnn is {loss}"
@@ -599,9 +582,10 @@ def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]
     """Plain gradient descent on the refinement loss over one fixed batch.
 
     The refinement loss is the detection header's focal loss plus its box
-    smooth-L1, summed over the batch's worlds and divided by their count.
-    Returns it before training and after every step, so the history has
-    ``steps + 1`` entries.  Zero steps report only the initial loss; a
+    smooth-L1, each world's with its own normaliser, summed over the
+    batch's worlds and divided by their count; a step is one pass over the
+    worlds' joined proposal graph.  Returns it before training and after
+    every step, so the history has ``steps + 1`` entries.  Zero steps report only the initial loss; a
     zero learning rate leaves the history constant.
     """
     if steps is None:
@@ -616,9 +600,8 @@ def detect(
     models: PipelineModels, world: _World, config: PipelineConfig
 ) -> BoxArray:
     """Refine the world's proposals and suppress duplicates; the proposals
-    stay one :class:`~graphdet.scene.BoxArray` from drawing to NMS."""
-    if len(world.graph) == 0:
-        return world.graph.boxes
+    stay one :class:`~graphdet.scene.BoxArray` from drawing to NMS (an
+    empty graph gives an empty one)."""
     refined, _ = _refine_forward(models, world.graph, config)
     boxes = refine_proposals(world.graph, refined, models.cls_stack, models.reg_stack)
     return nms(boxes, config.nms.iou_threshold, config.nms.score_threshold)

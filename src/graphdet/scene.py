@@ -123,14 +123,17 @@ class BoxArray(Sequence):
     def __len__(self) -> int:
         return len(self.params)
 
-    def __getitem__(self, i: int) -> Box3D:
+    def __getitem__(self, i: int | slice) -> Box3D | BoxArray:
+        """The :class:`Box3D` view of box ``i``, or a BoxArray of a slice."""
+        if isinstance(i, slice):
+            return self.take(i)
         return _box_view(self.params[i].tolist(), float(self.scores[i]), self.class_ids[i])
 
     def __iter__(self) -> Iterator[Box3D]:
         return map(_box_view, self.params.tolist(), self.scores.tolist(), self.class_ids.tolist())
 
-    def take(self, indices: np.ndarray) -> BoxArray:
-        """The boxes at ``indices``, in that order."""
+    def take(self, indices: np.ndarray | slice) -> BoxArray:
+        """The boxes at ``indices`` (or in a slice), in that order."""
         return BoxArray(self.params[indices], self.scores[indices], self.class_ids[indices])
 
     @cached_property

@@ -15,8 +15,15 @@ import math
 
 import numpy as np
 
+from graphdet import pipeline
+from graphdet.gnn import UpdaterGrads, header_backward, header_forward, update_backward
 from graphdet.interp import FeatureSet
-from graphdet.nnet import add_layer_grads
+from graphdet.nnet import (
+    focal_loss,
+    focal_loss_grad,
+    masked_smooth_l1_mean,
+    masked_smooth_l1_mean_grad,
+)
 from graphdet.scene import Box3D, normalize_yaw
 
 
@@ -716,6 +723,95 @@ def loop_update_backward(cache, grad_out):
             np.add.at(d_prev, row_neigh, d_rows)
         dh = d_prev
     return grads, dh
+
+
+def add_layer_grads(acc, extra):
+    """Element-wise sum of two per-layer gradient lists."""
+    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(acc, extra)]
+
+
+# ---------------------------------------------------------------------------
+# per-world training oracle
+
+
+def _sum_grads(total, extra):
+    """``extra`` added onto ``total``, stack by stack, through the updater's
+    gradient tree; ``total`` None means nothing is summed yet."""
+    if total is None:
+        return extra
+    out = {}
+    for key, acc in total.items():
+        new = extra[key]
+        if key == "updater":
+            out[key] = UpdaterGrads(
+                [add_layer_grads(a, b) for a, b in zip(acc.agg, new.agg)],
+                [add_layer_grads(a, b) for a, b in zip(acc.fus, new.fus)],
+                None
+                if acc.align is None
+                else [add_layer_grads(a, b) for a, b in zip(acc.align, new.align)],
+            )
+        else:
+            out[key] = add_layer_grads(acc, new)
+    return out
+
+
+def _world_evaluate(models, graph, fg, reg_targets, config, want_grads):
+    """One world's refinement loss and gradients, in its own forward and
+    backward pass; an empty graph gives zero loss and zero gradients."""
+    if len(graph) == 0:
+        zero = {
+            "updater": models.updater.zero_grads(),
+            "cls_stack": models.cls_stack.zero_grads(),
+            "reg_stack": models.reg_stack.zero_grads(),
+        }
+        return 0.0, zero if want_grads else None
+    cfg_loss = config.loss
+    beta = cfg_loss.smooth_l1_beta
+    refined, ucache = pipeline._refine_forward(models, graph, config)
+    scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
+    loss = focal_loss(scores, fg, cfg_loss) + masked_smooth_l1_mean(residuals, reg_targets, fg, beta)
+    if not want_grads:
+        return loss, None
+    dscores = focal_loss_grad(scores, fg, cfg_loss)
+    dres = masked_smooth_l1_mean_grad(residuals, reg_targets, fg, beta)
+    cls_grads, reg_grads, dz = header_backward(
+        hcache, models.cls_stack, models.reg_stack, dscores, dres
+    )
+    updater_grads, _ = update_backward(ucache, dz)
+    return loss, {"updater": updater_grads, "cls_stack": cls_grads, "reg_stack": reg_grads}
+
+
+def loop_batch_evaluate(models, graphs, targets, config, want_grads=True):
+    """The batch's refinement loss and gradients one world at a time: each
+    world's graph (``targets.bounds`` gives its rows of the stacked
+    targets) in its own pass, losses and gradient trees summed in world
+    order.  Returns ``(loss, grads)`` like ``pipeline._evaluate``.  It
+    shares the update, header and losses with the library: what it checks
+    is the batching."""
+    grads, total = None, 0.0
+    for graph, (lo, hi) in zip(graphs, targets.bounds, strict=True):
+        fg, reg = targets.prop_fg[lo:hi], targets.prop_reg_targets[lo:hi]
+        loss, world_grads = _world_evaluate(models, graph, fg, reg, config, want_grads)
+        total += loss
+        if want_grads:
+            grads = _sum_grads(grads, world_grads)
+    return total, grads
+
+
+def loop_train_models(config, steps):
+    """``pipeline._train_models`` with :func:`loop_batch_evaluate` as the
+    step: returns the trained models and the loss history."""
+    worlds, _, targets = pipeline._training_worlds(config, pipeline._bev_map(config))
+    graphs = [world.graph for world in worlds]
+    models = pipeline.init_models(config)
+    lr = config.train.learning_rate / len(worlds)
+    history = []
+    for step in range(steps + 1):
+        loss, grads = loop_batch_evaluate(models, graphs, targets, config, step < steps)
+        history.append(loss / len(worlds))
+        for name, stack_grads in (grads or {}).items():
+            getattr(models, name).sgd_step(stack_grads, lr)
+    return models, history
 
 
 # ---------------------------------------------------------------------------

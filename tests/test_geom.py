@@ -176,6 +176,18 @@ def test_nms_score_threshold_filters():
     assert len(kept) == 1 and kept[0].score == 0.4
 
 
+def test_nms_result_slices_to_a_box_array():
+    boxes = [box2d(5 * i, 0, 2, 2, score=0.9 - 0.1 * i) for i in range(4)]
+    kept = nms(boxes, iou_threshold=0.1, score_threshold=0.0)
+    assert kept[-1] == boxes[-1]  # an integer still gives the Box3D view
+    tail = kept[1:]
+    assert isinstance(tail, BoxArray) and list(tail) == boxes[1:]
+    assert list(kept[::-2]) == boxes[::-2]
+    assert list(kept[-2:]) == boxes[-2:]
+    empty = kept[3:1]
+    assert isinstance(empty, BoxArray) and len(empty) == 0 and empty.params.shape == (0, 7)
+
+
 def test_nms_requires_scores():
     with pytest.raises(ValueError, match="no score"):
         nms([box2d(0, 0, 2, 2)], 0.1, 0.0)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from graphdet.gnn import (
     GraphUpdater,
     build_graph,
+    join_graphs,
     update_backward,
     update_extended,
     update_extended_forward,
+    update_vanilla,
     update_vanilla_forward,
 )
 from graphdet.scene import Box3D, BoxArray
@@ -143,3 +145,49 @@ def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
     updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, extended=True)
     assert moved.adjacency == base.adjacency
     assert np.array_equal(update_extended(moved, updater), update_extended(base, updater))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    state_dim=st.integers(1, 4),
+    extended=st.booleans(),
+    rounded=st.booleans(),
+    seed=SEEDS,
+)
+def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded, seed):
+    rng = np.random.default_rng(seed)
+    graphs = [build_graph(*integer_proposals(rng, n, state_dim), radius=2.0) for n in sizes]
+    joined = join_graphs(graphs)
+    first_row = np.cumsum([0] + sizes)
+    first_edge = np.cumsum([0] + [len(g.indices) for g in graphs])
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    assert len(joined) == first_row[-1]
+    assert np.array_equal(owner[joined.row_node], owner[joined.indices])  # no edge crosses
+    update = update_extended if extended else update_vanilla
+    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    refined = update(joined, updater)
+    for k, graph in enumerate(graphs):
+        rows = slice(first_row[k], first_row[k + 1])
+        edges = slice(first_edge[k], first_edge[k + 1])
+        assert np.array_equal(joined.offsets[rows.start : rows.stop + 1] - edges.start, graph.offsets)
+        assert np.array_equal(joined.indices[edges] - rows.start, graph.indices)
+        assert np.array_equal(joined.states[rows], graph.states)
+        assert np.array_equal(joined.boxes.params[rows], graph.boxes.params)
+        want = update(graph, updater)
+        if len(graph) == 1:
+            # NumPy hands a one-row product to a matrix-vector kernel, which
+            # may round the last bit unlike the union's matrix product.
+            np.testing.assert_allclose(refined[rows], want, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(refined[rows], want)
+
+
+def test_joining_one_graph_returns_it_and_radii_must_agree():
+    rng = np.random.default_rng(3)
+    graph = build_graph(*integer_proposals(rng, 5, 2), radius=2.0)
+    assert join_graphs([graph]) is graph
+    other = build_graph(*integer_proposals(rng, 4, 2), radius=1.0)
+    for bad in ([graph, other], []):
+        with pytest.raises(ValueError, match="one or more graphs of one radius"):
+            join_graphs(bad)

@@ -7,7 +7,6 @@ from graphdet.nnet import (
     DenseLayer,
     DenseStack,
     LossConfig,
-    add_layer_grads,
     focal_loss,
     focal_loss_grad,
     masked_smooth_l1_mean,
@@ -19,7 +18,7 @@ from graphdet.nnet import (
     total_loss,
 )
 
-from oracles import whole_array_focal_loss_grad
+from oracles import add_layer_grads, whole_array_focal_loss_grad
 
 
 def central_diff(f, x, h=1e-6):

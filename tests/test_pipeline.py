@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom, pipeline, rfa
-from graphdet.gnn import header_forward
+from graphdet.gnn import header_forward, join_graphs
 from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
     ConfigError,
@@ -33,7 +33,13 @@ from graphdet.rfa import RfaConfig
 from graphdet.scene import Box3D, BoxArray, generate_synthetic_scene
 from graphdet.voxel import VoxelizationConfig
 
-from oracles import loop_make_proposals, loop_training_targets, loop_update_backward
+from oracles import (
+    loop_batch_evaluate,
+    loop_make_proposals,
+    loop_train_models,
+    loop_training_targets,
+    loop_update_backward,
+)
 
 
 def tiny_raw(**overrides):
@@ -375,6 +381,95 @@ def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
     assert per_step > 0 and len(calls) == 2 * per_step
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_each_stack_runs_once_per_training_step(monkeypatch, batch):
+    # The batch's worlds train as one joined graph: every stack runs one
+    # forward and one backward pass per step, whatever the batch size.
+    calls = []
+    for name in ("forward", "backward"):
+        method = getattr(DenseStack, name)
+        monkeypatch.setattr(
+            DenseStack,
+            name,
+            lambda self, *a, _name=name, _method=method: calls.append((self, _name))
+            or _method(self, *a),
+        )
+    models = []
+    init = pipeline.init_models
+    monkeypatch.setattr(pipeline, "init_models", lambda c: models.append(init(c)) or models[-1])
+    train_smoke(tiny_config(train={"batch_scenes": batch}), steps=2)
+    for stack in _all_stacks(models[0]):
+        runs = [name for owner, name in calls if owner is stack]
+        assert runs.count("forward") == 3  # two steps and the final loss
+        assert runs.count("backward") == 2
+
+
+# Stated bound of the joined pass against the per-world loop at a batch
+# of more than one world: the same rows are summed in another order, so
+# histories and weights may move in the last bits, never by more.
+BATCH_RTOL = 1e-12
+BATCH_ATOL = 1e-12
+
+
+def _oracle_run(config, steps):
+    models, history = loop_train_models(config, steps)
+    return history, [stack.flat_params() for stack in _all_stacks(models)]
+
+
+@pytest.mark.parametrize("variant", ["extended", "vanilla"])
+def test_batch_of_one_trains_bit_identically_to_the_per_world_loop(variant):
+    config = PipelineConfig(gnn=GnnPipelineConfig(variant=variant))
+    history, weights = _trained_weights(config, 40)
+    want_history, want_weights = _oracle_run(config, 40)
+    assert history == want_history
+    for got, want in zip(weights, want_weights, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["extended", "vanilla"])
+@pytest.mark.parametrize("batch", [2, 4])
+def test_joined_batch_trains_like_the_per_world_loop(variant, batch):
+    config = PipelineConfig(
+        gnn=GnnPipelineConfig(variant=variant), train=TrainPipelineConfig(batch_scenes=batch)
+    )
+    history, weights = _trained_weights(config, 200)
+    want_history, want_weights = _oracle_run(config, 200)
+    assert history[0] == want_history[0]
+    np.testing.assert_allclose(history, want_history, rtol=BATCH_RTOL, atol=0.0)
+    for got, want in zip(weights, want_weights, strict=True):
+        np.testing.assert_allclose(got, want, rtol=BATCH_RTOL, atol=BATCH_ATOL)
+
+
+def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
+    # Empty worlds before, between and after two non-empty ones add no
+    # loss and pass zero gradients; each world keeps its own normaliser.
+    config = tiny_config()
+    worlds = [build_world(config, seed, seed + 11) for seed in (0, 5)]
+    empty = build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
+    batch = [empty, worlds[0], empty, worlds[1], empty]
+    fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
+    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
+    targets = pipeline._Targets(
+        np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends))
+    )
+    graphs = [world.graph for world in batch]
+    models = pipeline.init_models(config)
+    loss, grads = pipeline._evaluate(models, join_graphs(graphs), targets, config, True)
+    want_loss, want_grads = loop_batch_evaluate(models, graphs, targets, config, True)
+    assert loss == want_loss > 0
+    np.testing.assert_allclose(
+        _flat_grads(grads), _flat_grads(want_grads), rtol=BATCH_RTOL, atol=BATCH_ATOL
+    )
+
+
+def _flat_grads(grads):
+    """Every (dW, db) array of a gradient dict, flattened in stack order."""
+    updater = grads["updater"]
+    trees = [grads["cls_stack"], grads["reg_stack"], *updater.agg, *updater.fus]
+    layers = [layer for tree in trees + list(updater.align or []) for layer in tree]
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
+
+
 def _all_stacks(models):
     """Every trainable stack: the header's two, then the graph updater's."""
     stacks = [models.cls_stack, models.reg_stack, *models.updater.agg_stacks]
@@ -401,11 +496,12 @@ def test_initial_loss_is_the_refinement_loss_of_the_first_world():
     # Only the refiner is trained: the loss is the header's focal loss plus
     # its box smooth-L1 over the proposals of the training world.
     config = PipelineConfig()
-    (world,) = pipeline._training_worlds(config, pipeline._bev_map(config))
+    (world,), graph, joined = pipeline._training_worlds(config, pipeline._bev_map(config))
+    assert graph is world.graph and joined.bounds == [(0, len(graph))]
     models = pipeline.init_models(config)
     refined, _ = pipeline._refine_forward(models, world.graph, config)
     scores, residuals, _ = header_forward(refined, models.cls_stack, models.reg_stack)
-    fg, targets = world.targets.prop_fg, world.targets.prop_reg_targets
+    fg, targets = joined.prop_fg, joined.prop_reg_targets
     want = focal_loss(scores, fg, config.loss) + masked_smooth_l1_mean(
         residuals, targets, fg, config.loss.smooth_l1_beta
     )
@@ -466,14 +562,19 @@ def test_empty_stage_names_the_first_stage_that_came_up_empty():
 
 
 def test_empty_scene_trains_on_an_empty_graph():
+    # Zero rows flow through every stack as zero gradients, in a batch of
+    # one empty world and in a joined graph of three.
     config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
     graph = build_world(config, 0, 1).graph
     assert len(graph) == 0 and graph.adjacency == ()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no loss is evaluated on an empty graph
-        detections, report = run_pipeline(config)
-    assert len(detections) == 0
-    assert report["loss_history"] == [0.0, 0.0, 0.0]
+    for batch in (1, 3):
+        config = replace(config, train=replace(config.train, batch_scenes=batch))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no loss is evaluated on an empty graph
+            detections, report = run_pipeline(config)
+        assert len(detections) == 0
+        assert report["loss_history"] == [0.0, 0.0, 0.0]
+        assert report["empty_stage"] == "proposals"
 
 
 def test_noise_free_passthrough_reproduces_ground_truth():
@@ -562,13 +663,13 @@ def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
     calls = []
     kernel = geom.bev_iou_pairs
     monkeypatch.setattr(geom, "bev_iou_pairs", lambda a, b, i, j: calls.extend(i) or kernel(a, b, i, j))
-    targets = pipeline._training_targets(config, world)
+    got_fg, got_reg = pipeline._training_targets(config, world)
     fg, reg = loop_training_targets(
         world.graph.boxes, world.scene.gt_boxes, config.proposals.pos_iou
     )
     assert fg.any()
-    assert np.array_equal(targets.prop_fg, fg)
-    assert np.array_equal(targets.prop_reg_targets, reg)
+    assert np.array_equal(got_fg, fg)
+    assert np.array_equal(got_reg, reg)
     assert 0 < len(calls) < len(world.graph) * len(world.scene.gt_boxes)
 
 
