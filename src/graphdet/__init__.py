@@ -22,8 +22,7 @@ from .gnn import (
     NeighborhoodGraph,
     build_graph,
     refine_proposals,
-    update_extended,
-    update_vanilla,
+    update,
 )
 from .interp import (
     BevFeatureMap,
@@ -118,8 +117,7 @@ __all__ = [
     "smooth_l1",
     "total_loss",
     "train_smoke",
-    "update_extended",
-    "update_vanilla",
+    "update",
     "voxelize",
     "write_detections",
 ]

@@ -20,20 +20,13 @@ import functools
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .geom import Box3D, iou_3d, nms, rotated_iou_bev
-from .gnn import (
-    GraphUpdater,
-    build_graph,
-    refine_proposals,
-    update_extended,
-    update_vanilla,
-)
+from .gnn import GraphUpdater, build_graph, header_stacks, refine_proposals, update
 from .gradcheck import run_all
-from .nnet import DenseStack
 from .metrics import (
     BevIouMatcher,
     CenterDistanceMatcher,
@@ -47,6 +40,7 @@ from .metrics import (
 from .pipeline import (
     ConfigError,
     PipelineConfig,
+    SceneConfig,
     load_pipeline_config,
     run_pipeline,
     train_smoke,
@@ -175,10 +169,7 @@ def _cmd_voxelize(args: argparse.Namespace) -> int:
     if args.input:
         cloud = _load_points(args.input)
     else:
-        scene = generate_synthetic_scene(
-            args.seed, n_objects=4, points_per_object=160, clutter_points=80,
-            min_separation=7.0,
-        )
+        scene = generate_synthetic_scene(args.seed, **asdict(SceneConfig()))
         cloud = clip_to_range(scene).cloud
     max_points = None if args.max_points == 0 else args.max_points
     config = VoxelizationConfig(step=tuple(args.step), max_points_per_voxel=max_points)
@@ -208,15 +199,12 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         )
     graph = build_graph(proposals, states, args.radius)
     f = states.shape[1]
-    extended = not args.vanilla
-    updater = GraphUpdater.seeded(f, args.hidden, args.iters, args.seed, extended=extended)
-    if args.header == "zero":
-        cls_stack = DenseStack.zeros((f, 1))
-        reg_stack = DenseStack.zeros((f, 7))
-    else:
-        cls_stack = DenseStack.seeded((f, args.hidden, 1), args.seed + 1)
-        reg_stack = DenseStack.seeded((f, args.hidden, 7), args.seed + 2)
-    refined = (update_extended if extended else update_vanilla)(graph, updater)
+    updater = GraphUpdater.seeded(
+        f, args.hidden, args.iters, args.seed, extended=not args.vanilla
+    )
+    seeds = None if args.header == "zero" else (args.seed + 1, args.seed + 2)
+    cls_stack, reg_stack = header_stacks(f, args.hidden, seeds)
+    refined, _ = update(graph, updater)
     boxes = refine_proposals(graph, refined, cls_stack, reg_stack)
     _emit_boxes(boxes, args.output)
     return 0

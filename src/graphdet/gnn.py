@@ -11,8 +11,11 @@ The vanilla update feeds neighbour states alone; the extended update
 prepends the aligned relative offset ``x_i - x_j - dx_i`` where ``dx_i``
 comes from a per-iteration alignment stack, making the update exactly
 translation invariant.  Both updates are synchronous (iteration k reads
-only k-1 states) and come with analytic backward passes.  A batch of
-graphs is refined as one: :func:`join_graphs` forms their disjoint union.
+only k-1 states) and come with analytic backward passes.  :func:`update`
+runs the variant the updater is built for (extended when it has
+alignment stacks), and :func:`update_backward` returns one gradient per
+stack in :attr:`GraphUpdater.stacks` order.  A batch of graphs is
+refined as one: :func:`join_graphs` forms their disjoint union.
 
 The graph is stored as arrays: the proposals as one
 :class:`~graphdet.scene.BoxArray`, whose centres are the node
@@ -176,7 +179,9 @@ class GraphUpdater:
     (its final activation plays the role of sigma), and ``align_stacks``
     (extended mode only) predicts the 3-vector alignment offset from the
     node's own state.  Depth zero means no iterations: the update is the
-    identity.
+    identity.  :attr:`stacks` lists every stack in one fixed order, the
+    order of :func:`update_backward`'s gradients, and ``align_stacks``
+    being set selects the extended update in :func:`update`.
     """
 
     agg_stacks: list[DenseStack]
@@ -192,6 +197,11 @@ class GraphUpdater:
     @property
     def depth(self) -> int:
         return len(self.agg_stacks)
+
+    @property
+    def stacks(self) -> list[DenseStack]:
+        """Every stack: the aggregation, then fusion, then alignment stacks."""
+        return self.agg_stacks + self.fus_stacks + (self.align_stacks or [])
 
     @classmethod
     def seeded(
@@ -240,40 +250,6 @@ class GraphUpdater:
                     raise ValueError(
                         f"iteration {k}: alignment widths {align.in_dim}->{align.out_dim}"
                     )
-
-    def copy(self) -> "GraphUpdater":
-        return GraphUpdater(
-            [s.copy() for s in self.agg_stacks],
-            [s.copy() for s in self.fus_stacks],
-            None if self.align_stacks is None else [s.copy() for s in self.align_stacks],
-        )
-
-    def zero_grads(self) -> "UpdaterGrads":
-        return UpdaterGrads(
-            [s.zero_grads() for s in self.agg_stacks],
-            [s.zero_grads() for s in self.fus_stacks],
-            None
-            if self.align_stacks is None
-            else [s.zero_grads() for s in self.align_stacks],
-        )
-
-    def sgd_step(self, grads: "UpdaterGrads", lr: float) -> None:
-        for stack, g in zip(self.agg_stacks, grads.agg):
-            stack.sgd_step(g, lr)
-        for stack, g in zip(self.fus_stacks, grads.fus):
-            stack.sgd_step(g, lr)
-        if self.align_stacks is not None and grads.align is not None:
-            for stack, g in zip(self.align_stacks, grads.align):
-                stack.sgd_step(g, lr)
-
-
-@dataclass
-class UpdaterGrads:
-    """Gradients mirroring a :class:`GraphUpdater`'s stack structure."""
-
-    agg: list[list[LayerGrads]]
-    fus: list[list[LayerGrads]]
-    align: list[list[LayerGrads]] | None = None
 
 
 @dataclass
@@ -344,16 +320,6 @@ def _update_forward(
     return h, UpdateCache(graph, updater, extended, iterations)
 
 
-def update_vanilla(graph: NeighborhoodGraph, updater: GraphUpdater) -> np.ndarray:
-    """Run the state-only refinement; returns the (n, F) refined states."""
-    return _update_forward(graph, updater, extended=False)[0]
-
-
-def update_extended(graph: NeighborhoodGraph, updater: GraphUpdater) -> np.ndarray:
-    """Run the offset-aligned refinement; returns the (n, F) refined states."""
-    return _update_forward(graph, updater, extended=True)[0]
-
-
 def update_vanilla_forward(
     graph: NeighborhoodGraph, updater: GraphUpdater
 ) -> tuple[np.ndarray, UpdateCache]:
@@ -366,14 +332,25 @@ def update_extended_forward(
     return _update_forward(graph, updater, extended=True)
 
 
+def update(graph: NeighborhoodGraph, updater: GraphUpdater) -> tuple[np.ndarray, UpdateCache]:
+    """Refine the graph's states with the updater's own variant: the
+    offset-aligned update if it has alignment stacks, the state-only one
+    otherwise.  Returns the (n, F) refined states and the backward cache."""
+    if updater.align_stacks is None:
+        return update_vanilla_forward(graph, updater)
+    return update_extended_forward(graph, updater)
+
+
 def update_backward(
     cache: UpdateCache, grad_out: np.ndarray
-) -> tuple[UpdaterGrads, np.ndarray]:
+) -> tuple[list[list[LayerGrads]], np.ndarray]:
     """Back-propagate through a cached update.
 
-    ``grad_out`` is d(loss)/d(refined states), shape (n, F).  Returns the
-    stack gradients and d(loss)/d(initial states); with no iterations run
-    (depth zero or an empty graph) every stack gradient is zero.
+    ``grad_out`` is d(loss)/d(refined states), shape (n, F).  Returns one
+    gradient per stack, in :attr:`GraphUpdater.stacks` order, and
+    d(loss)/d(initial states).  A stack that took no part (every stack
+    when no iteration ran, at depth zero or on an empty graph; the
+    alignment stacks under the state-only update) gets a zero gradient.
 
     Max-pool gradients are stored on the winning neighbour row per
     channel (the lowest row on exact forward ties); node blocks are
@@ -388,23 +365,25 @@ def update_backward(
     dh = np.asarray(grad_out, dtype=float).copy()
     depth = len(cache.iterations)
     if depth == 0:
-        return updater.zero_grads(), dh
+        return [s.zero_grads() for s in updater.stacks], dh
     graph = cache.graph
     n, f = dh.shape
     neigh_keys = np.concatenate(
         [np.arange(n * f), (graph.indices[:, None] * f + np.arange(f)).ravel()]
     )
     align_keys = (graph.row_node[:, None] * 3 + np.arange(3)).ravel()
-    grads = UpdaterGrads(
-        [None] * depth, [None] * depth, [None] * depth if cache.extended else None
-    )
+    agg, fus = [None] * depth, [None] * depth
+    if cache.extended:
+        align = [None] * depth
+    else:
+        align = [s.zero_grads() for s in updater.align_stacks or []]
     for k in range(depth - 1, -1, -1):
         it = cache.iterations[k]
-        grads.fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
+        fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
 
         d_pool_in = np.zeros_like(it.pool_inputs)
         d_pool_in[it.argmax_rows, np.arange(d_pooled.shape[1])] = d_pooled
-        grads.agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
+        agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
 
         # The residual connection passes dh straight through.
         d_states = d_rows[:, 3:] if cache.extended else d_rows
@@ -412,11 +391,28 @@ def update_backward(
         dh = np.bincount(neigh_keys, weights, minlength=n * f).reshape(n, f)
         if cache.extended:
             d_align = np.bincount(align_keys, -d_rows[:, :3].ravel(), minlength=n * 3)
-            grads.align[k], d_prev_align = updater.align_stacks[k].backward(
+            align[k], d_prev_align = updater.align_stacks[k].backward(
                 it.align_cache, d_align.reshape(n, 3)
             )
             dh = dh + d_prev_align
-    return grads, dh
+    return agg + fus + align, dh
+
+
+def header_stacks(
+    state_dim: int, hidden: int, seeds: tuple[int, int] | None
+) -> tuple[DenseStack, DenseStack]:
+    """The header's classification and regression stacks: seeded
+    (state_dim, hidden, 1) and (state_dim, hidden, 7) stacks from
+    ``seeds``' two entries, or, with ``seeds`` None, zero (state_dim, 1)
+    and (state_dim, 7) stacks, which score every node 0.5 and keep its
+    proposal box."""
+    if seeds is None:
+        return DenseStack.zeros((state_dim, 1)), DenseStack.zeros((state_dim, 7))
+    cls_seed, reg_seed = seeds
+    return (
+        DenseStack.seeded((state_dim, hidden, 1), cls_seed),
+        DenseStack.seeded((state_dim, hidden, 7), reg_seed),
+    )
 
 
 def header_forward(

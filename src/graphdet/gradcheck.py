@@ -22,9 +22,8 @@ from .gnn import (
     build_graph,
     header_backward,
     header_forward,
+    update,
     update_backward,
-    update_extended_forward,
-    update_vanilla_forward,
 )
 from .nnet import (
     DenseStack,
@@ -212,17 +211,8 @@ def _update_margin(cache) -> float:
     return margin
 
 
-def _updater_stacks(updater: GraphUpdater) -> list[tuple[str, int, DenseStack]]:
-    out = [("agg", k, s) for k, s in enumerate(updater.agg_stacks)]
-    out += [("fus", k, s) for k, s in enumerate(updater.fus_stacks)]
-    if updater.align_stacks is not None:
-        out += [("align", k, s) for k, s in enumerate(updater.align_stacks)]
-    return out
-
-
 def _check_update(seed: int, extended: bool) -> float:
     n, f, hidden, depth = 3, 4, 4, 3
-    forward = update_extended_forward if extended else update_vanilla_forward
     for attempt in range(_MAX_REDRAWS):
         rng = np.random.default_rng([seed, 53 if extended else 59, attempt])
         coords = rng.normal(scale=0.8, size=(n, 3))
@@ -231,7 +221,7 @@ def _check_update(seed: int, extended: bool) -> float:
             f, hidden, depth, seed * 1013 + attempt, extended=extended
         )
         graph = _toy_graph(coords, states, radius=4.0)
-        refined, cache = forward(graph, updater)
+        refined, cache = update(graph, updater)
         if _update_margin(cache) > _KINK_MARGIN:
             break
     else:
@@ -239,17 +229,17 @@ def _check_update(seed: int, extended: bool) -> float:
     probe = rng.normal(size=refined.shape)
 
     def value() -> float:
-        return float((probe * forward(graph, updater)[0]).sum())
+        return float((probe * update(graph, updater)[0]).sum())
 
-    _, cache = forward(graph, updater)
+    _, cache = update(graph, updater)
     grads, d_states = update_backward(cache, probe)
     worst = 0.0
-    for kind, k, stack in _updater_stacks(updater):
-        worst = max(worst, _stack_fd_error(stack, value, getattr(grads, kind)[k]))
+    for stack, stack_grads in zip(updater.stacks, grads, strict=True):
+        worst = max(worst, _stack_fd_error(stack, value, stack_grads))
 
     def scalar_states(flat: np.ndarray) -> float:
         g = replace(graph, states=flat.reshape(states.shape))
-        return float((probe * forward(g, updater)[0]).sum())
+        return float((probe * update(g, updater)[0]).sum())
 
     fd_states = central_difference(scalar_states, states.ravel())
     return max(worst, max_relative_error(d_states.ravel(), fd_states))
@@ -315,7 +305,7 @@ def check_composed(seed: int) -> float:
         targets = rng.normal(scale=0.5, size=(n, 7))
 
         graph = _toy_graph(coords, states, radius=4.0)
-        refined, ucache = update_extended_forward(graph, updater)
+        refined, ucache = update(graph, updater)
         scores, residuals, hcache = header_forward(refined, cls_stack, reg_stack)
         margin = _update_margin(ucache)
         margin = min(margin, _stack_preact_margin(hcache[0]))
@@ -332,7 +322,7 @@ def check_composed(seed: int) -> float:
         raise RuntimeError("no kink-free composed instance found")
 
     def value_from(graph: NeighborhoodGraph) -> float:
-        refined, _ = update_extended_forward(graph, updater)
+        refined, _ = update(graph, updater)
         scores, residuals, _ = header_forward(refined, cls_stack, reg_stack)
         return focal_loss(scores, fg, config) + masked_smooth_l1_mean(
             residuals, targets, fg, beta
@@ -341,7 +331,7 @@ def check_composed(seed: int) -> float:
     def value() -> float:  # parameter perturbations leave the graph as it is
         return value_from(graph)
 
-    refined, ucache = update_extended_forward(graph, updater)
+    refined, ucache = update(graph, updater)
     scores, residuals, hcache = header_forward(refined, cls_stack, reg_stack)
     d_scores = focal_loss_grad(scores, fg, config)
     d_res = masked_smooth_l1_mean_grad(residuals, targets, fg, beta)
@@ -352,8 +342,8 @@ def check_composed(seed: int) -> float:
 
     worst = _stack_fd_error(cls_stack, value, cls_grads)
     worst = max(worst, _stack_fd_error(reg_stack, value, reg_grads))
-    for kind, k, stack in _updater_stacks(updater):
-        worst = max(worst, _stack_fd_error(stack, value, getattr(ugrads, kind)[k]))
+    for stack, stack_grads in zip(updater.stacks, ugrads, strict=True):
+        worst = max(worst, _stack_fd_error(stack, value, stack_grads))
 
     fd_states = central_difference(
         lambda flat: value_from(replace(graph, states=flat.reshape(states.shape))),

@@ -111,11 +111,6 @@ class DenseStack:
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    def copy(self) -> "DenseStack":
-        return DenseStack(
-            [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Evaluate the stack on an (n, in_dim) matrix of rows, returning
         the output and a backward cache."""
@@ -183,10 +178,6 @@ class DenseStack:
         return np.concatenate(
             [np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads]
         )
-
-    @property
-    def n_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

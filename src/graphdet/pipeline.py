@@ -36,15 +36,16 @@ from .gnn import (
     build_graph,
     header_backward,
     header_forward,
+    header_stacks,
     join_graphs,
     refine_proposals,
+    update,
     update_backward,
-    update_extended_forward,
-    update_vanilla_forward,
 )
 from .metrics import BevIouMatcher, RecallSchedule, interpolated_ap, precision_recall
 from .nnet import (
     DenseStack,
+    LayerGrads,
     LossConfig,
     focal_loss,
     focal_loss_grad,
@@ -463,6 +464,12 @@ class PipelineModels:
     cls_stack: DenseStack
     reg_stack: DenseStack
 
+    @property
+    def stacks(self) -> list[DenseStack]:
+        """Every stack, in the order of :func:`_evaluate`'s gradients: the
+        updater's (:attr:`GraphUpdater.stacks`), then the header's two."""
+        return [*self.updater.stacks, self.cls_stack, self.reg_stack]
+
 
 def init_models(config: PipelineConfig) -> PipelineModels:
     """Seeded (or zeroed, per ``header_init``) model stacks."""
@@ -472,21 +479,8 @@ def init_models(config: PipelineConfig) -> PipelineModels:
     updater = GraphUpdater.seeded(
         f, config.gnn.hidden_dim, config.gnn.depth, int(child[0]), extended=extended
     )
-    hh = config.gnn.header_hidden
-    if config.gnn.header_init == "zero":
-        cls_stack = DenseStack.zeros((f, 1))
-        reg_stack = DenseStack.zeros((f, 7))
-    else:
-        cls_stack = DenseStack.seeded((f, hh, 1), int(child[1]))
-        reg_stack = DenseStack.seeded((f, hh, 7), int(child[2]))
-    return PipelineModels(updater, cls_stack, reg_stack)
-
-
-def _refine_forward(models: PipelineModels, graph: NeighborhoodGraph, config: PipelineConfig):
-    """The configured graph update's (refined states, cache)."""
-    if config.gnn.variant == "extended":
-        return update_extended_forward(graph, models.updater)
-    return update_vanilla_forward(graph, models.updater)
+    seeds = None if config.gnn.header_init == "zero" else (int(child[1]), int(child[2]))
+    return PipelineModels(updater, *header_stacks(f, config.gnn.header_hidden, seeds))
 
 
 def _evaluate(
@@ -495,18 +489,18 @@ def _evaluate(
     targets: _Targets,
     config: PipelineConfig,
     want_grads: bool,
-) -> tuple[float, dict[str, Any] | None]:
+) -> tuple[float, list[list[LayerGrads]] | None]:
     """Refinement loss of the batch and, if wanted, its gradients: one
     pass over the joined graph, with per-world normalisers.
 
     A world's loss is the header's focal loss over its rows plus its
     smooth-L1 over its foreground rows' box residuals; the batch loss is
-    their sum in world order.  An empty world adds nothing.  Gradient
-    entries are keyed by :class:`PipelineModels` field name.
+    their sum in world order.  An empty world adds nothing.  The
+    gradients are one per stack, in :attr:`PipelineModels.stacks` order.
     """
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    refined, ucache = _refine_forward(models, graph, config)
+    refined, ucache = update(graph, models.updater)
     scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
     dscores, dres = np.zeros_like(scores), np.zeros_like(residuals)
     loss = 0.0
@@ -527,7 +521,7 @@ def _evaluate(
         hcache, models.cls_stack, models.reg_stack, dscores, dres
     )
     updater_grads, _ = update_backward(ucache, dz)
-    return loss, {"updater": updater_grads, "cls_stack": cls_grads, "reg_stack": reg_grads}
+    return loss, [*updater_grads, cls_grads, reg_grads]
 
 
 def _training_worlds(
@@ -553,29 +547,44 @@ def _training_worlds(
 def _train_models(
     config: PipelineConfig, steps: int, bev: BevFeatureMap
 ) -> tuple[PipelineModels, list[float], _World]:
-    """Train on the batch, one :func:`_evaluate` pass per step; also
+    """Train on the batch, one :func:`_evaluate` pass per step, each
+    gradient descending its stack of :attr:`PipelineModels.stacks`; also
     returns the first training world, which is the pipeline's main scene
     (training never mutates a world).
 
-    Raises :class:`TrainingDivergedError`, naming the step and the loss
-    term, as soon as the refinement loss ``l_gnn`` is not finite.
+    Raises :class:`TrainingDivergedError` as soon as the refinement loss
+    ``l_gnn`` is not finite.  If the previous step's gradients were
+    already non-finite, the error names that step and the first such
+    stack; otherwise it names this step and the loss term.  Only the
+    previous step's gradient list is kept, and it is read only then.
     """
     worlds, graph, targets = _training_worlds(config, bev)
     models = init_models(config)
     lr = config.train.learning_rate / len(worlds)
-    history = []
+    history, last_grads = [], []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
         loss, grads = _evaluate(models, graph, targets, config, want_grads=step < steps)
         if not math.isfinite(loss):
-            raise TrainingDivergedError(
-                f"training diverged at step {step}: loss term l_gnn is {loss}"
-            )
+            raise TrainingDivergedError(_divergence(step, loss, last_grads))
         history.append(loss / len(worlds))
         if grads is not None:
-            for name, stack_grads in grads.items():
-                getattr(models, name).sgd_step(stack_grads, lr)
+            for stack, stack_grads in zip(models.stacks, grads, strict=True):
+                stack.sgd_step(stack_grads, lr)
+            last_grads = grads
     return models, history, worlds[0]
+
+
+def _divergence(step: int, loss: float, last_grads: list[list[LayerGrads]]) -> str:
+    """The message for a non-finite loss at ``step``, after a descent on
+    ``last_grads`` (empty at step 0)."""
+    for i, grads in enumerate(last_grads):
+        if not all(np.isfinite(a).all() for layer in grads for a in layer):
+            return (
+                f"training diverged at step {step - 1}: the gradient of stack {i} "
+                f"(of PipelineModels.stacks) is not finite, so loss term l_gnn is {loss}"
+            )
+    return f"training diverged at step {step}: loss term l_gnn is {loss}"
 
 
 def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]:
@@ -602,7 +611,7 @@ def detect(
     """Refine the world's proposals and suppress duplicates; the proposals
     stay one :class:`~graphdet.scene.BoxArray` from drawing to NMS (an
     empty graph gives an empty one)."""
-    refined, _ = _refine_forward(models, world.graph, config)
+    refined, _ = update(world.graph, models.updater)
     boxes = refine_proposals(world.graph, refined, models.cls_stack, models.reg_stack)
     return nms(boxes, config.nms.iou_threshold, config.nms.score_threshold)
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from graphdet import pipeline
-from graphdet.gnn import UpdaterGrads, header_backward, header_forward, update_backward
+from graphdet.gnn import header_backward, header_forward, update, update_backward
 from graphdet.interp import FeatureSet
 from graphdet.nnet import (
     focal_loss,
@@ -686,26 +686,28 @@ def loop_update_backward(cache, grad_out):
     it; adds each pooled channel's gradient onto its winning row, the
     neighbour-state gradients onto the neighbours and the alignment
     gradients onto the owning nodes, one edge at a time in edge order.
-    Returns ``(UpdaterGrads, d_states)`` like ``gnn.update_backward``.
+    Returns ``(stack gradients, d_states)`` like ``gnn.update_backward``:
+    the aggregation, fusion and alignment stacks' gradients, in that order.
     """
     updater = cache.updater
     offsets = cache.graph.offsets
     row_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     row_neigh = cache.graph.indices
-    grads = updater.zero_grads()
+    depth = updater.depth
+    grads = [s.zero_grads() for s in updater.stacks]
     dh = np.asarray(grad_out, dtype=float).copy()
     for k in range(len(cache.iterations) - 1, -1, -1):
         it = cache.iterations[k]
         n, d = it.argmax_rows.shape
         fus_grads, d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
-        grads.fus[k] = add_layer_grads(grads.fus[k], fus_grads)
+        grads[depth + k] = add_layer_grads(grads[depth + k], fus_grads)
 
         d_pool_in = np.zeros_like(it.pool_inputs)
         cols = np.broadcast_to(np.arange(d), (n, d))
         np.add.at(d_pool_in, (it.argmax_rows, cols), d_pooled)
 
         agg_grads, d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
-        grads.agg[k] = add_layer_grads(grads.agg[k], agg_grads)
+        grads[k] = add_layer_grads(grads[k], agg_grads)
 
         d_prev = dh  # residual connection passes the gradient straight through
         if cache.extended:
@@ -717,7 +719,7 @@ def loop_update_backward(cache, grad_out):
             align_grads, d_prev_align = updater.align_stacks[k].backward(
                 it.align_cache, d_align
             )
-            grads.align[k] = add_layer_grads(grads.align[k], align_grads)
+            grads[2 * depth + k] = add_layer_grads(grads[2 * depth + k], align_grads)
             d_prev = d_prev + d_prev_align
         else:
             np.add.at(d_prev, row_neigh, d_rows)
@@ -735,39 +737,22 @@ def add_layer_grads(acc, extra):
 
 
 def _sum_grads(total, extra):
-    """``extra`` added onto ``total``, stack by stack, through the updater's
-    gradient tree; ``total`` None means nothing is summed yet."""
+    """``extra`` added onto ``total``, stack by stack; ``total`` None means
+    nothing is summed yet."""
     if total is None:
         return extra
-    out = {}
-    for key, acc in total.items():
-        new = extra[key]
-        if key == "updater":
-            out[key] = UpdaterGrads(
-                [add_layer_grads(a, b) for a, b in zip(acc.agg, new.agg)],
-                [add_layer_grads(a, b) for a, b in zip(acc.fus, new.fus)],
-                None
-                if acc.align is None
-                else [add_layer_grads(a, b) for a, b in zip(acc.align, new.align)],
-            )
-        else:
-            out[key] = add_layer_grads(acc, new)
-    return out
+    return [add_layer_grads(acc, new) for acc, new in zip(total, extra, strict=True)]
 
 
 def _world_evaluate(models, graph, fg, reg_targets, config, want_grads):
     """One world's refinement loss and gradients, in its own forward and
     backward pass; an empty graph gives zero loss and zero gradients."""
     if len(graph) == 0:
-        zero = {
-            "updater": models.updater.zero_grads(),
-            "cls_stack": models.cls_stack.zero_grads(),
-            "reg_stack": models.reg_stack.zero_grads(),
-        }
+        zero = [stack.zero_grads() for stack in models.stacks]
         return 0.0, zero if want_grads else None
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    refined, ucache = pipeline._refine_forward(models, graph, config)
+    refined, ucache = update(graph, models.updater)
     scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
     loss = focal_loss(scores, fg, cfg_loss) + masked_smooth_l1_mean(residuals, reg_targets, fg, beta)
     if not want_grads:
@@ -778,13 +763,13 @@ def _world_evaluate(models, graph, fg, reg_targets, config, want_grads):
         hcache, models.cls_stack, models.reg_stack, dscores, dres
     )
     updater_grads, _ = update_backward(ucache, dz)
-    return loss, {"updater": updater_grads, "cls_stack": cls_grads, "reg_stack": reg_grads}
+    return loss, [*updater_grads, cls_grads, reg_grads]
 
 
 def loop_batch_evaluate(models, graphs, targets, config, want_grads=True):
     """The batch's refinement loss and gradients one world at a time: each
     world's graph (``targets.bounds`` gives its rows of the stacked
-    targets) in its own pass, losses and gradient trees summed in world
+    targets) in its own pass, losses and gradient lists summed in world
     order.  Returns ``(loss, grads)`` like ``pipeline._evaluate``.  It
     shares the update, header and losses with the library: what it checks
     is the batching."""
@@ -809,8 +794,8 @@ def loop_train_models(config, steps):
     for step in range(steps + 1):
         loss, grads = loop_batch_evaluate(models, graphs, targets, config, step < steps)
         history.append(loss / len(worlds))
-        for name, stack_grads in (grads or {}).items():
-            getattr(models, name).sgd_step(stack_grads, lr)
+        for stack, stack_grads in zip(models.stacks, grads or []):
+            stack.sgd_step(stack_grads, lr)
     return models, history
 
 

@@ -10,6 +10,7 @@ to see the summary lines as they complete.  The suite needs no fixtures or
 network access; every instance is generated from fixed seeds.
 """
 
+import copy
 import math
 import time
 
@@ -25,7 +26,7 @@ from graphdet.geom import (
     nms,
     rotated_iou_bev,
 )
-from graphdet.gnn import GraphUpdater, build_graph, update_extended
+from graphdet.gnn import GraphUpdater, build_graph, update
 from graphdet.gradcheck import run_all
 from graphdet.interp import farthest_point_sample
 from graphdet.metrics import (
@@ -195,36 +196,36 @@ def test_criterion_5_refinement_invariants():
         boxes = _lattice_boxes(coords)
         graph = build_graph(boxes, states, radius=radius)
         updater = GraphUpdater.seeded(dim, hidden, depth, seed=900 + g)
-        base = update_extended(graph, updater)
+        base, _ = update(graph, updater)
 
         # depth zero is the identity
         idle = GraphUpdater.seeded(dim, hidden, 0, seed=900 + g)
-        assert np.array_equal(update_extended(graph, idle), states)
+        assert np.array_equal(update(graph, idle)[0], states)
 
         # zeroed fusion stacks contribute nothing, whatever the depth
-        muted = updater.copy()
+        muted = copy.deepcopy(updater)
         for stack in muted.fus_stacks:
-            stack.set_flat_params(np.zeros(stack.n_params))
-        assert np.array_equal(update_extended(graph, muted), states)
+            stack.set_flat_params(np.zeros(stack.flat_params().size))
+        assert np.array_equal(update(graph, muted)[0], states)
 
         # node order is bookkeeping: permuting inputs permutes outputs
         perm = rng.permutation(n)
         shuffled = build_graph(boxes.take(perm), states[perm], radius=radius)
-        out_perm = update_extended(shuffled, updater)
+        out_perm, _ = update(shuffled, updater)
         worst_perm = max(worst_perm, float(np.max(np.abs(out_perm - base[perm]))))
 
         # integer translations of lattice coordinates change nothing at all
         shift = rng.integers(-20, 21, size=3).astype(float)
         moved_graph = build_graph(_lattice_boxes(coords + shift), states, radius=radius)
         assert list(moved_graph.adjacency) == list(graph.adjacency)
-        assert np.array_equal(update_extended(moved_graph, updater), base)
+        assert np.array_equal(update(moved_graph, updater)[0], base)
 
         # information travels one hop per iteration: on a chain, a bump at
         # graph distance depth+1 cannot reach the head nodes
         if g % 5 == 0:
             bumped = states.copy()
             bumped[-1] += 10.0
-            out_b = update_extended(build_graph(boxes, bumped, radius=radius), updater)
+            out_b, _ = update(build_graph(boxes, bumped, radius=radius), updater)
             quiet = n - 1 - depth  # rows further than `depth` hops from the bump
             assert np.array_equal(out_b[:quiet], base[:quiet])
             assert not np.array_equal(out_b, base)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphdet.cli import main
+from graphdet.pipeline import SceneConfig
 from graphdet.scene import (
     Box3D,
     clip_to_range,
@@ -13,7 +14,7 @@ from graphdet.scene import (
     read_detections,
     write_detections,
 )
-from graphdet.voxel import VoxelizationConfig
+from graphdet.voxel import VoxelizationConfig, voxelize
 
 from oracles import (
     eval_frame,
@@ -231,6 +232,29 @@ def test_voxelize_file_rows_match_the_loop_reference(tmp_path):
     want = [
         f"{i} {j} {k} {count} " + " ".join(repr(float(v)) for v in feature)
         for (i, j, k), count, feature in zip(cells.tolist(), counts.tolist(), features)
+    ]
+    assert len(want) > 100
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_voxelize_seed_voxelizes_the_pipeline_default_scene(tmp_path):
+    out = tmp_path / "voxels.txt"
+    assert main(["voxelize", "--seed", "3", "--step", "0.2", "0.2", "0.2",
+                 "--output", str(out)]) == 0
+    scene = SceneConfig()
+    cloud = clip_to_range(
+        generate_synthetic_scene(
+            3,
+            scene.n_objects,
+            scene.points_per_object,
+            scene.clutter_points,
+            min_separation=scene.min_separation,
+        )
+    ).cloud
+    grid = voxelize(cloud, VoxelizationConfig(step=(0.2, 0.2, 0.2), max_points_per_voxel=5))
+    want = [
+        f"{i} {j} {k} {count} " + " ".join(repr(float(v)) for v in feature)
+        for (i, j, k), count, feature in zip(grid.cells, grid.counts, grid.features)
     ]
     assert len(want) > 100
     assert out.read_text() == "\n".join(want) + "\n"

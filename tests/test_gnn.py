@@ -1,5 +1,7 @@
 """Radius graphs over proposals and the iterative state refinement."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from graphdet.gnn import (
     build_graph,
     header_backward,
     header_forward,
+    header_stacks,
     refine_proposals,
+    update,
     update_backward,
-    update_extended,
     update_extended_forward,
-    update_vanilla,
     update_vanilla_forward,
 )
 from graphdet.nnet import DenseLayer, DenseStack
@@ -80,7 +82,7 @@ def test_empty_graph():
     graph = build_graph(EMPTY, np.empty((0, 4)), radius=2.0)
     assert len(graph) == 0
     updater = GraphUpdater.seeded(4, 8, 2, seed=0)
-    assert update_extended(graph, updater).size == 0
+    assert update(graph, updater)[0].size == 0
     cls = DenseStack.seeded((4, 1), 0)
     reg = DenseStack.seeded((4, 7), 1)
     assert len(refine_proposals(graph, np.empty((0, 4)), cls, reg)) == 0
@@ -158,17 +160,16 @@ def identity_stack(dim):
 
 def test_depth_zero_is_the_identity():
     graph = build_graph(*line_proposals(5, 1.0, 6), radius=1.5)
-    updater = GraphUpdater.seeded(6, 8, 0, seed=3)
-    assert np.array_equal(update_vanilla(graph, updater), graph.states)
+    updater = GraphUpdater.seeded(6, 8, 0, seed=3, extended=False)
+    assert np.array_equal(update(graph, updater)[0], graph.states)
     ext = GraphUpdater.seeded(6, 8, 0, seed=3, extended=True)
-    assert np.array_equal(update_extended(graph, ext), graph.states)
+    assert np.array_equal(update(graph, ext)[0], graph.states)
 
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_backward_without_iterations_gives_zero_stack_gradients(extended):
     # An empty graph runs none of its updater's two iterations; a depth-0
     # updater has no stacks at all.  Either way the gradient passes through.
-    forward = update_extended_forward if extended else update_vanilla_forward
     cases = [
         (
             build_graph(EMPTY, np.empty((0, 4)), radius=2.0),
@@ -180,29 +181,24 @@ def test_backward_without_iterations_gives_zero_stack_gradients(extended):
         ),
     ]
     for graph, updater in cases:
-        refined, cache = forward(graph, updater)
+        refined, cache = update(graph, updater)
         grad_out = np.ones_like(refined)
         grads, d_states = update_backward(cache, grad_out)
         assert np.array_equal(d_states, grad_out)
-        for kind in ("agg", "fus", "align"):
-            stacks, got = getattr(updater, f"{kind}_stacks"), getattr(grads, kind)
-            if stacks is None:
-                assert got is None
-                continue
-            assert len(got) == len(stacks) == updater.depth
-            for stack, layer_grads in zip(stacks, got):
-                for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
-                    assert dw.shape == layer.weight.shape and not dw.any()
-                    assert db.shape == layer.bias.shape and not db.any()
-        updater.sgd_step(grads, 0.1)
+        assert len(grads) == len(updater.stacks) == updater.depth * (3 if extended else 2)
+        for stack, layer_grads in zip(updater.stacks, grads):
+            for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
+                assert dw.shape == layer.weight.shape and not dw.any()
+                assert db.shape == layer.bias.shape and not db.any()
+            stack.sgd_step(layer_grads, 0.1)
 
 
 def test_zeroed_fusion_leaves_states_untouched():
     graph = build_graph(*line_proposals(6, 1.0, 5, seed=1), radius=1.5)
     updater = GraphUpdater.seeded(5, 8, 3, seed=4, extended=True)
     for stack in updater.fus_stacks:
-        stack.set_flat_params(np.zeros(stack.n_params))
-    assert np.array_equal(update_extended(graph, updater), graph.states)
+        stack.set_flat_params(np.zeros(stack.flat_params().size))
+    assert np.array_equal(update(graph, updater)[0], graph.states)
 
 
 def test_vanilla_update_hand_unrolled_on_a_path():
@@ -216,9 +212,9 @@ def test_vanilla_update_hand_unrolled_on_a_path():
     relu_identity = DenseStack([DenseLayer(np.eye(2), np.zeros(2), "relu")])
     updater = GraphUpdater(
         [identity_stack(2), identity_stack(2)],
-        [relu_identity.copy(), relu_identity.copy()],
+        [copy.deepcopy(relu_identity), copy.deepcopy(relu_identity)],
     )
-    refined = update_vanilla(graph, updater)
+    refined, _ = update(graph, updater)
     # iteration 1: h = [[2,2],[3,4],[6,3]]; iteration 2 pools those again
     assert np.array_equal(refined, [[5.0, 6.0], [9.0, 8.0], [12.0, 7.0]])
 
@@ -232,7 +228,7 @@ def test_extended_update_hand_unrolled_two_nodes():
     fus = DenseStack([DenseLayer(np.array([[1.0, 0.0, 0.0, 1.0]]), np.zeros(1), "relu")])
     align = DenseStack.zeros((1, 3), ["none"])  # no alignment: offsets stay x_i - x_j
     updater = GraphUpdater([agg], [fus], [align])
-    refined = update_extended(graph, updater)
+    refined, _ = update(graph, updater)
     # node 0 rows: [0,0,0,1], [-1,0,0,5] -> pooled [0,0,0,5] -> relu(5) = 5
     # node 1 rows: [0,0,0,5], [1,0,0,1]  -> pooled [1,0,0,5] -> relu(6) = 6
     assert np.array_equal(refined, [[6.0], [11.0]])
@@ -246,7 +242,7 @@ def test_alignment_offset_shifts_a_single_node():
     align = DenseStack([DenseLayer(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), "none")])
     fus = DenseStack([DenseLayer(np.array([[1.0, 1.0, 1.0, 0.0]]), np.zeros(1), "relu")])
     updater = GraphUpdater([identity_stack(4)], [fus], [align])
-    refined = update_extended(graph, updater)
+    refined, _ = update(graph, updater)
     # dx = (-2, -4, -6); row = [2, 4, 6, -2]; fused = relu(12) = 12
     assert np.array_equal(refined, [[10.0]])
 
@@ -257,11 +253,11 @@ def test_updates_are_synchronous():
     boxes, states = line_proposals(5, 1.0, 4, seed=2)
     graph = build_graph(boxes, states, radius=1.5)
     updater = GraphUpdater.seeded(4, 8, 2, seed=5, extended=False)
-    base = update_vanilla(graph, updater)
+    base, _ = update(graph, updater)
 
     bumped = states.copy()
     bumped[4] += 10.0
-    moved = update_vanilla(build_graph(boxes, bumped, radius=1.5), updater)
+    moved, _ = update(build_graph(boxes, bumped, radius=1.5), updater)
     # nodes 0 and 1 sit more than two hops from node 4: bitwise untouched
     assert np.array_equal(moved[0], base[0])
     assert np.array_equal(moved[1], base[1])
@@ -279,7 +275,7 @@ def test_extended_update_is_translation_invariant():
     shift_graph = build_graph(*make_proposals(shifted, states), radius=3.0)
     assert base_graph.adjacency == shift_graph.adjacency
     assert np.array_equal(
-        update_extended(base_graph, updater), update_extended(shift_graph, updater)
+        update(base_graph, updater)[0], update(shift_graph, updater)[0]
     )
 
 
@@ -290,9 +286,9 @@ def test_refined_states_track_node_permutation():
     states = rng.normal(size=(n, 4))
     boxes, _ = make_proposals(centres, states)
     updater = GraphUpdater.seeded(4, 8, 2, seed=9, extended=True)
-    base = update_extended(build_graph(boxes, states, radius=2.5), updater)
+    base, _ = update(build_graph(boxes, states, radius=2.5), updater)
     perm = rng.permutation(n)
-    out = update_extended(build_graph(boxes.take(perm), states[perm], radius=2.5), updater)
+    out, _ = update(build_graph(boxes.take(perm), states[perm], radius=2.5), updater)
     for m, p in enumerate(perm):
         assert np.array_equal(out[m], base[p])
 
@@ -310,10 +306,48 @@ def test_updater_validation():
     graph = build_graph(*line_proposals(3, 1.0, 4), radius=1.5)
     wrong_width = GraphUpdater.seeded(5, 8, 1, seed=0, extended=False)
     with pytest.raises(ValueError, match="aggregation input"):
-        update_vanilla(graph, wrong_width)
+        update(graph, wrong_width)
     vanilla_only = GraphUpdater.seeded(4, 8, 1, seed=0, extended=False)
     with pytest.raises(ValueError, match="alignment"):
-        update_extended(graph, vanilla_only)
+        update_extended_forward(graph, vanilla_only)
+
+
+def test_stacks_list_aggregation_then_fusion_then_alignment():
+    for extended in (False, True):
+        updater = GraphUpdater.seeded(4, 8, 3, seed=0, extended=extended)
+        want = updater.agg_stacks + updater.fus_stacks + (updater.align_stacks or [])
+        assert len(updater.stacks) == len(want) == (9 if extended else 6)
+        assert all(got is stack for got, stack in zip(updater.stacks, want))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("depth, n", [(0, 5), (3, 5), (3, 0)])
+def test_backward_gives_one_gradient_per_stack_in_stack_order(extended, depth, n):
+    graph = build_graph(*line_proposals(n, 1.0, 4, seed=2), radius=1.5)
+    updater = GraphUpdater.seeded(4, 8, depth, seed=6, extended=extended)
+    refined, cache = update(graph, updater)
+    grads, _ = update_backward(cache, np.ones_like(refined))
+    assert len(grads) == len(updater.stacks)
+    for stack, layer_grads in zip(updater.stacks, grads):
+        for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
+            assert dw.shape == layer.weight.shape and db.shape == layer.bias.shape
+
+
+def test_state_only_update_gives_alignment_stacks_zero_gradients():
+    # An updater with alignment stacks whose aggregation reads states alone
+    # passes the state-only update's width check; its alignment stacks take
+    # no part, so their gradients are zero and the list keeps stack order.
+    graph = build_graph(*line_proposals(4, 1.0, 3, seed=1), radius=1.5)
+    state_only = GraphUpdater.seeded(3, 5, 2, seed=4, extended=False)
+    align = [DenseStack.seeded((3, 3), 7), DenseStack.seeded((3, 3), 8)]
+    updater = GraphUpdater(state_only.agg_stacks, state_only.fus_stacks, align)
+    refined, cache = update_vanilla_forward(graph, updater)
+    grads, _ = update_backward(cache, np.ones_like(refined))
+    want, _ = update_backward(update(graph, state_only)[1], np.ones_like(refined))
+    assert len(grads) == len(updater.stacks) == 6
+    for stack, got, ref in zip(updater.stacks, grads, want):
+        assert np.array_equal(stack.flat_grads(got), stack.flat_grads(ref))
+    assert not any(stack.flat_grads(g).any() for stack, g in zip(align, grads[4:]))
 
 
 def test_update_backward_matches_finite_differences():
@@ -323,15 +357,14 @@ def test_update_backward_matches_finite_differences():
     states = rng.normal(size=(n, dim))
     target = rng.normal(size=(n, dim))
 
-    def loss_for(updater, extended, state_matrix):
+    def loss_for(updater, state_matrix):
         graph = build_graph(*make_proposals(centres, state_matrix), radius=3.0)
-        forward = update_extended_forward if extended else update_vanilla_forward
-        out, cache = forward(graph, updater)
+        out, cache = update(graph, updater)
         return 0.5 * float(((out - target) ** 2).sum()), cache, out
 
     for extended in (False, True):
         updater = GraphUpdater.seeded(dim, 6, 2, seed=12, extended=extended)
-        _, cache, out = loss_for(updater, extended, states)
+        _, cache, out = loss_for(updater, states)
         grads, d_states = update_backward(cache, out - target)
 
         # input gradient
@@ -340,17 +373,15 @@ def test_update_backward_matches_finite_differences():
             hi, lo = states.copy(), states.copy()
             hi[idx] += h
             lo[idx] -= h
-            fd = (
-                loss_for(updater, extended, hi)[0] - loss_for(updater, extended, lo)[0]
-            ) / (2 * h)
+            fd = (loss_for(updater, hi)[0] - loss_for(updater, lo)[0]) / (2 * h)
             assert d_states[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
         # a sample of parameter gradients from each stack family
-        stacks = [("agg", updater.agg_stacks[0], grads.agg[0])]
-        stacks.append(("fus", updater.fus_stacks[1], grads.fus[1]))
+        stacks = [("agg", updater.agg_stacks[0]), ("fus", updater.fus_stacks[1])]
         if extended:
-            stacks.append(("align", updater.align_stacks[0], grads.align[0]))
-        for name, stack, stack_grads in stacks:
+            stacks.append(("align", updater.align_stacks[0]))
+        for name, stack in stacks:
+            stack_grads = grads[updater.stacks.index(stack)]
             flat = stack.flat_params()
             flat_grad = stack.flat_grads(stack_grads)
             for i in range(0, flat.size, max(1, flat.size // 5)):
@@ -358,9 +389,9 @@ def test_update_backward_matches_finite_differences():
                 hi[i] += h
                 lo[i] -= h
                 stack.set_flat_params(hi)
-                up = loss_for(updater, extended, states)[0]
+                up = loss_for(updater, states)[0]
                 stack.set_flat_params(lo)
-                down = loss_for(updater, extended, states)[0]
+                down = loss_for(updater, states)[0]
                 stack.set_flat_params(flat)
                 fd = (up - down) / (2 * h)
                 assert flat_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), name
@@ -368,6 +399,17 @@ def test_update_backward_matches_finite_differences():
 
 # ---------------------------------------------------------------------------
 # detection header
+
+
+def test_header_stacks_are_zero_or_seeded():
+    cls, reg = header_stacks(5, 8, None)
+    assert [l.weight.shape for l in cls.layers + reg.layers] == [(1, 5), (7, 5)]
+    assert not cls.flat_params().any() and not reg.flat_params().any()
+    cls, reg = header_stacks(5, 8, (3, 4))
+    assert [l.weight.shape for l in cls.layers] == [(8, 5), (1, 8)]
+    assert [l.weight.shape for l in reg.layers] == [(8, 5), (7, 8)]
+    assert np.array_equal(cls.flat_params(), DenseStack.seeded((5, 8, 1), 3).flat_params())
+    assert np.array_equal(reg.flat_params(), DenseStack.seeded((5, 8, 7), 4).flat_params())
 
 
 def test_header_zero_stacks_score_half_and_keep_boxes():

@@ -9,10 +9,9 @@ from graphdet.gnn import (
     GraphUpdater,
     build_graph,
     join_graphs,
+    update,
     update_backward,
-    update_extended,
     update_extended_forward,
-    update_vanilla,
     update_vanilla_forward,
 )
 from graphdet.scene import Box3D, BoxArray
@@ -34,14 +33,13 @@ def seeded_updater(state_dim, seed, extended, rounded=True):
     so that integer inputs give pooled values that tie exactly."""
     updater = GraphUpdater.seeded(state_dim, 6, 3, seed, extended=extended)
     if rounded:
-        for stack in updater.agg_stacks + updater.fus_stacks + (updater.align_stacks or []):
+        for stack in updater.stacks:
             stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
     return updater
 
 
 def assert_matches_loop_oracle(graph, updater, extended):
-    forward = update_extended_forward if extended else update_vanilla_forward
-    refined, cache = forward(graph, updater)
+    refined, cache = update(graph, updater)
     want, want_argmax = loop_update_forward(graph, updater, extended)
     assert np.array_equal(refined, want, equal_nan=True)
     assert len(cache.iterations) == len(want_argmax)
@@ -79,19 +77,36 @@ def test_pooling_matches_the_loop_on_non_finite_weights(extended, poison):
         assert_matches_loop_oracle(graph, updater, extended)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 20),
+    state_dim=st.integers(1, 4),
+    extended=st.booleans(),
+    rounded=st.booleans(),
+    seed=SEEDS,
+)
+def test_update_runs_the_updaters_own_variant(n, state_dim, extended, rounded, seed):
+    rng = np.random.default_rng(seed)
+    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
+    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    twin = update_extended_forward if extended else update_vanilla_forward
+    refined, cache = update(graph, updater)
+    want, want_cache = twin(graph, updater)
+    assert cache.extended == want_cache.extended == extended
+    assert np.array_equal(refined, want)
+
+
 def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out):
-    forward = update_extended_forward if extended else update_vanilla_forward
-    _, cache = forward(graph, updater)
+    _, cache = update(graph, updater)
+    assert cache.extended == extended
     grads, d_states = update_backward(cache, grad_out)
     want, want_states = loop_update_backward(cache, grad_out)
     assert np.array_equal(d_states, want_states, equal_nan=True)
-    for kind in ("agg", "fus", "align"):
-        got, ref = getattr(grads, kind), getattr(want, kind)
-        assert (got is None) == (ref is None) and len(got or ()) == len(ref or ())
-        for got_layers, ref_layers in zip(got or (), ref or ()):
-            for (dw, db), (rw, rb) in zip(got_layers, ref_layers, strict=True):
-                assert np.array_equal(dw, rw, equal_nan=True)
-                assert np.array_equal(db, rb, equal_nan=True)
+    assert len(grads) == len(want) == len(updater.stacks)
+    for got_layers, ref_layers in zip(grads, want):
+        for (dw, db), (rw, rb) in zip(got_layers, ref_layers, strict=True):
+            assert np.array_equal(dw, rw, equal_nan=True)
+            assert np.array_equal(db, rb, equal_nan=True)
 
 
 @settings(max_examples=80, deadline=None)
@@ -144,7 +159,7 @@ def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
     moved = build_graph(BoxArray.of(moved_boxes), states, radius=2.5)
     updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, extended=True)
     assert moved.adjacency == base.adjacency
-    assert np.array_equal(update_extended(moved, updater), update_extended(base, updater))
+    assert np.array_equal(update(moved, updater)[0], update(base, updater)[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,9 +179,8 @@ def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded,
     owner = np.repeat(np.arange(len(graphs)), sizes)
     assert len(joined) == first_row[-1]
     assert np.array_equal(owner[joined.row_node], owner[joined.indices])  # no edge crosses
-    update = update_extended if extended else update_vanilla
     updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
-    refined = update(joined, updater)
+    refined, _ = update(joined, updater)
     for k, graph in enumerate(graphs):
         rows = slice(first_row[k], first_row[k + 1])
         edges = slice(first_edge[k], first_edge[k + 1])
@@ -174,7 +188,7 @@ def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded,
         assert np.array_equal(joined.indices[edges] - rows.start, graph.indices)
         assert np.array_equal(joined.states[rows], graph.states)
         assert np.array_equal(joined.boxes.params[rows], graph.boxes.params)
-        want = update(graph, updater)
+        want, _ = update(graph, updater)
         if len(graph) == 1:
             # NumPy hands a one-row product to a matrix-vector kernel, which
             # may round the last bit unlike the union's matrix product.

@@ -1,5 +1,7 @@
 """Dense stacks with hand-written gradients, and the detection losses."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_stack_width_chaining():
             DenseLayer(np.zeros((2, 4)), np.zeros(2), "none"),
         ]
     )
-    assert good.in_dim == 3 and good.out_dim == 2 and good.n_params == 12 + 4 + 8 + 2
+    assert good.in_dim == 3 and good.out_dim == 2 and good.flat_params().size == 12 + 4 + 8 + 2
     with pytest.raises(ValueError, match="chain"):
         DenseStack(
             [
@@ -133,7 +135,7 @@ def test_stack_gradients_match_finite_differences():
     target = rng.normal(size=(1, 3))
 
     def loss_of_params(flat):
-        probe = stack.copy()
+        probe = copy.deepcopy(stack)
         probe.set_flat_params(flat)
         return 0.5 * float(((probe.apply(x) - target) ** 2).sum())
 
@@ -152,7 +154,7 @@ def test_stack_gradients_match_finite_differences():
 def test_flat_params_round_trip_and_sgd_step():
     stack = DenseStack.seeded((3, 4, 2), seed=5)
     flat = stack.flat_params()
-    assert flat.size == stack.n_params
+    assert flat.size == 3 * 4 + 4 + 4 * 2 + 2
     other = DenseStack.zeros((3, 4, 2))
     other.set_flat_params(flat)
     assert np.array_equal(other.flat_params(), flat)

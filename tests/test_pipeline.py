@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom, pipeline, rfa
-from graphdet.gnn import header_forward, join_graphs
+from graphdet.gnn import header_forward, join_graphs, update
 from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
     ConfigError,
@@ -398,7 +398,7 @@ def test_each_stack_runs_once_per_training_step(monkeypatch, batch):
     init = pipeline.init_models
     monkeypatch.setattr(pipeline, "init_models", lambda c: models.append(init(c)) or models[-1])
     train_smoke(tiny_config(train={"batch_scenes": batch}), steps=2)
-    for stack in _all_stacks(models[0]):
+    for stack in models[0].stacks:
         runs = [name for owner, name in calls if owner is stack]
         assert runs.count("forward") == 3  # two steps and the final loss
         assert runs.count("backward") == 2
@@ -413,7 +413,7 @@ BATCH_ATOL = 1e-12
 
 def _oracle_run(config, steps):
     models, history = loop_train_models(config, steps)
-    return history, [stack.flat_params() for stack in _all_stacks(models)]
+    return history, [stack.flat_params() for stack in models.stacks]
 
 
 @pytest.mark.parametrize("variant", ["extended", "vanilla"])
@@ -463,22 +463,13 @@ def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
 
 
 def _flat_grads(grads):
-    """Every (dW, db) array of a gradient dict, flattened in stack order."""
-    updater = grads["updater"]
-    trees = [grads["cls_stack"], grads["reg_stack"], *updater.agg, *updater.fus]
-    layers = [layer for tree in trees + list(updater.align or []) for layer in tree]
-    return np.concatenate([a.ravel() for layer in layers for a in layer])
-
-
-def _all_stacks(models):
-    """Every trainable stack: the header's two, then the graph updater's."""
-    stacks = [models.cls_stack, models.reg_stack, *models.updater.agg_stacks]
-    return stacks + [*models.updater.fus_stacks, *(models.updater.align_stacks or [])]
+    """Every (dW, db) array of a gradient list, flattened in stack order."""
+    return np.concatenate([a.ravel() for stack in grads for layer in stack for a in layer])
 
 
 def _trained_weights(config, steps):
     models, history, _ = pipeline._train_models(config, steps, pipeline._bev_map(config))
-    return history, [stack.flat_params() for stack in _all_stacks(models)]
+    return history, [stack.flat_params() for stack in models.stacks]
 
 
 @pytest.mark.parametrize("variant", ["extended", "vanilla"])
@@ -499,7 +490,7 @@ def test_initial_loss_is_the_refinement_loss_of_the_first_world():
     (world,), graph, joined = pipeline._training_worlds(config, pipeline._bev_map(config))
     assert graph is world.graph and joined.bounds == [(0, len(graph))]
     models = pipeline.init_models(config)
-    refined, _ = pipeline._refine_forward(models, world.graph, config)
+    refined, _ = update(world.graph, models.updater)
     scores, residuals, _ = header_forward(refined, models.cls_stack, models.reg_stack)
     fg, targets = joined.prop_fg, joined.prop_reg_targets
     want = focal_loss(scores, fg, config.loss) + masked_smooth_l1_mean(
@@ -523,6 +514,46 @@ def test_diverging_training_names_the_step_and_the_term():
             run_pipeline(config)
     assert issubclass(TrainingDivergedError, ValueError)
     assert not issubclass(TrainingDivergedError, ConfigError)
+
+
+@pytest.mark.parametrize(
+    "depth, loss_grad, stack",
+    [(3, "focal_loss_grad", 0), (0, "masked_smooth_l1_mean_grad", 1)],
+)
+def test_divergence_names_the_step_whose_gradient_was_not_finite(
+    monkeypatch, depth, loss_grad, stack
+):
+    # A NaN loss gradient at step 3 (its 4th call) leaves that step's loss
+    # finite; the descent on it makes the loss NaN at step 4.  With depth 0
+    # a box-term NaN reaches only the regression stack, the second of
+    # PipelineModels.stacks; otherwise it reaches every updater stack.
+    calls = []
+    grad = getattr(pipeline, loss_grad)
+
+    def poisoned(*args):
+        calls.append(args)
+        out = grad(*args)
+        return np.full_like(out, np.nan) if len(calls) == 4 else out
+
+    monkeypatch.setattr(pipeline, loss_grad, poisoned)
+    config = PipelineConfig(gnn=GnnPipelineConfig(depth=depth))
+    want = (
+        rf"^training diverged at step 3: the gradient of stack {stack} "
+        r"\(of PipelineModels\.stacks\) is not finite, so loss term l_gnn is nan$"
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError, match=want):
+        train_smoke(config, steps=10)
+    assert len(calls) == 5  # steps 0-4: step 4's pass runs before its loss is read
+
+
+def test_model_stacks_are_the_updaters_then_the_headers():
+    for variant in ("extended", "vanilla"):
+        models = pipeline.init_models(PipelineConfig(gnn=GnnPipelineConfig(variant=variant)))
+        updater = models.updater
+        want = [*updater.agg_stacks, *updater.fus_stacks, *(updater.align_stacks or [])]
+        want += [models.cls_stack, models.reg_stack]
+        assert len(models.stacks) == len(want) == (11 if variant == "extended" else 8)
+        assert all(got is stack for got, stack in zip(models.stacks, want))
 
 
 # ---------------------------------------------------------------------------
