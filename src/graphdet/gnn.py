@@ -28,11 +28,15 @@ row (the lowest neighbour index) wins, and a NaN beats every number, the
 first NaN winning among several.  The backward pass stores each channel's
 gradient on that one winning row (blocks are disjoint, so no row receives
 two) and scatters the rows' gradients onto nodes with ``np.bincount``,
-which adds them in edge order exactly as ``np.add.at`` would.
+which adds them in edge order exactly as ``np.add.at`` would.  The
+block layout, the edge vectors and the scatter keys depend only on the
+adjacency and the coordinates, so each graph derives them once, when it
+is built, and every update reads them from it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +48,19 @@ from .nnet import DenseStack, LayerGrads, _sigmoid
 from .scene import BoxArray
 
 
-_ARRAYS = ("states", "offsets", "indices", "row_node")
+def _state_matrix(states, n: int) -> np.ndarray:
+    """``states`` as a float (n, F) copy, or the error naming what is wrong."""
+    try:
+        states = np.array(states, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ValueError("node states must be an (n, F) matrix of one width") from exc
+    if states.ndim != 2:
+        raise ValueError("node states must be an (n, F) matrix of one width")
+    if len(states) != n:
+        raise ValueError(
+            f"one proposal box per node is required: {n} boxes for {len(states)} state rows"
+        )
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +75,20 @@ class NeighborhoodGraph:
     n + 1 entries and ``indices`` one per directed edge; ``row_node``
     holds the owning node of each entry of ``indices``.  The refiner
     max-pools each node's block per channel with one ``argmax`` over a
-    ``-inf``-padded (n, max_degree, D) layout: the lowest row wins an
-    exact tie and the first NaN row beats every number.  The state and
-    adjacency arrays are copied and made read-only.
+    ``-inf``-padded (n, width, D) layout, ``width`` being the largest
+    degree: the lowest row wins an exact tie and the first NaN row beats
+    every number.  The state and adjacency arrays are copied and made
+    read-only.
+
+    Construction validates the CSR once and derives, read-only, what
+    every refinement step reads from the adjacency and coordinates
+    alone: the pool layout (``width`` and ``block_row``, each edge's row
+    in the padded layout), ``edge_vec`` (``coords[row_node] -
+    coords[indices]``, one per edge) and the backward pass's scatter
+    keys ``neigh_keys`` (``node * F + channel`` for every node, then for
+    each edge's neighbour, F being the state width) and ``align_keys``
+    (``row_node * 3 + axis``).  :meth:`with_states` swaps the states of
+    a validated graph and shares all of it.
     """
 
     boxes: BoxArray
@@ -71,22 +98,18 @@ class NeighborhoodGraph:
     radius: float
     coords: np.ndarray = field(init=False, repr=False)
     row_node: np.ndarray = field(init=False, repr=False)
+    width: int = field(init=False, repr=False)
+    block_row: np.ndarray = field(init=False, repr=False)
+    edge_vec: np.ndarray = field(init=False, repr=False)
+    neigh_keys: np.ndarray = field(init=False, repr=False)
+    align_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coords = self.boxes.params[:, :3]
-        try:
-            states = np.array(self.states, dtype=float)
-        except ValueError as exc:  # ragged rows
-            raise ValueError("node states must be an (n, F) matrix of one width") from exc
+        n = len(self.boxes)
+        states = _state_matrix(self.states, n)
         offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
         indices = np.array(self.indices, dtype=np.int64).reshape(-1)
-        n = len(self.boxes)
-        if states.ndim != 2:
-            raise ValueError("node states must be an (n, F) matrix of one width")
-        if len(states) != n:
-            raise ValueError(
-                f"one proposal box per node is required: {n} boxes for {len(states)} state rows"
-            )
         if (
             len(offsets) != n + 1
             or offsets[0] != 0
@@ -96,7 +119,8 @@ class NeighborhoodGraph:
             raise ValueError("one adjacency list per node is required")
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(states))):
             raise ValueError("node coords/state must be finite")
-        row_node = np.repeat(np.arange(n), np.diff(offsets))
+        degree = np.diff(offsets)
+        row_node = np.repeat(np.arange(n), degree)
         bad = np.flatnonzero((indices < 0) | (indices >= n))
         if bad.size:
             e = bad[0]
@@ -111,10 +135,47 @@ class NeighborhoodGraph:
         if bad.size:
             e = bad[0]
             raise ValueError(f"edge ({row_node[e]}, {indices[e]}) is not symmetric")
-        for name, value in zip(_ARRAYS, (states, offsets, indices, row_node)):
+        # The pool lays the rows out as (n, width, D) blocks, node after
+        # node, each padded with -inf up to the largest degree ``width``.
+        width = int(degree.max()) if n else 0
+        f = states.shape[1]
+        arrays = {
+            "states": states,
+            "offsets": offsets,
+            "indices": indices,
+            "coords": coords,
+            "row_node": row_node,
+            "block_row": row_node * width + np.arange(len(indices)) - offsets[row_node],
+            "edge_vec": coords[row_node] - coords[indices],
+            "neigh_keys": np.concatenate(
+                [np.arange(n * f), (indices[:, None] * f + np.arange(f)).ravel()]
+            ),
+            "align_keys": (row_node[:, None] * 3 + np.arange(3)).ravel(),
+        }
+        for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "width", width)
+
+    def with_states(self, states: np.ndarray) -> "NeighborhoodGraph":
+        """This graph with ``states`` in place of its own.
+
+        Only the new states are checked, with the constructor's messages;
+        the boxes, the validated adjacency and the derived layout are
+        shared.  The state width must stay the same, because
+        ``neigh_keys`` is derived for it.
+        """
+        states = _state_matrix(states, len(self))
+        if not np.all(np.isfinite(states)):
+            raise ValueError("node coords/state must be finite")
+        if states.shape[1] != self.state_dim:
+            raise ValueError(
+                f"with_states keeps the state width {self.state_dim}, got {states.shape[1]}"
+            )
+        states.setflags(write=False)
+        swapped = copy.copy(self)
+        object.__setattr__(swapped, "states", states)
+        return swapped
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -279,13 +340,7 @@ def _update_forward(
         updater.validate_for(graph.state_dim, extended)
     h = graph.states
     row_node, row_neigh = graph.row_node, graph.indices
-    starts = graph.offsets[:-1]
-    # The pool lays the rows out as (n, width, D) blocks, node after node,
-    # each padded with -inf up to the largest degree ``width``.
-    width = int(np.diff(graph.offsets).max()) if n else 0
-    block_row = row_node * width + np.arange(len(row_neigh)) - starts[row_node]
-    if extended:
-        edge_vec = graph.coords[row_node] - graph.coords[row_neigh]
+    starts, width = graph.offsets[:-1], graph.width
 
     iterations: list[_IterCache] = []
     for k in range(updater.depth if n else 0):
@@ -293,7 +348,7 @@ def _update_forward(
         align_cache = None
         if extended:
             align_out, align_cache = updater.align_stacks[k].forward(prev)
-            rel = edge_vec - align_out[row_node]
+            rel = graph.edge_vec - align_out[row_node]
             rows = np.concatenate([rel, prev[row_neigh]], axis=1)
         else:
             rows = prev[row_neigh]
@@ -303,7 +358,7 @@ def _update_forward(
         # because it follows the node's own rows.
         d = pooled_in.shape[1]
         block = np.full((n * width, d), -np.inf)
-        block[block_row] = pooled_in
+        block[graph.block_row] = pooled_in
         argmax_rows = starts[:, None] + block.reshape(n, width, d).argmax(axis=1)
         pooled = pooled_in[argmax_rows, np.arange(d)]
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
@@ -356,9 +411,10 @@ def update_backward(
     channel (the lowest row on exact forward ties); node blocks are
     disjoint, so each row and channel receives at most one.  The scatters
     of row gradients onto nodes are one ``np.bincount`` each over
-    flattened ``node * F + channel`` keys.  ``bincount`` adds its
-    weights in input order, so the residual ``dh`` goes first and then
-    the rows in edge order: every sum runs in ``np.add.at``'s order.
+    flattened ``node * F + channel`` keys (the graph's ``neigh_keys`` and
+    ``align_keys``).  ``bincount`` adds its weights in input order, so
+    the residual ``dh`` goes first and then the rows in edge order:
+    every sum runs in ``np.add.at``'s order.
     (``np.add.reduceat`` would not: it adds long blocks pairwise.)
     """
     updater = cache.updater
@@ -368,10 +424,7 @@ def update_backward(
         return [s.zero_grads() for s in updater.stacks], dh
     graph = cache.graph
     n, f = dh.shape
-    neigh_keys = np.concatenate(
-        [np.arange(n * f), (graph.indices[:, None] * f + np.arange(f)).ravel()]
-    )
-    align_keys = (graph.row_node[:, None] * 3 + np.arange(3)).ravel()
+    weights = np.empty(len(graph.neigh_keys))
     agg, fus = [None] * depth, [None] * depth
     if cache.extended:
         align = [None] * depth
@@ -387,10 +440,11 @@ def update_backward(
 
         # The residual connection passes dh straight through.
         d_states = d_rows[:, 3:] if cache.extended else d_rows
-        weights = np.concatenate([dh.ravel(), d_states.ravel()])
-        dh = np.bincount(neigh_keys, weights, minlength=n * f).reshape(n, f)
+        weights[: n * f] = dh.ravel()
+        weights[n * f :].reshape(d_states.shape)[...] = d_states
+        dh = np.bincount(graph.neigh_keys, weights, minlength=n * f).reshape(n, f)
         if cache.extended:
-            d_align = np.bincount(align_keys, -d_rows[:, :3].ravel(), minlength=n * 3)
+            d_align = np.bincount(graph.align_keys, -d_rows[:, :3].ravel(), minlength=n * 3)
             align[k], d_prev_align = updater.align_stacks[k].backward(
                 it.align_cache, d_align.reshape(n, 3)
             )

@@ -11,7 +11,6 @@ gradient, never an unlucky kink crossing.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -238,7 +237,7 @@ def _check_update(seed: int, extended: bool) -> float:
         worst = max(worst, _stack_fd_error(stack, value, stack_grads))
 
     def scalar_states(flat: np.ndarray) -> float:
-        g = replace(graph, states=flat.reshape(states.shape))
+        g = graph.with_states(flat.reshape(states.shape))
         return float((probe * update(g, updater)[0]).sum())
 
     fd_states = central_difference(scalar_states, states.ravel())
@@ -346,7 +345,7 @@ def check_composed(seed: int) -> float:
         worst = max(worst, _stack_fd_error(stack, value, stack_grads))
 
     fd_states = central_difference(
-        lambda flat: value_from(replace(graph, states=flat.reshape(states.shape))),
+        lambda flat: value_from(graph.with_states(flat.reshape(states.shape))),
         states.ravel(),
     )
     return max(worst, max_relative_error(d_states.ravel(), fd_states))

@@ -99,7 +99,10 @@ def farthest_point_sample(positions: np.ndarray, k: int, start_index: int = 0) -
     Starting from ``start_index``, repeatedly picks the point whose
     distance to the chosen set is largest; exact distance ties go to the
     lowest index.  Raises ValueError when ``k`` exceeds the number of
-    points.
+    points.  Each pick updates the running minimum squared distance from
+    the coordinate columns as ``dx*dx + dy*dy + dz*dz``, in place; numpy
+    adds those three terms left to right, so the sums equal a reduce over
+    the length-3 axis bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
@@ -109,14 +112,19 @@ def farthest_point_sample(positions: np.ndarray, k: int, start_index: int = 0) -
         return []
     if not 0 <= start_index < n:
         raise ValueError(f"start_index {start_index} out of range for {n} points")
-    chosen = [int(start_index)]
     # Squared distances preserve the greedy ordering and avoid square roots.
-    min_d2 = ((pos - pos[start_index]) ** 2).sum(axis=1)
+    x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
+
+    def d2_to(i: int) -> np.ndarray:
+        dx, dy, dz = x - x[i], y - y[i], z - z[i]
+        return dx * dx + dy * dy + dz * dz
+
+    chosen = [int(start_index)]
+    min_d2 = d2_to(start_index)
     for _ in range(k - 1):
         nxt = int(np.argmax(min_d2))  # first maximum = lowest index on ties
         chosen.append(nxt)
-        d2 = ((pos - pos[nxt]) ** 2).sum(axis=1)
-        min_d2 = np.minimum(min_d2, d2)
+        np.minimum(min_d2, d2_to(nxt), out=min_d2)
     return chosen
 
 

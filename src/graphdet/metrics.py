@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +47,17 @@ class RecallSchedule:
         return tuple(float(q0 + (q1 - q0) * i / last) for i in range(self.n_levels))
 
     @classmethod
+    @cache
     def s11(cls) -> "RecallSchedule":
-        """Eleven levels 0, 0.1, ..., 1."""
+        """Eleven levels 0, 0.1, ..., 1: one shared instance, built on
+        first use, so its levels are computed once per process."""
         return cls(11, 0.0, 1.0)
 
     @classmethod
+    @cache
     def s40(cls) -> "RecallSchedule":
-        """Forty levels 1/40, 2/40, ..., 1."""
+        """Forty levels 1/40, 2/40, ..., 1: one shared instance, built on
+        first use."""
         return cls(40, 1.0 / 40.0, 1.0)
 
 

@@ -181,13 +181,11 @@ class DenseStack:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated without overflow for either sign."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, evaluated without overflow for either sign:
+    ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere (NaN
+    included), with ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,8 @@ def focal_loss(
         warnings.warn("focal_loss: no foreground entries, returning 0", RuntimeWarning)
         return 0.0
     alpha, gamma = config.focal_alpha, config.focal_gamma
-    total = float((-alpha * (1.0 - p[fg]) ** gamma * np.log(p[fg])).sum())
+    pf = p[fg]
+    total = float((-alpha * (1.0 - pf) ** gamma * np.log(pf)).sum())
     if config.focal_background:
         q = p[~fg]
         total += float((-(1.0 - alpha) * q**gamma * np.log(1.0 - q)).sum())

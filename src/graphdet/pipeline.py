@@ -616,10 +616,6 @@ def detect(
     return nms(boxes, config.nms.iou_threshold, config.nms.score_threshold)
 
 
-_S11 = RecallSchedule.s11()
-_S40 = RecallSchedule.s40()
-
-
 def _score_world(
     models: PipelineModels, world: _World, config: PipelineConfig
 ) -> tuple[BoxArray, dict[str, Any]]:
@@ -635,8 +631,8 @@ def _score_world(
         "detections": len(detections),
     }
     return detections, {
-        "ap_s11": interpolated_ap(curve, _S11),
-        "ap_s40": interpolated_ap(curve, _S40),
+        "ap_s11": interpolated_ap(curve, RecallSchedule.s11()),
+        "ap_s40": interpolated_ap(curve, RecallSchedule.s40()),
         "n_detections": len(detections),
         "n_gt": len(gts),
         "n_proposals": len(world.graph),

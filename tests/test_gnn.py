@@ -1,6 +1,7 @@
 """Radius graphs over proposals and the iterative state refinement."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -148,6 +149,48 @@ def test_graph_arrays_are_read_only_copies():
     assert graph.row_node.tolist() == [0, 0, 1, 1]
     with pytest.raises(ValueError):
         graph.row_node[0] = 1
+
+
+def test_with_states_equals_a_fresh_build_field_for_field():
+    boxes, states = line_proposals(6, 1.5, 3, seed=4)
+    graph = build_graph(boxes, states)
+    new_states = np.random.default_rng(5).normal(size=states.shape)
+    swapped = graph.with_states(new_states)
+    fresh = build_graph(boxes, new_states)
+    for f in dataclasses.fields(NeighborhoodGraph):
+        got, want = getattr(swapped, f.name), getattr(fresh, f.name)
+        if f.name == "boxes":
+            assert np.array_equal(got.params, want.params)
+        elif isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            assert not got.flags.writeable, f.name
+        else:
+            assert got == want, f.name
+    # The validated adjacency and its derived layout are shared, the
+    # states copied; the original graph keeps its own states.
+    for name in ("offsets", "indices", "row_node", "block_row", "edge_vec", "neigh_keys"):
+        assert getattr(swapped, name) is getattr(graph, name)
+    new_states[0, 0] = 99.0
+    assert swapped.states[0, 0] != 99.0
+    assert np.array_equal(graph.states, states)
+    updater = GraphUpdater.seeded(3, 8, 2, seed=1)
+    assert np.array_equal(update(swapped, updater)[0], update(fresh, updater)[0])
+
+
+def test_with_states_checks_the_new_states():
+    graph = build_graph(*line_proposals(3, 1.0, 2))
+    with pytest.raises(ValueError, match="one width"):
+        graph.with_states([np.zeros(2), np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match="one width"):
+        graph.with_states(np.zeros(6))
+    with pytest.raises(ValueError, match="one proposal box per node"):
+        graph.with_states(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        graph.with_states(np.full((3, 2), np.inf))
+    with pytest.raises(ValueError, match="keeps the state width 2"):
+        graph.with_states(np.zeros((3, 5)))
+    empty = build_graph(EMPTY, np.empty((0, 4)))
+    assert empty.with_states(np.empty((0, 4))).states.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------

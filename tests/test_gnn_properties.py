@@ -197,6 +197,46 @@ def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded,
             assert np.array_equal(refined[rows], want)
 
 
+def assert_layout_is_derived(graph):
+    """The graph's derived layout equals a recomputation from its CSR
+    arrays and coordinates, entry by entry."""
+    n, f = graph.states.shape
+    degree = [int(b - a) for a, b in zip(graph.offsets[:-1], graph.offsets[1:])]
+    width = max(degree, default=0)
+    assert graph.width == width
+    block_row, edge_vec, neigh_keys, align_keys = [], [], list(range(n * f)), []
+    for i in range(n):
+        for slot in range(degree[i]):
+            e = int(graph.offsets[i]) + slot
+            j = int(graph.indices[e])
+            assert graph.row_node[e] == i
+            block_row.append(i * width + slot)
+            edge_vec.append(graph.coords[i] - graph.coords[j])
+            neigh_keys.extend(j * f + c for c in range(f))
+            align_keys.extend(i * 3 + c for c in range(3))
+    assert graph.block_row.tolist() == block_row
+    assert np.array_equal(graph.edge_vec, np.reshape(edge_vec, (-1, 3)))
+    assert graph.neigh_keys.tolist() == neigh_keys
+    assert graph.align_keys.tolist() == align_keys
+    for name in ("block_row", "edge_vec", "neigh_keys", "align_keys"):
+        assert not getattr(graph, name).flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    state_dim=st.integers(0, 3),
+    radius=st.sampled_from([1.0, 2.0, 3.0]),
+    seed=SEEDS,
+)
+def test_derived_layout_matches_a_recomputation(sizes, state_dim, radius, seed):
+    rng = np.random.default_rng(seed)
+    graphs = [build_graph(*integer_proposals(rng, n, state_dim), radius=radius) for n in sizes]
+    for graph in graphs + [join_graphs(graphs)]:
+        assert_layout_is_derived(graph)
+        assert_layout_is_derived(graph.with_states(rng.normal(size=graph.states.shape)))
+
+
 def test_joining_one_graph_returns_it_and_radii_must_agree():
     rng = np.random.default_rng(3)
     graph = build_graph(*integer_proposals(rng, 5, 2), radius=2.0)

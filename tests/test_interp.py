@@ -60,6 +60,24 @@ def test_fps_matches_exhaustive_oracle():
         assert farthest_point_sample(pts, k, start) == brute_fps(pts, k, start)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    copies=st.integers(1, 3),
+    span=st.integers(0, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fps_matches_the_oracle_on_clouds_with_duplicates(n, copies, span, data, seed):
+    # Lattice points repeated ``copies`` times: equal distances tie exactly.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-span, span + 1, size=(n, 3)).astype(float)
+    pts = np.concatenate([base] * copies)[rng.permutation(n * copies)]
+    k = data.draw(st.integers(1, len(pts)))
+    start = data.draw(st.integers(0, len(pts) - 1))
+    assert farthest_point_sample(pts, k, start) == brute_fps(pts, k, start)
+
+
 def test_fps_tie_break_lowest_index():
     # four corners of a square: after corner 0, corners 1 and 3 tie behind 2
     pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)

@@ -1,6 +1,9 @@
 """Matched PR curves, interpolated AP, and the composite detection score."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +64,30 @@ def test_schedule_forty_levels():
 def test_schedule_levels_are_exact_rationals():
     assert RecallSchedule.s11().levels == tuple(i / 10 for i in range(11))
     assert RecallSchedule.s40().levels == tuple((i + 1) / 40 for i in range(40))
+
+
+def test_named_schedules_are_shared_instances():
+    assert RecallSchedule.s11() is RecallSchedule.s11()
+    assert RecallSchedule.s40() is RecallSchedule.s40()
+    assert RecallSchedule.s11() == RecallSchedule(11, 0.0, 1.0)
+    assert RecallSchedule.s40() == RecallSchedule(40, 1.0 / 40.0, 1.0)
+    assert RecallSchedule.s40().levels == RecallSchedule(40, 1.0 / 40.0, 1.0).levels
+
+
+def test_named_schedules_are_not_built_at_import():
+    code = (
+        "import graphdet, graphdet.cli, graphdet.pipeline\n"
+        "from graphdet.metrics import RecallSchedule as R\n"
+        "print(R.s11.__func__.cache_info().currsize, R.s40.__func__.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_schedule_validation():
