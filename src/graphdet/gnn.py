@@ -22,16 +22,18 @@ The graph is stored as arrays: the proposals as one
 coordinates, and the adjacency in compressed sparse row (CSR) form: row
 i's neighbours are ``indices[offsets[i]:offsets[i+1]]``, ascending, with
 the self-loop included.  Each iteration transforms one row per directed
-edge and max-pools with one ``argmax`` over the rows laid out as an
-(n, max_degree, D) block padded with ``-inf``: on an exact tie the lowest
-row (the lowest neighbour index) wins, and a NaN beats every number, the
-first NaN winning among several.  The backward pass stores each channel's
-gradient on that one winning row (blocks are disjoint, so no row receives
-two) and scatters the rows' gradients onto nodes with ``np.bincount``,
-which adds them in edge order exactly as ``np.add.at`` would.  The
-block layout, the edge vectors and the scatter keys depend only on the
-adjacency and the coordinates, so each graph derives them once, when it
-is built, and every update reads them from it.
+edge and max-pools with one ``argmax`` along the last, contiguous axis of
+the rows laid out as an (n, D, max_degree) block padded with ``-inf``: on
+an exact tie the lowest row (the lowest neighbour index) wins, and a NaN
+beats every number, the first NaN winning among several.  The backward
+pass stores each channel's gradient on that one winning row (blocks are
+disjoint, so no row receives two) and scatters the rows' gradients onto
+nodes with ``np.bincount``, which adds them in edge order exactly as
+``np.add.at`` would.  The block layout, the edge vectors and the scatter
+keys depend only on the adjacency and the coordinates, so each graph
+derives them once, when it is built, and every update reads them from
+it.  An update fills its ``-inf`` block once and reuses it across the
+iterations, overwriting only the edge slots.
 """
 
 from __future__ import annotations
@@ -75,15 +77,16 @@ class NeighborhoodGraph:
     n + 1 entries and ``indices`` one per directed edge; ``row_node``
     holds the owning node of each entry of ``indices``.  The refiner
     max-pools each node's block per channel with one ``argmax`` over a
-    ``-inf``-padded (n, width, D) layout, ``width`` being the largest
+    ``-inf``-padded (n, D, width) layout, ``width`` being the largest
     degree: the lowest row wins an exact tie and the first NaN row beats
     every number.  The state and adjacency arrays are copied and made
     read-only.
 
     Construction validates the CSR once and derives, read-only, what
     every refinement step reads from the adjacency and coordinates
-    alone: the pool layout (``width`` and ``block_row``, each edge's row
-    in the padded layout), ``edge_vec`` (``coords[row_node] -
+    alone: the pool layout (``width`` and ``slot``, each edge's position
+    within its node's block, so edge e sits at ``[row_node[e], :,
+    slot[e]]`` of the padded layout), ``edge_vec`` (``coords[row_node] -
     coords[indices]``, one per edge) and the backward pass's scatter
     keys ``neigh_keys`` (``node * F + channel`` for every node, then for
     each edge's neighbour, F being the state width) and ``align_keys``
@@ -99,7 +102,7 @@ class NeighborhoodGraph:
     coords: np.ndarray = field(init=False, repr=False)
     row_node: np.ndarray = field(init=False, repr=False)
     width: int = field(init=False, repr=False)
-    block_row: np.ndarray = field(init=False, repr=False)
+    slot: np.ndarray = field(init=False, repr=False)
     edge_vec: np.ndarray = field(init=False, repr=False)
     neigh_keys: np.ndarray = field(init=False, repr=False)
     align_keys: np.ndarray = field(init=False, repr=False)
@@ -135,8 +138,9 @@ class NeighborhoodGraph:
         if bad.size:
             e = bad[0]
             raise ValueError(f"edge ({row_node[e]}, {indices[e]}) is not symmetric")
-        # The pool lays the rows out as (n, width, D) blocks, node after
-        # node, each padded with -inf up to the largest degree ``width``.
+        # The pool lays the rows out as an (n, D, width) block, each
+        # node's edges in its first slots and -inf up to the largest
+        # degree ``width``.
         width = int(degree.max()) if n else 0
         f = states.shape[1]
         arrays = {
@@ -145,7 +149,7 @@ class NeighborhoodGraph:
             "indices": indices,
             "coords": coords,
             "row_node": row_node,
-            "block_row": row_node * width + np.arange(len(indices)) - offsets[row_node],
+            "slot": np.arange(len(indices)) - offsets[row_node],
             "edge_vec": coords[row_node] - coords[indices],
             "neigh_keys": np.concatenate(
                 [np.arange(n * f), (indices[:, None] * f + np.arange(f)).ravel()]
@@ -339,27 +343,36 @@ def _update_forward(
     if n:
         updater.validate_for(graph.state_dim, extended)
     h = graph.states
-    row_node, row_neigh = graph.row_node, graph.indices
-    starts, width = graph.offsets[:-1], graph.width
+    row_node, row_neigh, slot = graph.row_node, graph.indices, graph.slot
+    starts = graph.offsets[:-1]
 
+    # The pool's (n, D, width) block: its -inf padding never changes, so
+    # it is filled once and each iteration overwrites only the edge slots.
+    block = None
+    # Extended edge rows are [aligned offset, neighbour state]: one row
+    # take from the states behind three zero columns, which the offsets
+    # then overwrite in the taken rows.
+    padded = np.zeros((n, 3 + graph.state_dim)) if extended else None
     iterations: list[_IterCache] = []
     for k in range(updater.depth if n else 0):
         prev = h
         align_cache = None
         if extended:
             align_out, align_cache = updater.align_stacks[k].forward(prev)
-            rel = graph.edge_vec - align_out[row_node]
-            rows = np.concatenate([rel, prev[row_neigh]], axis=1)
+            padded[:, 3:] = prev
+            rows = padded.take(row_neigh, axis=0)
+            np.subtract(graph.edge_vec, align_out.take(row_node, axis=0), out=rows[:, :3])
         else:
-            rows = prev[row_neigh]
+            rows = prev.take(row_neigh, axis=0)
         pooled_in, agg_cache = updater.agg_stacks[k].forward(rows)
         # Per node and channel argmax picks the lowest row holding the
         # block maximum, or the first NaN row; -inf padding never wins
         # because it follows the node's own rows.
         d = pooled_in.shape[1]
-        block = np.full((n * width, d), -np.inf)
-        block[graph.block_row] = pooled_in
-        argmax_rows = starts[:, None] + block.reshape(n, width, d).argmax(axis=1)
+        if block is None or block.shape[1] != d:
+            block = np.full((n, d, graph.width), -np.inf)
+        block[row_node, :, slot] = pooled_in
+        argmax_rows = starts[:, None] + block.argmax(axis=2)
         pooled = pooled_in[argmax_rows, np.arange(d)]
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
         h = prev + fused
@@ -434,7 +447,7 @@ def update_backward(
         it = cache.iterations[k]
         fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
 
-        d_pool_in = np.zeros_like(it.pool_inputs)
+        d_pool_in = np.zeros(it.pool_inputs.shape)
         d_pool_in[it.argmax_rows, np.arange(d_pooled.shape[1])] = d_pooled
         agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
 

@@ -3,7 +3,11 @@
 There is no autodiff here: every forward has a matching analytic
 backward, which keeps the whole training path checkable against central
 finite differences.  Stacks operate on row-batched (n, width) matrices;
-gradients accumulate over the rows.
+gradients accumulate over the rows.  Each loss term has one
+implementation, which returns the loss and, if wanted, its gradient in
+one pass (:func:`focal_loss_and_grad`,
+:func:`masked_smooth_l1_mean_and_grad`); the loss-only and
+gradient-only functions wrap it.
 """
 
 from __future__ import annotations
@@ -180,6 +184,29 @@ class DenseStack:
         )
 
 
+def bind_flat_params(stacks: list[DenseStack]) -> np.ndarray:
+    """Copy every layer weight and bias of ``stacks`` into one new
+    contiguous vector and rebind them as views of it; returns the vector.
+
+    The order is :meth:`DenseStack.flat_params`' order, stack after
+    stack, which is also the order of the stacks' gradient lists
+    flattened, so one ``vector -= lr * flat_gradient`` descends every
+    layer at once, each entry as ``w - lr * dw``, exactly as
+    :meth:`DenseStack.sgd_step` computes it.  Each call binds to a new
+    vector, so the stacks share no memory with any earlier binding.
+    """
+    layers = [layer for stack in stacks for layer in stack.layers]
+    vector = np.concatenate([a.ravel() for layer in layers for a in (layer.weight, layer.bias)])
+    offset = 0
+    for layer in layers:
+        for name in ("weight", "bias"):
+            shape = getattr(layer, name).shape
+            end = offset + math.prod(shape)
+            setattr(layer, name, vector[offset:end].reshape(shape))
+            offset = end
+    return vector
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow for either sign:
     ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere (NaN
@@ -206,21 +233,89 @@ class LossConfig:
             raise ValueError("smooth_l1_beta must be positive")
 
 
+def _smooth_l1_sum_and_grad(
+    x: np.ndarray, beta: float, want_grad: bool
+) -> tuple[float, np.ndarray | None]:
+    """Summed smooth-L1 of the differences ``x`` and, if wanted, its
+    elementwise derivative: the one smooth-L1 implementation."""
+    ax = np.abs(x)
+    inside = ax < beta
+    total = float(np.where(inside, 0.5 * x * x / beta, ax - 0.5 * beta).sum())
+    return total, np.where(inside, x / beta, np.sign(x)) if want_grad else None
+
+
 def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> float:
     """Summed smooth-L1: 0.5 x^2 / beta inside the kink, |x| - beta/2 outside."""
     x = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    ax = np.abs(x)
-    per = np.where(ax < beta, 0.5 * x * x / beta, ax - 0.5 * beta)
-    return float(per.sum())
+    return _smooth_l1_sum_and_grad(x, beta, want_grad=False)[0]
 
 
 def smooth_l1_grad(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """d(smooth_l1)/d(pred), elementwise."""
     x = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return np.where(np.abs(x) < beta, x / beta, np.sign(x))
+    return _smooth_l1_sum_and_grad(x, beta, want_grad=True)[1]
 
 
 _P_CLAMP = (1e-7, 1.0 - 1e-7)
+
+
+def focal_loss_and_grad(
+    probs: np.ndarray,
+    fg: np.ndarray,
+    bg: np.ndarray,
+    config: LossConfig,
+    want_grad: bool,
+) -> tuple[float, np.ndarray | None]:
+    """The focal loss of :func:`focal_loss` and, if ``want_grad``, its
+    gradient with respect to ``probs``, in one pass: the one focal-loss
+    implementation, which :func:`focal_loss` and :func:`focal_loss_grad`
+    wrap.
+
+    ``probs`` is a float64 array; ``fg`` and ``bg`` select its foreground
+    and background entries, as boolean masks or index arrays (a training
+    run derives them once from its targets).  Each branch is evaluated
+    only on its own entries, and the clamped power and logarithm are
+    shared by the loss and its gradient.  The gradient is zero where the
+    clamp is active (a NaN probability included) and off both
+    selections.  With no foreground the loss is zero, the gradient is
+    zero and a warning is emitted.
+    """
+    lo, hi = _P_CLAMP
+    alpha, gamma = config.focal_alpha, config.focal_gamma
+    pf = np.clip(probs[fg], lo, hi)
+    n_pos = len(pf)
+    if n_pos == 0:
+        warnings.warn("focal_loss: no foreground entries, returning 0", RuntimeWarning)
+        return 0.0, np.zeros(probs.shape) if want_grad else None
+    one_m = 1.0 - pf
+    one_m_gamma = one_m**gamma
+    log_pf = np.log(pf)
+    total = float((-alpha * one_m_gamma * log_pf).sum())
+    if config.focal_background:
+        q = np.clip(probs[bg], lo, hi)
+        q_gamma = q**gamma
+        one_m_q = 1.0 - q
+        log_one_m_q = np.log(one_m_q)
+        total += float((-(1.0 - alpha) * q_gamma * log_one_m_q).sum())
+    if not want_grad:
+        return total / n_pos, None
+    grad = np.zeros(probs.shape)
+    grad[fg] = alpha * (gamma * one_m ** (gamma - 1.0) * log_pf - one_m_gamma / pf)
+    if config.focal_background:
+        grad[bg] = (1.0 - alpha) * (
+            -gamma * q ** (gamma - 1.0) * log_one_m_q + q_gamma / one_m_q
+        )
+    grad[~((probs > lo) & (probs < hi))] = 0.0
+    grad /= n_pos
+    return total / n_pos, grad
+
+
+def _focal_inputs(probs: np.ndarray, foreground: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(probs, dtype=float)
+    fg = np.asarray(foreground, dtype=bool)
+    if p.shape != fg.shape:
+        raise ValueError(f"probs shape {p.shape} != mask shape {fg.shape}")
+    return p, fg
 
 
 def focal_loss(
@@ -235,23 +330,10 @@ def focal_loss(
     the background entries add ``-(1 - alpha) p^gamma log(1 - p)`` into
     the same normalised sum.  Probabilities are clamped to
     [1e-7, 1 - 1e-7]; with no foreground the loss is zero and a warning
-    is emitted.
+    is emitted.  Computed by :func:`focal_loss_and_grad`.
     """
-    p = np.clip(np.asarray(probs, dtype=float), *_P_CLAMP)
-    fg = np.asarray(foreground, dtype=bool)
-    if p.shape != fg.shape:
-        raise ValueError(f"probs shape {p.shape} != mask shape {fg.shape}")
-    n_pos = int(fg.sum())
-    if n_pos == 0:
-        warnings.warn("focal_loss: no foreground entries, returning 0", RuntimeWarning)
-        return 0.0
-    alpha, gamma = config.focal_alpha, config.focal_gamma
-    pf = p[fg]
-    total = float((-alpha * (1.0 - pf) ** gamma * np.log(pf)).sum())
-    if config.focal_background:
-        q = p[~fg]
-        total += float((-(1.0 - alpha) * q**gamma * np.log(1.0 - q)).sum())
-    return total / n_pos
+    p, fg = _focal_inputs(probs, foreground)
+    return focal_loss_and_grad(p, fg, ~fg, config, want_grad=False)[0]
 
 
 def focal_loss_grad(
@@ -259,40 +341,47 @@ def focal_loss_grad(
     foreground: np.ndarray,
     config: LossConfig = LossConfig(),
 ) -> np.ndarray:
-    """d(focal_loss)/d(probs); zero where the clamp is active or loss is zero.
+    """d(focal_loss)/d(probs); zero where the clamp is active or loss is
+    zero (with no foreground, without the loss's warning).  Computed by
+    :func:`focal_loss_and_grad`."""
+    p, fg = _focal_inputs(probs, foreground)
+    if not fg.any():
+        return np.zeros_like(p)
+    return focal_loss_and_grad(p, fg, ~fg, config, want_grad=True)[1]
 
-    Each branch is evaluated only on its own entries (foreground or
-    background), element by element as the loss defines it.
-    """
-    p_raw = np.asarray(probs, dtype=float)
-    fg = np.asarray(foreground, dtype=bool)
-    n_pos = int(fg.sum())
-    grad = np.zeros_like(p_raw)
+
+def masked_smooth_l1_mean_and_grad(
+    pred: np.ndarray,
+    fg: np.ndarray,
+    fg_targets: np.ndarray,
+    beta: float,
+    want_grad: bool,
+) -> tuple[float, np.ndarray | None]:
+    """Smooth-L1 of the rows ``fg`` of ``pred`` (a boolean mask or an
+    index array) against ``fg_targets``, those rows' targets, summed and
+    divided by the row count; and, if ``want_grad``, its gradient with
+    respect to ``pred``, zero off those rows.  No rows give a zero loss
+    and a zero gradient.  The one masked smooth-L1 implementation, which
+    :func:`masked_smooth_l1_mean` and its gradient wrap."""
+    x = pred[fg] - fg_targets
+    n_pos = len(x)
+    grad = np.zeros(pred.shape) if want_grad else None
     if n_pos == 0:
-        return grad
-    active = (p_raw > _P_CLAMP[0]) & (p_raw < _P_CLAMP[1])
-    p = np.clip(p_raw, *_P_CLAMP)
-    alpha, gamma = config.focal_alpha, config.focal_gamma
-    pf = p[fg]
-    one_m = 1.0 - pf
-    grad[fg] = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(pf) - one_m**gamma / pf)
-    if config.focal_background:
-        q = p[~fg]
-        grad[~fg] = (1.0 - alpha) * (
-            -gamma * q ** (gamma - 1.0) * np.log(1.0 - q) + q**gamma / (1.0 - q)
-        )
-    grad[~active] = 0.0
-    return grad / n_pos
+        return 0.0, grad
+    total, d_x = _smooth_l1_sum_and_grad(x, beta, want_grad)
+    if want_grad:
+        grad[fg] = d_x / n_pos
+    return total / n_pos, grad
 
 
 def masked_smooth_l1_mean(
     pred: np.ndarray, target: np.ndarray, mask: np.ndarray, beta: float = 1.0
 ) -> float:
     """Smooth-L1 summed over masked rows, divided by the masked row count."""
-    n_pos = int(np.asarray(mask, dtype=bool).sum())
-    if n_pos == 0:
-        return 0.0
-    return smooth_l1(pred[mask], target[mask], beta) / n_pos
+    mask = np.asarray(mask, dtype=bool)
+    return masked_smooth_l1_mean_and_grad(
+        np.asarray(pred, dtype=float), mask, np.asarray(target, dtype=float)[mask], beta, False
+    )[0]
 
 
 def masked_smooth_l1_mean_grad(
@@ -300,12 +389,9 @@ def masked_smooth_l1_mean_grad(
 ) -> np.ndarray:
     """d(masked_smooth_l1_mean)/d(pred); zero on unmasked rows."""
     mask = np.asarray(mask, dtype=bool)
-    grad = np.zeros_like(np.asarray(pred, dtype=float))
-    n_pos = int(mask.sum())
-    if n_pos == 0:
-        return grad
-    grad[mask] = smooth_l1_grad(pred[mask], target[mask], beta) / n_pos
-    return grad
+    return masked_smooth_l1_mean_and_grad(
+        np.asarray(pred, dtype=float), mask, np.asarray(target, dtype=float)[mask], beta, True
+    )[1]
 
 
 def offset_loss(

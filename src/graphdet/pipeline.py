@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -47,10 +47,9 @@ from .nnet import (
     DenseStack,
     LayerGrads,
     LossConfig,
-    focal_loss,
-    focal_loss_grad,
-    masked_smooth_l1_mean,
-    masked_smooth_l1_mean_grad,
+    bind_flat_params,
+    focal_loss_and_grad,
+    masked_smooth_l1_mean_and_grad,
 )
 from .interp import BevFeatureMap
 from .rfa import (
@@ -336,13 +335,38 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+class _WorldRows(NamedTuple):
+    """One non-empty world's rows of the batch, and its loss selections."""
+
+    rows: slice  # the world's rows [lo, hi) of the joined graph
+    fg: np.ndarray  # foreground rows, counted from lo; their count is the loss normaliser
+    bg: np.ndarray  # background rows, counted from lo
+    fg_targets: np.ndarray  # (len(fg), 7) encoded boxes of the foreground rows
+
+
 @dataclass
 class _Targets:
-    """The training batch's refinement targets, its worlds' rows stacked."""
+    """The training batch's refinement targets, its worlds' rows stacked.
+
+    ``worlds`` holds, for each non-empty world in order, what its loss
+    terms select on every step: the foreground and background row
+    indices and the foreground rows' box targets.  They depend only on
+    the targets, so they are derived once, here.
+    """
 
     prop_fg: np.ndarray  # (n_proposals,) proposals matching a ground-truth box
     prop_reg_targets: np.ndarray  # (n_proposals, 7) encoded boxes; zero rows off the foreground
     bounds: list[tuple[int, int]]  # each world's row range [lo, hi)
+    worlds: list[_WorldRows] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.worlds = []
+        for lo, hi in self.bounds:
+            if lo == hi:
+                continue
+            fg = np.flatnonzero(self.prop_fg[lo:hi])
+            bg = np.flatnonzero(~self.prop_fg[lo:hi])
+            self.worlds.append(_WorldRows(slice(lo, hi), fg, bg, self.prop_reg_targets[lo + fg]))
 
 
 @dataclass
@@ -494,27 +518,28 @@ def _evaluate(
     pass over the joined graph, with per-world normalisers.
 
     A world's loss is the header's focal loss over its rows plus its
-    smooth-L1 over its foreground rows' box residuals; the batch loss is
-    their sum in world order.  An empty world adds nothing.  The
-    gradients are one per stack, in :attr:`PipelineModels.stacks` order.
+    smooth-L1 over its foreground rows' box residuals, each term and its
+    gradient from one fused call (:func:`~graphdet.nnet.focal_loss_and_grad`,
+    :func:`~graphdet.nnet.masked_smooth_l1_mean_and_grad`) on the row
+    selections ``targets`` derived once; the batch loss is their sum in
+    world order.  An empty world adds nothing.  The gradients are one
+    per stack, in :attr:`PipelineModels.stacks` order, and every call
+    returns new arrays: no later call overwrites them.
     """
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
     refined, ucache = update(graph, models.updater)
     scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
-    dscores, dres = np.zeros_like(scores), np.zeros_like(residuals)
+    dscores, dres = np.zeros(scores.shape), np.zeros(residuals.shape)
     loss = 0.0
-    for lo, hi in targets.bounds:
-        if lo == hi:
-            continue
-        rows = slice(lo, hi)
-        fg, reg_targets = targets.prop_fg[rows], targets.prop_reg_targets[rows]
-        loss += focal_loss(scores[rows], fg, cfg_loss) + masked_smooth_l1_mean(
-            residuals[rows], reg_targets, fg, beta
+    for rows, fg, bg, fg_targets in targets.worlds:
+        focal, d_focal = focal_loss_and_grad(scores[rows], fg, bg, cfg_loss, want_grads)
+        box, d_box = masked_smooth_l1_mean_and_grad(
+            residuals[rows], fg, fg_targets, beta, want_grads
         )
+        loss += focal + box
         if want_grads:
-            dscores[rows] = focal_loss_grad(scores[rows], fg, cfg_loss)
-            dres[rows] = masked_smooth_l1_mean_grad(residuals[rows], reg_targets, fg, beta)
+            dscores[rows], dres[rows] = d_focal, d_box
     if not want_grads:
         return loss, None
     cls_grads, reg_grads, dz = header_backward(
@@ -547,10 +572,16 @@ def _training_worlds(
 def _train_models(
     config: PipelineConfig, steps: int, bev: BevFeatureMap
 ) -> tuple[PipelineModels, list[float], _World]:
-    """Train on the batch, one :func:`_evaluate` pass per step, each
-    gradient descending its stack of :attr:`PipelineModels.stacks`; also
+    """Train on the batch, one :func:`_evaluate` pass per step; also
     returns the first training world, which is the pipeline's main scene
     (training never mutates a world).
+
+    The run binds every weight and bias of :attr:`PipelineModels.stacks`
+    as a view of one parameter vector
+    (:func:`~graphdet.nnet.bind_flat_params`), so a step's descent is one
+    ``params -= lr * gradient`` over the step's gradient list flattened
+    in the same order.  Each run binds a new vector: models from two runs
+    share no memory.
 
     Raises :class:`TrainingDivergedError` as soon as the refinement loss
     ``l_gnn`` is not finite.  If the previous step's gradients were
@@ -560,6 +591,7 @@ def _train_models(
     """
     worlds, graph, targets = _training_worlds(config, bev)
     models = init_models(config)
+    params = bind_flat_params(models.stacks)
     lr = config.train.learning_rate / len(worlds)
     history, last_grads = [], []
     for step in range(steps + 1):
@@ -569,8 +601,8 @@ def _train_models(
             raise TrainingDivergedError(_divergence(step, loss, last_grads))
         history.append(loss / len(worlds))
         if grads is not None:
-            for stack, stack_grads in zip(models.stacks, grads, strict=True):
-                stack.sgd_step(stack_grads, lr)
+            flat = [a.ravel() for stack_grads in grads for pair in stack_grads for a in pair]
+            params -= lr * np.concatenate(flat)
             last_grads = grads
     return models, history, worlds[0]
 

@@ -822,6 +822,106 @@ def whole_array_focal_loss_grad(probs, foreground, config):
     return grad / n_pos
 
 
+_P_LO, _P_HI = 1e-7, 1.0 - 1e-7
+
+
+def separate_focal_loss(probs, foreground, config):
+    """The focal loss in its own pass, as it was written before the loss
+    and its gradient were fused: clamp, mask, then each branch."""
+    p = np.clip(np.asarray(probs, dtype=float), _P_LO, _P_HI)
+    fg = np.asarray(foreground, dtype=bool)
+    n_pos = int(fg.sum())
+    if n_pos == 0:
+        return 0.0
+    alpha, gamma = config.focal_alpha, config.focal_gamma
+    pf = p[fg]
+    total = float((-alpha * (1.0 - pf) ** gamma * np.log(pf)).sum())
+    if config.focal_background:
+        q = p[~fg]
+        total += float((-(1.0 - alpha) * q**gamma * np.log(1.0 - q)).sum())
+    return total / n_pos
+
+
+def separate_focal_loss_grad(probs, foreground, config):
+    """d(focal loss)/d(probs) in its own pass, as it was written before
+    the fusion; zero where the clamp is active (NaN included)."""
+    p_raw = np.asarray(probs, dtype=float)
+    fg = np.asarray(foreground, dtype=bool)
+    n_pos = int(fg.sum())
+    grad = np.zeros_like(p_raw)
+    if n_pos == 0:
+        return grad
+    active = (p_raw > _P_LO) & (p_raw < _P_HI)
+    p = np.clip(p_raw, _P_LO, _P_HI)
+    alpha, gamma = config.focal_alpha, config.focal_gamma
+    pf = p[fg]
+    one_m = 1.0 - pf
+    grad[fg] = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(pf) - one_m**gamma / pf)
+    if config.focal_background:
+        q = p[~fg]
+        grad[~fg] = (1.0 - alpha) * (
+            -gamma * q ** (gamma - 1.0) * np.log(1.0 - q) + q**gamma / (1.0 - q)
+        )
+    grad[~active] = 0.0
+    return grad / n_pos
+
+
+def separate_smooth_l1(pred, target, beta):
+    """Summed smooth-L1 and its elementwise gradient, as written before the
+    fusion (the gradient re-takes the absolute value)."""
+    x = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
+    ax = np.abs(x)
+    per = np.where(ax < beta, 0.5 * x * x / beta, ax - 0.5 * beta)
+    return float(per.sum()), np.where(np.abs(x) < beta, x / beta, np.sign(x))
+
+
+def separate_masked_smooth_l1_mean(pred, target, mask, beta):
+    """Masked mean smooth-L1 in its own pass, as written before the fusion."""
+    n_pos = int(np.asarray(mask, dtype=bool).sum())
+    if n_pos == 0:
+        return 0.0
+    return separate_smooth_l1(pred[mask], target[mask], beta)[0] / n_pos
+
+
+def separate_masked_smooth_l1_mean_grad(pred, target, mask, beta):
+    """d(masked mean smooth-L1)/d(pred) in its own pass, as written before
+    the fusion; zero on unmasked rows."""
+    mask = np.asarray(mask, dtype=bool)
+    grad = np.zeros_like(np.asarray(pred, dtype=float))
+    n_pos = int(mask.sum())
+    if n_pos == 0:
+        return grad
+    grad[mask] = separate_smooth_l1(pred[mask], target[mask], beta)[1] / n_pos
+    return grad
+
+
+def separate_loss_evaluate(models, graph, targets, config):
+    """``pipeline._evaluate`` with the four separate loss passes per world,
+    each re-deriving its masks from ``targets.prop_fg``, as the step was
+    written before the fusion.  Returns ``(loss, grads)``."""
+    cfg_loss = config.loss
+    beta = cfg_loss.smooth_l1_beta
+    refined, ucache = update(graph, models.updater)
+    scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
+    dscores, dres = np.zeros_like(scores), np.zeros_like(residuals)
+    loss = 0.0
+    for lo, hi in targets.bounds:
+        if lo == hi:
+            continue
+        rows = slice(lo, hi)
+        fg, reg_targets = targets.prop_fg[rows], targets.prop_reg_targets[rows]
+        loss += separate_focal_loss(scores[rows], fg, cfg_loss) + separate_masked_smooth_l1_mean(
+            residuals[rows], reg_targets, fg, beta
+        )
+        dscores[rows] = separate_focal_loss_grad(scores[rows], fg, cfg_loss)
+        dres[rows] = separate_masked_smooth_l1_mean_grad(residuals[rows], reg_targets, fg, beta)
+    cls_grads, reg_grads, dz = header_backward(
+        hcache, models.cls_stack, models.reg_stack, dscores, dres
+    )
+    updater_grads, _ = update_backward(ucache, dz)
+    return loss, [*updater_grads, cls_grads, reg_grads]
+
+
 # ---------------------------------------------------------------------------
 # voxel oracle
 

@@ -1,0 +1,153 @@
+"""SHA-256 fingerprints of graphdet's outputs, for bit-identity checks
+between two checkouts.
+
+Usage, from anywhere:
+
+    python3 tests/output_hashes.py [CHECKOUT]
+
+``CHECKOUT`` (default: the checkout holding this file) is the root of a
+graphdet tree; its ``src/`` is put first on ``sys.path``, so the hashes
+describe that tree's code.  One line is printed per item, then a total
+over every line:
+
+- ``run_pipeline`` on 14 configs: the detections (``params`` and
+  ``scores`` bytes, class ids) and ``json.dumps(report, sort_keys=True)``;
+- ``gradcheck.run_all`` for seeds 0-9;
+- ``graphdet refine`` standard output in five modes, on a seeded
+  14-proposal, 6-column input.
+
+Run it in both checkouts and compare the lines.  No hash is committed:
+matrix products go through BLAS, whose last bits depend on the library
+and the machine, so hashes only compare runs on one machine.  The file
+name does not match pytest's ``test_*.py`` pattern, so the suite never
+collects it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_DENSE = {"n_objects": 10, "points_per_object": 300, "clutter_points": 1000}
+
+# Name -> pipeline config dict (parse_pipeline_config's schema).
+CONFIGS: dict[str, dict] = {
+    **{f"desk-seed{s}-500": {"seed": s, "train": {"steps": 500}} for s in range(3)},
+    **{f"desk-seed{s}-100": {"seed": s, "train": {"steps": 100}} for s in range(3)},
+    **{
+        f"dense-seed{s}-100": {"seed": s, "scene": _DENSE, "train": {"steps": 100}}
+        for s in range(2)
+    },
+    "vanilla-200": {"gnn": {"variant": "vanilla"}, "train": {"steps": 200}},
+    "depth0-200": {"gnn": {"depth": 0}, "train": {"steps": 200}},
+    "batch2-vanilla-200": {
+        "gnn": {"variant": "vanilla"},
+        "train": {"steps": 200, "batch_scenes": 2},
+    },
+    "batch4-200": {"train": {"steps": 200, "batch_scenes": 4}},
+    "zero-steps": {"train": {"steps": 0}},
+    "empty-scene": {"scene": {"n_objects": 0}, "train": {"steps": 20}},
+}
+
+REFINE_MODES: dict[str, list[str]] = {
+    "default": [],
+    "vanilla": ["--vanilla"],
+    "header-zero": ["--header", "zero"],
+    "iters0": ["--iters", "0"],
+    "vanilla-iters2-seed7": ["--vanilla", "--iters", "2", "--seed", "7"],
+}
+
+
+def _sha(*chunks: bytes) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def pipeline_hashes() -> dict[str, str]:
+    from graphdet.pipeline import parse_pipeline_config, run_pipeline
+
+    out = {}
+    for name, raw in CONFIGS.items():
+        detections, report = run_pipeline(parse_pipeline_config(raw))
+        out[f"pipeline/{name}"] = _sha(
+            np.ascontiguousarray(detections.params).tobytes(),
+            np.ascontiguousarray(detections.scores).tobytes(),
+            json.dumps([str(c) for c in detections.class_ids]).encode(),
+            json.dumps(report, sort_keys=True).encode(),
+        )
+    return out
+
+
+def gradcheck_hashes() -> dict[str, str]:
+    from graphdet.gradcheck import run_all
+
+    return {
+        f"gradcheck/seed{seed}": _sha(json.dumps(run_all(seed), sort_keys=True).encode())
+        for seed in range(10)
+    }
+
+
+def _refine_inputs(folder: Path) -> tuple[str, str]:
+    """A seeded 14-proposal box file and its 6-column state file."""
+    rng = np.random.default_rng(2024)
+    centres = rng.uniform(0.0, 6.0, size=(14, 3))
+    sizes = rng.uniform(1.0, 4.0, size=(14, 3))
+    yaws = rng.uniform(-3.0, 3.0, size=14)
+    boxes = folder / "proposals.txt"
+    boxes.write_text(
+        "".join(
+            "Car " + " ".join(repr(float(v)) for v in (*c, *s, yaw)) + "\n"
+            for c, s, yaw in zip(centres, sizes, yaws)
+        )
+    )
+    states = folder / "states.txt"
+    states.write_text(
+        "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rng.normal(size=(14, 6)))
+    )
+    return str(boxes), str(states)
+
+
+def refine_hashes() -> dict[str, str]:
+    from graphdet.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as folder:
+        boxes, states = _refine_inputs(Path(folder))
+        for name, extra in REFINE_MODES.items():
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                code = main(["refine", "--proposals", boxes, "--states", states, *extra])
+            if code != 0:
+                raise SystemExit(f"refine {name} exited with {code}")
+            out[f"refine/{name}"] = _sha(text.getvalue().encode())
+    return out
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    sys.path.insert(0, str(root / "src"))
+    import graphdet
+
+    if Path(graphdet.__file__).resolve().parent != root / "src" / "graphdet":
+        raise SystemExit(f"imported graphdet from {graphdet.__file__}, not {root}/src")
+    lines = [
+        f"{name} {digest}"
+        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes)
+        for name, digest in part().items()
+    ]
+    print("\n".join(lines))
+    print(f"total {_sha(chr(10).join(lines).encode())}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

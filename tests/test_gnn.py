@@ -168,7 +168,7 @@ def test_with_states_equals_a_fresh_build_field_for_field():
             assert got == want, f.name
     # The validated adjacency and its derived layout are shared, the
     # states copied; the original graph keeps its own states.
-    for name in ("offsets", "indices", "row_node", "block_row", "edge_vec", "neigh_keys"):
+    for name in ("offsets", "indices", "row_node", "slot", "edge_vec", "neigh_keys"):
         assert getattr(swapped, name) is getattr(graph, name)
     new_states[0, 0] = 99.0
     assert swapped.states[0, 0] != 99.0

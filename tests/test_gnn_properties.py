@@ -204,21 +204,21 @@ def assert_layout_is_derived(graph):
     degree = [int(b - a) for a, b in zip(graph.offsets[:-1], graph.offsets[1:])]
     width = max(degree, default=0)
     assert graph.width == width
-    block_row, edge_vec, neigh_keys, align_keys = [], [], list(range(n * f)), []
+    slots, edge_vec, neigh_keys, align_keys = [], [], list(range(n * f)), []
     for i in range(n):
         for slot in range(degree[i]):
             e = int(graph.offsets[i]) + slot
             j = int(graph.indices[e])
             assert graph.row_node[e] == i
-            block_row.append(i * width + slot)
+            slots.append(slot)
             edge_vec.append(graph.coords[i] - graph.coords[j])
             neigh_keys.extend(j * f + c for c in range(f))
             align_keys.extend(i * 3 + c for c in range(3))
-    assert graph.block_row.tolist() == block_row
+    assert graph.slot.tolist() == slots
     assert np.array_equal(graph.edge_vec, np.reshape(edge_vec, (-1, 3)))
     assert graph.neigh_keys.tolist() == neigh_keys
     assert graph.align_keys.tolist() == align_keys
-    for name in ("block_row", "edge_vec", "neigh_keys", "align_keys"):
+    for name in ("slot", "edge_vec", "neigh_keys", "align_keys"):
         assert not getattr(graph, name).flags.writeable
 
 

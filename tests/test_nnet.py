@@ -9,6 +9,7 @@ from graphdet.nnet import (
     DenseLayer,
     DenseStack,
     LossConfig,
+    bind_flat_params,
     focal_loss,
     focal_loss_grad,
     masked_smooth_l1_mean,
@@ -166,6 +167,31 @@ def test_flat_params_round_trip_and_sgd_step():
     stack.sgd_step(grads, lr=0.1)
     assert np.allclose(stack.layers[0].weight, flat[:12].reshape(4, 3) - 0.1)
     assert np.allclose(stack.layers[1].weight, flat[16:24].reshape(2, 4))
+
+
+def test_bound_parameter_vector_descends_like_sgd_step_bit_for_bit():
+    stacks = [DenseStack.seeded((3, 4, 2), seed=5), DenseStack.seeded((2, 5), seed=6)]
+    twins = [copy.deepcopy(stack) for stack in stacks]
+    vector = bind_flat_params(stacks)
+    assert np.array_equal(vector, np.concatenate([s.flat_params() for s in twins]))
+    layers = [layer for stack in stacks for layer in stack.layers]
+    assert all(np.shares_memory(a, vector) for l in layers for a in (l.weight, l.bias))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        grads = [
+            [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in s.layers]
+            for s in stacks
+        ]
+        vector -= 0.3 * np.concatenate([a.ravel() for g in grads for pair in g for a in pair])
+        for twin, twin_grads in zip(twins, grads):
+            twin.sgd_step(twin_grads, 0.3)
+        for stack, twin in zip(stacks, twins):
+            assert np.array_equal(stack.flat_params(), twin.flat_params())
+    # A second binding is a new vector: the first no longer moves the layers.
+    again = bind_flat_params(stacks)
+    assert not np.shares_memory(again, vector)
+    vector[:] = 0.0
+    assert np.array_equal(again, np.concatenate([s.flat_params() for s in twins]))
 
 
 def test_seeded_stack_is_deterministic():

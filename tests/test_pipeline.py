@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom, pipeline, rfa
-from graphdet.gnn import header_forward, join_graphs, update
+from graphdet.gnn import header_forward, join_graphs, update, update_backward
 from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
 from graphdet.pipeline import (
     ConfigError,
@@ -39,6 +39,7 @@ from oracles import (
     loop_train_models,
     loop_training_targets,
     loop_update_backward,
+    separate_loss_evaluate,
 )
 
 
@@ -518,7 +519,8 @@ def test_diverging_training_names_the_step_and_the_term():
 
 @pytest.mark.parametrize(
     "depth, loss_grad, stack",
-    [(3, "focal_loss_grad", 0), (0, "masked_smooth_l1_mean_grad", 1)],
+    [(3, "focal_loss_and_grad", 0), (0, "masked_smooth_l1_mean_and_grad", 1)],
+    ids=["3-focal_loss_grad-0", "0-masked_smooth_l1_mean_grad-1"],  # the poisoned gradient
 )
 def test_divergence_names_the_step_whose_gradient_was_not_finite(
     monkeypatch, depth, loss_grad, stack
@@ -527,13 +529,15 @@ def test_divergence_names_the_step_whose_gradient_was_not_finite(
     # finite; the descent on it makes the loss NaN at step 4.  With depth 0
     # a box-term NaN reaches only the regression stack, the second of
     # PipelineModels.stacks; otherwise it reaches every updater stack.
+    # The fused loss call returns (loss, gradient); only the gradient is
+    # poisoned.
     calls = []
-    grad = getattr(pipeline, loss_grad)
+    fused = getattr(pipeline, loss_grad)
 
     def poisoned(*args):
         calls.append(args)
-        out = grad(*args)
-        return np.full_like(out, np.nan) if len(calls) == 4 else out
+        loss, out = fused(*args)
+        return (loss, np.full_like(out, np.nan)) if len(calls) == 4 else (loss, out)
 
     monkeypatch.setattr(pipeline, loss_grad, poisoned)
     config = PipelineConfig(gnn=GnnPipelineConfig(depth=depth))
@@ -554,6 +558,79 @@ def test_model_stacks_are_the_updaters_then_the_headers():
         want += [models.cls_stack, models.reg_stack]
         assert len(models.stacks) == len(want) == (11 if variant == "extended" else 8)
         assert all(got is stack for got, stack in zip(models.stacks, want))
+
+
+@pytest.mark.parametrize("variant", ["extended", "vanilla"])
+def test_fused_losses_evaluate_like_the_separate_passes(variant):
+    # A batch of four worlds, the second empty and the third stripped of
+    # its foreground: that world warns and adds a zero loss and zero
+    # gradients.  Loss and every gradient equal the four separate loss
+    # passes bit for bit.
+    config = tiny_config(gnn={"variant": variant})
+    worlds = [build_world(config, seed, seed + 11) for seed in (0, 2, 5)]
+    empty = build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
+    batch = [worlds[0], empty, worlds[1], worlds[2]]
+    fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
+    fgs, regs = list(fgs), list(regs)
+    fgs[2], regs[2] = np.zeros_like(fgs[2]), np.zeros_like(regs[2])
+    assert all(fg.any() for fg in (fgs[0], fgs[3])) and len(fgs[2])
+    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
+    targets = pipeline._Targets(
+        np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends))
+    )
+    graph = join_graphs([world.graph for world in batch])
+    models = pipeline.init_models(config)
+    with pytest.warns(RuntimeWarning, match="no foreground"):
+        loss, grads = pipeline._evaluate(models, graph, targets, config, True)
+    want_loss, want_grads = separate_loss_evaluate(models, graph, targets, config)
+    assert loss == want_loss > 0
+    assert np.array_equal(_flat_grads(grads), _flat_grads(want_grads))
+    with pytest.warns(RuntimeWarning, match="no foreground"):
+        assert pipeline._evaluate(models, graph, targets, config, False) == (loss, None)
+
+
+def _grad_arrays(grads):
+    return [a for stack in grads for layer in stack for a in layer]
+
+
+def _share_nothing(first, second):
+    return not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_successive_gradients_share_no_memory():
+    # A caller may keep a returned gradient: no later call overwrites it.
+    config = PipelineConfig()
+    _, graph, targets = pipeline._training_worlds(config, pipeline._bev_map(config))
+    models = pipeline.init_models(config)
+    _, first = pipeline._evaluate(models, graph, targets, config, True)
+    kept = [a.copy() for a in _grad_arrays(first)]
+    _, second = pipeline._evaluate(models, graph, targets, config, True)
+    assert _share_nothing(_grad_arrays(first), _grad_arrays(second))
+    assert all(np.array_equal(a, b) for a, b in zip(_grad_arrays(first), kept))
+
+    refined, cache = update(graph, models.updater)
+    dz = np.random.default_rng(0).normal(size=refined.shape)
+    grads_a, d_states_a = update_backward(cache, dz)
+    grads_b, d_states_b = update_backward(cache, dz)
+    assert _share_nothing(
+        _grad_arrays(grads_a) + [d_states_a], _grad_arrays(grads_b) + [d_states_b]
+    )
+    assert np.array_equal(d_states_a, d_states_b)
+
+
+def test_training_runs_share_no_memory_and_leave_each_other_alone():
+    def params(models):
+        return [a for stack in models.stacks for l in stack.layers for a in (l.weight, l.bias)]
+
+    config = tiny_config(train={"steps": 6})
+    bev = pipeline._bev_map(config)
+    first, _, _ = pipeline._train_models(config, 6, bev)
+    kept = [a.copy() for a in params(first)]
+    faster = replace(config, train=replace(config.train, learning_rate=0.5))
+    second, _, _ = pipeline._train_models(faster, 6, bev)
+    assert _share_nothing(params(first), params(second))
+    assert all(np.array_equal(a, b) for a, b in zip(params(first), kept))
+    assert not all(np.array_equal(a, b) for a, b in zip(params(second), kept))
 
 
 # ---------------------------------------------------------------------------
