@@ -317,16 +317,21 @@ class GraphUpdater:
                     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _IterCache:
     agg_cache: list
     fus_cache: list
-    argmax_rows: np.ndarray  # (n, D) absolute row index feeding each pooled channel
+    argmax_flat: np.ndarray  # (n, D) flat index (row * D + channel) into pool_inputs
     pool_inputs: np.ndarray  # (rows, D) transformed neighbour features
     align_cache: list | None
 
+    @property
+    def argmax_rows(self) -> np.ndarray:
+        """(n, D) absolute row index feeding each pooled channel."""
+        return self.argmax_flat // self.pool_inputs.shape[1]
 
-@dataclass
+
+@dataclass(slots=True)
 class UpdateCache:
     """Everything the backward pass needs from one forward update."""
 
@@ -370,21 +375,19 @@ def _update_forward(
         # because it follows the node's own rows.
         d = pooled_in.shape[1]
         if block is None or block.shape[1] != d:
-            block = np.full((n, d, graph.width), -np.inf)
+            block = np.empty((n, d, graph.width))
+            block.fill(-np.inf)
         block[row_node, :, slot] = pooled_in
-        argmax_rows = starts[:, None] + block.argmax(axis=2)
-        pooled = pooled_in[argmax_rows, np.arange(d)]
+        # The winners as flat indices into pooled_in, row * D + channel,
+        # so that the pool and its backward each index it once.
+        argmax_flat = block.argmax(axis=2)
+        argmax_flat += starts[:, None]
+        argmax_flat *= d
+        argmax_flat += np.arange(d)
+        pooled = pooled_in.take(argmax_flat)
         fused, fus_cache = updater.fus_stacks[k].forward(pooled)
         h = prev + fused
-        iterations.append(
-            _IterCache(
-                agg_cache=agg_cache,
-                fus_cache=fus_cache,
-                argmax_rows=argmax_rows,
-                pool_inputs=pooled_in,
-                align_cache=align_cache,
-            )
-        )
+        iterations.append(_IterCache(agg_cache, fus_cache, argmax_flat, pooled_in, align_cache))
     return h, UpdateCache(graph, updater, extended, iterations)
 
 
@@ -410,31 +413,38 @@ def update(graph: NeighborhoodGraph, updater: GraphUpdater) -> tuple[np.ndarray,
 
 
 def update_backward(
-    cache: UpdateCache, grad_out: np.ndarray
-) -> tuple[list[list[LayerGrads]], np.ndarray]:
+    cache: UpdateCache, grad_out: np.ndarray, want_state_grad: bool = True
+) -> tuple[list[list[LayerGrads]], np.ndarray | None]:
     """Back-propagate through a cached update.
 
     ``grad_out`` is d(loss)/d(refined states), shape (n, F).  Returns one
     gradient per stack, in :attr:`GraphUpdater.stacks` order, and
-    d(loss)/d(initial states).  A stack that took no part (every stack
+    d(loss)/d(initial states), a new array, or None if not
+    ``want_state_grad``.  Training reads only the stack gradients, so it
+    skips the first iteration's state scatter, which feeds nothing else;
+    that iteration's alignment scatter still runs, because the alignment
+    stack's gradient reads it.  A stack that took no part (every stack
     when no iteration ran, at depth zero or on an empty graph; the
     alignment stacks under the state-only update) gets a zero gradient.
 
     Max-pool gradients are stored on the winning neighbour row per
-    channel (the lowest row on exact forward ties); node blocks are
-    disjoint, so each row and channel receives at most one.  The scatters
-    of row gradients onto nodes are one ``np.bincount`` each over
-    flattened ``node * F + channel`` keys (the graph's ``neigh_keys`` and
+    channel (the lowest row on exact forward ties), with one assignment
+    through the forward's flat indices; node blocks are disjoint, so each
+    row and channel receives at most one.  The scatters of row gradients
+    onto nodes are one ``np.bincount`` each over flattened
+    ``node * F + channel`` keys (the graph's ``neigh_keys`` and
     ``align_keys``).  ``bincount`` adds its weights in input order, so
     the residual ``dh`` goes first and then the rows in edge order:
     every sum runs in ``np.add.at``'s order.
     (``np.add.reduceat`` would not: it adds long blocks pairwise.)
     """
     updater = cache.updater
-    dh = np.asarray(grad_out, dtype=float).copy()
     depth = len(cache.iterations)
     if depth == 0:
+        dh = np.array(grad_out, dtype=float) if want_state_grad else None
         return [s.zero_grads() for s in updater.stacks], dh
+    # No iteration writes into dh, so grad_out needs no copy.
+    dh = np.asarray(grad_out, dtype=float)
     graph = cache.graph
     n, f = dh.shape
     weights = np.empty(len(graph.neigh_keys))
@@ -448,21 +458,26 @@ def update_backward(
         fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
 
         d_pool_in = np.zeros(it.pool_inputs.shape)
-        d_pool_in[it.argmax_rows, np.arange(d_pooled.shape[1])] = d_pooled
+        d_pool_in.ravel()[it.argmax_flat] = d_pooled
         agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
 
-        # The residual connection passes dh straight through.
-        d_states = d_rows[:, 3:] if cache.extended else d_rows
-        weights[: n * f] = dh.ravel()
-        weights[n * f :].reshape(d_states.shape)[...] = d_states
-        dh = np.bincount(graph.neigh_keys, weights, minlength=n * f).reshape(n, f)
+        state_grad = k > 0 or want_state_grad
+        if state_grad:
+            # The residual connection passes dh straight through.
+            d_states = d_rows[:, 3:] if cache.extended else d_rows
+            weights[: n * f] = dh.ravel()
+            weights[n * f :].reshape(d_states.shape)[...] = d_states
+            dh = np.bincount(graph.neigh_keys, weights, minlength=n * f).reshape(n, f)
         if cache.extended:
-            d_align = np.bincount(graph.align_keys, -d_rows[:, :3].ravel(), minlength=n * 3)
+            d_align = np.bincount(
+                graph.align_keys, np.negative(d_rows[:, :3]).ravel(), minlength=n * 3
+            )
             align[k], d_prev_align = updater.align_stacks[k].backward(
                 it.align_cache, d_align.reshape(n, 3)
             )
-            dh = dh + d_prev_align
-    return agg + fus + align, dh
+            if state_grad:
+                dh += d_prev_align
+    return agg + fus + align, dh if want_state_grad else None
 
 
 def header_stacks(

@@ -119,11 +119,13 @@ class DenseStack:
         """Evaluate the stack on an (n, in_dim) matrix of rows, returning
         the output and a backward cache."""
         h = np.asarray(x, dtype=float)
-        if h.ndim != 2 or h.shape[1] != self.in_dim:
-            raise ValueError(f"input of shape {h.shape} is not (rows, stack width {self.in_dim})")
+        in_dim = self.layers[0].weight.shape[1]
+        if h.ndim != 2 or h.shape[1] != in_dim:
+            raise ValueError(f"input of shape {h.shape} is not (rows, stack width {in_dim})")
         cache = []
         for layer in self.layers:
-            pre = h @ layer.weight.T + layer.bias
+            pre = np.matmul(h, layer.weight.T)
+            pre += layer.bias
             cache.append((h, pre))
             h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
         return h, cache
@@ -136,7 +138,9 @@ class DenseStack:
         """Back-propagate an upstream gradient through the cached forward.
 
         Returns per-layer (dW, db) pairs (input-first order) and the
-        gradient with respect to the stack input, shaped like it.
+        gradient with respect to the stack input, shaped like it.  The
+        bias gradient is ``np.add.reduce`` over the rows, the reduce that
+        ``g.sum(axis=0)`` runs, called without its Python-level wrapper.
         """
         g = np.asarray(grad_out, dtype=float)
         grads: list[LayerGrads] = [None] * len(self.layers)  # type: ignore[list-item]
@@ -145,7 +149,7 @@ class DenseStack:
             h_in, pre = cache[idx]
             if layer.activation == "relu":
                 g = g * (pre > 0.0)
-            grads[idx] = (g.T @ h_in, g.sum(axis=0))
+            grads[idx] = (g.T @ h_in, np.add.reduce(g, axis=0))
             g = g @ layer.weight
         return grads, g
 
@@ -212,7 +216,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` elsewhere (NaN
     included), with ``e = exp(-|x|)``."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    one_p = 1.0 + e
+    return np.where(x >= 0, 1.0 / one_p, e / one_p)
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,8 @@ def _smooth_l1_sum_and_grad(
     elementwise derivative: the one smooth-L1 implementation."""
     ax = np.abs(x)
     inside = ax < beta
-    total = float(np.where(inside, 0.5 * x * x / beta, ax - 0.5 * beta).sum())
+    terms = np.where(inside, 0.5 * x * x / beta, ax - 0.5 * beta)
+    total = float(np.add.reduce(terms, axis=None))
     return total, np.where(inside, x / beta, np.sign(x)) if want_grad else None
 
 
@@ -282,7 +288,7 @@ def focal_loss_and_grad(
     """
     lo, hi = _P_CLAMP
     alpha, gamma = config.focal_alpha, config.focal_gamma
-    pf = np.clip(probs[fg], lo, hi)
+    pf = np.minimum(np.maximum(probs[fg], lo), hi)
     n_pos = len(pf)
     if n_pos == 0:
         warnings.warn("focal_loss: no foreground entries, returning 0", RuntimeWarning)
@@ -290,13 +296,13 @@ def focal_loss_and_grad(
     one_m = 1.0 - pf
     one_m_gamma = one_m**gamma
     log_pf = np.log(pf)
-    total = float((-alpha * one_m_gamma * log_pf).sum())
+    total = float(np.add.reduce(-alpha * one_m_gamma * log_pf))
     if config.focal_background:
-        q = np.clip(probs[bg], lo, hi)
+        q = np.minimum(np.maximum(probs[bg], lo), hi)
         q_gamma = q**gamma
         one_m_q = 1.0 - q
         log_one_m_q = np.log(one_m_q)
-        total += float((-(1.0 - alpha) * q_gamma * log_one_m_q).sum())
+        total += float(np.add.reduce(-(1.0 - alpha) * q_gamma * log_one_m_q))
     if not want_grad:
         return total / n_pos, None
     grad = np.zeros(probs.shape)

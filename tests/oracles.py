@@ -679,7 +679,7 @@ def loop_update_forward(graph, updater, extended: bool):
     return h, argmax_per_iteration
 
 
-def loop_update_backward(cache, grad_out):
+def loop_update_backward(cache, grad_out, want_state_grad=True):
     """The refiner's backward pass with ``np.add.at`` scatters.
 
     Starts every stack gradient at zero and adds each iteration's onto
@@ -688,6 +688,8 @@ def loop_update_backward(cache, grad_out):
     gradients onto the owning nodes, one edge at a time in edge order.
     Returns ``(stack gradients, d_states)`` like ``gnn.update_backward``:
     the aggregation, fusion and alignment stacks' gradients, in that order.
+    It always computes ``d_states``, and returns None in its place if not
+    ``want_state_grad``, as the library does.
     """
     updater = cache.updater
     offsets = cache.graph.offsets
@@ -724,7 +726,7 @@ def loop_update_backward(cache, grad_out):
         else:
             np.add.at(d_prev, row_neigh, d_rows)
         dh = d_prev
-    return grads, dh
+    return grads, dh if want_state_grad else None
 
 
 def add_layer_grads(acc, extra):
@@ -805,7 +807,8 @@ def loop_train_models(config, steps):
 
 def whole_array_focal_loss_grad(probs, foreground, config):
     """d(focal_loss)/d(probs) with both branches evaluated on every entry
-    and then selected by the mask (zero where the clamp is active)."""
+    and then selected by the mask (zero where the clamp is active, that
+    is wherever ``lo < p < hi`` fails, NaN included)."""
     lo, hi = 1e-7, 1.0 - 1e-7
     p_raw = np.asarray(probs, dtype=float)
     fg = np.asarray(foreground, dtype=bool)
@@ -818,7 +821,7 @@ def whole_array_focal_loss_grad(probs, foreground, config):
     fg_grad = alpha * (gamma * one_m ** (gamma - 1.0) * np.log(p) - one_m**gamma / p)
     bg_grad = (1.0 - alpha) * (-gamma * p ** (gamma - 1.0) * np.log(1.0 - p) + p**gamma / one_m)
     grad = np.where(fg, fg_grad, bg_grad if config.focal_background else 0.0)
-    grad[(p_raw <= lo) | (p_raw >= hi)] = 0.0
+    grad[~((p_raw > lo) & (p_raw < hi))] = 0.0
     return grad / n_pos
 
 

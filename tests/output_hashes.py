@@ -4,6 +4,7 @@ between two checkouts.
 Usage, from anywhere:
 
     python3 tests/output_hashes.py [CHECKOUT]
+    python3 tests/output_hashes.py CHECKOUT_A CHECKOUT_B
 
 ``CHECKOUT`` (default: the checkout holding this file) is the root of a
 graphdet tree; its ``src/`` is put first on ``sys.path``, so the hashes
@@ -16,11 +17,15 @@ over every line:
 - ``graphdet refine`` standard output in five modes, on a seeded
   14-proposal, 6-column input.
 
-Run it in both checkouts and compare the lines.  No hash is committed:
-matrix products go through BLAS, whose last bits depend on the library
-and the machine, so hashes only compare runs on one machine.  The file
-name does not match pytest's ``test_*.py`` pattern, so the suite never
-collects it.
+With two checkouts, this script hashes each in its own process (the
+two run at once) and prints only the items that differ, as ``name
+hash_a hash_b`` (``-`` for an item one side lacks); the exit status is 1
+if any item differs and 0, with nothing printed, if none does.
+
+No hash is committed: matrix products go through BLAS, whose last bits
+depend on the library and the machine, so hashes only compare runs on
+one machine.  The file name does not match pytest's ``test_*.py``
+pattern, so the suite never collects it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -132,7 +138,34 @@ def refine_hashes() -> dict[str, str]:
     return out
 
 
+def _item_hashes(checkout: str) -> subprocess.Popen:
+    """This script started on one checkout, its standard output piped."""
+    return subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), checkout], stdout=subprocess.PIPE, text=True
+    )
+
+
+def compare(checkout_a: str, checkout_b: str) -> int:
+    """Print the items whose hashes differ between two checkouts; return
+    1 if any does, else 0."""
+    procs = [_item_hashes(checkout_a), _item_hashes(checkout_b)]
+    outs = [proc.communicate()[0] for proc in procs]
+    for proc in procs:
+        if proc.returncode != 0:
+            raise SystemExit(f"hashing {proc.args[-1]} exited with {proc.returncode}")
+    a, b = (dict(line.split(" ", 1) for line in out.splitlines()) for out in outs)
+    a.pop("total"), b.pop("total")
+    differ = [name for name in {**a, **b} if a.get(name) != b.get(name)]
+    for name in differ:
+        print(f"{name} {a.get(name, '-')} {b.get(name, '-')}")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        return compare(*argv)
+    if len(argv) > 2:
+        raise SystemExit("usage: output_hashes.py [CHECKOUT] | CHECKOUT_A CHECKOUT_B")
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path.insert(0, str(root / "src"))
     import graphdet

@@ -28,10 +28,10 @@ def integer_proposals(rng, n, state_dim, spread=4):
     return BoxArray.of([Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]), states
 
 
-def seeded_updater(state_dim, seed, extended, rounded=True):
-    """Three seeded iterations; ``rounded`` rounds every weight to a half,
-    so that integer inputs give pooled values that tie exactly."""
-    updater = GraphUpdater.seeded(state_dim, 6, 3, seed, extended=extended)
+def seeded_updater(state_dim, seed, extended, rounded=True, depth=3):
+    """``depth`` seeded iterations; ``rounded`` rounds every weight to a
+    half, so that integer inputs give pooled values that tie exactly."""
+    updater = GraphUpdater.seeded(state_dim, 6, depth, seed, extended=extended)
     if rounded:
         for stack in updater.stacks:
             stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
@@ -142,6 +142,90 @@ def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison
     grad_out = rng.normal(size=(24, 3))
     with np.errstate(invalid="ignore", over="ignore"):
         assert_backward_matches_loop_oracle(graph, updater, extended, grad_out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    state_dim=st.integers(1, 4),
+    depth=st.integers(0, 3),
+    extended=st.booleans(),
+    rounded=st.booleans(),
+    seed=SEEDS,
+)
+def test_skipping_the_state_gradient_keeps_every_stack_gradient(
+    sizes, state_dim, depth, extended, rounded, seed
+):
+    rng = np.random.default_rng(seed)
+    graphs = [build_graph(*integer_proposals(rng, n, state_dim), radius=2.0) for n in sizes]
+    graph = join_graphs(graphs)
+    updater = seeded_updater(state_dim, seed % 1000, extended, rounded, depth)
+    _, cache = update(graph, updater)
+    grad_out = rng.normal(size=graph.states.shape)
+    want, d_states = update_backward(cache, grad_out)
+    grads, skipped = update_backward(cache, grad_out, want_state_grad=False)
+    assert skipped is None
+    assert d_states.shape == graph.states.shape
+    assert not np.shares_memory(d_states, grad_out)
+    assert len(grads) == len(want) == len(updater.stacks)
+    for got_layers, ref_layers in zip(grads, want):
+        for (dw, db), (rw, rb) in zip(got_layers, ref_layers, strict=True):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+
+def _spy(stack, method, record, which):
+    """Record ``which`` ("args" or "result") of every call to the stack's
+    ``method``, in call order."""
+    inner = getattr(stack, method)
+
+    def spied(*args):
+        result = inner(*args)
+        record.append(args if which == "args" else result)
+        return result
+
+    setattr(stack, method, spied)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    state_dim=st.integers(1, 4),
+    extended=st.booleans(),
+    poison=st.sampled_from([None, np.nan, np.inf]),
+    seed=SEEDS,
+)
+def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
+    n, state_dim, extended, poison, seed
+):
+    # The pool reads and writes its winners through flat indices
+    # row * D + channel; each must give what indexing by (row, channel)
+    # gives at the loop oracle's winning rows.  A NaN or infinite weight
+    # puts NaN or infinities into the second iteration's pool inputs.
+    rng = np.random.default_rng(seed)
+    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
+    updater = seeded_updater(state_dim, seed % 1000, extended)
+    if poison is not None:
+        updater.agg_stacks[1].layers[0].weight[2, -1] = poison
+    d_pooled, d_pool_in = [], []
+    for k in range(updater.depth):
+        _spy(updater.fus_stacks[k], "backward", d_pooled, "result")
+        _spy(updater.agg_stacks[k], "backward", d_pool_in, "args")
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, cache = update(graph, updater)
+        _, want_rows = loop_update_forward(graph, updater, extended)
+        update_backward(cache, rng.normal(size=graph.states.shape))
+    # The backward runs the iterations last to first.
+    d_pooled, d_pool_in = d_pooled[::-1], d_pool_in[::-1]
+    for k, (it, rows) in enumerate(zip(cache.iterations, want_rows, strict=True)):
+        channels = np.arange(rows.shape[1])
+        assert np.array_equal(it.argmax_flat, rows * rows.shape[1] + channels)
+        pooled = it.fus_cache[0][0]  # the fusion stack's input
+        assert np.array_equal(pooled, it.pool_inputs[rows, channels], equal_nan=True)
+        want = np.zeros(it.pool_inputs.shape)
+        want[rows, channels] = d_pooled[k][1]
+        assert np.array_equal(d_pool_in[k][1], want, equal_nan=True)
+    if poison is not None:
+        assert not np.isfinite(cache.iterations[1].pool_inputs).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -46,12 +46,11 @@ CONFIGS = st.builds(
 
 
 @st.composite
-def focal_cases(draw, with_nan=True):
+def focal_cases(draw):
     """Probabilities, a foreground mask (mixed, all or no foreground) and
     a loss config."""
     n = draw(st.integers(1, 40))
-    values = PROBS if with_nan else PROBS.filter(lambda p: not np.isnan(p))
-    probs = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    probs = np.array(draw(st.lists(PROBS, min_size=n, max_size=n)), dtype=float)
     kind = draw(st.sampled_from(["mixed", "all", "none"]))
     if kind == "mixed":
         fg = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -90,7 +89,7 @@ def test_fused_focal_equals_the_separate_passes_bit_for_bit(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=focal_cases(with_nan=False))
+@given(case=focal_cases())
 def test_fused_focal_grad_equals_the_whole_array_form(case):
     probs, fg, config = case
     with warnings.catch_warnings():
