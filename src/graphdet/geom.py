@@ -9,9 +9,10 @@ loop's; a one-pair call (:func:`rotated_iou_bev`) costs the kernel's fixed
 NumPy overhead.  Pairs whose footprints cannot reach each other are found
 through :class:`graphdet.neighbors.CellIndex` (:func:`reaching_pairs`)
 and never clipped.  3D IoU extends the BEV overlap with the vertical
-interval overlap.  The module also carries greedy NMS, the anchor grid,
-IoU-threshold target assignment and the relative box encoding used for
-regression.
+interval overlap.  The module also carries greedy NMS (block leaders
+kept and suppressing first, then waves over the boxes they leave
+undecided), the anchor grid, IoU-threshold target assignment and the
+relative box encoding used for regression.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ IGNORE = -1
 
 
 class _Footprints:
-    """Per-box terms of the overlap kernel: the BEV centres, each corner's
-    offset from its centre in counter-clockwise order (the corner sums of
-    ``corners_bev`` in ``tests/oracles.py`` before the centre is added),
-    and the footprint areas.  Each yaw's cosine and sine are taken once,
-    with ``math``."""
+    """Per-box terms of the overlap kernel, one (n, 2, 5) table ``xy``:
+    row 0 holds x terms and row 1 y terms, column 0 the BEV centre and
+    columns 1-4 each corner's offset from it in counter-clockwise order
+    (the corner sums of ``corners_bev`` in ``tests/oracles.py`` before the
+    centre is added); and the footprint areas.  Each yaw's cosine and sine
+    are taken once, with ``math``."""
 
     def __init__(self, boxes: BoxArray):
         p = boxes.params
@@ -57,9 +59,13 @@ class _Footprints:
         s = np.array(list(map(math.sin, yaw)), dtype=float)
         lc, ls = 0.5 * p[:, 3] * c, 0.5 * p[:, 3] * s
         wc, ws = 0.5 * p[:, 4] * c, 0.5 * p[:, 4] * s
-        self.x, self.y = p[:, 0], p[:, 1]
-        self.dx = np.stack([lc - ws, -lc - ws, -lc + ws, lc + ws], axis=1)
-        self.dy = np.stack([ls + wc, -ls + wc, -ls - wc, ls - wc], axis=1)
+        self.xy = np.stack(
+            [
+                np.stack([p[:, 0], lc - ws, -lc - ws, -lc + ws, lc + ws], axis=1),
+                np.stack([p[:, 1], ls + wc, -ls + wc, -ls - wc, ls - wc], axis=1),
+            ],
+            axis=1,
+        )
         self.area = p[:, 3] * p[:, 4]
 
 
@@ -69,18 +75,11 @@ def _polygon_ends(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.empty(len(pair), dtype=bool)
     starts[0] = True
     np.not_equal(pair[1:], pair[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
+    first = starts.nonzero()[0]
     last = np.empty_like(first)
     last[:-1] = first[1:] - 1
     last[-1] = len(pair) - 1
     return first, last
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(a), dtype=a.dtype)
-    out[0::2] = a
-    out[1::2] = b
-    return out
 
 
 def _clip_edge(x, y, pair, ax, ay, bx, by):
@@ -93,21 +92,23 @@ def _clip_edge(x, y, pair, ax, ay, bx, by):
     emitted vertices in the same layout.  Crossing points are computed for
     every vertex, with division warnings off; only the real ones are kept.
     """
-    ex, ey = (bx - ax)[pair], (by - ay)[pair]
-    side = ex * (y - ay[pair]) - ey * (x - ax[pair])
+    v = len(pair)
+    side = (bx - ax)[pair] * (y - ay[pair]) - (by - ay)[pair] * (x - ax[pair])
     first, last = _polygon_ends(pair)
-    prev = np.arange(-1, len(x) - 1)
+    prev = np.arange(-1, v - 1)
     prev[first] = last  # a polygon's first vertex follows its last
     s_side, sx, sy = side[prev], x[prev], y[prev]
-    inside = side >= 0.0
-    cross = inside != (s_side >= 0.0)
+    # Per vertex, the crossing then the vertex itself.
+    emit = np.empty((v, 2), dtype=bool)
+    inside = np.greater_equal(side, 0.0, out=emit[:, 1])
+    np.not_equal(inside, inside[prev], out=emit[:, 0])
     t = s_side / (s_side - side)
-    emit = _interleave(cross, inside)
-    return (
-        _interleave(sx + t * (x - sx), x)[emit],
-        _interleave(sy + t * (y - sy), y)[emit],
-        np.repeat(pair, 2)[emit],
-    )
+    out_x, out_y = np.empty((v, 2)), np.empty((v, 2))
+    np.add(sx, t * (x - sx), out=out_x[:, 0])
+    np.add(sy, t * (y - sy), out=out_y[:, 0])
+    out_x[:, 1], out_y[:, 1] = x, y
+    keep = emit.reshape(2 * v).nonzero()[0]
+    return out_x.reshape(2 * v)[keep], out_y.reshape(2 * v)[keep], pair[keep >> 1]
 
 
 def _shoelace(x, y, pair, n_pairs):
@@ -120,14 +121,15 @@ def _shoelace(x, y, pair, n_pairs):
     first, last = _polygon_ends(pair)
     nxt = np.arange(1, len(x) + 1)
     nxt[last] = first  # a polygon's last vertex wraps to its first
-    col = np.arange(len(x)) - np.repeat(first, last - first + 1)
-    forward = np.zeros((n_pairs, int(count.max())))
-    backward = np.zeros_like(forward)
-    forward[pair, col] = x * y[nxt]
-    backward[pair, col] = x[nxt] * y
-    forward = np.cumsum(forward, axis=1)[:, -1]
-    backward = np.cumsum(backward, axis=1)[:, -1]
-    return np.where(count >= 3, 0.5 * np.abs(forward - backward), 0.0)
+    col = np.arange(len(x)) - first.repeat(last - first + 1)
+    # x * next y, then next x * y, padded per pair.
+    terms = np.zeros((2, n_pairs, int(count.max())))
+    terms[0, pair, col] = x * y[nxt]
+    terms[1, pair, col] = x[nxt] * y
+    forward, backward = terms.cumsum(axis=2)[:, :, -1]
+    area = 0.5 * np.abs(forward - backward)
+    area[count < 3] = 0.0
+    return area
 
 
 def _overlap(fa: _Footprints, fb: _Footprints, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -139,23 +141,25 @@ def _overlap(fa: _Footprints, fb: _Footprints, i: np.ndarray, j: np.ndarray) -> 
     scales with the boxes' size and distance rather than with their
     distance from the world origin.
     """
-    ox = 0.5 * (fa.x[i] + fb.x[j])
-    oy = 0.5 * (fa.y[i] + fb.y[j])
-    x = (fa.dx[i] + (fa.x[i] - ox)[:, None]).ravel()
-    y = (fa.dy[i] + (fa.y[i] - oy)[:, None]).ravel()
-    clip_x = fb.dx[j] + (fb.x[j] - ox)[:, None]
-    clip_y = fb.dy[j] + (fb.y[j] - oy)[:, None]
-    pair = np.repeat(np.arange(len(i)), 4)
+    a, b = fa.xy[i], fb.xy[j]
+    origin = 0.5 * (a[:, :, :1] + b[:, :, :1])
+    subject = a[:, :, 1:] + (a[:, :, :1] - origin)
+    clip = b[:, :, 1:] + (b[:, :, :1] - origin)
+    x, y = subject[:, 0].reshape(4 * len(i)), subject[:, 1].reshape(4 * len(i))
+    del a, b, subject  # the clipping steps are the kernel's memory peak
+    pair = np.arange(len(i)).repeat(4)
     with np.errstate(divide="ignore", invalid="ignore"):
         for e in range(4):
             if len(x) == 0:  # every polygon is clipped away
                 break
             f = (e + 1) % 4
-            x, y, pair = _clip_edge(x, y, pair, clip_x[:, e], clip_y[:, e], clip_x[:, f], clip_y[:, f])
+            x, y, pair = _clip_edge(x, y, pair, clip[:, 0, e], clip[:, 1, e], clip[:, 0, f], clip[:, 1, f])
     return _shoelace(x, y, pair, len(i))
 
 
 def _bev_iou(fa: _Footprints, fb: _Footprints, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    if len(i) == 0:
+        return np.zeros(0)
     area_a, area_b = fa.area[i], fb.area[j]
     # Clipping noise must not exceed either box.
     inter = np.minimum(np.minimum(_overlap(fa, fb, i, j), area_a), area_b)
@@ -302,52 +306,51 @@ def reaching_pairs(a: BoxArray, b: BoxArray | None = None) -> tuple[np.ndarray, 
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
-def nms(
-    boxes: Sequence[Box3D],
-    iou_threshold: float = 0.1,
-    score_threshold: float = 0.3,
-) -> BoxArray:
-    """Greedy non-maximum suppression on BEV IoU.
+def _leader_pass(
+    candidates: BoxArray, footprints: _Footprints, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kept and the undecided masks of ranked candidates after their
+    block leaders have been kept and have suppressed.
 
-    Boxes scoring below ``score_threshold`` are dropped up front.  The
-    rest are visited by descending score (ties by lower input index); a
-    box is kept iff its IoU with every already-kept box is at most
-    ``iou_threshold``.  The kept boxes come back as a
-    :class:`~graphdet.scene.BoxArray`, sorted by descending score, whether
-    ``boxes`` is a BoxArray or a sequence of :class:`Box3D`.  Both
-    thresholds must lie in [0, 1].
-
-    Cost: one sort, the candidate pairs that can overlap
-    (:func:`reaching_pairs`) filed by their higher-ranked box, then waves.
-    Each wave keeps every undecided candidate whose count of undecided
-    higher-ranked neighbours is 0, takes the IoUs of those new keeps with
-    their undecided lower-ranked neighbours in one :func:`bev_iou_pairs`
-    call, suppresses the neighbours whose IoU is above the threshold, and
-    counts down the lower-ranked neighbours of every box it decided.  A
-    wave thus reads only the pairs of the boxes it decides, so each pair
-    is read once in all, and a wave's fixed cost is one kernel call.
-    The waves are as many as the longest chain of kept or suppressing
-    neighbours: n boxes in one spot at threshold 1 take n waves.  This is
-    exactly the greedy sweep: a candidate is decided only once every
-    higher-ranked neighbour is, and each IoU is bit-identical to the
-    sweep's (the candidate's footprint clipped by the kept box's).  Pairs
-    that cannot reach have IoU 0 and are never computed.
+    The candidates are filed in a :class:`~graphdet.neighbors.CellIndex`
+    whose cell side bounds every pair's reach, so a box that reaches
+    another lies in the 3x3 block of its cell.  A leader ranks first in
+    its own block: no higher-ranked box can reach it, so the greedy sweep
+    keeps it.  Its reaching lower-ranked partners are clipped against it
+    in one kernel call, and those above ``iou_threshold`` are suppressed.
+    Two leaders never share or neighbour a cell, so a cell lies in at most
+    four leaders' blocks and the pass lists at most 4n pairs.
     """
-    for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"nms {name} must be a finite number in [0, 1], got {value}")
-    arr = BoxArray.of(boxes)
-    missing = np.flatnonzero(np.isnan(arr.scores))
-    if len(missing):
-        raise ValueError(f"box {missing[0]} has no score; NMS needs scored boxes")
-    order = np.lexsort((np.arange(len(arr)), -arr.scores))
-    order = order[arr.scores[order] >= score_threshold]
-    candidates = arr.take(order)
-    footprints = _Footprints(candidates)
-    n = len(candidates)
-    # Ranked pairs, ``high`` outranking ``low``, filed by ``high``: the
-    # lower-ranked neighbours of box k are lower[start[k]:start[k + 1]].
-    high, low = reaching_pairs(candidates)
+    xy, diag = candidates.params[:, :2], candidates.bev_diagonal
+    index = CellIndex(xy, float(diag.max()) * (1.0 + _SLACK))
+    # A cell's points come in index order, which is rank order; the block
+    # hits come grouped by cell, each cell's own among them.
+    best = index.order[index.start]
+    rows, slots = index.block_slots(index.cell_of(xy[best]))
+    leads = best == np.minimum.reduceat(best[slots], np.searchsorted(rows, np.arange(len(best))))
+    hit = leads[rows]  # the hits of the leaders' blocks
+    k, j = index.expand(rows[hit], slots[hit])
+    k = best[k]
+    dx, dy = xy[j, 0] - xy[k, 0], xy[j, 1] - xy[k, 1]
+    reach = 0.5 * (diag[j] + diag[k])
+    near = (dx * dx + dy * dy <= reach * reach) & (j > k)
+    k, j = k[near], j[near]
+    kept = np.zeros(len(candidates), dtype=bool)
+    kept[best[leads]] = True
+    undecided = ~kept
+    undecided[j[_bev_iou(footprints, footprints, j, k) > iou_threshold]] = False
+    return kept, undecided
+
+
+def _waves(
+    high: np.ndarray, low: np.ndarray, footprints: _Footprints, ids: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    """The greedy sweep's keep mask over ranked boxes, box k being
+    ``ids[k]`` of ``footprints``, decided in waves (see :func:`nms`) from
+    their :func:`reaching_pairs`, ``high`` outranking ``low``."""
+    n = len(ids)
+    # The pairs filed by ``high``: the lower-ranked neighbours of box k
+    # are lower[start[k]:start[k + 1]].
     lower = low[np.argsort(high)]
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(high, minlength=n), out=start[1:])
@@ -367,7 +370,7 @@ def nms(
         k, j = neighbours_below(new)
         live = undecided[j]
         k, j = k[live], j[live]
-        suppressed = np.unique(j[_bev_iou(footprints, footprints, j, k) > iou_threshold])
+        suppressed = np.unique(j[_bev_iou(footprints, footprints, ids[j], ids[k]) > iou_threshold])
         undecided[suppressed] = False
         # Every lower neighbour of a box decided in this wave has one
         # undecided higher-ranked neighbour fewer.
@@ -375,6 +378,67 @@ def nms(
         touched, fewer = np.unique(np.concatenate([j, below]), return_counts=True)
         pending[touched] -= fewer
         new = touched[(pending[touched] == 0) & undecided[touched]]
+    return kept
+
+
+def nms(
+    boxes: Sequence[Box3D],
+    iou_threshold: float = 0.1,
+    score_threshold: float = 0.3,
+) -> BoxArray:
+    """Greedy non-maximum suppression on BEV IoU.
+
+    Boxes scoring below ``score_threshold`` are dropped up front.  The
+    rest are visited by descending score (ties by lower input index); a
+    box is kept iff its IoU with every already-kept box is at most
+    ``iou_threshold``.  The kept boxes come back as a
+    :class:`~graphdet.scene.BoxArray`, sorted by descending score, whether
+    ``boxes`` is a BoxArray or a sequence of :class:`Box3D`.  Both
+    thresholds must lie in [0, 1].
+
+    Cost: one sort, then block leaders first and waves over the rest.
+    The ranked candidates are filed once in a
+    :class:`~graphdet.neighbors.CellIndex` whose cell side, the largest
+    BEV diagonal, bounds every pair's reach.  A candidate ranking first in
+    its 3x3 block of cells (a leader) is kept, since nothing higher-ranked
+    can reach it, and one kernel call clips its reaching lower-ranked
+    block partners against it and suppresses those above the threshold.
+    Leaders never share or neighbour a cell, so a cell lies in at most
+    four leaders' blocks: the leader pass lists at most 4n pairs, however
+    dense the frame, with no size levels.  Only the candidates still
+    undecided have their reaching pairs listed (:func:`reaching_pairs`),
+    filed by the higher-ranked box, and go through waves.  Each wave keeps
+    every undecided candidate whose count of undecided higher-ranked
+    neighbours is 0, takes the IoUs of those new keeps with their
+    undecided lower-ranked neighbours in one kernel call, suppresses the
+    neighbours whose IoU is above the threshold, and counts down the
+    lower-ranked neighbours of every box it decided.  A wave thus reads
+    only the pairs of the boxes it decides, so each pair is read once in
+    all, and a wave's fixed cost is one kernel call.  The waves are as many
+    as the longest chain of kept or suppressing neighbours: n boxes in one
+    spot at threshold 1 take n waves.  This is exactly the greedy sweep: a
+    candidate is decided only once every higher-ranked neighbour is (the
+    leaders it reaches have all been tried against it), and each IoU is
+    bit-identical to the sweep's (the candidate's footprint clipped by the
+    kept box's).  Pairs that cannot reach have IoU 0 and are never
+    computed.
+    """
+    for name, value in (("iou_threshold", iou_threshold), ("score_threshold", score_threshold)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"nms {name} must be a finite number in [0, 1], got {value}")
+    arr = BoxArray.of(boxes)
+    missing = np.flatnonzero(np.isnan(arr.scores))
+    if len(missing):
+        raise ValueError(f"box {missing[0]} has no score; NMS needs scored boxes")
+    order = np.lexsort((np.arange(len(arr)), -arr.scores))
+    order = order[arr.scores[order] >= score_threshold]
+    candidates = arr.take(order)
+    if len(candidates) == 0:
+        return candidates
+    footprints = _Footprints(candidates)
+    kept, undecided = _leader_pass(candidates, footprints, iou_threshold)
+    rest = np.flatnonzero(undecided)
+    kept[rest[_waves(*reaching_pairs(candidates.take(rest)), footprints, rest, iou_threshold)]] = True
     return arr.take(order[kept])
 
 

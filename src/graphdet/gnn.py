@@ -421,8 +421,10 @@ def update_backward(
     gradient per stack, in :attr:`GraphUpdater.stacks` order, and
     d(loss)/d(initial states), a new array, or None if not
     ``want_state_grad``.  Training reads only the stack gradients, so it
-    skips the first iteration's state scatter, which feeds nothing else;
-    that iteration's alignment scatter still runs, because the alignment
+    skips the first iteration's state scatter, which feeds nothing else,
+    and the input gradients that feed only that scatter: the alignment
+    stack's, and the aggregation stack's under the state-only update.
+    That iteration's alignment scatter still runs, because the alignment
     stack's gradient reads it.  A stack that took no part (every stack
     when no iteration ran, at depth zero or on an empty graph; the
     alignment stacks under the state-only update) gets a zero gradient.
@@ -459,9 +461,12 @@ def update_backward(
 
         d_pool_in = np.zeros(it.pool_inputs.shape)
         d_pool_in.ravel()[it.argmax_flat] = d_pooled
-        agg[k], d_rows = updater.agg_stacks[k].backward(it.agg_cache, d_pool_in)
-
         state_grad = k > 0 or want_state_grad
+        # The last argument is want_input_grad: the state-only update reads
+        # the row gradients only for the state scatter.
+        agg[k], d_rows = updater.agg_stacks[k].backward(
+            it.agg_cache, d_pool_in, state_grad or cache.extended
+        )
         if state_grad:
             # The residual connection passes dh straight through.
             d_states = d_rows[:, 3:] if cache.extended else d_rows
@@ -473,7 +478,7 @@ def update_backward(
                 graph.align_keys, np.negative(d_rows[:, :3]).ravel(), minlength=n * 3
             )
             align[k], d_prev_align = updater.align_stacks[k].backward(
-                it.align_cache, d_align.reshape(n, 3)
+                it.align_cache, d_align.reshape(n, 3), state_grad
             )
             if state_grad:
                 dh += d_prev_align

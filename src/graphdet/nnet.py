@@ -134,13 +134,17 @@ class DenseStack:
         """Evaluate without keeping the cache."""
         return self.forward(x)[0]
 
-    def backward(self, cache: list, grad_out: np.ndarray) -> tuple[list[LayerGrads], np.ndarray]:
+    def backward(
+        self, cache: list, grad_out: np.ndarray, want_input_grad: bool = True
+    ) -> tuple[list[LayerGrads], np.ndarray | None]:
         """Back-propagate an upstream gradient through the cached forward.
 
         Returns per-layer (dW, db) pairs (input-first order) and the
-        gradient with respect to the stack input, shaped like it.  The
-        bias gradient is ``np.add.reduce`` over the rows, the reduce that
-        ``g.sum(axis=0)`` runs, called without its Python-level wrapper.
+        gradient with respect to the stack input, shaped like it, or None
+        if not ``want_input_grad`` (the first layer's input product is then
+        skipped).  The bias gradient is ``np.add.reduce`` over the rows,
+        the reduce that ``g.sum(axis=0)`` runs, called without its
+        Python-level wrapper.
         """
         g = np.asarray(grad_out, dtype=float)
         grads: list[LayerGrads] = [None] * len(self.layers)  # type: ignore[list-item]
@@ -150,6 +154,8 @@ class DenseStack:
             if layer.activation == "relu":
                 g = g * (pre > 0.0)
             grads[idx] = (g.T @ h_in, np.add.reduce(g, axis=0))
+            if idx == 0 and not want_input_grad:
+                return grads, None
             g = g @ layer.weight
         return grads, g
 

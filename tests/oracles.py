@@ -326,11 +326,18 @@ def eval_frame(seed: int) -> list[Box3D]:
     eval-dump benchmark's frames: 150 jittered copies around each of 12
     car-sized objects plus 1,500 scattered false positives.  Scores are
     whole percent, so many tie; classes are 0-2."""
+    return eval_frame_and_objects(seed)[0]
+
+
+def eval_frame_and_objects(seed: int) -> tuple[list[Box3D], list[Box3D]]:
+    """:func:`eval_frame` and its 12 objects, as class-0 boxes of the
+    nominal car size at each cluster's centre and yaw."""
     rng = np.random.default_rng(seed)
     car = np.array([3.9, 1.6, 1.56])
-    rows = []
+    rows, objects = [], []
     for cx, cy in rng.uniform((2.0, -38.0), (68.0, 38.0), size=(12, 2)):
         yaw = rng.uniform(-math.pi, math.pi)
+        objects.append(Box3D((cx, cy, -1.0), tuple(car), yaw, class_id=0))
         for _ in range(150):
             rows.append((cx + rng.normal(0.0, 0.5), cy + rng.normal(0.0, 0.5), yaw + rng.normal(0.0, 0.1)))
     for x, y in rng.uniform((2.0, -38.0), (68.0, 38.0), size=(1500, 2)):
@@ -345,7 +352,7 @@ def eval_frame(seed: int) -> list[Box3D]:
         )
         for x, y, yaw in rows
     ]
-    return [boxes[i] for i in rng.permutation(len(boxes))]
+    return [boxes[i] for i in rng.permutation(len(boxes))], objects
 
 
 # ---------------------------------------------------------------------------

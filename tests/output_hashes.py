@@ -15,7 +15,13 @@ over every line:
   ``scores`` bytes, class ids) and ``json.dumps(report, sort_keys=True)``;
 - ``gradcheck.run_all`` for seeds 0-9;
 - ``graphdet refine`` standard output in five modes, on a seeded
-  14-proposal, 6-column input.
+  14-proposal, 6-column input;
+- three pre-NMS frames of ``tests/oracles.py``: ``eval_frame`` seeds 0
+  and 7, and seed 7 plus one 160 m box (a size level of its own).  For
+  each, the ``graphdet nms`` kept-file bytes at the (IoU, score)
+  thresholds (0.1, 0.3), (0.0, 0.0) and (1.0, 0.3), and the ``graphdet
+  eval-ap`` standard output on each kept file against the frame's 12
+  objects.
 
 With two checkouts, this script hashes each in its own process (the
 two run at once) and prints only the items that differ, as ``name
@@ -138,6 +144,44 @@ def refine_hashes() -> dict[str, str]:
     return out
 
 
+FRAMES: dict[str, tuple[int, bool]] = {
+    "seed0": (0, False),
+    "seed7": (7, False),
+    "seed7-huge": (7, True),
+}
+NMS_THRESHOLDS = ((0.1, 0.3), (0.0, 0.0), (1.0, 0.3))
+
+
+def frame_hashes() -> dict[str, str]:
+    from graphdet.cli import main
+    from graphdet.scene import Box3D
+
+    from oracles import eval_frame_and_objects, loop_write_detections
+
+    out = {}
+    with tempfile.TemporaryDirectory() as folder:
+        dets, gts, kept = (Path(folder) / name for name in ("dets.txt", "gts.txt", "kept.txt"))
+        for name, (seed, huge) in FRAMES.items():
+            boxes, objects = eval_frame_and_objects(seed)
+            if huge:
+                boxes.append(Box3D((30.0, 0.0, -1.0), (160.0, 160.0, 1.56), 0.3, score=0.5, class_id=0))
+            loop_write_detections(dets, boxes)
+            loop_write_detections(gts, objects)
+            for iou, score in NMS_THRESHOLDS:
+                args = ["nms", "--input", str(dets), "--output", str(kept),
+                        "--iou-threshold", str(iou), "--score-threshold", str(score)]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    if main(args) != 0:
+                        raise SystemExit(f"nms on {name} at {iou}, {score} failed")
+                out[f"frame/{name}/nms-{iou}-{score}"] = _sha(kept.read_bytes())
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    if main(["eval-ap", "--dets", str(kept), "--gts", str(gts)]) != 0:
+                        raise SystemExit(f"eval-ap on {name} at {iou}, {score} failed")
+                out[f"frame/{name}/eval-ap-{iou}-{score}"] = _sha(text.getvalue().encode())
+    return out
+
+
 def _item_hashes(checkout: str) -> subprocess.Popen:
     """This script started on one checkout, its standard output piped."""
     return subprocess.Popen(
@@ -174,7 +218,7 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"imported graphdet from {graphdet.__file__}, not {root}/src")
     lines = [
         f"{name} {digest}"
-        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes)
+        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes, frame_hashes)
         for name, digest in part().items()
     ]
     print("\n".join(lines))

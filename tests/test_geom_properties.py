@@ -19,6 +19,7 @@ from graphdet.geom import (
     reaching_pairs,
     rotated_iou_bev,
 )
+from graphdet.neighbors import CellIndex
 from graphdet.scene import Box3D, BoxArray, normalize_yaw
 
 from oracles import (
@@ -28,12 +29,14 @@ from oracles import (
     corners_bev,
     decode_box,
     encode_box,
+    eval_frame,
     loop_rotated_iou_bev,
     np_clip_polygon,
     np_polygon_area,
     np_rotated_iou_bev,
     polygon_area,
     random_box,
+    sweep_nms,
 )
 
 _YAW = st.one_of(
@@ -170,6 +173,22 @@ def far_boxes(draw):
     return [
         Box3D((b.center[0] + sx, b.center[1] + sy, 0.0), b.dims, b.yaw, score=b.score)
         for b in draw(clustered_boxes())
+    ]
+
+
+@st.composite
+def identical_centre_boxes(draw):
+    """Up to 20 boxes on one or two shared centres, of mixed sizes and
+    yaws, with tied scores."""
+    centres = draw(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=2))
+    return [
+        Box3D(
+            (*draw(st.sampled_from(centres)), 0.0),
+            (draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 2.5)), 1.5),
+            draw(_YAW),
+            score=draw(_SCORES),
+        )
+        for _ in range(draw(st.integers(0, 20)))
     ]
 
 
@@ -382,6 +401,58 @@ def test_nms_computes_iou_only_where_the_sweep_needs_it(monkeypatch):
     expected = _sweep_iou_calls(boxes, 0.1, 0.3)
     assert kept and 0 < len(pairs) <= expected + expected // 20
     assert len(pairs) < len(boxes)  # fewer exact IoUs than boxes
+
+
+def _ranked(boxes, score_threshold):
+    """Input indices of the NMS candidates in rank order, and the
+    candidates as one BoxArray."""
+    arr = BoxArray.of(boxes)
+    order = np.lexsort((np.arange(len(arr)), -arr.scores))
+    order = order[arr.scores[order] >= score_threshold]
+    return order, arr.take(order)
+
+
+_LEADER_INPUTS = st.one_of(clustered_boxes(), lattice_boxes(), identical_centre_boxes(), mixed_size_boxes())
+
+
+@settings(max_examples=80)
+@given(_LEADER_INPUTS, _IOU_THRESHOLDS, _SCORE_THRESHOLDS)
+def test_leader_pass_decides_only_what_the_sweep_decides(boxes, iou_threshold, score_threshold):
+    # Every block leader is kept by the brute-force sweep and every box a
+    # leader suppresses is suppressed by it; the pass lists at most 4n
+    # (leader, box) pairs.
+    order, candidates = _ranked(boxes, score_threshold)
+    if len(candidates) == 0:
+        return
+    listed = []
+    expand = CellIndex.expand
+
+    def counting(index, rows, slots):
+        pairs = expand(index, rows, slots)
+        listed.append(len(pairs[0]))
+        return pairs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CellIndex, "expand", counting)
+        kept, undecided = geom._leader_pass(candidates, geom._Footprints(candidates), iou_threshold)
+    assert sum(listed) <= 4 * len(candidates)
+    want = {id(b) for b in brute_nms(boxes, loop_rotated_iou_bev, iou_threshold, score_threshold)}
+    assert kept.any() and not (kept & undecided).any()
+    for rank, i in enumerate(order.tolist()):
+        if kept[rank]:
+            assert id(boxes[i]) in want
+        elif not undecided[rank]:
+            assert id(boxes[i]) not in want
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_nms_equals_the_sweep_on_a_frame_with_a_huge_box(seed):
+    # One 160 m box is a size level of its own and fills every block of
+    # the leader pass's grid.
+    boxes = eval_frame(seed)
+    boxes.insert(seed * 100, Box3D((30.0, 0.0, -1.0), (160.0, 160.0, 1.56), 0.3, score=0.5, class_id=0))
+    want = sweep_nms(boxes, loop_rotated_iou_bev, 0.1, 0.3)
+    assert list(nms(boxes, 0.1, 0.3)) == want
 
 
 # ---------------------------------------------------------------------------

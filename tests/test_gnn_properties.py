@@ -173,6 +173,41 @@ def test_skipping_the_state_gradient_keeps_every_stack_gradient(
             assert np.array_equal(dw, rw) and np.array_equal(db, rb)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    state_dim=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    extended=st.booleans(),
+    seed=SEEDS,
+)
+def test_skipping_the_state_gradient_skips_only_the_unread_input_gradients(
+    n, state_dim, depth, extended, seed
+):
+    # Without the state gradient, the first iteration's alignment stack
+    # (extended) or aggregation stack (vanilla) feeds only the skipped
+    # state scatter, so it skips its own input gradient; every other
+    # backward still returns one.
+    rng = np.random.default_rng(seed)
+    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
+    updater = seeded_updater(state_dim, seed % 1000, extended, depth=depth)
+    _, cache = update(graph, updater)
+    calls = []
+    for stack in updater.stacks:
+        inner = stack.backward
+
+        def spied(*args, _stack=stack, _inner=inner):
+            result = _inner(*args)
+            calls.append((_stack, result[1]))
+            return result
+
+        stack.backward = spied
+    update_backward(cache, rng.normal(size=graph.states.shape), want_state_grad=False)
+    skipped = [stack for stack, d_input in calls if d_input is None]
+    assert skipped == [updater.align_stacks[0] if extended else updater.agg_stacks[0]]
+    assert len(calls) == (3 if extended else 2) * depth
+
+
 def _spy(stack, method, record, which):
     """Record ``which`` ("args" or "result") of every call to the stack's
     ``method``, in call order."""

@@ -105,6 +105,20 @@ def test_forward_batches_match_single_rows():
         assert np.allclose(batch[i], stack.apply(xs[i : i + 1])[0], atol=0)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (5, 7, 3), (6, 9, 9, 4)])
+def test_backward_without_the_input_gradient_keeps_every_layer_gradient(shape):
+    stack = DenseStack.seeded(shape, seed=3)
+    x = np.random.default_rng(4).normal(size=(7, shape[0]))
+    _, cache = stack.forward(x)
+    g = np.random.default_rng(5).normal(size=(7, shape[-1]))
+    want, dx = stack.backward(cache, g)
+    got, skipped = stack.backward(cache, g, want_input_grad=False)
+    assert skipped is None and dx.shape == x.shape
+    assert len(got) == len(want) == len(stack.layers)
+    for (dw, db), (rw, rb) in zip(got, want, strict=True):
+        assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+
 def test_backward_accumulates_over_batch():
     stack = DenseStack.seeded((3, 5, 2), seed=8)
     x = np.random.default_rng(2).normal(size=(1, 3))
