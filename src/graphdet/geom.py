@@ -370,14 +370,17 @@ def _waves(
         k, j = neighbours_below(new)
         live = undecided[j]
         k, j = k[live], j[live]
-        suppressed = np.unique(j[_bev_iou(footprints, footprints, ids[j], ids[k]) > iou_threshold])
+        hit = np.zeros(n, dtype=bool)
+        hit[j[_bev_iou(footprints, footprints, ids[j], ids[k]) > iou_threshold]] = True
+        suppressed = np.flatnonzero(hit)
         undecided[suppressed] = False
         # Every lower neighbour of a box decided in this wave has one
-        # undecided higher-ranked neighbour fewer.
+        # undecided higher-ranked neighbour fewer per pair; the bincounts
+        # count them by box without sorting the pairs.
         _, below = neighbours_below(suppressed)
-        touched, fewer = np.unique(np.concatenate([j, below]), return_counts=True)
-        pending[touched] -= fewer
-        new = touched[(pending[touched] == 0) & undecided[touched]]
+        fewer = np.bincount(j, minlength=n) + np.bincount(below, minlength=n)
+        pending -= fewer
+        new = np.flatnonzero((fewer > 0) & (pending == 0) & undecided)
     return kept
 
 

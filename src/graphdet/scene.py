@@ -432,35 +432,94 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[str], int, str | No
     return values[:limit], names, int(where[limit]) if limit < len(rows) else len(lines), error
 
 
+def _undecoded(lines: list[str]) -> tuple[int, str | None]:
+    """The index of the first of ``lines`` (read with ``surrogateescape``)
+    that holds bytes which are not UTF-8, and the codec's error text on
+    that line's bytes; ``len(lines)`` and None if every line decodes."""
+    try:
+        "".join(lines).encode("utf-8")
+    except UnicodeEncodeError:
+        for index, line in enumerate(lines):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return index, str(exc)
+    return len(lines), None
+
+
+def _walk_blocks(path: str) -> tuple[np.ndarray, list[str]]:
+    """The fields (see :func:`_fields`) and class tokens of a box file,
+    parsed ``_READ_BLOCK`` lines at a time; raises
+    :class:`DetectionParseError` naming the first bad line."""
+    blocks, names = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for start in count(1, _READ_BLOCK):
+            lines = list(islice(fh, _READ_BLOCK))
+            if not lines:
+                break
+            undecoded, decode_error = _undecoded(lines)
+            values, block_names, bad, error = _parse_block(lines[:undecoded])
+            if error is None and decode_error is not None:
+                bad, error = undecoded, decode_error
+            if error is not None:
+                raise DetectionParseError(f"{path}, line {start + bad}: {error}")
+            blocks.append(values)
+            names += block_names
+    return (np.concatenate(blocks) if blocks else np.full((0, 8), math.nan)), names
+
+
+def _load_table(path: str) -> tuple[np.ndarray, list[str]]:
+    """The fields (see :func:`_fields`) and class tokens of a box file,
+    parsed by one ``np.loadtxt`` call.  Raises ValueError where loadtxt
+    refuses the file or a box fails a check."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next(filter(None, map(str.split, fh)), None)
+    if first is None:  # loadtxt would warn that the file holds no data
+        return np.full((0, 8), math.nan), []
+    numbers = len(first) - 1
+    if numbers not in (7, 8):
+        raise ValueError("expected 8 or 9 fields")
+    table = np.loadtxt(
+        path, dtype=[("name", object), ("values", float, (numbers,))],
+        comments=None, encoding="utf-8", ndmin=1,
+    )
+    values = np.full((len(table), 8), math.nan)
+    values[:, :numbers] = table["values"]
+    score = values[:, 7]
+    if not (
+        np.isfinite(values[:, :numbers]).all()
+        and (values[:, 3:6] > 0.0).all()
+        and (numbers == 7 or ((score >= 0.0) & (score <= 1.0)).all())
+    ):
+        raise ValueError("a box fails a check")
+    return values, table["name"].tolist()
+
+
 def read_detections(path: str) -> BoxArray:
     """Parse a detection text file written by :func:`write_detections`.
 
     Blank lines are ignored.  A malformed line raises
     :class:`DetectionParseError` naming the 1-based line number of the
-    first bad line; within a line the checks run in the order field
-    count, number syntax, finiteness, then :class:`Box3D`'s own checks.
-    Lines end at ``"\n"`` only (text mode folds ``"\r\n"`` and ``"\r"``
-    into it); other line breaks ``str.splitlines`` knows, such as
-    ``"\x0c"``, are whitespace between fields.
+    first bad line; within a line the checks run in the order UTF-8
+    decoding, field count, number syntax, finiteness, then
+    :class:`Box3D`'s own checks.  Lines end at ``"\n"`` only (text mode
+    folds ``"\r\n"`` and ``"\r"`` into it); other line breaks
+    ``str.splitlines`` knows, such as ``"\x0c"``, are whitespace between
+    fields.
 
-    Cost: blocks of ``_READ_BLOCK`` lines are split, converted with one
-    ``float`` per field and checked as arrays; no object is built per
-    line, and only one block's tokens are held at a time.  Only a bad
-    block walks its lines one by one, to find the line a conversion error
-    came from.
+    Cost: a file whose lines all parse goes through one ``np.loadtxt``
+    call, whose C reader converts each number with the routine ``float``
+    uses, into arrays that are checked whole; no Python object is built
+    per number.  Any other file (a bad line, or one that ``float`` reads
+    and loadtxt does not, such as mixed 8- and 9-field lines or ``1_0``)
+    is walked in blocks of ``_READ_BLOCK`` lines, each split, converted
+    with one ``float`` per field and checked as arrays; only a bad block
+    walks its lines one by one, to name the first bad line.
     """
-    blocks, names = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for start in count(1, _READ_BLOCK):
-            lines = list(islice(fh, _READ_BLOCK))
-            if not lines:
-                break
-            values, block_names, bad, error = _parse_block(lines)
-            if error is not None:
-                raise DetectionParseError(f"{path}, line {start + bad}: {error}")
-            blocks.append(values)
-            names += block_names
-    values = np.concatenate(blocks) if blocks else np.full((0, 8), math.nan)
+    try:
+        values, names = _load_table(path)
+    except ValueError:
+        values, names = _walk_blocks(path)
     ids = {name: _class_id(name) for name in set(names)}
     class_ids = np.empty(len(names), dtype=object)
     class_ids[:] = [ids[name] for name in names]

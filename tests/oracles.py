@@ -24,7 +24,7 @@ from graphdet.nnet import (
     masked_smooth_l1_mean,
     masked_smooth_l1_mean_grad,
 )
-from graphdet.scene import Box3D, normalize_yaw
+from graphdet.scene import Box3D, DetectionParseError, normalize_yaw
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +319,80 @@ def loop_read_detections(path) -> list[Box3D]:
             score = v[7] if len(v) == 8 else None
             boxes.append(Box3D(tuple(v[:3]), tuple(v[3:6]), v[6], score, _CLASS_NAMES.index(tokens[0])))
     return boxes
+
+
+def _block_fields(rows: list[list[str]], counts: np.ndarray) -> np.ndarray:
+    values = np.full((len(rows), 8), math.nan)
+    flat = [float(t) for tokens in rows for t in tokens[1:]]
+    values[np.arange(8) < (counts - 1)[:, None]] = np.array(flat, dtype=float)
+    return values
+
+
+def _block_parse(lines: list[str]) -> tuple[np.ndarray, list[str], int, str | None]:
+    split = [line.split() for line in lines]
+    where = [i for i, tokens in enumerate(split) if tokens]
+    rows = [tokens for tokens in split if tokens]
+    counts = np.array([len(tokens) for tokens in rows], dtype=np.int64)
+    bad = np.flatnonzero((counts != 8) & (counts != 9))
+    limit = int(bad[0]) if len(bad) else len(rows)
+    error = f"expected 8 or 9 fields, got {counts[limit]}" if len(bad) else None
+    try:
+        values = _block_fields(rows[:limit], counts[:limit])
+    except ValueError:
+        for limit, tokens in enumerate(rows):
+            try:
+                [float(t) for t in tokens[1:]]
+            except ValueError as exc:
+                error = str(exc)
+                break
+        values = _block_fields(rows[:limit], counts[:limit])
+    scored = counts[:limit] == 9
+    score = values[:, 7]
+    finite = np.isfinite(values[:, :7]).all(axis=1) & (np.isfinite(score) | ~scored)
+    valid = (values[:, 3:6] > 0.0).all(axis=1) & ~(scored & ((score < 0.0) | (score > 1.0)))
+    bad = np.flatnonzero(~(finite & valid))
+    if len(bad):
+        limit = int(bad[0])
+        error = "non-finite value"
+        if finite[limit]:
+            row, s = values[limit].tolist(), float(score[limit])
+            try:
+                Box3D(tuple(row[:3]), tuple(row[3:6]), row[6], None if math.isnan(s) else s)
+            except ValueError as exc:
+                error = str(exc)
+    names = [tokens[0] for tokens in rows[:limit]]
+    return values[:limit], names, where[limit] if limit < len(rows) else len(lines), error
+
+
+def _file_class_id(name: str) -> int | None:
+    if name in _CLASS_NAMES:
+        return _CLASS_NAMES.index(name)
+    if name.startswith("Class"):
+        try:
+            return int(name[5:])
+        except ValueError:
+            return None
+    return None
+
+
+def block_read_detections(path) -> tuple[np.ndarray, np.ndarray, list]:
+    """``(params, scores, class_ids)`` of any box file, and the exact
+    :class:`DetectionParseError` of a bad one: the library's former
+    reader, which split blocks of 1,024 lines and converted every field
+    with ``float``.  A file that is not UTF-8 raises UnicodeDecodeError."""
+    blocks, names = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for start in range(0, len(lines), 1024):
+        values, block_names, bad, error = _block_parse(lines[start : start + 1024])
+        if error is not None:
+            raise DetectionParseError(f"{path}, line {start + 1 + bad}: {error}")
+        blocks.append(values)
+        names += block_names
+    values = np.concatenate(blocks) if blocks else np.full((0, 8), math.nan)
+    params = values[:, :7].copy()
+    params[:, 6] = normalize_yaw(params[:, 6])
+    return params, values[:, 7].copy(), [_file_class_id(name) for name in names]
 
 
 def eval_frame(seed: int) -> list[Box3D]:

@@ -21,7 +21,13 @@ over every line:
   each, the ``graphdet nms`` kept-file bytes at the (IoU, score)
   thresholds (0.1, 0.3), (0.0, 0.0) and (1.0, 0.3), and the ``graphdet
   eval-ap`` standard output on each kept file against the frame's 12
-  objects.
+  objects;
+- ``read_detections`` on seeded box files: the ``params`` and ``scores``
+  bytes and class ids of one file that NumPy's ``loadtxt`` parses and of
+  one it refuses and the block walker parses (mixed 8- and 9-field
+  lines, a ``1_0`` token), and the ``DetectionParseError`` text, path
+  left out, of one file per check in the order they run: field count,
+  number syntax, finiteness, dims, score.
 
 With two checkouts, this script hashes each in its own process (the
 two run at once) and prints only the items that differ, as ``name
@@ -182,6 +188,48 @@ def frame_hashes() -> dict[str, str]:
     return out
 
 
+_READER_ROWS = {
+    "fields": "Car 1 2 -1 3.9 1.6 1.56\n",
+    "syntax": "Car 1 2 -1 3.9 1.6 1.56 0 zero\n",
+    "non-finite": "Car 1 2 -1 3.9 1.6 1.56 0 nan\n",
+    "dims": "Car 1 2 -1 3.9 -1.6 1.56 0 0.5\n",
+    "score": "Car 1 2 -1 3.9 1.6 1.56 0 1.5\n",
+}
+
+
+def reader_hashes() -> dict[str, str]:
+    from graphdet.scene import DetectionParseError, read_detections
+
+    rng = np.random.default_rng(23)
+    names = rng.choice(["Car", "Pedestrian", "Cyclist", "Class5", "Van"], size=400)
+    rows = np.column_stack([
+        rng.normal(0.0, 30.0, (400, 3)),
+        rng.uniform(0.5, 5.0, (400, 3)),
+        rng.uniform(-4.0, 4.0, 400),
+        rng.uniform(0.0, 1.0, 400),
+    ])
+    good = "".join(f"{name} {' '.join(map(repr, row))}\n" for name, row in zip(names, rows.tolist()))
+    mixed = good + "Car 1 2 -1 3.9 1.6 1.56 0.5\n" + "Cyclist 1_0 -2 -1 1.7 0.6 1.7 3.1 0.25\n"
+    files = {"loadtxt": good, "walker": mixed}
+    files |= {f"error-{name}": good + row for name, row in _READER_ROWS.items()}
+    out = {}
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "boxes.txt"
+        for name, text in files.items():
+            path.write_text(text, encoding="utf-8")
+            try:
+                boxes = read_detections(str(path))
+            except DetectionParseError as exc:
+                out[f"reader/{name}"] = _sha(str(exc).replace(str(path), "FILE").encode())
+            else:
+                out[f"reader/{name}"] = _sha(
+                    boxes.params.tobytes(),
+                    boxes.scores.tobytes(),
+                    json.dumps([str(c) for c in boxes.class_ids]).encode(),
+                )
+    return out
+
+
 def _item_hashes(checkout: str) -> subprocess.Popen:
     """This script started on one checkout, its standard output piped."""
     return subprocess.Popen(
@@ -218,7 +266,7 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"imported graphdet from {graphdet.__file__}, not {root}/src")
     lines = [
         f"{name} {digest}"
-        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes, frame_hashes)
+        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes, frame_hashes, reader_hashes)
         for name, digest in part().items()
     ]
     print("\n".join(lines))

@@ -157,6 +157,15 @@ def test_malformed_box_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["nms", "eval-ap"])
+def test_box_file_that_is_not_utf8_exits_two_naming_the_line(tmp_path, capsys, command):
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(box_line(0.0, 0.0, 0.9).encode() + b"Caf\xe9 1 2 -1 3.9 1.6 1.56 0 0.5\n")
+    args = {"nms": ["--input", str(src)], "eval-ap": ["--dets", str(src), "--gts", str(src)]}
+    assert main([command, *args[command]]) == 2
+    assert f"{src}, line 2: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["nms", "--input", str(tmp_path / "absent.txt")]) == 2
     assert "error:" in capsys.readouterr().err

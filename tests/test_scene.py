@@ -1,6 +1,7 @@
 """Scene primitives: boxes, clouds, synthetic generation, clipping, text I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,16 @@ def test_read_detections_empty_file(tmp_path):
     assert len(read_detections(str(path))) == 0
 
 
+@pytest.mark.parametrize("text", ["", "\n", " \n\x0c\n\r\n\t"], ids=["empty", "newline", "blank"])
+def test_read_detections_empty_and_blank_files_warn_nothing(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boxes = read_detections(str(path))
+    assert len(boxes) == 0 and boxes.params.shape == (0, 7)
+
+
 def test_read_detections_single_line(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("Car 1.0 2.0 -1.0 3.9 1.6 1.56 0.0 0.9\n")
@@ -248,6 +259,33 @@ def test_read_detections_numbers_lines_across_blocks(tmp_path):
         read_detections(str(path))
     path.write_text(good * 1499 + "\n" + good * 600)
     assert len(read_detections(str(path))) == 2099
+
+
+_LINE = b"Car 1 2 -1 3.9 1.6 1.56 0 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            _LINE + b"Car\xff 1 2 -1 3.9 1.6 1.56 0\n",
+            "line 2: 'utf-8' codec can't decode byte 0xff in position 3",
+        ),
+        (_LINE + b"\r\nCar 1 2 -1 3.9 1.6 1.56 0 0.\xe9\n", "line 3: 'utf-8' codec can't decode byte 0xe9"),
+        (
+            _LINE * 1500 + b"Car 1 2 -1 3.9 1.6 1.56 0 \xed\xa0\x80\n",
+            "line 1501: 'utf-8' codec can't decode byte 0xed",
+        ),
+        # An earlier bad line in the same block is still the one named.
+        (b"Car 1 2\n" + _LINE + b"\xff\n", "line 1: expected 8 or 9 fields, got 3"),
+    ],
+    ids=["class", "score", "past-first-block", "earlier-bad-line"],
+)
+def test_read_detections_names_the_first_line_that_is_not_utf8(tmp_path, data, message):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    with pytest.raises(DetectionParseError, match=rf"latin1\.txt, {message}"):
+        read_detections(str(path))
 
 
 def test_box_rejects_a_string_yaw():
