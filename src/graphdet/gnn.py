@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,14 +340,16 @@ class UpdateCache:
     updater: GraphUpdater
     extended: bool
     iterations: list[_IterCache]
+    product: Callable  # the matrix product of the forward, which the backward runs too
 
 
 def _update_forward(
-    graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool
+    graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool, product: Callable
 ) -> tuple[np.ndarray, UpdateCache]:
+    """The update kernel: the updater's widths must already fit the
+    graph (:meth:`GraphUpdater.validate_for`), so its stacks run their
+    kernels unchecked, with ``product`` as the matrix product."""
     n = len(graph)
-    if n:
-        updater.validate_for(graph.state_dim, extended)
     h = graph.states
     row_node, row_neigh, slot = graph.row_node, graph.indices, graph.slot
     starts = graph.offsets[:-1]
@@ -363,13 +366,13 @@ def _update_forward(
         prev = h
         align_cache = None
         if extended:
-            align_out, align_cache = updater.align_stacks[k].forward(prev)
+            align_out, align_cache = updater.align_stacks[k]._forward(prev, product)
             padded[:, 3:] = prev
             rows = padded.take(row_neigh, axis=0)
             np.subtract(graph.edge_vec, align_out.take(row_node, axis=0), out=rows[:, :3])
         else:
             rows = prev.take(row_neigh, axis=0)
-        pooled_in, agg_cache = updater.agg_stacks[k].forward(rows)
+        pooled_in, agg_cache = updater.agg_stacks[k]._forward(rows, product)
         # Per node and channel argmax picks the lowest row holding the
         # block maximum, or the first NaN row; -inf padding never wins
         # because it follows the node's own rows.
@@ -377,30 +380,40 @@ def _update_forward(
         if block is None or block.shape[1] != d:
             block = np.empty((n, d, graph.width))
             block.fill(-np.inf)
+            # Each node's first row as a flat index, plus the channel.
+            first = starts[:, None] * d + np.arange(d)
         block[row_node, :, slot] = pooled_in
         # The winners as flat indices into pooled_in, row * D + channel,
         # so that the pool and its backward each index it once.
         argmax_flat = block.argmax(axis=2)
-        argmax_flat += starts[:, None]
         argmax_flat *= d
-        argmax_flat += np.arange(d)
+        argmax_flat += first
         pooled = pooled_in.take(argmax_flat)
-        fused, fus_cache = updater.fus_stacks[k].forward(pooled)
+        fused, fus_cache = updater.fus_stacks[k]._forward(pooled, product)
         h = prev + fused
         iterations.append(_IterCache(agg_cache, fus_cache, argmax_flat, pooled_in, align_cache))
-    return h, UpdateCache(graph, updater, extended, iterations)
+    return h, UpdateCache(graph, updater, extended, iterations, product)
+
+
+def _check_update(graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool) -> None:
+    """The updates' one check: the updater's widths against the graph's
+    state width, skipped on an empty graph, where no iteration runs."""
+    if len(graph):
+        updater.validate_for(graph.state_dim, extended)
 
 
 def update_vanilla_forward(
     graph: NeighborhoodGraph, updater: GraphUpdater
 ) -> tuple[np.ndarray, UpdateCache]:
-    return _update_forward(graph, updater, extended=False)
+    _check_update(graph, updater, extended=False)
+    return _update_forward(graph, updater, False, np.matmul)
 
 
 def update_extended_forward(
     graph: NeighborhoodGraph, updater: GraphUpdater
 ) -> tuple[np.ndarray, UpdateCache]:
-    return _update_forward(graph, updater, extended=True)
+    _check_update(graph, updater, extended=True)
+    return _update_forward(graph, updater, True, np.matmul)
 
 
 def update(graph: NeighborhoodGraph, updater: GraphUpdater) -> tuple[np.ndarray, UpdateCache]:
@@ -439,6 +452,7 @@ def update_backward(
     the residual ``dh`` goes first and then the rows in edge order:
     every sum runs in ``np.add.at``'s order.
     (``np.add.reduceat`` would not: it adds long blocks pairwise.)
+    The stacks' products are the forward's (``cache.product``).
     """
     updater = cache.updater
     depth = len(cache.iterations)
@@ -447,7 +461,7 @@ def update_backward(
         return [s.zero_grads() for s in updater.stacks], dh
     # No iteration writes into dh, so grad_out needs no copy.
     dh = np.asarray(grad_out, dtype=float)
-    graph = cache.graph
+    graph, product = cache.graph, cache.product
     n, f = dh.shape
     weights = np.empty(len(graph.neigh_keys))
     agg, fus = [None] * depth, [None] * depth
@@ -457,15 +471,15 @@ def update_backward(
         align = [s.zero_grads() for s in updater.align_stacks or []]
     for k in range(depth - 1, -1, -1):
         it = cache.iterations[k]
-        fus[k], d_pooled = updater.fus_stacks[k].backward(it.fus_cache, dh)
+        fus[k], d_pooled = updater.fus_stacks[k]._backward(it.fus_cache, dh, True, product)
 
         d_pool_in = np.zeros(it.pool_inputs.shape)
         d_pool_in.ravel()[it.argmax_flat] = d_pooled
         state_grad = k > 0 or want_state_grad
         # The last argument is want_input_grad: the state-only update reads
         # the row gradients only for the state scatter.
-        agg[k], d_rows = updater.agg_stacks[k].backward(
-            it.agg_cache, d_pool_in, state_grad or cache.extended
+        agg[k], d_rows = updater.agg_stacks[k]._backward(
+            it.agg_cache, d_pool_in, state_grad or cache.extended, product
         )
         if state_grad:
             # The residual connection passes dh straight through.
@@ -477,8 +491,8 @@ def update_backward(
             d_align = np.bincount(
                 graph.align_keys, np.negative(d_rows[:, :3]).ravel(), minlength=n * 3
             )
-            align[k], d_prev_align = updater.align_stacks[k].backward(
-                it.align_cache, d_align.reshape(n, 3), state_grad
+            align[k], d_prev_align = updater.align_stacks[k]._backward(
+                it.align_cache, d_align.reshape(n, 3), state_grad, product
             )
             if state_grad:
                 dh += d_prev_align
@@ -502,6 +516,19 @@ def header_stacks(
     )
 
 
+def _check_header(states: np.ndarray, cls_stack: DenseStack, reg_stack: DenseStack) -> np.ndarray:
+    """The header's checks: its output widths, then the states as each
+    stack's input (:meth:`~graphdet.nnet.DenseStack._input_rows`).
+    Returns the states as a float matrix."""
+    if cls_stack.out_dim != 1:
+        raise ValueError("classification stack must end in one unit")
+    if reg_stack.out_dim != 7:
+        raise ValueError("regression stack must end in seven units")
+    z = cls_stack._input_rows(states)
+    reg_stack._input_rows(z)
+    return z
+
+
 def header_forward(
     states: np.ndarray, cls_stack: DenseStack, reg_stack: DenseStack
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -510,13 +537,17 @@ def header_forward(
     Returns sigmoid class scores (n,), box residuals (n, 7), and a cache
     for :func:`header_backward`.
     """
-    if cls_stack.out_dim != 1:
-        raise ValueError("classification stack must end in one unit")
-    if reg_stack.out_dim != 7:
-        raise ValueError("regression stack must end in seven units")
-    z = np.asarray(states, dtype=float)
-    logits, cls_cache = cls_stack.forward(z)
-    residuals, reg_cache = reg_stack.forward(z)
+    z = _check_header(states, cls_stack, reg_stack)
+    return _header_forward(z, cls_stack, reg_stack, np.matmul)
+
+
+def _header_forward(
+    z: np.ndarray, cls_stack: DenseStack, reg_stack: DenseStack, product: Callable
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The header kernel: ``z`` must have passed :func:`_check_header`,
+    and ``product`` is the stacks' matrix product."""
+    logits, cls_cache = cls_stack._forward(z, product)
+    residuals, reg_cache = reg_stack._forward(z, product)
     scores = _sigmoid(logits[:, 0])
     return scores, residuals, (cls_cache, reg_cache, scores)
 
@@ -529,10 +560,30 @@ def header_backward(
     d_residuals: np.ndarray,
 ) -> tuple[list[LayerGrads], list[LayerGrads], np.ndarray]:
     """Gradients of the header outputs back to stacks and states."""
+    return _header_backward(
+        cache,
+        cls_stack,
+        reg_stack,
+        np.asarray(d_scores, dtype=float),
+        np.asarray(d_residuals, dtype=float),
+        np.matmul,
+    )
+
+
+def _header_backward(
+    cache: tuple,
+    cls_stack: DenseStack,
+    reg_stack: DenseStack,
+    d_scores: np.ndarray,
+    d_residuals: np.ndarray,
+    product: Callable,
+) -> tuple[list[LayerGrads], list[LayerGrads], np.ndarray]:
+    """The header's backward kernel: both gradients must be float arrays,
+    and ``product`` is the stacks' matrix product."""
     cls_cache, reg_cache, scores = cache
-    d_logits = (np.asarray(d_scores, dtype=float) * scores * (1.0 - scores))[:, None]
-    cls_grads, dz_cls = cls_stack.backward(cls_cache, d_logits)
-    reg_grads, dz_reg = reg_stack.backward(reg_cache, np.asarray(d_residuals, dtype=float))
+    d_logits = (d_scores * scores * (1.0 - scores))[:, None]
+    cls_grads, dz_cls = cls_stack._backward(cls_cache, d_logits, True, product)
+    reg_grads, dz_reg = reg_stack._backward(reg_cache, d_residuals, True, product)
     return cls_grads, reg_grads, dz_cls + dz_reg
 
 

@@ -190,7 +190,13 @@ def set_abstraction(
 
     The groups come from ``neighbors.ball_pairs``, a cell-hash ball query,
     so each centre reads only the sources near it instead of scanning
-    them all.
+    them all.  The groups of two or more rows go through ``mlp`` as one
+    stacked matrix and are pooled with one ``np.maximum.reduceat``; the
+    one-row groups go through it as one batch of one-row matrices.  Each
+    output equals a per-centre ``mlp.apply`` call bit for bit where BLAS
+    gives a matrix row the same bits whatever rows surround it: on the
+    x86 OpenBLAS measured, for layers of fewer than 32 inputs and more
+    than one output, which the pipeline's layers are.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -209,10 +215,19 @@ def set_abstraction(
     grouped = np.concatenate(
         [source.features[s_idx], source.positions[s_idx] - centers[c_idx]], axis=1
     )
-    ends = np.cumsum(np.bincount(c_idx, minlength=len(centers)))
-    for m, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
-        if hi > lo:
-            out[m] = mlp.apply(grouped[lo:hi]).max(axis=0)
+    counts = np.bincount(c_idx, minlength=len(centers))
+    size = counts[c_idx]
+    many = counts > 1
+    if many.any():
+        starts = np.cumsum(counts[many]) - counts[many]
+        out[many] = np.maximum.reduceat(mlp.apply(grouped[size > 1]), starts, axis=0)
+    one = counts == 1
+    if one.any():
+        # One batched product of (g, 1, K) one-row matrices per layer:
+        # BLAS evaluates each as the vector-matrix product (gemv) of a
+        # one-row apply, where a stacked (g, K) product runs gemm and
+        # rounds differently.
+        out[one] = mlp._forward(grouped[size == 1][:, None, :], np.matmul)[0][:, 0]
     return FeatureSet(centers, out)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, NamedTuple
 
@@ -33,9 +34,12 @@ from .geom import encode_boxes, nms, pairwise_bev_iou
 from .gnn import (
     GraphUpdater,
     NeighborhoodGraph,
+    _check_header,
+    _check_update,
+    _header_backward,
+    _header_forward,
+    _update_forward,
     build_graph,
-    header_backward,
-    header_forward,
     header_stacks,
     join_graphs,
     refine_proposals,
@@ -47,6 +51,7 @@ from .nnet import (
     DenseStack,
     LayerGrads,
     LossConfig,
+    _product_for,
     bind_flat_params,
     focal_loss_and_grad,
     masked_smooth_l1_mean_and_grad,
@@ -513,6 +518,7 @@ def _evaluate(
     targets: _Targets,
     config: PipelineConfig,
     want_grads: bool,
+    product: Callable,
 ) -> tuple[float, list[list[LayerGrads]] | None]:
     """Refinement loss of the batch and, if wanted, its gradients: one
     pass over the joined graph, with per-world normalisers.
@@ -525,11 +531,19 @@ def _evaluate(
     world order.  An empty world adds nothing.  The gradients are one
     per stack, in :attr:`PipelineModels.stacks` order, and every call
     returns new arrays: no later call overwrites them.
+
+    The update and the header run as kernels with ``product`` as their
+    matrix product: the models must have passed the checks that
+    :func:`_train_models` runs once.
     """
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    refined, ucache = update(graph, models.updater)
-    scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
+    updater = models.updater
+    extended = updater.align_stacks is not None
+    refined, ucache = _update_forward(graph, updater, extended, product)
+    scores, residuals, hcache = _header_forward(
+        refined, models.cls_stack, models.reg_stack, product
+    )
     dscores, dres = np.zeros(scores.shape), np.zeros(residuals.shape)
     loss = 0.0
     for rows, fg, bg, fg_targets in targets.worlds:
@@ -542,8 +556,8 @@ def _evaluate(
             dscores[rows], dres[rows] = d_focal, d_box
     if not want_grads:
         return loss, None
-    cls_grads, reg_grads, dz = header_backward(
-        hcache, models.cls_stack, models.reg_stack, dscores, dres
+    cls_grads, reg_grads, dz = _header_backward(
+        hcache, models.cls_stack, models.reg_stack, dscores, dres, product
     )
     updater_grads, _ = update_backward(ucache, dz, want_state_grad=False)
     return loss, [*updater_grads, cls_grads, reg_grads]
@@ -586,6 +600,15 @@ def _train_models(
     not the initial states' one, which no step reads.  Each run binds a
     new vector: models from two runs share no memory.
 
+    The models are checked against the joined graph once, with the checks
+    :func:`~graphdet.gnn.update` and :func:`~graphdet.gnn.header_forward`
+    run on every call (the updater's widths, the header's widths, the
+    state width), and the matrix product is picked once
+    (:func:`~graphdet.nnet._product_for`); each step then runs the update
+    and header kernels unchecked.  A step multiplies only contiguous
+    arrays: the graph's states, arrays the step makes, and weights bound
+    to the parameter vector.
+
     Raises :class:`TrainingDivergedError` as soon as the refinement loss
     ``l_gnn`` is not finite.  If the previous step's gradients were
     already non-finite, the error names that step and the first such
@@ -594,12 +617,15 @@ def _train_models(
     """
     worlds, graph, targets = _training_worlds(config, bev)
     models = init_models(config)
+    _check_update(graph, models.updater, models.updater.align_stacks is not None)
+    _check_header(graph.states, models.cls_stack, models.reg_stack)
     params = bind_flat_params(models.stacks)
+    product = _product_for(len(graph), models.stacks)
     lr = config.train.learning_rate / len(worlds)
     history, last_grads = [], []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        loss, grads = _evaluate(models, graph, targets, config, want_grads=step < steps)
+        loss, grads = _evaluate(models, graph, targets, config, step < steps, product)
         if not math.isfinite(loss):
             raise TrainingDivergedError(_divergence(step, loss, last_grads))
         history.append(loss / len(worlds))

@@ -883,6 +883,40 @@ def loop_train_models(config, steps):
 
 
 # ---------------------------------------------------------------------------
+# dense stack oracle
+
+
+def matmul_stack_forward(stack, x):
+    """``DenseStack.forward`` as it was written with ``np.matmul``
+    products: the output and the cache of (input, pre-activation) pairs."""
+    h = np.asarray(x, dtype=float)
+    cache = []
+    for layer in stack.layers:
+        pre = np.matmul(h, layer.weight.T)
+        pre += layer.bias
+        cache.append((h, pre))
+        h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    return h, cache
+
+
+def matmul_stack_backward(stack, cache, grad_out, want_input_grad=True):
+    """``DenseStack.backward`` as it was written with ``np.matmul``
+    products, on :func:`matmul_stack_forward`'s cache."""
+    g = np.asarray(grad_out, dtype=float)
+    grads = [None] * len(stack.layers)
+    for idx in range(len(stack.layers) - 1, -1, -1):
+        layer = stack.layers[idx]
+        h_in, pre = cache[idx]
+        if layer.activation == "relu":
+            g = g * (pre > 0.0)
+        grads[idx] = (g.T @ h_in, np.add.reduce(g, axis=0))
+        if idx == 0 and not want_input_grad:
+            return grads, None
+        g = g @ layer.weight
+    return grads, g
+
+
+# ---------------------------------------------------------------------------
 # loss oracle
 
 

@@ -13,6 +13,10 @@ over every line:
 
 - ``run_pipeline`` on 14 configs: the detections (``params`` and
   ``scores`` bytes, class ids) and ``json.dumps(report, sort_keys=True)``;
+- the trained parameter vector (every stack's ``flat_params``, in
+  ``PipelineModels.stacks`` order) of each of those configs that trains,
+  from ``pipeline._train_models``, so a change to the training step
+  shows even where the detections do not move;
 - ``gradcheck.run_all`` for seeds 0-9;
 - ``graphdet refine`` standard output in five modes, on a seeded
   14-proposal, 6-column input;
@@ -102,6 +106,20 @@ def pipeline_hashes() -> dict[str, str]:
             json.dumps([str(c) for c in detections.class_ids]).encode(),
             json.dumps(report, sort_keys=True).encode(),
         )
+    return out
+
+
+def parameter_hashes() -> dict[str, str]:
+    from graphdet.pipeline import _bev_map, _train_models, parse_pipeline_config
+
+    out = {}
+    for name, raw in CONFIGS.items():
+        config = parse_pipeline_config(raw)
+        if config.train.steps == 0:
+            continue
+        models, _, _ = _train_models(config, config.train.steps, _bev_map(config))
+        vector = np.concatenate([stack.flat_params() for stack in models.stacks])
+        out[f"params/{name}"] = _sha(vector.tobytes())
     return out
 
 
@@ -266,7 +284,14 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"imported graphdet from {graphdet.__file__}, not {root}/src")
     lines = [
         f"{name} {digest}"
-        for part in (pipeline_hashes, gradcheck_hashes, refine_hashes, frame_hashes, reader_hashes)
+        for part in (
+            pipeline_hashes,
+            parameter_hashes,
+            gradcheck_hashes,
+            refine_hashes,
+            frame_hashes,
+            reader_hashes,
+        )
         for name, digest in part().items()
     ]
     print("\n".join(lines))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,75 @@ def test_updater_validation():
     vanilla_only = GraphUpdater.seeded(4, 8, 1, seed=0, extended=False)
     with pytest.raises(ValueError, match="alignment"):
         update_extended_forward(graph, vanilla_only)
+
+
+_GRAPH = build_graph(*line_proposals(3, 1.0, 4), radius=1.5)
+_AGG, _FUS = DenseStack.seeded((4, 8), 0, ["none"]), DenseStack.seeded((8, 4), 1, ["relu"])
+
+
+def _header_call(width, cls_dims, reg_dims):
+    """header_forward on two rows of ``width`` states and zero stacks."""
+    states = np.zeros((2, width))
+    return lambda: header_forward(states, DenseStack.zeros(cls_dims), DenseStack.zeros(reg_dims))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: update(_GRAPH, GraphUpdater.seeded(5, 8, 1, seed=0, extended=False)),
+            "iteration 0: aggregation input 5 != expected 4",
+        ),
+        (
+            lambda: update_vanilla_forward(
+                _GRAPH, GraphUpdater([_AGG], [DenseStack.seeded((6, 4), 2)])
+            ),
+            "iteration 0: fusion widths 6->4 do not chain",
+        ),
+        (
+            lambda: update(
+                _GRAPH,
+                GraphUpdater(
+                    [DenseStack.seeded((7, 8), 0)], [_FUS], [DenseStack.seeded((4, 2), 3)]
+                ),
+            ),
+            "iteration 0: alignment widths 4->2",
+        ),
+        (
+            lambda: update_extended_forward(_GRAPH, GraphUpdater([_AGG], [_FUS])),
+            "extended updates need alignment stacks",
+        ),
+        (_header_call(4, (4, 2), (4, 7)), "classification stack must end in one unit"),
+        (_header_call(4, (4, 1), (4, 6)), "regression stack must end in seven units"),
+        (_header_call(5, (4, 1), (4, 7)), "input of shape (2, 5) is not (rows, stack width 4)"),
+        (_header_call(4, (4, 1), (5, 7)), "input of shape (2, 4) is not (rows, stack width 5)"),
+        (
+            lambda: DenseStack.zeros((4, 2)).forward(np.zeros(4)),
+            "input of shape (4,) is not (rows, stack width 4)",
+        ),
+        (
+            lambda: DenseStack.zeros((4, 2)).forward(np.zeros((3, 5))),
+            "input of shape (3, 5) is not (rows, stack width 4)",
+        ),
+    ],
+    ids=[
+        "update-aggregation",
+        "update-fusion",
+        "update-alignment",
+        "extended-without-alignment",
+        "header-classification-width",
+        "header-regression-width",
+        "header-classification-input",
+        "header-regression-input",
+        "stack-vector-input",
+        "stack-input-width",
+    ],
+)
+def test_checked_entry_points_raise_every_message(call, message):
+    # Training checks its models once and then calls the kernels behind
+    # these entry points; each entry point still runs every check itself.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_stacks_list_aggregation_then_fusion_then_alignment():

@@ -187,21 +187,21 @@ def test_skipping_the_state_gradient_skips_only_the_unread_input_gradients(
     # Without the state gradient, the first iteration's alignment stack
     # (extended) or aggregation stack (vanilla) feeds only the skipped
     # state scatter, so it skips its own input gradient; every other
-    # backward still returns one.
+    # backward kernel still returns one.
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
     updater = seeded_updater(state_dim, seed % 1000, extended, depth=depth)
     _, cache = update(graph, updater)
     calls = []
     for stack in updater.stacks:
-        inner = stack.backward
+        inner = stack._backward
 
         def spied(*args, _stack=stack, _inner=inner):
             result = _inner(*args)
             calls.append((_stack, result[1]))
             return result
 
-        stack.backward = spied
+        stack._backward = spied
     update_backward(cache, rng.normal(size=graph.states.shape), want_state_grad=False)
     skipped = [stack for stack, d_input in calls if d_input is None]
     assert skipped == [updater.align_stacks[0] if extended else updater.agg_stacks[0]]
@@ -243,8 +243,8 @@ def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
         updater.agg_stacks[1].layers[0].weight[2, -1] = poison
     d_pooled, d_pool_in = [], []
     for k in range(updater.depth):
-        _spy(updater.fus_stacks[k], "backward", d_pooled, "result")
-        _spy(updater.agg_stacks[k], "backward", d_pool_in, "args")
+        _spy(updater.fus_stacks[k], "_backward", d_pooled, "result")
+        _spy(updater.agg_stacks[k], "_backward", d_pool_in, "args")
     with np.errstate(invalid="ignore", over="ignore"):
         _, cache = update(graph, updater)
         _, want_rows = loop_update_forward(graph, updater, extended)

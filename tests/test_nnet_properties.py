@@ -1,5 +1,6 @@
-"""Property tests for the fused loss passes: each equals the separate
-loss and gradient passes it replaced, bit for bit."""
+"""Property tests for the fused loss passes and the dense stacks: each
+equals the form it replaced, bit for bit (the separate loss and
+gradient passes; ``np.matmul`` products)."""
 
 import warnings
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from graphdet import pipeline
 from graphdet.nnet import (
+    DenseLayer,
+    DenseStack,
     LossConfig,
     focal_loss,
     focal_loss_and_grad,
@@ -17,11 +20,14 @@ from graphdet.nnet import (
     masked_smooth_l1_mean,
     masked_smooth_l1_mean_and_grad,
     masked_smooth_l1_mean_grad,
+    _product_for,
     smooth_l1,
     smooth_l1_grad,
 )
 
 from oracles import (
+    matmul_stack_backward,
+    matmul_stack_forward,
     separate_focal_loss,
     separate_focal_loss_grad,
     separate_masked_smooth_l1_mean,
@@ -197,3 +203,114 @@ def test_batch_selections_give_each_worlds_separate_losses(sizes, no_fg, config,
         assert np.array_equal(
             d_box, separate_masked_smooth_l1_mean_grad(residuals[rows], reg, mask, 1.0)
         )
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _sprinkled(rng, shape, special):
+    """Normal draws with about a fifth of the entries replaced by zeros of
+    either sign, infinities and NaN when ``special``."""
+    a = rng.normal(size=shape)
+    if special:
+        hit = rng.random(shape) < 0.2
+        a[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
+    return a
+
+
+def _strided(a, strided):
+    """``a``, or a view of the same values whose rows step over a column."""
+    if not strided:
+        return a
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+def _bits(a, any_nan=False):
+    """The bits of ``a``; with ``any_nan``, every NaN as ``np.nan``."""
+    a = np.array(a, dtype=float)
+    if any_nan:
+        a[np.isnan(a)] = np.nan
+    return a.view(np.uint64)
+
+
+# Layer widths: 1 gives 1 x 1 products; from 16 inputs on, BLAS rounds a
+# product differently from a plain loop, which np.matmul runs on a strided
+# operand.
+_WIDTHS = st.one_of(st.integers(1, 4), st.integers(1, 24))
+
+
+@st.composite
+def stack_cases(draw):
+    """A stack, an input and an upstream gradient.  Widths and row counts
+    of 1 give 1 x 1 products; inputs and weights may be strided views;
+    and a square single-layer linear stack may take its own input as the
+    upstream gradient, which makes the weight gradient a matrix times its
+    own transpose."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.booleans())
+    rows = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 48)))
+    aliased = draw(st.booleans())
+    if aliased:
+        dims = [draw(_WIDTHS)] * 2
+        activations = ["none"]
+    else:
+        dims = draw(st.lists(_WIDTHS, min_size=2, max_size=4))
+        n_layers = len(dims) - 1
+        activations = draw(
+            st.lists(st.sampled_from(["relu", "none"]), min_size=n_layers, max_size=n_layers)
+        )
+    strided_weights = draw(st.booleans())
+    layers = [
+        DenseLayer(
+            _strided(_sprinkled(rng, (d_out, d_in), special), strided_weights),
+            _sprinkled(rng, d_out, special),
+            act,
+        )
+        for d_in, d_out, act in zip(dims, dims[1:], activations)
+    ]
+    x = _strided(_sprinkled(rng, (rows, dims[0]), special), draw(st.booleans()))
+    grad_out = x if aliased else _sprinkled(rng, (rows, dims[-1]), special)
+    return DenseStack(layers), x, grad_out, draw(st.booleans()), aliased
+
+
+def _assert_same_bits(got, want, any_nan=False):
+    (out, grads, d_in), (want_out, want_grads, want_d_in) = got, want
+    pairs = [(out, want_out)]
+    for layer, want_layer in zip(grads, want_grads, strict=True):
+        pairs += zip(layer, want_layer)
+    if want_d_in is None:
+        assert d_in is None
+    else:
+        pairs.append((d_in, want_d_in))
+    for a, b in pairs:
+        assert np.array_equal(_bits(a, any_nan), _bits(b, any_nan))
+
+
+def _matmul_pass(stack, x, grad_out, want_input_grad):
+    out, cache = matmul_stack_forward(stack, x)
+    return out, *matmul_stack_backward(stack, cache, grad_out, want_input_grad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=stack_cases())
+def test_dense_stack_equals_the_matmul_form_bit_for_bit(case):
+    # The checked methods on any input, and the kernels with the product
+    # a training run would pick on contiguous copies of it (np.dot, unless
+    # a 1 x 1 operand can occur or a weight is strided), give the bits of
+    # the np.matmul form.  Where both factors of a product are NaN, np.dot
+    # may keep the other one's sign, so the kernels' NaNs are compared as
+    # NaN.
+    stack, x, grad_out, want_input_grad, aliased = case
+    with np.errstate(all="ignore"):
+        out, cache = stack.forward(x)
+        got = (out, *stack.backward(cache, grad_out, want_input_grad))
+        _assert_same_bits(got, _matmul_pass(stack, x, grad_out, want_input_grad))
+
+        x = np.ascontiguousarray(x)
+        grad_out = x if aliased else grad_out
+        product = _product_for(len(x), [stack])
+        out, cache = stack._forward(x, product)
+        got = (out, *stack._backward(cache, grad_out, want_input_grad, product))
+        _assert_same_bits(got, _matmul_pass(stack, x, grad_out, want_input_grad), any_nan=True)

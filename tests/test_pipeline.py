@@ -1,6 +1,7 @@
 """End-to-end pipeline: configuration files, training smoke runs, scoring."""
 
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
@@ -11,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom, pipeline, rfa
-from graphdet.gnn import header_forward, join_graphs, update, update_backward
-from graphdet.nnet import DenseStack, LossConfig, focal_loss, masked_smooth_l1_mean
+from graphdet.gnn import GraphUpdater, header_forward, join_graphs, update, update_backward
+from graphdet.nnet import (
+    DenseStack,
+    LossConfig,
+    _product_for,
+    focal_loss,
+    masked_smooth_l1_mean,
+)
 from graphdet.pipeline import (
     ConfigError,
     EvalConfig,
@@ -369,10 +376,11 @@ def test_train_smoke_descends():
 
 def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
     # The loss after the last step is recorded without a backward pass.
+    # A step runs the stacks' kernels, which the checked methods wrap.
     calls = []
-    backward = DenseStack.backward
+    backward = DenseStack._backward
     monkeypatch.setattr(
-        DenseStack, "backward", lambda self, *a: calls.append(1) or backward(self, *a)
+        DenseStack, "_backward", lambda self, *a: calls.append(1) or backward(self, *a)
     )
     config = tiny_config()
     train_smoke(config, steps=0)
@@ -385,9 +393,10 @@ def test_train_smoke_runs_one_backward_pass_per_step(monkeypatch):
 @pytest.mark.parametrize("batch", [1, 3])
 def test_each_stack_runs_once_per_training_step(monkeypatch, batch):
     # The batch's worlds train as one joined graph: every stack runs one
-    # forward and one backward pass per step, whatever the batch size.
+    # forward and one backward pass per step, whatever the batch size,
+    # through the kernels that the checked methods wrap.
     calls = []
-    for name in ("forward", "backward"):
+    for name in ("_forward", "_backward"):
         method = getattr(DenseStack, name)
         monkeypatch.setattr(
             DenseStack,
@@ -401,8 +410,53 @@ def test_each_stack_runs_once_per_training_step(monkeypatch, batch):
     train_smoke(tiny_config(train={"batch_scenes": batch}), steps=2)
     for stack in models[0].stacks:
         runs = [name for owner, name in calls if owner is stack]
-        assert runs.count("forward") == 3  # two steps and the final loss
-        assert runs.count("backward") == 2
+        assert runs.count("_forward") == 3  # two steps and the final loss
+        assert runs.count("_backward") == 2
+
+
+def test_training_checks_the_models_once_per_run(monkeypatch):
+    # The updater's widths, the header's widths and the state width are
+    # checked before the first step; the steps run the kernels unchecked.
+    calls = []
+    validate = GraphUpdater.validate_for
+    monkeypatch.setattr(
+        GraphUpdater, "validate_for", lambda self, *a: calls.append(a) or validate(self, *a)
+    )
+    rows = DenseStack._input_rows
+    monkeypatch.setattr(
+        DenseStack, "_input_rows", lambda self, x: calls.append(self) or rows(self, x)
+    )
+    models = []
+    init = pipeline.init_models
+    monkeypatch.setattr(pipeline, "init_models", lambda c: models.append(init(c)) or models[-1])
+    config = tiny_config()
+    pipeline._train_models(config, 3, pipeline._bev_map(config))
+    header = [c for c in calls if c in (models[0].cls_stack, models[0].reg_stack)]
+    assert [c for c in calls if isinstance(c, tuple)] == [(config.state_dim, True)]
+    assert header == [models[0].cls_stack, models[0].reg_stack]
+
+
+def _mismatched(name, f):
+    """A model part that does not fit state width ``f``, and the message a
+    run fails with, as the per-call checks word it."""
+    if name == "updater":
+        part = GraphUpdater.seeded(f + 1, 16, 3, seed=0)
+        return part, re.escape(f"iteration 0: aggregation input {f + 4} != expected {f + 3}")
+    if name == "cls_stack":
+        return DenseStack.seeded((f, 8, 2), 0), "classification stack must end in one unit"
+    part = DenseStack.seeded((f + 1, 8, 7), 0)
+    return part, rf"input of shape \(\d+, {f}\) is not \(rows, stack width {f + 1}\)"
+
+
+@pytest.mark.parametrize("name", ["updater", "cls_stack", "reg_stack"])
+def test_mismatched_models_fail_a_run_with_the_checked_message(monkeypatch, name):
+    config = tiny_config(train={"steps": 2})
+    part, message = _mismatched(name, config.state_dim)
+    init = pipeline.init_models
+    monkeypatch.setattr(pipeline, "init_models", lambda c: replace(init(c), **{name: part}))
+    for run in (train_smoke, run_pipeline):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(config)
 
 
 # Stated bound of the joined pass against the per-world loop at a batch
@@ -455,12 +509,18 @@ def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
     )
     graphs = [world.graph for world in batch]
     models = pipeline.init_models(config)
-    loss, grads = pipeline._evaluate(models, join_graphs(graphs), targets, config, True)
+    loss, grads = _evaluate(models, join_graphs(graphs), targets, config, True)
     want_loss, want_grads = loop_batch_evaluate(models, graphs, targets, config, True)
     assert loss == want_loss > 0
     np.testing.assert_allclose(
         _flat_grads(grads), _flat_grads(want_grads), rtol=BATCH_RTOL, atol=BATCH_ATOL
     )
+
+
+def _evaluate(models, graph, targets, config, want_grads):
+    """``pipeline._evaluate`` with the matrix product a training run picks."""
+    product = _product_for(len(graph), models.stacks)
+    return pipeline._evaluate(models, graph, targets, config, want_grads, product)
 
 
 def _flat_grads(grads):
@@ -581,12 +641,12 @@ def test_fused_losses_evaluate_like_the_separate_passes(variant):
     graph = join_graphs([world.graph for world in batch])
     models = pipeline.init_models(config)
     with pytest.warns(RuntimeWarning, match="no foreground"):
-        loss, grads = pipeline._evaluate(models, graph, targets, config, True)
+        loss, grads = _evaluate(models, graph, targets, config, True)
     want_loss, want_grads = separate_loss_evaluate(models, graph, targets, config)
     assert loss == want_loss > 0
     assert np.array_equal(_flat_grads(grads), _flat_grads(want_grads))
     with pytest.warns(RuntimeWarning, match="no foreground"):
-        assert pipeline._evaluate(models, graph, targets, config, False) == (loss, None)
+        assert _evaluate(models, graph, targets, config, False) == (loss, None)
 
 
 def _grad_arrays(grads):
@@ -602,9 +662,9 @@ def test_successive_gradients_share_no_memory():
     config = PipelineConfig()
     _, graph, targets = pipeline._training_worlds(config, pipeline._bev_map(config))
     models = pipeline.init_models(config)
-    _, first = pipeline._evaluate(models, graph, targets, config, True)
+    _, first = _evaluate(models, graph, targets, config, True)
     kept = [a.copy() for a in _grad_arrays(first)]
-    _, second = pipeline._evaluate(models, graph, targets, config, True)
+    _, second = _evaluate(models, graph, targets, config, True)
     assert _share_nothing(_grad_arrays(first), _grad_arrays(second))
     assert all(np.array_equal(a, b) for a, b in zip(_grad_arrays(first), kept))
 
