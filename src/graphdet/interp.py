@@ -190,13 +190,11 @@ def set_abstraction(
 
     The groups come from ``neighbors.ball_pairs``, a cell-hash ball query,
     so each centre reads only the sources near it instead of scanning
-    them all.  The groups of two or more rows go through ``mlp`` as one
-    stacked matrix and are pooled with one ``np.maximum.reduceat``; the
-    one-row groups go through it as one batch of one-row matrices.  Each
-    output equals a per-centre ``mlp.apply`` call bit for bit where BLAS
-    gives a matrix row the same bits whatever rows surround it: on the
-    x86 OpenBLAS measured, for layers of fewer than 32 inputs and more
-    than one output, which the pipeline's layers are.
+    them all.  The groups of each size k go through ``mlp`` together, as
+    one batch of (k, K) matrices that ``np.matmul`` hands to BLAS one
+    matrix at a time, so every group gets the same BLAS call, and so the
+    same bits, as a per-centre ``mlp.apply`` whatever the layer widths.
+    The Python loop runs over the distinct group sizes, not the centres.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -216,18 +214,11 @@ def set_abstraction(
         [source.features[s_idx], source.positions[s_idx] - centers[c_idx]], axis=1
     )
     counts = np.bincount(c_idx, minlength=len(centers))
-    size = counts[c_idx]
-    many = counts > 1
-    if many.any():
-        starts = np.cumsum(counts[many]) - counts[many]
-        out[many] = np.maximum.reduceat(mlp.apply(grouped[size > 1]), starts, axis=0)
-    one = counts == 1
-    if one.any():
-        # One batched product of (g, 1, K) one-row matrices per layer:
-        # BLAS evaluates each as the vector-matrix product (gemv) of a
-        # one-row apply, where a stacked (g, K) product runs gemm and
-        # rounds differently.
-        out[one] = mlp._forward(grouped[size == 1][:, None, :], np.matmul)[0][:, 0]
+    starts = np.cumsum(counts) - counts
+    for k in np.unique(counts[counts > 0]).tolist():
+        sel = np.flatnonzero(counts == k)
+        batch = grouped[starts[sel, None] + np.arange(k)]  # (groups, k, K)
+        out[sel] = mlp._forward(batch, np.matmul)[0].max(axis=1)
     return FeatureSet(centers, out)
 
 

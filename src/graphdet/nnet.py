@@ -143,14 +143,8 @@ class DenseStack:
         in_dim) matrix, or with ``np.matmul`` a stack of them, and
         ``product`` multiplies two matrices.  The cache lists each
         layer's (input, pre-activation) pair."""
-        layers = self.layers
-        if len(layers) == 1:
-            layer = layers[0]
-            pre = product(h, layer.weight.T)
-            pre += layer.bias
-            return (np.maximum(pre, 0.0) if layer.activation == "relu" else pre), [(h, pre)]
         cache = []
-        for layer in layers:
+        for layer in self.layers:
             pre = product(h, layer.weight.T)
             pre += layer.bias
             cache.append((h, pre))
@@ -182,13 +176,6 @@ class DenseStack:
         """The backward kernel: ``g`` must already be a float array, and
         ``product`` multiplies two matrices."""
         layers = self.layers
-        if len(layers) == 1:
-            layer = layers[0]
-            h_in, pre = cache[0]
-            if layer.activation == "relu":
-                g = g * (pre > 0.0)
-            grads = [(product(g.T, h_in), np.add.reduce(g, axis=0))]
-            return grads, product(g, layer.weight) if want_input_grad else None
         grads: list[LayerGrads] = [None] * len(layers)  # type: ignore[list-item]
         for idx in range(len(layers) - 1, -1, -1):
             layer = layers[idx]

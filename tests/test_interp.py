@@ -206,25 +206,30 @@ def test_set_abstraction_two_point_hand_unrolled():
     assert np.allclose(out.features[0], manual, atol=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     n=st.integers(0, 40),
     m=st.integers(1, 20),
     span=st.integers(1, 4),
     radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     far=st.integers(0, 20),
+    # (source feature width, hidden width, output width): the pipeline's
+    # narrow layers, layers of 32 inputs and more, and one-output layers,
+    # where a stacked BLAS product of several groups rounds differently.
+    widths=st.sampled_from([(2, 8, 4), (30, 8, 4), (2, 40, 4), (2, 8, 1), (61, 64, 1)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_set_abstraction_matches_the_scan_on_lattices(n, m, span, radius, far, seed):
+def test_set_abstraction_matches_the_scan_on_lattices(n, m, span, radius, far, widths, seed):
     # Integer sources (many duplicates) and half-integer centres put
     # sources exactly on the radius; the first ``far`` centres sit far
     # outside the sources' box.
     rng = np.random.default_rng(seed)
+    features, hidden, outputs = widths
     pos = rng.integers(-span, span + 1, size=(n, 3)).astype(float)
-    source = FeatureSet(pos, rng.normal(size=(n, 2)))
+    source = FeatureSet(pos, rng.normal(size=(n, features)))
     centres = rng.integers(-2 * span - 1, 2 * span + 2, size=(m, 3)) / 2.0
     centres[:far] += rng.choice([-1.0, 1.0], size=centres[:far].shape) * 1e3
-    mlp = DenseStack.seeded((5, 8, 4), seed)
+    mlp = DenseStack.seeded((features + 3, hidden, outputs), seed)
     out = set_abstraction(source, centres, radius, mlp)
     assert np.array_equal(out.positions, centres)
     assert np.array_equal(out.features, scan_set_abstraction(source, centres, radius, mlp))
