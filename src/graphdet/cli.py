@@ -9,8 +9,10 @@ Box files are whitespace text, one box per line:
     class cx cy cz l w h yaw [score]
 
 as written by :func:`graphdet.scene.write_detections`.  Point files are
-``x y z [reflectance]`` lines.  Exit codes: 0 on success, 2 for bad
-arguments or malformed input files, 1 for runtime failures.
+``x y z [reflectance]`` lines, state files rows of numbers as wide as
+the first; the first bad line of any of them is named as ``path, line N:
+reason``.  Exit codes: 0 on success, 2 for bad arguments or malformed
+input files (config files too), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .pipeline import (
 from .scene import (
     DetectionParseError,
     PointCloud,
+    _finite_floats,
+    _text_rows,
     clip_to_range,
     generate_synthetic_scene,
     read_detections,
@@ -58,47 +62,27 @@ from .voxel import VoxelizationConfig, voxelize
 _GRADCHECK_TOL = 1e-4
 
 
+def _point(tokens: list[str]) -> list[float]:
+    if len(tokens) not in (3, 4):
+        raise ValueError(f"expected 3 or 4 numbers, got {len(tokens)}")
+    return [*_finite_floats(tokens), 0.0][:4]
+
+
 def _load_points(path: str) -> PointCloud:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) not in (3, 4):
-                raise DetectionParseError(
-                    f"{path}:{lineno}: expected 3 or 4 numbers, got {len(tokens)}"
-                )
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise DetectionParseError(f"{path}:{lineno}: {exc}") from exc
-            if len(values) == 3:
-                values.append(0.0)
-            rows.append(values)
-    return PointCloud(np.array(rows, dtype=float).reshape(-1, 4))
+    return PointCloud(np.array(list(_text_rows(path, _point)), dtype=float).reshape(-1, 4))
 
 
 def _load_states(path: str) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values = [float(t) for t in line.split()]
-            except ValueError as exc:
-                raise DetectionParseError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise DetectionParseError(
-                    f"{path}:{lineno}: expected {width} values, got {len(values)}"
-                )
-            rows.append(values)
+    rows: list[list[float]] = []
+
+    def state(tokens: list[str]) -> list[float]:
+        width = len(rows[0]) if rows else len(tokens)
+        if len(tokens) != width:
+            raise ValueError(f"expected {width} values, got {len(tokens)}")
+        return _finite_floats(tokens)
+
+    for row in _text_rows(path, state):
+        rows.append(row)
     if not rows:
         raise DetectionParseError(f"{path}: no state rows")
     return np.array(rows, dtype=float)

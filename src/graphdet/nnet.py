@@ -206,6 +206,9 @@ class DenseStack:
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
+        size = sum(layer.weight.size + layer.bias.size for layer in self.layers)
+        if flat.size != size:
+            raise ValueError(f"expected {size} parameters, got {flat.size}")
         offset = 0
         for layer in self.layers:
             n_w = layer.weight.size
@@ -214,8 +217,6 @@ class DenseStack:
             n_b = layer.bias.size
             layer.bias = flat[offset : offset + n_b].copy()
             offset += n_b
-        if offset != flat.size:
-            raise ValueError(f"expected {offset} parameters, got {flat.size}")
 
     def flat_grads(self, grads: list[LayerGrads]) -> np.ndarray:
         return np.concatenate(

@@ -330,7 +330,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_pipeline_config(raw)
 

@@ -9,10 +9,9 @@ voxel indices partition cleanly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
 
 import numpy as np
 
@@ -25,7 +24,6 @@ CAR_DIMS = (3.9, 1.6, 1.56)
 _CLASS_NAMES = ("Car", "Pedestrian", "Cyclist")
 _UNKNOWN_CLASS = "Unknown"
 _PLACEMENT_DRAWS = 200  # rejection-sampling draws per object
-_READ_BLOCK = 1024  # box file lines parsed at once
 
 RangeBounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -378,98 +376,53 @@ def write_detections(path: str, boxes: Sequence[Box3D]) -> None:
             fh.write("\n")
 
 
-def _fields(rows: list[list[str]], counts: np.ndarray) -> np.ndarray:
-    """The numbers after each row's class token as (rows, 8) floats, NaN
-    where a row has no score.  Raises ValueError on a token ``float``
-    rejects."""
-    values = np.full((len(rows), 8), math.nan)
-    flat = chain.from_iterable(tokens[1:] for tokens in rows)
-    values[np.arange(8) < (counts - 1)[:, None]] = np.fromiter(
-        map(float, flat), float, int(counts.sum()) - len(rows)
-    )
+def _text_rows(path: str, parse: Callable) -> Iterator:
+    """``parse(tokens)`` of each nonblank line of a UTF-8 text file, in
+    file order, the tokens being ``line.split()``; lines end where text
+    mode ends them.  At the first line that is not UTF-8, or whose tokens
+    ``parse`` refuses with ValueError, raises :class:`DetectionParseError`
+    as ``"{path}, line {N}: {reason}"``, the reason being the codec's
+    message on that line's bytes or ``parse``'s.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if not line.isascii():  # bytes that are not UTF-8 come back as escapes
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                tokens = line.split()
+                if tokens:
+                    yield parse(tokens)
+            except ValueError as exc:  # UnicodeDecodeError is a ValueError
+                raise DetectionParseError(f"{path}, line {lineno}: {exc}") from None
+
+
+def _finite_floats(tokens: list[str]) -> list[float]:
+    """The tokens as floats; raises ValueError on one ``float`` rejects,
+    then on a non-finite value."""
+    values = list(map(float, tokens))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
     return values
 
 
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[str], int, str | None]:
-    """Parse consecutive lines of a box file.
-
-    Returns the (rows, 8) fields of the nonempty lines (see
-    :func:`_fields`) and their class tokens; on a bad line, those of the
-    lines before it, the bad line's index in ``lines`` and the error text.
-    """
-    split = [line.split() for line in lines]
-    where = np.flatnonzero(np.fromiter(map(bool, split), bool, len(split)))
-    rows = list(filter(None, split))
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    bad = np.flatnonzero((counts != 8) & (counts != 9))
-    limit = int(bad[0]) if len(bad) else len(rows)
-    error = f"expected 8 or 9 fields, got {counts[limit]}" if len(bad) else None
-    try:
-        values = _fields(rows[:limit], counts[:limit])
-    except ValueError:
-        for limit, tokens in enumerate(rows):
-            try:
-                list(map(float, tokens[1:]))
-            except ValueError as exc:
-                error = str(exc)
-                break
-        values = _fields(rows[:limit], counts[:limit])
-
-    scored = counts[:limit] == 9
-    score = values[:, 7]
-    finite = np.isfinite(values[:, :7]).all(axis=1) & (np.isfinite(score) | ~scored)
-    valid = (values[:, 3:6] > 0.0).all(axis=1) & ~(scored & ((score < 0.0) | (score > 1.0)))
-    bad = np.flatnonzero(~(finite & valid))
-    if len(bad):
-        limit = int(bad[0])
-        error = "non-finite value"
-        if finite[limit]:
-            try:
-                _box_view(values[limit].tolist(), float(score[limit]), None)
-            except ValueError as exc:  # Box3D's own message
-                error = str(exc)
-    names = [tokens[0] for tokens in rows[:limit]]
-    return values[:limit], names, int(where[limit]) if limit < len(rows) else len(lines), error
-
-
-def _undecoded(lines: list[str]) -> tuple[int, str | None]:
-    """The index of the first of ``lines`` (read with ``surrogateescape``)
-    that holds bytes which are not UTF-8, and the codec's error text on
-    that line's bytes; ``len(lines)`` and None if every line decodes."""
-    try:
-        "".join(lines).encode("utf-8")
-    except UnicodeEncodeError:
-        for index, line in enumerate(lines):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return index, str(exc)
-    return len(lines), None
-
-
-def _walk_blocks(path: str) -> tuple[np.ndarray, list[str]]:
-    """The fields (see :func:`_fields`) and class tokens of a box file,
-    parsed ``_READ_BLOCK`` lines at a time; raises
-    :class:`DetectionParseError` naming the first bad line."""
-    blocks, names = [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for start in count(1, _READ_BLOCK):
-            lines = list(islice(fh, _READ_BLOCK))
-            if not lines:
-                break
-            undecoded, decode_error = _undecoded(lines)
-            values, block_names, bad, error = _parse_block(lines[:undecoded])
-            if error is None and decode_error is not None:
-                bad, error = undecoded, decode_error
-            if error is not None:
-                raise DetectionParseError(f"{path}, line {start + bad}: {error}")
-            blocks.append(values)
-            names += block_names
-    return (np.concatenate(blocks) if blocks else np.full((0, 8), math.nan)), names
+def _box_fields(tokens: list[str]) -> tuple[str, list[float]]:
+    """The class token and the eight numbers (score NaN where absent) of a
+    box line; raises ValueError on the first failed check in the order
+    field count, number syntax, finiteness, then :class:`Box3D`'s own."""
+    if len(tokens) not in (8, 9):
+        raise ValueError(f"expected 8 or 9 fields, got {len(tokens)}")
+    values = _finite_floats(tokens[1:])
+    if len(values) == 7:
+        values.append(math.nan)
+    score = values[7]
+    if min(values[3:6]) <= 0.0 or not (math.isnan(score) or 0.0 <= score <= 1.0):
+        _box_view(values, score, None)  # raises Box3D's message
+    return tokens[0], values
 
 
 def _load_table(path: str) -> tuple[np.ndarray, list[str]]:
-    """The fields (see :func:`_fields`) and class tokens of a box file,
+    """The numbers after each line's class token of a box file as (rows,
+    8) floats, NaN where a line has no score, and the class tokens,
     parsed by one ``np.loadtxt`` call.  Raises ValueError where loadtxt
     refuses the file or a box fails a check."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -512,14 +465,15 @@ def read_detections(path: str) -> BoxArray:
     uses, into arrays that are checked whole; no Python object is built
     per number.  Any other file (a bad line, or one that ``float`` reads
     and loadtxt does not, such as mixed 8- and 9-field lines or ``1_0``)
-    is walked in blocks of ``_READ_BLOCK`` lines, each split, converted
-    with one ``float`` per field and checked as arrays; only a bad block
-    walks its lines one by one, to name the first bad line.
+    is walked once by :func:`_text_rows`, line by line with one ``float``
+    per field, up to its first bad line.
     """
     try:
         values, names = _load_table(path)
     except ValueError:
-        values, names = _walk_blocks(path)
+        rows = list(_text_rows(path, _box_fields))
+        names = [name for name, _ in rows]
+        values = np.array([fields for _, fields in rows], dtype=float).reshape(-1, 8)
     ids = {name: _class_id(name) for name in set(names)}
     class_ids = np.empty(len(names), dtype=object)
     class_ids[:] = [ids[name] for name in names]

@@ -28,10 +28,13 @@ over every line:
   objects;
 - ``read_detections`` on seeded box files: the ``params`` and ``scores``
   bytes and class ids of one file that NumPy's ``loadtxt`` parses and of
-  one it refuses and the block walker parses (mixed 8- and 9-field
+  one it refuses and the line walker parses (mixed 8- and 9-field
   lines, a ``1_0`` token), and the ``DetectionParseError`` text, path
   left out, of one file per check in the order they run: field count,
-  number syntax, finiteness, dims, score.
+  number syntax, finiteness, dims, score;
+- the arrays the CLI's loaders (``graphdet.cli._load_points`` and
+  ``_load_states``) parse from a seeded 300-line point file, 3- and
+  4-number lines mixed, and a seeded 40-row, 7-column state file.
 
 With two checkouts, this script hashes each in its own process (the
 two run at once) and prints only the items that differ, as ``name
@@ -248,6 +251,27 @@ def reader_hashes() -> dict[str, str]:
     return out
 
 
+def loader_hashes() -> dict[str, str]:
+    from graphdet.cli import _load_points, _load_states
+
+    rng = np.random.default_rng(25)
+    points = rng.normal(0.0, 20.0, (300, 4))
+    widths = rng.choice([3, 4], size=300)
+    states = rng.normal(size=(40, 7))
+    files = {
+        "points": "".join(" ".join(map(repr, row[:n])) + "\n" for row, n in zip(points.tolist(), widths)),
+        "states": "".join(" ".join(map(repr, row)) + "\n" for row in states.tolist()),
+    }
+    loaders = {"points": lambda path: _load_points(path).points, "states": _load_states}
+    out = {}
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "rows.txt"
+        for name, text in files.items():
+            path.write_text(text, encoding="utf-8")
+            out[f"loader/{name}"] = _sha(loaders[name](str(path)).tobytes())
+    return out
+
+
 def _item_hashes(checkout: str) -> subprocess.Popen:
     """This script started on one checkout, its standard output piped."""
     return subprocess.Popen(
@@ -291,6 +315,7 @@ def main(argv: list[str]) -> int:
             refine_hashes,
             frame_hashes,
             reader_hashes,
+            loader_hashes,
         )
         for name, digest in part().items()
     ]

@@ -213,6 +213,23 @@ def test_voxelize_from_point_file(tmp_path, capsys):
     assert "points 3 voxels 2" in err
 
 
+_BAD_LINES = {
+    "count": (b"1 2\n", "expected {}, got 2"),
+    "token": (b"1 2 x3\n", "could not convert string to float: 'x3'"),
+    "nan": (b"1 nan 3\n", "non-finite value"),
+    "utf8": (b"1 2 3\xe9\n", "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
+}
+
+
+@pytest.mark.parametrize("fault", _BAD_LINES)
+def test_voxelize_bad_point_line_exits_two_naming_it(tmp_path, capsys, fault):
+    line, reason = _BAD_LINES[fault]
+    pts = tmp_path / "points.txt"
+    pts.write_bytes(b"0.1 0.0 -2.9 0.5\n\n0.1 0.2 -2.9\n" + line + b"1 2 3\n")
+    assert main(["voxelize", "--input", str(pts)]) == 2
+    assert f"error: {pts}, line 4: {reason.format('3 or 4 numbers')}\n" in capsys.readouterr().err
+
+
 def test_voxelize_requires_one_source(capsys):
     assert main(["voxelize"]) == 2
     assert main(["voxelize", "--input", "x.txt", "--seed", "1"]) == 2
@@ -320,6 +337,16 @@ def test_refine_state_count_mismatch_exits_two(tmp_path, capsys):
     assert "state rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", _BAD_LINES)
+def test_refine_bad_state_line_exits_two_naming_it(tmp_path, capsys, fault):
+    line, reason = _BAD_LINES[fault]
+    props, _ = refine_inputs(tmp_path, n=4, width=3)
+    states = tmp_path / "bad.txt"
+    states.write_bytes(b"0.5 -1 2\n\n1 2 3\n" + line + b"1 2 3\n")
+    assert main(["refine", "--proposals", props, "--states", str(states)]) == 2
+    assert f"error: {states}, line 4: {reason.format('3 values')}\n" in capsys.readouterr().err
+
+
 def test_refine_empty_states_exits_two(tmp_path, capsys):
     props, _ = refine_inputs(tmp_path)
     empty = tmp_path / "empty.txt"
@@ -382,6 +409,14 @@ def test_diverging_training_exits_one(tmp_path, capsys, command):
     with np.errstate(all="ignore"):
         assert main([command, "--config", config]) == 1
     assert "error: training diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
+def test_config_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"scene": {"name": "caf\xe9"}}')
+    assert main([command, "--config", str(path)]) == 2
+    assert f"error: {path}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):

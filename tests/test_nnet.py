@@ -173,8 +173,12 @@ def test_flat_params_round_trip_and_sgd_step():
     other = DenseStack.zeros((3, 4, 2))
     other.set_flat_params(flat)
     assert np.array_equal(other.flat_params(), flat)
-    with pytest.raises(ValueError):
-        other.set_flat_params(flat[:-1])
+    shapes = [(l.weight.shape, l.bias.shape) for l in other.layers]
+    for wrong in (flat[:-1], np.append(flat, 1.0)):
+        with pytest.raises(ValueError, match=f"expected {flat.size} parameters, got {wrong.size}"):
+            other.set_flat_params(2.0 * wrong)
+        assert np.array_equal(other.flat_params(), flat)
+        assert [(l.weight.shape, l.bias.shape) for l in other.layers] == shapes
 
     grads = stack.zero_grads()
     grads[0] = (np.ones_like(grads[0][0]), np.ones_like(grads[0][1]))

@@ -250,8 +250,8 @@ def test_read_detections_error_messages(tmp_path, line, message):
 
 
 def test_read_detections_numbers_lines_across_blocks(tmp_path):
-    # Files are parsed in blocks of lines; a bad line past the first block
-    # still reports its own line number, and earlier lines parse whole.
+    # A bad line past the first 1,024 (the former reader's block) still
+    # reports its own line number, and the file parses whole without it.
     path = tmp_path / "long.txt"
     good = "Car 1 2 -1 3.9 1.6 1.56 0 0.5\n"
     path.write_text(good * 1499 + "\n" + "Car 1 2 -1 3.9 1.6 1.56\n" + good * 600)
