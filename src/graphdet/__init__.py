@@ -1,7 +1,7 @@
 """Point-cloud 3D detection toolkit with graph-based proposal refinement.
 
 The package covers the full desk-scale loop: synthetic scenes, sparse
-voxelization, rotated-box geometry, multi-source region features, a
+voxelization, rotated-box geometry, point-pyramid region features, a
 hand-differentiated graph refinement stage, detection losses, and
 KITTI/nuScenes-style evaluation.  Everything is numpy-only and seeded.
 """

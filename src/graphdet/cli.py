@@ -11,8 +11,9 @@ Box files are whitespace text, one box per line:
 as written by :func:`graphdet.scene.write_detections`.  Point files are
 ``x y z [reflectance]`` lines, state files rows of numbers as wide as
 the first; the first bad line of any of them is named as ``path, line N:
-reason``.  Exit codes: 0 on success, 2 for bad arguments or malformed
-input files (config files too), 1 for runtime failures.
+reason``.  Exit codes: 0 on success, 2 for bad arguments, files that
+cannot be opened (a missing path, a directory) or malformed input files
+(config files too), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     states = _load_states(args.states)
     if len(states) != len(proposals):
         raise DetectionParseError(
-            f"{len(proposals)} proposals but {len(states)} state rows"
+            f"{len(proposals)} proposals in {args.proposals} "
+            f"but {len(states)} state rows in {args.states}"
         )
     graph = build_graph(proposals, states, args.radius)
     f = states.shape[1]
@@ -366,10 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DetectionParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, DetectionParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -1,14 +1,14 @@
 """End-to-end desk pipeline: synthetic scene through refined detections.
 
 The pipeline wires every stage together at a size that runs in seconds:
-a seeded synthetic scene is voxelized, smooth deterministic feature
-fields stand in for a learned backbone, proposals are ground-truth boxes
+a seeded synthetic scene is generated, proposals are ground-truth boxes
 under seeded noise (standing in for a region proposal stage), region
-feature aggregation builds node states, the graph refiner and its header
-produce scored boxes, suppression and metrics close the loop.  Training
-is plain gradient descent on the refinement loss against a fixed
-synthetic batch: the header's focal loss over the proposals plus its
-smooth-L1 over the foreground proposals' box residuals.  The refiner
+feature aggregation reads node states from a seeded, frozen point pyramid
+over the scene's cloud, the graph refiner and its header produce scored
+boxes, suppression and metrics close the loop.  Training is plain
+gradient descent on the refinement loss against a fixed synthetic batch:
+the header's focal loss over the proposals plus its smooth-L1 over the
+foreground proposals' box residuals.  The refiner
 (graph updater and header) is the only trained model, because it is the
 only one a detection reads.  A step is one pass over the batch's proposal
 graphs joined into one, with no edge between scenes; the batch loss is
@@ -56,15 +56,7 @@ from .nnet import (
     focal_loss_and_grad,
     masked_smooth_l1_mean_and_grad,
 )
-from .interp import BevFeatureMap
-from .rfa import (
-    RfaConfig,
-    default_point_stacks,
-    point_pyramid,
-    roi_states,
-    synthetic_bev_map,
-    voxel_feature_set,
-)
+from .rfa import RfaConfig, default_point_stacks, point_pyramid, roi_states
 from .scene import (
     KITTI_RANGE,
     BoxArray,
@@ -74,7 +66,6 @@ from .scene import (
     generate_synthetic_scene,
     normalize_yaw,
 )
-from .voxel import VoxelizationConfig, _axis_cells, voxelize
 
 # Seed offsets separating the pipeline's random streams.  Training scenes
 # stride by _SCENE_STRIDE; the held-out scene deliberately lies outside
@@ -84,7 +75,6 @@ _MODEL_OFFSET = 211
 _SCENE_STRIDE = 101
 _EVAL_SCENE_OFFSET = 7919
 _EVAL_PROPOSAL_OFFSET = 7930
-_BEV_FIELD_OFFSET = 1
 _POINT_STACK_OFFSET = 2
 
 
@@ -163,7 +153,7 @@ class NmsPipelineConfig:
 @dataclass(frozen=True)
 class TrainPipelineConfig:
     steps: int = 500
-    learning_rate: float = 0.05
+    learning_rate: float = 0.2
     batch_scenes: int = 1
 
     def __post_init__(self) -> None:
@@ -191,9 +181,7 @@ class PipelineConfig:
     seed: int = 0
     feature_seed: int = 1234
     range_bounds: RangeBounds = KITTI_RANGE
-    bev_cell_size: float = 0.4
     scene: SceneConfig = field(default_factory=SceneConfig)
-    voxel: VoxelizationConfig = field(default_factory=VoxelizationConfig)
     rfa: RfaConfig = field(
         default_factory=lambda: RfaConfig(keypoint_counts=(64, 16, 8))
     )
@@ -208,18 +196,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not all(isinstance(s, (int, np.integer)) for s in (self.seed, self.feature_seed)):
             raise ConfigError("seed and feature_seed must be integers")
-        if self.bev_cell_size <= 0:
-            raise ConfigError("bev_cell_size must be positive")
         if self.point_hidden < 1:
             raise ConfigError("point_hidden must be positive")
         if self.rfa.point_dim % 2 != 0:
             raise ConfigError("rfa point_dim must be even (two grouping radii)")
-        if self.voxel.range_bounds != self.range_bounds:
-            object.__setattr__(self, "voxel", replace(self.voxel, range_bounds=self.range_bounds))
 
     @property
     def state_dim(self) -> int:
-        return self.rfa.feature_dim
+        return self.rfa.point_dim
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +216,9 @@ def _to_json(value: Any) -> Any:
     return value
 
 
-def _section_to_dict(name: str, section: Any) -> dict[str, Any]:
-    """One sub-config's file section: its fields, except that ``voxel`` has
-    no ``range_bounds`` (the grid covers the top-level range)."""
-    out = {f.name: _to_json(getattr(section, f.name)) for f in fields(section)}
-    if name == "voxel":
-        del out["range_bounds"]
-    return out
+def _section_to_dict(section: Any) -> dict[str, Any]:
+    """One sub-config's file section: its fields."""
+    return {f.name: _to_json(getattr(section, f.name)) for f in fields(section)}
 
 
 def _file_key(field_name: str) -> str:
@@ -252,7 +232,7 @@ def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
     for f in fields(config):
         value = getattr(config, f.name)
         key = _file_key(f.name)
-        out[key] = _section_to_dict(key, value) if is_dataclass(value) else _to_json(value)
+        out[key] = _section_to_dict(value) if is_dataclass(value) else _to_json(value)
     return out
 
 
@@ -382,20 +362,6 @@ class _World:
     graph: NeighborhoodGraph  # one node per proposal; empty when there are none
 
 
-def _bev_map(config: PipelineConfig) -> BevFeatureMap:
-    """The synthetic BEV map over the configured range.  It reads no
-    scene, so one map serves every world of a run."""
-    (x_lo, x_hi), (y_lo, y_hi), _ = config.range_bounds
-    return synthetic_bev_map(
-        _axis_cells(y_hi - y_lo, config.bev_cell_size),
-        _axis_cells(x_hi - x_lo, config.bev_cell_size),
-        config.rfa.pixel_dim,
-        config.bev_cell_size,
-        (x_lo, y_lo),
-        config.feature_seed + _BEV_FIELD_OFFSET,
-    )
-
-
 def _make_proposals(config: PipelineConfig, scene: Scene, seed: int) -> BoxArray:
     """``per_gt`` noisy copies of each ground-truth box, box after box:
     one normal draw of (dx, dy, dz, dyaw) rows, with deviations
@@ -412,19 +378,13 @@ def _make_proposals(config: PipelineConfig, scene: Scene, seed: int) -> BoxArray
     return BoxArray(params, np.full(len(params), math.nan), np.repeat(gt.class_ids, per_gt))
 
 
-def _build_world(
-    config: PipelineConfig, scene_seed: int, proposal_seed: int, bev: BevFeatureMap
-) -> _World:
+def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) -> _World:
     """The scene, its features and its proposal graph: all that detection
     and scoring read.  :func:`_training_targets` adds what training reads.
-    ``bev`` is the run's :func:`_bev_map`.
 
-    The voxel field is propagated only onto the cloud points nearest the
-    proposal centres (at most 3 per proposal), the rows the voxel
-    component reads, and set abstraction groups by a cell-hash ball
-    query.  A KITTI-sized world (20k in-range points, 19.4k voxels, 80 proposals)
-    builds in 0.06-0.10 s with a 6 MB tracemalloc peak on a shared 2-core
-    x86 machine.
+    Set abstraction groups by a cell-hash ball query.  A KITTI-sized world
+    (20k in-range points, 80 proposals) builds in 0.021-0.025 s with a
+    3.2 MB tracemalloc peak on a shared 2-core x86 machine.
     """
     scene = clip_to_range(
         generate_synthetic_scene(
@@ -437,18 +397,15 @@ def _build_world(
         )
     )
     cloud = scene.cloud
-    grid = voxelize(cloud, config.voxel)
-    vox_feats = voxel_feature_set(grid, config.rfa.voxel_dim, config.feature_seed)
-
     proposals = _make_proposals(config, scene, proposal_seed)
-    if len(proposals) and len(cloud) and len(vox_feats):
+    if len(proposals) and len(cloud):
         stacks = default_point_stacks(
             config.rfa,
             config.feature_seed + _POINT_STACK_OFFSET,
             hidden=config.point_hidden,
         )
         pyramid = point_pyramid(cloud, config.rfa, stacks)
-        states = roi_states(vox_feats, cloud, pyramid, bev, proposals, config.rfa)
+        states = roi_states(pyramid, proposals)
     else:
         proposals, states = proposals.take([]), np.empty((0, config.state_dim))
     graph = build_graph(proposals, states, config.gnn.radius)
@@ -563,9 +520,7 @@ def _evaluate(
     return loss, [*updater_grads, cls_grads, reg_grads]
 
 
-def _training_worlds(
-    config: PipelineConfig, bev: BevFeatureMap
-) -> tuple[list[_World], NeighborhoodGraph, _Targets]:
+def _training_worlds(config: PipelineConfig) -> tuple[list[_World], NeighborhoodGraph, _Targets]:
     """The batch's worlds, their proposal graphs joined into one (with no
     edge between worlds) and the targets of the joined rows."""
     worlds = [
@@ -573,7 +528,6 @@ def _training_worlds(
             config,
             config.seed + _SCENE_STRIDE * j,
             config.seed + _SCENE_STRIDE * j + _PROPOSAL_OFFSET,
-            bev,
         )
         for j in range(config.train.batch_scenes)
     ]
@@ -584,7 +538,7 @@ def _training_worlds(
 
 
 def _train_models(
-    config: PipelineConfig, steps: int, bev: BevFeatureMap
+    config: PipelineConfig, steps: int
 ) -> tuple[PipelineModels, list[float], _World]:
     """Train on the batch, one :func:`_evaluate` pass per step; also
     returns the first training world, which is the pipeline's main scene
@@ -615,7 +569,7 @@ def _train_models(
     stack; otherwise it names this step and the loss term.  Only the
     previous step's gradient list is kept, and it is read only then.
     """
-    worlds, graph, targets = _training_worlds(config, bev)
+    worlds, graph, targets = _training_worlds(config)
     models = init_models(config)
     _check_update(graph, models.updater, models.updater.align_stacks is not None)
     _check_header(graph.states, models.cls_stack, models.reg_stack)
@@ -665,7 +619,7 @@ def train_smoke(config: PipelineConfig, steps: int | None = None) -> list[float]
         steps = config.train.steps
     if steps < 0:
         raise ConfigError("steps must be non-negative")
-    _, history, _ = _train_models(config, steps, _bev_map(config))
+    _, history, _ = _train_models(config, steps)
     return history
 
 
@@ -716,19 +670,17 @@ def run_pipeline(config: PipelineConfig) -> tuple[BoxArray, dict[str, Any]]:
     stacks keep their initial weights, which with ``header_init="zero"``
     makes the refiner an exact passthrough.
     """
-    bev = _bev_map(config)
     if config.train.steps > 0:
-        models, history, world_main = _train_models(config, config.train.steps, bev)
+        models, history, world_main = _train_models(config, config.train.steps)
     else:
         models = init_models(config)
         history = []
-        world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET, bev)
+        world_main = _build_world(config, config.seed, config.seed + _PROPOSAL_OFFSET)
     detections, scores = _score_world(models, world_main, config)
     world_holdout = _build_world(
         config,
         config.seed + _EVAL_SCENE_OFFSET,
         config.seed + _EVAL_PROPOSAL_OFFSET,
-        bev,
     )
     _, holdout_scores = _score_world(models, world_holdout, config)
 

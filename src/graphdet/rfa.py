@@ -1,14 +1,15 @@
-"""Region feature aggregation: node states for proposals from three sources.
+"""Region feature aggregation: node states for proposals from the point cloud.
 
-:func:`roi_states` builds every proposal's state in one batched pass.  It
-concatenates, in this order, a voxel component (sparse voxel features
-propagated onto the raw cloud points nearest the proposal centre, then
-onto the centre), a pixel component (a rotated probe grid over a BEV
-feature map, read for all proposals in one gather), and a point
-component (the top level of a farthest-point-sampled set-abstraction
-pyramid, interpolated onto the centre).  Synthetic smooth feature fields
-stand in for a learned backbone so the whole path stays deterministic
-and cheap.
+:func:`roi_states` builds every proposal's state in one batched pass: the
+top level of a farthest-point-sampled set-abstraction pyramid
+(:func:`point_pyramid`), interpolated onto each proposal centre.  The
+pyramid's MLPs are seeded and frozen, so the whole path stays
+deterministic and cheap, and it sees positions only as offsets within a
+group, so the states describe local point patterns, not where they sit.
+
+:func:`synthetic_voxel_features`, :func:`synthetic_bev_map` and
+:func:`voxel_feature_set` are smooth seeded fields of absolute position.
+No node state reads them.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from .interp import (
     BevFeatureMap,
     FeatureSet,
     farthest_point_sample,
-    inverse_distance_blend,
     propagate_features,
-    sample_bev_grid,
     set_abstraction,
 )
-from .neighbors import nearest_k
 from .nnet import DenseStack
 from .scene import Box3D, BoxArray, PointCloud
 from .voxel import SparseVoxelGrid
@@ -35,7 +33,7 @@ from .voxel import SparseVoxelGrid
 
 @dataclass(frozen=True)
 class RfaConfig:
-    """Widths and grouping scales of the three feature components.
+    """Width and grouping scales of the point pyramid.
 
     ``keypoint_counts`` and ``radii`` configure the point pyramid: each
     level samples that many keypoints (clamped to the available points)
@@ -44,18 +42,13 @@ class RfaConfig:
     level's two MLPs.
     """
 
-    m1: int = 2
-    m2: int = 2
-    voxel_dim: int = 8
     point_dim: int = 8
     keypoint_counts: tuple[int, ...] = (4096, 1024, 256)
     radii: tuple[tuple[float, float], ...] = ((0.1, 0.5), (0.5, 1.0), (1.0, 2.0))
 
     def __post_init__(self) -> None:
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError("probe grid shape must be positive")
-        if self.voxel_dim < 1 or self.point_dim < 1:
-            raise ValueError("component widths must be positive")
+        if self.point_dim < 1:
+            raise ValueError("point_dim must be positive")
         if len(self.keypoint_counts) != len(self.radii):
             raise ValueError("one radius pair per pyramid level is required")
         if any(k < 1 for k in self.keypoint_counts):
@@ -63,15 +56,6 @@ class RfaConfig:
         for r1, r2 in self.radii:
             if r1 <= 0 or r2 <= 0:
                 raise ValueError("grouping radii must be positive")
-
-    @property
-    def pixel_dim(self) -> int:
-        return self.m1 * self.m2
-
-    @property
-    def feature_dim(self) -> int:
-        """Width of the assembled node state."""
-        return self.voxel_dim + self.pixel_dim + self.point_dim
 
     @property
     def levels(self) -> int:
@@ -119,7 +103,7 @@ def point_pyramid(
     config: RfaConfig,
     stacks: list[tuple[DenseStack, DenseStack]],
 ) -> FeatureSet:
-    """The shared keypoint pyramid feeding every proposal's point component.
+    """The shared keypoint pyramid read by every proposal's node state.
 
     Level-zero input features are the per-point reflectance; positions
     enter only through the relative offsets inside set abstraction, so
@@ -132,7 +116,7 @@ def point_pyramid(
     if len(stacks) != config.levels:
         raise ValueError(f"expected {config.levels} stack pairs, got {len(stacks)}")
     if len(cloud) == 0:
-        raise ValueError("point component needs a non-empty cloud")
+        raise ValueError("the point pyramid needs a non-empty cloud")
     current = FeatureSet(cloud.xyz, cloud.reflectance[:, None])
     for level, ((r1, r2), (mlp1, mlp2)) in enumerate(zip(config.radii, stacks)):
         k = min(config.keypoint_counts[level], len(current))
@@ -169,38 +153,13 @@ def default_point_stacks(config: RfaConfig, seed: int, hidden: int = 16) -> list
     return stacks
 
 
-def roi_states(
-    voxels: FeatureSet,
-    cloud: PointCloud,
-    pyramid: FeatureSet,
-    bev: BevFeatureMap,
-    proposals: BoxArray,
-    config: RfaConfig,
-) -> np.ndarray:
-    """The (n, feature_dim) node states of the proposals: voxel | pixel | point.
-
-    The voxel component takes two 3-nearest hops: the ``voxels`` field
-    onto the cloud points, then onto each proposal centre.  Only the
-    centres' nearest points are ever read, so the first hop runs on
-    those rows alone (at most three per proposal), which gives them bit
-    for bit as propagating onto the whole cloud would.  The ``pyramid``'s
-    top level is interpolated onto each centre, and the BEV map is probed
-    with an m1 x m2 grid over every footprint in one
-    :func:`~graphdet.interp.sample_bev_grid` call.  At least one proposal
-    and one cloud point are required.
-    """
+def roi_states(pyramid: FeatureSet, proposals: BoxArray) -> np.ndarray:
+    """The (n, point_dim) node states of the proposals: the ``pyramid``'s
+    top level interpolated onto each proposal centre.  At least one
+    proposal is required."""
     if len(proposals) == 0:
         raise ValueError("roi_states needs at least one proposal")
-    if len(cloud) == 0:
-        raise ValueError("the voxel component needs a non-empty cloud")
-    centres = proposals.params[:, :3]
-    nn, d2 = nearest_k(cloud.xyz, centres, min(3, len(cloud)))
-    rows = np.unique(nn)
-    at_rows = propagate_features(voxels, cloud.xyz[rows]).features
-    vox_at = inverse_distance_blend(at_rows, np.searchsorted(rows, nn), d2)
-    point_at = propagate_features(pyramid, centres).features
-    pixel_at = sample_bev_grid(bev, proposals, config.m1, config.m2)
-    return np.concatenate([vox_at, pixel_at, point_at], axis=1)
+    return propagate_features(pyramid, proposals.params[:, :3]).features
 
 
 def auxiliary_targets(

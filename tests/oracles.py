@@ -550,15 +550,6 @@ def dense_propagate(source: FeatureSet, query_positions: np.ndarray) -> FeatureS
     return FeatureSet(queries, out)
 
 
-def full_cloud_voxel_states(
-    voxels: FeatureSet, cloud_xyz: np.ndarray, centres: np.ndarray
-) -> np.ndarray:
-    """The voxel block of ``roi_states`` as the library used to build it:
-    the voxel field propagated onto every cloud point by a dense table,
-    then from the whole cloud onto the centres."""
-    return dense_propagate(dense_propagate(voxels, cloud_xyz), centres).features
-
-
 def scan_set_abstraction(
     source: FeatureSet, centers: np.ndarray, radius: float, mlp
 ) -> np.ndarray:
@@ -869,7 +860,7 @@ def loop_batch_evaluate(models, graphs, targets, config, want_grads=True):
 def loop_train_models(config, steps):
     """``pipeline._train_models`` with :func:`loop_batch_evaluate` as the
     step: returns the trained models and the loss history."""
-    worlds, _, targets = pipeline._training_worlds(config, pipeline._bev_map(config))
+    worlds, _, targets = pipeline._training_worlds(config)
     graphs = [world.graph for world in worlds]
     models = pipeline.init_models(config)
     lr = config.train.learning_rate / len(worlds)

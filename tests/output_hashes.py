@@ -113,14 +113,14 @@ def pipeline_hashes() -> dict[str, str]:
 
 
 def parameter_hashes() -> dict[str, str]:
-    from graphdet.pipeline import _bev_map, _train_models, parse_pipeline_config
+    from graphdet.pipeline import _train_models, parse_pipeline_config
 
     out = {}
     for name, raw in CONFIGS.items():
         config = parse_pipeline_config(raw)
         if config.train.steps == 0:
             continue
-        models, _, _ = _train_models(config, config.train.steps, _bev_map(config))
+        models, _, _ = _train_models(config, config.train.steps)
         vector = np.concatenate([stack.flat_params() for stack in models.stacks])
         out[f"params/{name}"] = _sha(vector.tobytes())
     return out

@@ -29,7 +29,6 @@ from oracles import (
 def write_config(tmp_path, **overrides):
     raw = {
         "scene": {"n_objects": 2, "points_per_object": 48, "clutter_points": 24},
-        "voxel": {"step": [0.4, 0.4, 0.4], "max_points_per_voxel": None},
         "rfa": {
             "keypoint_counts": [24, 12, 6],
             "radii": [[0.4, 0.8], [0.8, 1.6], [1.6, 3.2]],
@@ -169,6 +168,13 @@ def test_box_file_that_is_not_utf8_exits_two_naming_the_line(tmp_path, capsys, c
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["nms", "--input", str(tmp_path / "absent.txt")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["nms", "--input"], ["run-pipeline", "--config"]])
+def test_directory_in_place_of_a_file_exits_two_naming_it(tmp_path, capsys, command):
+    assert main([*command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_eval_ap_perfect_and_schedules(tmp_path, capsys):
@@ -334,7 +340,8 @@ def test_refine_state_count_mismatch_exits_two(tmp_path, capsys):
     short = tmp_path / "short.txt"
     short.write_text("1.0 2.0 3.0 4.0\n")
     assert main(["refine", "--proposals", props, "--states", str(short)]) == 2
-    assert "state rows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"proposals in {props} but 1 state rows in {short}" in err
 
 
 @pytest.mark.parametrize("fault", _BAD_LINES)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdet import geom, pipeline, rfa
+from graphdet import geom, pipeline
 from graphdet.gnn import GraphUpdater, header_forward, join_graphs, update, update_backward
 from graphdet.nnet import (
     DenseStack,
@@ -38,7 +38,6 @@ from graphdet.pipeline import (
 )
 from graphdet.rfa import RfaConfig
 from graphdet.scene import Box3D, BoxArray, generate_synthetic_scene
-from graphdet.voxel import VoxelizationConfig
 
 from oracles import (
     loop_batch_evaluate,
@@ -54,7 +53,6 @@ def tiny_raw(**overrides):
     """A small, fast pipeline description; sections merge over these."""
     raw = {
         "scene": {"n_objects": 2, "points_per_object": 48, "clutter_points": 24},
-        "voxel": {"step": [0.4, 0.4, 0.4], "max_points_per_voxel": None},
         "rfa": {
             "keypoint_counts": [24, 12, 6],
             "radii": [[0.4, 0.8], [0.8, 1.6], [1.6, 3.2]],
@@ -73,10 +71,6 @@ def tiny_config(**overrides):
     return parse_pipeline_config(tiny_raw(**overrides))
 
 
-def build_world(config, scene_seed, proposal_seed):
-    return pipeline._build_world(config, scene_seed, proposal_seed, pipeline._bev_map(config))
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -87,7 +81,7 @@ def test_config_error_is_a_value_error():
 
 def test_default_config_and_state_dim():
     config = PipelineConfig()
-    assert config.state_dim == config.rfa.feature_dim
+    assert config.state_dim == config.rfa.point_dim == 8
     assert config.gnn.depth == 3
     assert config.gnn.variant == "extended"
     assert config.proposals.pos_iou == 0.7
@@ -123,13 +117,24 @@ def test_parse_rejects_unknown_keys():
         parse_pipeline_config({"gnn": 3})
     with pytest.raises(ConfigError, match="root"):
         parse_pipeline_config([1, 2])
+    # Node states read the point pyramid alone: no key sizes a voxel or
+    # BEV field.
+    for raw, key in [
+        ({"bev_cell_size": 0.4}, "'bev_cell_size'"),
+        ({"voxel": {"step": [0.4, 0.4, 0.4]}}, "'voxel'"),
+        ({"rfa": {"m1": 2}}, "'rfa'.'m1'"),
+        ({"rfa": {"m2": 2}}, "'rfa'.'m2'"),
+        ({"rfa": {"voxel_dim": 8}}, "'rfa'.'voxel_dim'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            parse_pipeline_config(raw)
 
 
 def test_parse_surfaces_invalid_values_as_config_errors():
     with pytest.raises(ConfigError):
         parse_pipeline_config({"gnn": {"depth": 9}})
     with pytest.raises(ConfigError):
-        parse_pipeline_config({"bev_cell_size": -1.0})
+        parse_pipeline_config({"point_hidden": 0})
 
 
 def test_config_dict_round_trip():
@@ -140,16 +145,16 @@ def test_config_dict_round_trip():
 
 
 def test_partial_section_keeps_the_pipeline_defaults():
-    config = parse_pipeline_config({"rfa": {"m1": 3}})
+    config = parse_pipeline_config({"rfa": {"point_dim": 4}})
     assert config.rfa.keypoint_counts == (64, 16, 8)
-    assert config.rfa == replace(PipelineConfig().rfa, m1=3)
+    assert config.rfa == replace(PipelineConfig().rfa, point_dim=4)
 
 
 @pytest.mark.parametrize(
     "raw, key",
     [
         ({"range_bounds": [[0, 1], [0, 1], [0, 1]]}, "'range_bounds'"),
-        ({"voxel": {"range_bounds": [[0, 1], [0, 1], [0, 1]]}}, "'voxel'.'range_bounds'"),
+        ({"rfa": {"range_bounds": [[0, 1], [0, 1], [0, 1]]}}, "'rfa'.'range_bounds'"),
     ],
 )
 def test_field_names_the_file_spells_differently_are_unknown_keys(raw, key):
@@ -164,8 +169,7 @@ def test_anchors_section_is_an_unknown_key():
 
 
 def test_file_keys_mirror_the_dataclass_fields():
-    # Two departures only: the top-level range_bounds is spelled "range",
-    # and the voxel section has no range_bounds of its own.
+    # One departure only: the top-level range_bounds is spelled "range".
     config = PipelineConfig()
     known = config_to_dict(config)
     renamed = {"range_bounds": "range"}
@@ -173,9 +177,7 @@ def test_file_keys_mirror_the_dataclass_fields():
     for f in fields(config):
         section = getattr(config, f.name)
         if is_dataclass(section):
-            omitted = {"range_bounds"} if f.name == "voxel" else set()
-            want = [g.name for g in fields(section) if g.name not in omitted]
-            assert list(known[f.name]) == want, f.name
+            assert list(known[f.name]) == [g.name for g in fields(section)], f.name
 
 
 @pytest.mark.parametrize(
@@ -184,7 +186,7 @@ def test_file_keys_mirror_the_dataclass_fields():
         ('{"train": {"learning_rate": NaN}}', "train.learning_rate"),
         ('{"gnn": {"radius": NaN}}', "gnn.radius"),
         ('{"scene": {"min_separation": -Infinity}}', "scene.min_separation"),
-        ('{"bev_cell_size": Infinity}', "bev_cell_size"),
+        ('{"gnn": {"radius": Infinity}}', "gnn.radius"),
         ('{"gnn": {"depth": NaN}}', "gnn.depth"),
         ('{"seed": 1e999}', "seed"),
         ('{"range": [[0, NaN], [-40, 40], [-3, 1]]}', "range"),
@@ -203,7 +205,7 @@ def test_non_finite_numbers_and_bools_name_their_key(text, key):
     "raw, key",
     [
         ({"train": {"steps": 2.7}}, "train.steps"),
-        ({"voxel": {"max_points_per_voxel": 2.5}}, "voxel.max_points_per_voxel"),
+        ({"scene": {"n_objects": 2.5}}, "scene.n_objects"),
         ({"rfa": {"keypoint_counts": [64, 16.5, 8]}}, "rfa.keypoint_counts"),
         ({"seed": -0.5}, "seed"),
     ],
@@ -224,16 +226,15 @@ def test_values_take_the_type_of_their_default():
             "scene": {"n_objects": "2"},
             "train": {"steps": 2.0},
             "gnn": {"radius": 1},
-            "voxel": {"max_points_per_voxel": None, "step": [1, 1, 1]},
+            "range": [[0, 20], [-10, 10], [-3, 1]],
             "loss": {"focal_background": False},
         }
     )
     assert config.scene.n_objects == 2 and type(config.scene.n_objects) is int
     assert config.train.steps == 2 and type(config.train.steps) is int
     assert config.gnn.radius == 1.0 and type(config.gnn.radius) is float
-    assert config.voxel.max_points_per_voxel is None
-    assert config.voxel.step == (1.0, 1.0, 1.0)
-    assert all(type(v) is float for v in config.voxel.step)
+    assert config.range_bounds == ((0.0, 20.0), (-10.0, 10.0), (-3.0, 1.0))
+    assert all(type(v) is float for pair in config.range_bounds for v in pair)
     assert config.loss.focal_background is False
     with pytest.raises(ConfigError, match="integers"):
         parse_pipeline_config({"seed": None})
@@ -256,9 +257,6 @@ _INTERVAL = st.tuples(_reals(-1e3, 1e3), _reals(1e-3, 1e3)).map(lambda p: (p[0],
 def _rfa_configs(draw):
     levels = draw(st.integers(1, 4))
     return RfaConfig(
-        m1=draw(_WIDTHS),
-        m2=draw(_WIDTHS),
-        voxel_dim=draw(_WIDTHS),
         point_dim=2 * draw(_WIDTHS),
         keypoint_counts=tuple(draw(st.integers(1, 5000)) for _ in range(levels)),
         radii=tuple(draw(st.tuples(_POSITIVE, _POSITIVE)) for _ in range(levels)),
@@ -270,18 +268,12 @@ _PIPELINE_CONFIGS = st.builds(
     seed=st.integers(-(2**31), 2**31),
     feature_seed=st.integers(0, 2**31),
     range_bounds=st.tuples(_INTERVAL, _INTERVAL, _INTERVAL),
-    bev_cell_size=_POSITIVE,
     scene=st.builds(
         SceneConfig,
         n_objects=_COUNTS,
         points_per_object=_COUNTS,
         clutter_points=_COUNTS,
         min_separation=_POSITIVE,
-    ),
-    voxel=st.builds(
-        VoxelizationConfig,
-        step=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
-        max_points_per_voxel=st.none() | st.integers(1, 100),
     ),
     rfa=_rfa_configs(),
     point_hidden=_WIDTHS,
@@ -321,14 +313,6 @@ _PIPELINE_CONFIGS = st.builds(
 def test_every_valid_config_round_trips_through_json(config):
     text = json.dumps(config_to_dict(config))
     assert parse_pipeline_config(json.loads(text)) == config
-
-
-def test_range_override_propagates_to_voxel_grid():
-    config = parse_pipeline_config(
-        {"range": [[0.0, 20.0], [-10.0, 10.0], [-3.0, 1.0]]}
-    )
-    assert config.range_bounds == ((0.0, 20.0), (-10.0, 10.0), (-3.0, 1.0))
-    assert config.voxel.range_bounds == config.range_bounds
 
 
 def test_load_config_file(tmp_path):
@@ -430,7 +414,7 @@ def test_training_checks_the_models_once_per_run(monkeypatch):
     init = pipeline.init_models
     monkeypatch.setattr(pipeline, "init_models", lambda c: models.append(init(c)) or models[-1])
     config = tiny_config()
-    pipeline._train_models(config, 3, pipeline._bev_map(config))
+    pipeline._train_models(config, 3)
     header = [c for c in calls if c in (models[0].cls_stack, models[0].reg_stack)]
     assert [c for c in calls if isinstance(c, tuple)] == [(config.state_dim, True)]
     assert header == [models[0].cls_stack, models[0].reg_stack]
@@ -499,8 +483,8 @@ def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
     # Empty worlds before, between and after two non-empty ones add no
     # loss and pass zero gradients; each world keeps its own normaliser.
     config = tiny_config()
-    worlds = [build_world(config, seed, seed + 11) for seed in (0, 5)]
-    empty = build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
+    worlds = [pipeline._build_world(config, seed, seed + 11) for seed in (0, 5)]
+    empty = pipeline._build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
     batch = [empty, worlds[0], empty, worlds[1], empty]
     fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
     ends = np.cumsum([len(fg) for fg in fgs]).tolist()
@@ -529,7 +513,7 @@ def _flat_grads(grads):
 
 
 def _trained_weights(config, steps):
-    models, history, _ = pipeline._train_models(config, steps, pipeline._bev_map(config))
+    models, history, _ = pipeline._train_models(config, steps)
     return history, [stack.flat_params() for stack in models.stacks]
 
 
@@ -548,7 +532,7 @@ def test_initial_loss_is_the_refinement_loss_of_the_first_world():
     # Only the refiner is trained: the loss is the header's focal loss plus
     # its box smooth-L1 over the proposals of the training world.
     config = PipelineConfig()
-    (world,), graph, joined = pipeline._training_worlds(config, pipeline._bev_map(config))
+    (world,), graph, joined = pipeline._training_worlds(config)
     assert graph is world.graph and joined.bounds == [(0, len(graph))]
     models = pipeline.init_models(config)
     refined, _ = update(world.graph, models.updater)
@@ -627,8 +611,8 @@ def test_fused_losses_evaluate_like_the_separate_passes(variant):
     # gradients.  Loss and every gradient equal the four separate loss
     # passes bit for bit.
     config = tiny_config(gnn={"variant": variant})
-    worlds = [build_world(config, seed, seed + 11) for seed in (0, 2, 5)]
-    empty = build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
+    worlds = [pipeline._build_world(config, seed, seed + 11) for seed in (0, 2, 5)]
+    empty = pipeline._build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
     batch = [worlds[0], empty, worlds[1], worlds[2]]
     fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
     fgs, regs = list(fgs), list(regs)
@@ -660,7 +644,7 @@ def _share_nothing(first, second):
 def test_successive_gradients_share_no_memory():
     # A caller may keep a returned gradient: no later call overwrites it.
     config = PipelineConfig()
-    _, graph, targets = pipeline._training_worlds(config, pipeline._bev_map(config))
+    _, graph, targets = pipeline._training_worlds(config)
     models = pipeline.init_models(config)
     _, first = _evaluate(models, graph, targets, config, True)
     kept = [a.copy() for a in _grad_arrays(first)]
@@ -683,11 +667,10 @@ def test_training_runs_share_no_memory_and_leave_each_other_alone():
         return [a for stack in models.stacks for l in stack.layers for a in (l.weight, l.bias)]
 
     config = tiny_config(train={"steps": 6})
-    bev = pipeline._bev_map(config)
-    first, _, _ = pipeline._train_models(config, 6, bev)
+    first, _, _ = pipeline._train_models(config, 6)
     kept = [a.copy() for a in params(first)]
     faster = replace(config, train=replace(config.train, learning_rate=0.5))
-    second, _, _ = pipeline._train_models(faster, 6, bev)
+    second, _, _ = pipeline._train_models(faster, 6)
     assert _share_nothing(params(first), params(second))
     assert all(np.array_equal(a, b) for a, b in zip(params(first), kept))
     assert not all(np.array_equal(a, b) for a, b in zip(params(second), kept))
@@ -733,7 +716,7 @@ def test_empty_scene_trains_on_an_empty_graph():
     # Zero rows flow through every stack as zero gradients, in a batch of
     # one empty world and in a joined graph of three.
     config = tiny_config(scene={"n_objects": 0}, train={"steps": 2})
-    graph = build_world(config, 0, 1).graph
+    graph = pipeline._build_world(config, 0, 1).graph
     assert len(graph) == 0 and graph.adjacency == ()
     for batch in (1, 3):
         config = replace(config, train=replace(config.train, batch_scenes=batch))
@@ -827,7 +810,7 @@ def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
     # Scoring only the pairs that can reach, in one kernel call, leaves every
     # target bit-identical to scoring every (proposal, ground truth) pair.
     config = PipelineConfig(seed=seed, scene=scene)
-    world = build_world(config, seed, seed + 11)
+    world = pipeline._build_world(config, seed, seed + 11)
     calls = []
     kernel = geom.bev_iou_pairs
     monkeypatch.setattr(geom, "bev_iou_pairs", lambda a, b, i, j: calls.extend(i) or kernel(a, b, i, j))
@@ -863,7 +846,7 @@ def test_detect_constructs_no_box3d(monkeypatch):
     # Proposals stay one BoxArray from drawing to NMS: decoding and
     # suppression build no per-box object.
     config = tiny_config()
-    world = build_world(config, 0, 11)
+    world = pipeline._build_world(config, 0, 11)
     models = pipeline.init_models(config)
     calls = []
     post_init = Box3D.__post_init__
@@ -873,36 +856,14 @@ def test_detect_constructs_no_box3d(monkeypatch):
     assert calls == []
 
 
-def test_world_building_propagates_voxels_only_onto_the_rows_it_reads(monkeypatch):
-    # The voxel field reaches a proposal centre through its 3 nearest cloud
-    # points; it is propagated onto those points alone, never the cloud.
-    voxel_sets, rows = [], []
-    make_voxels, propagate = pipeline.voxel_feature_set, rfa.propagate_features
-
-    def recording_voxels(*args):
-        voxel_sets.append(make_voxels(*args))
-        return voxel_sets[-1]
-
-    def recording_propagate(source, queries):
-        if any(source is v for v in voxel_sets):
-            rows.append(len(queries))
-        return propagate(source, queries)
-
-    monkeypatch.setattr(pipeline, "voxel_feature_set", recording_voxels)
-    monkeypatch.setattr(rfa, "propagate_features", recording_propagate)
-    world = build_world(PipelineConfig(scene=DENSE), 0, 11)
-    assert len(world.scene.cloud) > 3_000 and len(world.graph) == 80
-    assert len(rows) == 1 and 0 < rows[0] <= 3 * len(world.graph)
-
-
 def test_kitti_sized_world_build_stays_small_in_memory():
-    # 20k in-range points and 19k voxels.  Propagating the voxel field onto
-    # the whole cloud peaked at 36 MB; building onto the proposals' rows
-    # peaks at 7-8 MB.
+    # 20k in-range points.  The point pyramid and the states peak at about
+    # 3 MB; a voxel field propagated onto the whole cloud once peaked at
+    # 36 MB.
     config = PipelineConfig(scene=KITTI_SIZED)
     tracemalloc.start()
     try:
-        world = build_world(config, 0, 11)
+        world = pipeline._build_world(config, 0, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,13 +1,11 @@
-"""Proposal node states: voxel, pixel, and point components."""
+"""Proposal node states read from the point pyramid, and the synthetic
+position fields."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdet import neighbors
-
-from graphdet.interp import BevFeatureMap, FeatureSet, propagate_features, sample_bev_grid
 from graphdet.rfa import (
     RfaConfig,
     auxiliary_targets,
@@ -21,7 +19,7 @@ from graphdet.rfa import (
 from graphdet.scene import Box3D, BoxArray, PointCloud
 from graphdet.voxel import VoxelizationConfig, voxelize
 
-from oracles import brute_fps, brute_propagate, full_cloud_voxel_states, point_in_box
+from oracles import brute_fps, brute_propagate, point_in_box
 
 
 def small_cloud(n, seed=0, spread=4.0):
@@ -54,17 +52,14 @@ SMALL_RFA = RfaConfig(
 
 def test_config_dims():
     config = RfaConfig()
-    assert config.pixel_dim == 4
-    assert config.feature_dim == 8 + 4 + 8
+    assert config.point_dim == 8
     assert config.levels == 3
     assert SMALL_RFA.levels == 2
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="probe grid"):
-        RfaConfig(m1=0)
-    with pytest.raises(ValueError, match="widths"):
-        RfaConfig(voxel_dim=0)
+    with pytest.raises(ValueError, match="point_dim"):
+        RfaConfig(point_dim=0)
     with pytest.raises(ValueError, match="per pyramid level"):
         RfaConfig(keypoint_counts=(8,), radii=((0.5, 1.0), (1.0, 2.0)))
     with pytest.raises(ValueError, match="keypoint counts"):
@@ -112,7 +107,7 @@ def test_voxel_feature_set_sits_on_centroids():
 
 
 # ---------------------------------------------------------------------------
-# point component
+# point pyramid
 
 
 def test_point_pyramid_single_point_cloud():
@@ -191,7 +186,7 @@ def test_default_point_stacks_widths_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# node states: voxel | pixel | point
+# node states
 
 
 BOXES = BoxArray.of(
@@ -203,135 +198,49 @@ BOXES = BoxArray.of(
 )
 
 
-def roi_inputs(config, seed, cloud=None, voxel_features=None, bev=None):
-    """The per-scene inputs of ``roi_states``, built as the pipeline builds them."""
-    if cloud is None:
-        cloud = small_cloud(40, seed=seed, spread=3.0)
-    if voxel_features is None:
-        voxel_features = voxel_feature_set(small_grid(cloud), config.voxel_dim, seed + 1)
-    if bev is None:
-        bev = synthetic_bev_map(16, 16, config.pixel_dim, 0.5, (-4.0, -4.0), seed=seed + 2)
-    pyramid = point_pyramid(cloud, config, default_point_stacks(config, seed=seed + 3))
-    return voxel_features, cloud, pyramid, bev
-
-
-def voxel_part(config, states):
-    return states[:, : config.voxel_dim]
-
-
-def pixel_part(config, states):
-    return states[:, config.voxel_dim : config.voxel_dim + config.pixel_dim]
-
-
-def point_part(config, states):
-    return states[:, config.voxel_dim + config.pixel_dim :]
-
-
-def test_voxel_component_preserves_constant_fields():
-    config = RfaConfig(voxel_dim=5, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
-    cloud = small_cloud(50, seed=3)
-    constant = FeatureSet(cloud.xyz[:10] * 0.9, np.full((10, 5), 2.5))
-    inputs = roi_inputs(config, 3, cloud=cloud, voxel_features=constant)
-    states = roi_states(*inputs, BOXES, config)
-    assert np.allclose(voxel_part(config, states), 2.5, atol=1e-12)
-
-
-def test_voxel_component_matches_two_hop_oracle():
-    config = RfaConfig(voxel_dim=6, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
-    cloud = small_cloud(40, seed=4)
-    fs = voxel_feature_set(small_grid(cloud), dim=6, seed=7)
-    states = roi_states(*roi_inputs(config, 4, cloud=cloud, voxel_features=fs), BOXES, config)
-    hop1 = brute_propagate(fs.positions, fs.features, cloud.xyz)
-    hop2 = brute_propagate(cloud.xyz, hop1, np.array([box.center for box in BOXES]))
-    assert np.allclose(voxel_part(config, states), hop2, atol=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n_cloud=st.integers(1, 40),
-    n_voxels=st.integers(1, 30),
-    n_proposals=st.integers(1, 8),
-    span=st.integers(1, 3),
-    chunk=st.sampled_from([1, 64, neighbors._CHUNK_PAIRS]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_voxel_block_matches_the_full_cloud_two_hops(
-    n_cloud, n_voxels, n_proposals, span, chunk, seed
-):
-    # Lattice clouds, voxels and centres: duplicate points and exact
-    # distance ties in both hops.  A chunk of 1 or 64 pairs drives both
-    # hops through the cell hash.
-    config = RfaConfig(voxel_dim=3)
-    rng = np.random.default_rng(seed)
-    xyz = rng.integers(-span, span + 1, size=(n_cloud, 3)).astype(float)
-    cloud = PointCloud(np.column_stack([xyz, np.zeros(n_cloud)]))
-    voxels = FeatureSet(
-        rng.integers(-2 * span, 2 * span + 1, size=(n_voxels, 3)) / 2.0,
-        rng.normal(size=(n_voxels, config.voxel_dim)),
-    )
-    centres = rng.integers(-2 * span - 1, 2 * span + 2, size=(n_proposals, 3)) / 2.0
-    proposals = BoxArray.of([Box3D(tuple(c), (1.0, 1.0, 1.0), 0.0) for c in centres])
-    pyramid = FeatureSet(np.zeros((1, 3)), np.zeros((1, config.point_dim)))
-    bev = BevFeatureMap(np.zeros((2, 2, config.pixel_dim)), 1.0, (0.0, 0.0))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors, "_CHUNK_PAIRS", chunk)
-        states = roi_states(voxels, cloud, pyramid, bev, proposals, config)
-    want = full_cloud_voxel_states(voxels, cloud.xyz, centres)
-    assert np.array_equal(voxel_part(config, states), want)
-
-
-def test_pixel_component_constant_map():
-    config = RfaConfig(m1=3, m2=2, keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
-    bev = BevFeatureMap(np.full((10, 10, 6), -1.5), 1.0, (-5.0, -5.0))
-    box = Box3D((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 0.8)
-    states = roi_states(*roi_inputs(config, 5, bev=bev), BoxArray.of([box]), config)
-    assert states.shape == (1, config.feature_dim)
-    assert pixel_part(config, states).shape == (1, 6)
-    assert np.allclose(pixel_part(config, states), -1.5)
-
-
-def test_pixel_component_is_a_probe_grid():
-    config = RfaConfig(keypoint_counts=(16, 8), radii=((0.5, 1.0), (1.0, 2.0)))
-    bev = synthetic_bev_map(12, 12, 4, 0.5, (-3.0, -3.0), seed=8)
-    boxes = BoxArray.of([*BOXES, Box3D((0.3, -0.7, 0.0), (1.8, 0.9, 1.0), 1.1)])
-    states = roi_states(*roi_inputs(config, 6, bev=bev), boxes, config)
-    want = np.stack([sample_bev_grid(bev, boxes.take([k]), 2, 2)[0] for k in range(len(boxes))])
-    assert np.array_equal(pixel_part(config, states), want)
-
-
 def test_point_component_interpolates_pyramid():
     cloud = small_cloud(24, seed=15, spread=2.0)
-    voxels, cloud, pyramid, bev = roi_inputs(SMALL_RFA, 15, cloud=cloud)
+    pyramid = point_pyramid(cloud, SMALL_RFA, default_point_stacks(SMALL_RFA, seed=18))
     boxes = BoxArray.of([*BOXES, Box3D((0.2, 0.4, 0.1), (2.0, 1.0, 1.0), 0.0)])
-    states = roi_states(voxels, cloud, pyramid, bev, boxes, SMALL_RFA)
+    states = roi_states(pyramid, boxes)
+    assert states.shape == (len(boxes), SMALL_RFA.point_dim)
     want = brute_propagate(
         pyramid.positions, pyramid.features, np.array([box.center for box in boxes])
     )
-    assert np.allclose(point_part(SMALL_RFA, states), want, atol=1e-12)
-
-
-def test_roi_states_order_components():
-    """Rows concatenate voxel | pixel | point, each computed on its own."""
-    voxels, cloud, pyramid, bev = roi_inputs(SMALL_RFA, 18)
-    states = roi_states(voxels, cloud, pyramid, bev, BOXES, SMALL_RFA)
-    assert states.shape == (len(BOXES), SMALL_RFA.feature_dim)
-    centres = np.array([box.center for box in BOXES])
-    want = np.concatenate(
-        [
-            propagate_features(propagate_features(voxels, cloud.xyz), centres).features,
-            sample_bev_grid(bev, BOXES, SMALL_RFA.m1, SMALL_RFA.m2),
-            propagate_features(pyramid, centres).features,
-        ],
-        axis=1,
-    )
-    assert np.array_equal(states, want)
+    assert np.allclose(states, want, atol=1e-12)
     # One proposal at a time gives the same rows as the batch.
-    for i in range(len(BOXES)):
-        assert np.array_equal(
-            roi_states(voxels, cloud, pyramid, bev, BOXES.take([i]), SMALL_RFA)[0], states[i]
-        )
+    for i in range(len(boxes)):
+        assert np.array_equal(roi_states(pyramid, boxes.take([i]))[0], states[i])
     with pytest.raises(ValueError, match="at least one proposal"):
-        roi_states(voxels, cloud, pyramid, bev, BoxArray.of([]), SMALL_RFA)
+        roi_states(pyramid, BoxArray.of([]))
+
+
+_DYADIC = 64  # coordinates are multiples of 1/64 m, so every difference is exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cloud=st.integers(1, 60),
+    n_proposals=st.integers(1, 6),
+    shift=st.tuples(*[st.integers(-(2**13), 2**13)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_states_do_not_encode_absolute_position(n_cloud, n_proposals, shift, seed):
+    # Shifting the cloud and the proposals together moves no difference,
+    # so every group, FPS pick and 3-NN, and so every state bit, stays.
+    rng = np.random.default_rng(seed)
+    xyz = rng.integers(-128, 129, size=(n_cloud, 3)) / _DYADIC
+    reflectance = rng.uniform(0.0, 1.0, size=(n_cloud, 1))
+    centres = rng.integers(-160, 161, size=(n_proposals, 3)) / _DYADIC
+    offset = np.array(shift) / _DYADIC
+    stacks = default_point_stacks(SMALL_RFA, seed=seed % 1000)
+
+    def states(delta):
+        cloud = PointCloud(np.column_stack([xyz + delta, reflectance]))
+        boxes = BoxArray.of([Box3D(tuple(c + delta), (2.0, 1.0, 1.0), 0.3) for c in centres])
+        return roi_states(point_pyramid(cloud, SMALL_RFA, stacks), boxes)
+
+    assert np.array_equal(states(np.zeros(3)), states(offset))
 
 
 # ---------------------------------------------------------------------------
