@@ -7,11 +7,14 @@ query reads the 3x3x3 (3x3) block of cells around its own cell as flat
 (query, source) pair arrays, so memory grows with the number of candidate
 pairs rather than with m x n.
 
-``nearest_k`` is exact and ties go to the lower source index, matching a
-stable argsort over each query's full row of squared distances.
+Every search is a ball query over cells a hair wider than its radius,
+so each point within the radius of a query lies in the query's block.
 ``radius_pairs`` lists every pair of one set strictly closer than a
 radius; ``ball_pairs`` every (centre, source) pair within a radius,
-inclusive.
+inclusive.  ``nearest_k`` runs ball queries over a doubling radius until
+each query holds k sources inside it; it is exact, and ties go to the
+lower source index, matching a stable argsort over each query's full row
+of squared distances.
 """
 
 from __future__ import annotations
@@ -20,18 +23,12 @@ from itertools import product
 
 import numpy as np
 
-# (query, source) pairs a hash pass handles at once.  Queries whose full
-# distance table holds at most 1/32 of that take the dense pass.
+# (query, source) pairs a k-nearest pass handles at once.
 _CHUNK_PAIRS = 1 << 20
-# Cells per source over the bounding box in the first k-nearest pass.
-# Clouds crowd onto surfaces and objects, so a fine first grid answers
-# the dense regions from small blocks; the doubling passes coarsen it
-# for the sparse ones.
-_CELLS_PER_SOURCE = 32.0
 # Cells per axis at most, so that the packed cell keys fit in int64.
 _MAX_CELLS = 1 << 20
-# Relative slack on cell-face distances, covering rounding in the cell
-# assignment and in the squared distances.
+# Relative slack on a cell side over its radius, covering rounding in the
+# cell assignment and in the squared distances.
 _SLACK = 1e-9
 
 # A cell's block: the offsets to its neighbours and itself, per dimension.
@@ -50,16 +47,14 @@ class CellIndex:
         self.points = points
         self.origin = points.min(axis=0)
         extent = float((points.max(axis=0) - self.origin).max())
-        self.cell_size = cell_size = max(cell_size, extent / _MAX_CELLS)
-        cells = np.floor((points - self.origin) / cell_size).astype(np.int64)
+        self.cell_size = max(cell_size, extent / _MAX_CELLS)
+        cells = np.floor((points - self.origin) / self.cell_size).astype(np.int64)
         self.shape = cells.max(axis=0) + 1
         keys = self._key(cells)
         self.order = np.argsort(keys, kind="stable")
         self.keys, self.start, self.count = np.unique(
             keys[self.order], return_index=True, return_counts=True
         )
-        scale = np.abs(self.origin).max() + self.shape.max() * cell_size
-        self._tol = _SLACK * scale
 
     def _key(self, cells: np.ndarray) -> np.ndarray:
         # One ring of padding, so the block of an edge cell keys uniquely.
@@ -102,98 +97,17 @@ class CellIndex:
         """Every (query, point) pair within each query's 3x3x3 (3x3) block."""
         return self.expand(*self.block_slots(self.cell_of(queries)))
 
-    def edge_distance(self, queries: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Distance from each query to the nearest block face with points
-        beyond it, shrunk by a rounding slack; infinite when the block
-        covers the whole grid."""
-        lo = self.origin + (cells - 1) * self.cell_size
-        hi = self.origin + (cells + 2) * self.cell_size
-        d_lo = np.where(cells >= 2, queries - lo, np.inf)
-        d_hi = np.where(cells + 2 < self.shape, hi - queries, np.inf)
-        edge = np.minimum(d_lo, d_hi).min(axis=1)
-        return np.maximum(edge * (1.0 - _SLACK) - self._tol, 0.0)
 
-
-def _start_cell(points: np.ndarray) -> float:
-    """Cell side giving ``_CELLS_PER_SOURCE`` cells per point over the
-    bounding box; axes thinner than the cell do not count as volume."""
+def _start_cell(points: np.ndarray, per_cell: int) -> float:
+    """Cell side holding ``per_cell`` points on average over the bounding
+    box; axes thinner than the cell do not count as volume."""
     extent = np.sort(points.max(axis=0) - points.min(axis=0))[::-1]
-    cells = len(points) * _CELLS_PER_SOURCE
+    cells = len(points) / per_cell
     for dims in (3, 2, 1):
         side = (np.prod(extent[:dims]) / cells) ** (1.0 / dims)
         if 0 < side <= extent[dims - 1]:
             break
     return float(side) if side > 0 else 1.0
-
-
-def _brute_k(
-    sources: np.ndarray, queries: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dense pass: k rounds of a row ``argmin`` over the full table,
-    each taking the first (lowest-index) minimum and striking it out."""
-    d2 = ((queries[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
-    rows = np.arange(len(queries))
-    nn = np.empty((len(queries), k), dtype=np.int64)
-    dk = np.empty((len(queries), k))
-    for r in range(k):
-        nn[:, r] = j = d2.argmin(axis=1)
-        dk[:, r] = d2[rows, j]
-        d2[rows, j] = np.inf
-    return nn, dk
-
-
-def _hash_k(
-    index: CellIndex, queries: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the cell hash.
-
-    Returns a mask of the queries whose k nearest provably lie in their
-    block, with those queries' indices and squared distances.
-    """
-    m = len(queries)
-    cells = index.cell_of(queries)
-    rows, slots = index.block_slots(cells)
-    per_query = np.bincount(rows, weights=index.count[slots], minlength=m)
-    edge = index.edge_distance(queries, cells)
-    done = np.zeros(m, dtype=bool)
-    nn = np.empty((m, k), dtype=np.int64)
-    d2 = np.empty((m, k))
-    # Batch whole queries so that each batch holds about _CHUNK_PAIRS pairs.
-    bounds = np.searchsorted(
-        np.cumsum(per_query),
-        np.arange(_CHUNK_PAIRS, per_query.sum(), _CHUNK_PAIRS),
-        side="right",
-    )
-    for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, m]):
-        a, b = np.searchsorted(rows, [lo, hi])
-        if a == b:
-            continue
-        # Pairs come grouped by query; take k rounds of a segmented
-        # minimum: the least distance, then the least source index among
-        # the pairs at that distance, which is then struck out.  A query
-        # with fewer than k candidates ends on an infinite k-th distance,
-        # so it never counts as final.
-        q_idx, s_idx = index.expand(rows[a:b], slots[a:b])
-        d = ((queries[q_idx] - index.points[s_idx]) ** 2).sum(-1)
-        q_idx -= lo
-        counts = np.bincount(q_idx, minlength=hi - lo)
-        hit = np.flatnonzero(counts)
-        seg = np.cumsum(counts[hit]) - counts[hit]
-        of_pair = np.repeat(np.arange(len(hit)), counts[hit])
-        nn_b = np.empty((len(hit), k), dtype=np.int64)
-        d2_b = np.empty((len(hit), k))
-        for r in range(k):
-            d2_b[:, r] = best = np.minimum.reduceat(d, seg)
-            tie = d == best[of_pair]
-            pick = np.minimum.reduceat(np.where(tie, s_idx, len(index.points)), seg)
-            nn_b[:, r] = pick
-            d[tie & (s_idx == pick[of_pair])] = np.inf
-        ok = d2_b[:, -1] < edge[lo + hit] ** 2
-        rows_ok = lo + hit[ok]
-        done[rows_ok] = True
-        nn[rows_ok] = nn_b[ok]
-        d2[rows_ok] = d2_b[ok]
-    return done, nn[done], d2[done]
 
 
 def nearest_k(
@@ -208,28 +122,52 @@ def nearest_k(
     query's row.  Requires ``1 <= k <= len(sources)`` and coordinates
     whose squared differences stay finite.
 
-    Nothing is sorted: both passes pick the k nearest in k rounds of a
-    minimum that strikes out each pick.  Queries are answered from a cell
-    hash whose first cell side comes from the source count and extent.  A
-    query is final once its k-th distance is strictly below the distance
-    to the nearest face of its 3x3x3 block that has sources beyond it;
-    the rest retry with the cell side doubled.  Once the remaining
-    queries' full distance table is small (at most 1/32 of
-    ``_CHUNK_PAIRS``), they take the dense pass.
+    The search runs passes over a radius r that doubles from pass to
+    pass, starting at the side of a cell that holds k sources on average.
+    A pass files the sources in cells a hair wider than r, as
+    ``ball_pairs`` does, so every source within r of a query lies in the
+    query's 3x3x3 block, and keeps the block pairs with a squared distance
+    of at most r ** 2.  A query with k or more kept pairs is final: every
+    source it did not keep is strictly farther than r, so the first k
+    kept pairs in (distance, source index) order are its answer, ties
+    included.  The other queries go on to the next pass.
     """
-    m, n = len(queries), len(sources)
+    m = len(queries)
     nn = np.empty((m, k), dtype=np.int64)
     d2 = np.empty((m, k))
     todo = np.arange(m)
-    side = _start_cell(sources)
-    while len(todo) * n > _CHUNK_PAIRS // 32:
-        done, nn_done, d2_done = _hash_k(CellIndex(sources, side), queries[todo], k)
-        nn[todo[done]] = nn_done
-        d2[todo[done]] = d2_done
+    radius = _start_cell(sources, k)
+    while len(todo):
+        index = CellIndex(sources, radius * (1.0 + _SLACK))
+        open_queries = queries[todo]
+        rows, slots = index.block_slots(index.cell_of(open_queries))
+        per_query = np.bincount(rows, weights=index.count[slots], minlength=len(todo))
+        done = np.zeros(len(todo), dtype=bool)
+        # Batch whole queries so that each batch holds about _CHUNK_PAIRS pairs.
+        bounds = np.searchsorted(
+            np.cumsum(per_query),
+            np.arange(_CHUNK_PAIRS, per_query.sum(), _CHUNK_PAIRS),
+            side="right",
+        )
+        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(todo)]):
+            a, b = np.searchsorted(rows, [lo, hi])
+            if a == b:
+                continue
+            q_idx, s_idx = index.expand(rows[a:b], slots[a:b])
+            d = ((open_queries[q_idx] - sources[s_idx]) ** 2).sum(-1)
+            keep = d <= radius * radius
+            q_idx, s_idx, d = q_idx[keep], s_idx[keep], d[keep]
+            counts = np.bincount(q_idx - lo, minlength=hi - lo)
+            final = np.flatnonzero(counts >= k)
+            # Kept pairs come grouped by query; sort each group by
+            # distance, then source index, and take its first k.
+            order = np.lexsort((s_idx, d, q_idx))
+            head = order[(np.cumsum(counts) - counts)[final, None] + np.arange(k)]
+            done[lo + final] = True
+            nn[todo[lo + final]] = s_idx[head]
+            d2[todo[lo + final]] = d[head]
         todo = todo[~done]
-        side *= 2.0
-    if len(todo):
-        nn[todo], d2[todo] = _brute_k(sources, queries[todo], k)
+        radius *= 2.0
     return nn, d2
 
 

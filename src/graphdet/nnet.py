@@ -197,7 +197,7 @@ class DenseStack:
             layer.weight -= lr * dw
             layer.bias -= lr * db
 
-    # Flat parameter views, used by finite-difference checks and checkpoint dumps.
+    # Flat parameter views, used by finite-difference checks.
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate(

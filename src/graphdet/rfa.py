@@ -54,8 +54,8 @@ class RfaConfig:
         if any(k < 1 for k in self.keypoint_counts):
             raise ValueError("keypoint counts must be positive")
         for r1, r2 in self.radii:
-            if r1 <= 0 or r2 <= 0:
-                raise ValueError("grouping radii must be positive")
+            if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+                raise ValueError("grouping radii must be positive reals")
 
     @property
     def levels(self) -> int:

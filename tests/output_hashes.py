@@ -34,7 +34,12 @@ over every line:
   number syntax, finiteness, dims, score;
 - the arrays the CLI's loaders (``graphdet.cli._load_points`` and
   ``_load_states``) parse from a seeded 300-line point file, 3- and
-  4-number lines mixed, and a seeded 40-row, 7-column state file.
+  4-number lines mixed, and a seeded 40-row, 7-column state file;
+- ``neighbors.nearest_k`` indices and squared distances on inputs no
+  pipeline config reaches: a KITTI-sized uniform cloud (19k sources,
+  20k queries), a 2k-source cloud of four tight clusters with queries
+  up to 1e4 m away, and an integer grid full of duplicate sources and
+  exact distance ties, each at several k.
 
 With two checkouts, this script hashes each in its own process (the
 two run at once) and prints only the items that differ, as ``name
@@ -272,6 +277,33 @@ def loader_hashes() -> dict[str, str]:
     return out
 
 
+def nearest_hashes() -> dict[str, str]:
+    from graphdet.neighbors import nearest_k
+
+    rng = np.random.default_rng(27)
+    extent = np.array([70.0, 80.0, 4.0])
+    centres = rng.uniform(-30.0, 30.0, (4, 3))
+    clusters = np.repeat(centres, 500, axis=0) + rng.normal(scale=0.05, size=(2000, 3))
+    direction = rng.normal(size=(600, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    inputs = {
+        "kitti": (rng.uniform(0.0, 1.0, (19_000, 3)) * extent,
+                  rng.uniform(0.0, 1.0, (20_000, 3)) * extent, (1, 3)),
+        "clusters-far": (clusters,
+                         np.concatenate([rng.uniform(-100.0, 100.0, (1400, 3)),
+                                         direction * np.geomspace(50.0, 1e4, 600)[:, None]]),
+                         (1, 3, 16)),
+        "integer-ties": (rng.integers(-6, 7, (3000, 3)).astype(float),
+                         rng.integers(-15, 16, (2000, 3)) / 2.0, (1, 3, 27)),
+    }
+    out = {}
+    for name, (sources, queries, ks) in inputs.items():
+        for k in ks:
+            nn, d2 = nearest_k(sources, queries, k)
+            out[f"nearest/{name}/k{k}"] = _sha(nn.tobytes(), d2.tobytes())
+    return out
+
+
 def _item_hashes(checkout: str) -> subprocess.Popen:
     """This script started on one checkout, its standard output piped."""
     return subprocess.Popen(
@@ -316,6 +348,7 @@ def main(argv: list[str]) -> int:
             frame_hashes,
             reader_hashes,
             loader_hashes,
+            nearest_hashes,
         )
         for name, digest in part().items()
     ]

@@ -243,6 +243,13 @@ def test_set_abstraction_checks_widths():
         set_abstraction(src, np.zeros((1, 3)), -1.0, DenseStack.seeded((7, 2), 0))
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+def test_set_abstraction_rejects_radii_that_are_not_positive_reals(radius):
+    src = FeatureSet(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="radius must be a positive real"):
+        set_abstraction(src, np.zeros((1, 3)), radius, DenseStack.seeded((7, 2), 0))
+
+
 # ---------------------------------------------------------------------------
 # BEV sampling
 

@@ -15,10 +15,9 @@ from graphdet.scene import Box3D, BoxArray
 
 from oracles import brute_radius_graph, dense_propagate
 
-# Pair budgets for the search: 1 sends everything through the cell hash
-# (one query per batch), 64 batches a few queries per hash pass and
-# leaves the dense pass at most 2 pairs, and the default answers these
-# small problems by the dense pass.
+# Pair budgets for a k-nearest pass: 1 puts each query in a batch of its
+# own, 64 batches a few queries at a time, and the default answers these
+# small problems in one batch per pass.
 CHUNKS = st.sampled_from([1, 64, neighbors._CHUNK_PAIRS])
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -125,6 +124,31 @@ def test_nearest_k_breaks_ties_by_lower_index():
         nn, d2 = nearest_k(src, queries, 3)
     assert nn.tolist() == [[4, 0, 1]] * 5
     assert d2.tolist() == [[0.0, 1.0, 1.0]] * 5
+
+
+def test_nearest_k_keeps_a_tie_that_lies_exactly_on_the_pass_radius():
+    # Twelve sources on the x axis from -4 to 4 give a first radius of
+    # 8 * 3 / 12 = 2.  The query at the origin has two sources closer than 2
+    # and its third nearest tied at exactly 2, where the lower index (5,
+    # at +2) sits in a later cell than its partner (9, at -2).  The tie
+    # is inside the ball, so the first pass settles the query.
+    x = [-4, 4, 0.5, -1, 3, 2, -3, 2.5, -2.5, -2, 3.5, -3.5]
+    src = np.array([[v, 0.0, 0.0] for v in x])
+    queries = np.zeros((1, 3))
+    assert neighbors._start_cell(src, 3) == 2.0
+    passes = []
+
+    class Counted(neighbors.CellIndex):
+        def __init__(self, points, cell_size):
+            passes.append(cell_size)
+            super().__init__(points, cell_size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "CellIndex", Counted)
+        nn, d2 = nearest_k(src, queries, 3)
+    assert nn.tolist() == [[2, 3, 5]]
+    assert d2.tolist() == [[0.25, 1.0, 4.0]]
+    assert len(passes) == 1
 
 
 def test_propagate_rejects_non_finite_queries():

@@ -1,6 +1,7 @@
 """End-to-end pipeline: configuration files, training smoke runs, scoring."""
 
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -559,6 +560,35 @@ def test_diverging_training_names_the_step_and_the_term():
             run_pipeline(config)
     assert issubclass(TrainingDivergedError, ValueError)
     assert not issubclass(TrainingDivergedError, ConfigError)
+
+
+def test_loss_growing_past_the_divergence_factor_fails_naming_the_initial_loss():
+    # Seed 4 at learning rate 0.4 blows the loss up to finite values of
+    # 1e7 and more; the step where it first passes the factor fails.
+    config = PipelineConfig(seed=4, train=TrainPipelineConfig(learning_rate=0.4))
+    initial = train_smoke(config, steps=0)[0]
+    want = r"^training diverged at step (\d+): loss term l_gnn is (\S+), against an initial loss of (\S+)$"
+    with pytest.raises(TrainingDivergedError) as caught:
+        train_smoke(config)
+    step, loss, first = re.match(want, str(caught.value)).groups()
+    assert 0 < int(step) < config.train.steps
+    assert float(first) == initial
+    assert math.isfinite(float(loss))
+    assert float(loss) > pipeline._DIVERGENCE_FACTOR * initial
+
+
+def test_zero_initial_loss_never_trips_the_divergence_factor(monkeypatch):
+    calls = []
+    evaluate = pipeline._evaluate
+
+    def zero_first(*args):
+        loss, grads = evaluate(*args)
+        calls.append(loss)
+        return (0.0 if len(calls) == 1 else loss), grads
+
+    monkeypatch.setattr(pipeline, "_evaluate", zero_first)
+    history = train_smoke(tiny_config(train={"steps": 5}))
+    assert history[0] == 0.0 and history[1:] == calls[1:] and min(calls) > 0
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,14 @@ def test_config_validation():
         RfaConfig(radii=((0.0, 1.0), (0.5, 1.0), (1.0, 2.0)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_radii(bad):
+    with pytest.raises(ValueError, match="radii must be positive reals"):
+        RfaConfig(radii=((0.1, 0.5), (0.5, bad), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="radii must be positive reals"):
+        RfaConfig(radii=((bad, 0.5), (0.5, 1.0), (1.0, 2.0)))
+
+
 # ---------------------------------------------------------------------------
 # synthetic feature fields
 
