@@ -22,8 +22,9 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, replace
+from typing import Any
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .metrics import (
 )
 from .pipeline import (
     ConfigError,
+    GnnPipelineConfig,
     PipelineConfig,
     SceneConfig,
     load_pipeline_config,
@@ -61,6 +63,23 @@ from .scene import (
 from .voxel import VoxelizationConfig, voxelize
 
 _GRADCHECK_TOL = 1e-4
+
+
+def _gnn_value(name: str, kind: type) -> Callable[[str], Any]:
+    """An argparse type: the flag's text as a ``kind``, within the bounds
+    that :class:`~graphdet.pipeline.GnnPipelineConfig` puts on its field
+    ``name``, so that a bad value exits 2 naming the flag."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        try:
+            GnnPipelineConfig(**{name: value})
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def _point(tokens: list[str]) -> list[float]:
@@ -298,9 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="run graph refinement over proposal boxes")
     p.add_argument("--proposals", required=True, help="box file of proposals")
     p.add_argument("--states", required=True, help="one row of state floats per proposal")
-    p.add_argument("--radius", type=float, default=2.0, help="neighborhood radius (m)")
-    p.add_argument("--iters", type=int, default=3, help="refinement iterations")
-    p.add_argument("--hidden", type=int, default=32, help="hidden width of the stacks")
+    p.add_argument(
+        "--radius", type=_gnn_value("radius", float), default=2.0,
+        help="neighborhood radius (m), positive and finite",
+    )
+    p.add_argument(
+        "--iters", type=_gnn_value("depth", int), default=3, help="refinement iterations, 0-5"
+    )
+    p.add_argument(
+        "--hidden", type=_gnn_value("hidden_dim", int), default=32,
+        help="hidden width of the stacks, at least 1",
+    )
     p.add_argument(
         "--header", choices=("zero", "random"), default="random",
         help="zero makes the refinement a score-0.5 passthrough",

@@ -28,12 +28,12 @@ an exact tie the lowest row (the lowest neighbour index) wins, and a NaN
 beats every number, the first NaN winning among several.  The backward
 pass stores each channel's gradient on that one winning row (blocks are
 disjoint, so no row receives two) and scatters the rows' gradients onto
-nodes with ``np.bincount``, which adds them in edge order exactly as
-``np.add.at`` would.  The block layout, the edge vectors and the scatter
-keys depend only on the adjacency and the coordinates, so each graph
-derives them once, when it is built, and every update reads them from
-it.  An update fills its ``-inf`` block once and reuses it across the
-iterations, overwriting only the edge slots.
+nodes with one ``np.bincount`` per iteration, which adds them in edge
+order as ``np.add.at`` would.  The block layout, the edge vectors and
+the scatter keys depend only on the adjacency and the coordinates, so
+each graph derives them once, when it is built, and every update reads
+them from it.  An update fills its ``-inf`` block once and reuses it
+across the iterations, overwriting only the edge slots.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ class NeighborhoodGraph:
     slot[e]]`` of the padded layout), ``edge_vec`` (``coords[row_node] -
     coords[indices]``, one per edge) and the backward pass's scatter
     keys ``neigh_keys`` (``node * F + channel`` for every node, then for
-    each edge's neighbour, F being the state width) and ``align_keys``
-    (``row_node * 3 + axis``).  :meth:`with_states` swaps the states of
-    a validated graph and shares all of it.
+    each edge's neighbour, F being the state width) and ``extended_keys``
+    (the same, with each edge's three offset columns first, sent to
+    ``n * F + row_node * 3 + axis``).  :meth:`with_states` swaps the
+    states of a validated graph and shares all of it.
     """
 
     boxes: BoxArray
@@ -106,7 +107,7 @@ class NeighborhoodGraph:
     slot: np.ndarray = field(init=False, repr=False)
     edge_vec: np.ndarray = field(init=False, repr=False)
     neigh_keys: np.ndarray = field(init=False, repr=False)
-    align_keys: np.ndarray = field(init=False, repr=False)
+    extended_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coords = self.boxes.params[:, :3]
@@ -144,6 +145,9 @@ class NeighborhoodGraph:
         # degree ``width``.
         width = int(degree.max()) if n else 0
         f = states.shape[1]
+        bins = np.arange(n * f)
+        state_keys = indices[:, None] * f + np.arange(f)
+        offset_keys = n * f + row_node[:, None] * 3 + np.arange(3)
         arrays = {
             "states": states,
             "offsets": offsets,
@@ -152,10 +156,8 @@ class NeighborhoodGraph:
             "row_node": row_node,
             "slot": np.arange(len(indices)) - offsets[row_node],
             "edge_vec": coords[row_node] - coords[indices],
-            "neigh_keys": np.concatenate(
-                [np.arange(n * f), (indices[:, None] * f + np.arange(f)).ravel()]
-            ),
-            "align_keys": (row_node[:, None] * 3 + np.arange(3)).ravel(),
+            "neigh_keys": np.concatenate([bins, state_keys.ravel()]),
+            "extended_keys": np.concatenate([bins, np.hstack([offset_keys, state_keys]).ravel()]),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -168,7 +170,7 @@ class NeighborhoodGraph:
         Only the new states are checked, with the constructor's messages;
         the boxes, the validated adjacency and the derived layout are
         shared.  The state width must stay the same, because
-        ``neigh_keys`` is derived for it.
+        the scatter keys are derived for it.
         """
         states = _state_matrix(states, len(self))
         if not np.all(np.isfinite(states)):
@@ -426,73 +428,73 @@ def update(graph: NeighborhoodGraph, updater: GraphUpdater) -> tuple[np.ndarray,
 
 
 def update_backward(
-    cache: UpdateCache, grad_out: np.ndarray, want_state_grad: bool = True
+    cache: UpdateCache, grad_out: np.ndarray, want_state_grad: bool = True, out: list | None = None
 ) -> tuple[list[list[LayerGrads]], np.ndarray | None]:
     """Back-propagate through a cached update.
 
     ``grad_out`` is d(loss)/d(refined states), shape (n, F).  Returns one
     gradient per stack, in :attr:`GraphUpdater.stacks` order, and
     d(loss)/d(initial states), a new array, or None if not
-    ``want_state_grad``.  Training reads only the stack gradients, so it
-    skips the first iteration's state scatter, which feeds nothing else,
-    and the input gradients that feed only that scatter: the alignment
-    stack's, and the aggregation stack's under the state-only update.
-    That iteration's alignment scatter still runs, because the alignment
-    stack's gradient reads it.  A stack that took no part (every stack
-    when no iteration ran, at depth zero or on an empty graph; the
-    alignment stacks under the state-only update) gets a zero gradient.
+    ``want_state_grad``; with ``out`` (one list of (dW, db) arrays per
+    stack, in that order) the stack gradients are written there instead.
+    Training reads only the stack gradients, so it skips the first
+    iteration's state scatter, which feeds nothing else, and the input
+    gradients that feed only that scatter: the alignment stack's, and the
+    aggregation stack's under the state-only update.  That iteration's
+    offset scatter still runs, because the alignment stack's gradient
+    reads it.  A stack that took no part (every stack when no iteration
+    ran, at depth zero or on an empty graph; the alignment stacks under
+    the state-only update) gets a zero gradient.
 
     Max-pool gradients are stored on the winning neighbour row per
     channel (the lowest row on exact forward ties), with one assignment
     through the forward's flat indices; node blocks are disjoint, so each
-    row and channel receives at most one.  The scatters of row gradients
-    onto nodes are one ``np.bincount`` each over flattened
-    ``node * F + channel`` keys (the graph's ``neigh_keys`` and
-    ``align_keys``).  ``bincount`` adds its weights in input order, so
-    the residual ``dh`` goes first and then the rows in edge order:
-    every sum runs in ``np.add.at``'s order.
+    row and channel receives at most one, and the last aggregation
+    layer's bias gradient sums the winners alone, node by node: the
+    row-by-row sum's non-zero terms in its order.  Each iteration
+    scatters ``dh`` and the rows with one ``np.bincount`` over the
+    graph's ``neigh_keys`` or ``extended_keys``; ``d_align`` is the
+    offset bins negated.  ``bincount`` adds its weights in input order,
+    so the residual ``dh`` goes first and then the rows in edge order:
+    every sum runs in ``np.add.at``'s order, up to an exact zero's sign.
     (``np.add.reduceat`` would not: it adds long blocks pairwise.)
     The stacks' products are the forward's (``cache.product``).
     """
     updater = cache.updater
     depth = len(cache.iterations)
+    outs = out or [None] * len(updater.stacks)
     if depth == 0:
         dh = np.array(grad_out, dtype=float) if want_state_grad else None
-        return [s.zero_grads() for s in updater.stacks], dh
+        return [s.zero_grads(o) for s, o in zip(updater.stacks, outs)], dh
     # No iteration writes into dh, so grad_out needs no copy.
     dh = np.asarray(grad_out, dtype=float)
     graph, product = cache.graph, cache.product
     n, f = dh.shape
-    weights = np.empty(len(graph.neigh_keys))
-    agg, fus = [None] * depth, [None] * depth
-    if cache.extended:
-        align = [None] * depth
-    else:
-        align = [s.zero_grads() for s in updater.align_stacks or []]
+    keys = graph.extended_keys if cache.extended else graph.neigh_keys
+    agg, fus, align = outs[:depth], outs[depth : 2 * depth], outs[2 * depth :]
+    if not cache.extended:
+        align = [s.zero_grads(o) for s, o in zip(updater.align_stacks or [], align)]
     for k in range(depth - 1, -1, -1):
         it = cache.iterations[k]
-        fus[k], d_pooled = updater.fus_stacks[k]._backward(it.fus_cache, dh, True, product)
+        fus[k], d_pooled = updater.fus_stacks[k]._backward(it.fus_cache, dh, True, product, fus[k])
 
         d_pool_in = np.zeros(it.pool_inputs.shape)
         d_pool_in.ravel()[it.argmax_flat] = d_pooled
         state_grad = k > 0 or want_state_grad
-        # The last argument is want_input_grad: the state-only update reads
-        # the row gradients only for the state scatter.
+        # The third argument is want_input_grad: the state-only update
+        # reads the row gradients only for the state scatter.
         agg[k], d_rows = updater.agg_stacks[k]._backward(
-            it.agg_cache, d_pool_in, state_grad or cache.extended, product
+            it.agg_cache, d_pool_in, state_grad or cache.extended, product, agg[k], it.argmax_flat
         )
         if state_grad:
             # The residual connection passes dh straight through.
-            d_states = d_rows[:, 3:] if cache.extended else d_rows
-            weights[: n * f] = dh.ravel()
-            weights[n * f :].reshape(d_states.shape)[...] = d_states
-            dh = np.bincount(graph.neigh_keys, weights, minlength=n * f).reshape(n, f)
+            sums = np.bincount(keys, np.concatenate((dh.ravel(), d_rows.ravel())))
+            dh = sums[: n * f].reshape(n, f)
+        elif cache.extended:
+            sums = np.bincount(keys[n * f :], d_rows.ravel())
         if cache.extended:
-            d_align = np.bincount(
-                graph.align_keys, np.negative(d_rows[:, :3]).ravel(), minlength=n * 3
-            )
             align[k], d_prev_align = updater.align_stacks[k]._backward(
-                it.align_cache, d_align.reshape(n, 3), state_grad, product
+                it.align_cache, -sums[n * f :].reshape(n, 3), state_grad, product, align[k]
             )
             if state_grad:
                 dh += d_prev_align
@@ -577,13 +579,15 @@ def _header_backward(
     d_scores: np.ndarray,
     d_residuals: np.ndarray,
     product: Callable,
+    out: list[list[LayerGrads]] | None = None,
 ) -> tuple[list[LayerGrads], list[LayerGrads], np.ndarray]:
     """The header's backward kernel: both gradients must be float arrays,
-    and ``product`` is the stacks' matrix product."""
+    ``product`` is the stacks' matrix product, and ``out``, if given, the
+    two stacks' (dW, db) arrays, which receive the gradients."""
     cls_cache, reg_cache, scores = cache
     d_logits = (d_scores * scores * (1.0 - scores))[:, None]
-    cls_grads, dz_cls = cls_stack._backward(cls_cache, d_logits, True, product)
-    reg_grads, dz_reg = reg_stack._backward(reg_cache, d_residuals, True, product)
+    cls_grads, dz_cls = cls_stack._backward(cls_cache, d_logits, True, product, out and out[0])
+    reg_grads, dz_reg = reg_stack._backward(reg_cache, d_residuals, True, product, out and out[1])
     return cls_grads, reg_grads, dz_cls + dz_reg
 
 

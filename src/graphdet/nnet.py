@@ -171,25 +171,37 @@ class DenseStack:
         return self._backward(cache, np.asarray(grad_out, dtype=float), want_input_grad, np.matmul)
 
     def _backward(
-        self, cache: list, g: np.ndarray, want_input_grad: bool, product: Callable
+        self, cache: list, g: np.ndarray, want_input_grad: bool, product: Callable,
+        out: list[LayerGrads] | None = None, winners: np.ndarray | None = None,
     ) -> tuple[list[LayerGrads], np.ndarray | None]:
         """The backward kernel: ``g`` must already be a float array, and
-        ``product`` multiplies two matrices."""
+        ``product`` multiplies two matrices.  ``out`` (a C-contiguous (dW,
+        db) pair per layer) receives the gradients.  ``winners``, the flat
+        indices, row by row, of every entry of the last layer's masked ``g``
+        that can be non-zero, make its bias gradient sum just those, unless
+        that layer is one column wide: NumPy sums one column pairwise, not
+        row by row, so the zeros between the winners move its rounding."""
         layers = self.layers
-        grads: list[LayerGrads] = [None] * len(layers)  # type: ignore[list-item]
+        grads: list[LayerGrads] = out or [(None, None)] * len(layers)  # type: ignore[list-item]
         for idx in range(len(layers) - 1, -1, -1):
             layer = layers[idx]
             h_in, pre = cache[idx]
             if layer.activation == "relu":
                 g = g * (pre > 0.0)
-            grads[idx] = (product(g.T, h_in), np.add.reduce(g, axis=0))
+            dw, db = grads[idx]
+            last = winners is not None and idx == len(layers) - 1 and g.shape[1] > 1
+            rows = g.take(winners) if last else g
+            grads[idx] = (product(g.T, h_in, out=dw), np.add.reduce(rows, axis=0, out=db))
             if idx == 0 and not want_input_grad:
                 return grads, None
             g = product(g, layer.weight)
         return grads, g
 
-    def zero_grads(self) -> list[LayerGrads]:
-        return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in self.layers]
+    def zero_grads(self, out: list[LayerGrads] | None = None) -> list[LayerGrads]:
+        grads = out or [(np.empty_like(l.weight), np.empty_like(l.bias)) for l in self.layers]
+        for dw, db in grads:
+            dw[...] = db[...] = 0.0
+        return grads
 
     def sgd_step(self, grads: list[LayerGrads], lr: float) -> None:
         """In-place gradient-descent update."""
@@ -250,26 +262,31 @@ def _product_for(rows: int, stacks: list[DenseStack]) -> Callable:
     return np.matmul
 
 
+def flat_views(vector: np.ndarray, stacks: list[DenseStack]) -> list[list[LayerGrads]]:
+    """Per stack, per layer, views of ``vector`` shaped like the layer's
+    (weight, bias), in :meth:`DenseStack.flat_params`' order."""
+    arrays = [a for stack in stacks for layer in stack.layers for a in (layer.weight, layer.bias)]
+    parts = np.split(vector, np.cumsum([a.size for a in arrays])[:-1])
+    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    pairs = iter(zip(views[::2], views[1::2]))
+    return [[next(pairs) for _ in stack.layers] for stack in stacks]
+
+
 def bind_flat_params(stacks: list[DenseStack]) -> np.ndarray:
     """Copy every layer weight and bias of ``stacks`` into one new
-    contiguous vector and rebind them as views of it; returns the vector.
+    contiguous vector and rebind them as views of it (:func:`flat_views`);
+    returns the vector.
 
-    The order is :meth:`DenseStack.flat_params`' order, stack after
-    stack, which is also the order of the stacks' gradient lists
-    flattened, so one ``vector -= lr * flat_gradient`` descends every
-    layer at once, each entry as ``w - lr * dw``, exactly as
-    :meth:`DenseStack.sgd_step` computes it.  Each call binds to a new
-    vector, so the stacks share no memory with any earlier binding.
+    The order is :meth:`DenseStack.flat_params`' order, so with the
+    gradients in views of a vector of the same layout one ``vector -= lr
+    * gradient`` descends every layer as :meth:`DenseStack.sgd_step`
+    does, ``w - lr * dw``.  Each call binds to a new vector, so the
+    stacks share no memory with any earlier binding.
     """
-    layers = [layer for stack in stacks for layer in stack.layers]
-    vector = np.concatenate([a.ravel() for layer in layers for a in (layer.weight, layer.bias)])
-    offset = 0
-    for layer in layers:
-        for name in ("weight", "bias"):
-            shape = getattr(layer, name).shape
-            end = offset + math.prod(shape)
-            setattr(layer, name, vector[offset:end].reshape(shape))
-            offset = end
+    vector = np.concatenate([stack.flat_params() for stack in stacks])
+    for stack, pairs in zip(stacks, flat_views(vector, stacks)):
+        for layer, (weight, bias) in zip(stack.layers, pairs):
+            layer.weight, layer.bias = weight, bias
     return vector
 
 

@@ -53,6 +53,7 @@ from .nnet import (
     LossConfig,
     _product_for,
     bind_flat_params,
+    flat_views,
     focal_loss_and_grad,
     masked_smooth_l1_mean_and_grad,
 )
@@ -117,8 +118,8 @@ class GnnPipelineConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.depth <= 5:
             raise ConfigError("gnn depth must lie in 0..5")
-        if self.radius <= 0:
-            raise ConfigError("gnn radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("gnn radius must be positive and finite")
         if self.hidden_dim < 1 or self.header_hidden < 1:
             raise ConfigError("gnn widths must be positive")
         if self.variant not in ("extended", "vanilla"):
@@ -481,6 +482,7 @@ def _evaluate(
     config: PipelineConfig,
     want_grads: bool,
     product: Callable,
+    out: list[list[LayerGrads]] | None = None,
 ) -> tuple[float, list[list[LayerGrads]] | None]:
     """Refinement loss of the batch and, if wanted, its gradients: one
     pass over the joined graph, with per-world normalisers.
@@ -491,8 +493,9 @@ def _evaluate(
     :func:`~graphdet.nnet.masked_smooth_l1_mean_and_grad`) on the row
     selections ``targets`` derived once; the batch loss is their sum in
     world order.  An empty world adds nothing.  The gradients are one
-    per stack, in :attr:`PipelineModels.stacks` order, and every call
-    returns new arrays: no later call overwrites them.
+    per stack, in :attr:`PipelineModels.stacks` order, written into
+    ``out`` (a list of (dW, db) arrays per stack) if given, else into new
+    arrays that no later call overwrites.
 
     The update and the header run as kernels with ``product`` as their
     matrix product: the models must have passed the checks that
@@ -519,15 +522,21 @@ def _evaluate(
     if not want_grads:
         return loss, None
     cls_grads, reg_grads, dz = _header_backward(
-        hcache, models.cls_stack, models.reg_stack, dscores, dres, product
+        hcache, models.cls_stack, models.reg_stack, dscores, dres, product, out and out[-2:]
     )
-    updater_grads, _ = update_backward(ucache, dz, want_state_grad=False)
+    updater_grads, _ = update_backward(ucache, dz, want_state_grad=False, out=out and out[:-2])
     return loss, [*updater_grads, cls_grads, reg_grads]
 
 
 def _training_worlds(config: PipelineConfig) -> tuple[list[_World], NeighborhoodGraph, _Targets]:
     """The batch's worlds, their proposal graphs joined into one (with no
-    edge between worlds) and the targets of the joined rows."""
+    edge between worlds) and the targets of the joined rows.
+
+    Raises :class:`ConfigError` when the batch has proposals but none of
+    them is foreground: the loss would be zero at every step and the run
+    would return its initial models.  A batch with no proposals at all
+    passes.
+    """
     worlds = [
         _build_world(
             config,
@@ -539,6 +548,16 @@ def _training_worlds(config: PipelineConfig) -> tuple[list[_World], Neighborhood
     fgs, regs = zip(*(_training_targets(config, world) for world in worlds))
     ends = np.cumsum([len(fg) for fg in fgs]).tolist()
     targets = _Targets(np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends)))
+    if len(targets.prop_fg) and not targets.prop_fg.any():
+        best = max(
+            pairwise_bev_iou(world.graph.boxes, BoxArray.of(world.scene.gt_boxes)).max(initial=0.0)
+            for world in worlds
+            if len(world.graph)
+        )
+        raise ConfigError(
+            f"no training proposal is foreground: the best proposal IoU is {best:.4f}, "
+            f"below proposals.pos_iou = {config.proposals.pos_iou}"
+        )
     return worlds, join_graphs([world.graph for world in worlds]), targets
 
 
@@ -551,13 +570,14 @@ def _train_models(
 
     The run binds every weight and bias of :attr:`PipelineModels.stacks`
     as a view of one parameter vector
-    (:func:`~graphdet.nnet.bind_flat_params`), so a step's descent is one
-    ``params -= lr * gradient`` over the step's gradient list flattened
-    in the same order: one ``concatenate``, scaled by ``lr`` in place and
-    subtracted, which is ``w - lr * dw`` entry by entry.  A step asks
+    (:func:`~graphdet.nnet.bind_flat_params`), and the backward kernels
+    write every layer's (dW, db) into views of a gradient vector laid out
+    the same way (:func:`~graphdet.nnet.flat_views`), so a step's descent
+    is one ``params -= lr * gradient`` (the product into a buffer kept
+    for the run), which is ``w - lr * dw`` entry by entry.  A step asks
     :func:`~graphdet.gnn.update_backward` for the stacks' gradients only,
-    not the initial states' one, which no step reads.  Each run binds a
-    new vector: models from two runs share no memory.
+    not the initial states' one, which no step reads.  Each run binds new
+    vectors: models from two runs share no memory.
 
     The models are checked against the joined graph once, with the checks
     :func:`~graphdet.gnn.update` and :func:`~graphdet.gnn.header_forward`
@@ -573,38 +593,38 @@ def _train_models(
     positive initial loss.  If the previous step's gradients were already
     non-finite, the error names that step and the first such stack;
     otherwise it names this step, the loss term and the initial loss.
-    Only the previous step's gradient list is kept, and it is read only
-    then.
+    Steps write into two gradient vectors in turn, so the previous step's
+    gradient is still intact when a divergence reads it.
     """
     worlds, graph, targets = _training_worlds(config)
     models = init_models(config)
     _check_update(graph, models.updater, models.updater.align_stacks is not None)
     _check_header(graph.states, models.cls_stack, models.reg_stack)
     params = bind_flat_params(models.stacks)
+    # Step s writes into vector s % 2: the previous step's stays for _divergence.
+    gradients = [np.zeros(params.shape) for _ in range(2)]
+    outs = [flat_views(gradient, models.stacks) for gradient in gradients]
+    scaled = np.empty(params.shape)
     product = _product_for(len(graph), models.stacks)
     lr = config.train.learning_rate / len(worlds)
-    history, last_grads = [], []
+    history = []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        loss, grads = _evaluate(models, graph, targets, config, step < steps, product)
+        loss, _ = _evaluate(models, graph, targets, config, step < steps, product, outs[step % 2])
         if step == 0:
             initial = loss
         if not math.isfinite(loss) or (initial > 0 and loss > _DIVERGENCE_FACTOR * initial):
-            raise TrainingDivergedError(_divergence(step, loss, initial, last_grads))
+            raise TrainingDivergedError(_divergence(step, loss, initial, outs[1 - step % 2]))
         history.append(loss / len(worlds))
-        if grads is not None:
-            flat = np.concatenate(
-                [a for stack_grads in grads for pair in stack_grads for a in pair], axis=None
-            )
-            flat *= lr
-            params -= flat
-            last_grads = grads
+        if step < steps:
+            np.multiply(gradients[step % 2], lr, out=scaled)
+            params -= scaled
     return models, history, worlds[0]
 
 
 def _divergence(step: int, loss: float, initial: float, last_grads: list[list[LayerGrads]]) -> str:
     """The message for a non-finite or outgrown loss at ``step``, after a
-    descent on ``last_grads`` (empty at step 0) from an ``initial`` loss."""
+    descent on ``last_grads`` (all zero at step 0) from an ``initial`` loss."""
     for i, grads in enumerate(last_grads):
         if not all(np.isfinite(a).all() for layer in grads for a in layer):
             return (

@@ -751,7 +751,7 @@ def loop_update_forward(graph, updater, extended: bool):
     return h, argmax_per_iteration
 
 
-def loop_update_backward(cache, grad_out, want_state_grad=True):
+def loop_update_backward(cache, grad_out, want_state_grad=True, out=None):
     """The refiner's backward pass with ``np.add.at`` scatters.
 
     Starts every stack gradient at zero and adds each iteration's onto
@@ -761,7 +761,9 @@ def loop_update_backward(cache, grad_out, want_state_grad=True):
     Returns ``(stack gradients, d_states)`` like ``gnn.update_backward``:
     the aggregation, fusion and alignment stacks' gradients, in that order.
     It always computes ``d_states``, and returns None in its place if not
-    ``want_state_grad``, as the library does.
+    ``want_state_grad``, as the library does.  With ``out`` (one list of
+    (dW, db) arrays per stack) it copies the gradients into those arrays
+    and returns them, as the library's kernels write into them.
     """
     updater = cache.updater
     offsets = cache.graph.offsets
@@ -798,6 +800,12 @@ def loop_update_backward(cache, grad_out, want_state_grad=True):
         else:
             np.add.at(d_prev, row_neigh, d_rows)
         dh = d_prev
+    if out is not None:
+        for stack_out, stack_grads in zip(out, grads, strict=True):
+            for pair, got in zip(stack_out, stack_grads, strict=True):
+                for a, b in zip(pair, got):
+                    a[...] = b
+        grads = out
     return grads, dh if want_state_grad else None
 
 

@@ -362,6 +362,38 @@ def test_refine_empty_states_exits_two(tmp_path, capsys):
     assert "no state rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--hidden", "0", "gnn widths must be positive"),
+        ("--hidden", "-3", "gnn widths must be positive"),
+        ("--iters", "-1", "gnn depth must lie in 0..5"),
+        ("--iters", "6", "gnn depth must lie in 0..5"),
+        ("--iters", "1000000000", "gnn depth must lie in 0..5"),
+        ("--radius", "0", "gnn radius must be positive and finite"),
+        ("--radius", "-1.5", "gnn radius must be positive and finite"),
+        ("--radius", "nan", "gnn radius must be positive and finite"),
+        ("--radius", "inf", "gnn radius must be positive and finite"),
+    ],
+)
+def test_refine_arguments_out_of_the_configs_bounds_exit_two_naming_the_flag(
+    tmp_path, capsys, flag, value, reason
+):
+    props, states = refine_inputs(tmp_path)
+    assert main(["refine", "--proposals", props, "--states", states, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: {reason}, got {value}\n" in captured.err
+
+
+def test_refine_arguments_at_the_configs_bounds_run(tmp_path):
+    props, states = refine_inputs(tmp_path)
+    for extra in (["--iters", "0"], ["--iters", "5"], ["--hidden", "1"], ["--radius", "1e-9"]):
+        out = tmp_path / "refined.txt"
+        assert main(["refine", "--proposals", props, "--states", states, *extra, "--output", str(out)]) == 0
+        assert len(read_detections(str(out))) == 3
+
+
 # ---------------------------------------------------------------------------
 # pipeline subcommands
 

@@ -20,7 +20,7 @@ from graphdet.gnn import (
     update_extended_forward,
     update_vanilla_forward,
 )
-from graphdet.nnet import DenseLayer, DenseStack
+from graphdet.nnet import DenseLayer, DenseStack, flat_views
 from graphdet.scene import Box3D, BoxArray
 
 from oracles import brute_radius_graph
@@ -169,7 +169,7 @@ def test_with_states_equals_a_fresh_build_field_for_field():
             assert got == want, f.name
     # The validated adjacency and its derived layout are shared, the
     # states copied; the original graph keeps its own states.
-    for name in ("offsets", "indices", "row_node", "slot", "edge_vec", "neigh_keys"):
+    for name in ("offsets", "indices", "row_node", "slot", "edge_vec", "neigh_keys", "extended_keys"):
         assert getattr(swapped, name) is getattr(graph, name)
     new_states[0, 0] = 99.0
     assert swapped.states[0, 0] != 99.0
@@ -444,6 +444,35 @@ def test_backward_gives_one_gradient_per_stack_in_stack_order(extended, depth, n
     for stack, layer_grads in zip(updater.stacks, grads):
         for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
             assert dw.shape == layer.weight.shape and db.shape == layer.bias.shape
+
+
+@pytest.mark.parametrize("forward", ["own", "state-only"])
+@pytest.mark.parametrize("depth, n", [(0, 5), (3, 5), (3, 0)])
+def test_backward_into_gradient_views_equals_the_allocating_form(forward, depth, n):
+    # Every entry of the views is written, a stack that took no part
+    # (every stack when no iteration runs; the alignment stacks under the
+    # state-only update) with zeros, and the views are what it returns.
+    graph = build_graph(*line_proposals(n, 1.0, 4, seed=2), radius=1.5)
+    updater = GraphUpdater.seeded(4, 8, depth, seed=6, extended=forward == "own")
+    if forward == "state-only":
+        align = [DenseStack.seeded((4, 3), 7 + k) for k in range(depth)]
+        updater = GraphUpdater(updater.agg_stacks, updater.fus_stacks, align)
+        refined, cache = update_vanilla_forward(graph, updater)
+    else:
+        refined, cache = update(graph, updater)
+    grad_out = np.random.default_rng(1).normal(size=refined.shape)
+    for want_state_grad in (True, False):
+        want, want_states = update_backward(cache, grad_out, want_state_grad)
+        vector = np.full(sum(stack.flat_params().size for stack in updater.stacks), 7.0)
+        views = flat_views(vector, updater.stacks)
+        grads, d_states = update_backward(cache, grad_out, want_state_grad, out=views)
+        assert len(grads) == len(views) and all(g is v for g, v in zip(grads, views))
+        want_vector = [a.ravel() for stack in want for pair in stack for a in pair]
+        assert np.array_equal(vector, np.concatenate([np.empty(0), *want_vector]))
+        if want_state_grad:
+            assert np.array_equal(d_states, want_states)
+        else:
+            assert d_states is want_states is None
 
 
 def test_state_only_update_gives_alignment_stacks_zero_gradients():

@@ -14,6 +14,7 @@ from graphdet.gnn import (
     update_extended_forward,
     update_vanilla_forward,
 )
+from graphdet.nnet import DenseStack
 from graphdet.scene import Box3D, BoxArray
 
 from oracles import loop_update_backward, loop_update_forward
@@ -96,12 +97,20 @@ def test_update_runs_the_updaters_own_variant(n, state_dim, extended, rounded, s
     assert np.array_equal(refined, want)
 
 
-def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out):
+def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad=True):
+    # The library sums the last aggregation layer's bias gradient over the
+    # pool's winners and scatters each iteration with one bincount; the
+    # oracle sums that gradient over every edge row and scatters with
+    # np.add.at.  The two may differ only in the sign of an exact zero,
+    # which np.array_equal does not see.
     _, cache = update(graph, updater)
     assert cache.extended == extended
-    grads, d_states = update_backward(cache, grad_out)
-    want, want_states = loop_update_backward(cache, grad_out)
-    assert np.array_equal(d_states, want_states, equal_nan=True)
+    grads, d_states = update_backward(cache, grad_out, want_state_grad)
+    want, want_states = loop_update_backward(cache, grad_out, want_state_grad)
+    if want_state_grad:
+        assert np.array_equal(d_states, want_states, equal_nan=True)
+    else:
+        assert d_states is want_states is None
     assert len(grads) == len(want) == len(updater.stacks)
     for got_layers, ref_layers in zip(grads, want):
         for (dw, db), (rw, rb) in zip(got_layers, ref_layers, strict=True):
@@ -116,10 +125,11 @@ def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out):
     radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     extended=st.booleans(),
     rounded=st.booleans(),
+    want_state_grad=st.booleans(),
     seed=SEEDS,
 )
 def test_backward_matches_the_add_at_loop_bit_for_bit(
-    n, state_dim, radius, extended, rounded, seed
+    n, state_dim, radius, extended, rounded, want_state_grad, seed
 ):
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=radius)
@@ -128,7 +138,7 @@ def test_backward_matches_the_add_at_loop_bit_for_bit(
     grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
     if not rounded:
         grad_out += rng.normal(size=grad_out.shape)
-    assert_backward_matches_loop_oracle(graph, updater, extended, grad_out)
+    assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
 
 
 @pytest.mark.parametrize("extended", [False, True])
@@ -141,7 +151,65 @@ def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison
     updater.fus_stacks[1].layers[0].weight[0, 1] = poison
     grad_out = rng.normal(size=(24, 3))
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_backward_matches_loop_oracle(graph, updater, extended, grad_out)
+        for want_state_grad in (True, False):
+            assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
+
+
+def custom_updater(state_dim, seed, extended, agg_dims, agg_activations, rounded, depth=2):
+    """``depth`` iterations whose aggregation stacks have the hidden
+    widths ``agg_dims`` and the given activations; ``rounded`` rounds
+    every weight to a half, so that integer inputs tie."""
+    in_dim = state_dim + (3 if extended else 0)
+    child = np.random.SeedSequence(seed).generate_state(3 * depth)
+    agg, fus, align = [], [], []
+    for k in range(depth):
+        dims = (in_dim, *agg_dims)
+        agg.append(DenseStack.seeded(dims, int(child[3 * k]), list(agg_activations)))
+        fus.append(DenseStack.seeded((agg_dims[-1], state_dim), int(child[3 * k + 1]), ["relu"]))
+        align.append(DenseStack.seeded((state_dim, 3), int(child[3 * k + 2]), ["none"]))
+    updater = GraphUpdater(agg, fus, align if extended else None)
+    if rounded:
+        for stack in updater.stacks:
+            stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
+    return updater
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    state_dim=st.integers(1, 4),
+    extended=st.booleans(),
+    aggregation=st.sampled_from(
+        [
+            ((6,), ("relu",)),
+            ((5, 6), ("relu", "none")),
+            ((5, 6), ("none", "relu")),
+            ((1,), ("none",)),
+            ((5, 1), ("none", "relu")),
+        ]
+    ),
+    rounded=st.booleans(),
+    want_state_grad=st.booleans(),
+    poison=st.sampled_from([None, np.nan, np.inf]),
+    seed=SEEDS,
+)
+def test_backward_matches_the_add_at_loop_with_other_aggregation_stacks(
+    n, state_dim, extended, aggregation, rounded, want_state_grad, poison, seed
+):
+    # A ReLU on the last aggregation layer masks the winners' gradients
+    # before the winner-only bias sum; a two-layer stack gives its first
+    # layer a gradient on every row, which must be summed over all rows;
+    # a one-column last layer sums all its rows, pairwise, as NumPy does.
+    rng = np.random.default_rng(seed)
+    graph = build_graph(*integer_proposals(rng, n, state_dim, spread=3), radius=2.5)
+    updater = custom_updater(state_dim, seed % 1000, extended, *aggregation, rounded)
+    if poison is not None:
+        updater.agg_stacks[0].layers[-1].weight[0, -1] = poison
+    grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
+    if not rounded:
+        grad_out += rng.normal(size=grad_out.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
 
 
 @settings(max_examples=80, deadline=None)
@@ -323,7 +391,8 @@ def assert_layout_is_derived(graph):
     degree = [int(b - a) for a, b in zip(graph.offsets[:-1], graph.offsets[1:])]
     width = max(degree, default=0)
     assert graph.width == width
-    slots, edge_vec, neigh_keys, align_keys = [], [], list(range(n * f)), []
+    slots, edge_vec = [], []
+    neigh_keys, extended_keys = list(range(n * f)), list(range(n * f))
     for i in range(n):
         for slot in range(degree[i]):
             e = int(graph.offsets[i]) + slot
@@ -332,12 +401,15 @@ def assert_layout_is_derived(graph):
             slots.append(slot)
             edge_vec.append(graph.coords[i] - graph.coords[j])
             neigh_keys.extend(j * f + c for c in range(f))
-            align_keys.extend(i * 3 + c for c in range(3))
+            # An extended row is [offset (3), neighbour state (F)]; its
+            # offsets go to the node's bins past the n * F state bins.
+            extended_keys.extend(n * f + i * 3 + c for c in range(3))
+            extended_keys.extend(j * f + c for c in range(f))
     assert graph.slot.tolist() == slots
     assert np.array_equal(graph.edge_vec, np.reshape(edge_vec, (-1, 3)))
     assert graph.neigh_keys.tolist() == neigh_keys
-    assert graph.align_keys.tolist() == align_keys
-    for name in ("slot", "edge_vec", "neigh_keys", "align_keys"):
+    assert graph.extended_keys.tolist() == extended_keys
+    for name in ("slot", "edge_vec", "neigh_keys", "extended_keys"):
         assert not getattr(graph, name).flags.writeable
 
 

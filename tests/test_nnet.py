@@ -10,6 +10,7 @@ from graphdet.nnet import (
     DenseStack,
     LossConfig,
     bind_flat_params,
+    flat_views,
     focal_loss,
     focal_loss_grad,
     masked_smooth_l1_mean,
@@ -210,6 +211,21 @@ def test_bound_parameter_vector_descends_like_sgd_step_bit_for_bit():
     assert not np.shares_memory(again, vector)
     vector[:] = 0.0
     assert np.array_equal(again, np.concatenate([s.flat_params() for s in twins]))
+
+
+def test_flat_views_lay_out_a_gradient_vector_like_the_bound_parameters():
+    stacks = [DenseStack.seeded((3, 4, 2), seed=5), DenseStack.seeded((2, 5), seed=6)]
+    params = bind_flat_params(stacks)
+    gradient = np.zeros(params.shape)
+    views = flat_views(gradient, stacks)
+    # Entry i of every view is entry i of the parameter vector's layout.
+    gradient[:] = params[:] = np.arange(len(params))
+    assert len(views) == len(stacks)
+    for stack, stack_views in zip(stacks, views):
+        for layer, (dw, db) in zip(stack.layers, stack_views, strict=True):
+            assert np.array_equal(dw, layer.weight) and np.array_equal(db, layer.bias)
+            assert dw.flags.c_contiguous and np.shares_memory(dw, gradient)
+            assert db.flags.c_contiguous and np.shares_memory(db, gradient)
 
 
 def test_seeded_stack_is_deterministic():

@@ -21,6 +21,7 @@ from graphdet.nnet import (
     masked_smooth_l1_mean_and_grad,
     masked_smooth_l1_mean_grad,
     _product_for,
+    flat_views,
     smooth_l1,
     smooth_l1_grad,
 )
@@ -314,3 +315,28 @@ def test_dense_stack_equals_the_matmul_form_bit_for_bit(case):
         out, cache = stack._forward(x, product)
         got = (out, *stack._backward(cache, grad_out, want_input_grad, product))
         _assert_same_bits(got, _matmul_pass(stack, x, grad_out, want_input_grad), any_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stack_cases())
+def test_backward_into_gradient_vector_views_equals_the_allocating_form_bit_for_bit(case):
+    # Under either product a training run can pick, the kernel writing
+    # into views of a gradient vector gives the bits of the kernel that
+    # allocates, every entry of the vector is written, and the views are
+    # what it returns.
+    stack, x, grad_out, want_input_grad, aliased = case
+    x = np.ascontiguousarray(x)
+    grad_out = x if aliased else grad_out
+    with np.errstate(all="ignore"):
+        for product in {np.matmul, _product_for(len(x), [stack])}:
+            _, cache = stack._forward(x, product)
+            want_grads, want_d_in = stack._backward(cache, grad_out, want_input_grad, product)
+            vector = np.full(stack.flat_params().size, 7.0)
+            (views,) = flat_views(vector, [stack])
+            grads, d_in = stack._backward(cache, grad_out, want_input_grad, product, views)
+            assert grads is views
+            want_vector = np.concatenate([a.ravel() for pair in want_grads for a in pair])
+            assert np.array_equal(_bits(vector), _bits(want_vector))
+            assert (d_in is None) == (want_d_in is None)
+            if d_in is not None:
+                assert np.array_equal(_bits(d_in), _bits(want_d_in))

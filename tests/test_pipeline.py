@@ -43,6 +43,7 @@ from graphdet.scene import Box3D, BoxArray, generate_synthetic_scene
 from oracles import (
     loop_batch_evaluate,
     loop_make_proposals,
+    loop_rotated_iou_bev,
     loop_train_models,
     loop_training_targets,
     loop_update_backward,
@@ -527,6 +528,85 @@ def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, variant
     _, want_weights = _trained_weights(config, 30)
     for got, want in zip(weights, want_weights, strict=True):
         assert np.array_equal(got, want)
+
+
+def _batch_with_empty_worlds(monkeypatch):
+    """Make every training world but the first an empty one."""
+    build = pipeline._build_world
+
+    def first_only(config, scene_seed, proposal_seed):
+        if scene_seed != config.seed:
+            config = replace(config, scene=replace(config.scene, n_objects=0))
+        return build(config, scene_seed, proposal_seed)
+
+    monkeypatch.setattr(pipeline, "_build_world", first_only)
+
+
+@pytest.mark.parametrize("case", ["extended", "vanilla", "depth0", "batch3", "all-empty"])
+def test_gradient_vectors_train_bit_identically_to_the_per_world_loop(monkeypatch, case):
+    # 200 steps whose kernels write into two gradient vectors in turn,
+    # against the loop oracle's sgd_step on new arrays.  The vanilla
+    # updater has no alignment block in the vectors; at depth 0 only the
+    # header trains; the batch of three trains one world next to two empty
+    # ones, which add zero gradients and still divide the learning rate;
+    # an all-empty batch leaves every weight as it was.
+    config = {
+        "extended": PipelineConfig(),
+        "vanilla": PipelineConfig(gnn=GnnPipelineConfig(variant="vanilla")),
+        "depth0": PipelineConfig(gnn=GnnPipelineConfig(depth=0)),
+        "batch3": PipelineConfig(train=TrainPipelineConfig(batch_scenes=3)),
+        "all-empty": tiny_config(scene={"n_objects": 0}, train={"batch_scenes": 2}),
+    }[case]
+    if case == "batch3":
+        _batch_with_empty_worlds(monkeypatch)
+    history, weights = _trained_weights(config, 200)
+    want_history, want_weights = _oracle_run(config, 200)
+    assert history == want_history
+    for got, want in zip(weights, want_weights, strict=True):
+        assert np.array_equal(got, want)
+    initial = [stack.flat_params() for stack in pipeline.init_models(config).stacks]
+    moved = [not np.array_equal(got, first) for got, first in zip(weights, initial)]
+    assert all(moved) if case != "all-empty" else not any(moved)
+
+
+def test_a_batch_without_foreground_fails_naming_pos_iou_and_the_best_iou():
+    # The loss would be zero at every step and the run would return its
+    # initial models, so it fails before the first step, without a warning.
+    config = PipelineConfig(
+        proposals=ProposalConfig(pos_iou=0.999), train=TrainPipelineConfig(steps=20)
+    )
+    world = pipeline._build_world(config, config.seed, config.seed + pipeline._PROPOSAL_OFFSET)
+    best = max(
+        loop_rotated_iou_bev(prop, gt) for prop in world.graph.boxes for gt in world.scene.gt_boxes
+    )
+    assert 0.7 < best < 0.999
+    want = (
+        f"no training proposal is foreground: the best proposal IoU is {best:.4f}, "
+        "below proposals.pos_iou = 0.999"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (train_smoke, run_pipeline):
+            with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+                run(config)
+        # Without a step nothing is trained, and nothing fails.
+        assert run_pipeline(replace(config, train=TrainPipelineConfig(steps=0)))[1]["ap_s40"] == 0.0
+
+
+def test_batches_with_some_foreground_or_no_proposals_still_train(monkeypatch):
+    assert train_smoke(tiny_config(scene={"n_objects": 0}), steps=3) == [0.0] * 4
+    targets, calls = pipeline._training_targets, []
+
+    def second_without_foreground(config, world):
+        fg, reg = targets(config, world)
+        calls.append(fg)
+        return (np.zeros_like(fg), np.zeros_like(reg)) if len(calls) == 2 else (fg, reg)
+
+    monkeypatch.setattr(pipeline, "_training_targets", second_without_foreground)
+    with pytest.warns(RuntimeWarning, match="no foreground"):
+        history = train_smoke(tiny_config(train={"batch_scenes": 2}), steps=3)
+    assert calls[0].any() and len(calls[1]) and len(history) == 4
+    assert all(math.isfinite(loss) for loss in history)
 
 
 def test_initial_loss_is_the_refinement_loss_of_the_first_world():
