@@ -204,9 +204,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         )
     graph = build_graph(proposals, states, args.radius)
     f = states.shape[1]
-    updater = GraphUpdater.seeded(
-        f, args.hidden, args.iters, args.seed, extended=not args.vanilla
-    )
+    updater = GraphUpdater.seeded(f, args.hidden, args.iters, args.seed, args.alignment)
     seeds = None if args.header == "zero" else (args.seed + 1, args.seed + 2)
     cls_stack, reg_stack = header_stacks(f, args.hidden, seeds)
     refined, _ = update(graph, updater)
@@ -332,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--header", choices=("zero", "random"), default="random",
         help="zero makes the refinement a score-0.5 passthrough",
     )
-    p.add_argument("--vanilla", action="store_true", help="disable alignment offsets")
+    p.add_argument(
+        "--no-alignment", dest="alignment", action="store_false",
+        help="keep the edge offsets, drop their predicted alignment",
+    )
     p.add_argument("--seed", type=int, default=0, help="stack initialization seed")
     p.add_argument("--output", help="write refined boxes here instead of stdout")
     p.set_defaults(func=_cmd_refine)

@@ -7,15 +7,14 @@ vector, and adds it back onto the node state:
 
     h_i^k = h_i^{k-1} + sigma(W_f^k . max_j W_g^k . [input_j])
 
-The vanilla update feeds neighbour states alone; the extended update
-prepends the aligned relative offset ``x_i - x_j - dx_i`` where ``dx_i``
-comes from a per-iteration alignment stack, making the update exactly
-translation invariant.  Both updates are synchronous (iteration k reads
-only k-1 states) and come with analytic backward passes.  :func:`update`
-runs the variant the updater is built for (extended when it has
-alignment stacks), and :func:`update_backward` returns one gradient per
-stack in :attr:`GraphUpdater.stacks` order.  A batch of graphs is
-refined as one: :func:`join_graphs` forms their disjoint union.
+Each edge row is ``[x_i - x_j - dx_i, h_j]``, where ``dx_i`` comes from a
+per-iteration alignment stack, or is left out when the updater has none
+(Point-GNN's ablation of auto-registration), so the update is exactly
+translation invariant.  It is synchronous (iteration k reads only k-1
+states) and has an analytic backward pass: :func:`update_backward`
+returns one gradient per stack in :attr:`GraphUpdater.stacks` order.  A
+batch of graphs is refined as one: :func:`join_graphs` forms their
+disjoint union.
 
 The graph is stored as arrays: the proposals as one
 :class:`~graphdet.scene.BoxArray`, whose centres are the node
@@ -88,12 +87,12 @@ class NeighborhoodGraph:
     alone: the pool layout (``width`` and ``slot``, each edge's position
     within its node's block, so edge e sits at ``[row_node[e], :,
     slot[e]]`` of the padded layout), ``edge_vec`` (``coords[row_node] -
-    coords[indices]``, one per edge) and the backward pass's scatter
-    keys ``neigh_keys`` (``node * F + channel`` for every node, then for
-    each edge's neighbour, F being the state width) and ``extended_keys``
-    (the same, with each edge's three offset columns first, sent to
-    ``n * F + row_node * 3 + axis``).  :meth:`with_states` swaps the
-    states of a validated graph and shares all of it.
+    coords[indices]``, one per edge) and the backward pass's
+    ``scatter_keys``: ``node * F + channel`` for every node (F being the
+    state width), then, row by row, each edge's three offset columns,
+    sent to ``n * F + row_node * 3 + axis``, and its neighbour's F state
+    columns, sent to ``neighbour * F + channel``.  :meth:`with_states`
+    swaps the states of a validated graph and shares all of it.
     """
 
     boxes: BoxArray
@@ -106,8 +105,7 @@ class NeighborhoodGraph:
     width: int = field(init=False, repr=False)
     slot: np.ndarray = field(init=False, repr=False)
     edge_vec: np.ndarray = field(init=False, repr=False)
-    neigh_keys: np.ndarray = field(init=False, repr=False)
-    extended_keys: np.ndarray = field(init=False, repr=False)
+    scatter_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coords = self.boxes.params[:, :3]
@@ -156,8 +154,7 @@ class NeighborhoodGraph:
             "row_node": row_node,
             "slot": np.arange(len(indices)) - offsets[row_node],
             "edge_vec": coords[row_node] - coords[indices],
-            "neigh_keys": np.concatenate([bins, state_keys.ravel()]),
-            "extended_keys": np.concatenate([bins, np.hstack([offset_keys, state_keys]).ravel()]),
+            "scatter_keys": np.concatenate([bins, np.hstack([offset_keys, state_keys]).ravel()]),
         }
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -242,14 +239,13 @@ def join_graphs(graphs: list[NeighborhoodGraph]) -> NeighborhoodGraph:
 class GraphUpdater:
     """Per-iteration parameter stacks for the refinement loop.
 
-    ``agg_stacks[k]`` transforms neighbour inputs before max-pooling,
+    ``agg_stacks[k]`` transforms the edge rows before max-pooling,
     ``fus_stacks[k]`` fuses the pooled vector back to the state width
-    (its final activation plays the role of sigma), and ``align_stacks``
-    (extended mode only) predicts the 3-vector alignment offset from the
-    node's own state.  Depth zero means no iterations: the update is the
-    identity.  :attr:`stacks` lists every stack in one fixed order, the
-    order of :func:`update_backward`'s gradients, and ``align_stacks``
-    being set selects the extended update in :func:`update`.
+    (its final activation plays the role of sigma), and ``align_stacks``,
+    if set, predict the 3-vector alignment offset from the node's own
+    state.  Depth zero means no iterations: the update is the identity.
+    :attr:`stacks` lists every stack in one fixed order, the order of
+    :func:`update_backward`'s gradients.
     """
 
     agg_stacks: list[DenseStack]
@@ -278,30 +274,29 @@ class GraphUpdater:
         hidden_dim: int,
         depth: int,
         seed: int,
-        extended: bool = True,
+        alignment: bool = True,
     ) -> "GraphUpdater":
-        """Single-layer stacks per iteration with seeded initial weights."""
+        """Single-layer stacks per iteration with seeded initial weights;
+        alignment stacks only if ``alignment``."""
         if depth < 0:
             raise ValueError("depth must be non-negative")
         child = np.random.SeedSequence(seed).generate_state(max(3 * depth, 1))
         agg, fus, align = [], [], []
-        in_dim = state_dim + (3 if extended else 0)
+        in_dim = state_dim + 3
         for k in range(depth):
             agg.append(DenseStack.seeded((in_dim, hidden_dim), int(child[3 * k]), ["none"]))
             fus.append(
                 DenseStack.seeded((hidden_dim, state_dim), int(child[3 * k + 1]), ["relu"])
             )
-            if extended:
+            if alignment:
                 align.append(
                     DenseStack.seeded((state_dim, 3), int(child[3 * k + 2]), ["none"])
                 )
-        return cls(agg, fus, align if extended else None)
+        return cls(agg, fus, align if alignment else None)
 
-    def validate_for(self, state_dim: int, extended: bool) -> None:
+    def validate_for(self, state_dim: int) -> None:
         """Check that all stack widths chain for the given state width."""
-        expect_in = state_dim + (3 if extended else 0)
-        if extended and self.align_stacks is None:
-            raise ValueError("extended updates need alignment stacks")
+        expect_in = state_dim + 3
         for k in range(self.depth):
             agg, fus = self.agg_stacks[k], self.fus_stacks[k]
             if agg.in_dim != expect_in:
@@ -312,7 +307,7 @@ class GraphUpdater:
                 raise ValueError(
                     f"iteration {k}: fusion widths {fus.in_dim}->{fus.out_dim} do not chain"
                 )
-            if extended:
+            if self.align_stacks is not None:
                 align = self.align_stacks[k]
                 if align.in_dim != state_dim or align.out_dim != 3:
                     raise ValueError(
@@ -340,13 +335,12 @@ class UpdateCache:
 
     graph: NeighborhoodGraph
     updater: GraphUpdater
-    extended: bool
     iterations: list[_IterCache]
     product: Callable  # the matrix product of the forward, which the backward runs too
 
 
 def _update_forward(
-    graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool, product: Callable
+    graph: NeighborhoodGraph, updater: GraphUpdater, product: Callable
 ) -> tuple[np.ndarray, UpdateCache]:
     """The update kernel: the updater's widths must already fit the
     graph (:meth:`GraphUpdater.validate_for`), so its stacks run their
@@ -359,21 +353,23 @@ def _update_forward(
     # The pool's (n, D, width) block: its -inf padding never changes, so
     # it is filled once and each iteration overwrites only the edge slots.
     block = None
-    # Extended edge rows are [aligned offset, neighbour state]: one row
-    # take from the states behind three zero columns, which the offsets
-    # then overwrite in the taken rows.
-    padded = np.zeros((n, 3 + graph.state_dim)) if extended else None
+    # Edge rows are [offset, neighbour state]: one row take from the
+    # states behind three zero columns, which the offsets then overwrite
+    # in the taken rows.
+    padded = np.zeros((n, 3 + graph.state_dim))
+    aligned = updater.align_stacks is not None
     iterations: list[_IterCache] = []
     for k in range(updater.depth if n else 0):
         prev = h
         align_cache = None
-        if extended:
+        if aligned:
             align_out, align_cache = updater.align_stacks[k]._forward(prev, product)
-            padded[:, 3:] = prev
-            rows = padded.take(row_neigh, axis=0)
+        padded[:, 3:] = prev
+        rows = padded.take(row_neigh, axis=0)
+        if aligned:
             np.subtract(graph.edge_vec, align_out.take(row_node, axis=0), out=rows[:, :3])
         else:
-            rows = prev.take(row_neigh, axis=0)
+            rows[:, :3] = graph.edge_vec
         pooled_in, agg_cache = updater.agg_stacks[k]._forward(rows, product)
         # Per node and channel argmax picks the lowest row holding the
         # block maximum, or the first NaN row; -inf padding never wins
@@ -394,37 +390,27 @@ def _update_forward(
         fused, fus_cache = updater.fus_stacks[k]._forward(pooled, product)
         h = prev + fused
         iterations.append(_IterCache(agg_cache, fus_cache, argmax_flat, pooled_in, align_cache))
-    return h, UpdateCache(graph, updater, extended, iterations, product)
+    return h, UpdateCache(graph, updater, iterations, product)
 
 
-def _check_update(graph: NeighborhoodGraph, updater: GraphUpdater, extended: bool) -> None:
-    """The updates' one check: the updater's widths against the graph's
+def _check_update(graph: NeighborhoodGraph, updater: GraphUpdater) -> None:
+    """The update's one check: the updater's widths against the graph's
     state width, skipped on an empty graph, where no iteration runs."""
     if len(graph):
-        updater.validate_for(graph.state_dim, extended)
-
-
-def update_vanilla_forward(
-    graph: NeighborhoodGraph, updater: GraphUpdater
-) -> tuple[np.ndarray, UpdateCache]:
-    _check_update(graph, updater, extended=False)
-    return _update_forward(graph, updater, False, np.matmul)
-
-
-def update_extended_forward(
-    graph: NeighborhoodGraph, updater: GraphUpdater
-) -> tuple[np.ndarray, UpdateCache]:
-    _check_update(graph, updater, extended=True)
-    return _update_forward(graph, updater, True, np.matmul)
+        updater.validate_for(graph.state_dim)
 
 
 def update(graph: NeighborhoodGraph, updater: GraphUpdater) -> tuple[np.ndarray, UpdateCache]:
-    """Refine the graph's states with the updater's own variant: the
-    offset-aligned update if it has alignment stacks, the state-only one
-    otherwise.  Returns the (n, F) refined states and the backward cache."""
-    if updater.align_stacks is None:
-        return update_vanilla_forward(graph, updater)
-    return update_extended_forward(graph, updater)
+    """Refine the graph's states, with aligned offsets if the updater has
+    alignment stacks.  Returns the (n, F) refined states and the backward
+    cache."""
+    _check_update(graph, updater)
+    return _update_forward(graph, updater, np.matmul)
+
+
+# The benchmark's tracer wraps these two names; they stay as aliases of
+# update until its layer list is updated (ROADMAP item 7).
+update_extended_forward = update_vanilla_forward = update
 
 
 def update_backward(
@@ -439,12 +425,11 @@ def update_backward(
     stack, in that order) the stack gradients are written there instead.
     Training reads only the stack gradients, so it skips the first
     iteration's state scatter, which feeds nothing else, and the input
-    gradients that feed only that scatter: the alignment stack's, and the
-    aggregation stack's under the state-only update.  That iteration's
-    offset scatter still runs, because the alignment stack's gradient
-    reads it.  A stack that took no part (every stack when no iteration
-    ran, at depth zero or on an empty graph; the alignment stacks under
-    the state-only update) gets a zero gradient.
+    gradients that feed only that scatter: the alignment stack's, and,
+    without alignment stacks, the aggregation stack's.  With alignment
+    stacks that iteration's offset scatter still runs, because the
+    alignment stack's gradient reads it.  When no iteration ran (at depth
+    zero or on an empty graph) every stack gets a zero gradient.
 
     Max-pool gradients are stored on the winning neighbour row per
     channel (the lowest row on exact forward ties), with one assignment
@@ -453,10 +438,11 @@ def update_backward(
     layer's bias gradient sums the winners alone, node by node: the
     row-by-row sum's non-zero terms in its order.  Each iteration
     scatters ``dh`` and the rows with one ``np.bincount`` over the
-    graph's ``neigh_keys`` or ``extended_keys``; ``d_align`` is the
-    offset bins negated.  ``bincount`` adds its weights in input order,
-    so the residual ``dh`` goes first and then the rows in edge order:
-    every sum runs in ``np.add.at``'s order, up to an exact zero's sign.
+    graph's ``scatter_keys``; ``d_align``, read only with alignment
+    stacks, is the offset bins negated.  ``bincount`` adds its weights in
+    input order, so the residual ``dh`` goes first and then the rows in
+    edge order: every sum runs in ``np.add.at``'s order, up to an exact
+    zero's sign.
     (``np.add.reduceat`` would not: it adds long blocks pairwise.)
     The stacks' products are the forward's (``cache.product``).
     """
@@ -470,10 +456,8 @@ def update_backward(
     dh = np.asarray(grad_out, dtype=float)
     graph, product = cache.graph, cache.product
     n, f = dh.shape
-    keys = graph.extended_keys if cache.extended else graph.neigh_keys
+    keys, aligned = graph.scatter_keys, updater.align_stacks is not None
     agg, fus, align = outs[:depth], outs[depth : 2 * depth], outs[2 * depth :]
-    if not cache.extended:
-        align = [s.zero_grads(o) for s, o in zip(updater.align_stacks or [], align)]
     for k in range(depth - 1, -1, -1):
         it = cache.iterations[k]
         fus[k], d_pooled = updater.fus_stacks[k]._backward(it.fus_cache, dh, True, product, fus[k])
@@ -481,18 +465,18 @@ def update_backward(
         d_pool_in = np.zeros(it.pool_inputs.shape)
         d_pool_in.ravel()[it.argmax_flat] = d_pooled
         state_grad = k > 0 or want_state_grad
-        # The third argument is want_input_grad: the state-only update
-        # reads the row gradients only for the state scatter.
+        # The third argument is want_input_grad: without alignment stacks
+        # only the state scatter reads the row gradients.
         agg[k], d_rows = updater.agg_stacks[k]._backward(
-            it.agg_cache, d_pool_in, state_grad or cache.extended, product, agg[k], it.argmax_flat
+            it.agg_cache, d_pool_in, state_grad or aligned, product, agg[k], it.argmax_flat
         )
         if state_grad:
             # The residual connection passes dh straight through.
             sums = np.bincount(keys, np.concatenate((dh.ravel(), d_rows.ravel())))
             dh = sums[: n * f].reshape(n, f)
-        elif cache.extended:
+        elif aligned:
             sums = np.bincount(keys[n * f :], d_rows.ravel())
-        if cache.extended:
+        if aligned:
             align[k], d_prev_align = updater.align_stacks[k]._backward(
                 it.align_cache, -sums[n * f :].reshape(n, 3), state_grad, product, align[k]
             )

@@ -11,6 +11,7 @@ gradient, never an unlucky kink crossing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -210,15 +211,13 @@ def _update_margin(cache) -> float:
     return margin
 
 
-def _check_update(seed: int, extended: bool) -> float:
+def check_update(seed: int, alignment: bool) -> float:
     n, f, hidden, depth = 3, 4, 4, 3
     for attempt in range(_MAX_REDRAWS):
-        rng = np.random.default_rng([seed, 53 if extended else 59, attempt])
+        rng = np.random.default_rng([seed, 53 if alignment else 59, attempt])
         coords = rng.normal(scale=0.8, size=(n, 3))
         states = rng.normal(size=(n, f))
-        updater = GraphUpdater.seeded(
-            f, hidden, depth, seed * 1013 + attempt, extended=extended
-        )
+        updater = GraphUpdater.seeded(f, hidden, depth, seed * 1013 + attempt, alignment)
         graph = _toy_graph(coords, states, radius=4.0)
         refined, cache = update(graph, updater)
         if _update_margin(cache) > _KINK_MARGIN:
@@ -242,14 +241,6 @@ def _check_update(seed: int, extended: bool) -> float:
 
     fd_states = central_difference(scalar_states, states.ravel())
     return max(worst, max_relative_error(d_states.ravel(), fd_states))
-
-
-def check_vanilla_update(seed: int) -> float:
-    return _check_update(seed, extended=False)
-
-
-def check_extended_update(seed: int) -> float:
-    return _check_update(seed, extended=True)
 
 
 def check_header(seed: int) -> float:
@@ -296,7 +287,7 @@ def check_composed(seed: int) -> float:
         rng = np.random.default_rng([seed, 71, attempt])
         coords = rng.normal(scale=0.8, size=(n, 3))
         states = rng.normal(size=(n, f))
-        updater = GraphUpdater.seeded(f, hidden, depth, seed * 1031 + attempt, extended=True)
+        updater = GraphUpdater.seeded(f, hidden, depth, seed * 1031 + attempt)
         cls_stack = DenseStack.seeded((f, hidden, 1), seed * 1033 + attempt)
         reg_stack = DenseStack.seeded((f, hidden, 7), seed * 1039 + attempt)
         fg = rng.uniform(size=n) < 0.6
@@ -356,8 +347,8 @@ _CHECKS: dict[str, Callable[[int], float]] = {
     "smooth_l1": check_smooth_l1,
     "focal_loss": check_focal_loss,
     "masked_smooth_l1": check_masked_smooth_l1,
-    "vanilla_update": check_vanilla_update,
-    "extended_update": check_extended_update,
+    "unaligned_update": partial(check_update, alignment=False),
+    "extended_update": partial(check_update, alignment=True),
     "header": check_header,
     "composed": check_composed,
 }

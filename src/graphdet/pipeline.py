@@ -111,7 +111,7 @@ class GnnPipelineConfig:
     depth: int = 3
     radius: float = 2.0
     hidden_dim: int = 16
-    variant: str = "extended"
+    alignment: bool = True
     header_hidden: int = 8
     header_init: str = "random"
 
@@ -122,8 +122,6 @@ class GnnPipelineConfig:
             raise ConfigError("gnn radius must be positive and finite")
         if self.hidden_dim < 1 or self.header_hidden < 1:
             raise ConfigError("gnn widths must be positive")
-        if self.variant not in ("extended", "vanilla"):
-            raise ConfigError(f"unknown gnn variant {self.variant!r}")
         if self.header_init not in ("random", "zero"):
             raise ConfigError(f"unknown header_init {self.header_init!r}")
 
@@ -245,13 +243,16 @@ def config_to_dict(config: PipelineConfig) -> dict[str, Any]:
 def _coerce(name: str, default: Any, value: Any) -> Any:
     """File value ``name`` read as the type of the field's default.
 
-    Lists become tuples element by element; ``None`` passes through.  A
-    bool fits only a bool field, NaN or an infinity fits none, and a
-    non-integral number fits no int field (``2.0`` does, ``2.7`` does not).
+    Lists become tuples element by element; ``None`` passes through into
+    any field but a bool one, which takes a bool alone.  A bool fits no
+    other field, NaN or an infinity fits none, and a non-integral number
+    fits no int field (``2.0`` does, ``2.7`` does not).
     """
     if isinstance(default, tuple):
         item = default[0] if default else None
         return tuple(_coerce(name, item, v) for v in value)
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise ConfigError(f"config key {name!r} must be a bool, got {value!r}")
     if value is None or default is None or isinstance(default, bool):
         return value
     if _not_a_number(value) or _not_a_number(out := type(default)(value)):
@@ -467,9 +468,8 @@ def init_models(config: PipelineConfig) -> PipelineModels:
     """Seeded (or zeroed, per ``header_init``) model stacks."""
     f = config.state_dim
     child = np.random.SeedSequence(config.seed + _MODEL_OFFSET).generate_state(3)
-    extended = config.gnn.variant == "extended"
     updater = GraphUpdater.seeded(
-        f, config.gnn.hidden_dim, config.gnn.depth, int(child[0]), extended=extended
+        f, config.gnn.hidden_dim, config.gnn.depth, int(child[0]), config.gnn.alignment
     )
     seeds = None if config.gnn.header_init == "zero" else (int(child[1]), int(child[2]))
     return PipelineModels(updater, *header_stacks(f, config.gnn.header_hidden, seeds))
@@ -503,9 +503,7 @@ def _evaluate(
     """
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
-    updater = models.updater
-    extended = updater.align_stacks is not None
-    refined, ucache = _update_forward(graph, updater, extended, product)
+    refined, ucache = _update_forward(graph, models.updater, product)
     scores, residuals, hcache = _header_forward(
         refined, models.cls_stack, models.reg_stack, product
     )
@@ -598,7 +596,7 @@ def _train_models(
     """
     worlds, graph, targets = _training_worlds(config)
     models = init_models(config)
-    _check_update(graph, models.updater, models.updater.align_stacks is not None)
+    _check_update(graph, models.updater)
     _check_header(graph.states, models.cls_stack, models.reg_stack)
     params = bind_flat_params(models.stacks)
     # Step s writes into vector s % 2: the previous step's stays for _divergence.

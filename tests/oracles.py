@@ -702,16 +702,18 @@ def max_scan_ap(curve: list[tuple[float, float]], levels: list[float]) -> float:
 # graph refiner oracle
 
 
-def loop_update_forward(graph, updater, extended: bool):
+def loop_update_forward(graph, updater):
     """The refiner's forward pass with a per-node max-pool loop.
 
-    Reads the graph through its ``adjacency`` tuples.  Returns the refined
-    (n, F) states and, per iteration, the (n, D) absolute row index that
-    fed each pooled channel (``argmax`` per block: the lowest row wins
+    Reads the graph through its ``adjacency`` tuples.  Each row is
+    ``[x_i - x_j - dx_i, h_j]``, with ``dx_i`` from the alignment stack
+    when the updater has alignment stacks and left out when it has none.
+    Returns the refined (n, F) states and, per iteration, the (n, D)
+    absolute row index that fed each pooled channel (``argmax`` per block: the lowest row wins
     exact ties, the first NaN row wins over numbers).
     """
     if len(graph):
-        updater.validate_for(graph.state_dim, extended)
+        updater.validate_for(graph.state_dim)
     h = graph.states
     n = len(graph)
     coords = graph.coords
@@ -730,12 +732,11 @@ def loop_update_forward(graph, updater, extended: bool):
         if n == 0:
             break
         prev = h
-        if extended:
+        offsets = coords[row_node] - coords[row_neigh]
+        if updater.align_stacks is not None:
             align_out, _ = updater.align_stacks[k].forward(prev)
-            offsets = coords[row_node] - coords[row_neigh] - align_out[row_node]
-            rows = np.concatenate([offsets, prev[row_neigh]], axis=1)
-        else:
-            rows = prev[row_neigh]
+            offsets = offsets - align_out[row_node]
+        rows = np.concatenate([offsets, prev[row_neigh]], axis=1)
         pooled_in, _ = updater.agg_stacks[k].forward(rows)
         d = pooled_in.shape[1]
         pooled = np.empty((n, d))
@@ -756,8 +757,9 @@ def loop_update_backward(cache, grad_out, want_state_grad=True, out=None):
 
     Starts every stack gradient at zero and adds each iteration's onto
     it; adds each pooled channel's gradient onto its winning row, the
-    neighbour-state gradients onto the neighbours and the alignment
-    gradients onto the owning nodes, one edge at a time in edge order.
+    neighbour-state gradients onto the neighbours and, when the updater
+    has alignment stacks, the alignment gradients onto the owning nodes,
+    one edge at a time in edge order.
     Returns ``(stack gradients, d_states)`` like ``gnn.update_backward``:
     the aggregation, fusion and alignment stacks' gradients, in that order.
     It always computes ``d_states``, and returns None in its place if not
@@ -786,10 +788,9 @@ def loop_update_backward(cache, grad_out, want_state_grad=True, out=None):
         grads[k] = add_layer_grads(grads[k], agg_grads)
 
         d_prev = dh  # residual connection passes the gradient straight through
-        if cache.extended:
+        np.add.at(d_prev, row_neigh, d_rows[:, 3:])
+        if updater.align_stacks is not None:
             d_offsets = d_rows[:, :3]
-            d_states = d_rows[:, 3:]
-            np.add.at(d_prev, row_neigh, d_states)
             d_align = np.zeros((n, 3))
             np.add.at(d_align, row_node, -d_offsets)
             align_grads, d_prev_align = updater.align_stacks[k].backward(
@@ -797,8 +798,6 @@ def loop_update_backward(cache, grad_out, want_state_grad=True, out=None):
             )
             grads[2 * depth + k] = add_layer_grads(grads[2 * depth + k], align_grads)
             d_prev = d_prev + d_prev_align
-        else:
-            np.add.at(d_prev, row_neigh, d_rows)
         dh = d_prev
     if out is not None:
         for stack_out, stack_grads in zip(out, grads, strict=True):

@@ -17,6 +17,10 @@ over every line:
   ``PipelineModels.stacks`` order) of each of those configs that trains,
   from ``pipeline._train_models``, so a change to the training step
   shows even where the detections do not move;
+- the gradient vector of one ``pipeline._evaluate`` pass on the initial
+  models of each config that trains, written through ``flat_views`` as
+  a training step writes it, so a last-bit change to a gradient shows
+  even where no trained weight moves;
 - ``gradcheck.run_all`` for seeds 0-9;
 - ``graphdet refine`` standard output in five modes, on a seeded
   14-proposal, 6-column input;
@@ -41,10 +45,13 @@ over every line:
   up to 1e4 m away, and an integer grid full of duplicate sources and
   exact distance ties, each at several k.
 
-With two checkouts, this script hashes each in its own process (the
-two run at once) and prints only the items that differ, as ``name
-hash_a hash_b`` (``-`` for an item one side lacks); the exit status is 1
-if any item differs and 0, with nothing printed, if none does.
+A config or refine mode that a checkout refuses (an unknown config key
+or command-line flag, say across a schema change) is left out of that
+checkout's items.  With two checkouts, this script hashes each in its
+own process (the two run at once) and prints only the items that
+differ, as ``name hash_a hash_b`` (``-`` for an item one side lacks);
+the exit status is 1 if any item differs and 0, with nothing printed,
+if none does.
 
 No hash is committed: matrix products go through BLAS, whose last bits
 depend on the library and the machine, so hashes only compare runs on
@@ -75,10 +82,10 @@ CONFIGS: dict[str, dict] = {
         f"dense-seed{s}-100": {"seed": s, "scene": _DENSE, "train": {"steps": 100}}
         for s in range(2)
     },
-    "vanilla-200": {"gnn": {"variant": "vanilla"}, "train": {"steps": 200}},
+    "unaligned-200": {"gnn": {"alignment": False}, "train": {"steps": 200}},
     "depth0-200": {"gnn": {"depth": 0}, "train": {"steps": 200}},
-    "batch2-vanilla-200": {
-        "gnn": {"variant": "vanilla"},
+    "batch2-unaligned-200": {
+        "gnn": {"alignment": False},
         "train": {"steps": 200, "batch_scenes": 2},
     },
     "batch4-200": {"train": {"steps": 200, "batch_scenes": 4}},
@@ -88,10 +95,10 @@ CONFIGS: dict[str, dict] = {
 
 REFINE_MODES: dict[str, list[str]] = {
     "default": [],
-    "vanilla": ["--vanilla"],
+    "unaligned": ["--no-alignment"],
     "header-zero": ["--header", "zero"],
     "iters0": ["--iters", "0"],
-    "vanilla-iters2-seed7": ["--vanilla", "--iters", "2", "--seed", "7"],
+    "unaligned-iters2-seed7": ["--no-alignment", "--iters", "2", "--seed", "7"],
 }
 
 
@@ -102,12 +109,25 @@ def _sha(*chunks: bytes) -> str:
     return digest.hexdigest()
 
 
-def pipeline_hashes() -> dict[str, str]:
-    from graphdet.pipeline import parse_pipeline_config, run_pipeline
+def _configs() -> dict:
+    """The parsed ``CONFIGS`` that this checkout's schema accepts."""
+    from graphdet.pipeline import ConfigError, parse_pipeline_config
 
     out = {}
     for name, raw in CONFIGS.items():
-        detections, report = run_pipeline(parse_pipeline_config(raw))
+        try:
+            out[name] = parse_pipeline_config(raw)
+        except ConfigError:
+            continue
+    return out
+
+
+def pipeline_hashes() -> dict[str, str]:
+    from graphdet.pipeline import run_pipeline
+
+    out = {}
+    for name, config in _configs().items():
+        detections, report = run_pipeline(config)
         out[f"pipeline/{name}"] = _sha(
             np.ascontiguousarray(detections.params).tobytes(),
             np.ascontiguousarray(detections.scores).tobytes(),
@@ -118,16 +138,36 @@ def pipeline_hashes() -> dict[str, str]:
 
 
 def parameter_hashes() -> dict[str, str]:
-    from graphdet.pipeline import _train_models, parse_pipeline_config
+    from graphdet.pipeline import _train_models
 
     out = {}
-    for name, raw in CONFIGS.items():
-        config = parse_pipeline_config(raw)
+    for name, config in _configs().items():
         if config.train.steps == 0:
             continue
         models, _, _ = _train_models(config, config.train.steps)
         vector = np.concatenate([stack.flat_params() for stack in models.stacks])
         out[f"params/{name}"] = _sha(vector.tobytes())
+    return out
+
+
+def gradient_hashes() -> dict[str, str]:
+    """The first training step's gradient vector, set up as
+    ``pipeline._train_models`` sets it up: parameters bound to one
+    vector, the gradients written into views of another."""
+    from graphdet.nnet import _product_for, bind_flat_params, flat_views
+    from graphdet.pipeline import _evaluate, _training_worlds, init_models
+
+    out = {}
+    for name, config in _configs().items():
+        if config.train.steps == 0:
+            continue
+        _, graph, targets = _training_worlds(config)
+        models = init_models(config)
+        params = bind_flat_params(models.stacks)
+        gradient = np.zeros(params.shape)
+        product = _product_for(len(graph), models.stacks)
+        _evaluate(models, graph, targets, config, True, product, flat_views(gradient, models.stacks))
+        out[f"grad/{name}"] = _sha(gradient.tobytes())
     return out
 
 
@@ -167,9 +207,11 @@ def refine_hashes() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as folder:
         boxes, states = _refine_inputs(Path(folder))
         for name, extra in REFINE_MODES.items():
-            text = io.StringIO()
-            with contextlib.redirect_stdout(text):
+            text, errors = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(errors):
                 code = main(["refine", "--proposals", boxes, "--states", states, *extra])
+            if code == 2 and "unrecognized arguments" in errors.getvalue():
+                continue
             if code != 0:
                 raise SystemExit(f"refine {name} exited with {code}")
             out[f"refine/{name}"] = _sha(text.getvalue().encode())
@@ -343,6 +385,7 @@ def main(argv: list[str]) -> int:
         for part in (
             pipeline_hashes,
             parameter_hashes,
+            gradient_hashes,
             gradcheck_hashes,
             refine_hashes,
             frame_hashes,

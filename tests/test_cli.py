@@ -335,6 +335,20 @@ def test_refine_is_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_refine_without_alignment_runs_and_differs_from_the_default(tmp_path, capsys):
+    props, states = refine_inputs(tmp_path)
+    outs = {}
+    for name, extra in (("default", []), ("unaligned", ["--no-alignment"])):
+        outs[name] = tmp_path / f"{name}.txt"
+        args = ["refine", "--proposals", props, "--states", states, *extra]
+        assert main([*args, "--output", str(outs[name])]) == 0
+        assert len(read_detections(str(outs[name]))) == 3
+    assert outs["default"].read_text() != outs["unaligned"].read_text()
+    # The old flag is gone, not silently read as another one.
+    assert main(["refine", "--proposals", props, "--states", states, "--vanilla"]) == 2
+    assert "unrecognized arguments: --vanilla" in capsys.readouterr().err
+
+
 def test_refine_state_count_mismatch_exits_two(tmp_path, capsys):
     props, states = refine_inputs(tmp_path)
     short = tmp_path / "short.txt"

@@ -17,8 +17,6 @@ from graphdet.gnn import (
     refine_proposals,
     update,
     update_backward,
-    update_extended_forward,
-    update_vanilla_forward,
 )
 from graphdet.nnet import DenseLayer, DenseStack, flat_views
 from graphdet.scene import Box3D, BoxArray
@@ -169,7 +167,7 @@ def test_with_states_equals_a_fresh_build_field_for_field():
             assert got == want, f.name
     # The validated adjacency and its derived layout are shared, the
     # states copied; the original graph keeps its own states.
-    for name in ("offsets", "indices", "row_node", "slot", "edge_vec", "neigh_keys", "extended_keys"):
+    for name in ("offsets", "indices", "row_node", "slot", "edge_vec", "scatter_keys"):
         assert getattr(swapped, name) is getattr(graph, name)
     new_states[0, 0] = 99.0
     assert swapped.states[0, 0] != 99.0
@@ -204,24 +202,23 @@ def identity_stack(dim):
 
 def test_depth_zero_is_the_identity():
     graph = build_graph(*line_proposals(5, 1.0, 6), radius=1.5)
-    updater = GraphUpdater.seeded(6, 8, 0, seed=3, extended=False)
-    assert np.array_equal(update(graph, updater)[0], graph.states)
-    ext = GraphUpdater.seeded(6, 8, 0, seed=3, extended=True)
-    assert np.array_equal(update(graph, ext)[0], graph.states)
+    for alignment in (False, True):
+        updater = GraphUpdater.seeded(6, 8, 0, seed=3, alignment=alignment)
+        assert np.array_equal(update(graph, updater)[0], graph.states)
 
 
-@pytest.mark.parametrize("extended", [False, True])
-def test_backward_without_iterations_gives_zero_stack_gradients(extended):
+@pytest.mark.parametrize("alignment", [False, True])
+def test_backward_without_iterations_gives_zero_stack_gradients(alignment):
     # An empty graph runs none of its updater's two iterations; a depth-0
     # updater has no stacks at all.  Either way the gradient passes through.
     cases = [
         (
             build_graph(EMPTY, np.empty((0, 4)), radius=2.0),
-            GraphUpdater.seeded(4, 8, 2, 0, extended),
+            GraphUpdater.seeded(4, 8, 2, 0, alignment),
         ),
         (
             build_graph(*line_proposals(5, 1.0, 6), radius=1.5),
-            GraphUpdater.seeded(6, 8, 0, 3, extended),
+            GraphUpdater.seeded(6, 8, 0, 3, alignment),
         ),
     ]
     for graph, updater in cases:
@@ -229,7 +226,7 @@ def test_backward_without_iterations_gives_zero_stack_gradients(extended):
         grad_out = np.ones_like(refined)
         grads, d_states = update_backward(cache, grad_out)
         assert np.array_equal(d_states, grad_out)
-        assert len(grads) == len(updater.stacks) == updater.depth * (3 if extended else 2)
+        assert len(grads) == len(updater.stacks) == updater.depth * (3 if alignment else 2)
         for stack, layer_grads in zip(updater.stacks, grads):
             for layer, (dw, db) in zip(stack.layers, layer_grads, strict=True):
                 assert dw.shape == layer.weight.shape and not dw.any()
@@ -239,28 +236,32 @@ def test_backward_without_iterations_gives_zero_stack_gradients(extended):
 
 def test_zeroed_fusion_leaves_states_untouched():
     graph = build_graph(*line_proposals(6, 1.0, 5, seed=1), radius=1.5)
-    updater = GraphUpdater.seeded(5, 8, 3, seed=4, extended=True)
+    updater = GraphUpdater.seeded(5, 8, 3, seed=4)
     for stack in updater.fus_stacks:
         stack.set_flat_params(np.zeros(stack.flat_params().size))
     assert np.array_equal(update(graph, updater)[0], graph.states)
 
 
 def test_vanilla_update_hand_unrolled_on_a_path():
-    """Two identity iterations over a 3-node path, checked against integers."""
+    """Two iterations without alignment stacks over a 3-node path, checked
+    against integers: the rows keep the unaligned offsets x_i - x_j."""
     proposals = make_proposals(
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)],
         [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]],
     )
     graph = build_graph(*proposals, radius=1.5)
     assert graph.adjacency == ((0, 1), (0, 1, 2), (1, 2))
-    relu_identity = DenseStack([DenseLayer(np.eye(2), np.zeros(2), "relu")])
+    # rows are [dx, dy, dz, s0, s1]; the fusion adds the pooled dx to s0
+    weight = np.array([[1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+    fuse = DenseStack([DenseLayer(weight, np.zeros(2), "relu")])
     updater = GraphUpdater(
-        [identity_stack(2), identity_stack(2)],
-        [copy.deepcopy(relu_identity), copy.deepcopy(relu_identity)],
+        [identity_stack(5), identity_stack(5)], [copy.deepcopy(fuse), copy.deepcopy(fuse)]
     )
     refined, _ = update(graph, updater)
-    # iteration 1: h = [[2,2],[3,4],[6,3]]; iteration 2 pools those again
-    assert np.array_equal(refined, [[5.0, 6.0], [9.0, 8.0], [12.0, 7.0]])
+    # pooled dx per node: 0 (node 0), 1 (node 1), 1 (node 2)
+    # iteration 1: pooled states [[1,2],[3,2],[3,2]] -> h = [[2,2],[4,4],[7,3]]
+    # iteration 2: pooled states [[4,4],[7,4],[7,4]] -> h = [[6,6],[12,8],[15,7]]
+    assert np.array_equal(refined, [[6.0, 6.0], [12.0, 8.0], [15.0, 7.0]])
 
 
 def test_extended_update_hand_unrolled_two_nodes():
@@ -296,7 +297,7 @@ def test_updates_are_synchronous():
     one hop per iteration, never further."""
     boxes, states = line_proposals(5, 1.0, 4, seed=2)
     graph = build_graph(boxes, states, radius=1.5)
-    updater = GraphUpdater.seeded(4, 8, 2, seed=5, extended=False)
+    updater = GraphUpdater.seeded(4, 8, 2, seed=5, alignment=False)
     base, _ = update(graph, updater)
 
     bumped = states.copy()
@@ -309,18 +310,20 @@ def test_updates_are_synchronous():
 
 
 def test_extended_update_is_translation_invariant():
+    # Every update reads the edges' offsets, with or without alignment.
     rng = np.random.default_rng(6)
     n = 12
     lattice = rng.integers(-40, 40, size=(n, 3)) * 0.25
     states = rng.normal(size=(n, 5))
-    updater = GraphUpdater.seeded(5, 8, 3, seed=7, extended=True)
     base_graph = build_graph(*make_proposals(lattice, states), radius=3.0)
     shifted = lattice + np.array([7.0, -3.0, 12.0])
     shift_graph = build_graph(*make_proposals(shifted, states), radius=3.0)
     assert base_graph.adjacency == shift_graph.adjacency
-    assert np.array_equal(
-        update(base_graph, updater)[0], update(shift_graph, updater)[0]
-    )
+    for alignment in (False, True):
+        updater = GraphUpdater.seeded(5, 8, 3, seed=7, alignment=alignment)
+        assert np.array_equal(
+            update(base_graph, updater)[0], update(shift_graph, updater)[0]
+        )
 
 
 def test_refined_states_track_node_permutation():
@@ -329,7 +332,7 @@ def test_refined_states_track_node_permutation():
     centres = rng.uniform(-4, 4, size=(n, 3))
     states = rng.normal(size=(n, 4))
     boxes, _ = make_proposals(centres, states)
-    updater = GraphUpdater.seeded(4, 8, 2, seed=9, extended=True)
+    updater = GraphUpdater.seeded(4, 8, 2, seed=9)
     base, _ = update(build_graph(boxes, states, radius=2.5), updater)
     perm = rng.permutation(n)
     out, _ = update(build_graph(boxes.take(perm), states[perm], radius=2.5), updater)
@@ -348,16 +351,14 @@ def test_updater_validation():
         GraphUpdater.seeded(4, 8, -1, seed=0)
 
     graph = build_graph(*line_proposals(3, 1.0, 4), radius=1.5)
-    wrong_width = GraphUpdater.seeded(5, 8, 1, seed=0, extended=False)
-    with pytest.raises(ValueError, match="aggregation input"):
-        update(graph, wrong_width)
-    vanilla_only = GraphUpdater.seeded(4, 8, 1, seed=0, extended=False)
-    with pytest.raises(ValueError, match="alignment"):
-        update_extended_forward(graph, vanilla_only)
+    for alignment in (False, True):
+        wrong_width = GraphUpdater.seeded(5, 8, 1, seed=0, alignment=alignment)
+        with pytest.raises(ValueError, match="aggregation input"):
+            update(graph, wrong_width)
 
 
 _GRAPH = build_graph(*line_proposals(3, 1.0, 4), radius=1.5)
-_AGG, _FUS = DenseStack.seeded((4, 8), 0, ["none"]), DenseStack.seeded((8, 4), 1, ["relu"])
+_AGG, _FUS = DenseStack.seeded((7, 8), 0, ["none"]), DenseStack.seeded((8, 4), 1, ["relu"])
 
 
 def _header_call(width, cls_dims, reg_dims):
@@ -370,13 +371,11 @@ def _header_call(width, cls_dims, reg_dims):
     "call, message",
     [
         (
-            lambda: update(_GRAPH, GraphUpdater.seeded(5, 8, 1, seed=0, extended=False)),
-            "iteration 0: aggregation input 5 != expected 4",
+            lambda: update(_GRAPH, GraphUpdater.seeded(5, 8, 1, seed=0, alignment=False)),
+            "iteration 0: aggregation input 8 != expected 7",
         ),
         (
-            lambda: update_vanilla_forward(
-                _GRAPH, GraphUpdater([_AGG], [DenseStack.seeded((6, 4), 2)])
-            ),
+            lambda: update(_GRAPH, GraphUpdater([_AGG], [DenseStack.seeded((6, 4), 2)])),
             "iteration 0: fusion widths 6->4 do not chain",
         ),
         (
@@ -387,10 +386,6 @@ def _header_call(width, cls_dims, reg_dims):
                 ),
             ),
             "iteration 0: alignment widths 4->2",
-        ),
-        (
-            lambda: update_extended_forward(_GRAPH, GraphUpdater([_AGG], [_FUS])),
-            "extended updates need alignment stacks",
         ),
         (_header_call(4, (4, 2), (4, 7)), "classification stack must end in one unit"),
         (_header_call(4, (4, 1), (4, 6)), "regression stack must end in seven units"),
@@ -409,7 +404,6 @@ def _header_call(width, cls_dims, reg_dims):
         "update-aggregation",
         "update-fusion",
         "update-alignment",
-        "extended-without-alignment",
         "header-classification-width",
         "header-regression-width",
         "header-classification-input",
@@ -426,18 +420,18 @@ def test_checked_entry_points_raise_every_message(call, message):
 
 
 def test_stacks_list_aggregation_then_fusion_then_alignment():
-    for extended in (False, True):
-        updater = GraphUpdater.seeded(4, 8, 3, seed=0, extended=extended)
+    for alignment in (False, True):
+        updater = GraphUpdater.seeded(4, 8, 3, seed=0, alignment=alignment)
         want = updater.agg_stacks + updater.fus_stacks + (updater.align_stacks or [])
-        assert len(updater.stacks) == len(want) == (9 if extended else 6)
+        assert len(updater.stacks) == len(want) == (9 if alignment else 6)
         assert all(got is stack for got, stack in zip(updater.stacks, want))
 
 
-@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("alignment", [False, True])
 @pytest.mark.parametrize("depth, n", [(0, 5), (3, 5), (3, 0)])
-def test_backward_gives_one_gradient_per_stack_in_stack_order(extended, depth, n):
+def test_backward_gives_one_gradient_per_stack_in_stack_order(alignment, depth, n):
     graph = build_graph(*line_proposals(n, 1.0, 4, seed=2), radius=1.5)
-    updater = GraphUpdater.seeded(4, 8, depth, seed=6, extended=extended)
+    updater = GraphUpdater.seeded(4, 8, depth, seed=6, alignment=alignment)
     refined, cache = update(graph, updater)
     grads, _ = update_backward(cache, np.ones_like(refined))
     assert len(grads) == len(updater.stacks)
@@ -446,20 +440,15 @@ def test_backward_gives_one_gradient_per_stack_in_stack_order(extended, depth, n
             assert dw.shape == layer.weight.shape and db.shape == layer.bias.shape
 
 
-@pytest.mark.parametrize("forward", ["own", "state-only"])
+@pytest.mark.parametrize("forward", ["own", "unaligned"])
 @pytest.mark.parametrize("depth, n", [(0, 5), (3, 5), (3, 0)])
 def test_backward_into_gradient_views_equals_the_allocating_form(forward, depth, n):
-    # Every entry of the views is written, a stack that took no part
-    # (every stack when no iteration runs; the alignment stacks under the
-    # state-only update) with zeros, and the views are what it returns.
+    # Every entry of the views is written, every stack with zeros when no
+    # iteration runs, and the views are what it returns.  "own" is the
+    # seeded updater with its alignment stacks, "unaligned" one without.
     graph = build_graph(*line_proposals(n, 1.0, 4, seed=2), radius=1.5)
-    updater = GraphUpdater.seeded(4, 8, depth, seed=6, extended=forward == "own")
-    if forward == "state-only":
-        align = [DenseStack.seeded((4, 3), 7 + k) for k in range(depth)]
-        updater = GraphUpdater(updater.agg_stacks, updater.fus_stacks, align)
-        refined, cache = update_vanilla_forward(graph, updater)
-    else:
-        refined, cache = update(graph, updater)
+    updater = GraphUpdater.seeded(4, 8, depth, seed=6, alignment=forward == "own")
+    refined, cache = update(graph, updater)
     grad_out = np.random.default_rng(1).normal(size=refined.shape)
     for want_state_grad in (True, False):
         want, want_states = update_backward(cache, grad_out, want_state_grad)
@@ -475,23 +464,6 @@ def test_backward_into_gradient_views_equals_the_allocating_form(forward, depth,
             assert d_states is want_states is None
 
 
-def test_state_only_update_gives_alignment_stacks_zero_gradients():
-    # An updater with alignment stacks whose aggregation reads states alone
-    # passes the state-only update's width check; its alignment stacks take
-    # no part, so their gradients are zero and the list keeps stack order.
-    graph = build_graph(*line_proposals(4, 1.0, 3, seed=1), radius=1.5)
-    state_only = GraphUpdater.seeded(3, 5, 2, seed=4, extended=False)
-    align = [DenseStack.seeded((3, 3), 7), DenseStack.seeded((3, 3), 8)]
-    updater = GraphUpdater(state_only.agg_stacks, state_only.fus_stacks, align)
-    refined, cache = update_vanilla_forward(graph, updater)
-    grads, _ = update_backward(cache, np.ones_like(refined))
-    want, _ = update_backward(update(graph, state_only)[1], np.ones_like(refined))
-    assert len(grads) == len(updater.stacks) == 6
-    for stack, got, ref in zip(updater.stacks, grads, want):
-        assert np.array_equal(stack.flat_grads(got), stack.flat_grads(ref))
-    assert not any(stack.flat_grads(g).any() for stack, g in zip(align, grads[4:]))
-
-
 def test_update_backward_matches_finite_differences():
     rng = np.random.default_rng(11)
     n, dim = 6, 4
@@ -504,8 +476,8 @@ def test_update_backward_matches_finite_differences():
         out, cache = update(graph, updater)
         return 0.5 * float(((out - target) ** 2).sum()), cache, out
 
-    for extended in (False, True):
-        updater = GraphUpdater.seeded(dim, 6, 2, seed=12, extended=extended)
+    for alignment in (False, True):
+        updater = GraphUpdater.seeded(dim, 6, 2, seed=12, alignment=alignment)
         _, cache, out = loss_for(updater, states)
         grads, d_states = update_backward(cache, out - target)
 
@@ -520,7 +492,7 @@ def test_update_backward_matches_finite_differences():
 
         # a sample of parameter gradients from each stack family
         stacks = [("agg", updater.agg_stacks[0]), ("fus", updater.fus_stacks[1])]
-        if extended:
+        if alignment:
             stacks.append(("align", updater.align_stacks[0]))
         for name, stack in stacks:
             stack_grads = grads[updater.stacks.index(stack)]

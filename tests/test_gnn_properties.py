@@ -11,8 +11,6 @@ from graphdet.gnn import (
     join_graphs,
     update,
     update_backward,
-    update_extended_forward,
-    update_vanilla_forward,
 )
 from graphdet.nnet import DenseStack
 from graphdet.scene import Box3D, BoxArray
@@ -29,19 +27,20 @@ def integer_proposals(rng, n, state_dim, spread=4):
     return BoxArray.of([Box3D(tuple(c), (3.9, 1.6, 1.56), 0.0) for c in centres]), states
 
 
-def seeded_updater(state_dim, seed, extended, rounded=True, depth=3):
-    """``depth`` seeded iterations; ``rounded`` rounds every weight to a
-    half, so that integer inputs give pooled values that tie exactly."""
-    updater = GraphUpdater.seeded(state_dim, 6, depth, seed, extended=extended)
+def seeded_updater(state_dim, seed, alignment, rounded=True, depth=3):
+    """``depth`` seeded iterations, with alignment stacks if ``alignment``;
+    ``rounded`` rounds every weight to a half, so that integer inputs
+    give pooled values that tie exactly."""
+    updater = GraphUpdater.seeded(state_dim, 6, depth, seed, alignment)
     if rounded:
         for stack in updater.stacks:
             stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
     return updater
 
 
-def assert_matches_loop_oracle(graph, updater, extended):
+def assert_matches_loop_oracle(graph, updater):
     refined, cache = update(graph, updater)
-    want, want_argmax = loop_update_forward(graph, updater, extended)
+    want, want_argmax = loop_update_forward(graph, updater)
     assert np.array_equal(refined, want, equal_nan=True)
     assert len(cache.iterations) == len(want_argmax)
     for it, rows in zip(cache.iterations, want_argmax):
@@ -53,58 +52,38 @@ def assert_matches_loop_oracle(graph, updater, extended):
     n=st.integers(1, 30),
     state_dim=st.integers(1, 4),
     radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     rounded=st.booleans(),
     seed=SEEDS,
 )
-def test_pooling_matches_the_per_node_loop(n, state_dim, radius, extended, rounded, seed):
+def test_pooling_matches_the_per_node_loop(n, state_dim, radius, alignment, rounded, seed):
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=radius)
-    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
-    assert_matches_loop_oracle(graph, updater, extended)
+    updater = seeded_updater(state_dim, seed % 1000, alignment, rounded)
+    assert_matches_loop_oracle(graph, updater)
 
 
-@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("alignment", [False, True])
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
-def test_pooling_matches_the_loop_on_non_finite_weights(extended, poison):
+def test_pooling_matches_the_loop_on_non_finite_weights(alignment, poison):
     # A NaN weight makes its channel NaN on every row; an infinite weight
     # on a state input gives NaN on rows where that state is zero and
     # +-inf elsewhere, so blocks mix NaN and infinities.
     rng = np.random.default_rng(21)
     graph = build_graph(*integer_proposals(rng, 24, 3, spread=3), radius=2.5)
-    updater = seeded_updater(3, 5, extended)
+    updater = seeded_updater(3, 5, alignment)
     updater.agg_stacks[0].layers[0].weight[2, -1] = poison
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_matches_loop_oracle(graph, updater, extended)
+        assert_matches_loop_oracle(graph, updater)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(0, 20),
-    state_dim=st.integers(1, 4),
-    extended=st.booleans(),
-    rounded=st.booleans(),
-    seed=SEEDS,
-)
-def test_update_runs_the_updaters_own_variant(n, state_dim, extended, rounded, seed):
-    rng = np.random.default_rng(seed)
-    graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
-    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
-    twin = update_extended_forward if extended else update_vanilla_forward
-    refined, cache = update(graph, updater)
-    want, want_cache = twin(graph, updater)
-    assert cache.extended == want_cache.extended == extended
-    assert np.array_equal(refined, want)
-
-
-def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad=True):
+def assert_backward_matches_loop_oracle(graph, updater, grad_out, want_state_grad=True):
     # The library sums the last aggregation layer's bias gradient over the
     # pool's winners and scatters each iteration with one bincount; the
     # oracle sums that gradient over every edge row and scatters with
     # np.add.at.  The two may differ only in the sign of an exact zero,
     # which np.array_equal does not see.
     _, cache = update(graph, updater)
-    assert cache.extended == extended
     grads, d_states = update_backward(cache, grad_out, want_state_grad)
     want, want_states = loop_update_backward(cache, grad_out, want_state_grad)
     if want_state_grad:
@@ -123,43 +102,44 @@ def assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want
     n=st.integers(1, 30),
     state_dim=st.integers(1, 4),
     radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     rounded=st.booleans(),
     want_state_grad=st.booleans(),
     seed=SEEDS,
 )
 def test_backward_matches_the_add_at_loop_bit_for_bit(
-    n, state_dim, radius, extended, rounded, want_state_grad, seed
+    n, state_dim, radius, alignment, rounded, want_state_grad, seed
 ):
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=radius)
-    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    updater = seeded_updater(state_dim, seed % 1000, alignment, rounded)
     # Integer upstream gradients make many partial sums cancel exactly.
     grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
     if not rounded:
         grad_out += rng.normal(size=grad_out.shape)
-    assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
+    assert_backward_matches_loop_oracle(graph, updater, grad_out, want_state_grad)
 
 
-@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("alignment", [False, True])
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
-def test_backward_matches_the_add_at_loop_on_non_finite_weights(extended, poison):
+def test_backward_matches_the_add_at_loop_on_non_finite_weights(alignment, poison):
     rng = np.random.default_rng(22)
     graph = build_graph(*integer_proposals(rng, 24, 3, spread=3), radius=2.5)
-    updater = seeded_updater(3, 5, extended)
+    updater = seeded_updater(3, 5, alignment)
     updater.agg_stacks[0].layers[0].weight[2, -1] = poison
     updater.fus_stacks[1].layers[0].weight[0, 1] = poison
     grad_out = rng.normal(size=(24, 3))
     with np.errstate(invalid="ignore", over="ignore"):
         for want_state_grad in (True, False):
-            assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
+            assert_backward_matches_loop_oracle(graph, updater, grad_out, want_state_grad)
 
 
-def custom_updater(state_dim, seed, extended, agg_dims, agg_activations, rounded, depth=2):
+def custom_updater(state_dim, seed, alignment, agg_dims, agg_activations, rounded, depth=2):
     """``depth`` iterations whose aggregation stacks have the hidden
-    widths ``agg_dims`` and the given activations; ``rounded`` rounds
-    every weight to a half, so that integer inputs tie."""
-    in_dim = state_dim + (3 if extended else 0)
+    widths ``agg_dims`` and the given activations, with alignment stacks
+    if ``alignment``; ``rounded`` rounds every weight to a half, so that
+    integer inputs tie."""
+    in_dim = state_dim + 3
     child = np.random.SeedSequence(seed).generate_state(3 * depth)
     agg, fus, align = [], [], []
     for k in range(depth):
@@ -167,7 +147,7 @@ def custom_updater(state_dim, seed, extended, agg_dims, agg_activations, rounded
         agg.append(DenseStack.seeded(dims, int(child[3 * k]), list(agg_activations)))
         fus.append(DenseStack.seeded((agg_dims[-1], state_dim), int(child[3 * k + 1]), ["relu"]))
         align.append(DenseStack.seeded((state_dim, 3), int(child[3 * k + 2]), ["none"]))
-    updater = GraphUpdater(agg, fus, align if extended else None)
+    updater = GraphUpdater(agg, fus, align if alignment else None)
     if rounded:
         for stack in updater.stacks:
             stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
@@ -178,7 +158,7 @@ def custom_updater(state_dim, seed, extended, agg_dims, agg_activations, rounded
 @given(
     n=st.integers(1, 25),
     state_dim=st.integers(1, 4),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     aggregation=st.sampled_from(
         [
             ((6,), ("relu",)),
@@ -194,7 +174,7 @@ def custom_updater(state_dim, seed, extended, agg_dims, agg_activations, rounded
     seed=SEEDS,
 )
 def test_backward_matches_the_add_at_loop_with_other_aggregation_stacks(
-    n, state_dim, extended, aggregation, rounded, want_state_grad, poison, seed
+    n, state_dim, alignment, aggregation, rounded, want_state_grad, poison, seed
 ):
     # A ReLU on the last aggregation layer masks the winners' gradients
     # before the winner-only bias sum; a two-layer stack gives its first
@@ -202,14 +182,14 @@ def test_backward_matches_the_add_at_loop_with_other_aggregation_stacks(
     # a one-column last layer sums all its rows, pairwise, as NumPy does.
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim, spread=3), radius=2.5)
-    updater = custom_updater(state_dim, seed % 1000, extended, *aggregation, rounded)
+    updater = custom_updater(state_dim, seed % 1000, alignment, *aggregation, rounded)
     if poison is not None:
         updater.agg_stacks[0].layers[-1].weight[0, -1] = poison
     grad_out = rng.integers(-2, 3, size=(n, state_dim)).astype(float)
     if not rounded:
         grad_out += rng.normal(size=grad_out.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_backward_matches_loop_oracle(graph, updater, extended, grad_out, want_state_grad)
+        assert_backward_matches_loop_oracle(graph, updater, grad_out, want_state_grad)
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,17 +197,17 @@ def test_backward_matches_the_add_at_loop_with_other_aggregation_stacks(
     sizes=st.lists(st.integers(0, 12), min_size=1, max_size=3),
     state_dim=st.integers(1, 4),
     depth=st.integers(0, 3),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     rounded=st.booleans(),
     seed=SEEDS,
 )
 def test_skipping_the_state_gradient_keeps_every_stack_gradient(
-    sizes, state_dim, depth, extended, rounded, seed
+    sizes, state_dim, depth, alignment, rounded, seed
 ):
     rng = np.random.default_rng(seed)
     graphs = [build_graph(*integer_proposals(rng, n, state_dim), radius=2.0) for n in sizes]
     graph = join_graphs(graphs)
-    updater = seeded_updater(state_dim, seed % 1000, extended, rounded, depth)
+    updater = seeded_updater(state_dim, seed % 1000, alignment, rounded, depth)
     _, cache = update(graph, updater)
     grad_out = rng.normal(size=graph.states.shape)
     want, d_states = update_backward(cache, grad_out)
@@ -246,19 +226,19 @@ def test_skipping_the_state_gradient_keeps_every_stack_gradient(
     n=st.integers(1, 12),
     state_dim=st.integers(1, 4),
     depth=st.integers(1, 3),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     seed=SEEDS,
 )
 def test_skipping_the_state_gradient_skips_only_the_unread_input_gradients(
-    n, state_dim, depth, extended, seed
+    n, state_dim, depth, alignment, seed
 ):
     # Without the state gradient, the first iteration's alignment stack
-    # (extended) or aggregation stack (vanilla) feeds only the skipped
-    # state scatter, so it skips its own input gradient; every other
-    # backward kernel still returns one.
+    # (with alignment) or aggregation stack (without) feeds only the
+    # skipped state scatter, so it skips its own input gradient; every
+    # other backward kernel still returns one.
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
-    updater = seeded_updater(state_dim, seed % 1000, extended, depth=depth)
+    updater = seeded_updater(state_dim, seed % 1000, alignment, depth=depth)
     _, cache = update(graph, updater)
     calls = []
     for stack in updater.stacks:
@@ -272,8 +252,8 @@ def test_skipping_the_state_gradient_skips_only_the_unread_input_gradients(
         stack._backward = spied
     update_backward(cache, rng.normal(size=graph.states.shape), want_state_grad=False)
     skipped = [stack for stack, d_input in calls if d_input is None]
-    assert skipped == [updater.align_stacks[0] if extended else updater.agg_stacks[0]]
-    assert len(calls) == (3 if extended else 2) * depth
+    assert skipped == [updater.align_stacks[0] if alignment else updater.agg_stacks[0]]
+    assert len(calls) == (3 if alignment else 2) * depth
 
 
 def _spy(stack, method, record, which):
@@ -293,12 +273,12 @@ def _spy(stack, method, record, which):
 @given(
     n=st.integers(1, 25),
     state_dim=st.integers(1, 4),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     poison=st.sampled_from([None, np.nan, np.inf]),
     seed=SEEDS,
 )
 def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
-    n, state_dim, extended, poison, seed
+    n, state_dim, alignment, poison, seed
 ):
     # The pool reads and writes its winners through flat indices
     # row * D + channel; each must give what indexing by (row, channel)
@@ -306,7 +286,7 @@ def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
     # puts NaN or infinities into the second iteration's pool inputs.
     rng = np.random.default_rng(seed)
     graph = build_graph(*integer_proposals(rng, n, state_dim), radius=2.0)
-    updater = seeded_updater(state_dim, seed % 1000, extended)
+    updater = seeded_updater(state_dim, seed % 1000, alignment)
     if poison is not None:
         updater.agg_stacks[1].layers[0].weight[2, -1] = poison
     d_pooled, d_pool_in = [], []
@@ -315,7 +295,7 @@ def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
         _spy(updater.agg_stacks[k], "_backward", d_pool_in, "args")
     with np.errstate(invalid="ignore", over="ignore"):
         _, cache = update(graph, updater)
-        _, want_rows = loop_update_forward(graph, updater, extended)
+        _, want_rows = loop_update_forward(graph, updater)
         update_backward(cache, rng.normal(size=graph.states.shape))
     # The backward runs the iterations last to first.
     d_pooled, d_pool_in = d_pooled[::-1], d_pool_in[::-1]
@@ -335,16 +315,18 @@ def test_flat_pool_gather_and_scatter_equal_the_two_index_forms(
 @given(
     n=st.integers(1, 25),
     shift=st.tuples(*[st.integers(-500, 500)] * 3),
+    alignment=st.booleans(),
     seed=SEEDS,
 )
-def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
+def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, alignment, seed):
+    # Every update reads the edges' offsets, with or without alignment.
     rng = np.random.default_rng(seed)
     boxes, _ = integer_proposals(rng, n, 4)
     states = rng.normal(size=(n, 4))
     base = build_graph(boxes, states, radius=2.5)
     moved_boxes = [Box3D(tuple(np.add(b.center, shift)), b.dims, b.yaw) for b in boxes]
     moved = build_graph(BoxArray.of(moved_boxes), states, radius=2.5)
-    updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, extended=True)
+    updater = GraphUpdater.seeded(4, 8, 3, seed % 1000, alignment)
     assert moved.adjacency == base.adjacency
     assert np.array_equal(update(moved, updater)[0], update(base, updater)[0])
 
@@ -353,11 +335,11 @@ def test_extended_refiner_is_translation_invariant_on_a_lattice(n, shift, seed):
 @given(
     sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
     state_dim=st.integers(1, 4),
-    extended=st.booleans(),
+    alignment=st.booleans(),
     rounded=st.booleans(),
     seed=SEEDS,
 )
-def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded, seed):
+def test_joined_graph_is_the_disjoint_union(sizes, state_dim, alignment, rounded, seed):
     rng = np.random.default_rng(seed)
     graphs = [build_graph(*integer_proposals(rng, n, state_dim), radius=2.0) for n in sizes]
     joined = join_graphs(graphs)
@@ -366,7 +348,7 @@ def test_joined_graph_is_the_disjoint_union(sizes, state_dim, extended, rounded,
     owner = np.repeat(np.arange(len(graphs)), sizes)
     assert len(joined) == first_row[-1]
     assert np.array_equal(owner[joined.row_node], owner[joined.indices])  # no edge crosses
-    updater = seeded_updater(state_dim, seed % 1000, extended, rounded)
+    updater = seeded_updater(state_dim, seed % 1000, alignment, rounded)
     refined, _ = update(joined, updater)
     for k, graph in enumerate(graphs):
         rows = slice(first_row[k], first_row[k + 1])
@@ -392,7 +374,7 @@ def assert_layout_is_derived(graph):
     width = max(degree, default=0)
     assert graph.width == width
     slots, edge_vec = [], []
-    neigh_keys, extended_keys = list(range(n * f)), list(range(n * f))
+    scatter_keys = list(range(n * f))
     for i in range(n):
         for slot in range(degree[i]):
             e = int(graph.offsets[i]) + slot
@@ -400,16 +382,14 @@ def assert_layout_is_derived(graph):
             assert graph.row_node[e] == i
             slots.append(slot)
             edge_vec.append(graph.coords[i] - graph.coords[j])
-            neigh_keys.extend(j * f + c for c in range(f))
-            # An extended row is [offset (3), neighbour state (F)]; its
-            # offsets go to the node's bins past the n * F state bins.
-            extended_keys.extend(n * f + i * 3 + c for c in range(3))
-            extended_keys.extend(j * f + c for c in range(f))
+            # A row is [offset (3), neighbour state (F)]; its offsets go
+            # to the node's bins past the n * F state bins.
+            scatter_keys.extend(n * f + i * 3 + c for c in range(3))
+            scatter_keys.extend(j * f + c for c in range(f))
     assert graph.slot.tolist() == slots
     assert np.array_equal(graph.edge_vec, np.reshape(edge_vec, (-1, 3)))
-    assert graph.neigh_keys.tolist() == neigh_keys
-    assert graph.extended_keys.tolist() == extended_keys
-    for name in ("slot", "edge_vec", "neigh_keys", "extended_keys"):
+    assert graph.scatter_keys.tolist() == scatter_keys
+    for name in ("slot", "edge_vec", "scatter_keys"):
         assert not getattr(graph, name).flags.writeable
 
 

@@ -15,7 +15,7 @@ EXPECTED_CHECKS = {
     "smooth_l1",
     "focal_loss",
     "masked_smooth_l1",
-    "vanilla_update",
+    "unaligned_update",
     "extended_update",
     "header",
     "composed",

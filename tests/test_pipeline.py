@@ -85,7 +85,7 @@ def test_default_config_and_state_dim():
     config = PipelineConfig()
     assert config.state_dim == config.rfa.point_dim == 8
     assert config.gnn.depth == 3
-    assert config.gnn.variant == "extended"
+    assert config.gnn.alignment is True
     assert config.proposals.pos_iou == 0.7
 
 
@@ -94,8 +94,6 @@ def test_sub_config_validation():
         SceneConfig(n_objects=-1)
     with pytest.raises(ConfigError):
         GnnPipelineConfig(depth=6)
-    with pytest.raises(ConfigError):
-        GnnPipelineConfig(variant="mega")
     with pytest.raises(ConfigError):
         ProposalConfig(per_gt=0)
     with pytest.raises(ConfigError):
@@ -217,9 +215,29 @@ def test_non_integral_numbers_for_int_fields_name_their_key(raw, key):
         parse_pipeline_config(raw)
 
 
+BOOL_KEYS = [("loss", "focal_background"), ("gnn", "alignment")]
+
+
 def test_bool_fields_still_take_bools():
-    for flag in (True, False):
-        assert parse_pipeline_config({"loss": {"focal_background": flag}}).loss.focal_background is flag
+    for section, key in BOOL_KEYS:
+        for flag in (True, False):
+            config = parse_pipeline_config({section: {key: flag}})
+            assert getattr(getattr(config, section), key) is flag
+
+
+@pytest.mark.parametrize("section, key", BOOL_KEYS)
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, "no", None, [1], 0.0, {}])
+def test_bool_fields_take_nothing_but_bools(section, key, value):
+    # "false" is a truthy string: read as is, it would keep the term on.
+    want = f"config key '{section}.{key}' must be a bool, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        parse_pipeline_config({section: {key: value}})
+
+
+def test_the_old_gnn_variant_key_is_unknown():
+    for value in ("extended", "vanilla"):
+        with pytest.raises(ConfigError, match=r"unknown config key 'gnn'\.'variant'"):
+            parse_pipeline_config({"gnn": {"variant": value}})
 
 
 def test_values_take_the_type_of_their_default():
@@ -284,7 +302,7 @@ _PIPELINE_CONFIGS = st.builds(
         depth=st.integers(0, 5),
         radius=_POSITIVE,
         hidden_dim=_WIDTHS,
-        variant=st.sampled_from(["extended", "vanilla"]),
+        alignment=st.booleans(),
         header_hidden=_WIDTHS,
         header_init=st.sampled_from(["random", "zero"]),
     ),
@@ -418,7 +436,7 @@ def test_training_checks_the_models_once_per_run(monkeypatch):
     config = tiny_config()
     pipeline._train_models(config, 3)
     header = [c for c in calls if c in (models[0].cls_stack, models[0].reg_stack)]
-    assert [c for c in calls if isinstance(c, tuple)] == [(config.state_dim, True)]
+    assert [c for c in calls if isinstance(c, tuple)] == [(config.state_dim,)]
     assert header == [models[0].cls_stack, models[0].reg_stack]
 
 
@@ -450,6 +468,9 @@ def test_mismatched_models_fail_a_run_with_the_checked_message(monkeypatch, name
 # histories and weights may move in the last bits, never by more.
 BATCH_RTOL = 1e-12
 BATCH_ATOL = 1e-12
+# The refiner's two arms as test ids: "extended" has alignment stacks,
+# "vanilla" reads the same edge offsets without them.
+ARMS = ["extended", "vanilla"]
 
 
 def _oracle_run(config, steps):
@@ -457,9 +478,9 @@ def _oracle_run(config, steps):
     return history, [stack.flat_params() for stack in models.stacks]
 
 
-@pytest.mark.parametrize("variant", ["extended", "vanilla"])
-def test_batch_of_one_trains_bit_identically_to_the_per_world_loop(variant):
-    config = PipelineConfig(gnn=GnnPipelineConfig(variant=variant))
+@pytest.mark.parametrize("alignment", [True, False], ids=ARMS)
+def test_batch_of_one_trains_bit_identically_to_the_per_world_loop(alignment):
+    config = PipelineConfig(gnn=GnnPipelineConfig(alignment=alignment))
     history, weights = _trained_weights(config, 40)
     want_history, want_weights = _oracle_run(config, 40)
     assert history == want_history
@@ -467,11 +488,11 @@ def test_batch_of_one_trains_bit_identically_to_the_per_world_loop(variant):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("variant", ["extended", "vanilla"])
+@pytest.mark.parametrize("alignment", [True, False], ids=ARMS)
 @pytest.mark.parametrize("batch", [2, 4])
-def test_joined_batch_trains_like_the_per_world_loop(variant, batch):
+def test_joined_batch_trains_like_the_per_world_loop(alignment, batch):
     config = PipelineConfig(
-        gnn=GnnPipelineConfig(variant=variant), train=TrainPipelineConfig(batch_scenes=batch)
+        gnn=GnnPipelineConfig(alignment=alignment), train=TrainPipelineConfig(batch_scenes=batch)
     )
     history, weights = _trained_weights(config, 200)
     want_history, want_weights = _oracle_run(config, 200)
@@ -519,9 +540,9 @@ def _trained_weights(config, steps):
     return history, [stack.flat_params() for stack in models.stacks]
 
 
-@pytest.mark.parametrize("variant", ["extended", "vanilla"])
-def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, variant):
-    config = PipelineConfig(gnn=GnnPipelineConfig(variant=variant))
+@pytest.mark.parametrize("alignment", [True, False], ids=ARMS)
+def test_training_is_bit_identical_with_the_add_at_backward(monkeypatch, alignment):
+    config = PipelineConfig(gnn=GnnPipelineConfig(alignment=alignment))
     history, weights = _trained_weights(config, 30)
     monkeypatch.setattr(pipeline, "update_backward", loop_update_backward)
     assert train_smoke(config, steps=30) == history
@@ -546,13 +567,13 @@ def _batch_with_empty_worlds(monkeypatch):
 def test_gradient_vectors_train_bit_identically_to_the_per_world_loop(monkeypatch, case):
     # 200 steps whose kernels write into two gradient vectors in turn,
     # against the loop oracle's sgd_step on new arrays.  The vanilla
-    # updater has no alignment block in the vectors; at depth 0 only the
-    # header trains; the batch of three trains one world next to two empty
+    # updater has no alignment stacks, so the vectors have no alignment
+    # block; at depth 0 only the header trains; the batch of three trains one world next to two empty
     # ones, which add zero gradients and still divide the learning rate;
     # an all-empty batch leaves every weight as it was.
     config = {
         "extended": PipelineConfig(),
-        "vanilla": PipelineConfig(gnn=GnnPipelineConfig(variant="vanilla")),
+        "vanilla": PipelineConfig(gnn=GnnPipelineConfig(alignment=False)),
         "depth0": PipelineConfig(gnn=GnnPipelineConfig(depth=0)),
         "batch3": PipelineConfig(train=TrainPipelineConfig(batch_scenes=3)),
         "all-empty": tiny_config(scene={"n_objects": 0}, train={"batch_scenes": 2}),
@@ -705,22 +726,22 @@ def test_divergence_names_the_step_whose_gradient_was_not_finite(
 
 
 def test_model_stacks_are_the_updaters_then_the_headers():
-    for variant in ("extended", "vanilla"):
-        models = pipeline.init_models(PipelineConfig(gnn=GnnPipelineConfig(variant=variant)))
+    for alignment in (True, False):
+        models = pipeline.init_models(PipelineConfig(gnn=GnnPipelineConfig(alignment=alignment)))
         updater = models.updater
         want = [*updater.agg_stacks, *updater.fus_stacks, *(updater.align_stacks or [])]
         want += [models.cls_stack, models.reg_stack]
-        assert len(models.stacks) == len(want) == (11 if variant == "extended" else 8)
+        assert len(models.stacks) == len(want) == (11 if alignment else 8)
         assert all(got is stack for got, stack in zip(models.stacks, want))
 
 
-@pytest.mark.parametrize("variant", ["extended", "vanilla"])
-def test_fused_losses_evaluate_like_the_separate_passes(variant):
+@pytest.mark.parametrize("alignment", [True, False], ids=ARMS)
+def test_fused_losses_evaluate_like_the_separate_passes(alignment):
     # A batch of four worlds, the second empty and the third stripped of
     # its foreground: that world warns and adds a zero loss and zero
     # gradients.  Loss and every gradient equal the four separate loss
     # passes bit for bit.
-    config = tiny_config(gnn={"variant": variant})
+    config = tiny_config(gnn={"alignment": alignment})
     worlds = [pipeline._build_world(config, seed, seed + 11) for seed in (0, 2, 5)]
     empty = pipeline._build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
     batch = [worlds[0], empty, worlds[1], worlds[2]]
