@@ -43,7 +43,7 @@ from .metrics import (
     nds,
     precision_recall,
 )
-from .nnet import DenseStack, LossConfig, focal_loss, smooth_l1, total_loss
+from .nnet import DenseStack, LossConfig, focal_loss, total_loss
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -114,7 +114,6 @@ __all__ = [
     "sample_bev_grid",
     "sample_bev_point",
     "set_abstraction",
-    "smooth_l1",
     "total_loss",
     "train_smoke",
     "update",

@@ -65,21 +65,24 @@ from .voxel import VoxelizationConfig, voxelize
 _GRADCHECK_TOL = 1e-4
 
 
-def _gnn_value(name: str, kind: type) -> Callable[[str], Any]:
+def _config_value(config: type, name: str, kind: type) -> Callable[[str], Any]:
     """An argparse type: the flag's text as a ``kind``, within the bounds
-    that :class:`~graphdet.pipeline.GnnPipelineConfig` puts on its field
-    ``name``, so that a bad value exits 2 naming the flag."""
+    that the config class ``config`` puts on its field ``name``, so that a
+    bad value exits 2 naming the flag."""
 
     def parse(text: str) -> Any:
         value = kind(text)
         try:
-            GnnPipelineConfig(**{name: value})
+            config(**{name: value})
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
         return value
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
+
+
+_seed = _config_value(PipelineConfig, "seed", int)  # every --seed flag: non-negative
 
 
 def _point(tokens: list[str]) -> list[float]:
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "holdout_* keys on a held-out scene",
     )
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--steps", type=int, help="override the training step count")
     p.add_argument("--output", help="write detections to this file")
     p.add_argument("--report", help="write the metrics report as JSON")
@@ -294,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="descend the refinement loss (header focal + box smooth-L1) and report the drop",
     )
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--steps", type=int, help="override the training step count")
     p.set_defaults(func=_cmd_train_smoke)
 
     p = sub.add_parser("voxelize", help="voxelize a point file (or a synthetic scene)")
     p.add_argument("--input", help="point file with x y z [reflectance] lines")
-    p.add_argument("--seed", type=int, help="use a synthetic scene with this seed")
+    p.add_argument("--seed", type=_seed, help="use a synthetic scene with this seed")
     p.add_argument(
         "--step", type=float, nargs=3, default=[0.05, 0.05, 0.1],
         metavar=("SX", "SY", "SZ"), help="voxel size per axis (default KITTI)",
@@ -316,14 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proposals", required=True, help="box file of proposals")
     p.add_argument("--states", required=True, help="one row of state floats per proposal")
     p.add_argument(
-        "--radius", type=_gnn_value("radius", float), default=2.0,
+        "--radius", type=_config_value(GnnPipelineConfig, "radius", float), default=2.0,
         help="neighborhood radius (m), positive and finite",
     )
     p.add_argument(
-        "--iters", type=_gnn_value("depth", int), default=3, help="refinement iterations, 0-5"
+        "--iters", type=_config_value(GnnPipelineConfig, "depth", int), default=3,
+        help="refinement iterations, 0-5",
     )
     p.add_argument(
-        "--hidden", type=_gnn_value("hidden_dim", int), default=32,
+        "--hidden", type=_config_value(GnnPipelineConfig, "hidden_dim", int), default=32,
         help="hidden width of the stacks, at least 1",
     )
     p.add_argument(
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-alignment", dest="alignment", action="store_false",
         help="keep the edge offsets, drop their predicted alignment",
     )
-    p.add_argument("--seed", type=int, default=0, help="stack initialization seed")
+    p.add_argument("--seed", type=_seed, default=0, help="stack initialization seed")
     p.add_argument("--output", help="write refined boxes here instead of stdout")
     p.set_defaults(func=_cmd_refine)
 
@@ -363,8 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gts", help="ground truth for --dets")
     p.set_defaults(func=_cmd_eval_nds)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "gradcheck",
+        help="central-difference check of every hand-written gradient, on the stacks' "
+        "bound parameter vector and the fused loss passes training runs; "
+        f"exit 1 if any relative error reaches {_GRADCHECK_TOL:g}",
+    )
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the checks' random instances")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("iou", help="overlap of two boxes given as 'cx cy cz l w h yaw'")

@@ -7,6 +7,11 @@ until every non-smooth point — ReLU pre-activations, max-pool winners,
 the smooth-L1 elbow, probability clamps — sits at a safe margin from the
 finite-difference step, so a check failure always means a wrong
 gradient, never an unlucky kink crossing.
+
+As in training, the stacks under check are bound to one parameter
+vector, which is differenced in place (:func:`_params_fd_error`), and
+the losses are the fused passes, called on row indices as
+:func:`graphdet.pipeline._evaluate` calls them.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from .gnn import (
 )
 from .nnet import (
     DenseStack,
+    LayerGrads,
     LossConfig,
-    focal_loss,
-    focal_loss_grad,
-    masked_smooth_l1_mean,
-    masked_smooth_l1_mean_grad,
-    smooth_l1,
-    smooth_l1_grad,
+    _smooth_l1_sum_and_grad,
+    bind_flat_params,
+    flat_views,
+    focal_loss_and_grad,
+    masked_smooth_l1_mean_and_grad,
 )
 from .scene import BoxArray
 
@@ -46,8 +51,11 @@ _MAX_REDRAWS = 64
 def central_difference(
     fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_STEP
 ) -> np.ndarray:
-    """Two-sided finite-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float).copy()
+    """Two-sided finite-difference gradient of ``fn`` at ``x``, a 1-D
+    float64 array whose entries are moved in place, so through every view
+    of it (a bound parameter vector's layers), and restored bit for bit."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64):
+        raise ValueError("x must be a 1-D float64 array: its entries are moved in place")
     grad = np.empty_like(x)
     for i in range(x.size):
         orig = x[i]
@@ -81,25 +89,27 @@ def _stack_preact_margin(cache: list) -> float:
     return min(margins) if margins else np.inf
 
 
-def _stack_fd_error(
-    stack: DenseStack, value_fn: Callable[[], float], grads: list
+def _params_fd_error(
+    stacks: list[DenseStack], grads: list[list[LayerGrads]], value: Callable[[], float]
 ) -> float:
-    """Compare a stack's analytic parameter gradient against differences.
+    """Worst relative error of ``grads``, one list of (dW, db) pairs per
+    stack of ``stacks``, against central differences of ``value``, the
+    scalar loss at the stacks' current parameters.
 
-    ``value_fn`` evaluates the scalar loss at the stack's *current*
-    parameters; ``grads`` is the analytic per-layer gradient already
-    computed at the unperturbed parameters.
+    Binds every weight and bias of ``stacks`` as a view of one vector
+    (:func:`~graphdet.nnet.bind_flat_params`), copies ``grads`` into a
+    vector of the same layout (:func:`~graphdet.nnet.flat_views`) and
+    differences the bound vector in place.  Gradients shaped unlike
+    their layers raise ``ValueError``.
     """
-    analytic = stack.flat_grads(grads)
-    base = stack.flat_params()
-
-    def scalar(flat: np.ndarray) -> float:
-        stack.set_flat_params(flat)
-        return value_fn()
-
-    fd = central_difference(scalar, base)
-    stack.set_flat_params(base)
-    return max_relative_error(analytic, fd)
+    params = bind_flat_params(stacks)
+    analytic = np.empty(params.shape)
+    for views, stack_grads in zip(flat_views(analytic, stacks), grads, strict=True):
+        for (dw, db), (gw, gb) in zip(views, stack_grads, strict=True):
+            if (gw.shape, gb.shape) != (dw.shape, db.shape):
+                raise ValueError(f"gradient shapes {gw.shape}, {gb.shape} != {dw.shape}, {db.shape}")
+            dw[...], db[...] = gw, gb
+    return max_relative_error(analytic, central_difference(lambda _: value(), params))
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +130,12 @@ def check_dense_stack(seed: int) -> float:
         raise RuntimeError("no kink-free dense stack instance found")
     probe = rng.normal(size=(5, 3))
 
-    def value() -> float:
-        return float((probe * stack.apply(x)).sum())
+    def value(inputs: np.ndarray = x) -> float:
+        return float((probe * stack.apply(inputs)).sum())
 
-    _, fcache = stack.forward(x)
-    grads, d_in = stack.backward(fcache, probe)
-    err = _stack_fd_error(stack, value, grads)
-    fd_in = central_difference(
-        lambda flat: float((probe * stack.apply(flat.reshape(x.shape))).sum()), x.ravel()
-    )
+    grads, d_in = stack.backward(cache, probe)
+    err = _params_fd_error([stack], [grads], value)
+    fd_in = central_difference(lambda flat: value(flat.reshape(x.shape)), x.ravel())
     return max(err, max_relative_error(d_in.ravel(), fd_in))
 
 
@@ -142,8 +149,8 @@ def check_smooth_l1(seed: int) -> float:
             break
     else:
         raise RuntimeError("no elbow-free smooth-L1 instance found")
-    analytic = smooth_l1_grad(pred, target, beta)
-    fd = central_difference(lambda p: smooth_l1(p, target, beta), pred)
+    analytic = _smooth_l1_sum_and_grad(pred - target, beta, True)[1]
+    fd = central_difference(lambda p: _smooth_l1_sum_and_grad(p - target, beta, False)[0], pred)
     return max_relative_error(analytic, fd)
 
 
@@ -152,11 +159,12 @@ def check_focal_loss(seed: int) -> float:
     for background in (False, True):
         rng = np.random.default_rng([seed, 37, int(background)])
         probs = rng.uniform(0.05, 0.95, size=12)
-        fg = rng.uniform(size=12) < 0.4
-        fg[0] = True  # keep the normaliser positive
+        is_fg = rng.uniform(size=12) < 0.4
+        is_fg[0] = True  # keep the normaliser positive
+        fg, bg = np.flatnonzero(is_fg), np.flatnonzero(~is_fg)
         config = LossConfig(focal_background=background)
-        analytic = focal_loss_grad(probs, fg, config)
-        fd = central_difference(lambda p: focal_loss(p, fg, config), probs)
+        analytic = focal_loss_and_grad(probs, fg, bg, config, True)[1]
+        fd = central_difference(lambda p: focal_loss_and_grad(p, fg, bg, config, False)[0], probs)
         worst = max(worst, max_relative_error(analytic, fd))
     return worst
 
@@ -173,9 +181,12 @@ def check_masked_smooth_l1(seed: int) -> float:
             break
     else:
         raise RuntimeError("no elbow-free masked smooth-L1 instance found")
-    analytic = masked_smooth_l1_mean_grad(pred, target, mask, beta)
+    rows = np.flatnonzero(mask)
+    analytic = masked_smooth_l1_mean_and_grad(pred, rows, target[rows], beta, True)[1]
     fd = central_difference(
-        lambda p: masked_smooth_l1_mean(p.reshape(pred.shape), target, mask, beta),
+        lambda p: masked_smooth_l1_mean_and_grad(
+            p.reshape(pred.shape), rows, target[rows], beta, False
+        )[0],
         pred.ravel(),
     )
     return max_relative_error(analytic.ravel(), fd)
@@ -226,20 +237,14 @@ def check_update(seed: int, alignment: bool) -> float:
         raise RuntimeError("no kink-free update instance found")
     probe = rng.normal(size=refined.shape)
 
-    def value() -> float:
-        return float((probe * update(graph, updater)[0]).sum())
-
-    _, cache = update(graph, updater)
-    grads, d_states = update_backward(cache, probe)
-    worst = 0.0
-    for stack, stack_grads in zip(updater.stacks, grads, strict=True):
-        worst = max(worst, _stack_fd_error(stack, value, stack_grads))
-
-    def scalar_states(flat: np.ndarray) -> float:
-        g = graph.with_states(flat.reshape(states.shape))
+    def value(g: NeighborhoodGraph = graph) -> float:
         return float((probe * update(g, updater)[0]).sum())
 
-    fd_states = central_difference(scalar_states, states.ravel())
+    grads, d_states = update_backward(cache, probe)
+    worst = _params_fd_error(updater.stacks, grads, value)
+    fd_states = central_difference(
+        lambda flat: value(graph.with_states(flat.reshape(states.shape))), states.ravel()
+    )
     return max(worst, max_relative_error(d_states.ravel(), fd_states))
 
 
@@ -250,32 +255,23 @@ def check_header(seed: int) -> float:
         states = rng.normal(size=(n, f))
         cls_stack = DenseStack.seeded((f, hidden, 1), seed * 1019 + attempt)
         reg_stack = DenseStack.seeded((f, hidden, 7), seed * 1021 + attempt)
-        _, _, (cls_cache, reg_cache, _) = header_forward(states, cls_stack, reg_stack)
-        if min(_stack_preact_margin(cls_cache), _stack_preact_margin(reg_cache)) > _KINK_MARGIN:
+        _, _, cache = header_forward(states, cls_stack, reg_stack)
+        if min(_stack_preact_margin(cache[0]), _stack_preact_margin(cache[1])) > _KINK_MARGIN:
             break
     else:
         raise RuntimeError("no kink-free header instance found")
     probe_s = rng.normal(size=n)
     probe_r = rng.normal(size=(n, 7))
 
-    def value() -> float:
-        scores, residuals, _ = header_forward(states, cls_stack, reg_stack)
+    def value(z: np.ndarray = states) -> float:
+        scores, residuals, _ = header_forward(z, cls_stack, reg_stack)
         return float((probe_s * scores).sum() + (probe_r * residuals).sum())
 
-    _, _, cache = header_forward(states, cls_stack, reg_stack)
     cls_grads, reg_grads, dz = header_backward(
         cache, cls_stack, reg_stack, probe_s, probe_r
     )
-    worst = _stack_fd_error(cls_stack, value, cls_grads)
-    worst = max(worst, _stack_fd_error(reg_stack, value, reg_grads))
-
-    def scalar_states(flat: np.ndarray) -> float:
-        scores, residuals, _ = header_forward(
-            flat.reshape(states.shape), cls_stack, reg_stack
-        )
-        return float((probe_s * scores).sum() + (probe_r * residuals).sum())
-
-    fd = central_difference(scalar_states, states.ravel())
+    worst = _params_fd_error([cls_stack, reg_stack], [cls_grads, reg_grads], value)
+    fd = central_difference(lambda flat: value(flat.reshape(states.shape)), states.ravel())
     return max(worst, max_relative_error(dz.ravel(), fd))
 
 
@@ -301,43 +297,33 @@ def check_composed(seed: int) -> float:
         margin = min(margin, _stack_preact_margin(hcache[0]))
         margin = min(margin, _stack_preact_margin(hcache[1]))
         margin = min(margin, float(np.minimum(scores, 1.0 - scores).min()) - 0.01)
-        if fg.any():
-            margin = min(
-                margin,
-                float(np.abs(np.abs(residuals[fg] - targets[fg]) - beta).min()),
-            )
+        margin = min(margin, float(np.abs(np.abs(residuals[fg] - targets[fg]) - beta).min()))
         if margin > _KINK_MARGIN:
             break
     else:
         raise RuntimeError("no kink-free composed instance found")
 
-    def value_from(graph: NeighborhoodGraph) -> float:
-        refined, _ = update(graph, updater)
+    fg_rows, bg_rows = np.flatnonzero(fg), np.flatnonzero(~fg)
+    fg_targets = targets[fg_rows]
+
+    def value(g: NeighborhoodGraph = graph) -> float:
+        refined, _ = update(g, updater)
         scores, residuals, _ = header_forward(refined, cls_stack, reg_stack)
-        return focal_loss(scores, fg, config) + masked_smooth_l1_mean(
-            residuals, targets, fg, beta
-        )
+        focal = focal_loss_and_grad(scores, fg_rows, bg_rows, config, False)[0]
+        return focal + masked_smooth_l1_mean_and_grad(residuals, fg_rows, fg_targets, beta, False)[0]
 
-    def value() -> float:  # parameter perturbations leave the graph as it is
-        return value_from(graph)
-
-    refined, ucache = update(graph, updater)
-    scores, residuals, hcache = header_forward(refined, cls_stack, reg_stack)
-    d_scores = focal_loss_grad(scores, fg, config)
-    d_res = masked_smooth_l1_mean_grad(residuals, targets, fg, beta)
+    d_scores = focal_loss_and_grad(scores, fg_rows, bg_rows, config, True)[1]
+    d_res = masked_smooth_l1_mean_and_grad(residuals, fg_rows, fg_targets, beta, True)[1]
     cls_grads, reg_grads, dz = header_backward(
         hcache, cls_stack, reg_stack, d_scores, d_res
     )
     ugrads, d_states = update_backward(ucache, dz)
 
-    worst = _stack_fd_error(cls_stack, value, cls_grads)
-    worst = max(worst, _stack_fd_error(reg_stack, value, reg_grads))
-    for stack, stack_grads in zip(updater.stacks, ugrads, strict=True):
-        worst = max(worst, _stack_fd_error(stack, value, stack_grads))
+    stacks = [*updater.stacks, cls_stack, reg_stack]
+    worst = _params_fd_error(stacks, [*ugrads, cls_grads, reg_grads], value)
 
     fd_states = central_difference(
-        lambda flat: value_from(graph.with_states(flat.reshape(states.shape))),
-        states.ravel(),
+        lambda flat: value(graph.with_states(flat.reshape(states.shape))), states.ravel()
     )
     return max(worst, max_relative_error(d_states.ravel(), fd_states))
 

@@ -6,8 +6,12 @@ finite differences.  Stacks operate on row-batched (n, width) matrices;
 gradients accumulate over the rows.  Each loss term has one
 implementation, which returns the loss and, if wanted, its gradient in
 one pass (:func:`focal_loss_and_grad`,
-:func:`masked_smooth_l1_mean_and_grad`); the loss-only and
-gradient-only functions wrap it.
+:func:`masked_smooth_l1_mean_and_grad`, :func:`_smooth_l1_sum_and_grad`);
+training and :mod:`graphdet.gradcheck` call these.  The wrappers
+(:func:`focal_loss`, :func:`masked_smooth_l1_mean`, :func:`offset_loss`
+and their ``_grad`` twins) and :func:`total_loss` reach no detection and
+no report: they remain only because the benchmark's tracer
+(``bench/tracer.py``) wraps them by name.
 """
 
 from __future__ import annotations
@@ -209,30 +213,11 @@ class DenseStack:
             layer.weight -= lr * dw
             layer.bias -= lr * db
 
-    # Flat parameter views, used by finite-difference checks.
-
     def flat_params(self) -> np.ndarray:
+        """A new vector of every layer's weight then bias, input layer
+        first: the order :func:`bind_flat_params` binds."""
         return np.concatenate(
             [np.concatenate([l.weight.ravel(), l.bias.ravel()]) for l in self.layers]
-        )
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        size = sum(layer.weight.size + layer.bias.size for layer in self.layers)
-        if flat.size != size:
-            raise ValueError(f"expected {size} parameters, got {flat.size}")
-        offset = 0
-        for layer in self.layers:
-            n_w = layer.weight.size
-            layer.weight = flat[offset : offset + n_w].reshape(layer.weight.shape).copy()
-            offset += n_w
-            n_b = layer.bias.size
-            layer.bias = flat[offset : offset + n_b].copy()
-            offset += n_b
-
-    def flat_grads(self, grads: list[LayerGrads]) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads]
         )
 
 
@@ -281,9 +266,10 @@ def bind_flat_params(stacks: list[DenseStack]) -> np.ndarray:
     gradients in views of a vector of the same layout one ``vector -= lr
     * gradient`` descends every layer as :meth:`DenseStack.sgd_step`
     does, ``w - lr * dw``.  Each call binds to a new vector, so the
-    stacks share no memory with any earlier binding.
+    stacks share no memory with any earlier binding.  No stacks bind an
+    empty vector.
     """
-    vector = np.concatenate([stack.flat_params() for stack in stacks])
+    vector = np.concatenate([np.empty(0), *(stack.flat_params() for stack in stacks)])
     for stack, pairs in zip(stacks, flat_views(vector, stacks)):
         for layer, (weight, bias) in zip(stack.layers, pairs):
             layer.weight, layer.bias = weight, bias
@@ -315,30 +301,21 @@ class LossConfig:
             raise ValueError("focal_gamma must be non-negative")
         if self.smooth_l1_beta <= 0.0:
             raise ValueError("smooth_l1_beta must be positive")
+        if not isinstance(self.focal_background, bool):
+            raise ValueError(f"focal_background must be a bool, got {self.focal_background!r}")
 
 
 def _smooth_l1_sum_and_grad(
     x: np.ndarray, beta: float, want_grad: bool
 ) -> tuple[float, np.ndarray | None]:
-    """Summed smooth-L1 of the differences ``x`` and, if wanted, its
-    elementwise derivative: the one smooth-L1 implementation."""
+    """Summed smooth-L1 of the differences ``x`` (0.5 x^2 / beta inside
+    the kink, |x| - beta/2 outside) and, if wanted, its elementwise
+    derivative: the one smooth-L1 implementation."""
     ax = np.abs(x)
     inside = ax < beta
     terms = np.where(inside, 0.5 * x * x / beta, ax - 0.5 * beta)
     total = float(np.add.reduce(terms, axis=None))
     return total, np.where(inside, x / beta, np.sign(x)) if want_grad else None
-
-
-def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> float:
-    """Summed smooth-L1: 0.5 x^2 / beta inside the kink, |x| - beta/2 outside."""
-    x = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return _smooth_l1_sum_and_grad(x, beta, want_grad=False)[0]
-
-
-def smooth_l1_grad(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """d(smooth_l1)/d(pred), elementwise."""
-    x = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return _smooth_l1_sum_and_grad(x, beta, want_grad=True)[1]
 
 
 _P_CLAMP = (1e-7, 1.0 - 1e-7)

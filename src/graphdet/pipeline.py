@@ -124,6 +124,8 @@ class GnnPipelineConfig:
             raise ConfigError("gnn widths must be positive")
         if self.header_init not in ("random", "zero"):
             raise ConfigError(f"unknown header_init {self.header_init!r}")
+        if not isinstance(self.alignment, bool):
+            raise ConfigError(f"gnn alignment must be a bool, got {self.alignment!r}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not all(isinstance(s, (int, np.integer)) for s in (self.seed, self.feature_seed)):
             raise ConfigError("seed and feature_seed must be integers")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.point_hidden < 1:
             raise ConfigError("point_hidden must be positive")
         if self.rfa.point_dim % 2 != 0:

@@ -37,6 +37,7 @@ from graphdet.metrics import (
     nds,
     precision_recall,
 )
+from graphdet.nnet import bind_flat_params
 from graphdet.pipeline import (
     GnnPipelineConfig,
     PipelineConfig,
@@ -204,8 +205,7 @@ def test_criterion_5_refinement_invariants():
 
         # zeroed fusion stacks contribute nothing, whatever the depth
         muted = copy.deepcopy(updater)
-        for stack in muted.fus_stacks:
-            stack.set_flat_params(np.zeros(stack.flat_params().size))
+        bind_flat_params(muted.fus_stacks)[:] = 0.0
         assert np.array_equal(update(graph, muted)[0], states)
 
         # node order is bookkeeping: permuting inputs permutes outputs

@@ -464,6 +464,34 @@ def test_diverging_training_exits_one(tmp_path, capsys, command):
     assert "error: training diverged at step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gradcheck"],
+        ["voxelize"],
+        ["run-pipeline", "--steps", "0"],
+        ["train-smoke", "--steps", "0"],
+        ["refine"],
+    ],
+)
+def test_negative_seed_flags_exit_two_naming_the_flag(tmp_path, capsys, command):
+    if command == ["refine"]:
+        props, states = refine_inputs(tmp_path)
+        command = [*command, "--proposals", props, "--states", states]
+    for value in ("-1", "-3"):
+        assert main([*command, "--seed", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --seed: seed must be non-negative, got {value}\n" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
+def test_negative_seed_in_a_config_file_exits_two_naming_the_key(tmp_path, capsys, command):
+    config = write_config(tmp_path, seed=-1)
+    assert main([command, "--config", config]) == 2
+    assert "error: seed must be non-negative\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
 def test_config_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
     path = tmp_path / "config.json"

@@ -18,7 +18,7 @@ from graphdet.gnn import (
     update,
     update_backward,
 )
-from graphdet.nnet import DenseLayer, DenseStack, flat_views
+from graphdet.nnet import DenseLayer, DenseStack, bind_flat_params, flat_views
 from graphdet.scene import Box3D, BoxArray
 
 from oracles import brute_radius_graph
@@ -237,8 +237,7 @@ def test_backward_without_iterations_gives_zero_stack_gradients(alignment):
 def test_zeroed_fusion_leaves_states_untouched():
     graph = build_graph(*line_proposals(6, 1.0, 5, seed=1), radius=1.5)
     updater = GraphUpdater.seeded(5, 8, 3, seed=4)
-    for stack in updater.fus_stacks:
-        stack.set_flat_params(np.zeros(stack.flat_params().size))
+    bind_flat_params(updater.fus_stacks)[:] = 0.0
     assert np.array_equal(update(graph, updater)[0], graph.states)
 
 
@@ -490,23 +489,24 @@ def test_update_backward_matches_finite_differences():
             fd = (loss_for(updater, hi)[0] - loss_for(updater, lo)[0]) / (2 * h)
             assert d_states[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-        # a sample of parameter gradients from each stack family
+        # a sample of parameter gradients from each stack family, moved
+        # through the parameter vector the stacks are bound to
+        params = bind_flat_params(updater.stacks)
+        flat_grad = np.concatenate([a.ravel() for g in grads for pair in g for a in pair])
+        starts = np.cumsum([0] + [stack.flat_params().size for stack in updater.stacks])
         stacks = [("agg", updater.agg_stacks[0]), ("fus", updater.fus_stacks[1])]
         if alignment:
             stacks.append(("align", updater.align_stacks[0]))
         for name, stack in stacks:
-            stack_grads = grads[updater.stacks.index(stack)]
-            flat = stack.flat_params()
-            flat_grad = stack.flat_grads(stack_grads)
-            for i in range(0, flat.size, max(1, flat.size // 5)):
-                hi, lo = flat.copy(), flat.copy()
-                hi[i] += h
-                lo[i] -= h
-                stack.set_flat_params(hi)
+            k = updater.stacks.index(stack)
+            size = starts[k + 1] - starts[k]
+            for i in range(starts[k], starts[k + 1], max(1, size // 5)):
+                orig = params[i]
+                params[i] = orig + h
                 up = loss_for(updater, states)[0]
-                stack.set_flat_params(lo)
+                params[i] = orig - h
                 down = loss_for(updater, states)[0]
-                stack.set_flat_params(flat)
+                params[i] = orig
                 fd = (up - down) / (2 * h)
                 assert flat_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), name
 

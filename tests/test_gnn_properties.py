@@ -12,7 +12,7 @@ from graphdet.gnn import (
     update,
     update_backward,
 )
-from graphdet.nnet import DenseStack
+from graphdet.nnet import DenseStack, bind_flat_params
 from graphdet.scene import Box3D, BoxArray
 
 from oracles import loop_update_backward, loop_update_forward
@@ -33,8 +33,8 @@ def seeded_updater(state_dim, seed, alignment, rounded=True, depth=3):
     give pooled values that tie exactly."""
     updater = GraphUpdater.seeded(state_dim, 6, depth, seed, alignment)
     if rounded:
-        for stack in updater.stacks:
-            stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
+        params = bind_flat_params(updater.stacks)
+        params[:] = np.round(2.0 * params) / 2.0
     return updater
 
 
@@ -149,8 +149,8 @@ def custom_updater(state_dim, seed, alignment, agg_dims, agg_activations, rounde
         align.append(DenseStack.seeded((state_dim, 3), int(child[3 * k + 2]), ["none"]))
     updater = GraphUpdater(agg, fus, align if alignment else None)
     if rounded:
-        for stack in updater.stacks:
-            stack.set_flat_params(np.round(2.0 * stack.flat_params()) / 2.0)
+        params = bind_flat_params(updater.stacks)
+        params[:] = np.round(2.0 * params) / 2.0
     return updater
 
 

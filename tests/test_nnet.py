@@ -17,8 +17,7 @@ from graphdet.nnet import (
     masked_smooth_l1_mean_grad,
     offset_loss,
     offset_loss_grad,
-    smooth_l1,
-    smooth_l1_grad,
+    _smooth_l1_sum_and_grad,
     total_loss,
 )
 
@@ -150,15 +149,18 @@ def test_stack_gradients_match_finite_differences():
     x = rng.normal(size=(1, 5))
     target = rng.normal(size=(1, 3))
 
-    def loss_of_params(flat):
-        probe = copy.deepcopy(stack)
-        probe.set_flat_params(flat)
-        return 0.5 * float(((probe.apply(x) - target) ** 2).sum())
-
     out, cache = stack.forward(x)
     grads, dx = stack.backward(cache, out - target)
-    flat_grad = stack.flat_grads(grads)
-    fd = central_diff(loss_of_params, stack.flat_params())
+    params = bind_flat_params([stack])
+    flat_grad = np.concatenate([a.ravel() for pair in grads for a in pair])
+
+    def loss_of_params(flat):
+        params[:] = flat  # the layers are views of params
+        return 0.5 * float(((stack.apply(x) - target) ** 2).sum())
+
+    base = params.copy()
+    fd = central_diff(loss_of_params, base)
+    params[:] = base
     assert np.allclose(flat_grad, fd, atol=1e-5)
 
     fd_x = central_diff(
@@ -172,14 +174,9 @@ def test_flat_params_round_trip_and_sgd_step():
     flat = stack.flat_params()
     assert flat.size == 3 * 4 + 4 + 4 * 2 + 2
     other = DenseStack.zeros((3, 4, 2))
-    other.set_flat_params(flat)
+    bind_flat_params([other])[:] = flat
     assert np.array_equal(other.flat_params(), flat)
-    shapes = [(l.weight.shape, l.bias.shape) for l in other.layers]
-    for wrong in (flat[:-1], np.append(flat, 1.0)):
-        with pytest.raises(ValueError, match=f"expected {flat.size} parameters, got {wrong.size}"):
-            other.set_flat_params(2.0 * wrong)
-        assert np.array_equal(other.flat_params(), flat)
-        assert [(l.weight.shape, l.bias.shape) for l in other.layers] == shapes
+    assert [(l.weight.shape, l.bias.shape) for l in other.layers] == [((4, 3), (4,)), ((2, 4), (2,))]
 
     grads = stack.zero_grads()
     grads[0] = (np.ones_like(grads[0][0]), np.ones_like(grads[0][1]))
@@ -211,6 +208,12 @@ def test_bound_parameter_vector_descends_like_sgd_step_bit_for_bit():
     assert not np.shares_memory(again, vector)
     vector[:] = 0.0
     assert np.array_equal(again, np.concatenate([s.flat_params() for s in twins]))
+
+
+def test_no_stacks_bind_an_empty_vector():
+    vector = bind_flat_params([])
+    assert vector.shape == (0,) and vector.dtype == np.float64
+    assert flat_views(np.zeros(0), []) == []
 
 
 def test_flat_views_lay_out_a_gradient_vector_like_the_bound_parameters():
@@ -251,20 +254,25 @@ def test_add_layer_grads():
 # smooth L1
 
 
+def smooth_l1(x, beta=1.0):
+    """The summed smooth-L1 of the differences ``x``."""
+    return _smooth_l1_sum_and_grad(np.asarray(x, dtype=float), beta, False)[0]
+
+
 def test_smooth_l1_quadratic_inside_kink():
-    assert smooth_l1(np.array([0.5]), np.array([0.0])) == pytest.approx(0.125)
+    assert smooth_l1([0.5]) == pytest.approx(0.125)
 
 
 def test_smooth_l1_linear_outside_kink():
-    assert smooth_l1(np.array([2.0]), np.array([0.0])) == pytest.approx(1.5)
-    assert smooth_l1(np.array([-2.0]), np.array([0.0])) == pytest.approx(1.5)
+    assert smooth_l1([2.0]) == pytest.approx(1.5)
+    assert smooth_l1([-2.0]) == pytest.approx(1.5)
 
 
 def test_smooth_l1_sums_elements_and_is_continuous():
-    assert smooth_l1(np.array([0.5, 2.0]), np.zeros(2)) == pytest.approx(1.625)
+    assert smooth_l1([0.5, 2.0]) == pytest.approx(1.625)
     beta = 2.0
-    at_kink = smooth_l1(np.array([2.0]), np.array([0.0]), beta)
-    just_inside = smooth_l1(np.array([2.0 - 1e-9]), np.array([0.0]), beta)
+    at_kink = smooth_l1([2.0], beta)
+    just_inside = smooth_l1([2.0 - 1e-9], beta)
     assert at_kink == pytest.approx(1.0)
     assert abs(at_kink - just_inside) < 1e-8
 
@@ -273,8 +281,9 @@ def test_smooth_l1_grad_matches_finite_differences():
     rng = np.random.default_rng(4)
     pred = rng.normal(scale=2.0, size=12)
     target = rng.normal(scale=2.0, size=12)
-    grad = smooth_l1_grad(pred, target, beta=0.7)
-    fd = central_diff(lambda p: smooth_l1(p, target, beta=0.7), pred)
+    total, grad = _smooth_l1_sum_and_grad(pred - target, 0.7, True)
+    assert total == smooth_l1(pred - target, 0.7)
+    fd = central_diff(lambda p: smooth_l1(p - target, 0.7), pred)
     assert np.allclose(grad, fd, atol=1e-6)
 
 

@@ -234,6 +234,32 @@ def test_bool_fields_take_nothing_but_bools(section, key, value):
         parse_pipeline_config({section: {key: value}})
 
 
+NOT_BOOLS = ["false", "true", 0, 1, None, 0.0, np.True_]
+
+
+@pytest.mark.parametrize("value", NOT_BOOLS)
+def test_constructed_bool_fields_take_nothing_but_bools(value):
+    # "false" is truthy: kept as is, it would build the alignment stacks.
+    with pytest.raises(ConfigError, match=f"^gnn alignment must be a bool, got {re.escape(repr(value))}$"):
+        PipelineConfig(gnn=GnnPipelineConfig(alignment=value))
+    with pytest.raises(ValueError, match=f"^focal_background must be a bool, got {re.escape(repr(value))}$"):
+        LossConfig(focal_background=value)
+
+
+def test_negative_seeds_are_refused_naming_the_key(tmp_path):
+    for seed in (-1, -(2**40)):
+        want = "^seed must be non-negative$"
+        with pytest.raises(ConfigError, match=want):
+            PipelineConfig(seed=seed)
+        with pytest.raises(ConfigError, match=want):
+            parse_pipeline_config({"seed": seed})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": seed}))
+        with pytest.raises(ConfigError, match=want):
+            load_pipeline_config(str(path))
+    assert PipelineConfig(seed=0).seed == 0
+
+
 def test_the_old_gnn_variant_key_is_unknown():
     for value in ("extended", "vanilla"):
         with pytest.raises(ConfigError, match=r"unknown config key 'gnn'\.'variant'"):
@@ -285,7 +311,7 @@ def _rfa_configs(draw):
 
 _PIPELINE_CONFIGS = st.builds(
     PipelineConfig,
-    seed=st.integers(-(2**31), 2**31),
+    seed=st.integers(0, 2**31),
     feature_seed=st.integers(0, 2**31),
     range_bounds=st.tuples(_INTERVAL, _INTERVAL, _INTERVAL),
     scene=st.builds(
