@@ -46,6 +46,7 @@ from .pipeline import (
     GnnPipelineConfig,
     PipelineConfig,
     SceneConfig,
+    TrainPipelineConfig,
     load_pipeline_config,
     run_pipeline,
     train_smoke,
@@ -83,6 +84,7 @@ def _config_value(config: type, name: str, kind: type) -> Callable[[str], Any]:
 
 
 _seed = _config_value(PipelineConfig, "seed", int)  # every --seed flag: non-negative
+_steps = _config_value(TrainPipelineConfig, "steps", int)  # every --steps flag: non-negative
 
 
 def _point(tokens: list[str]) -> list[float]:
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     p.add_argument("--seed", type=_seed, help="override the config seed")
-    p.add_argument("--steps", type=int, help="override the training step count")
+    p.add_argument("--steps", type=_steps, help="override the training step count")
     p.add_argument("--output", help="write detections to this file")
     p.add_argument("--report", help="write the metrics report as JSON")
     p.set_defaults(func=_cmd_run_pipeline)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=_seed, help="override the config seed")
-    p.add_argument("--steps", type=int, help="override the training step count")
+    p.add_argument("--steps", type=_steps, help="override the training step count")
     p.set_defaults(func=_cmd_train_smoke)
 
     p = sub.add_parser("voxelize", help="voxelize a point file (or a synthetic scene)")

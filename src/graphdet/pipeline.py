@@ -12,7 +12,10 @@ foreground proposals' box residuals.  The refiner
 (graph updater and header) is the only trained model, because it is the
 only one a detection reads.  A step is one pass over the batch's proposal
 graphs joined into one, with no edge between scenes; the batch loss is
-the sum of the scenes' losses, each with its own normaliser.
+the sum of the scenes' losses, each with its own normaliser.  What a
+scene's loss selects (its foreground and background rows and the
+foreground rows' box targets) is built once per run, from one IoU pass
+over its proposals and ground truth.
 
 The headline ``ap_*`` keys are scored on the first training scene, so
 they show what refinement adds on the batch it descended on.  The
@@ -204,6 +207,8 @@ class PipelineConfig:
             raise ConfigError("seed and feature_seed must be integers")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.feature_seed < 0:
+            raise ConfigError("feature_seed must be non-negative")
         if self.point_hidden < 1:
             raise ConfigError("point_hidden must be positive")
         if self.rfa.point_dim % 2 != 0:
@@ -332,37 +337,12 @@ def load_pipeline_config(path: str) -> PipelineConfig:
 
 
 class _WorldRows(NamedTuple):
-    """One non-empty world's rows of the batch, and its loss selections."""
+    """A training world's rows of the joined graph, and its loss selections."""
 
     rows: slice  # the world's rows [lo, hi) of the joined graph
     fg: np.ndarray  # foreground rows, counted from lo; their count is the loss normaliser
     bg: np.ndarray  # background rows, counted from lo
     fg_targets: np.ndarray  # (len(fg), 7) encoded boxes of the foreground rows
-
-
-@dataclass
-class _Targets:
-    """The training batch's refinement targets, its worlds' rows stacked.
-
-    ``worlds`` holds, for each non-empty world in order, what its loss
-    terms select on every step: the foreground and background row
-    indices and the foreground rows' box targets.  They depend only on
-    the targets, so they are derived once, here.
-    """
-
-    prop_fg: np.ndarray  # (n_proposals,) proposals matching a ground-truth box
-    prop_reg_targets: np.ndarray  # (n_proposals, 7) encoded boxes; zero rows off the foreground
-    bounds: list[tuple[int, int]]  # each world's row range [lo, hi)
-    worlds: list[_WorldRows] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.worlds = []
-        for lo, hi in self.bounds:
-            if lo == hi:
-                continue
-            fg = np.flatnonzero(self.prop_fg[lo:hi])
-            bg = np.flatnonzero(~self.prop_fg[lo:hi])
-            self.worlds.append(_WorldRows(slice(lo, hi), fg, bg, self.prop_reg_targets[lo + fg]))
 
 
 @dataclass
@@ -391,7 +371,7 @@ def _make_proposals(config: PipelineConfig, scene: Scene, seed: int) -> BoxArray
 
 def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) -> _World:
     """The scene, its features and its proposal graph: all that detection
-    and scoring read.  :func:`_training_targets` adds what training reads.
+    and scoring read.  :func:`_world_rows` adds what training reads.
 
     Set abstraction groups by a cell-hash ball query.  A KITTI-sized world
     (20k in-range points, 80 proposals) builds in 0.021-0.025 s with a
@@ -423,28 +403,26 @@ def _build_world(config: PipelineConfig, scene_seed: int, proposal_seed: int) ->
     return _World(scene=scene, graph=graph)
 
 
-def _training_targets(config: PipelineConfig, world: _World) -> tuple[np.ndarray, np.ndarray]:
-    """Each proposal's refinement target: the ground-truth box of best BEV
-    IoU (lowest index on ties), if that IoU is positive and reaches
-    ``proposals.pos_iou``.  Returns the (n,) foreground mask and the (n, 7)
-    encoded targets, zero off the foreground.
+def _world_rows(config: PipelineConfig, world: _World, lo: int) -> tuple[_WorldRows, float]:
+    """The loss selections of a world with proposals whose rows of the
+    joined graph start at ``lo``, and its best proposal IoU.
 
+    A proposal is foreground when the ground-truth box of best BEV IoU
+    (lowest index on ties) overlaps it by a positive IoU that reaches
+    ``proposals.pos_iou``; its target is that box, encoded against it.
     The IoUs come from one :func:`graphdet.geom.pairwise_bev_iou` call,
     which computes only the pairs whose footprints can reach: the others
     have IoU 0, so they can never be the accepted best.
     """
     proposals = world.graph.boxes
     gt_boxes = BoxArray.of(world.scene.gt_boxes)
-    prop_fg = np.zeros(len(proposals), dtype=bool)
-    prop_reg_targets = np.zeros((len(proposals), 7))
-    if len(proposals) and len(gt_boxes):
-        iou = pairwise_bev_iou(proposals, gt_boxes)
-        best_g = iou.argmax(axis=1)  # ties -> lower gt index
-        best_iou = iou[np.arange(len(proposals)), best_g]
-        prop_fg = (best_iou > 0.0) & (best_iou >= config.proposals.pos_iou)
-        fg = np.flatnonzero(prop_fg)
-        prop_reg_targets[fg] = encode_boxes(gt_boxes.take(best_g[fg]), proposals.take(fg))
-    return prop_fg, prop_reg_targets
+    iou = pairwise_bev_iou(proposals, gt_boxes)
+    best_g = iou.argmax(axis=1)  # ties -> lower gt index
+    best_iou = iou[np.arange(len(proposals)), best_g]
+    is_fg = (best_iou > 0.0) & (best_iou >= config.proposals.pos_iou)
+    fg, bg = np.flatnonzero(is_fg), np.flatnonzero(~is_fg)
+    fg_targets = encode_boxes(gt_boxes.take(best_g[fg]), proposals.take(fg))
+    return _WorldRows(slice(lo, lo + len(proposals)), fg, bg, fg_targets), float(best_iou.max())
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +460,7 @@ def init_models(config: PipelineConfig) -> PipelineModels:
 def _evaluate(
     models: PipelineModels,
     graph: NeighborhoodGraph,
-    targets: _Targets,
+    world_rows: list[_WorldRows],
     config: PipelineConfig,
     want_grads: bool,
     product: Callable,
@@ -494,9 +472,10 @@ def _evaluate(
     A world's loss is the header's focal loss over its rows plus its
     smooth-L1 over its foreground rows' box residuals, each term and its
     gradient from one fused call (:func:`~graphdet.nnet.focal_loss_and_grad`,
-    :func:`~graphdet.nnet.masked_smooth_l1_mean_and_grad`) on the row
-    selections ``targets`` derived once; the batch loss is their sum in
-    world order.  An empty world adds nothing.  The gradients are one
+    :func:`~graphdet.nnet.masked_smooth_l1_mean_and_grad`) on the
+    selections of its entry of ``world_rows``, which :func:`_training_worlds`
+    derives once; the batch loss is their sum in list order.  A world
+    without proposals has no entry and adds nothing.  The gradients are one
     per stack, in :attr:`PipelineModels.stacks` order, written into
     ``out`` (a list of (dW, db) arrays per stack) if given, else into new
     arrays that no later call overwrites.
@@ -513,7 +492,7 @@ def _evaluate(
     )
     dscores, dres = np.zeros(scores.shape), np.zeros(residuals.shape)
     loss = 0.0
-    for rows, fg, bg, fg_targets in targets.worlds:
+    for rows, fg, bg, fg_targets in world_rows:
         focal, d_focal = focal_loss_and_grad(scores[rows], fg, bg, cfg_loss, want_grads)
         box, d_box = masked_smooth_l1_mean_and_grad(
             residuals[rows], fg, fg_targets, beta, want_grads
@@ -530,9 +509,12 @@ def _evaluate(
     return loss, [*updater_grads, cls_grads, reg_grads]
 
 
-def _training_worlds(config: PipelineConfig) -> tuple[list[_World], NeighborhoodGraph, _Targets]:
+def _training_worlds(
+    config: PipelineConfig,
+) -> tuple[list[_World], NeighborhoodGraph, list[_WorldRows]]:
     """The batch's worlds, their proposal graphs joined into one (with no
-    edge between worlds) and the targets of the joined rows.
+    edge between worlds) and the :class:`_WorldRows` of each world with
+    proposals, in world order.
 
     Raises :class:`ConfigError` when the batch has proposals but none of
     them is foreground: the loss would be zero at every step and the run
@@ -547,20 +529,19 @@ def _training_worlds(config: PipelineConfig) -> tuple[list[_World], Neighborhood
         )
         for j in range(config.train.batch_scenes)
     ]
-    fgs, regs = zip(*(_training_targets(config, world) for world in worlds))
-    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
-    targets = _Targets(np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends)))
-    if len(targets.prop_fg) and not targets.prop_fg.any():
-        best = max(
-            pairwise_bev_iou(world.graph.boxes, BoxArray.of(world.scene.gt_boxes)).max(initial=0.0)
-            for world in worlds
-            if len(world.graph)
-        )
+    rows, best, lo = [], 0.0, 0
+    for world in worlds:
+        if len(world.graph):
+            world_rows, world_best = _world_rows(config, world, lo)
+            rows.append(world_rows)
+            best = max(best, world_best)
+            lo += len(world.graph)
+    if rows and not any(len(r.fg) for r in rows):
         raise ConfigError(
             f"no training proposal is foreground: the best proposal IoU is {best:.4f}, "
             f"below proposals.pos_iou = {config.proposals.pos_iou}"
         )
-    return worlds, join_graphs([world.graph for world in worlds]), targets
+    return worlds, join_graphs([world.graph for world in worlds]), rows
 
 
 def _train_models(
@@ -598,7 +579,7 @@ def _train_models(
     Steps write into two gradient vectors in turn, so the previous step's
     gradient is still intact when a divergence reads it.
     """
-    worlds, graph, targets = _training_worlds(config)
+    worlds, graph, rows = _training_worlds(config)
     models = init_models(config)
     _check_update(graph, models.updater)
     _check_header(graph.states, models.cls_stack, models.reg_stack)
@@ -612,7 +593,7 @@ def _train_models(
     history = []
     for step in range(steps + 1):
         # The loss after the last step is only recorded, never descended.
-        loss, _ = _evaluate(models, graph, targets, config, step < steps, product, outs[step % 2])
+        loss, _ = _evaluate(models, graph, rows, config, step < steps, product, outs[step % 2])
         if step == 0:
             initial = loss
         if not math.isfinite(loss) or (initial > 0 and loss > _DIVERGENCE_FACTOR * initial):

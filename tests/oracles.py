@@ -849,14 +849,13 @@ def _world_evaluate(models, graph, fg, reg_targets, config, want_grads):
 
 def loop_batch_evaluate(models, graphs, targets, config, want_grads=True):
     """The batch's refinement loss and gradients one world at a time: each
-    world's graph (``targets.bounds`` gives its rows of the stacked
-    targets) in its own pass, losses and gradient lists summed in world
+    world's graph with its (foreground mask, box targets) pair of
+    ``targets`` in its own pass, losses and gradient lists summed in world
     order.  Returns ``(loss, grads)`` like ``pipeline._evaluate``.  It
     shares the update, header and losses with the library: what it checks
     is the batching."""
     grads, total = None, 0.0
-    for graph, (lo, hi) in zip(graphs, targets.bounds, strict=True):
-        fg, reg = targets.prop_fg[lo:hi], targets.prop_reg_targets[lo:hi]
+    for graph, (fg, reg) in zip(graphs, targets, strict=True):
         loss, world_grads = _world_evaluate(models, graph, fg, reg, config, want_grads)
         total += loss
         if want_grads:
@@ -866,9 +865,11 @@ def loop_batch_evaluate(models, graphs, targets, config, want_grads=True):
 
 def loop_train_models(config, steps):
     """``pipeline._train_models`` with :func:`loop_batch_evaluate` as the
-    step: returns the trained models and the loss history."""
-    worlds, _, targets = pipeline._training_worlds(config)
+    step, on the targets of :func:`loop_batch_targets`: returns the
+    trained models and the loss history."""
+    worlds, _, _ = pipeline._training_worlds(config)
     graphs = [world.graph for world in worlds]
+    targets = loop_batch_targets(worlds, config.proposals.pos_iou)
     models = pipeline.init_models(config)
     lr = config.train.learning_rate / len(worlds)
     history = []
@@ -1013,19 +1014,21 @@ def separate_masked_smooth_l1_mean_grad(pred, target, mask, beta):
 
 def separate_loss_evaluate(models, graph, targets, config):
     """``pipeline._evaluate`` with the four separate loss passes per world,
-    each re-deriving its masks from ``targets.prop_fg``, as the step was
-    written before the fusion.  Returns ``(loss, grads)``."""
+    each re-deriving its masks from the world's (foreground mask, box
+    targets) pair of ``targets`` (one per world, its rows of ``graph``
+    next after the previous world's), as the step was written before the
+    fusion.  Returns ``(loss, grads)``."""
     cfg_loss = config.loss
     beta = cfg_loss.smooth_l1_beta
     refined, ucache = update(graph, models.updater)
     scores, residuals, hcache = header_forward(refined, models.cls_stack, models.reg_stack)
     dscores, dres = np.zeros_like(scores), np.zeros_like(residuals)
-    loss = 0.0
-    for lo, hi in targets.bounds:
-        if lo == hi:
+    loss, lo = 0.0, 0
+    for fg, reg_targets in targets:
+        if len(fg) == 0:
             continue
-        rows = slice(lo, hi)
-        fg, reg_targets = targets.prop_fg[rows], targets.prop_reg_targets[rows]
+        rows = slice(lo, lo + len(fg))
+        lo += len(fg)
         loss += separate_focal_loss(scores[rows], fg, cfg_loss) + separate_masked_smooth_l1_mean(
             residuals[rows], reg_targets, fg, beta
         )
@@ -1129,6 +1132,13 @@ def loop_training_targets(proposals, gt_boxes, pos_iou: float):
             prop_reg_targets[i] = encode_box(gt_boxes[best_g], prop)
             prop_reg_targets[i, 6] = normalize_yaw(prop_reg_targets[i, 6])
     return prop_fg, prop_reg_targets
+
+
+def loop_batch_targets(worlds, pos_iou: float):
+    """:func:`loop_training_targets` of each world's proposals, in world order."""
+    return [
+        loop_training_targets(world.graph.boxes, world.scene.gt_boxes, pos_iou) for world in worlds
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,22 @@ def test_negative_seed_in_a_config_file_exits_two_naming_the_key(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
+def test_negative_steps_flags_exit_two_naming_the_flag(capsys, command):
+    for value in ("-1", "-2"):
+        assert main([command, "--steps", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --steps: train steps must be non-negative, got {value}\n" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
+def test_negative_feature_seed_in_a_config_file_exits_two_naming_the_key(tmp_path, capsys, command):
+    config = write_config(tmp_path, feature_seed=-1)
+    assert main([command, "--config", config]) == 2
+    assert "error: feature_seed must be non-negative\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-pipeline", "train-smoke"])
 def test_config_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
     path = tmp_path / "config.json"
     path.write_bytes(b'{"scene": {"name": "caf\xe9"}}')

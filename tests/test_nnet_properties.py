@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdet import pipeline
 from graphdet.nnet import (
     DenseLayer,
     DenseStack,
@@ -180,18 +179,14 @@ def test_batch_selections_give_each_worlds_separate_losses(sizes, no_fg, config,
     fgs[no_fg % len(sizes)][:] = False
     regs = [np.where(fg[:, None], rng.normal(size=(len(fg), 7)), 0.0) for fg in fgs]
     ends = np.cumsum(sizes).tolist()
-    targets = pipeline._Targets(
-        np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends))
-    )
-    assert [w.rows for w in targets.worlds] == [
-        slice(lo, hi) for lo, hi in targets.bounds if lo < hi
-    ]
     scores = rng.uniform(size=ends[-1])
     residuals = rng.normal(size=(ends[-1], 7))
-    for rows, fg, bg, fg_targets in targets.worlds:
-        mask = targets.prop_fg[rows]
-        assert np.array_equal(fg, np.flatnonzero(mask))
-        assert np.array_equal(bg, np.flatnonzero(~mask))
+    for lo, mask, reg in zip([0] + ends, fgs, regs):
+        if len(mask) == 0:
+            continue
+        rows = slice(lo, lo + len(mask))
+        fg, bg = np.flatnonzero(mask), np.flatnonzero(~mask)
+        fg_targets = reg[fg]
         if len(fg):
             focal, d_focal = focal_loss_and_grad(scores[rows], fg, bg, config, True)
         else:
@@ -200,7 +195,6 @@ def test_batch_selections_give_each_worlds_separate_losses(sizes, no_fg, config,
         assert focal == separate_focal_loss(scores[rows], mask, config)
         assert np.array_equal(d_focal, separate_focal_loss_grad(scores[rows], mask, config))
         box, d_box = masked_smooth_l1_mean_and_grad(residuals[rows], fg, fg_targets, 1.0, True)
-        reg = targets.prop_reg_targets[rows]
         assert box == separate_masked_smooth_l1_mean(residuals[rows], reg, mask, 1.0)
         assert np.array_equal(
             d_box, separate_masked_smooth_l1_mean_grad(residuals[rows], reg, mask, 1.0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdet import geom, pipeline
-from graphdet.gnn import GraphUpdater, header_forward, join_graphs, update, update_backward
+from graphdet.gnn import GraphUpdater, header_forward, update, update_backward
 from graphdet.nnet import (
     DenseStack,
     LossConfig,
@@ -42,6 +42,7 @@ from graphdet.scene import Box3D, BoxArray, generate_synthetic_scene
 
 from oracles import (
     loop_batch_evaluate,
+    loop_batch_targets,
     loop_make_proposals,
     loop_rotated_iou_bev,
     loop_train_models,
@@ -247,17 +248,19 @@ def test_constructed_bool_fields_take_nothing_but_bools(value):
 
 
 def test_negative_seeds_are_refused_naming_the_key(tmp_path):
-    for seed in (-1, -(2**40)):
-        want = "^seed must be non-negative$"
-        with pytest.raises(ConfigError, match=want):
-            PipelineConfig(seed=seed)
-        with pytest.raises(ConfigError, match=want):
-            parse_pipeline_config({"seed": seed})
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": seed}))
-        with pytest.raises(ConfigError, match=want):
-            load_pipeline_config(str(path))
-    assert PipelineConfig(seed=0).seed == 0
+    # feature_seed -1 and -2 once ran: the point stacks seed at feature_seed + 2.
+    for key in ("seed", "feature_seed"):
+        for seed in (-1, -2, -(2**40)):
+            want = f"^{key} must be non-negative$"
+            with pytest.raises(ConfigError, match=want):
+                PipelineConfig(**{key: seed})
+            with pytest.raises(ConfigError, match=want):
+                parse_pipeline_config({key: seed})
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({key: seed}))
+            with pytest.raises(ConfigError, match=want):
+                load_pipeline_config(str(path))
+    assert PipelineConfig(seed=0, feature_seed=0).feature_seed == 0
 
 
 def test_the_old_gnn_variant_key_is_unknown():
@@ -528,21 +531,21 @@ def test_joined_batch_trains_like_the_per_world_loop(alignment, batch):
         np.testing.assert_allclose(got, want, rtol=BATCH_RTOL, atol=BATCH_ATOL)
 
 
-def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
-    # Empty worlds before, between and after two non-empty ones add no
-    # loss and pass zero gradients; each world keeps its own normaliser.
+def test_joined_pass_skips_empty_worlds_like_the_per_world_loop(monkeypatch):
+    # Empty worlds before, between and after two non-empty ones get no
+    # rows, add no loss and pass zero gradients; each world keeps its own
+    # normaliser.
     config = tiny_config()
     worlds = [pipeline._build_world(config, seed, seed + 11) for seed in (0, 5)]
     empty = pipeline._build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
     batch = [empty, worlds[0], empty, worlds[1], empty]
-    fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
-    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
-    targets = pipeline._Targets(
-        np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends))
-    )
+    _, graph, rows = _training_batch(monkeypatch, config, batch)
+    first, both = np.cumsum([len(world.graph) for world in worlds]).tolist()
+    assert [r.rows for r in rows] == [slice(0, first), slice(first, both)]
     graphs = [world.graph for world in batch]
     models = pipeline.init_models(config)
-    loss, grads = _evaluate(models, join_graphs(graphs), targets, config, True)
+    loss, grads = _evaluate(models, graph, rows, config, True)
+    targets = loop_batch_targets(batch, config.proposals.pos_iou)
     want_loss, want_grads = loop_batch_evaluate(models, graphs, targets, config, True)
     assert loss == want_loss > 0
     np.testing.assert_allclose(
@@ -550,10 +553,24 @@ def test_joined_pass_skips_empty_worlds_like_the_per_world_loop():
     )
 
 
-def _evaluate(models, graph, targets, config, want_grads):
+def _training_batch(monkeypatch, config, batch):
+    """``pipeline._training_worlds`` over the worlds of ``batch``, in order."""
+    built = iter(batch)
+    monkeypatch.setattr(pipeline, "_build_world", lambda *args: next(built))
+    train = replace(config.train, batch_scenes=len(batch))
+    return pipeline._training_worlds(replace(config, train=train))
+
+
+def _without_foreground(rows):
+    """A world's ``_WorldRows`` with every row moved to the background."""
+    n = rows.rows.stop - rows.rows.start
+    return rows._replace(fg=rows.fg[:0], bg=np.arange(n), fg_targets=rows.fg_targets[:0])
+
+
+def _evaluate(models, graph, rows, config, want_grads):
     """``pipeline._evaluate`` with the matrix product a training run picks."""
     product = _product_for(len(graph), models.stacks)
-    return pipeline._evaluate(models, graph, targets, config, want_grads, product)
+    return pipeline._evaluate(models, graph, rows, config, want_grads, product)
 
 
 def _flat_grads(grads):
@@ -616,21 +633,36 @@ def test_gradient_vectors_train_bit_identically_to_the_per_world_loop(monkeypatc
     assert all(moved) if case != "all-empty" else not any(moved)
 
 
+def _best_training_ious(config):
+    """Each training world's best proposal IoU, by the pairwise loop."""
+    bests = []
+    for j in range(config.train.batch_scenes):
+        seed = config.seed + pipeline._SCENE_STRIDE * j
+        world = pipeline._build_world(config, seed, seed + pipeline._PROPOSAL_OFFSET)
+        bests.append(max(
+            loop_rotated_iou_bev(prop, gt)
+            for prop in world.graph.boxes
+            for gt in world.scene.gt_boxes
+        ))
+    return bests
+
+
+def _no_foreground_message(best):
+    return (
+        f"no training proposal is foreground: the best proposal IoU is {best:.4f}, "
+        "below proposals.pos_iou = 0.999"
+    )
+
+
 def test_a_batch_without_foreground_fails_naming_pos_iou_and_the_best_iou():
     # The loss would be zero at every step and the run would return its
     # initial models, so it fails before the first step, without a warning.
     config = PipelineConfig(
         proposals=ProposalConfig(pos_iou=0.999), train=TrainPipelineConfig(steps=20)
     )
-    world = pipeline._build_world(config, config.seed, config.seed + pipeline._PROPOSAL_OFFSET)
-    best = max(
-        loop_rotated_iou_bev(prop, gt) for prop in world.graph.boxes for gt in world.scene.gt_boxes
-    )
+    (best,) = _best_training_ious(config)
     assert 0.7 < best < 0.999
-    want = (
-        f"no training proposal is foreground: the best proposal IoU is {best:.4f}, "
-        "below proposals.pos_iou = 0.999"
-    )
+    want = _no_foreground_message(best)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in (train_smoke, run_pipeline):
@@ -640,19 +672,35 @@ def test_a_batch_without_foreground_fails_naming_pos_iou_and_the_best_iou():
         assert run_pipeline(replace(config, train=TrainPipelineConfig(steps=0)))[1]["ap_s40"] == 0.0
 
 
+def test_a_batch_of_two_without_foreground_names_the_best_iou_of_both():
+    # The message's IoU is the batch maximum: the two worlds' bests differ,
+    # and the second world's is the larger.
+    config = PipelineConfig(
+        proposals=ProposalConfig(pos_iou=0.999),
+        train=TrainPipelineConfig(steps=20, batch_scenes=2),
+    )
+    bests = _best_training_ious(config)
+    assert 0.7 < max(bests) < 0.999
+    assert round(bests[0], 4) < round(bests[1], 4)
+    want = _no_foreground_message(max(bests))
+    for run in (train_smoke, run_pipeline):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            run(config)
+
+
 def test_batches_with_some_foreground_or_no_proposals_still_train(monkeypatch):
     assert train_smoke(tiny_config(scene={"n_objects": 0}), steps=3) == [0.0] * 4
-    targets, calls = pipeline._training_targets, []
+    world_rows, calls = pipeline._world_rows, []
 
-    def second_without_foreground(config, world):
-        fg, reg = targets(config, world)
-        calls.append(fg)
-        return (np.zeros_like(fg), np.zeros_like(reg)) if len(calls) == 2 else (fg, reg)
+    def second_without_foreground(config, world, lo):
+        rows, best = world_rows(config, world, lo)
+        calls.append(rows)
+        return (_without_foreground(rows) if len(calls) == 2 else rows), best
 
-    monkeypatch.setattr(pipeline, "_training_targets", second_without_foreground)
+    monkeypatch.setattr(pipeline, "_world_rows", second_without_foreground)
     with pytest.warns(RuntimeWarning, match="no foreground"):
         history = train_smoke(tiny_config(train={"batch_scenes": 2}), steps=3)
-    assert calls[0].any() and len(calls[1]) and len(history) == 4
+    assert len(calls) == 2 and len(calls[0].fg) and len(history) == 4
     assert all(math.isfinite(loss) for loss in history)
 
 
@@ -660,12 +708,14 @@ def test_initial_loss_is_the_refinement_loss_of_the_first_world():
     # Only the refiner is trained: the loss is the header's focal loss plus
     # its box smooth-L1 over the proposals of the training world.
     config = PipelineConfig()
-    (world,), graph, joined = pipeline._training_worlds(config)
-    assert graph is world.graph and joined.bounds == [(0, len(graph))]
+    (world,), graph, rows = pipeline._training_worlds(config)
+    assert graph is world.graph and [r.rows for r in rows] == [slice(0, len(graph))]
     models = pipeline.init_models(config)
     refined, _ = update(world.graph, models.updater)
     scores, residuals, _ = header_forward(refined, models.cls_stack, models.reg_stack)
-    fg, targets = joined.prop_fg, joined.prop_reg_targets
+    fg, targets = loop_training_targets(
+        world.graph.boxes, world.scene.gt_boxes, config.proposals.pos_iou
+    )
     want = focal_loss(scores, fg, config.loss) + masked_smooth_l1_mean(
         residuals, targets, fg, config.loss.smooth_l1_beta
     )
@@ -762,7 +812,7 @@ def test_model_stacks_are_the_updaters_then_the_headers():
 
 
 @pytest.mark.parametrize("alignment", [True, False], ids=ARMS)
-def test_fused_losses_evaluate_like_the_separate_passes(alignment):
+def test_fused_losses_evaluate_like_the_separate_passes(monkeypatch, alignment):
     # A batch of four worlds, the second empty and the third stripped of
     # its foreground: that world warns and adds a zero loss and zero
     # gradients.  Loss and every gradient equal the four separate loss
@@ -771,23 +821,20 @@ def test_fused_losses_evaluate_like_the_separate_passes(alignment):
     worlds = [pipeline._build_world(config, seed, seed + 11) for seed in (0, 2, 5)]
     empty = pipeline._build_world(tiny_config(scene={"n_objects": 0}), 0, 11)
     batch = [worlds[0], empty, worlds[1], worlds[2]]
-    fgs, regs = zip(*(pipeline._training_targets(config, world) for world in batch))
-    fgs, regs = list(fgs), list(regs)
-    fgs[2], regs[2] = np.zeros_like(fgs[2]), np.zeros_like(regs[2])
-    assert all(fg.any() for fg in (fgs[0], fgs[3])) and len(fgs[2])
-    ends = np.cumsum([len(fg) for fg in fgs]).tolist()
-    targets = pipeline._Targets(
-        np.concatenate(fgs), np.concatenate(regs), list(zip([0] + ends, ends))
-    )
-    graph = join_graphs([world.graph for world in batch])
+    _, graph, rows = _training_batch(monkeypatch, config, batch)
+    rows[1] = _without_foreground(rows[1])
+    targets = loop_batch_targets(batch, config.proposals.pos_iou)
+    fg, reg = targets[2]
+    targets[2] = np.zeros_like(fg), np.zeros_like(reg)
+    assert all(targets[i][0].any() for i in (0, 3)) and len(fg)
     models = pipeline.init_models(config)
     with pytest.warns(RuntimeWarning, match="no foreground"):
-        loss, grads = _evaluate(models, graph, targets, config, True)
+        loss, grads = _evaluate(models, graph, rows, config, True)
     want_loss, want_grads = separate_loss_evaluate(models, graph, targets, config)
     assert loss == want_loss > 0
     assert np.array_equal(_flat_grads(grads), _flat_grads(want_grads))
     with pytest.warns(RuntimeWarning, match="no foreground"):
-        assert _evaluate(models, graph, targets, config, False) == (loss, None)
+        assert _evaluate(models, graph, rows, config, False) == (loss, None)
 
 
 def _grad_arrays(grads):
@@ -801,11 +848,11 @@ def _share_nothing(first, second):
 def test_successive_gradients_share_no_memory():
     # A caller may keep a returned gradient: no later call overwrites it.
     config = PipelineConfig()
-    _, graph, targets = pipeline._training_worlds(config)
+    _, graph, rows = pipeline._training_worlds(config)
     models = pipeline.init_models(config)
-    _, first = _evaluate(models, graph, targets, config, True)
+    _, first = _evaluate(models, graph, rows, config, True)
     kept = [a.copy() for a in _grad_arrays(first)]
-    _, second = _evaluate(models, graph, targets, config, True)
+    _, second = _evaluate(models, graph, rows, config, True)
     assert _share_nothing(_grad_arrays(first), _grad_arrays(second))
     assert all(np.array_equal(a, b) for a, b in zip(_grad_arrays(first), kept))
 
@@ -945,10 +992,8 @@ def test_only_training_worlds_build_training_targets(monkeypatch):
     # Proposal targets are built for each training scene and never for a
     # scene that is only scored.
     calls = []
-    targets = pipeline._training_targets
-    monkeypatch.setattr(
-        pipeline, "_training_targets", lambda *a: calls.append(1) or targets(*a)
-    )
+    world_rows = pipeline._world_rows
+    monkeypatch.setattr(pipeline, "_world_rows", lambda *a: calls.append(1) or world_rows(*a))
     run_pipeline(tiny_config(train={"steps": 1, "batch_scenes": 2}))
     assert len(calls) == 2
     calls.clear()
@@ -971,13 +1016,15 @@ def test_training_targets_match_the_unfiltered_loop(monkeypatch, scene, seed):
     calls = []
     kernel = geom.bev_iou_pairs
     monkeypatch.setattr(geom, "bev_iou_pairs", lambda a, b, i, j: calls.extend(i) or kernel(a, b, i, j))
-    got_fg, got_reg = pipeline._training_targets(config, world)
+    got, _ = pipeline._world_rows(config, world, 5)
     fg, reg = loop_training_targets(
         world.graph.boxes, world.scene.gt_boxes, config.proposals.pos_iou
     )
-    assert fg.any()
-    assert np.array_equal(got_fg, fg)
-    assert np.array_equal(got_reg, reg)
+    assert fg.any() and not fg.all()
+    assert got.rows == slice(5, 5 + len(world.graph))
+    assert np.array_equal(got.fg, np.flatnonzero(fg))
+    assert np.array_equal(got.bg, np.flatnonzero(~fg))
+    assert got.fg_targets.tobytes() == reg[fg].tobytes()
     assert 0 < len(calls) < len(world.graph) * len(world.scene.gt_boxes)
 
 
